@@ -15,7 +15,7 @@
 use unit_bench::cli::HarnessArgs;
 use unit_bench::render::{bucketize, csv, f, render_event_timeline, spark};
 use unit_bench::row;
-use unit_bench::{default_workload_plan, run_policy, run_policy_observed, PolicyKind};
+use unit_bench::{default_workload_plan, run_policy, run_policy_with, PolicyKind};
 use unit_core::usm::UsmWeights;
 use unit_workload::dist::pearson;
 use unit_workload::{UpdateDistribution, UpdateVolume};
@@ -68,7 +68,8 @@ fn main() {
         let record = args.trace_out.is_some() && dist == UpdateDistribution::Uniform;
         let out = if record {
             let mut rec = unit_obs::RingRecorder::unbounded();
-            let out = run_policy_observed(&plan, &bundle, PolicyKind::Unit, weights, &mut rec);
+            let cfg = plan.sim_config(weights);
+            let out = run_policy_with(&plan, &bundle, PolicyKind::Unit, cfg, Some(&mut rec));
             let events = rec.into_events();
             println!("event timeline (UNIT, med-unif):");
             print!("{}", render_event_timeline(&events, 64));

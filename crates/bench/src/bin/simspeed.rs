@@ -12,10 +12,12 @@
 //!
 //! `--scale-up M` adds a throughput-stress entry: the plan's query count is
 //! multiplied by `M` at a fixed horizon and the med-unif cell is run twice,
-//! end to end — once through the materialized pipeline (eager query `Vec`,
-//! batch engine) and once through the streaming pipeline (lazy generation
-//! fed straight into the chunked engine, the query `Vec` never exists). The
-//! two reports are asserted bit-identical before the speedup is recorded.
+//! end to end, through the one engine — once trace-fed (the eager query
+//! `Vec` is generated, then `SimRun::trace` feeds from it; the
+//! "materialized" row) and once generator-fed (lazy generation straight
+//! into `SimRun::streaming`, the query `Vec` never exists; the "streamed"
+//! row). The two reports are asserted bit-identical before the speedup is
+//! recorded.
 //!
 //! `--stream-demo M` times generation-only streaming at `M×` query load:
 //! specs are drained one at a time into a checksum, so peak memory stays at
@@ -27,7 +29,7 @@ use unit_bench::cli::Flags;
 use unit_bench::{default_workload_plan, run_policy, ExperimentPlan, PolicyKind};
 use unit_core::unit_policy::UnitPolicy;
 use unit_core::usm::UsmWeights;
-use unit_sim::{report_digest, Simulator};
+use unit_sim::{report_digest, SimRun};
 use unit_workload::{generate_updates, stream_queries, UpdateDistribution, UpdateVolume};
 
 struct Args {
@@ -77,24 +79,24 @@ fn parse_args() -> Args {
     args
 }
 
-/// Time the med-unif cell at `m×` query load through both pipelines,
-/// assert the reports bit-identical, and return the JSON fragment plus a
-/// human-readable summary line.
+/// Time the med-unif cell at `m×` query load through both feeds, assert
+/// the reports bit-identical (trace-fed ≡ generator-fed), and return the
+/// JSON fragment plus a human-readable summary line.
 fn scale_up_entry(plan: &ExperimentPlan, m: u64, chunk: usize, weights: UsmWeights) -> String {
     let plan_up = plan.scaled_up(m);
     let n_queries = plan_up.query_cfg.n_queries;
     println!("\n  scale-up x{m} (med-unif, {n_queries} queries, fixed horizon):");
 
-    // Streamed pipeline first (the materialized side then runs with a warm
+    // Generator-fed first (the trace-fed side then runs with a warm
     // allocator, which is the conservative ordering for the speedup claim):
-    // lazy generation feeds the chunked engine, the update streams are
-    // derived from the generator's popularity profile, and the full query
-    // `Vec` never exists.
+    // lazy generation feeds the engine, the update streams are derived from
+    // the generator's popularity profile, and the full query `Vec` never
+    // exists.
     let ucfg = plan_up.update_config(UpdateVolume::Med, UpdateDistribution::Uniform);
     let start = Instant::now();
     let stream = stream_queries(&plan_up.query_cfg);
     let updates = generate_updates(&ucfg, stream.item_weights(), plan_up.query_cfg.horizon);
-    let streamed_report = Simulator::new_streaming(
+    let streamed_report = SimRun::streaming(
         plan_up.query_cfg.n_items,
         &updates.updates,
         UnitPolicy::new(plan_up.unit_config(weights)),
@@ -104,7 +106,7 @@ fn scale_up_entry(plan: &ExperimentPlan, m: u64, chunk: usize, weights: UsmWeigh
     let streamed_secs = start.elapsed().as_secs_f64();
     drop(updates);
 
-    // Materialized pipeline: eager query Vec + bundle, then the batch engine.
+    // Trace-fed: eager query Vec + bundle, then the same engine over the slice.
     let start = Instant::now();
     let bundle = plan_up.bundle(UpdateVolume::Med, UpdateDistribution::Uniform);
     let mat = run_policy(&plan_up, &bundle, PolicyKind::Unit, weights);
@@ -113,7 +115,7 @@ fn scale_up_entry(plan: &ExperimentPlan, m: u64, chunk: usize, weights: UsmWeigh
     assert_eq!(
         report_digest(&streamed_report),
         report_digest(&mat.report),
-        "streamed pipeline diverged from the materialized pipeline at x{m}"
+        "generator-fed run diverged from the trace-fed run at x{m}"
     );
     let events = mat.report.events_processed;
     let mat_eps = events as f64 / mat_secs;

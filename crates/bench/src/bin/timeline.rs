@@ -2,15 +2,13 @@
 //! cumulative USM, backlog, and utilization over time for each policy on
 //! one workload — showing UNIT's warm-up and steady state.
 
-use unit_baselines::{ImuPolicy, OduPolicy, QmfPolicy};
 use unit_bench::cli::HarnessArgs;
 use unit_bench::render::{csv, f, render_event_timeline};
 use unit_bench::row;
-use unit_bench::{default_workload_plan, PolicyKind};
-use unit_core::unit_policy::UnitPolicy;
+use unit_bench::{default_workload_plan, run_policy_with, PolicyKind};
 use unit_core::usm::UsmWeights;
 use unit_obs::{Observer, RingRecorder};
-use unit_sim::{run_simulation, SimConfig, SimReport, SimRun, TimelineSample};
+use unit_sim::{SimConfig, SimReport, TimelineSample};
 use unit_workload::{UpdateDistribution, UpdateVolume};
 
 fn downsample(timeline: &[TimelineSample], points: usize) -> Vec<&TimelineSample> {
@@ -31,32 +29,7 @@ fn run(
         .with_weights(UsmWeights::naive())
         .with_tick_period(plan.tick_period)
         .with_timeline();
-    match (kind, observer) {
-        (PolicyKind::Imu, None) => run_simulation(&bundle.trace, ImuPolicy::new(), cfg),
-        (PolicyKind::Odu, None) => run_simulation(&bundle.trace, OduPolicy::new(), cfg),
-        (PolicyKind::Qmf, None) => run_simulation(&bundle.trace, QmfPolicy::default(), cfg),
-        (PolicyKind::Unit, None) => run_simulation(
-            &bundle.trace,
-            UnitPolicy::new(plan.unit_config(UsmWeights::naive())),
-            cfg,
-        ),
-        (PolicyKind::Imu, Some(o)) => SimRun::trace(&bundle.trace, ImuPolicy::new(), cfg)
-            .with_observer(o)
-            .run(),
-        (PolicyKind::Odu, Some(o)) => SimRun::trace(&bundle.trace, OduPolicy::new(), cfg)
-            .with_observer(o)
-            .run(),
-        (PolicyKind::Qmf, Some(o)) => SimRun::trace(&bundle.trace, QmfPolicy::default(), cfg)
-            .with_observer(o)
-            .run(),
-        (PolicyKind::Unit, Some(o)) => SimRun::trace(
-            &bundle.trace,
-            UnitPolicy::new(plan.unit_config(UsmWeights::naive())),
-            cfg,
-        )
-        .with_observer(o)
-        .run(),
-    }
+    run_policy_with(plan, bundle, kind, cfg, observer).report
 }
 
 fn main() {

@@ -15,7 +15,7 @@
 //! | `fig6`   | Fig. 6 — outcome-ratio decomposition |
 //!
 //! Every binary accepts `--scale N` (default 4) dividing the workload size,
-//! and `--full` for the paper-scale run (11,000 queries over 40,000 s).
+//! and `--full` for the paper-scale run (110,035 queries over 3,848,104 s).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -26,6 +26,6 @@ pub mod render;
 pub mod runner;
 
 pub use runner::{
-    default_workload_plan, run_matrix, run_policy, run_policy_observed, run_unit_streamed,
+    default_workload_plan, run_matrix, run_policy, run_policy_with, run_unit_streamed,
     worker_pool_size, ExperimentPlan, PolicyKind, RunOutcome,
 };

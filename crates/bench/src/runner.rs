@@ -6,10 +6,12 @@ use std::sync::Mutex;
 use std::thread;
 use unit_baselines::{ImuPolicy, OduPolicy, QmfPolicy};
 use unit_core::config::UnitConfig;
+use unit_core::policy::Policy;
 use unit_core::time::SimDuration;
 use unit_core::unit_policy::UnitPolicy;
 use unit_core::usm::UsmWeights;
-use unit_sim::{run_simulation, SimConfig, SimReport};
+use unit_obs::Observer;
+use unit_sim::{SimConfig, SimReport, SimRun};
 use unit_workload::{
     QueryTraceConfig, TraceBundle, UpdateDistribution, UpdateTraceConfig, UpdateVolume,
 };
@@ -132,93 +134,78 @@ pub struct RunOutcome {
     pub report: SimReport,
 }
 
-/// Run one policy over one bundle under the given weights.
+/// Run one policy over one bundle under `cfg`, optionally with an observer
+/// installed (the `--trace-out` path) — the harness's one `PolicyKind` →
+/// policy dispatch. UNIT is configured from `cfg.weights`. Observation is
+/// digest-neutral by construction (the obs differential suite pins this),
+/// so binaries can record without re-running quiet.
+pub fn run_policy_with(
+    plan: &ExperimentPlan,
+    bundle: &TraceBundle,
+    policy: PolicyKind,
+    cfg: SimConfig,
+    observer: Option<&mut dyn Observer>,
+) -> RunOutcome {
+    fn go<P: Policy>(
+        bundle: &TraceBundle,
+        policy: P,
+        cfg: SimConfig,
+        observer: Option<&mut dyn Observer>,
+    ) -> SimReport {
+        let run = SimRun::trace(&bundle.trace, policy, cfg);
+        match observer {
+            Some(o) => run.with_observer(o).run(),
+            None => run.run(),
+        }
+    }
+    let report = match policy {
+        PolicyKind::Imu => go(bundle, ImuPolicy::new(), cfg, observer),
+        PolicyKind::Odu => go(bundle, OduPolicy::new(), cfg, observer),
+        PolicyKind::Qmf => go(bundle, QmfPolicy::default(), cfg, observer),
+        PolicyKind::Unit => {
+            let unit = UnitPolicy::new(plan.unit_config(cfg.weights));
+            go(bundle, unit, cfg, observer)
+        }
+    };
+    RunOutcome {
+        trace_name: bundle.name.clone(),
+        policy,
+        report,
+    }
+}
+
+/// [`run_policy_with`] under the plan's own config for `weights`, quiet.
 pub fn run_policy(
     plan: &ExperimentPlan,
     bundle: &TraceBundle,
     policy: PolicyKind,
     weights: UsmWeights,
 ) -> RunOutcome {
-    let cfg = plan.sim_config(weights);
-    let report = match policy {
-        PolicyKind::Imu => run_simulation(&bundle.trace, ImuPolicy::new(), cfg),
-        PolicyKind::Odu => run_simulation(&bundle.trace, OduPolicy::new(), cfg),
-        PolicyKind::Qmf => run_simulation(&bundle.trace, QmfPolicy::default(), cfg),
-        PolicyKind::Unit => run_simulation(
-            &bundle.trace,
-            UnitPolicy::new(plan.unit_config(weights)),
-            cfg,
-        ),
-    };
-    RunOutcome {
-        trace_name: bundle.name.clone(),
-        policy,
-        report,
-    }
+    run_policy_with(plan, bundle, policy, plan.sim_config(weights), None)
 }
 
-/// Run UNIT over one bundle through the streaming feed: queries are
-/// regenerated lazily from the plan's [`QueryTraceConfig`] (bit-identical
-/// to `bundle.trace.queries` — the stream-identity property suite pins
-/// this) and fed in `chunk`-sized lookahead windows, so the engine's peak
-/// spec residency is O(in-flight + chunk) instead of O(N_q). The report is
-/// bit-identical to [`run_policy`] with [`PolicyKind::Unit`]; only the
-/// wall-clock and memory profiles differ.
+/// Run UNIT over one bundle fed from the lazy generator: queries are
+/// regenerated from the plan's [`QueryTraceConfig`] (bit-identical to
+/// `bundle.trace.queries` — the stream-identity property suite pins this)
+/// and fed with `chunk` arrivals of lookahead, so the query `Vec` is never
+/// read. The report is bit-identical to [`run_policy`] with
+/// [`PolicyKind::Unit`]: trace-fed ≡ generator-fed.
 pub fn run_unit_streamed(
     plan: &ExperimentPlan,
     bundle: &TraceBundle,
     weights: UsmWeights,
     chunk: usize,
 ) -> RunOutcome {
-    let cfg = plan.sim_config(weights);
-    let report = unit_sim::Simulator::new_streaming(
+    let report = SimRun::streaming(
         bundle.trace.n_items,
         &bundle.trace.updates,
         UnitPolicy::new(plan.unit_config(weights)),
-        cfg,
+        plan.sim_config(weights),
     )
     .run_streamed(unit_workload::stream_queries(&plan.query_cfg), chunk);
     RunOutcome {
         trace_name: bundle.name.clone(),
         policy: PolicyKind::Unit,
-        report,
-    }
-}
-
-/// Run one policy over one bundle with an observer installed (the
-/// `--trace-out` path). The report is bit-identical to [`run_policy`]'s —
-/// observation is digest-neutral by construction; the obs differential
-/// suite pins this — so binaries can record without re-running quiet.
-pub fn run_policy_observed(
-    plan: &ExperimentPlan,
-    bundle: &TraceBundle,
-    policy: PolicyKind,
-    weights: UsmWeights,
-    observer: &mut dyn unit_obs::Observer,
-) -> RunOutcome {
-    use unit_sim::SimRun;
-    let cfg = plan.sim_config(weights);
-    let report = match policy {
-        PolicyKind::Imu => SimRun::trace(&bundle.trace, ImuPolicy::new(), cfg)
-            .with_observer(observer)
-            .run(),
-        PolicyKind::Odu => SimRun::trace(&bundle.trace, OduPolicy::new(), cfg)
-            .with_observer(observer)
-            .run(),
-        PolicyKind::Qmf => SimRun::trace(&bundle.trace, QmfPolicy::default(), cfg)
-            .with_observer(observer)
-            .run(),
-        PolicyKind::Unit => SimRun::trace(
-            &bundle.trace,
-            UnitPolicy::new(plan.unit_config(weights)),
-            cfg,
-        )
-        .with_observer(observer)
-        .run(),
-    };
-    RunOutcome {
-        trace_name: bundle.name.clone(),
-        policy,
         report,
     }
 }

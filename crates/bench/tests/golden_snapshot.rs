@@ -13,7 +13,7 @@
 //! GOLDEN_PRINT=1 cargo test -p unit-bench --test golden_snapshot -- --nocapture
 //! ```
 
-use unit_bench::{default_workload_plan, PolicyKind};
+use unit_bench::{default_workload_plan, run_policy_with, PolicyKind};
 use unit_core::usm::UsmWeights;
 use unit_sim::{report_digest, SchedulingDiscipline, SimReport};
 use unit_workload::{UpdateDistribution, UpdateVolume};
@@ -52,30 +52,7 @@ fn run_cell(policy: PolicyKind, discipline: SchedulingDiscipline) -> SimReport {
         .sim_config(weights)
         .with_timeline()
         .with_discipline(discipline);
-    run_policy_with_config(&plan, &bundle, policy, weights, cfg)
-}
-
-/// `run_policy` with an explicit `SimConfig` (the runner builds its own).
-fn run_policy_with_config(
-    plan: &unit_bench::ExperimentPlan,
-    bundle: &unit_workload::TraceBundle,
-    policy: PolicyKind,
-    weights: UsmWeights,
-    cfg: unit_sim::SimConfig,
-) -> SimReport {
-    use unit_baselines::{ImuPolicy, OduPolicy, QmfPolicy};
-    use unit_core::unit_policy::UnitPolicy;
-    use unit_sim::run_simulation;
-    match policy {
-        PolicyKind::Imu => run_simulation(&bundle.trace, ImuPolicy::new(), cfg),
-        PolicyKind::Odu => run_simulation(&bundle.trace, OduPolicy::new(), cfg),
-        PolicyKind::Qmf => run_simulation(&bundle.trace, QmfPolicy::default(), cfg),
-        PolicyKind::Unit => run_simulation(
-            &bundle.trace,
-            UnitPolicy::new(plan.unit_config(weights)),
-            cfg,
-        ),
-    }
+    run_policy_with(&plan, &bundle, policy, cfg, None).report
 }
 
 #[test]

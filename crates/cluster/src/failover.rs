@@ -464,7 +464,7 @@ impl FaultClusterReport {
 }
 
 /// The fault cluster's health-consistency invariant (validate feature;
-/// DESIGN.md §4):
+/// DESIGN.md §6):
 ///
 /// 1. no shard outcome is decided strictly inside one of that shard's
 ///    `Pause` windows (a paused shard decides nothing; boundary instants

@@ -1,5 +1,5 @@
 //! Per-item leader/follower replication with freshness-aware read routing
-//! (DESIGN.md §3b).
+//! (DESIGN.md §5).
 //!
 //! Partitioning alone (`item mod N`) means every read lands on the one
 //! shard that applies the item's updates: reads always see leader-fresh
@@ -581,7 +581,7 @@ impl HostView for ReplicaSets {
 }
 
 /// The replication-consistency invariant (validate feature; DESIGN.md
-/// §3b):
+/// §5):
 ///
 /// 1. **follower ≤ leader** — at every control tick, every follower's
 ///    delivered version count is at most the leader's emitted count

@@ -41,7 +41,7 @@ use unit_workload::{slice_trace, slice_trace_filtered, slice_trace_replicated, I
 
 /// A configured cluster run: faults and observation are layered onto the
 /// shape described by the [`ClusterConfig`] it was built from, mirroring
-/// the single-server `Simulator::with_faults`/`with_observer` builders.
+/// the single-server `SimRun::with_faults`/`with_observer` builder.
 pub struct ClusterRun<'a> {
     cluster: ClusterConfig,
     faults: Option<(&'a FaultPlan, FailoverPolicy)>,
@@ -151,7 +151,7 @@ impl<'a> ClusterRun<'a> {
     ///
     /// # Panics
     /// Panics if `trace` is malformed (same contract as
-    /// [`Simulator::new`]) or a worker thread panics.
+    /// [`SimRun::build`]) or a worker thread panics.
     pub fn run<P, F>(
         self,
         trace: &Trace,

@@ -1,4 +1,4 @@
-//! Observability digest-neutrality suite (DESIGN.md §6): installing a
+//! Observability digest-neutrality suite (DESIGN.md §11): installing a
 //! recorder must not move a single bit of any report.
 //!
 //! Every engine emission site is gated on the presence of an observer, and
@@ -20,7 +20,7 @@ use unit_core::unit_policy::UnitPolicy;
 use unit_core::usm::UsmWeights;
 use unit_faults::{FaultConfig, FaultMode, FaultPlan};
 use unit_obs::{ObsEvent, RingRecorder};
-use unit_sim::{report_digest, SchedulingDiscipline, SimConfig, SimRun, Simulator};
+use unit_sim::{report_digest, SchedulingDiscipline, SimConfig, SimRun};
 use unit_workload::{
     QueryTraceConfig, TraceBundle, UpdateDistribution, UpdateTraceConfig, UpdateVolume,
 };
@@ -56,7 +56,7 @@ fn single_server_neutrality<P: Policy>(policy_name: &str, make: impl Fn(u64) -> 
     for (discipline, dname) in DISCIPLINES {
         let cfg = sim_config(bundle.horizon, discipline);
         let seed = split_seed(SEED, 0);
-        let quiet = Simulator::new(&bundle.trace, make(seed), cfg).run();
+        let quiet = SimRun::trace(&bundle.trace, make(seed), cfg).run();
         let mut rec = RingRecorder::unbounded();
         let observed = SimRun::trace(&bundle.trace, make(seed), cfg)
             .with_observer(&mut rec)

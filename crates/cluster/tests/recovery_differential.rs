@@ -1,4 +1,4 @@
-//! Cluster-level recovery differential (DESIGN.md §4b): shards that crash
+//! Cluster-level recovery differential (DESIGN.md §7): shards that crash
 //! with lose-state semantics — dropping all volatile state, restoring the
 //! last control-boundary checkpoint, and replaying the lost window — must
 //! leave the merged cluster report bit-identical to the fault-free run.

@@ -1,4 +1,4 @@
-//! Versioned, byte-stable checkpoint codec (DESIGN.md §4b).
+//! Versioned, byte-stable checkpoint codec (DESIGN.md §7).
 //!
 //! Every component that participates in crash recovery serializes its
 //! *canonical* state through [`Enc`] and reads it back through [`Dec`]:
@@ -19,7 +19,7 @@ pub const MAGIC: &[u8; 8] = b"UNITCKPT";
 
 /// Current checkpoint format version. Bump on any layout change; restore
 /// rejects mismatches rather than guessing.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 /// Why a restore was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]

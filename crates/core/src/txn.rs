@@ -2,22 +2,21 @@
 //!
 //! The boundary between UNIT's *policy* layer (admission, modulation,
 //! USM accounting) and whatever actually holds the data. Everything that
-//! mutates server state — applying an update version, reading a data item
-//! on behalf of a query — goes through a [`TransactionManager`], so the
-//! same policy code can drive:
-//!
-//! * the deterministic simulation engine (`unit-sim`'s `SimBackend`
-//!   adapts the engine's [`crate::freshness::FreshnessTable`]), and
-//! * a live in-memory store (`unit-server`'s `MemBackend`: sharded KV
-//!   with per-item version counters, the production path).
+//! mutates *live* server state — applying an update version, reading a
+//! data item on behalf of a query — goes through a [`TransactionManager`].
+//! The only in-tree implementor is `unit-server`'s `MemBackend` (sharded
+//! KV with per-item version counters, the production path); the trait is
+//! the seam a durable or remote backend would plug into. The deterministic
+//! simulation engine (`unit-sim`) does not use it: it mutates its
+//! [`crate::freshness::FreshnessTable`] directly, and serves as the live
+//! server's oracle by replaying the same trace, not by sharing a backend.
 //!
 //! The contract is deliberately narrow — `begin` / `read` / `apply` /
 //! `commit` / `abort` plus a non-transactional [`TransactionManager::observe_version`]
 //! hook for source version arrivals — mirroring the unit-of-work
 //! interfaces of classic web-tier transaction managers. Methods take
-//! `&self`: implementations own their interior mutability (a `RefCell`
-//! in the single-threaded oracle, sharded mutexes in the live server),
-//! which is what lets one trait serve both worlds.
+//! `&self`: implementations own their interior mutability (sharded
+//! mutexes in the live server), so worker threads share one backend.
 //!
 //! Freshness is part of the read result, not a side channel: every
 //! [`ReadVersion`] carries the item's applied-version counter and its

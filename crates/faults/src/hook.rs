@@ -1,5 +1,5 @@
 //! The [`FaultHook`] adapter: plugs a validated [`FaultSchedule`] into a
-//! [`unit_sim::Simulator`] via `Simulator::with_faults`.
+//! [`unit_sim::Simulator`] via `SimRun::with_faults`.
 
 use crate::schedule::{FaultMode, FaultSchedule, ScheduleError};
 use unit_core::time::SimTime;

@@ -22,7 +22,7 @@ pub enum FaultMode {
     /// Graceful degradation: the read path stays up serving last-applied
     /// versions (honest DSF through `Udrop`), update applications drop.
     DegradedReads,
-    /// Lose-state crash (DESIGN.md §4b): at `start` the shard discards all
+    /// Lose-state crash (DESIGN.md §7): at `start` the shard discards all
     /// volatile state, restores its last control-boundary checkpoint, and
     /// replays the lost window in virtual time. The shard is never
     /// *observably* down — recovery is instantaneous in virtual time — so

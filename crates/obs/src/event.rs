@@ -1,4 +1,4 @@
-//! The typed event taxonomy (DESIGN.md §6).
+//! The typed event taxonomy (DESIGN.md §11).
 //!
 //! Every event carries a virtual-time stamp and only *derived* information:
 //! emitting an event never mutates simulation state, which is what makes an

@@ -239,7 +239,7 @@ pub const CSV_HEADER: &str = "kind,time,shard,seq,query,item,detail,v0,v1,v2,v3,
 
 /// One CSV row: the flattened fields of one event. `Shard`-wrapped events
 /// flatten to the inner event's row with `shard`/`seq` filled. Per-kind
-/// column meanings are documented in DESIGN.md §6. O(size of the event).
+/// column meanings are documented in DESIGN.md §11. O(size of the event).
 fn event_to_csv_row(ev: &ObsEvent, shard: Option<u32>, seq: Option<u64>) -> String {
     // Column scratch: detail plus up to six values; unused cells stay empty.
     let mut detail = String::new();

@@ -12,7 +12,7 @@
 //! The engine (`unit_sim`) and the cluster dispatcher (`unit_cluster`) are
 //! the emitters; this crate deliberately depends only on `unit_core` so it
 //! can sit between the core types and every layer that observes them.
-//! DESIGN.md §6 documents the model; CONTRIBUTING.md explains how to add
+//! DESIGN.md §11 documents the model; CONTRIBUTING.md explains how to add
 //! an event or metric.
 
 #![warn(missing_docs)]

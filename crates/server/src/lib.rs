@@ -7,8 +7,9 @@
 //! modulation fire against wall-clock deadlines, and every state
 //! mutation goes through the storage-agnostic
 //! [`unit_core::txn::TransactionManager`] — here backed by
-//! [`MemBackend`], a sharded in-memory versioned KV (the oracle path
-//! uses `unit_sim::SimBackend` over the engine's freshness table).
+//! [`MemBackend`], a sharded in-memory versioned KV and the trait's only
+//! in-tree implementor (the engine mutates its own freshness table
+//! directly; as oracle it is fed the same trace, see [`mod@replay`]).
 //!
 //! The deterministic engine stays in the loop as the **differential
 //! oracle** ([`mod@replay`]): the same trace is fed through the same

@@ -183,7 +183,7 @@ impl TransactionManager for MemBackend {
         let open = self.take_txn(txn)?;
         for item in &open.staged_applies {
             // Installing the latest version clears the item's whole
-            // accumulated lag — the paper's (and SimBackend's) semantics.
+            // accumulated lag — the paper's (and the engine's) semantics.
             self.with_item(*item, |s| {
                 s.pending = 0;
                 s.version += 1;

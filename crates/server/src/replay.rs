@@ -5,11 +5,12 @@
 //! channel, a consumer draining it — but the consumer is the
 //! deterministic [`unit_sim::Simulator`] (via [`SimRun::streaming`]) and the
 //! timeline is a [`VirtualClock`] advanced to each arrival as it crosses
-//! the channel. Because the engine's streamed pipeline is proven
-//! bit-identical to its materialized one (`Simulator::run_streamed`'s
-//! theorem, pinned by the sim test-suite), a replay through a real
-//! channel inherits bit-identity: `report_digest(replay) ==
-//! report_digest(Simulator::run)` for the same trace/policy/config.
+//! the channel. Because the engine's iterator feed is proven
+//! bit-identical to its trace-backed feed for any lookahead (pinned by
+//! `crates/sim/tests/streaming.rs`), a replay through a real channel
+//! inherits bit-identity: `report_digest(replay) ==
+//! report_digest(SimRun::trace(..).run())` for the same
+//! trace/policy/config.
 //!
 //! That gives the live server a two-sided oracle:
 //!
@@ -56,7 +57,7 @@ impl<I: Iterator<Item = QuerySpec>> Iterator for ClockedIngress<'_, I> {
 ///
 /// # Panics
 /// Panics if the trace is malformed (same contract as
-/// [`unit_sim::Simulator::new`])
+/// [`SimRun::build`])
 /// or a pipeline thread panics.
 pub fn replay<P: Policy + Send>(
     trace: &Trace,
@@ -128,7 +129,7 @@ mod tests {
     use unit_core::time::SimDuration;
     use unit_core::types::{DataId, QueryId};
     use unit_core::unit_policy::UnitPolicy;
-    use unit_sim::{report_digest, Simulator};
+    use unit_sim::report_digest;
 
     fn tiny_trace() -> Trace {
         Trace {
@@ -160,7 +161,7 @@ mod tests {
             4,
             &clock,
         );
-        let direct = Simulator::new(&trace, UnitPolicy::new(UnitConfig::default()), cfg).run();
+        let direct = SimRun::trace(&trace, UnitPolicy::new(UnitConfig::default()), cfg).run();
         assert_eq!(report_digest(&replayed), report_digest(&direct));
         assert_eq!(clock.now(), SimTime::ZERO + cfg.horizon);
     }

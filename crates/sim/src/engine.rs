@@ -28,13 +28,14 @@ use crate::faults::{FaultHook, HealthState, UpdateFault};
 #[path = "engine_checkpoint.rs"]
 mod checkpoint;
 use crate::locks::{LockManager, ReadAcquire, WriteAcquire};
+use crate::run::SimRun;
 use crate::stats::{FaultCounts, SignalCounts, SimReport, TimelineSample};
 use crate::txn::{Txn, TxnId, TxnKind, TxnState};
 use crate::worktreap::WorkTreap;
+use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
-use unit_core::fenwick::Fenwick;
 use unit_core::freshness::FreshnessTable;
 use unit_core::freshness_model::FreshnessModel;
 use unit_core::policy::{ControlSignal, Policy};
@@ -187,10 +188,10 @@ impl SimConfig {
     }
 }
 
-/// Run `policy` over `trace` and return the report. Convenience wrapper
-/// around [`Simulator`].
+/// Run `policy` over `trace` and return the report. One-line sugar for
+/// [`SimRun::trace`]`(..).run()`.
 pub fn run_simulation<P: Policy>(trace: &Trace, policy: P, cfg: SimConfig) -> SimReport {
-    Simulator::new(trace, policy, cfg).run()
+    SimRun::trace(trace, policy, cfg).run()
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -215,145 +216,63 @@ struct AdmittedEntry {
     pref_class: u32,
 }
 
-/// Where the engine's query specs live.
-///
-/// The materialized variant borrows the trace's query list (the classic
-/// path). The streamed variant owns a small slab holding only *in-flight*
-/// specs — interned by [`Simulator::feed_query`], released the moment the
-/// query's outcome is recorded — so a run over tens of millions of queries
-/// keeps O(in-flight + lookahead) specs resident instead of O(N_q).
-enum QueryStore<'a> {
-    /// All specs up front, borrowed from the trace.
-    Materialized(&'a [QuerySpec]),
-    /// Slab of in-flight specs; `spec_idx` is a slot index.
-    Streamed {
-        /// In-flight (and recycled) spec slots.
-        slab: Vec<QuerySpec>,
-        /// Slots whose outcome has been recorded, free for reuse.
-        free: Vec<usize>,
-    },
+/// Where the run's queries come from (see [`crate::run::SimRun`]).
+#[derive(Clone, Copy)]
+pub(crate) enum Feed<'a> {
+    /// The trace's own query slice, validated up front. The engine pumps
+    /// it itself; the cursor is `Simulator::submitted`, so restoring a
+    /// snapshot rewinds the feed for free.
+    Trace(&'a [QuerySpec]),
+    /// The caller feeds: [`Simulator::feed_query`] by hand, or an iterator
+    /// through `SimRun::run_streamed`.
+    External,
 }
 
-impl QueryStore<'_> {
-    /// The spec behind `spec_idx` (a trace index when materialized, a slab
-    /// slot when streamed). O(1).
+/// Lookahead of the trace-backed feed: arrivals kept buffered in the event
+/// heap beyond the ones the next event forces. Unobservable (heap order is
+/// a function of `(time, feed ordinal)` only); it just amortizes the pump.
+const TRACE_LOOKAHEAD: usize = 64;
+
+/// The engine's query specs: a slab holding only *in-flight* specs —
+/// interned when the query is fed, released the moment its outcome is
+/// recorded — so a run over tens of millions of queries keeps
+/// O(in-flight + lookahead) specs resident instead of O(N_q). Trace-backed
+/// runs intern borrows of the trace's own specs, iterator-fed runs own
+/// theirs.
+#[derive(Default)]
+struct SpecSlab<'a> {
+    /// In-flight (and recycled) spec slots; `spec_idx` is a slot index.
+    slots: Vec<Cow<'a, QuerySpec>>,
+    /// Slots whose outcome has been recorded, free for reuse.
+    free: Vec<usize>,
+}
+
+impl<'a> SpecSlab<'a> {
+    /// The spec in slot `idx`. O(1).
     fn get(&self, idx: usize) -> &QuerySpec {
-        match self {
-            QueryStore::Materialized(qs) => &qs[idx],
-            QueryStore::Streamed { slab, .. } => &slab[idx],
-        }
+        // lint: allow(D6) — spec_idx values are slots handed out by intern(), live until release()
+        &self.slots[idx]
     }
 
-    /// Intern a streamed spec, recycling a freed slot when one exists.
-    /// Returns the slot index. O(1) amortized.
-    fn intern(&mut self, spec: QuerySpec) -> usize {
-        match self {
-            QueryStore::Materialized(_) => {
-                // lint: allow(panic) — feed_query is only reachable on streaming runs
-                unreachable!("cannot intern into a materialized store")
+    /// Intern a fed spec, recycling a freed slot when one exists. Returns
+    /// the slot index. O(1) amortized.
+    fn intern(&mut self, spec: Cow<'a, QuerySpec>) -> usize {
+        match self.free.pop() {
+            Some(slot) => {
+                // lint: allow(D6) — free holds only slots release() was handed, all < slots.len()
+                self.slots[slot] = spec;
+                slot
             }
-            QueryStore::Streamed { slab, free } => match free.pop() {
-                Some(slot) => {
-                    slab[slot] = spec;
-                    slot
-                }
-                None => {
-                    slab.push(spec);
-                    slab.len() - 1
-                }
-            },
+            None => {
+                self.slots.push(spec);
+                self.slots.len() - 1
+            }
         }
     }
 
-    /// Release a streamed slot once its outcome is recorded; no-op when
-    /// materialized. O(1).
+    /// Release a slot once its outcome is recorded. O(1).
     fn release(&mut self, idx: usize) {
-        if let QueryStore::Streamed { free, .. } = self {
-            free.push(idx);
-        }
-    }
-}
-
-/// Remaining admitted-query work bucketed by deadline — the structure
-/// behind every `query_work_at_or_before` probe.
-///
-/// The static variant spans the sorted, deduplicated deadlines of the whole
-/// trace (known up front) and answers probes in O(log N) through a Fenwick
-/// tree. The dynamic variant — used by streaming runs, where deadlines are
-/// only discovered as queries are fed — keeps a [`WorkTreap`] over the
-/// deadlines of *currently admitted* queries, with O(log A) expected
-/// probes in the admitted-deadline count. Both answer with exact integer
-/// tick sums, so a probe's result never depends on which variant served
-/// it.
-enum WorkIndex {
-    /// Fenwick tree over the trace's full deadline coordinate space.
-    Static {
-        /// Sorted, deduplicated deadlines of every trace query.
-        coords: Vec<SimTime>,
-        /// Remaining work (ticks) per coordinate.
-        fenwick: Fenwick<u64>,
-    },
-    /// Order-statistic treap over currently admitted deadlines.
-    Dynamic {
-        /// Remaining work (ticks) per admitted deadline; nodes are
-        /// removed at zero so the tree tracks the live admitted set.
-        index: WorkTreap,
-    },
-}
-
-impl WorkIndex {
-    /// Add `ticks` of remaining work at `deadline`. O(log N) / O(log A).
-    fn add(&mut self, deadline: SimTime, ticks: u64) {
-        if ticks == 0 {
-            return;
-        }
-        match self {
-            WorkIndex::Static { coords, fenwick } => {
-                let coord = coords
-                    .binary_search(&deadline)
-                    // lint: allow(panic) — coords are built from all trace deadlines up front
-                    .expect("every admitted deadline is a trace coordinate");
-                fenwick.add(coord, ticks);
-            }
-            WorkIndex::Dynamic { index } => index.add(deadline, ticks),
-        }
-    }
-
-    /// Remove `ticks` of remaining work at `deadline`. O(log N) / O(log A).
-    fn sub(&mut self, deadline: SimTime, ticks: u64) {
-        if ticks == 0 {
-            return;
-        }
-        match self {
-            WorkIndex::Static { coords, fenwick } => {
-                let coord = coords
-                    .binary_search(&deadline)
-                    // lint: allow(panic) — coords are built from all trace deadlines up front
-                    .expect("every admitted deadline is a trace coordinate");
-                fenwick.sub(coord, ticks);
-            }
-            WorkIndex::Dynamic { index } => index.sub(deadline, ticks),
-        }
-    }
-
-    /// Total remaining admitted work, in ticks. O(1).
-    fn total(&self) -> u64 {
-        match self {
-            WorkIndex::Static { fenwick, .. } => fenwick.total(),
-            WorkIndex::Dynamic { index } => index.total(),
-        }
-    }
-
-    /// Remaining admitted work with deadline `<= deadline`, in ticks.
-    /// O(log N) static, O(A) dynamic.
-    fn at_or_before(&self, deadline: SimTime) -> u64 {
-        match self {
-            WorkIndex::Static { coords, fenwick } => {
-                let count = coords.partition_point(|&d| d <= deadline);
-                fenwick.prefix_sum(count)
-            }
-            WorkIndex::Dynamic { index } => index.at_or_before(deadline),
-        }
+        self.free.push(idx);
     }
 }
 
@@ -363,7 +282,7 @@ impl WorkIndex {
 struct EngineQueue<'b> {
     clock: SimTime,
     admitted: &'b BTreeMap<(SimTime, QueryId), AdmittedEntry>,
-    work: &'b WorkIndex,
+    work: &'b WorkTreap,
     running: &'b [RunningTxn],
     txns: &'b [Txn],
     scratch: &'b RefCell<Vec<QueueEntryView>>,
@@ -441,6 +360,14 @@ impl QueueSource for EngineQueue<'_> {
     }
 }
 
+/// The earlier of two optional instants (`None` = never).
+fn earlier(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
+    match (a, b) {
+        (Some(a), Some(b)) => Some(a.min(b)),
+        (a, b) => a.or(b),
+    }
+}
+
 enum DispatchResult {
     /// Candidate is now running.
     Running,
@@ -450,11 +377,13 @@ enum DispatchResult {
     SpawnedRefresh,
 }
 
-/// The discrete-event server. Most users want [`run_simulation`].
+/// The discrete-event server: the engine handle [`SimRun::build`] returns.
+/// Most users want [`SimRun`] or [`run_simulation`].
 pub struct Simulator<'a, P: Policy> {
-    /// Query specs: the whole trace (materialized runs) or an in-flight
-    /// slab (streaming runs; see [`Simulator::new_streaming`]).
-    queries: QueryStore<'a>,
+    /// In-flight query specs.
+    queries: SpecSlab<'a>,
+    /// Where unfed queries come from.
+    feed: Feed<'a>,
     /// Update-stream specs (always known up front).
     updates: &'a [UpdateSpec],
     /// Database size.
@@ -463,7 +392,7 @@ pub struct Simulator<'a, P: Policy> {
     cfg: SimConfig,
 
     clock: SimTime,
-    /// Whether the run has been started (trace arrivals seeded, policy
+    /// Whether the run has been started (update streams seeded, policy
     /// initialized). Flipped by the first [`Simulator::step`].
     started: bool,
     events: EventQueue,
@@ -476,22 +405,23 @@ pub struct Simulator<'a, P: Policy> {
     /// scheme. Fault windows fall back to the heap (a deferred tick is an
     /// ordinary event again).
     next_tick: Option<(SimTime, u64)>,
-    /// Queries submitted so far: the trace length on materialized runs, the
-    /// fed count on streaming runs (each outcome is checked against it at
-    /// drain).
+    /// Queries fed so far. Doubles as the next arrival's sequence number
+    /// (its feed ordinal) and as the [`Feed::Trace`] cursor; each outcome
+    /// is checked against it at drain.
     submitted: u64,
-    /// Per-item access histogram accumulated at feed time (streaming runs
-    /// only; materialized runs recompute it from the trace at report time).
-    streamed_accesses: Vec<u64>,
-    /// Arrival of the most recently fed query (streamed monotonicity check).
+    /// Per-item access histogram, accumulated at feed time (the specs are
+    /// long gone by report time).
+    query_accesses: Vec<u64>,
+    /// Arrival of the most recently fed query (feed monotonicity check).
     last_fed_arrival: SimTime,
-    /// Trace arrivals currently sitting in the event heap (seeded or fed,
-    /// not yet handled). The streamed feeder uses it to cap its lookahead
-    /// at `chunk` *buffered* arrivals, which is what keeps the heap — and
-    /// peak memory — small on a million-query stream.
+    /// Fed arrivals currently sitting in the event heap, not yet handled.
+    /// The pump caps its lookahead at this many *buffered* arrivals, which
+    /// is what keeps the heap — and peak memory — small on a million-query
+    /// stream.
     arrivals_in_flight: u64,
-    /// Streamed runs: the feeder promised no further [`Simulator::feed_query`]
-    /// calls, so the idle-tick skip no longer needs the feed cap.
+    /// [`Feed::External`] only: the feeder promised no further
+    /// [`Simulator::feed_query`] calls, so the idle-tick skip no longer
+    /// needs the feed cap.
     stream_exhausted: bool,
     txns: Vec<Txn>,
     ready: BTreeSet<PriorityKey>,
@@ -512,9 +442,11 @@ pub struct Simulator<'a, P: Policy> {
     /// Admitted, unfinished queries keyed by `(deadline, trace id)` — the
     /// exact ascending order [`QueueSource`] iteration must follow.
     admitted: BTreeMap<(SimTime, QueryId), AdmittedEntry>,
-    /// Remaining admitted-query work bucketed by deadline, so
-    /// `work_ahead_of(deadline)` probes are cheap instead of a walk.
-    work: WorkIndex,
+    /// Remaining admitted-query work (ticks) bucketed by deadline — the
+    /// structure behind every `query_work_at_or_before` probe, O(log A)
+    /// expected in the admitted-deadline count. Nodes are removed at zero,
+    /// so the tree tracks the live admitted set.
+    work: WorkTreap,
     /// Reusable buffer behind `QueueSource::with_queries`.
     view_scratch: RefCell<Vec<QueueEntryView>>,
     /// Optional fault-injection hook ([`crate::faults`]). `None` — the
@@ -539,8 +471,9 @@ pub struct Simulator<'a, P: Policy> {
     /// while a future crash point exists (see `take_checkpoint` in the
     /// checkpoint module).
     last_checkpoint: Option<Vec<u8>>,
-    /// Streamed specs fed since the last checkpoint: their arrival events
-    /// are not in the snapshot's heap, so a restore must re-feed them.
+    /// [`Feed::External`] specs fed since the last checkpoint: their arrival
+    /// events are not in the snapshot's heap, so a restore must re-feed
+    /// them. (A [`Feed::Trace`] run just rewinds its cursor.)
     input_log: Vec<QuerySpec>,
     /// While replaying a crash-lost window: `(crash instant, checkpoint
     /// instant)`; cleared when the clock catches back up to the crash.
@@ -572,100 +505,26 @@ pub struct Simulator<'a, P: Policy> {
 }
 
 impl<'a, P: Policy> Simulator<'a, P> {
-    /// Build a simulator; validates the trace.
-    ///
-    /// # Panics
-    /// Panics if the trace is malformed (use [`Trace::validate`] to check
-    /// beforehand).
-    pub fn new(trace: &'a Trace, policy: P, cfg: SimConfig) -> Self {
-        if let Err(e) = trace.validate() {
-            // lint: allow(panic) — documented constructor contract, caught before the run
-            panic!("invalid trace: {e}");
-        }
-        let mut deadline_coords: Vec<SimTime> =
-            trace.queries.iter().map(QuerySpec::deadline).collect();
-        deadline_coords.sort_unstable();
-        deadline_coords.dedup();
-        let fenwick = Fenwick::new(deadline_coords.len());
-        Self::from_parts(
-            QueryStore::Materialized(&trace.queries),
-            &trace.updates,
-            trace.n_items,
-            WorkIndex::Static {
-                coords: deadline_coords,
-                fenwick,
-            },
-            trace.queries.len() as u64,
-            Vec::new(),
-            policy,
-            cfg,
-        )
-    }
-
-    /// Build a simulator with **no up-front query list**: queries are fed
-    /// one at a time through [`Simulator::feed_query`] (or wholesale through
-    /// [`Simulator::run_streamed`]) while the run progresses, so a
-    /// million-user trace never materializes as a `Vec`. Update streams and
-    /// the database size are still fixed up front — they define the server,
-    /// not the load.
-    ///
-    /// # Panics
-    /// Panics if any update spec is malformed (same contract as
-    /// [`Simulator::new`]).
-    pub fn new_streaming(
+    /// Assemble the engine over already-validated inputs — the one
+    /// constructor, reached through [`SimRun::build`].
+    pub(crate) fn new(
         n_items: usize,
         updates: &'a [UpdateSpec],
-        policy: P,
-        cfg: SimConfig,
-    ) -> Self {
-        // Reuse the trace validator on an empty-query trace so the update
-        // checks stay in one place.
-        let probe = Trace {
-            n_items,
-            queries: Vec::new(),
-            updates: updates.to_vec(),
-        };
-        if let Err(e) = probe.validate() {
-            // lint: allow(panic) — documented constructor contract, caught before the run
-            panic!("invalid update streams: {e}");
-        }
-        Self::from_parts(
-            QueryStore::Streamed {
-                slab: Vec::new(),
-                free: Vec::new(),
-            },
-            updates,
-            n_items,
-            WorkIndex::Dynamic {
-                index: WorkTreap::new(),
-            },
-            0,
-            vec![0u64; n_items],
-            policy,
-            cfg,
-        )
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn from_parts(
-        queries: QueryStore<'a>,
-        updates: &'a [UpdateSpec],
-        n_items: usize,
-        work: WorkIndex,
-        submitted: u64,
-        streamed_accesses: Vec<u64>,
+        feed: Feed<'a>,
         policy: P,
         cfg: SimConfig,
     ) -> Self {
         let mut item_update_exec = vec![None; n_items];
         for u in updates {
+            // lint: allow(D6) — SimRun::build validated every stream's item against n_items
             let slot = &mut item_update_exec[u.item.index()];
             if slot.is_none() {
                 *slot = Some(u.exec_time);
             }
         }
         Simulator {
-            queries,
+            queries: SpecSlab::default(),
+            feed,
             updates,
             n_items,
             policy,
@@ -674,8 +533,8 @@ impl<'a, P: Policy> Simulator<'a, P> {
             started: false,
             events: EventQueue::new(),
             next_tick: None,
-            submitted,
-            streamed_accesses,
+            submitted: 0,
+            query_accesses: vec![0; n_items],
             last_fed_arrival: SimTime::ZERO,
             arrivals_in_flight: 0,
             stream_exhausted: false,
@@ -690,7 +549,7 @@ impl<'a, P: Policy> Simulator<'a, P> {
             pending_ondemand: vec![false; n_items],
             outstanding_update_work: SimDuration::ZERO,
             admitted: BTreeMap::new(),
-            work,
+            work: WorkTreap::new(),
             view_scratch: RefCell::new(Vec::new()),
             faults: None,
             obs: None,
@@ -719,50 +578,22 @@ impl<'a, P: Policy> Simulator<'a, P> {
         }
     }
 
-    /// Install a fault-injection hook ([`crate::faults::FaultHook`]). Must
-    /// be called before the first [`Simulator::step`] so the schedule's
-    /// transition events can be seeded with the trace arrivals.
-    ///
-    /// # Panics
-    /// Debug-panics when called after the run has started.
-    #[deprecated(
-        since = "0.1.0",
-        note = "assemble runs through `SimRun::trace(..).with_faults(..)` instead"
-    )]
-    #[must_use]
-    pub fn with_faults(mut self, hook: Box<dyn FaultHook>) -> Self {
-        self.set_faults(hook);
-        self
-    }
-
-    /// Install an observability sink (`unit-obs`): typed events for every
-    /// admission decision, outcome, control tick, modulation boundary, and
-    /// fault transition, stamped in virtual time. Must be installed before
-    /// the first [`Simulator::step`] so the policy's observation buffers are
-    /// armed from the start. Observation is passive — the run's
-    /// `report_digest` stays bit-identical.
-    ///
-    /// # Panics
-    /// Debug-panics when called after the run has started.
-    #[deprecated(
-        since = "0.1.0",
-        note = "assemble runs through `SimRun::trace(..).with_observer(..)` instead"
-    )]
-    #[must_use]
-    pub fn with_observer(mut self, observer: &'a mut dyn Observer) -> Self {
-        self.set_observer(observer);
-        self
-    }
-
-    /// Install a fault hook in place (the `SimRun` builder's back door;
-    /// same pre-start contract as the deprecated `with_faults`).
+    /// Install a fault-injection hook ([`crate::faults::FaultHook`]) — the
+    /// [`SimRun`] builder's back door. Must happen before the first
+    /// [`Simulator::step`] so the schedule's transition events are seeded
+    /// at run start.
     pub(crate) fn set_faults(&mut self, hook: Box<dyn FaultHook>) {
         debug_assert!(!self.started, "install the fault hook before stepping");
         self.faults = Some(hook);
     }
 
-    /// Install an observer in place (the `SimRun` builder's back door;
-    /// same pre-start contract as the deprecated `with_observer`).
+    /// Install an observability sink (`unit-obs`) — the [`SimRun`]
+    /// builder's back door: typed events for every admission decision,
+    /// outcome, control tick, modulation boundary, and fault transition,
+    /// stamped in virtual time. Must happen before the first
+    /// [`Simulator::step`] so the policy's observation buffers are armed
+    /// from the start. Observation is passive — the run's `report_digest`
+    /// stays bit-identical.
     pub(crate) fn set_observer(&mut self, observer: &'a mut dyn Observer) {
         debug_assert!(!self.started, "install the observer before stepping");
         self.obs = Some(observer);
@@ -778,39 +609,17 @@ impl<'a, P: Policy> Simulator<'a, P> {
         }
     }
 
-    /// Execute the whole run: process every trace arrival, drain in-flight
-    /// work, and assemble the report.
-    pub fn run(self) -> SimReport {
-        self.run_with_policy().0
-    }
-
-    /// Like [`Simulator::run`], but also hand back the policy so callers can
-    /// inspect its final internal state (controller counters, periods, ...).
-    pub fn run_with_policy(mut self) -> (SimReport, P) {
-        while self.step() {}
-        self.finish()
-    }
-
-    /// Seed the run: initialize the policy and schedule every trace arrival
-    /// plus the first control tick. Called lazily by the first
-    /// [`Simulator::step`]. O((N_q + N_u) log N_ev), once per run.
+    /// Seed the run: initialize the policy and schedule every update
+    /// stream's first version plus the first control tick. Query arrivals
+    /// are never seeded here — the feed pushes them as the run progresses.
+    /// Called lazily by the first [`Simulator::step`] (or feed).
+    /// O(N_u log N_ev), once per run.
     fn start(&mut self) {
         debug_assert!(!self.started);
         self.started = true;
         self.policy.set_observed(self.obs.is_some());
         self.policy.init(self.n_items, self.updates);
 
-        // Arrivals carry their trace index as an explicit sequence number
-        // (below the runtime class), so a streamed feed that pushes the same
-        // arrival later lands on the identical heap key. Streaming runs seed
-        // nothing here — feed_query does it one spec at a time.
-        if let QueryStore::Materialized(qs) = &self.queries {
-            for (i, q) in qs.iter().enumerate() {
-                self.events
-                    .push_arrival(q.arrival, Event::QueryArrival { spec_idx: i }, i as u64);
-            }
-            self.arrivals_in_flight = qs.len() as u64;
-        }
         for (j, u) in self.updates.iter().enumerate() {
             if u.first_arrival.0 <= self.cfg.horizon.0 {
                 self.events
@@ -850,13 +659,22 @@ impl<'a, P: Policy> Simulator<'a, P> {
     }
 
     /// Process the next pending event, advancing the virtual clock. Returns
-    /// `false` once the run has drained (no events left). The embeddable
-    /// half of the engine: a cluster shard is driven by calling this in a
-    /// loop and then harvesting [`Simulator::finish`]. O(log N_ev) plus the
-    /// dispatched handler's cost.
+    /// `false` once the run has drained (no events left, feed exhausted).
+    /// The embeddable half of the engine: a cluster shard is driven by
+    /// calling this in a loop and then harvesting [`Simulator::finish`].
+    /// O(log N_ev) plus the dispatched handler's cost.
     pub fn step(&mut self) -> bool {
         if !self.started {
             self.start();
+        }
+        if let Feed::Trace(qs) = self.feed {
+            let mut rest = qs
+                .get(self.submitted as usize..)
+                .unwrap_or_default()
+                .iter()
+                .map(Cow::Borrowed);
+            let mut pending = rest.next();
+            self.pump(&mut pending, &mut rest, TRACE_LOOKAHEAD);
         }
         // Fast-forward past any run of certifiably idle ticks before the
         // race, so a sparse stretch costs one heap pop per real event
@@ -904,17 +722,28 @@ impl<'a, P: Policy> Simulator<'a, P> {
         true
     }
 
-    /// Timestamp of the next pending event — the earlier of the tracked
-    /// control tick and the heap head — without advancing anything. `None`
-    /// once the run has drained. Before the first step this reflects only
-    /// what has been seeded or fed so far. O(1).
-    pub fn next_event_time(&self) -> Option<SimTime> {
-        let heap = self.events.peek_time();
-        let tick = self.next_tick.map(|(t, _)| t);
-        match (tick, heap) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
+    /// Timestamp of the next *queued* event — the earlier of the tracked
+    /// control tick and the heap head. O(1).
+    fn next_queued_time(&self) -> Option<SimTime> {
+        earlier(self.next_tick.map(|(t, _)| t), self.events.peek_time())
+    }
+
+    /// Arrival instant of the next query a [`Feed::Trace`] run has not fed
+    /// yet; `None` once the trace is exhausted (and for caller-fed runs,
+    /// whose future the engine cannot see). O(1).
+    fn next_trace_arrival(&self) -> Option<SimTime> {
+        match self.feed {
+            Feed::Trace(qs) => qs.get(self.submitted as usize).map(|q| q.arrival),
+            Feed::External => None,
         }
+    }
+
+    /// Timestamp of the next pending event — the earliest of the tracked
+    /// control tick, the heap head, and the trace's next unfed arrival —
+    /// without advancing anything. `None` once the run has drained. On a
+    /// caller-fed run this reflects only what has been fed so far. O(1).
+    pub fn next_event_time(&self) -> Option<SimTime> {
+        earlier(self.next_queued_time(), self.next_trace_arrival())
     }
 
     /// Step every pending event with `time <= limit`, lazily starting the
@@ -939,55 +768,92 @@ impl<'a, P: Policy> Simulator<'a, P> {
         }
     }
 
-    /// Feed one query into a streaming run (see
-    /// [`Simulator::new_streaming`]). Queries must be fed in trace order
-    /// (`id` equals the number already fed, arrivals non-decreasing) and
-    /// before the clock passes their arrival; [`Simulator::run_streamed`]
-    /// upholds all three automatically. The arrival event carries the
-    /// query's global index as its sequence number, so event order — and
-    /// therefore the digest — is independent of how far ahead of the clock
-    /// the feed runs. O(|items| + log N_ev).
+    /// The one pump: feed, from `source`, every arrival the next queued
+    /// event forces — an arrival at or before that event's instant must be
+    /// in the heap before the event pops — plus lookahead while fewer than
+    /// `lookahead` arrivals are buffered. `pending` is the source's peeked
+    /// head; on return it holds the first arrival not fed, `None` at end of
+    /// stream. [`Simulator::step`] runs it over the trace's own slice;
+    /// `SimRun::run_streamed` runs it over the caller's iterator.
+    ///
+    /// Because the cap is on arrivals *in flight* (not a per-step feed
+    /// count), the event heap and the spec slab both stay
+    /// O(in-flight + lookahead) instead of O(N_q) — a million-query trace
+    /// never sits in the heap, and every heap operation works on a small,
+    /// cache-resident heap. The lookahead is unobservable: heap order
+    /// depends only on `(time, feed ordinal)`, never on push timing.
+    pub(crate) fn pump(
+        &mut self,
+        pending: &mut Option<Cow<'a, QuerySpec>>,
+        source: &mut impl Iterator<Item = Cow<'a, QuerySpec>>,
+        lookahead: usize,
+    ) {
+        while let Some(spec) = pending.take() {
+            let due = match self.next_queued_time() {
+                None => true,
+                Some(t) => spec.arrival <= t,
+            };
+            if !due && self.arrivals_in_flight >= lookahead as u64 {
+                *pending = Some(spec);
+                return;
+            }
+            self.feed_spec(spec);
+            *pending = source.next();
+        }
+    }
+
+    /// Feed one query into a caller-fed run (`SimRun::streaming(..).build()`).
+    /// Queries must be fed in trace order (arrivals non-decreasing) and
+    /// before the clock passes their arrival; `SimRun::run_streamed`
+    /// upholds both automatically. The arrival event's sequence number is
+    /// the query's feed ordinal — ids need not be dense, a shard slice
+    /// keeps its global ones — so event order, and therefore the digest,
+    /// is independent of how far ahead of the clock the feed runs.
+    /// O(|items| + log N_ev).
     ///
     /// # Panics
     /// Panics on a malformed spec, an out-of-order feed, or when the run
-    /// was built from a materialized trace.
+    /// is trace-backed (the engine feeds those itself).
     pub fn feed_query(&mut self, spec: QuerySpec) {
+        // lint: allow(panic) — documented contract
+        assert!(
+            matches!(self.feed, Feed::External),
+            "feed_query on a trace-backed run (the engine feeds its own trace)"
+        );
+        self.feed_spec(Cow::Owned(spec));
+    }
+
+    /// Queue `spec`'s arrival under the next feed ordinal. Caller-fed specs
+    /// are validated here (a trace was validated whole, up front) and
+    /// logged while a lose-state crash is armed (no snapshot holds them; a
+    /// trace-backed run just rewinds its cursor).
+    fn feed_spec(&mut self, spec: Cow<'a, QuerySpec>) {
         if !self.started {
             self.start();
         }
-        // lint: allow(panic) — documented contract, mirrors Simulator::new
-        assert!(
-            matches!(self.queries, QueryStore::Streamed { .. }),
-            "feed_query on a materialized run (arrivals were seeded up front)"
-        );
-        if let Err(e) = spec.validate(self.n_items) {
-            // lint: allow(panic) — documented contract, mirrors Simulator::new
-            panic!("invalid streamed query: {e}");
+        if matches!(self.feed, Feed::External) {
+            if let Err(e) = spec.validate(self.n_items) {
+                // lint: allow(panic) — documented feed_query contract
+                panic!("invalid streamed query: {e}");
+            }
+            debug_assert!(!self.stream_exhausted, "feed_query after end_stream()");
+            if self.checkpoint_armed() {
+                self.input_log.push(QuerySpec::clone(&spec));
+            }
         }
-        // lint: allow(panic) — trace order is what keeps arrival seqs global
-        assert_eq!(
-            spec.id,
-            QueryId(self.submitted),
-            "streamed queries must be fed in trace order"
-        );
-        // lint: allow(panic) — documented contract
+        // lint: allow(panic) — trace order is what makes the feed ordinal a valid tie-break
         assert!(
             spec.arrival >= self.last_fed_arrival,
-            "streamed arrivals must be non-decreasing"
+            "queries must be fed in trace order (arrivals non-decreasing)"
         );
         debug_assert!(
             spec.arrival >= self.clock,
             "fed an arrival the clock already passed"
         );
-        debug_assert!(!self.stream_exhausted, "feed_query after end_stream()");
         self.last_fed_arrival = spec.arrival;
         for d in &spec.items {
-            self.streamed_accesses[d.index()] += 1;
-        }
-        if self.checkpoint_armed() {
-            // Crash replay must re-feed arrivals the snapshot's heap does
-            // not hold; the log is pruned at every checkpoint.
-            self.input_log.push(spec.clone());
+            // lint: allow(D6) — read sets are validated against n_items before they are fed
+            self.query_accesses[d.index()] += 1;
         }
         let seq = self.submitted;
         self.submitted += 1;
@@ -1008,64 +874,6 @@ impl<'a, P: Policy> Simulator<'a, P> {
         self.stream_exhausted = true;
     }
 
-    /// Drive a streaming run to completion: feed `queries` in order —
-    /// every arrival the next event forces, plus enough lookahead to keep
-    /// up to `chunk` future arrivals buffered in the heap — and return the
-    /// report. For the same query sequence the result is bit-identical to
-    /// [`Simulator::run`] over the materialized trace, for *any* `chunk`:
-    /// heap order depends only on `(time, global index)`, never on push
-    /// timing. Because the buffer cap is on arrivals *in flight* (not a
-    /// per-step feed count), the event heap and the spec slab both stay
-    /// O(in-flight + chunk) instead of O(N_q) — a million-query trace
-    /// never exists in memory, and every heap operation works on a small,
-    /// cache-resident heap. O(N_ev log(in-flight + chunk)) total.
-    pub fn run_streamed<I>(self, queries: I, chunk: usize) -> SimReport
-    where
-        I: IntoIterator<Item = QuerySpec>,
-    {
-        self.run_streamed_with_policy(queries, chunk).0
-    }
-
-    /// Like [`Simulator::run_streamed`], but also hands back the policy.
-    pub fn run_streamed_with_policy<I>(mut self, queries: I, chunk: usize) -> (SimReport, P)
-    where
-        I: IntoIterator<Item = QuerySpec>,
-    {
-        let mut it = queries.into_iter();
-        let mut pending = it.next();
-        if pending.is_none() {
-            self.end_stream();
-        }
-        loop {
-            // Mandatory feeds first: an arrival at or before the next
-            // event's instant must be queued before that event pops. Beyond
-            // that, feed lookahead only while fewer than `chunk` arrivals
-            // are buffered — the cap is on arrivals in flight, so the heap
-            // stays small for the whole run instead of swallowing the
-            // stream a chunk per step.
-            while let Some(spec) = pending.take() {
-                let due = match self.next_event_time() {
-                    None => true,
-                    Some(t) => spec.arrival <= t,
-                };
-                if !due && self.arrivals_in_flight >= chunk as u64 {
-                    pending = Some(spec);
-                    break;
-                }
-                self.feed_query(spec);
-                pending = it.next();
-                if pending.is_none() {
-                    self.end_stream();
-                }
-            }
-            if !self.step() {
-                break;
-            }
-        }
-        debug_assert!(pending.is_none(), "stream not exhausted at drain");
-        self.finish()
-    }
-
     /// The current virtual clock (the timestamp of the last processed
     /// event). O(1).
     pub fn now(&self) -> SimTime {
@@ -1079,6 +887,7 @@ impl<'a, P: Policy> Simulator<'a, P> {
     /// in release builds. O(N_d) for the report's histogram moves.
     pub fn finish(mut self) -> (SimReport, P) {
         debug_assert!(self.started, "finish() before the run was stepped");
+        debug_assert!(self.next_event_time().is_none(), "finish() mid-run");
         debug_assert!(self.ready.is_empty(), "ready transactions left behind");
         debug_assert!(self.running.is_empty(), "running transactions left behind");
         debug_assert!(self.admitted.is_empty(), "admitted queries left behind");
@@ -1098,20 +907,6 @@ impl<'a, P: Policy> Simulator<'a, P> {
     /// Assemble the final report, moving the accumulated histograms and
     /// timeline out of the simulator instead of cloning them.
     fn report(&mut self) -> SimReport {
-        // Same histogram `Trace::query_access_histogram` computes; streaming
-        // runs accumulated it at feed time (the specs are long gone).
-        let query_accesses = match &self.queries {
-            QueryStore::Materialized(qs) => {
-                let mut h = vec![0u64; self.n_items];
-                for q in *qs {
-                    for d in &q.items {
-                        h[d.index()] += 1;
-                    }
-                }
-                h
-            }
-            QueryStore::Streamed { .. } => std::mem::take(&mut self.streamed_accesses),
-        };
         let freshness = std::mem::replace(&mut self.freshness, FreshnessTable::new(0));
         let (versions_arrived, updates_applied) = freshness.into_histograms();
         SimReport {
@@ -1119,7 +914,8 @@ impl<'a, P: Policy> Simulator<'a, P> {
             weights: self.cfg.weights,
             counts: self.counts,
             class_counts: std::mem::take(&mut self.class_counts),
-            query_accesses,
+            // Same histogram `Trace::query_access_histogram` computes.
+            query_accesses: std::mem::take(&mut self.query_accesses),
             versions_arrived,
             updates_applied,
             hp_aborts: self.locks.hp_aborts(),
@@ -1620,13 +1416,17 @@ impl<'a, P: Policy> Simulator<'a, P> {
             Some(h) => bound.min(h),
             None => bound,
         };
-        // Streaming runs: arrivals not yet fed are invisible to the heap,
-        // but the feed contract bounds them — every future arrival lands at
-        // or after `last_fed_arrival` (and an arrival ties below a tick at
-        // the same instant). Cap the skip there until the feeder signals
+        // Arrivals not yet fed are invisible to the heap, but the feed
+        // contract bounds them from below (and an arrival ties below a tick
+        // at the same instant): the trace's next one is known, a caller's
+        // lands at or after `last_fed_arrival` until it signals
         // end-of-stream.
-        if matches!(self.queries, QueryStore::Streamed { .. }) && !self.stream_exhausted {
-            limit = limit.min(self.last_fed_arrival);
+        let unfed_floor = match self.feed {
+            Feed::Trace(_) => self.next_trace_arrival(),
+            Feed::External => (!self.stream_exhausted).then_some(self.last_fed_arrival),
+        };
+        if let Some(floor) = unfed_floor {
+            limit = limit.min(floor);
         }
         if t >= limit {
             return;
@@ -1761,46 +1561,30 @@ impl<'a, P: Policy> Simulator<'a, P> {
     }
 
     /// Cross-check the incremental engine structures against naive
-    /// recomputation (see [`crate::validate`]): the Fenwick work index vs an
-    /// O(N) recount over the admitted set, and the USM tallies vs the raw
+    /// recomputation (see [`crate::validate`]): the work index vs an O(N)
+    /// recount over the admitted set, and the USM tallies vs the raw
     /// outcome log. Runs at every control tick and once at end of run.
     #[cfg(feature = "validate")]
     fn validate_invariants(&self) {
-        match &self.work {
-            WorkIndex::Static { coords, fenwick } => {
-                unit_core::validate_check!(
-                    "work-index",
-                    crate::validate::check_work_index(
-                        fenwick,
-                        coords,
-                        self.admitted
-                            .iter()
-                            .map(|(&(deadline, _), e)| (deadline, e.remaining.0)),
-                    )
-                );
-            }
-            WorkIndex::Dynamic { index } => {
-                let mut naive: BTreeMap<SimTime, u64> = BTreeMap::new();
-                for (&(deadline, _), e) in &self.admitted {
-                    if e.remaining.0 > 0 {
-                        *naive.entry(deadline).or_insert(0) += e.remaining.0;
-                    }
-                }
-                let naive_total: u64 = naive.values().sum();
-                let entries: Vec<(SimTime, u64)> = naive.into_iter().collect();
-                let total = index.total();
-                unit_core::validate_check!(
-                    "work-index-dynamic",
-                    if entries == index.entries() && naive_total == total {
-                        Ok(())
-                    } else {
-                        Err(format!(
-                            "dynamic work index diverged: recount total {naive_total}, index total {total}"
-                        ))
-                    }
-                );
+        let mut naive: BTreeMap<SimTime, u64> = BTreeMap::new();
+        for (&(deadline, _), e) in &self.admitted {
+            if e.remaining.0 > 0 {
+                *naive.entry(deadline).or_insert(0) += e.remaining.0;
             }
         }
+        let naive_total: u64 = naive.values().sum();
+        let entries: Vec<(SimTime, u64)> = naive.into_iter().collect();
+        let total = self.work.total();
+        unit_core::validate_check!(
+            "work-index",
+            if entries == self.work.entries() && naive_total == total {
+                Ok(())
+            } else {
+                Err(format!(
+                    "work index diverged: recount total {naive_total}, index total {total}"
+                ))
+            }
+        );
         unit_core::validate_check!(
             "usm-identity",
             crate::validate::check_usm_identity(&self.counts, &self.outcome_log, &self.cfg.weights)
@@ -2183,7 +1967,7 @@ impl<'a, P: Policy> Simulator<'a, P> {
 
     /// Run `f(policy, view)` with a borrowed [`SnapshotView`] over the live
     /// indexes: no admitted-query list is materialized unless the policy
-    /// asks for one, and work probes go through the Fenwick index.
+    /// asks for one, and work probes go through the work index.
     fn with_view<R>(&mut self, f: impl FnOnce(&mut P, &SnapshotView<'_>) -> R) -> R {
         let (update_backlog, recent_utilization) = self.view_scalars();
         let Simulator {

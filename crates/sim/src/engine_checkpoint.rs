@@ -1,11 +1,11 @@
 //! Deterministic checkpoint/restore of the full engine state (DESIGN.md
-//! §4b), plus the lose-state crash recovery built on it.
+//! §7), plus the lose-state crash recovery built on it.
 //!
 //! [`Simulator::checkpoint`] serializes every piece of *canonical* run
-//! state — clock, query store, event heap, transactions, locks, freshness,
-//! accounting, policy — through the versioned [`Enc`] codec. Derived
-//! structures (the ready set, the Fenwick/treap work index, the view
-//! scratch buffer) are never written: [`Simulator::restore`] rebuilds them
+//! state — clock, in-flight query specs, event heap, transactions, locks,
+//! freshness, accounting, policy — through the versioned [`Enc`] codec.
+//! Derived structures (the ready set, the work index, the view scratch
+//! buffer) are never written: [`Simulator::restore`] rebuilds them
 //! from the canonical state, so a snapshot is a pure function of the
 //! simulation state and two identically-positioned runs produce
 //! bit-identical bytes.
@@ -18,23 +18,28 @@
 //! by [`Simulator::perform_crash_recovery`]. Same for `stream_exhausted`:
 //! `end_stream()` is a feeder promise, not an event, so it survives the
 //! rewind (OR-ed back after the re-feed).
+//!
+//! The feed needs no state of its own: a trace-backed run's cursor *is*
+//! the snapshotted `submitted` count, so a restore rewinds it and the next
+//! step's pump re-feeds what the snapshot predates; only a caller-fed run
+//! keeps an input log to replay.
 
-use super::{AdmittedEntry, QueryStore, RunningTxn, Simulator, WorkIndex};
+use super::{AdmittedEntry, RunningTxn, Simulator};
 use crate::events::Event;
 use crate::stats::OutcomeRecord;
 use crate::stats::TimelineSample;
 use crate::txn::{Txn, TxnId, TxnKind, TxnState};
 use crate::worktreap::WorkTreap;
+use std::borrow::Cow;
 use unit_core::checkpoint::{CheckpointError, Dec, Enc};
-use unit_core::fenwick::Fenwick;
 use unit_core::policy::Policy;
 use unit_core::time::{SimDuration, SimTime};
 use unit_core::types::{DataId, Outcome, QueryId, QuerySpec, TxnClass};
 use unit_core::usm::OutcomeCounts;
 use unit_obs::ObsEvent;
 
-/// Serialize one query spec (full fidelity — streamed slabs own their
-/// specs, so the snapshot must carry them).
+/// Serialize one query spec (full fidelity — the in-flight slab is the
+/// only place a caller-fed spec lives, so the snapshot must carry it).
 fn put_spec(enc: &mut Enc, spec: &QuerySpec) {
     enc.put_u64(spec.id.0);
     enc.put_u64(spec.arrival.0);
@@ -280,34 +285,25 @@ impl<P: Policy> Simulator<'_, P> {
         let mut enc = Enc::new();
         enc.put_u64(self.clock.0);
 
-        // Static-shape guards: restore refuses a snapshot taken against a
-        // different store flavour, trace size, or database size.
-        match &self.queries {
-            QueryStore::Materialized(qs) => {
-                enc.put_u8(0);
-                enc.put_usize(qs.len());
-            }
-            QueryStore::Streamed { .. } => enc.put_u8(1),
-        }
+        // Static-shape guard: restore refuses a snapshot taken against a
+        // different database size.
         enc.put_usize(self.n_items);
 
         enc.put_u64(self.submitted);
         enc.put_u64(self.last_fed_arrival.0);
         enc.put_u64(self.arrivals_in_flight);
         enc.put_bool(self.stream_exhausted);
-        if let QueryStore::Streamed { slab, free } = &self.queries {
-            // Slots are serialized verbatim (freed slots hold stale but
-            // deterministic specs), so the free list round-trips exactly.
-            enc.put_usize(slab.len());
-            for spec in slab {
-                put_spec(&mut enc, spec);
-            }
-            enc.put_usize(free.len());
-            for &slot in free {
-                enc.put_usize(slot);
-            }
+        // Slots are serialized verbatim (freed slots hold stale but
+        // deterministic specs), so the free list round-trips exactly.
+        enc.put_usize(self.queries.slots.len());
+        for spec in &self.queries.slots {
+            put_spec(&mut enc, spec);
         }
-        enc.put_u64_slice(&self.streamed_accesses);
+        enc.put_usize(self.queries.free.len());
+        for &slot in &self.queries.free {
+            enc.put_usize(slot);
+        }
+        enc.put_u64_slice(&self.query_accesses);
 
         // Event heap: live `(time, seq, event)` entries in heap-key order
         // plus the runtime sequence counter. Freed slab slots are garbage
@@ -425,8 +421,8 @@ impl<P: Policy> Simulator<'_, P> {
 
     /// Restore the engine to the state captured by
     /// [`Simulator::checkpoint`]. The snapshot must come from a simulator
-    /// with the same static configuration (trace/store flavour, database
-    /// size, policy type, config, fault hook); shape mismatches are
+    /// with the same static configuration (trace, database size, policy
+    /// type, config, fault hook); shape mismatches are
     /// rejected, but a snapshot from a *different run* of the same shape
     /// decodes silently into that run's state — keeping snapshots paired
     /// with their runs is the caller's contract.
@@ -447,22 +443,6 @@ impl<P: Policy> Simulator<'_, P> {
         let mut dec = Dec::new(bytes)?;
         self.clock = SimTime(dec.take_u64()?);
 
-        let store_tag = dec.take_u8()?;
-        match (&self.queries, store_tag) {
-            (QueryStore::Materialized(qs), 0) => {
-                if dec.take_usize()? != qs.len() {
-                    return Err(CheckpointError::Mismatch {
-                        what: "trace query count",
-                    });
-                }
-            }
-            (QueryStore::Streamed { .. }, 1) => {}
-            _ => {
-                return Err(CheckpointError::Mismatch {
-                    what: "query store flavour",
-                });
-            }
-        }
         if dec.take_usize()? != self.n_items {
             return Err(CheckpointError::Mismatch { what: "n_items" });
         }
@@ -471,26 +451,24 @@ impl<P: Policy> Simulator<'_, P> {
         self.last_fed_arrival = SimTime(dec.take_u64()?);
         self.arrivals_in_flight = dec.take_u64()?;
         self.stream_exhausted = dec.take_bool()?;
-        if let QueryStore::Streamed { slab, free } = &mut self.queries {
-            let n = dec.take_usize()?;
-            slab.clear();
-            slab.reserve(n.min(1 << 20));
-            for _ in 0..n {
-                slab.push(take_spec(&mut dec)?);
-            }
-            let f = dec.take_usize()?;
-            free.clear();
-            for _ in 0..f {
-                free.push(dec.take_usize()?);
-            }
+        let n = dec.take_usize()?;
+        self.queries.slots.clear();
+        self.queries.slots.reserve(n.min(1 << 20));
+        for _ in 0..n {
+            self.queries.slots.push(Cow::Owned(take_spec(&mut dec)?));
+        }
+        let f = dec.take_usize()?;
+        self.queries.free.clear();
+        for _ in 0..f {
+            self.queries.free.push(dec.take_usize()?);
         }
         let accesses = dec.take_u64_vec()?;
-        if accesses.len() != self.streamed_accesses.len() {
+        if accesses.len() != self.query_accesses.len() {
             return Err(CheckpointError::Mismatch {
                 what: "access histogram size",
             });
         }
-        self.streamed_accesses = accesses;
+        self.query_accesses = accesses;
 
         let next_seq = dec.take_u64()?;
         let n_events = dec.take_usize()?;
@@ -551,10 +529,7 @@ impl<P: Policy> Simulator<'_, P> {
 
         // Admitted set: rebuild the map and the work index it feeds.
         self.admitted.clear();
-        match &mut self.work {
-            WorkIndex::Static { coords, fenwick } => *fenwick = Fenwick::new(coords.len()),
-            WorkIndex::Dynamic { index } => *index = WorkTreap::new(),
-        }
+        self.work = WorkTreap::new();
         let n_admitted = dec.take_usize()?;
         for _ in 0..n_admitted {
             let deadline = SimTime(dec.take_u64()?);
@@ -651,7 +626,7 @@ impl<P: Policy> Simulator<'_, P> {
     }
 
     /// True while a future lose-state crash point exists — the condition
-    /// under which control boundaries snapshot and streamed feeds are
+    /// under which control boundaries snapshot and caller-fed specs are
     /// logged. O(1).
     pub(super) fn checkpoint_armed(&self) -> bool {
         self.next_crash_idx < self.crash_points.len()
@@ -705,9 +680,10 @@ impl<P: Policy> Simulator<'_, P> {
     }
 
     /// Lose-state crash at the current clock: discard all volatile state,
-    /// restore the last checkpoint, re-feed the streamed arrivals the
-    /// snapshot predates, and let the ordinary stepping loop replay the
-    /// lost window in virtual time. The crash cursor, the monotone recovery
+    /// restore the last checkpoint, re-feed the caller-fed arrivals the
+    /// snapshot predates (a trace-backed feed was rewound by the restore
+    /// itself), and let the ordinary stepping loop replay the lost window
+    /// in virtual time. The crash cursor, the monotone recovery
     /// counter, and the feeder's end-of-stream promise are saved around the
     /// restore — they describe recovery progress, not simulation state.
     pub(super) fn perform_crash_recovery(&mut self) {
@@ -738,14 +714,12 @@ impl<P: Policy> Simulator<'_, P> {
                 checkpoint,
             });
         }
-        // Re-feed the streamed arrivals whose heap events the snapshot
-        // predates; feeding re-logs them, rebuilding the input log for the
-        // next crash. Specs already inside the snapshot are skipped.
-        let already = self.submitted;
+        // Re-feed the caller-fed arrivals whose heap events the snapshot
+        // predates — exactly the log, which is pruned whenever a snapshot
+        // replaces the standing one. Feeding re-logs them, rebuilding the
+        // input log for the next crash.
         for spec in log {
-            if spec.id.0 >= already {
-                self.feed_query(spec);
-            }
+            self.feed_query(spec);
         }
         self.stream_exhausted |= exhausted;
     }

@@ -19,7 +19,7 @@ use unit_core::time::SimTime;
 pub enum Event {
     /// A user query from the trace reaches the server.
     QueryArrival {
-        /// Index into `Trace::queries`.
+        /// Slot of the query's spec in the engine's in-flight slab.
         spec_idx: usize,
     },
     /// A source emits a new version of its item.
@@ -62,13 +62,13 @@ pub enum Event {
 }
 
 /// First sequence number of the *runtime* class. Sequence numbers below this
-/// are reserved for trace arrivals (one per query, `seq == global query
-/// index`), so an arrival pushed mid-run by the streaming feed sorts exactly
-/// where the materialized seeding loop would have placed it: before every
-/// runtime event at the same instant, and in trace order among arrivals. The
-/// split keeps same-instant tie-breaking a pure function of the trace — not
-/// of *when* events were pushed — which is what makes the chunked feed path
-/// bit-identical to the all-up-front path for any chunk size.
+/// are reserved for query arrivals (one per query, `seq == feed ordinal`),
+/// so an arrival pushed mid-run by the feed sorts exactly where seeding the
+/// whole trace up front would have placed it: before every runtime event at
+/// the same instant, and in trace order among arrivals. The split keeps
+/// same-instant tie-breaking a pure function of the trace — not of *when*
+/// events were pushed — which is what makes a run independent of the
+/// feed's lookahead.
 pub const ARRIVAL_SEQ_BASE: u64 = 1 << 48;
 
 /// Min-heap event queue with deterministic same-time ordering.
@@ -119,10 +119,10 @@ impl EventQueue {
         self.push_with_seq(time, event, seq);
     }
 
-    /// Schedule a trace arrival with its explicit sequence number (the
-    /// query's global index). Arrival sequences sort *below* every runtime
-    /// sequence, reproducing the materialized seeding order no matter when
-    /// the arrival is fed. O(log N_ev).
+    /// Schedule a query arrival with its explicit sequence number (the
+    /// query's feed ordinal). Arrival sequences sort *below* every runtime
+    /// sequence, reproducing trace order no matter when the arrival is
+    /// fed. O(log N_ev).
     pub fn push_arrival(&mut self, time: SimTime, event: Event, seq: u64) {
         debug_assert!(
             seq < ARRIVAL_SEQ_BASE,

@@ -2,7 +2,7 @@
 //!
 //! The engine itself stays fault-agnostic: all failure behaviour is
 //! delegated to an optional [`FaultHook`] installed with
-//! [`crate::Simulator::with_faults`]. The hook expresses faults in
+//! [`crate::SimRun::with_faults`]. The hook expresses faults in
 //! **virtual time** — crash/recovery windows, per-item update drop and
 //! delay intervals, and background load bursts — so a faulty run is still a
 //! pure function of `(trace, policy, config, hook)` and bit-reproducible.
@@ -12,7 +12,7 @@
 //! behaviour changes, which is what the fault-free differential suite pins
 //! (`crates/cluster/tests/fault_differential.rs`).
 //!
-//! Semantics (DESIGN.md §4):
+//! Semantics (DESIGN.md §6):
 //!
 //! * **[`HealthState::Down`]** — the server is fully paused. Query
 //!   arrivals, firm-deadline expiries, and control ticks popping inside the
@@ -118,7 +118,7 @@ pub trait FaultHook {
     fn load_at(&self, now: SimTime) -> Vec<BackgroundLoad>;
 
     /// Virtual instants at which the server crashes **losing all volatile
-    /// state** (DESIGN.md §4b): at each instant the engine discards its
+    /// state** (DESIGN.md §7): at each instant the engine discards its
     /// state, restores its last checkpoint, and replays the lost window.
     /// Must be sorted ascending; duplicates are fine. These instants must
     /// also appear in [`FaultHook::transition_times`]. The default — no

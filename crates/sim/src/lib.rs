@@ -42,7 +42,6 @@
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 
-pub mod backend;
 pub mod engine;
 pub mod events;
 pub mod faults;
@@ -54,7 +53,6 @@ pub mod txn;
 pub mod validate;
 pub mod worktreap;
 
-pub use backend::SimBackend;
 pub use engine::{run_simulation, SchedulingDiscipline, SimConfig, Simulator};
 pub use faults::{BackgroundLoad, FaultHook, HealthState, NoFaults, UpdateFault};
 pub use run::SimRun;
@@ -62,8 +60,9 @@ pub use stats::{
     report_digest, FaultCounts, OutcomeRecord, SignalCounts, SimReport, TimelineSample,
 };
 
-/// Convenient glob-import of the common entry types: the engine
-/// ([`Simulator`], [`SimConfig`], [`run_simulation`]), its report
+/// Convenient glob-import of the common entry types: the run builder and
+/// engine handle ([`SimRun`], [`Simulator`], [`SimConfig`],
+/// [`run_simulation`]), the report
 /// ([`SimReport`], [`report_digest`]), fault injection, the observability
 /// sinks from `unit-obs`, and the whole `unit_core` prelude.
 ///
@@ -71,7 +70,6 @@ pub use stats::{
 /// use unit_sim::prelude::*;
 /// ```
 pub mod prelude {
-    pub use crate::backend::SimBackend;
     pub use crate::engine::{run_simulation, SchedulingDiscipline, SimConfig, Simulator};
     pub use crate::faults::{BackgroundLoad, FaultHook, HealthState, NoFaults, UpdateFault};
     pub use crate::run::SimRun;

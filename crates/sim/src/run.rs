@@ -8,17 +8,15 @@
 //! that step it manually (the cluster dispatcher, epoch-parallel
 //! stepping, checkpoint/restore harnesses).
 //!
-//! Before this builder existed a run was assembled by chaining
-//! [`Simulator::new`] / [`Simulator::new_streaming`] with
-//! `Simulator::with_faults` / `Simulator::with_observer` — four
-//! combinators whose product made every new option a new constructor.
-//! The combinators are now `#[deprecated]` thin wrappers; the low-level
-//! constructors remain (they are the engine-handle API, exactly like
-//! `ClusterConfig::new` under `ClusterRun`), and all optional state is
-//! installed here.
-//!
-//! Builder-vs-wrapper bit-identity is pinned by
-//! `crates/sim/tests/builder_identity.rs`.
+//! There is one engine underneath: every run is a *streamed* run. The
+//! [`Simulator`] keeps only in-flight query specs and feeds arrivals into
+//! its event heap as the clock approaches them. [`SimRun::trace`] feeds
+//! from the trace's own query slice (the engine pumps it itself, so a
+//! built handle can simply be stepped); [`SimRun::streaming`] takes its
+//! queries from the caller — an iterator through
+//! [`SimRun::run_streamed`], or [`Simulator::feed_query`] by hand. The
+//! two are bit-identical for the same query sequence
+//! (`crates/sim/tests/streaming.rs` pins it).
 //!
 //! ```
 //! use unit_sim::prelude::*;
@@ -44,19 +42,20 @@
 //! assert_eq!(report.counts.success, 1);
 //! ```
 
-use crate::engine::{SimConfig, Simulator};
+use crate::engine::{Feed, SimConfig, Simulator};
 use crate::faults::FaultHook;
 use crate::stats::SimReport;
+use std::borrow::Cow;
 use unit_core::policy::Policy;
 use unit_core::types::{QuerySpec, Trace, UpdateSpec};
 use unit_obs::Observer;
 
 /// Where the run's workload comes from.
 enum RunSource<'a> {
-    /// A fully materialized trace (queries seeded up front).
+    /// A whole trace: the engine feeds itself from its query slice.
     Trace(&'a Trace),
-    /// A streaming run: updates and database size are fixed, queries are
-    /// fed while the run progresses.
+    /// Updates and database size are fixed up front — they define the
+    /// server, not the load — and the caller feeds the queries.
     Streaming {
         n_items: usize,
         updates: &'a [UpdateSpec],
@@ -74,8 +73,7 @@ pub struct SimRun<'a, P: Policy> {
 }
 
 impl<'a, P: Policy> SimRun<'a, P> {
-    /// A run over a materialized trace — the counterpart of
-    /// [`Simulator::new`].
+    /// A run over a whole trace, fed from the trace's own query slice.
     pub fn trace(trace: &'a Trace, policy: P, cfg: SimConfig) -> Self {
         SimRun {
             source: RunSource::Trace(trace),
@@ -86,8 +84,8 @@ impl<'a, P: Policy> SimRun<'a, P> {
         }
     }
 
-    /// A streaming run with no up-front query list — the counterpart of
-    /// [`Simulator::new_streaming`]. Feed queries through
+    /// A run with no up-front query list, so a million-user trace never
+    /// materializes as a `Vec`. Feed queries through
     /// [`SimRun::run_streamed`], or [`SimRun::build`] +
     /// [`Simulator::feed_query`] for manual control.
     pub fn streaming(n_items: usize, updates: &'a [UpdateSpec], policy: P, cfg: SimConfig) -> Self {
@@ -114,21 +112,36 @@ impl<'a, P: Policy> SimRun<'a, P> {
     }
 
     /// Assemble the engine handle without running it: for embedders that
-    /// drive [`Simulator::step`] / [`Simulator::step_until`] /
-    /// [`Simulator::feed_query`] themselves and harvest
-    /// [`Simulator::finish`].
+    /// drive [`Simulator::step`] / [`Simulator::step_until`] (and, on a
+    /// [`SimRun::streaming`] run, [`Simulator::feed_query`]) themselves and
+    /// harvest [`Simulator::finish`].
     ///
     /// # Panics
-    /// Panics if the trace (or update streams) are malformed — the same
-    /// contract as [`Simulator::new`].
+    /// Panics if the trace (or update streams) are malformed (use
+    /// [`Trace::validate`] to check beforehand).
     #[must_use]
     pub fn build(self) -> Simulator<'a, P> {
-        let mut sim = match self.source {
-            RunSource::Trace(trace) => Simulator::new(trace, self.policy, self.cfg),
+        let (n_items, updates, feed) = match self.source {
+            RunSource::Trace(trace) => {
+                if let Err(e) = trace.validate() {
+                    // lint: allow(panic) — documented constructor contract, caught before the run
+                    panic!("invalid trace: {e}");
+                }
+                (
+                    trace.n_items,
+                    trace.updates.as_slice(),
+                    Feed::Trace(&trace.queries),
+                )
+            }
             RunSource::Streaming { n_items, updates } => {
-                Simulator::new_streaming(n_items, updates, self.policy, self.cfg)
+                if let Some(e) = updates.iter().find_map(|u| u.validate(n_items).err()) {
+                    // lint: allow(panic) — documented constructor contract, caught before the run
+                    panic!("invalid update streams: {e}");
+                }
+                (n_items, updates, Feed::External)
             }
         };
+        let mut sim = Simulator::new(n_items, updates, feed, self.policy, self.cfg);
         if let Some(hook) = self.faults {
             sim.set_faults(hook);
         }
@@ -138,7 +151,7 @@ impl<'a, P: Policy> SimRun<'a, P> {
         sim
     }
 
-    /// Execute a materialized run to completion and return the report.
+    /// Execute a trace-backed run to completion and return the report.
     ///
     /// # Panics
     /// Panics if the trace is malformed, or when called on a
@@ -148,8 +161,8 @@ impl<'a, P: Policy> SimRun<'a, P> {
         self.run_with_policy().0
     }
 
-    /// Like [`SimRun::run`], but also hands back the policy's final
-    /// state.
+    /// Like [`SimRun::run`], but also hands back the policy so callers can
+    /// inspect its final internal state (controller counters, periods, ...).
     ///
     /// # Panics
     /// Same contract as [`SimRun::run`].
@@ -160,17 +173,20 @@ impl<'a, P: Policy> SimRun<'a, P> {
             matches!(self.source, RunSource::Trace(_)),
             "SimRun::run on a streaming run: use run_streamed(queries, chunk)"
         );
-        self.build().run_with_policy()
+        let mut sim = self.build();
+        while sim.step() {}
+        sim.finish()
     }
 
-    /// Drive a streaming run to completion over `queries` (fed in trace
-    /// order, at most `chunk` arrivals buffered ahead of the clock) and
-    /// return the report. Bit-identical to the materialized pipeline for
-    /// the same query sequence — see [`Simulator::run_streamed`].
+    /// Drive a streaming run to completion over `queries` — fed in trace
+    /// order, every arrival the next event forces plus enough lookahead to
+    /// keep up to `chunk` future arrivals buffered — and return the report.
+    /// Bit-identical to a [`SimRun::trace`] run over the same query
+    /// sequence, for *any* `chunk`. O(N_ev log(in-flight + chunk)) total.
     ///
     /// # Panics
     /// Panics on a malformed or out-of-order feed, or when called on a
-    /// [`SimRun::trace`] run (whose arrivals were seeded up front).
+    /// [`SimRun::trace`] run (which feeds itself).
     pub fn run_streamed<I>(self, queries: I, chunk: usize) -> SimReport
     where
         I: IntoIterator<Item = QuerySpec>,
@@ -186,12 +202,25 @@ impl<'a, P: Policy> SimRun<'a, P> {
     where
         I: IntoIterator<Item = QuerySpec>,
     {
-        // lint: allow(panic) — documented contract: materialized runs already
-        // hold their queries, feeding more would double-count
+        // lint: allow(panic) — documented contract: a trace-backed run
+        // already feeds its own queries, feeding more would double-count
         assert!(
             matches!(self.source, RunSource::Streaming { .. }),
-            "SimRun::run_streamed on a materialized run: use run()"
+            "SimRun::run_streamed on a trace-backed run: use run()"
         );
-        self.build().run_streamed_with_policy(queries, chunk)
+        let mut sim = self.build();
+        let mut source = queries.into_iter().map(Cow::Owned);
+        let mut pending = source.next();
+        loop {
+            sim.pump(&mut pending, &mut source, chunk);
+            if pending.is_none() {
+                sim.end_stream();
+            }
+            if !sim.step() {
+                break;
+            }
+        }
+        debug_assert!(pending.is_none(), "stream not exhausted at drain");
+        sim.finish()
     }
 }

@@ -37,9 +37,9 @@ pub enum TxnState {
 /// What kind of work a transaction carries.
 #[derive(Debug, Clone)]
 pub enum TxnKind {
-    /// A user query; `spec_idx` points into the trace's query list.
+    /// A user query.
     Query {
-        /// Index of the spec in `Trace::queries`.
+        /// Slot of the spec in the engine's in-flight slab.
         spec_idx: usize,
         /// Strict-minimum freshness of the read set, captured when the read
         /// locks were acquired. `None` until first dispatch.

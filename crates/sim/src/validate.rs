@@ -2,55 +2,17 @@
 //! `validate`).
 //!
 //! The engine keeps two incremental accounting structures on its hot path:
-//! the Fenwick *work index* (remaining admitted-query work per deadline
-//! coordinate, behind every `work_ahead_of` probe) and the [`OutcomeCounts`]
-//! tallies behind the USM report. Both are shadows of state that can be
-//! recomputed naively; these checkers do exactly that and compare. The
-//! engine invokes them at every control tick and at end of run — see the
-//! conventions in [`unit_core::validate`].
+//! the *work index* (remaining admitted-query work per deadline, behind
+//! every `work_ahead_of` probe) and the [`OutcomeCounts`] tallies behind the
+//! USM report. Both are shadows of state that can be recomputed naively.
+//! The work index is recounted inline by the engine (an O(N) walk over the
+//! admitted set compared against [`crate::worktreap::WorkTreap::entries`]);
+//! the USM identity checker lives here. The engine invokes both at every
+//! control tick and at end of run — see the conventions in
+//! [`unit_core::validate`].
 
-use unit_core::fenwick::Fenwick;
-use unit_core::time::SimTime;
 use unit_core::types::Outcome;
 use unit_core::usm::{OutcomeCounts, UsmWeights};
-
-/// Recount the admitted-query work per deadline coordinate the naive O(N)
-/// way and compare every Fenwick slot against it.
-///
-/// `admitted` yields `(deadline, remaining ticks)` for every admitted,
-/// unfinished query; `deadline_coords` is the sorted, deduplicated
-/// coordinate space the index was built over.
-pub fn check_work_index(
-    work_index: &Fenwick<u64>,
-    deadline_coords: &[SimTime],
-    admitted: impl IntoIterator<Item = (SimTime, u64)>,
-) -> Result<(), String> {
-    if work_index.len() != deadline_coords.len() {
-        return Err(format!(
-            "work index covers {} coordinates, trace has {}",
-            work_index.len(),
-            deadline_coords.len()
-        ));
-    }
-    let mut naive = vec![0u64; deadline_coords.len()];
-    for (deadline, remaining) in admitted {
-        let coord = deadline_coords
-            .binary_search(&deadline)
-            .map_err(|_| format!("admitted deadline {deadline:?} is not a trace coordinate"))?;
-        naive[coord] += remaining;
-    }
-    for (i, &expect) in naive.iter().enumerate() {
-        // Per-slot read: adjacent prefix sums differ by exactly this slot.
-        let got = work_index.prefix_sum(i + 1) - work_index.prefix_sum(i);
-        if got != expect {
-            return Err(format!(
-                "work index slot {i} (deadline {:?}): index holds {got} ticks, recount {expect}",
-                deadline_coords[i]
-            ));
-        }
-    }
-    Ok(())
-}
 
 /// Recount the outcome tallies from the raw per-query log and re-derive the
 /// USM identity `G_s·N_s − C_r·N_r − C_fm·N_fm − C_fs·N_fs` (Eq. 4) as a
@@ -84,46 +46,6 @@ pub fn check_usm_identity(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use unit_core::time::SimDuration;
-
-    fn coords(secs: &[u64]) -> Vec<SimTime> {
-        secs.iter().map(|&s| SimTime::from_secs(s)).collect()
-    }
-
-    #[test]
-    fn consistent_work_index_passes() {
-        let coords = coords(&[10, 20, 30]);
-        let mut index = Fenwick::new(3);
-        index.add(0, 5);
-        index.add(2, 7);
-        let admitted = [
-            (SimTime::from_secs(10), 5u64),
-            (SimTime::from_secs(30), 3),
-            (SimTime::from_secs(30), 4),
-        ];
-        assert_eq!(check_work_index(&index, &coords, admitted), Ok(()));
-    }
-
-    #[test]
-    fn corrupted_fenwick_index_trips_the_checker() {
-        let coords = coords(&[10, 20, 30]);
-        let mut index = Fenwick::new(3);
-        index.add(0, 5);
-        index.add(2, 7);
-        // Deliberately corrupt one slot, as an unbalanced add/sub pair would.
-        index.add(1, 1);
-        let admitted = [(SimTime::from_secs(10), 5u64), (SimTime::from_secs(30), 7)];
-        let err = check_work_index(&index, &coords, admitted).unwrap_err();
-        assert!(err.contains("slot 1"), "{err}");
-    }
-
-    #[test]
-    fn unknown_deadlines_are_rejected() {
-        let coords = coords(&[10, 20]);
-        let index = Fenwick::new(2);
-        let err = check_work_index(&index, &coords, [(SimTime::from_secs(15), 1u64)]).unwrap_err();
-        assert!(err.contains("not a trace coordinate"), "{err}");
-    }
 
     #[test]
     fn usm_identity_holds_for_matching_log_and_counts() {
@@ -153,14 +75,5 @@ mod tests {
         let weights = UsmWeights::naive();
         let err = check_usm_identity(&counts, &outcomes, &weights).unwrap_err();
         assert!(err.contains("diverge"), "{err}");
-    }
-
-    #[test]
-    fn work_index_length_mismatch_is_reported() {
-        let index = Fenwick::new(2);
-        let c = coords(&[10]);
-        let err = check_work_index(&index, &c, []).unwrap_err();
-        assert!(err.contains("coordinates"), "{err}");
-        let _ = SimDuration::ZERO; // keep the import exercised
     }
 }

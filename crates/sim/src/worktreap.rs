@@ -1,21 +1,20 @@
-//! An order-statistic treap over admitted-query deadlines: the dynamic
-//! (streaming) counterpart of the materialized engine's Fenwick work index.
+//! An order-statistic treap over admitted-query deadlines: the engine's
+//! work index, behind every `query_work_at_or_before` probe.
 //!
-//! Streaming runs discover deadlines only as queries are fed, so the
-//! Fenwick's precomputed coordinate space is unavailable. The original
-//! dynamic index was a `BTreeMap<SimTime, u64>` whose prefix-sum probes
-//! scanned every entry at or below the probe point — O(A) per probe in the
-//! admitted-deadline count, which turns quadratic exactly on the dense
-//! scaled-up traces the streaming path exists for. This treap keeps one
-//! node per distinct deadline with a subtree work sum, so `add`, `sub`,
-//! and [`WorkTreap::at_or_before`] are all O(log A) expected.
+//! Deadlines are only discovered as queries are fed, so there is no
+//! precomputed coordinate space to build a Fenwick tree over. A plain
+//! `BTreeMap<SimTime, u64>` would answer prefix-sum probes by scanning
+//! every entry at or below the probe point, which turns quadratic exactly
+//! on dense scaled-up traces. This treap keeps one node per distinct
+//! deadline with a subtree work sum, so `add`, `sub`, and
+//! [`WorkTreap::at_or_before`] are all O(log A) expected in the
+//! admitted-deadline count.
 //!
 //! Node priorities are a pure (splitmix-style) hash of the deadline, so
 //! the tree shape is a deterministic function of the key *set* — no RNG
 //! state, and rebuilding the same set in any order yields the same tree.
 //! Shape only ever affects speed: probe answers are exact integer tick
-//! sums either way, which is what keeps streamed runs bit-identical to
-//! materialized ones (`crates/sim/tests/streaming.rs` pins that).
+//! sums either way.
 
 use unit_core::time::SimTime;
 

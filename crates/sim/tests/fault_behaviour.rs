@@ -1,4 +1,4 @@
-//! Behavioural tests for the engine's fault hook (DESIGN.md §4): pause
+//! Behavioural tests for the engine's fault hook (DESIGN.md §6): pause
 //! windows defer work and record no interior outcomes, degraded windows
 //! serve reads while dropping update applications, per-item stream faults
 //! feed the real freshness path, load bursts consume CPU, and an inert

@@ -1,4 +1,4 @@
-//! Recovery differential suite (DESIGN.md §4b): a run that crashes with
+//! Recovery differential suite (DESIGN.md §7): a run that crashes with
 //! **lose-state** semantics — discarding all volatile state, restoring its
 //! last control-boundary checkpoint, and replaying the lost window in
 //! virtual time — must end `report_digest`-bit-identical to the same run
@@ -22,7 +22,7 @@ use unit_core::usm::UsmWeights;
 use unit_obs::{ObsEvent, RingRecorder};
 use unit_sim::{
     report_digest, BackgroundLoad, FaultHook, HealthState, SchedulingDiscipline, SimConfig, SimRun,
-    Simulator, UpdateFault,
+    UpdateFault,
 };
 use unit_workload::{
     QueryTraceConfig, TraceBundle, UpdateDistribution, UpdateTraceConfig, UpdateVolume,
@@ -235,7 +235,7 @@ fn checkpoint_restore_checkpoint_is_byte_stable() {
         || UnitPolicy::new(UnitConfig::with_weights(UsmWeights::low_high_cfm()).with_seed(SEED));
     let mid = SimTime(bundle.horizon.0 / 2);
 
-    let mut original = Simulator::new(&bundle.trace, make(), cfg);
+    let mut original = SimRun::trace(&bundle.trace, make(), cfg).build();
     original.step_until(mid);
     let bytes = original.checkpoint();
     assert_eq!(
@@ -244,7 +244,7 @@ fn checkpoint_restore_checkpoint_is_byte_stable() {
         "checkpointing is non-destructive and deterministic"
     );
 
-    let mut restored = Simulator::new(&bundle.trace, make(), cfg);
+    let mut restored = SimRun::trace(&bundle.trace, make(), cfg).build();
     restored.restore(&bytes).expect("own snapshot must restore");
     assert_eq!(
         restored.checkpoint(),
@@ -261,7 +261,7 @@ fn checkpoint_restore_checkpoint_is_byte_stable() {
     assert_eq!(a.outcome_records, b.outcome_records);
 
     // And identically to the unforked run.
-    let plain = Simulator::new(&bundle.trace, make(), cfg).run();
+    let plain = SimRun::trace(&bundle.trace, make(), cfg).run();
     assert_eq!(report_digest(&a), report_digest(&plain));
 }
 
@@ -271,32 +271,33 @@ fn restore_rejects_foreign_shapes() {
     let cfg = sim_config(bundle.horizon, SchedulingDiscipline::DualPriorityEdf);
     let make =
         || UnitPolicy::new(UnitConfig::with_weights(UsmWeights::low_high_cfm()).with_seed(SEED));
-    let mut original = Simulator::new(&bundle.trace, make(), cfg);
+    let mut original = SimRun::trace(&bundle.trace, make(), cfg).build();
     original.step_until(SimTime(bundle.horizon.0 / 4));
     let bytes = original.checkpoint();
 
-    // A streaming simulator has a different store flavour: rejected.
-    let mut streaming =
-        Simulator::new_streaming(bundle.trace.n_items, &bundle.trace.updates, make(), cfg);
+    // A server over a different database size: rejected.
+    let mut wider = bundle.trace.clone();
+    wider.n_items += 1;
+    let mut foreign = SimRun::trace(&wider, make(), cfg).build();
     assert!(
-        streaming.restore(&bytes).is_err(),
-        "materialized snapshot must not restore into a streaming store"
+        foreign.restore(&bytes).is_err(),
+        "a snapshot must not restore into a different database size"
     );
 
     // Truncated and trailing bytes are rejected too.
-    let mut fresh = Simulator::new(&bundle.trace, make(), cfg);
+    let mut fresh = SimRun::trace(&bundle.trace, make(), cfg).build();
     assert!(fresh.restore(&bytes[..bytes.len() - 1]).is_err());
     let mut padded = bytes.clone();
     padded.push(0);
-    let mut fresh2 = Simulator::new(&bundle.trace, make(), cfg);
+    let mut fresh2 = SimRun::trace(&bundle.trace, make(), cfg).build();
     assert!(fresh2.restore(&padded).is_err());
 }
 
 #[test]
 fn streamed_feed_recovers_identically() {
-    // The streaming feeder exercises the input log: arrivals fed after the
+    // A caller-fed run exercises the input log: arrivals fed after the
     // last checkpoint exist nowhere in the snapshot and must be replayed
-    // from the log. A small chunk keeps the feed close to the clock so
+    // from the log (a trace-backed run rewinds its cursor instead). A small chunk keeps the feed close to the clock so
     // every crash window actually contains logged arrivals.
     let bundle = golden_bundle();
     let crashes = crash_times(bundle.horizon);

@@ -1,22 +1,30 @@
-//! Streaming-feed differential suite: the chunked feed path must be
-//! bit-identical to the materialized path, for every policy, any chunk
-//! size, and any `step_until` pause schedule.
+//! Feed differential suite. There is one engine — every run is streamed —
+//! but two feeds: the trace's own query slice (`SimRun::trace`, pumped by
+//! the engine) and a caller's iterator (`SimRun::streaming` +
+//! `run_streamed`). They must be bit-identical for every policy, any
+//! lookahead, any `step_until` pause schedule, and under fault hooks and
+//! lose-state crashes.
 //!
 //! The engine keeps same-instant tie-breaking a pure function of the trace
-//! by giving arrivals their global query index as the heap sequence number
-//! (below every runtime event's); these tests pin the consequence — when a
-//! query is *pushed* is unobservable, only when it *arrives* matters.
+//! by giving arrivals their feed ordinal as the heap sequence number (below
+//! every runtime event's); these tests pin the consequence — when a query
+//! is *pushed* is unobservable, only when it *arrives* matters.
 
+use proptest::prelude::*;
 use unit_baselines::{ImuPolicy, OduPolicy, QmfPolicy};
 use unit_core::config::UnitConfig;
 use unit_core::policy::Policy;
 use unit_core::time::{SimDuration, SimTime};
+use unit_core::types::DataId;
 use unit_core::unit_policy::UnitPolicy;
 use unit_core::usm::UsmWeights;
-use unit_sim::{report_digest, run_simulation, SchedulingDiscipline, SimConfig, Simulator};
+use unit_sim::{
+    report_digest, run_simulation, BackgroundLoad, FaultHook, HealthState, SchedulingDiscipline,
+    SimConfig, SimRun, UpdateFault,
+};
 use unit_workload::{
-    stream_queries, QueryTraceConfig, TraceBundle, UpdateDistribution, UpdateTraceConfig,
-    UpdateVolume,
+    slice_trace, stream_queries, ItemPartition, QueryTraceConfig, TraceBundle, UpdateDistribution,
+    UpdateTraceConfig, UpdateVolume,
 };
 
 const SCALE: u64 = 32;
@@ -49,16 +57,16 @@ fn assert_streamed_matches<P: Policy>(make: impl Fn() -> P, name: &str) {
     let b = bundle();
     for discipline in DISCIPLINES {
         let cfg = sim_config(b.horizon, discipline);
-        let materialized = run_simulation(&b.trace, make(), cfg);
-        let streamed = Simulator::new_streaming(b.trace.n_items, &b.trace.updates, make(), cfg)
+        let trace_fed = run_simulation(&b.trace, make(), cfg);
+        let streamed = SimRun::streaming(b.trace.n_items, &b.trace.updates, make(), cfg)
             .run_streamed(b.trace.queries.iter().cloned(), 16);
         assert_eq!(
             report_digest(&streamed),
-            report_digest(&materialized),
-            "{name}/{discipline:?}: streamed feed diverged from materialized run"
+            report_digest(&trace_fed),
+            "{name}/{discipline:?}: iterator feed diverged from the trace-backed run"
         );
-        assert_eq!(streamed.query_accesses, materialized.query_accesses);
-        assert_eq!(streamed.events_processed, materialized.events_processed);
+        assert_eq!(streamed.query_accesses, trace_fed.query_accesses);
+        assert_eq!(streamed.events_processed, trace_fed.events_processed);
     }
 }
 
@@ -93,7 +101,7 @@ fn chunk_size_is_unobservable() {
         || UnitPolicy::new(UnitConfig::with_weights(UsmWeights::low_high_cfm()).with_seed(SEED));
     let baseline = report_digest(&run_simulation(&b.trace, make(), cfg));
     for chunk in [0usize, 1, 3, 64, 10_000] {
-        let streamed = Simulator::new_streaming(b.trace.n_items, &b.trace.updates, make(), cfg)
+        let streamed = SimRun::streaming(b.trace.n_items, &b.trace.updates, make(), cfg)
             .run_streamed(b.trace.queries.iter().cloned(), chunk);
         assert_eq!(
             report_digest(&streamed),
@@ -107,7 +115,7 @@ fn chunk_size_is_unobservable() {
 fn generation_stream_feeds_the_engine_without_materializing() {
     // End-to-end: workload generation streams straight into the engine —
     // the full query Vec never exists — and the digest still matches the
-    // all-materialized pipeline.
+    // run over the materialized trace.
     let b = bundle();
     let qcfg = QueryTraceConfig {
         seed: SEED,
@@ -116,10 +124,10 @@ fn generation_stream_feeds_the_engine_without_materializing() {
     let cfg = sim_config(b.horizon, SchedulingDiscipline::DualPriorityEdf);
     let make =
         || UnitPolicy::new(UnitConfig::with_weights(UsmWeights::low_high_cfm()).with_seed(SEED));
-    let materialized = run_simulation(&b.trace, make(), cfg);
-    let streamed = Simulator::new_streaming(b.trace.n_items, &b.trace.updates, make(), cfg)
+    let trace_fed = run_simulation(&b.trace, make(), cfg);
+    let streamed = SimRun::streaming(b.trace.n_items, &b.trace.updates, make(), cfg)
         .run_streamed(stream_queries(&qcfg), 32);
-    assert_eq!(report_digest(&streamed), report_digest(&materialized));
+    assert_eq!(report_digest(&streamed), report_digest(&trace_fed));
 }
 
 #[test]
@@ -130,7 +138,7 @@ fn step_until_pauses_reorder_nothing() {
         || UnitPolicy::new(UnitConfig::with_weights(UsmWeights::low_high_cfm()).with_seed(SEED));
     let baseline = report_digest(&run_simulation(&b.trace, make(), cfg));
     for epoch_s in [1u64, 37, 1_000] {
-        let mut sim = Simulator::new(&b.trace, make(), cfg);
+        let mut sim = SimRun::trace(&b.trace, make(), cfg).build();
         let epoch = SimDuration::from_secs(epoch_s);
         let mut limit = SimTime::ZERO;
         loop {
@@ -154,7 +162,154 @@ fn out_of_order_feed_is_rejected() {
     let b = bundle();
     let cfg = sim_config(b.horizon, SchedulingDiscipline::DualPriorityEdf);
     let policy = UnitPolicy::new(UnitConfig::default());
-    let mut sim = Simulator::new_streaming(b.trace.n_items, &b.trace.updates, policy, cfg);
-    // Feeding query #1 first violates the id == fed-count contract.
-    sim.feed_query(b.trace.queries[1].clone());
+    let mut sim = SimRun::streaming(b.trace.n_items, &b.trace.updates, policy, cfg).build();
+    // Ids are free (a shard slice keeps its global ones), arrivals are not:
+    // feeding the last query before the first goes back in time.
+    let (first, last) = (&b.trace.queries[0], b.trace.queries.last().unwrap());
+    assert!(last.arrival > first.arrival);
+    sim.feed_query(last.clone());
+    sim.feed_query(first.clone());
+}
+
+#[test]
+fn shard_slice_with_sparse_global_ids_streams() {
+    // A cluster shard's slice keeps the trace's *global* query ids, so its
+    // ids are sparse and do not start at zero. The feed contract is on
+    // arrival order and feed ordinal, never on ids: the slice must stream
+    // through the caller-fed path and match its own trace-backed run.
+    let b = bundle();
+    let n_shards = 3;
+    let assignment: Vec<usize> = (0..b.trace.queries.len()).map(|i| i % n_shards).collect();
+    let partition = ItemPartition::new(n_shards);
+    let slices = slice_trace(&b.trace, &assignment, &partition).expect("valid assignment");
+    let shard = &slices[1];
+    assert_ne!(shard.queries[0].id.0, 0, "slice ids are global");
+    let cfg = sim_config(b.horizon, SchedulingDiscipline::DualPriorityEdf).with_outcome_log();
+    let make =
+        || UnitPolicy::new(UnitConfig::with_weights(UsmWeights::low_high_cfm()).with_seed(SEED));
+    let trace_fed = SimRun::trace(shard, make(), cfg).run();
+    let streamed = SimRun::streaming(shard.n_items, &shard.updates, make(), cfg)
+        .run_streamed(shard.queries.iter().cloned(), 8);
+    assert_eq!(streamed.counts.total() as usize, shard.queries.len());
+    assert_eq!(report_digest(&streamed), report_digest(&trace_fed));
+    assert_eq!(streamed.outcome_records, trace_fed.outcome_records);
+}
+
+/// A declarative hook exercising every fault family at once: one down and
+/// one degraded window, a delayed item, a load burst, and lose-state
+/// crashes. A pure function of virtual time, like every hook must be.
+#[derive(Clone)]
+struct MixedFaults {
+    /// `[start, end)` full-pause window.
+    down: (SimTime, SimTime),
+    /// `[start, end)` read-only window.
+    degraded: (SimTime, SimTime),
+    burst_at: SimTime,
+    crashes: Vec<SimTime>,
+}
+
+impl FaultHook for MixedFaults {
+    fn transition_times(&self) -> Vec<SimTime> {
+        let mut t = vec![
+            self.down.0,
+            self.down.1,
+            self.degraded.0,
+            self.degraded.1,
+            self.burst_at,
+        ];
+        t.extend(&self.crashes);
+        t
+    }
+
+    fn health(&self, now: SimTime) -> HealthState {
+        if self.down.0 <= now && now < self.down.1 {
+            HealthState::Down { until: self.down.1 }
+        } else if self.degraded.0 <= now && now < self.degraded.1 {
+            HealthState::Degraded {
+                until: self.degraded.1,
+            }
+        } else {
+            HealthState::Up
+        }
+    }
+
+    fn update_fault(&self, item: DataId, _now: SimTime) -> UpdateFault {
+        if item.0 % 5 == 0 {
+            UpdateFault::Delay(SimDuration::from_secs(30))
+        } else {
+            UpdateFault::Apply
+        }
+    }
+
+    fn load_at(&self, now: SimTime) -> Vec<BackgroundLoad> {
+        let exec = SimDuration::from_secs(20);
+        if now == self.burst_at {
+            vec![BackgroundLoad { exec }; 3]
+        } else {
+            Vec::new()
+        }
+    }
+
+    fn lose_state_crashes(&self) -> Vec<SimTime> {
+        self.crashes.clone()
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+    /// Feed equivalence: under a fault schedule with every family in it —
+    /// pause and degraded windows, stream delays, a burst, lose-state
+    /// crashes before, at the start of, and after the pause — the
+    /// trace-backed run (engine-pumped slice, cursor rewound on restore)
+    /// and the iterator-fed run (caller-pumped, input log replayed on
+    /// restore) are the same run, for a lookahead of 1, 7 and 1024.
+    ///
+    /// Crashes are kept out of the pause window's interior: a control tick
+    /// deferred through the window breaks `take_checkpoint`'s "the next
+    /// tick will snapshot" skip, and a crash behind it finds no checkpoint
+    /// (same at the parent commit; the cluster layer only ever crashes at
+    /// a window's start).
+    #[test]
+    fn trace_feed_matches_iterator_feed_under_faults(
+        down_at in 0.3f64..0.4,
+        degraded_at in 0.5f64..0.8,
+        window in 0.01f64..0.1,
+        early_crash in 0.02f64..0.29,
+        late_crash in 0.51f64..0.98,
+        crash_into_pause in any::<bool>(),
+    ) {
+        let b = bundle();
+        let at = |frac: f64| SimTime((b.horizon.0 as f64 * frac) as u64);
+        let mut crashes = vec![at(early_crash), at(late_crash)];
+        if crash_into_pause {
+            crashes.push(at(down_at));
+        }
+        let hook = MixedFaults {
+            down: (at(down_at), at(down_at + window)),
+            degraded: (at(degraded_at), at(degraded_at + window)),
+            burst_at: at((early_crash + late_crash) / 2.0),
+            crashes,
+        };
+        let cfg = sim_config(b.horizon, SchedulingDiscipline::DualPriorityEdf).with_outcome_log();
+        let make = || {
+            UnitPolicy::new(UnitConfig::with_weights(UsmWeights::low_high_cfm()).with_seed(SEED))
+        };
+        let trace_fed = SimRun::trace(&b.trace, make(), cfg)
+            .with_faults(Box::new(hook.clone()))
+            .run();
+        prop_assert_eq!(trace_fed.faults.recoveries, hook.crashes.len() as u64);
+        for lookahead in [1usize, 7, 1024] {
+            let streamed = SimRun::streaming(b.trace.n_items, &b.trace.updates, make(), cfg)
+                .with_faults(Box::new(hook.clone()))
+                .run_streamed(b.trace.queries.iter().cloned(), lookahead);
+            prop_assert_eq!(
+                report_digest(&streamed),
+                report_digest(&trace_fed),
+                "lookahead {}: feeds diverged", lookahead
+            );
+            prop_assert_eq!(&streamed.outcome_records, &trace_fed.outcome_records);
+            prop_assert_eq!(streamed.faults, trace_fed.faults);
+            prop_assert_eq!(streamed.events_processed, trace_fed.events_processed);
+        }
+    }
 }

@@ -15,7 +15,7 @@
 //! * [`write_queries_jsonl`] / [`read_queries_jsonl`] — line-delimited JSON
 //!   persistence that never holds more than one spec in memory on either
 //!   side, for feeding externally recorded traces into
-//!   `unit_sim::Simulator::run_streamed`.
+//!   `unit_sim::SimRun::run_streamed`.
 //!
 //! Both halves compose with the engine's chunked feed: the simulator's peak
 //! footprint becomes O(live transactions), not O(trace length).

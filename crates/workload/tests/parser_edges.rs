@@ -76,7 +76,7 @@ fn empty_file_through_the_file_api_is_invalid_data_not_a_panic() {
 fn duplicate_item_id_is_a_located_parse_error_not_a_panic() {
     // Duplicate an item inside the first query's read set. The JSON stays
     // syntactically valid, so only semantic validation can catch it — and
-    // it must point at the offending query, not panic in Simulator::new.
+    // it must point at the offending query, not panic in SimRun::build.
     let json = good_json();
     let items_at = json.find("\"items\": [").expect("pretty items array");
     let open = items_at + "\"items\": [".len();

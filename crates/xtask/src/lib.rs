@@ -13,7 +13,7 @@
 //!   JSON, or SARIF ([`sarif`]) for code-scanning annotations.
 //!
 //! See [`rules`] for the rule table and the allow-annotation syntax, and
-//! DESIGN.md §2.2 / §7 for the invariant each rule guards.
+//! DESIGN.md §2.2 / §15 for the invariant each rule guards.
 //!
 //! Test code is exempt by construction: files under `tests/`, `benches/`,
 //! `examples/`, and `fixtures/` directories are skipped by the walker, and

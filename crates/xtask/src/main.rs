@@ -42,7 +42,7 @@ SUBCOMMANDS:
     analyze    everything lint does, plus the interprocedural passes over
                the workspace call graph: D5 digest taint, D6 panic
                reachability, P2 hot-path allocation — gated by the
-               xtask-baseline.json ratchet (see DESIGN.md §7)
+               xtask-baseline.json ratchet (see DESIGN.md §15)
 
 OPTIONS:
     --format <fmt>       output format: text or json for lint;
