@@ -46,10 +46,7 @@ use unit_core::unit_policy::UnitPolicy;
 use unit_core::usm::UsmWeights;
 use unit_obs::RingRecorder;
 use unit_sim::{run_simulation, SimConfig};
-use unit_workload::{
-    slice_trace, slice_trace_filtered, ItemPartition, TraceBundle, UpdateDistribution,
-    UpdateFanout, UpdateVolume,
-};
+use unit_workload::{slice_trace, ReplicaMap, TraceBundle, UpdateDistribution, UpdateVolume};
 
 struct Args {
     scale: u64,
@@ -161,8 +158,13 @@ fn shard_walls(
     sim: SimConfig,
     weights: UsmWeights,
 ) -> Vec<f64> {
-    let shards = slice_trace(&bundle.trace, assignment, &ItemPartition::new(n_shards))
-        .expect("cluster assignment");
+    let (shards, _) = slice_trace(
+        &bundle.trace,
+        assignment,
+        &ReplicaMap::solo(n_shards),
+        false,
+    )
+    .expect("cluster assignment");
     shards
         .iter()
         .enumerate()
@@ -298,10 +300,13 @@ fn main() {
                 sim,
                 weights,
             );
-            let partition = ItemPartition::new(n_shards);
-            let (_, fanout): (_, UpdateFanout) =
-                slice_trace_filtered(&bundle.trace, &report.assignment, &partition)
-                    .expect("cluster assignment");
+            let (_, fanout) = slice_trace(
+                &bundle.trace,
+                &report.assignment,
+                &ReplicaMap::solo(n_shards),
+                true,
+            )
+            .expect("cluster assignment");
             println!(
                 "  {:<16} {n_shards:>7} {usm:>10.4} {whole_wall:>10.3} {epoch_wall:>10.3} {filtered_wall:>10.3} {filtered_crit:>10.3} {eps_epoch:>12.0} {events:>9}",
                 routing.name()

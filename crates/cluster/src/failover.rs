@@ -1,4 +1,5 @@
-//! Fault-aware dispatching: failover routing with deterministic
+//! The dispatcher walk every cluster run takes ([`dispatch`]), and what it
+//! does under a fault plan: failover routing with deterministic
 //! retry/backoff and USM-honest dispatcher rejections.
 //!
 //! With a [`FaultPlan`] in force, some shards are
@@ -12,12 +13,11 @@
 //! every query remains a pure function of
 //! `(trace, plan, routing policy, failover policy)`.
 //!
-//! Per query, [`route_with_faults`] proceeds in preference order:
+//! Per query, the dispatcher ([`dispatch`]) proceeds in preference order:
 //!
-//! 1. route among the **fully-up** eligible shards, by the underlying
-//!    [`RoutingPolicy`] (same ledgers, same tie-breaks as fault-free
-//!    [`assign`](crate::routing::assign));
-//! 2. none up → route among **degraded** eligible shards (graceful
+//! 1. route among the **fully-up** candidate shards, by the underlying
+//!    [`RoutingPolicy`];
+//! 2. none up → route among **degraded** candidate shards (graceful
 //!    degradation: reads on last-applied versions, honest DSF);
 //! 3. all paused → wait out an exponential-backoff step *in virtual time*
 //!    and retry, up to [`BackoffConfig::max_retries`] attempts and never
@@ -52,6 +52,7 @@
 use crate::merge::{ClusterReport, MergedOutcome, PromotionRecord, ReplicaRouteRecord};
 use crate::replication::ReplicaSets;
 use crate::routing::{replica_route_record, RouterState, RoutingPolicy};
+use std::borrow::Cow;
 use unit_core::time::{SimDuration, SimTime};
 use unit_core::types::{Outcome, QuerySpec, Trace};
 use unit_core::usm::OutcomeCounts;
@@ -151,95 +152,8 @@ impl RouteDecision {
     }
 }
 
-/// Compute the fault-aware routing decision for every query in `trace`.
-///
-/// Sequential and pure: one walk over the queries in arrival order,
-/// O(N_q · (A + S log W)) for read sets of size A, S eligible shards and W
-/// crash windows per shard. `plan.shards` must have one schedule per
-/// shard. With an empty plan (or `NoRetry`), the routed shards are
-/// identical to [`assign`](crate::routing::assign) and every effective
-/// arrival equals the trace arrival — the inertness the fault
-/// differential suite pins.
-pub fn route_with_faults(
-    trace: &Trace,
-    partition: &ItemPartition,
-    routing: RoutingPolicy,
-    plan: &FaultPlan,
-    failover: &FailoverPolicy,
-) -> Vec<RouteDecision> {
-    let mut router = RouterState::new(routing, trace, partition.n_shards());
-    trace
-        .queries
-        .iter()
-        .map(|q| {
-            let eligible = partition.eligible_shards(&q.items);
-            let cfg = match failover {
-                FailoverPolicy::NoRetry => {
-                    let shard = router.pick(q, &eligible, q.arrival, partition);
-                    router.commit(q, shard, q.arrival, partition);
-                    return RouteDecision::Routed {
-                        shard,
-                        at: q.arrival,
-                        retries: 0,
-                    };
-                }
-                FailoverPolicy::Backoff(cfg) => cfg,
-            };
-            let deadline = q.deadline();
-            let mut now = q.arrival;
-            let mut retries = 0u32;
-            loop {
-                let up: Vec<usize> = eligible
-                    .iter()
-                    .copied()
-                    // lint: allow(D6) — plan length == n_shards, checked by the caller
-                    .filter(|&s| plan.shards[s].health_at(now) == HealthState::Up)
-                    .collect();
-                // Prefer fully-up shards; fall back to degraded ones (their
-                // read path is still serving). Both pools stay ascending, so
-                // tie-breaks match the fault-free assigners.
-                let pool = if up.is_empty() {
-                    eligible
-                        .iter()
-                        .copied()
-                        // lint: allow(D6) — plan length == n_shards, checked by the caller
-                        .filter(|&s| !plan.shards[s].health_at(now).queries_paused())
-                        .collect()
-                } else {
-                    up
-                };
-                if !pool.is_empty() {
-                    let shard = router.pick(q, &pool, now, partition);
-                    router.commit(q, shard, now, partition);
-                    return RouteDecision::Routed {
-                        shard,
-                        at: now,
-                        retries,
-                    };
-                }
-                if retries >= cfg.max_retries {
-                    return RouteDecision::Rejected { at: now, retries };
-                }
-                let delay = cfg.delay(retries);
-                retries += 1;
-                let Some(next) = now.0.checked_add(delay.0) else {
-                    return RouteDecision::Rejected { at: now, retries };
-                };
-                now = SimTime(next);
-                if now >= deadline {
-                    return RouteDecision::Rejected {
-                        at: deadline,
-                        retries,
-                    };
-                }
-            }
-        })
-        .collect()
-}
-
-/// The replicated dispatcher's output: per-query decisions plus the
-/// replica-layer bookkeeping the [`crate::ReplicationReport`] carries.
-pub(crate) struct ReplicatedDecisions {
+/// What one [`dispatch`] walk decided.
+pub(crate) struct Dispatch {
     /// Per-query routing decisions, in original trace order.
     pub(crate) decisions: Vec<RouteDecision>,
     /// Routes that landed on a follower, in dispatch order.
@@ -248,25 +162,38 @@ pub(crate) struct ReplicatedDecisions {
     pub(crate) promotions: Vec<PromotionRecord>,
 }
 
-/// [`route_with_faults`] under replication: candidate pools come from
-/// [`ReplicaSets`] (leaders plus `Qu`-admissible followers, with crashed
-/// leaders deterministically promoting their freshest live follower)
-/// instead of the eligible-owner sets, and the replica-layer routes and
-/// promotions are recorded alongside the decisions.
+/// The dispatcher: one walk over the queries in arrival order, deciding
+/// every query's shard (or rejection) and recording the replica-layer
+/// routes and promotions alongside.
 ///
-/// Same sequential-prologue purity as [`route_with_faults`], and with
-/// `factor == 1` the pools — and therefore the decisions — are
-/// bit-identical to it. A promotion is recorded only when an item's
-/// promoted target *changes* (and the slate is wiped when its leader is
-/// healthy again at a later dispatch), so the promotion log is a compact,
-/// deterministic function of `(placement, lag schedule, plan, trace)`.
-pub(crate) fn route_with_faults_replicated(
+/// Candidate pools come from `sets` (leaders plus `Qu`-admissible
+/// followers; a factor-1 placement has leaders only). With `faults` under
+/// [`FailoverPolicy::Backoff`], pools are narrowed by the plan's health at
+/// the dispatch instant, paused leaders promote their freshest live
+/// follower, and an empty pool backs off as the module docs describe.
+/// `None` — and [`FailoverPolicy::NoRetry`], which ignores health by
+/// definition — reads every shard as `Up`: the first pool always holds the
+/// read set's leaders, so every decision is `Routed { at: arrival,
+/// retries: 0 }`. `plan.shards` must have one schedule per shard.
+///
+/// A promotion is recorded only when an item's promoted target *changes*
+/// (and the slate is wiped when its leader is healthy again at a later
+/// dispatch), so the promotion log is a compact, deterministic function of
+/// `(placement, lag schedule, plan, trace)`.
+///
+/// Sequential and pure, O(N_q · (A · factor · (A + streams) + S log W))
+/// for read sets of size A, S candidate shards and W crash windows per
+/// shard.
+pub(crate) fn dispatch(
     trace: &Trace,
     sets: &ReplicaSets,
     routing: RoutingPolicy,
-    plan: &FaultPlan,
-    failover: &FailoverPolicy,
-) -> ReplicatedDecisions {
+    faults: Option<(&FaultPlan, &FailoverPolicy)>,
+) -> Dispatch {
+    let (plan, backoff) = match faults {
+        Some((plan, FailoverPolicy::Backoff(cfg))) => (Some(plan), Some(cfg)),
+        Some((_, FailoverPolicy::NoRetry)) | None => (None, None),
+    };
     let mut router = RouterState::new(routing, trace, sets.map().n_shards());
     let mut routes = Vec::new();
     let mut promotions = Vec::new();
@@ -275,45 +202,28 @@ pub(crate) fn route_with_faults_replicated(
         .queries
         .iter()
         .map(|q| {
-            let cfg = match failover {
-                FailoverPolicy::NoRetry => {
-                    // Health-blind, like the plain NoRetry baseline: the Qu
-                    // gate still applies, promotions never happen.
-                    let pool = sets.candidate_pool(q, q.arrival);
-                    let shard = router.pick(q, &pool, q.arrival, sets);
-                    router.commit(q, shard, q.arrival, sets);
-                    if let Some(r) = replica_route_record(sets, q, shard, q.arrival) {
-                        routes.push(r);
-                    }
-                    return RouteDecision::Routed {
-                        shard,
-                        at: q.arrival,
-                        retries: 0,
-                    };
-                }
-                FailoverPolicy::Backoff(cfg) => cfg,
-            };
             let deadline = q.deadline();
             let mut now = q.arrival;
             let mut retries = 0u32;
             loop {
-                let (pool, promos) =
-                    sets.pool_with_health(q, now, |s| plan.shards[s].health_at(now));
+                let health = |s: usize| {
+                    // lint: allow(D6) — plan length == n_shards, checked by the caller
+                    plan.map_or(HealthState::Up, |p| p.shards[s].health_at(now))
+                };
+                let (pool, promos) = sets.pool_with_health(q, now, health);
                 if !pool.is_empty() {
                     let shard = router.pick(q, &pool, now, sets);
                     router.commit(q, shard, now, sets);
                     for p in promos {
+                        // lint: allow(D6) — promoted items come from q.items, < n_items
                         if last_promo[p.item.index()] != Some(p.to) {
-                            last_promo[p.item.index()] = Some(p.to);
+                            last_promo[p.item.index()] = Some(p.to); // lint: allow(D6) — same bound
                             promotions.push(p);
                         }
                     }
                     for &d in &q.items {
-                        if !plan.shards[sets.map().leader(d)]
-                            .health_at(now)
-                            .queries_paused()
-                        {
-                            last_promo[d.index()] = None;
+                        if !health(sets.map().leader(d)).queries_paused() {
+                            last_promo[d.index()] = None; // lint: allow(D6) — read-set items are < n_items
                         }
                     }
                     if let Some(r) = replica_route_record(sets, q, shard, now) {
@@ -325,9 +235,9 @@ pub(crate) fn route_with_faults_replicated(
                         retries,
                     };
                 }
-                if retries >= cfg.max_retries {
+                let Some(cfg) = backoff.filter(|cfg| retries < cfg.max_retries) else {
                     return RouteDecision::Rejected { at: now, retries };
-                }
+                };
                 let delay = cfg.delay(retries);
                 retries += 1;
                 let Some(next) = now.0.checked_add(delay.0) else {
@@ -343,11 +253,28 @@ pub(crate) fn route_with_faults_replicated(
             }
         })
         .collect();
-    ReplicatedDecisions {
+    Dispatch {
         decisions,
         routes,
         promotions,
     }
+}
+
+/// The fault-aware routing decision for every query in `trace` on an
+/// unreplicated cluster: [`dispatch`] over the partition's factor-1
+/// placement. `plan.shards` must have one schedule per shard. With an
+/// empty plan (or `NoRetry`), the routed shards are identical to
+/// [`assign`](crate::routing::assign) and every effective arrival equals
+/// the trace arrival — the inertness the fault differential suite pins.
+pub fn route_with_faults(
+    trace: &Trace,
+    partition: &ItemPartition,
+    routing: RoutingPolicy,
+    plan: &FaultPlan,
+    failover: &FailoverPolicy,
+) -> Vec<RouteDecision> {
+    let sets = ReplicaSets::solo(trace, partition.n_shards());
+    dispatch(trace, &sets, routing, Some((plan, failover))).decisions
 }
 
 /// Routed queries with their effective specs, plus the assignment aligned
@@ -357,30 +284,44 @@ pub(crate) fn route_with_faults_replicated(
 /// routed queries whose dispatch was delayed get `arrival = at` and
 /// `relative_deadline` shrunk to preserve the absolute deadline. Queries
 /// are stably re-sorted by the effective arrival so the result is a valid
-/// trace; fault-free this is the identity. O(N_q log N_q).
-pub(crate) fn routed_trace(trace: &Trace, decisions: &[RouteDecision]) -> (Trace, Vec<usize>) {
-    let mut routed: Vec<(QuerySpec, usize)> = Vec::with_capacity(trace.queries.len());
+/// trace. When every query was routed at its own arrival that is the
+/// identity, and the input trace is borrowed instead of rebuilt.
+/// O(N_q log N_q), O(N_q) when nothing moved.
+pub(crate) fn routed_trace<'a>(
+    trace: &'a Trace,
+    decisions: &[RouteDecision],
+) -> (Cow<'a, Trace>, Vec<usize>) {
+    let mut routed: Vec<(&QuerySpec, usize, SimTime)> = Vec::with_capacity(trace.queries.len());
     for (q, d) in trace.queries.iter().zip(decisions) {
         if let RouteDecision::Routed { shard, at, .. } = *d {
+            routed.push((q, shard, at));
+        }
+    }
+    if routed.len() == trace.queries.len() && routed.iter().all(|&(q, _, at)| at == q.arrival) {
+        let assignment = routed.iter().map(|&(_, s, _)| s).collect();
+        return (Cow::Borrowed(trace), assignment);
+    }
+    // Stable: same-arrival queries keep their trace order, exactly like
+    // the original (sorted) trace.
+    routed.sort_by_key(|&(_, _, at)| at);
+    let assignment = routed.iter().map(|&(_, s, _)| s).collect();
+    let queries = routed
+        .into_iter()
+        .map(|(q, _, at)| {
             let mut spec = q.clone();
             if at > spec.arrival {
                 spec.relative_deadline = spec.deadline().saturating_since(at);
                 spec.arrival = at;
             }
-            routed.push((spec, shard));
-        }
-    }
-    // Stable: same-arrival queries keep their trace order, exactly like
-    // the original (sorted) trace.
-    routed.sort_by_key(|(q, _)| q.arrival);
-    let assignment = routed.iter().map(|&(_, s)| s).collect();
-    let queries = routed.into_iter().map(|(q, _)| q).collect();
+            spec
+        })
+        .collect();
     (
-        Trace {
+        Cow::Owned(Trace {
             n_items: trace.n_items,
             queries,
             updates: trace.updates.clone(),
-        },
+        }),
         assignment,
     )
 }

@@ -7,9 +7,11 @@
 //! * **Partitioning** — every data item has one owner shard
 //!   (`item mod N`, [`unit_workload::ItemPartition`]); an item's update
 //!   streams always execute on its owner.
-//! * **Routing** — queries are routed among the owners of their read-set
-//!   items by a pluggable [`RoutingPolicy`]: round-robin, least
-//!   outstanding routed work, or freshness-aware ([`routing`]).
+//! * **Routing** — one dispatch walk routes every query of every run —
+//!   plain, faulty, replicated — among the shards hosting its read-set
+//!   items (their owners, unreplicated) by a pluggable [`RoutingPolicy`]:
+//!   round-robin, least outstanding routed work, or freshness-aware
+//!   ([`routing`], [`failover`]).
 //! * **Execution** — each shard is a full single-server engine
 //!   ([`unit_sim::Simulator`]) with its own policy instance (its own
 //!   AC + UM + LBC feedback loop for UNIT) and its own RNG stream split
@@ -224,14 +226,16 @@ pub struct ClusterConfig {
     /// wall-clock knob; see [`ExecutionMode`].
     pub mode: ExecutionMode,
     /// Demand-filter update streams during slicing
-    /// ([`unit_workload::slice_trace_filtered`]): streams whose owner shard
-    /// serves no reader of the item are dropped. **Changes per-shard
-    /// digests** (dropped streams no longer contend for CPU) — off by
-    /// default; the differential suites pin the unfiltered slicing.
+    /// ([`unit_workload::slice_trace`] with `filter` set): stream copies
+    /// whose hosting shard serves no reader of the item are dropped.
+    /// **Changes per-shard digests** (dropped streams no longer contend
+    /// for CPU) — off by default; the differential suites pin the
+    /// unfiltered slicing.
     pub filter_updates: bool,
     /// Leader/follower replication of data items (see [`replication`]).
-    /// `None` — and, bit-for-bit, `Some` with `factor == 1` — is today's
-    /// partition-only cluster.
+    /// `None` — and, bit-for-bit, `Some` with `factor == 1` — is the
+    /// partition-only cluster; only `Some` fills in
+    /// [`ClusterReport::replication`].
     pub replication: Option<ReplicationConfig>,
 }
 

@@ -41,7 +41,7 @@
 //! so it is unique and reproducible across reruns and worker counts.
 
 use crate::merge::{PromotionRecord, PropagationRecord, ReplicationReport};
-use crate::routing::{FreshnessEstimate, HostView};
+use crate::routing::FreshnessEstimate;
 use crate::ClusterConfigError;
 use unit_core::freshness::max_tolerable_udrop;
 use unit_core::split_seed;
@@ -204,18 +204,18 @@ impl ReplicationConfig {
     }
 }
 
-/// The run-scoped replication state: placement, the seeded per-window
-/// delay table, and the emission arithmetic the dispatcher's lag bounds
-/// are computed from. Built once per run in the sequential prologue; pure
-/// function of `(trace, n_shards, config, seed, horizon)`.
+/// The run-scoped placement state every cluster run dispatches against:
+/// which shards host which items, the seeded per-window delay table, and
+/// the emission arithmetic the dispatcher's lag bounds are computed from.
+/// An unreplicated run is the factor-1 case ([`ReplicaSets::solo`]): leaders
+/// only, empty delay table. Built once per run in the sequential prologue;
+/// pure function of `(trace, n_shards, config, seed, horizon)`.
 pub struct ReplicaSets {
     map: ReplicaMap,
     lag: PropagationLag,
     /// Emission arithmetic over the trace's update schedules (baseline
-    /// unused here — only `versions` is consulted).
+    /// unused here — only `versions` and `streams` are consulted).
     emit: FreshnessEstimate,
-    /// `(first_arrival, period)` per item, for enumerating emissions.
-    streams: Vec<Vec<(SimTime, SimDuration)>>,
     /// Per `(item, follower slot - 1, window)` delay, flattened.
     delays: Vec<SimDuration>,
     n_items: usize,
@@ -236,11 +236,6 @@ impl ReplicaSets {
         horizon: SimDuration,
     ) -> ReplicaSets {
         let map = cfg.replica_map(n_shards);
-        let mut streams = vec![Vec::new(); trace.n_items];
-        for u in &trace.updates {
-            // lint: allow(D6) — trace invariant: update items index < n_items
-            streams[u.item.index()].push((u.first_arrival, u.period));
-        }
         let windows = cfg.lag.windows;
         let span = horizon.0.saturating_add(1);
         let win_len = span.div_ceil(windows as u64).max(1);
@@ -262,12 +257,24 @@ impl ReplicaSets {
             map,
             lag: cfg.lag,
             emit: FreshnessEstimate::new(trace),
-            streams,
             delays,
             n_items: trace.n_items,
             win_len,
             span,
         }
+    }
+
+    /// The placement of an unreplicated cluster: every item on its modulo
+    /// owner, no followers. No follower slot exists, so the delay table is
+    /// empty and no seed or horizon can matter. O(N_u + n_items).
+    pub fn solo(trace: &Trace, n_shards: usize) -> ReplicaSets {
+        ReplicaSets::new(
+            trace,
+            n_shards,
+            &ReplicationConfig::new(1),
+            0,
+            SimDuration(u64::MAX),
+        )
     }
 
     /// The placement map. O(1).
@@ -367,42 +374,20 @@ impl ReplicaSets {
             .all(|&d| self.claimed_transit(d, now) <= tolerable)
     }
 
-    /// The candidate pool for `q` at `now`, health-blind: leaders of
-    /// read-set items (always admissible) plus followers hosting at least
-    /// one read-set item whose followed items all clear the `Qu` gate.
-    /// Ascending and deduplicated; with `factor == 1` this is exactly
-    /// [`unit_workload::ItemPartition::eligible_shards`]. O(A · factor ·
-    /// (A + streams) + n_shards).
-    pub fn candidate_pool(&self, q: &QuerySpec, now: SimTime) -> Vec<usize> {
-        let n = self.map.n_shards();
-        let mut seen = vec![false; n];
-        for &d in &q.items {
-            // lint: allow(D6) — leader() < n_shards by ReplicaMap construction
-            seen[self.map.leader(d)] = true;
-        }
-        for &d in &q.items {
-            for k in 1..self.map.factor() {
-                let s = self.map.follower(d, k);
-                // lint: allow(D6) — follower() < n_shards by ReplicaMap construction
-                if !seen[s] && self.follower_admissible(q, s, now) {
-                    seen[s] = true; // lint: allow(D6) — s < n_shards as above
-                }
-            }
-        }
-        seen.iter()
-            .enumerate()
-            .filter_map(|(s, &hit)| hit.then_some(s))
-            .collect()
-    }
-
-    /// The fault-aware candidate pool: the health-blind candidates plus
+    /// The candidate pool for `q` at `now`: leaders of read-set items
+    /// (always admissible) plus followers hosting at least one read-set
+    /// item whose followed items all clear the `Qu` gate — with
+    /// `factor == 1`, exactly
+    /// [`unit_workload::ItemPartition::eligible_shards`] — plus
     /// **promoted** followers for read-set items whose leader is paused at
     /// `now` (freshest live follower — minimal claimed transit, ties to
-    /// the lowest shard id — admitted regardless of the `Qu` gate), then
-    /// the same two-tier preference as plain failover: fully-up
-    /// candidates if any, otherwise the non-paused ones. Returns the pool
-    /// (ascending) and the promotions that shaped it, in read-set order.
-    /// O(A · factor · (A + streams) + n_shards).
+    /// the lowest shard id — admitted regardless of the `Qu` gate). Health
+    /// then narrows the candidates in two tiers: fully-up candidates if
+    /// any, otherwise the non-paused ones (degraded shards still serve
+    /// reads). A `health` that reads every shard `Up` returns the
+    /// candidates unnarrowed and promotes nobody. Returns the pool
+    /// (ascending, deduplicated) and the promotions that shaped it, in
+    /// read-set order. O(A · factor · (A + streams) + n_shards).
     pub fn pool_with_health(
         &self,
         q: &QuerySpec,
@@ -445,26 +430,45 @@ impl ReplicaSets {
                 });
             }
         }
-        let candidates: Vec<usize> = seen
-            .iter()
-            .enumerate()
-            .filter_map(|(s, &hit)| hit.then_some(s))
-            .collect();
-        let up: Vec<usize> = candidates
-            .iter()
-            .copied()
+        let candidates = || {
+            seen.iter()
+                .enumerate()
+                .filter_map(|(s, &hit)| hit.then_some(s))
+        };
+        let up: Vec<usize> = candidates()
             .filter(|&s| health(s) == HealthState::Up)
             .collect();
         let pool = if up.is_empty() {
-            candidates
-                .iter()
-                .copied()
+            candidates()
                 .filter(|&s| !health(s).queries_paused())
                 .collect()
         } else {
             up
         };
         (pool, promotions)
+    }
+
+    /// Dispatcher-side staleness estimate of `d` as served by `s` — the
+    /// leader's estimated unapplied versions, plus what is claimed in
+    /// transit when `s` is a follower — or `None` when `s` hosts no
+    /// replica of `d`. O(factor + streams of d).
+    pub(crate) fn staleness(
+        &self,
+        est: &FreshnessEstimate,
+        d: DataId,
+        s: usize,
+        now: SimTime,
+    ) -> Option<u64> {
+        if self.map.leader(d) == s {
+            Some(est.udrop(d.index(), now))
+        } else if self.map.follows(s, d) {
+            Some(
+                est.udrop(d.index(), now)
+                    .saturating_add(self.claimed_transit(d, now)),
+            )
+        } else {
+            None
+        }
     }
 
     /// The propagation fault schedule for shard `s`: one
@@ -508,13 +512,15 @@ impl ReplicaSets {
     /// construction. O(V · factor · log V) in the total emitted-version
     /// count V.
     pub fn propagation_log(&self) -> Vec<PropagationRecord> {
+        if self.map.factor() == 1 {
+            return Vec::new(); // no followers, nothing propagates
+        }
         let mut lanes: Vec<Vec<PropagationRecord>> = vec![Vec::new(); self.map.n_shards()];
         for item in 0..self.n_items {
             let d = DataId(item as u32);
             // All emissions of d within the horizon, in (time, stream) order.
             let mut emissions: Vec<SimTime> = Vec::new();
-            // lint: allow(D6) — item < n_items == streams.len() by construction
-            for &(first, period) in &self.streams[item] {
+            for &(first, period) in self.emit.streams(item) {
                 let mut t = first;
                 while t.0 < self.span {
                     emissions.push(t);
@@ -554,29 +560,6 @@ impl ReplicaSets {
         // reproduces it because per-lane order is time-major already.
         log.sort_by_key(|r| (r.time, r.follower, r.item, r.version));
         log
-    }
-}
-
-impl HostView for ReplicaSets {
-    fn staleness(&self, est: &FreshnessEstimate, d: DataId, s: usize, now: SimTime) -> Option<u64> {
-        if self.map.leader(d) == s {
-            Some(est.udrop(d.index(), now))
-        } else if self.map.follows(s, d) {
-            // A follower lags the leader estimate by what is in transit.
-            Some(
-                est.udrop(d.index(), now)
-                    .saturating_add(self.claimed_transit(d, now)),
-            )
-        } else {
-            None
-        }
-    }
-
-    fn refreshes(&self, s: usize, d: DataId) -> bool {
-        // Only a leader read refreshes the dispatcher's estimate: a
-        // follower read neither updates the leader nor catches the
-        // follower up beyond its propagation schedule.
-        self.map.leader(d) == s
     }
 }
 
@@ -815,15 +798,14 @@ mod tests {
     }
 
     #[test]
-    fn candidate_pool_degenerates_to_eligible_shards_at_factor_one() {
+    fn factor_one_pool_degenerates_to_eligible_shards() {
         let s = sets(1, PropagationLag::none());
         let t = trace();
         let q = &t.queries[0];
         let partition = unit_workload::ItemPartition::new(4);
-        assert_eq!(
-            s.candidate_pool(q, q.arrival),
-            partition.eligible_shards(&q.items)
-        );
+        let (pool, promos) = s.pool_with_health(q, q.arrival, |_| HealthState::Up);
+        assert_eq!(pool, partition.eligible_shards(&q.items));
+        assert!(promos.is_empty());
     }
 
     #[test]
@@ -839,12 +821,15 @@ mod tests {
                                // Shard 2 follows nothing in the read set? It LEADS item 2 and
                                // follows item 1 -> transit(item1, 5) = 0 -> admissible.
                                // Shard 3 follows item 2 -> transit 1 > 0 -> barred.
-        let pool = s.candidate_pool(q, q.arrival);
-        assert_eq!(pool, vec![1, 2]);
+        let all_up = |_| HealthState::Up;
+        assert_eq!(s.pool_with_health(q, q.arrival, all_up).0, vec![1, 2]);
         // A lenient query tolerates one in-transit version: shard 3 joins.
         let mut lenient = q.clone();
         lenient.freshness_req = 0.5;
-        assert_eq!(s.candidate_pool(&lenient, q.arrival), vec![1, 2, 3]);
+        assert_eq!(
+            s.pool_with_health(&lenient, q.arrival, all_up).0,
+            vec![1, 2, 3]
+        );
     }
 
     #[test]

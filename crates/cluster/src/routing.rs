@@ -1,21 +1,25 @@
-//! The cluster dispatcher: deterministic query-to-shard routing.
+//! The cluster dispatcher's routing policies: deterministic
+//! query-to-shard routing.
 //!
 //! Routing runs as a **sequential prologue** before any shard executes:
-//! the dispatcher walks the global query trace in arrival order and
-//! produces one shard index per query. Updates are not routed — they
-//! always follow their item to its owner shard. Because the dispatcher
-//! never observes shard execution (it works from the trace and its own
-//! deterministic state), the assignment is a pure function of
-//! `(trace, n_shards, routing policy)` — the first half of the cluster's
-//! bit-reproducibility argument (DESIGN.md §3).
+//! the dispatcher ([`crate::failover::dispatch`]) walks the global query
+//! trace in arrival order and picks one shard per query from the state
+//! kept here. Updates are not routed — they always follow their item to
+//! the shards hosting it. Because the dispatcher never observes shard
+//! execution (it works from the trace and its own deterministic state),
+//! the assignment is a pure function of `(trace, placement, routing
+//! policy)` — the first half of the cluster's bit-reproducibility argument
+//! (DESIGN.md §3).
 //!
-//! A query is only ever routed among its *eligible* shards: the owners of
-//! at least one item in its read set. Routing a query to a shard that owns
-//! none of its data would make the shard engine read items whose update
-//! streams it never sees — legal (the items just stay at their initial
-//! version) but pointless; restricting to eligible shards keeps every read
-//! observable by the update traffic that invalidates it.
+//! A query is only ever routed among its *candidate* shards: shards
+//! hosting at least one item in its read set (the owners, in an
+//! unreplicated cluster). Routing a query to a shard that hosts none of
+//! its data would make the shard engine read items whose update streams it
+//! never sees — legal (the items just stay at their initial version) but
+//! pointless; restricting to hosting shards keeps every read observable by
+//! the update traffic that invalidates it.
 
+use crate::failover::{dispatch, routed_trace};
 use crate::merge::ReplicaRouteRecord;
 use crate::replication::ReplicaSets;
 use serde::{Deserialize, Serialize};
@@ -60,33 +64,17 @@ impl RoutingPolicy {
     }
 }
 
-/// Compute the query-to-shard assignment for `trace` under `routing`.
+/// Compute the query-to-shard assignment for `trace` under `routing` on an
+/// unreplicated, fault-free cluster.
 ///
 /// Walks queries in trace (= arrival) order, O(N_q · (A + log N_q)) for
 /// read sets of size A. Pure and sequential: identical inputs give an
 /// identical assignment on every run and any worker-thread count, because
 /// worker threads have not even been spawned yet when this runs.
 pub fn assign(trace: &Trace, partition: &ItemPartition, routing: RoutingPolicy) -> Vec<usize> {
-    match routing {
-        RoutingPolicy::RoundRobin => assign_round_robin(trace, partition),
-        RoutingPolicy::LeastLoad => assign_least_load(trace, partition),
-        RoutingPolicy::FreshnessAware => assign_freshness_aware(trace, partition),
-    }
-}
-
-fn assign_round_robin(trace: &Trace, partition: &ItemPartition) -> Vec<usize> {
-    let mut counter = 0usize;
-    trace
-        .queries
-        .iter()
-        .map(|q| {
-            let eligible = partition.eligible_shards(&q.items);
-            // lint: allow(D6) — eligible is non-empty for a valid trace; the modulo keeps the cursor in range
-            let shard = eligible[counter % eligible.len()];
-            counter += 1;
-            shard
-        })
-        .collect()
+    let sets = ReplicaSets::solo(trace, partition.n_shards());
+    let decisions = dispatch(trace, &sets, routing, None).decisions;
+    routed_trace(trace, &decisions).1
 }
 
 /// Per-shard outstanding-work ledger for `LeastLoad`.
@@ -124,34 +112,6 @@ impl ShardLoad {
     }
 }
 
-fn assign_least_load(trace: &Trace, partition: &ItemPartition) -> Vec<usize> {
-    let mut loads: Vec<ShardLoad> = (0..partition.n_shards())
-        .map(|_| ShardLoad::new())
-        .collect();
-    trace
-        .queries
-        .iter()
-        .map(|q| {
-            let eligible = partition.eligible_shards(&q.items);
-            let shard = eligible
-                .iter()
-                .copied()
-                .map(|s| {
-                    // lint: allow(D6) — eligible shard ids are < n_shards
-                    loads[s].expire(q.arrival);
-                    // Ties break to the lowest shard id: min_by_key keeps
-                    // the first minimum and `eligible` is ascending.
-                    (loads[s].outstanding, s) // lint: allow(D6) — s < n_shards
-                })
-                .min()
-                .map_or(0, |(_, s)| s); // eligible is never empty for a valid trace
-                                        // lint: allow(D6) — the picked shard came from `eligible`
-            loads[shard].admit(q.deadline(), q.exec_time);
-            shard
-        })
-        .collect()
-}
-
 /// Dispatcher-side freshness estimator for `FreshnessAware`.
 ///
 /// The dispatcher cannot see the shards' real `Udrop` tables without
@@ -183,10 +143,16 @@ impl FreshnessEstimate {
         }
     }
 
+    /// The `(first_arrival, period)` schedule of every update stream on
+    /// `item`, in trace order.
+    pub(crate) fn streams(&self, item: usize) -> &[(SimTime, SimDuration)] {
+        // lint: allow(D6) — every caller passes item indices < n_items
+        &self.streams[item]
+    }
+
     /// Versions emitted for `item` up to and including `now`.
     pub(crate) fn versions(&self, item: usize, now: SimTime) -> u64 {
-        // lint: allow(D6) — every caller passes item indices < n_items
-        self.streams[item]
+        self.streams(item)
             .iter()
             .map(|&(first, period)| {
                 if now < first {
@@ -212,40 +178,8 @@ impl FreshnessEstimate {
     }
 }
 
-/// What the dispatcher knows about which shards can serve which items —
-/// the one seam between partition-only and replicated routing.
-///
-/// `FreshnessAware` needs two capabilities from the placement: a
-/// staleness estimate for "item `d` as served by shard `s`" (`None` when
-/// `s` hosts no replica of `d`), and whether routing a read of `d` to `s`
-/// refreshes the dispatcher's estimate. For [`ItemPartition`] the answers
-/// are the classic owner checks, so [`RouterState`] backed by a partition
-/// is bit-identical to the fault-free assigners; [`ReplicaSets`] widens
-/// both answers to followers without touching the decision logic.
-pub(crate) trait HostView {
-    /// Dispatcher-side staleness estimate of `d` as served by `s`, or
-    /// `None` when `s` hosts no replica of `d`.
-    fn staleness(&self, est: &FreshnessEstimate, d: DataId, s: usize, now: SimTime) -> Option<u64>;
-
-    /// True when routing a read of `d` to `s` refreshes the dispatcher's
-    /// estimate for `d` (only an authoritative — leader — read does).
-    fn refreshes(&self, s: usize, d: DataId) -> bool;
-}
-
-impl HostView for ItemPartition {
-    fn staleness(&self, est: &FreshnessEstimate, d: DataId, s: usize, now: SimTime) -> Option<u64> {
-        (self.owner(d) == s).then(|| est.udrop(d.index(), now))
-    }
-
-    fn refreshes(&self, s: usize, d: DataId) -> bool {
-        self.owner(d) == s
-    }
-}
-
-/// The underlying routing policy's mutable state, factored so the
-/// fault-aware and replicated dispatchers reuse the exact decision logic
-/// of [`assign`] — restricted to a candidate pool — and are bit-identical
-/// to it when the pool equals the eligible set.
+/// The routing policy's mutable state: the dispatcher hands it each
+/// query's candidate pool and it picks one shard.
 pub(crate) enum RouterState {
     RoundRobin { counter: usize },
     LeastLoad { loads: Vec<ShardLoad> },
@@ -266,14 +200,14 @@ impl RouterState {
     }
 
     /// Pick a shard from the non-empty `pool` (ascending shard ids) for a
-    /// query being dispatched at `now`. Mirrors the fault-free assigners:
-    /// same counters, same ledgers, same lowest-id tie-breaks.
+    /// query being dispatched at `now`. Ties break to the lowest shard id:
+    /// `min` keeps the first minimum and the pool is ascending.
     pub(crate) fn pick(
         &mut self,
         q: &QuerySpec,
         pool: &[usize],
         now: SimTime,
-        view: &impl HostView,
+        sets: &ReplicaSets,
     ) -> usize {
         match self {
             RouterState::RoundRobin { counter } => {
@@ -299,7 +233,7 @@ impl RouterState {
                     let staleness: u64 = q
                         .items
                         .iter()
-                        .filter_map(|&d| view.staleness(est, d, s, now))
+                        .filter_map(|&d| sets.staleness(est, d, s, now))
                         .max()
                         .unwrap_or(0);
                     (staleness, s)
@@ -309,22 +243,19 @@ impl RouterState {
         }
     }
 
-    /// Account for a routed query, mirroring the fault-free assigners'
-    /// post-pick bookkeeping.
-    pub(crate) fn commit(
-        &mut self,
-        q: &QuerySpec,
-        shard: usize,
-        now: SimTime,
-        view: &impl HostView,
-    ) {
+    /// Account for a query routed to `shard` at `now`: `LeastLoad` books
+    /// its work against the shard; `FreshnessAware` resets the estimate of
+    /// every read-set item the shard leads (only an authoritative read
+    /// refreshes it — a follower read neither updates the leader nor
+    /// catches the follower up beyond its propagation schedule).
+    pub(crate) fn commit(&mut self, q: &QuerySpec, shard: usize, now: SimTime, sets: &ReplicaSets) {
         match self {
             RouterState::RoundRobin { .. } => {}
             // lint: allow(D6) — the committed shard came from the pool
             RouterState::LeastLoad { loads } => loads[shard].admit(q.deadline(), q.exec_time),
             RouterState::FreshnessAware { est } => {
                 for &d in &q.items {
-                    if view.refreshes(shard, d) {
+                    if sets.map().leader(d) == shard {
                         est.reset(d.index(), now);
                     }
                 }
@@ -362,68 +293,6 @@ pub(crate) fn replica_route_record(
             .max()
             .unwrap_or(0),
     })
-}
-
-/// Compute the query-to-shard assignment under replication: like
-/// [`assign`], but each query's pool is its [`ReplicaSets::candidate_pool`]
-/// — leaders plus `Qu`-admissible followers — and the returned records
-/// name every route that landed on a follower. With `factor == 1` the
-/// pools equal the eligible sets and the assignment is bit-identical to
-/// [`assign`] (the replication differential suite pins this), with no
-/// records. Pure and sequential, same complexity envelope as [`assign`].
-pub(crate) fn assign_replicated(
-    trace: &Trace,
-    sets: &ReplicaSets,
-    routing: RoutingPolicy,
-) -> (Vec<usize>, Vec<ReplicaRouteRecord>) {
-    let mut router = RouterState::new(routing, trace, sets.map().n_shards());
-    let mut routes = Vec::new();
-    let assignment = trace
-        .queries
-        .iter()
-        .map(|q| {
-            let pool = sets.candidate_pool(q, q.arrival);
-            let shard = router.pick(q, &pool, q.arrival, sets);
-            router.commit(q, shard, q.arrival, sets);
-            if let Some(r) = replica_route_record(sets, q, shard, q.arrival) {
-                routes.push(r);
-            }
-            shard
-        })
-        .collect();
-    (assignment, routes)
-}
-
-fn assign_freshness_aware(trace: &Trace, partition: &ItemPartition) -> Vec<usize> {
-    let mut est = FreshnessEstimate::new(trace);
-    trace
-        .queries
-        .iter()
-        .map(|q| {
-            let eligible = partition.eligible_shards(&q.items);
-            let shard = eligible
-                .iter()
-                .copied()
-                .map(|s| {
-                    let staleness: u64 = q
-                        .items
-                        .iter()
-                        .filter(|&&d| partition.owner(d) == s)
-                        .map(|&d| est.udrop(d.index(), q.arrival))
-                        .max()
-                        .unwrap_or(0);
-                    (staleness, s)
-                })
-                .min()
-                .map_or(0, |(_, s)| s); // eligible is never empty for a valid trace
-            for &d in &q.items {
-                if partition.owner(d) == shard {
-                    est.reset(d.index(), q.arrival);
-                }
-            }
-            shard
-        })
-        .collect()
 }
 
 #[cfg(test)]

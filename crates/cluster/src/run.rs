@@ -1,12 +1,12 @@
-//! The unified cluster entry point: [`ClusterRun`], built from a
+//! The cluster entry point: [`ClusterRun`], built from a
 //! [`ClusterConfig`].
 //!
-//! One builder replaces the former four `run_*` free functions (removed
-//! after a deprecation cycle): a plain cluster is `cfg.build().run(...)`,
-//! faults are layered with [`ClusterRun::with_faults`], and observability
-//! with [`ClusterRun::with_observer`] — so telemetry is wired once, here,
-//! instead of once per entry point. Future shard/batching features extend
-//! this builder rather than growing new top-level functions.
+//! A plain cluster is `cfg.build().run(...)`; faults are layered with
+//! [`ClusterRun::with_faults`] and observability with
+//! [`ClusterRun::with_observer`]. Every run takes the same path — build
+//! the placement, dispatch, slice, build the shard hooks, execute, merge —
+//! and a configuration that installs nothing (no plan, factor 1 or zero
+//! lag) reaches the shard engines with no hook at all.
 //!
 //! ## Observation model
 //!
@@ -21,10 +21,9 @@
 //! and observation never touches the engines' decision paths: every
 //! `report_digest` matches the observer-free run exactly.
 
-use crate::failover::{self, FailoverPolicy, FaultClusterReport, RouteDecision};
+use crate::failover::{self, Dispatch, FailoverPolicy, FaultClusterReport, RouteDecision};
 use crate::merge::{ClusterReport, ReplicationReport};
-use crate::replication::{ReplicaSets, ReplicationConfig};
-use crate::routing;
+use crate::replication::ReplicaSets;
 use crate::{ClusterConfig, ClusterConfigError, ExecutionMode};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Barrier;
@@ -37,7 +36,7 @@ use unit_core::UnitConfig;
 use unit_faults::{FaultPlan, FaultSchedule, ShardFaults};
 use unit_obs::{FaultPhase, ObsEvent, Observer, RingRecorder};
 use unit_sim::{HealthState, SimConfig, SimReport, SimRun, Simulator};
-use unit_workload::{slice_trace, slice_trace_filtered, slice_trace_replicated, ItemPartition};
+use unit_workload::slice_trace;
 
 /// A configured cluster run: faults and observation are layered onto the
 /// shape described by the [`ClusterConfig`] it was built from, mirroring
@@ -111,19 +110,6 @@ impl<'a> ClusterRun<'a> {
         self
     }
 
-    /// Install per-item leader/follower replication (equivalent to setting
-    /// it on the [`ClusterConfig`] with
-    /// [`ClusterConfig::with_replication`]): updates fan out to follower
-    /// shards under the configured propagation lag, and reads may be
-    /// served by any replica whose dispatcher-side `Qu` bound clears the
-    /// query's freshness requirement. `factor == 1` is bit-identical to a
-    /// non-replicated run (the replication differential suite pins this).
-    #[must_use]
-    pub fn with_replication(mut self, replication: ReplicationConfig) -> ClusterRun<'a> {
-        self.cluster.replication = Some(replication);
-        self
-    }
-
     /// Install an observability sink. Shard event streams are recorded
     /// per-worker and replayed to `observer` after the merge (see the
     /// module docs for the deterministic interleave); dispatcher routes,
@@ -169,104 +155,41 @@ impl<'a> ClusterRun<'a> {
         } = self;
         cluster.validate()?;
         let n = cluster.n_shards;
-        let partition = ItemPartition::new(n);
-        let sets = cluster
-            .replication
-            .as_ref()
-            .map(|rep| ReplicaSets::new(trace, n, rep, cluster.seed, sim.horizon));
+        let sets = cluster.replication.as_ref().map_or_else(
+            || ReplicaSets::solo(trace, n),
+            |rep| ReplicaSets::new(trace, n, rep, cluster.seed, sim.horizon),
+        );
+        let hooks = build_shard_hooks(faults.map(|(plan, _)| plan), &sets)?;
 
-        // Dispatch prologue: fault-aware when a plan is installed, the
-        // plain assigner otherwise; with replication, pools widen to
-        // Qu-admissible followers. All four paths are sequential and pure.
-        let mut routes = Vec::new();
-        let mut promotions = Vec::new();
-        let (hooks, decisions, routed_storage, assignment) = match faults {
-            Some((plan, failover)) => {
-                if plan.shards.len() != n {
-                    return Err(ClusterConfigError::PlanShardMismatch {
-                        plan_shards: plan.shards.len(),
-                        n_shards: n,
-                    });
-                }
-                if let Some(sets) = &sets {
-                    // Propagation owns the full horizon of every followed
-                    // item's streams; a user fault there would overlap it.
-                    for (shard, sched) in plan.shards.iter().enumerate() {
-                        for f in &sched.stream_faults {
-                            if sets.map().follows(shard, f.item) {
-                                return Err(ClusterConfigError::ReplicationFaultConflict {
-                                    shard,
-                                    item: f.item.0,
-                                });
-                            }
-                        }
-                    }
-                }
-                let hooks = build_shard_hooks(n, Some(plan), sets.as_ref())?;
-                let decisions = match &sets {
-                    Some(sets) => {
-                        let replicated = failover::route_with_faults_replicated(
-                            trace,
-                            sets,
-                            cluster.routing,
-                            plan,
-                            &failover,
-                        );
-                        routes = replicated.routes;
-                        promotions = replicated.promotions;
-                        replicated.decisions
-                    }
-                    None => failover::route_with_faults(
-                        trace,
-                        &partition,
-                        cluster.routing,
-                        plan,
-                        &failover,
-                    ),
-                };
-                let (routed, assignment) = failover::routed_trace(trace, &decisions);
-                (hooks, Some(decisions), Some(routed), assignment)
-            }
-            None => {
-                let assignment = match &sets {
-                    Some(sets) => {
-                        let (assignment, r) =
-                            routing::assign_replicated(trace, sets, cluster.routing);
-                        routes = r;
-                        assignment
-                    }
-                    None => routing::assign(trace, &partition, cluster.routing),
-                };
-                let hooks = build_shard_hooks(n, None, sets.as_ref())?;
-                (hooks, None, None, assignment)
-            }
-        };
-        let exec_trace = routed_storage.as_ref().unwrap_or(trace);
-        let sliced = match &sets {
-            Some(sets) => {
-                slice_trace_replicated(exec_trace, &assignment, sets.map(), cluster.filter_updates)
-                    .map(|(t, _)| t)
-            }
-            None if cluster.filter_updates => {
-                slice_trace_filtered(exec_trace, &assignment, &partition).map(|(t, _)| t)
-            }
-            None => slice_trace(exec_trace, &assignment, &partition),
-        };
-        let shard_traces = match sliced {
-            Ok(t) => t,
-            // lint: allow(panic) — the dispatcher produced the assignment; a bad one is a routing bug, not caller input
-            Err(e) => panic!("internal routing error: {e}"),
-        };
-        let seeds: Vec<u64> = (0..n).map(|i| split_seed(cluster.seed, i as u64)).collect();
+        // Dispatch prologue: sequential and pure.
+        let Dispatch {
+            decisions,
+            routes,
+            promotions,
+        } = failover::dispatch(
+            trace,
+            &sets,
+            cluster.routing,
+            faults.as_ref().map(|(plan, failover)| (*plan, failover)),
+        );
+        let (exec_trace, assignment) = failover::routed_trace(trace, &decisions);
+        let shard_traces =
+            match slice_trace(&exec_trace, &assignment, sets.map(), cluster.filter_updates) {
+                Ok((t, _)) => t,
+                // lint: allow(panic) — the dispatcher produced the assignment; a bad one is a routing bug, not caller input
+                Err(e) => panic!("internal routing error: {e}"),
+            };
         let results = execute_shards(
-            &shard_traces,
-            &seeds,
-            sim.with_outcome_log(),
+            &ShardInputs {
+                traces: &shard_traces,
+                seed: cluster.seed,
+                cfg: sim.with_outcome_log(),
+                hooks: hooks.as_deref(),
+                record: obs.is_some(),
+                make_policy: &make_policy,
+            },
             cluster.workers,
             cluster.mode,
-            hooks.as_deref(),
-            obs.is_some(),
-            &make_policy,
         );
         let mut recorders: Vec<Option<RingRecorder>> = Vec::with_capacity(n);
         let mut shard_reports: Vec<SimReport> = Vec::with_capacity(n);
@@ -286,7 +209,7 @@ impl<'a> ClusterRun<'a> {
             "cluster-usm-identity",
             crate::merge::check_cluster_identity(&cluster_report)
         );
-        if let Some(sets) = &sets {
+        if cluster.replication.is_some() {
             let replication = ReplicationReport {
                 factor: sets.factor(),
                 propagation: sets.propagation_log(),
@@ -296,7 +219,7 @@ impl<'a> ClusterRun<'a> {
             unit_core::validate_check!(
                 "replication-consistency",
                 crate::replication::check_replication_consistency(
-                    sets,
+                    &sets,
                     &replication,
                     sim.tick_period,
                     sim.horizon
@@ -310,28 +233,24 @@ impl<'a> ClusterRun<'a> {
                 observer,
                 trace,
                 recorders,
-                decisions.as_deref(),
+                &decisions,
                 hooks.as_deref(),
-                cluster_report.assignment.as_slice(),
-                exec_trace,
                 cluster_report.replication.as_ref(),
             );
         }
 
-        match decisions {
-            Some(decisions) => {
-                let report = FaultClusterReport::assemble(trace, cluster_report, decisions);
-                #[cfg(feature = "validate")]
-                if let Some((plan, failover)) = faults {
-                    unit_core::validate_check!(
-                        "health-consistency",
-                        failover::check_health_consistency(&report, plan, &failover)
-                    );
-                }
-                Ok(ClusterRunReport::Faulty(report))
-            }
-            None => Ok(ClusterRunReport::Plain(cluster_report)),
+        if faults.is_none() {
+            return Ok(ClusterRunReport::Plain(cluster_report));
         }
+        let report = FaultClusterReport::assemble(trace, cluster_report, decisions);
+        #[cfg(feature = "validate")]
+        if let Some((plan, failover)) = faults {
+            unit_core::validate_check!(
+                "health-consistency",
+                failover::check_health_consistency(&report, plan, &failover)
+            );
+        }
+        Ok(ClusterRunReport::Faulty(report))
     }
 
     /// Execute a UNIT run: one [`UnitPolicy`] per shard, each configured
@@ -352,35 +271,50 @@ impl<'a> ClusterRun<'a> {
 }
 
 /// Build each shard's fault hook by merging the user plan (if any) with
-/// the replication layer's propagation schedules (if any): every followed
-/// item's streams run under the seeded windowed delays on that shard.
+/// the placement's propagation schedules: every followed item's streams
+/// run under the seeded windowed delays on that shard.
 ///
 /// Returns `None` when there is nothing to install — no plan and every
-/// propagation schedule empty (factor 1 or zero lag) — so a degenerate
-/// replicated run executes its shards byte-identically to an unhooked
-/// plain run. The conflict check in [`ClusterRun::run`] guarantees user
-/// stream faults and propagation faults touch disjoint items per shard,
-/// so the merged list stays valid (sorted, non-overlapping per item).
+/// propagation schedule empty (factor 1 or zero lag) — so such a run
+/// executes its shards unhooked, on the engine's hook-free paths. A user
+/// stream fault on a shard that *follows* the item is rejected: the
+/// propagation schedule owns the full horizon of every followed item's
+/// streams there, and the merged list must stay valid (sorted,
+/// non-overlapping per item).
 fn build_shard_hooks(
-    n: usize,
     plan: Option<&FaultPlan>,
-    sets: Option<&ReplicaSets>,
+    sets: &ReplicaSets,
 ) -> Result<Option<Vec<ShardFaults>>, ClusterConfigError> {
+    let n = sets.map().n_shards();
     let mut schedules: Vec<FaultSchedule> = match plan {
+        Some(p) if p.shards.len() != n => {
+            return Err(ClusterConfigError::PlanShardMismatch {
+                plan_shards: p.shards.len(),
+                n_shards: n,
+            })
+        }
         Some(p) => p.shards.clone(),
         None => vec![FaultSchedule::empty(); n],
     };
     let mut any = plan.is_some();
-    if let Some(sets) = sets {
-        for (s, sched) in schedules.iter_mut().enumerate() {
-            let props = sets.propagation_faults(s);
-            if props.is_empty() {
-                continue;
-            }
-            any = true;
-            sched.stream_faults.extend(props);
-            sched.stream_faults.sort_by_key(|f| (f.item.0, f.start));
+    for (shard, sched) in schedules.iter_mut().enumerate() {
+        if let Some(f) = sched
+            .stream_faults
+            .iter()
+            .find(|f| sets.map().follows(shard, f.item))
+        {
+            return Err(ClusterConfigError::ReplicationFaultConflict {
+                shard,
+                item: f.item.0,
+            });
         }
+        let props = sets.propagation_faults(shard);
+        if props.is_empty() {
+            continue;
+        }
+        any = true;
+        sched.stream_faults.extend(props);
+        sched.stream_faults.sort_by_key(|f| (f.item.0, f.start));
     }
     if !any {
         return Ok(None);
@@ -395,34 +329,94 @@ fn build_shard_hooks(
     Ok(Some(hooks))
 }
 
-/// Execute every shard on a worker pool and return
-/// `(report, recorder, wall_secs)` triples indexed by shard id
-/// (`recorder` is `Some` iff `record`; `wall_secs` is the host time the
-/// shard spent being built, stepped, and finished, excluding barrier
-/// waits).
+/// One shard's result: its report, its recorder (`Some` iff recording),
+/// and the host seconds it spent being built, stepped and finished
+/// (barrier waits excluded).
+type ShardResult = (SimReport, Option<RingRecorder>, f64);
+
+/// What every shard engine is assembled from. Shards share none of it
+/// mutably: each consumes its own trace slice, its own seed split from
+/// `seed`, its own clone of its hook, and (when recording) a recorder
+/// private to its worker.
+struct ShardInputs<'a, F> {
+    traces: &'a [Trace],
+    seed: u64,
+    cfg: SimConfig,
+    /// One hook per shard, or `None` to run every shard unhooked.
+    hooks: Option<&'a [ShardFaults]>,
+    record: bool,
+    make_policy: &'a F,
+}
+
+impl<P: Policy, F: Fn(usize, u64) -> P> ShardInputs<'_, F> {
+    /// Assemble shard `i`'s engine, observed by `rec` when recording.
+    fn build_shard<'r>(&'r self, i: usize, rec: Option<&'r mut RingRecorder>) -> Simulator<'r, P> {
+        let policy = (self.make_policy)(i, split_seed(self.seed, i as u64));
+        // lint: allow(D6) — callers pass i < n == traces.len()
+        let mut run = SimRun::trace(&self.traces[i], policy, self.cfg);
+        if let Some(hooks) = self.hooks {
+            // lint: allow(D6) — hooks, when present, has n entries
+            run = run.with_faults(Box::new(hooks[i].clone()));
+        }
+        if let Some(r) = rec {
+            run = run.with_observer(r);
+        }
+        run.build()
+    }
+
+    /// Run shard `i` start to finish on the calling thread.
+    fn run_shard(&self, i: usize) -> ShardResult {
+        // lint: allow(D2) — diagnostic shard-wall timing, never enters sim state or digests
+        let started = std::time::Instant::now();
+        let mut rec = self.record.then(RingRecorder::unbounded);
+        let report = {
+            let mut sim = self.build_shard(i, rec.as_mut());
+            while sim.step() {}
+            sim.finish().0
+        };
+        (report, rec, started.elapsed().as_secs_f64())
+    }
+}
+
+/// Run `work(w)` for every worker `w < workers` and concatenate what they
+/// return. One worker runs on the calling thread, skipping the spawn;
+/// more run on scoped threads, and a worker panic — a shard-engine bug —
+/// propagates instead of yielding a partial cluster.
+fn run_workers<T: Send>(workers: usize, work: impl Fn(usize) -> Vec<T> + Sync) -> Vec<T> {
+    if workers == 1 {
+        return work(0);
+    }
+    std::thread::scope(|scope| {
+        let work = &work;
+        let handles: Vec<_> = (0..workers).map(|w| scope.spawn(move || work(w))).collect();
+        handles
+            .into_iter()
+            .flat_map(|h| match h.join() {
+                Ok(finished) => finished,
+                // lint: allow(panic) — re-raise the worker's own panic
+                Err(e) => std::panic::resume_unwind(e),
+            })
+            .collect()
+    })
+}
+
+/// Execute every shard on a worker pool and return the results indexed by
+/// shard id.
 ///
-/// Interleaving-independence: shards share no mutable state — each
-/// consumes its own trace slice, seed, and (when recording) a recorder
-/// private to its worker — and results land in slots keyed by shard id, so
-/// neither claim order, finish order, worker count, nor the execution
-/// `mode` is observable in the output. With `hooks`, shard `i` runs with
-/// `hooks[i]` installed as its fault hook.
-#[allow(clippy::too_many_arguments)]
+/// Interleaving-independence: shards share no mutable state (see
+/// [`ShardInputs`]) and results are keyed by shard id, so neither claim
+/// order, finish order, worker count, nor the execution `mode` is
+/// observable in the output.
 fn execute_shards<P, F>(
-    shard_traces: &[Trace],
-    seeds: &[u64],
-    shard_cfg: SimConfig,
+    inputs: &ShardInputs<'_, F>,
     workers: usize,
     mode: ExecutionMode,
-    hooks: Option<&[ShardFaults]>,
-    record: bool,
-    make_policy: &F,
-) -> Vec<(SimReport, Option<RingRecorder>, f64)>
+) -> Vec<ShardResult>
 where
     P: Policy + Send,
     F: Fn(usize, u64) -> P + Sync,
 {
-    let n = shard_traces.len();
+    let n = inputs.traces.len();
     // `0` = auto: one worker per shard, capped at the host's actual
     // parallelism — extra threads on a smaller machine only add scheduling
     // and barrier overhead. Purely a wall-clock decision: results are
@@ -434,108 +428,30 @@ where
     } else {
         workers.min(n)
     };
-    if workers == 1 {
-        // One worker: epoch lockstep and whole-shard claiming both
-        // degenerate to serial execution, and the output is mode- and
-        // worker-invariant (pinned by the differential suites) — so run
-        // the shards inline on this thread, skipping the spawn, the
-        // barriers, and the per-epoch engine round-robin entirely.
-        return shard_traces
-            .iter()
-            .enumerate()
-            .map(|(i, shard_trace)| {
-                // lint: allow(D2) — diagnostic shard-wall timing, never enters sim state or digests
-                let started = std::time::Instant::now();
-                // lint: allow(D6) — i < n == seeds.len() (caller invariant)
-                let policy = make_policy(i, seeds[i]);
-                let mut rec = record.then(RingRecorder::unbounded);
-                let report = {
-                    let mut run = SimRun::trace(shard_trace, policy, shard_cfg);
-                    if let Some(hooks) = hooks {
-                        // lint: allow(D6) — hooks, when present, has n entries
-                        run = run.with_faults(Box::new(hooks[i].clone()));
-                    }
-                    if let Some(r) = rec.as_mut() {
-                        run = run.with_observer(r);
-                    }
-                    run.run()
-                };
-                (report, rec, started.elapsed().as_secs_f64())
-            })
-            .collect();
-    }
-    if let ExecutionMode::EpochParallel { epoch } = mode {
-        return execute_shards_epoch(
-            shard_traces,
-            seeds,
-            shard_cfg,
-            workers,
-            epoch,
-            hooks,
-            record,
-            make_policy,
-        );
-    }
-    let mut slots: Vec<Option<(SimReport, Option<RingRecorder>, f64)>> =
-        (0..n).map(|_| None).collect();
-    let next = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let next = &next;
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(move || {
-                    let mut finished: Vec<(usize, SimReport, Option<RingRecorder>, f64)> =
-                        Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        // lint: allow(D2) — diagnostic shard-wall timing, never enters sim state or digests
-                        let started = std::time::Instant::now();
-                        // lint: allow(D6) — i < n == seeds.len() (caller invariant)
-                        let policy = make_policy(i, seeds[i]);
-                        let mut rec = record.then(RingRecorder::unbounded);
-                        let report = {
-                            // lint: allow(D6) — i < n == shard_traces.len()
-                            let mut run = SimRun::trace(&shard_traces[i], policy, shard_cfg);
-                            if let Some(hooks) = hooks {
-                                // lint: allow(D6) — hooks, when present, has n entries
-                                run = run.with_faults(Box::new(hooks[i].clone()));
-                            }
-                            if let Some(r) = rec.as_mut() {
-                                run = run.with_observer(r);
-                            }
-                            run.run()
-                        };
-                        finished.push((i, report, rec, started.elapsed().as_secs_f64()));
-                    }
-                    finished
-                })
-            })
-            .collect();
-        for h in handles {
-            // lint: allow(panic) — a worker panic is a shard-engine bug;
-            // propagate it instead of reporting a partial cluster
-            let finished = match h.join() {
-                Ok(f) => f,
-                Err(e) => std::panic::resume_unwind(e),
-            };
-            for (i, report, rec, wall) in finished {
-                // lint: allow(D6) — workers only claim indices i < n
-                slots[i] = Some((report, rec, wall));
-            }
+    let mut finished = match mode {
+        // With one worker, epoch lockstep degenerates to serial execution
+        // and the output is mode-invariant — so claim whole shards and
+        // skip the barriers and the per-epoch engine round-robin.
+        ExecutionMode::EpochParallel { epoch } if workers > 1 => {
+            execute_shards_epoch(inputs, workers, epoch)
         }
-    });
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| match s {
-            Some(r) => r,
-            // lint: allow(panic) — every index < n is claimed exactly once
-            None => panic!("shard {i} produced no report"),
-        })
-        .collect()
+        _ => {
+            let next = AtomicUsize::new(0);
+            run_workers(workers, |_| {
+                std::iter::from_fn(|| {
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    (i < n).then(|| (i, inputs.run_shard(i)))
+                })
+                .collect()
+            })
+        }
+    };
+    finished.sort_unstable_by_key(|&(i, _)| i);
+    assert!(
+        finished.iter().map(|&(i, _)| i).eq(0..n),
+        "every shard must be executed exactly once"
+    );
+    finished.into_iter().map(|(_, result)| result).collect()
 }
 
 /// Epoch-parallel execution: worker `w` statically owns shards
@@ -548,134 +464,86 @@ where
 /// barrier. Shards share no mutable state, and pausing an engine at an
 /// epoch boundary reorders nothing ([`Simulator::step_until`]), so the
 /// output is bit-identical to [`ExecutionMode::WholeShard`] for any worker
-/// count or epoch. O(E log N_ev + R·W) for R rounds.
-#[allow(clippy::too_many_arguments)]
+/// count or epoch. Returns `(shard id, result)` pairs in no particular
+/// order. O(E log N_ev + R·W) for R rounds.
 fn execute_shards_epoch<P, F>(
-    shard_traces: &[Trace],
-    seeds: &[u64],
-    shard_cfg: SimConfig,
+    inputs: &ShardInputs<'_, F>,
     workers: usize,
     epoch: SimDuration,
-    hooks: Option<&[ShardFaults]>,
-    record: bool,
-    make_policy: &F,
-) -> Vec<(SimReport, Option<RingRecorder>, f64)>
+) -> Vec<(usize, ShardResult)>
 where
     P: Policy + Send,
     F: Fn(usize, u64) -> P + Sync,
 {
-    let n = shard_traces.len();
+    let n = inputs.traces.len();
     debug_assert!(workers >= 1 && workers <= n);
     debug_assert!(!epoch.is_zero(), "validate() rejects zero epochs");
     let barrier = Barrier::new(workers);
     let live_total = AtomicUsize::new(n);
-    let mut slots: Vec<Option<(SimReport, Option<RingRecorder>, f64)>> =
-        (0..n).map(|_| None).collect();
-    std::thread::scope(|scope| {
-        let barrier = &barrier;
-        let live_total = &live_total;
-        let handles: Vec<_> = (0..workers)
-            .map(|w| {
-                scope.spawn(move || {
-                    let owned: Vec<usize> = (w..n).step_by(workers).collect();
-                    let mut recs: Vec<Option<RingRecorder>> = owned
-                        .iter()
-                        .map(|_| record.then(RingRecorder::unbounded))
-                        .collect();
-                    // Engines borrow their recorders element-wise; `recs`
-                    // stays mutably borrowed until every engine is finished.
-                    // Walls accumulate each shard's build + stepping time,
-                    // never the barrier waits below.
-                    let (mut sims, mut walls): (Vec<Option<Simulator<'_, P>>>, Vec<f64>) = owned
-                        .iter()
-                        .zip(recs.iter_mut())
-                        .map(|(&i, rec)| {
-                            // lint: allow(D2) — diagnostic shard-wall timing, never enters sim state or digests
-                            let started = std::time::Instant::now();
-                            let mut run = SimRun::trace(
-                                &shard_traces[i],         // lint: allow(D6) — i < n == shard_traces.len()
-                                make_policy(i, seeds[i]), // lint: allow(D6) — i < n
-                                shard_cfg,
-                            );
-                            if let Some(hooks) = hooks {
-                                // Setup, not stepping: one clone per shard per run.
-                                // lint: allow(D6,P2) — hooks has n entries; runs once per shard
-                                run = run.with_faults(Box::new(hooks[i].clone()));
-                            }
-                            if let Some(r) = rec.as_mut() {
-                                run = run.with_observer(r);
-                            }
-                            (Some(run.build()), started.elapsed().as_secs_f64())
-                        })
-                        .unzip();
-                    let mut reports: Vec<Option<SimReport>> = owned.iter().map(|_| None).collect();
-                    let mut limit = SimTime::ZERO;
-                    loop {
-                        limit += epoch;
-                        for (j, slot) in sims.iter_mut().enumerate() {
-                            let Some(sim) = slot.as_mut() else { continue };
-                            // lint: allow(D2) — diagnostic shard-wall timing, never enters sim state or digests
-                            let started = std::time::Instant::now();
-                            if !sim.step_until(limit) {
-                                // Drained: harvest now so the report is
-                                // ready the moment the cluster converges.
-                                if let Some(sim) = slot.take() {
-                                    // lint: allow(D6) — j indexes sims, same length
-                                    reports[j] = Some(sim.finish().0);
-                                }
-                                // Relaxed is enough: the barriers below
-                                // order this store against every reader.
-                                live_total.fetch_sub(1, Ordering::Relaxed);
-                            }
-                            // lint: allow(D6) — j indexes sims, same length
-                            walls[j] += started.elapsed().as_secs_f64();
-                        }
-                        barrier.wait(); // round's drains are published
-                        let done = live_total.load(Ordering::Relaxed) == 0;
-                        barrier.wait(); // everyone has read before round k+1
-                        if done {
-                            break;
-                        }
-                    }
-                    drop(sims); // ends the recorder borrows
-                    owned
-                        .into_iter()
-                        .zip(reports)
-                        .zip(recs)
-                        .zip(walls)
-                        .map(|(((i, report), rec), wall)| {
-                            let Some(report) = report else {
-                                // lint: allow(panic) — the loop only exits once every shard drained
-                                panic!("shard {i} exited the epoch loop unfinished")
-                            };
-                            (i, report, rec, wall)
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
+    run_workers(workers, |w| {
+        let owned: Vec<usize> = (w..n).step_by(workers).collect();
+        let mut recs: Vec<Option<RingRecorder>> = owned
+            .iter()
+            .map(|_| inputs.record.then(RingRecorder::unbounded))
             .collect();
-        for h in handles {
-            // lint: allow(panic) — a worker panic is a shard-engine bug;
-            // propagate it instead of reporting a partial cluster
-            let finished = match h.join() {
-                Ok(f) => f,
-                Err(e) => std::panic::resume_unwind(e),
-            };
-            for (i, report, rec, wall) in finished {
-                // lint: allow(D6) — workers only claim indices i < n
-                slots[i] = Some((report, rec, wall));
+        // Engines borrow their recorders element-wise; `recs` stays
+        // mutably borrowed until every engine is finished. Walls
+        // accumulate each shard's build + stepping time, never the
+        // barrier waits below.
+        let (mut sims, mut walls): (Vec<Option<Simulator<'_, P>>>, Vec<f64>) = owned
+            .iter()
+            .zip(recs.iter_mut())
+            .map(|(&i, rec)| {
+                // lint: allow(D2) — diagnostic shard-wall timing, never enters sim state or digests
+                let started = std::time::Instant::now();
+                let sim = inputs.build_shard(i, rec.as_mut());
+                (Some(sim), started.elapsed().as_secs_f64())
+            })
+            .unzip();
+        let mut reports: Vec<Option<SimReport>> = owned.iter().map(|_| None).collect();
+        let mut limit = SimTime::ZERO;
+        loop {
+            limit += epoch;
+            for (j, slot) in sims.iter_mut().enumerate() {
+                let Some(sim) = slot.as_mut() else { continue };
+                // lint: allow(D2) — diagnostic shard-wall timing, never enters sim state or digests
+                let started = std::time::Instant::now();
+                if !sim.step_until(limit) {
+                    // Drained: harvest now so the report is ready the
+                    // moment the cluster converges.
+                    if let Some(sim) = slot.take() {
+                        // lint: allow(D6) — j indexes sims, same length
+                        reports[j] = Some(sim.finish().0);
+                    }
+                    // Relaxed is enough: the barriers below order this
+                    // store against every reader.
+                    live_total.fetch_sub(1, Ordering::Relaxed);
+                }
+                // lint: allow(D6) — j indexes sims, same length
+                walls[j] += started.elapsed().as_secs_f64();
+            }
+            barrier.wait(); // round's drains are published
+            let done = live_total.load(Ordering::Relaxed) == 0;
+            barrier.wait(); // everyone has read before round k+1
+            if done {
+                break;
             }
         }
-    });
-    slots
-        .into_iter()
-        .enumerate()
-        .map(|(i, s)| match s {
-            Some(r) => r,
-            // lint: allow(panic) — static ownership covers every shard exactly once
-            None => panic!("shard {i} produced no report"),
-        })
-        .collect()
+        drop(sims); // ends the recorder borrows
+        owned
+            .into_iter()
+            .zip(reports)
+            .zip(recs)
+            .zip(walls)
+            .map(|(((i, report), rec), wall)| {
+                let Some(report) = report else {
+                    // lint: allow(panic) — the loop only exits once every shard drained
+                    panic!("shard {i} exited the epoch loop unfinished")
+                };
+                (i, (report, rec, wall))
+            })
+            .collect()
+    })
 }
 
 /// Replay the run's event streams to the observer in `(time, lane, seq)`
@@ -687,15 +555,12 @@ where
 /// follower-side propagation deliveries ([`crate::ClusterLane`]). Pure
 /// function of the run inputs — worker count and finish order are
 /// invisible. O(E log E) in the total event count.
-#[allow(clippy::too_many_arguments)]
 fn replay_events(
     observer: &mut dyn Observer,
     trace: &Trace,
     recorders: Vec<Option<RingRecorder>>,
-    decisions: Option<&[RouteDecision]>,
+    decisions: &[RouteDecision],
     hooks: Option<&[ShardFaults]>,
-    plain_assignment: &[usize],
-    exec_trace: &Trace,
     replication: Option<&ReplicationReport>,
 ) {
     let mut all: Vec<(SimTime, u32, u64, ObsEvent)> = Vec::new();
@@ -731,40 +596,22 @@ fn replay_events(
         }
     }
 
-    // Routing verdicts: fault-aware decisions when present, otherwise the
-    // plain assignment (every query routed at its arrival, zero retries).
-    match decisions {
-        Some(decisions) => {
-            for (q, d) in trace.queries.iter().zip(decisions) {
-                let ev = match *d {
-                    RouteDecision::Routed { shard, at, retries } => ObsEvent::DispatcherRoute {
-                        time: at,
-                        query: q.id,
-                        shard: shard as u32,
-                        retries,
-                    },
-                    RouteDecision::Rejected { at, retries } => ObsEvent::DispatcherReject {
-                        time: at,
-                        query: q.id,
-                        retries,
-                    },
-                };
-                lane0(&mut all, ev);
-            }
-        }
-        None => {
-            for (q, &shard) in exec_trace.queries.iter().zip(plain_assignment) {
-                lane0(
-                    &mut all,
-                    ObsEvent::DispatcherRoute {
-                        time: q.arrival,
-                        query: q.id,
-                        shard: shard as u32,
-                        retries: 0,
-                    },
-                );
-            }
-        }
+    // Routing verdicts.
+    for (q, d) in trace.queries.iter().zip(decisions) {
+        let ev = match *d {
+            RouteDecision::Routed { shard, at, retries } => ObsEvent::DispatcherRoute {
+                time: at,
+                query: q.id,
+                shard: shard as u32,
+                retries,
+            },
+            RouteDecision::Rejected { at, retries } => ObsEvent::DispatcherReject {
+                time: at,
+                query: q.id,
+                retries,
+            },
+        };
+        lane0(&mut all, ev);
     }
 
     // Replica-layer events: follower routes and promotions on the

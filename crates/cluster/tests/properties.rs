@@ -17,7 +17,7 @@ use unit_core::config::UnitConfig;
 use unit_core::time::SimDuration;
 use unit_core::usm::{OutcomeCounts, UsmWeights};
 use unit_workload::{
-    slice_trace, ItemPartition, QueryTraceConfig, TraceBundle, UpdateDistribution,
+    slice_trace, ItemPartition, QueryTraceConfig, ReplicaMap, TraceBundle, UpdateDistribution,
     UpdateTraceConfig, UpdateVolume,
 };
 
@@ -134,7 +134,8 @@ proptest! {
 
         // Updates: re-derive the slices; stream ids partition exactly.
         let partition = ItemPartition::new(s.n_shards);
-        let slices = slice_trace(&s.bundle.trace, &report.assignment, &partition)
+        let map = ReplicaMap::solo(s.n_shards);
+        let (slices, _) = slice_trace(&s.bundle.trace, &report.assignment, &map, false)
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
         let mut sliced: Vec<u32> = slices
             .iter()

@@ -92,8 +92,8 @@ fn factor_one_differential<P: Policy + Send>(policy_name: &str, make: impl Fn(u6
                 for workers in [0usize, 1] {
                     let replicated = cluster_cfg
                         .with_workers(workers)
-                        .build()
                         .with_replication(rep)
+                        .build()
                         .run(&bundle.trace, cfg, |_, seed| make(seed))
                         .expect("valid replicated config")
                         .into_plain()
@@ -196,9 +196,9 @@ fn factor_one_is_bit_identical_under_faults() {
         for workers in [0usize, 1] {
             let replicated = cluster_cfg
                 .with_workers(workers)
+                .with_replication(ReplicationConfig::new(1))
                 .build()
                 .with_faults(&plan, failover)
-                .with_replication(ReplicationConfig::new(1))
                 .run(&bundle.trace, cfg, |_, seed| unit_policy(seed))
                 .expect("valid replicated fault config")
                 .into_faulty()
@@ -246,8 +246,8 @@ fn factor_one_is_bit_identical_in_epoch_mode() {
             let replicated = base
                 .with_epoch(SimDuration::from_secs(epoch_secs))
                 .with_workers(workers)
-                .build()
                 .with_replication(ReplicationConfig::new(1))
+                .build()
                 .run(&bundle.trace, cfg, |_, seed| unit_policy(seed))
                 .expect("valid replicated config")
                 .into_plain()

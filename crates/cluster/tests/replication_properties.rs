@@ -26,8 +26,7 @@ use unit_faults::{FaultConfig, FaultMode, FaultPlan};
 use unit_obs::RingRecorder;
 use unit_sim::SimConfig;
 use unit_workload::{
-    slice_trace_replicated, QueryTraceConfig, TraceBundle, UpdateDistribution, UpdateTraceConfig,
-    UpdateVolume,
+    slice_trace, QueryTraceConfig, TraceBundle, UpdateDistribution, UpdateTraceConfig, UpdateVolume,
 };
 
 /// A replicated cluster scenario: workload shape, shard count, factor,
@@ -140,7 +139,7 @@ proptest! {
         let (report, _) = run_observed(&s, cluster_cfg(&s));
         let map = s.replication.replica_map(s.n_shards);
         let (slices, fanout) =
-            slice_trace_replicated(&s.bundle.trace, &report.assignment, &map, false)
+            slice_trace(&s.bundle.trace, &report.assignment, &map, false)
                 .map_err(|e| TestCaseError::fail(e.to_string()))?;
         let factor = map.factor();
         for u in &s.bundle.trace.updates {

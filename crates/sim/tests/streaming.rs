@@ -23,12 +23,13 @@ use unit_sim::{
     SimConfig, SimRun, UpdateFault,
 };
 use unit_workload::{
-    slice_trace, stream_queries, ItemPartition, QueryTraceConfig, TraceBundle, UpdateDistribution,
+    slice_trace, stream_queries, QueryTraceConfig, ReplicaMap, TraceBundle, UpdateDistribution,
     UpdateTraceConfig, UpdateVolume,
 };
 
 const SCALE: u64 = 32;
 const SEED: u64 = 0x57EA_0001;
+const TICK_PERIOD: SimDuration = SimDuration::from_secs(10);
 
 fn bundle() -> TraceBundle {
     let qcfg = QueryTraceConfig {
@@ -43,7 +44,7 @@ fn bundle() -> TraceBundle {
 fn sim_config(horizon: SimDuration, discipline: SchedulingDiscipline) -> SimConfig {
     SimConfig::new(horizon)
         .with_weights(UsmWeights::low_high_cfm())
-        .with_tick_period(SimDuration::from_secs(10))
+        .with_tick_period(TICK_PERIOD)
         .with_discipline(discipline)
 }
 
@@ -180,8 +181,8 @@ fn shard_slice_with_sparse_global_ids_streams() {
     let b = bundle();
     let n_shards = 3;
     let assignment: Vec<usize> = (0..b.trace.queries.len()).map(|i| i % n_shards).collect();
-    let partition = ItemPartition::new(n_shards);
-    let slices = slice_trace(&b.trace, &assignment, &partition).expect("valid assignment");
+    let (slices, _) = slice_trace(&b.trace, &assignment, &ReplicaMap::solo(n_shards), false)
+        .expect("valid assignment");
     let shard = &slices[1];
     assert_ne!(shard.queries[0].id.0, 0, "slice ids are global");
     let cfg = sim_config(b.horizon, SchedulingDiscipline::DualPriorityEdf).with_outcome_log();
@@ -255,20 +256,41 @@ impl FaultHook for MixedFaults {
     }
 }
 
+/// Where the third lose-state crash lands relative to the pause window.
+#[derive(Debug, Clone, Copy)]
+enum PauseCrash {
+    Absent,
+    /// At the window's first instant.
+    Start,
+    /// This fraction of the way through the window.
+    Interior(f64),
+    /// On the control-tick grid, this many ticks past `down_at`: around
+    /// the tick the engine defers to the window's end.
+    TickAfter(u64),
+}
+
+fn pause_crash_strategy() -> impl Strategy<Value = PauseCrash> {
+    prop_oneof![
+        Just(PauseCrash::Absent),
+        Just(PauseCrash::Start),
+        (0.05f64..0.95).prop_map(PauseCrash::Interior),
+        (1u64..=3).prop_map(PauseCrash::TickAfter),
+    ]
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(8))]
+    #![proptest_config(ProptestConfig::with_cases(16))]
     /// Feed equivalence: under a fault schedule with every family in it —
     /// pause and degraded windows, stream delays, a burst, lose-state
-    /// crashes before, at the start of, and after the pause — the
+    /// crashes before, at the start of, inside, and after the pause — the
     /// trace-backed run (engine-pumped slice, cursor rewound on restore)
     /// and the iterator-fed run (caller-pumped, input log replayed on
     /// restore) are the same run, for a lookahead of 1, 7 and 1024.
     ///
-    /// Crashes are kept out of the pause window's interior: a control tick
-    /// deferred through the window breaks `take_checkpoint`'s "the next
-    /// tick will snapshot" skip, and a crash behind it finds no checkpoint
-    /// (same at the parent commit; the cluster layer only ever crashes at
-    /// a window's start).
+    /// A crash inside the pause sits behind a control tick the engine has
+    /// deferred to the window's end. `take_checkpoint`'s skip-ahead counted
+    /// on that tick to snapshot, so the crash restores an older checkpoint
+    /// and replays a longer window — the same run all the same.
     #[test]
     fn trace_feed_matches_iterator_feed_under_faults(
         down_at in 0.3f64..0.4,
@@ -276,14 +298,19 @@ proptest! {
         window in 0.01f64..0.1,
         early_crash in 0.02f64..0.29,
         late_crash in 0.51f64..0.98,
-        crash_into_pause in any::<bool>(),
+        pause_crash in pause_crash_strategy(),
     ) {
         let b = bundle();
         let at = |frac: f64| SimTime((b.horizon.0 as f64 * frac) as u64);
+        let tick = TICK_PERIOD.0;
         let mut crashes = vec![at(early_crash), at(late_crash)];
-        if crash_into_pause {
-            crashes.push(at(down_at));
+        match pause_crash {
+            PauseCrash::Absent => {}
+            PauseCrash::Start => crashes.push(at(down_at)),
+            PauseCrash::Interior(frac) => crashes.push(at(down_at + window * frac)),
+            PauseCrash::TickAfter(k) => crashes.push(SimTime((at(down_at).0 / tick + k) * tick)),
         }
+        crashes.sort_unstable();
         let hook = MixedFaults {
             down: (at(down_at), at(down_at + window)),
             degraded: (at(degraded_at), at(degraded_at + window)),

@@ -1,13 +1,14 @@
 //! Partitioning a trace across cluster shards.
 //!
 //! A cluster run splits one global [`Trace`] into per-shard traces: every
-//! data item has exactly one *owner* shard ([`ItemPartition`]), update
-//! streams follow their item to its owner, and queries go wherever the
-//! dispatcher routed them. [`slice_trace`] performs the split from a
+//! data item has exactly one *owner* shard ([`ItemPartition`]) — its leader
+//! under a [`ReplicaMap`], which may add follower shards — update streams
+//! follow their item to every shard hosting it, and queries go wherever
+//! the dispatcher routed them. [`slice_trace`] performs the split from a
 //! per-query assignment computed by the cluster's routing policy.
 //!
 //! Shards keep the **global** item-id space (`n_items` is unchanged): a
-//! shard simply never sees arrivals for items it does not own. This keeps
+//! shard simply never sees arrivals for items it does not host. This keeps
 //! ids stable across shard counts — no remapping tables — and makes the
 //! 1-shard cluster trace *identical* to the global trace, which is what the
 //! differential suite pins against the single-server engine.
@@ -227,103 +228,60 @@ impl std::fmt::Display for PartitionError {
 
 impl std::error::Error for PartitionError {}
 
-/// Split a global trace into one trace per shard.
-///
-/// Query `i` goes to shard `assignment[i]`; update streams go to their
-/// item's owner under `partition`. Relative arrival order is preserved
-/// within every shard (a filtered subsequence of a sorted list stays
-/// sorted), so each slice is a valid trace. Every query and every update
-/// stream lands in exactly one slice — the conservation property the
-/// cluster tests check end-to-end. O(N_q + N_u).
-pub fn slice_trace(
-    trace: &Trace,
-    assignment: &[usize],
-    partition: &ItemPartition,
-) -> Result<Vec<Trace>, PartitionError> {
-    check_assignment(trace, assignment, partition.n_shards())?;
-    let mut shards = empty_slices(trace, partition.n_shards());
-    for (q, &s) in trace.queries.iter().zip(assignment) {
-        // lint: allow(D6) — check_assignment bounds every entry by n_shards
-        shards[s].queries.push(q.clone());
-    }
-    for u in &trace.updates {
-        // lint: allow(D6) — owner() is a modulo by n_shards
-        shards[partition.owner(u.item)].updates.push(u.clone());
-    }
-    Ok(shards)
-}
-
-/// Update-stream routing statistics reported by [`slice_trace_filtered`],
-/// surfaced in BENCH_cluster.json so routing regressions are visible.
+/// Update-stream routing statistics reported by [`slice_trace`], surfaced
+/// in BENCH_cluster.json so routing regressions are visible.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct UpdateFanout {
     /// Update streams in the global trace.
     pub total_streams: usize,
-    /// Streams each shard received after filtering.
+    /// Stream copies each shard received after filtering.
     pub kept_per_shard: Vec<usize>,
-    /// Streams dropped cluster-wide: their owner shard serves no query
-    /// that reads the item, so the stream could only burn CPU there.
+    /// Stream copies dropped cluster-wide: the hosting shard serves no
+    /// query that reads the item, so the copy could only burn CPU there.
     pub dropped_streams: usize,
 }
 
 impl UpdateFanout {
-    /// Streams that survived filtering, across all shards.
+    /// Stream copies that survived filtering, across all shards.
     pub fn kept(&self) -> usize {
         self.kept_per_shard.iter().sum()
     }
 }
 
-/// [`slice_trace`] plus *demand filtering* of update streams: an update
-/// stream for item `d` is routed to `owner(d)` only if some query assigned
-/// to that shard reads `d`. Streams nobody co-located reads are dropped —
-/// on their owner shard they would only spawn update transactions that
-/// compete with queries for CPU, and no other shard ever sees them under
-/// ownership routing anyway.
+/// Split a global trace into one trace per shard.
 ///
-/// **This is a lossy optimization**: dropped streams change the owner
-/// shard's CPU contention, `versions_arrived`/`updates_applied` histograms
-/// and `cpu_busy`, so per-shard `report_digest`s differ from the unfiltered
-/// slicing even at one shard. Use it for throughput experiments
-/// (`ClusterConfig::filter_updates`), never for differential pinning.
+/// Query `i` goes to shard `assignment[i]`; every update stream is fanned
+/// out to **all** shards hosting its item under `map` (leader first, then
+/// followers in slot order), each copy keeping the global stream id. A
+/// factor-1 map ([`ReplicaMap::solo`]) is plain ownership: each stream
+/// lands on its item's owner and nowhere else.
 ///
-/// Demand is judged **per hosting shard**, not per owner: this function is
-/// the factor-1 special case of [`slice_trace_replicated`], which keeps a
-/// stream copy wherever *some replica* of the item serves a reader. An
-/// earlier owner-only implementation would silently starve follower
-/// placements (the copy a follower needed was dropped because the *leader*
-/// had no co-located reader) — pinned by
-/// `filtered_slicing_must_not_starve_followers` below.
-/// O(N_q·r + N_u + n_shards·S) where `r` is the mean read-set size.
-pub fn slice_trace_filtered(
-    trace: &Trace,
-    assignment: &[usize],
-    partition: &ItemPartition,
-) -> Result<(Vec<Trace>, UpdateFanout), PartitionError> {
-    slice_trace_replicated(
-        trace,
-        assignment,
-        &ReplicaMap::solo(partition.n_shards()),
-        true,
-    )
-}
-
-/// Replication-aware trace slicing: every update stream is fanned out to
-/// **all** shards hosting its item under `map` (leader first, then
-/// followers in slot order), each copy keeping the global stream id; query
-/// `i` still goes to shard `assignment[i]`. With `filter` set, a copy is
-/// kept on a hosting shard only if some query assigned *to that shard*
-/// reads the item — the per-replica generalization of demand filtering, so
-/// a stream a follower placement needs survives even when the leader has
-/// no co-located reader.
+/// Relative arrival order is preserved within every shard (a filtered
+/// subsequence of a sorted list stays sorted, and each shard gets at most
+/// one copy per stream — the placement is collision-free), so each slice
+/// is a valid trace. Unfiltered, every query lands in exactly one slice and
+/// every stream in exactly `factor` — the conservation property the
+/// cluster tests check end-to-end.
 ///
-/// Within each slice the global update order is preserved (each shard gets
-/// at most one copy per stream — the placement is collision-free), so a
-/// factor-1 map reproduces [`slice_trace`] (unfiltered) or
-/// [`slice_trace_filtered`] (filtered) byte for byte.
+/// With `filter` set, *demand filtering* applies: a copy is kept on a
+/// hosting shard only if some query assigned **to that shard** reads the
+/// item. Copies nobody co-located reads would only spawn update
+/// transactions that compete with queries for CPU. Demand is judged per
+/// hosting shard, not per leader, so a stream a follower placement needs
+/// survives even when the leader has no co-located reader (pinned by
+/// `filtered_slicing_must_not_starve_followers` below).
+///
+/// **Filtering is a lossy optimization**: dropped streams change the
+/// hosting shard's CPU contention, `versions_arrived`/`updates_applied`
+/// histograms and `cpu_busy`, so per-shard `report_digest`s differ from
+/// the unfiltered slicing even at one shard. Use it for throughput
+/// experiments (`ClusterConfig::filter_updates`), never for differential
+/// pinning.
 ///
 /// [`UpdateFanout`] counts *copies*: `kept() + dropped_streams` equals
-/// `total_streams × factor`. O(N_q·r + N_u·factor + n_shards·S).
-pub fn slice_trace_replicated(
+/// `total_streams × factor`. O(N_q·r + N_u·factor + n_shards·S) where `r`
+/// is the mean read-set size.
+pub fn slice_trace(
     trace: &Trace,
     assignment: &[usize],
     map: &ReplicaMap,
@@ -463,9 +421,10 @@ mod tests {
     #[test]
     fn slices_conserve_queries_and_updates() {
         let t = trace();
-        let p = ItemPartition::new(2);
-        let shards = slice_trace(&t, &[0, 1, 0, 1], &p).unwrap();
+        let (shards, fanout) = slice_trace(&t, &[0, 1, 0, 1], &ReplicaMap::solo(2), false).unwrap();
         assert_eq!(shards.len(), 2);
+        assert_eq!(fanout.kept_per_shard, vec![2, 2]);
+        assert_eq!(fanout.dropped_streams, 0);
         // Every query in exactly one shard, order preserved.
         let ids: Vec<u64> = shards
             .iter()
@@ -491,8 +450,7 @@ mod tests {
     #[test]
     fn one_shard_slice_is_the_identity() {
         let t = trace();
-        let p = ItemPartition::new(1);
-        let shards = slice_trace(&t, &[0, 0, 0, 0], &p).unwrap();
+        let (shards, _) = slice_trace(&t, &[0, 0, 0, 0], &ReplicaMap::solo(1), false).unwrap();
         assert_eq!(shards.len(), 1);
         assert_eq!(shards[0], t);
     }
@@ -500,13 +458,13 @@ mod tests {
     #[test]
     fn filtered_slices_drop_unread_streams() {
         let t = trace();
-        let p = ItemPartition::new(2);
+        let m = ReplicaMap::solo(2);
         // Queries 0,2 -> shard 0 read {0,1,3,5}; queries 1,3 -> shard 1
         // read {2,6}. Stream owners (item mod 2): 0,6 -> shard 0; 1,5 ->
         // shard 1. Only item 0 is read *on its owner*: item 6's reader runs
         // on shard 1 (which never sees shard-0 updates), and items 1/5 are
         // read only on shard 0 while their streams land on shard 1.
-        let (shards, fanout) = slice_trace_filtered(&t, &[0, 1, 0, 1], &p).unwrap();
+        let (shards, fanout) = slice_trace(&t, &[0, 1, 0, 1], &m, true).unwrap();
         let u0: Vec<u32> = shards[0].updates.iter().map(|u| u.item.0).collect();
         let u1: Vec<u32> = shards[1].updates.iter().map(|u| u.item.0).collect();
         assert_eq!(u0, vec![0]);
@@ -516,8 +474,8 @@ mod tests {
         assert_eq!(fanout.dropped_streams, 3);
         assert_eq!(fanout.kept(), 1);
         // Queries are routed exactly as in the unfiltered slicing.
-        let plain = slice_trace(&t, &[0, 1, 0, 1], &p).unwrap();
-        for (f, u) in shards.iter().zip(&plain) {
+        let (unfiltered, _) = slice_trace(&t, &[0, 1, 0, 1], &m, false).unwrap();
+        for (f, u) in shards.iter().zip(&unfiltered) {
             assert_eq!(f.queries, u.queries);
             f.validate().unwrap();
         }
@@ -526,26 +484,11 @@ mod tests {
     #[test]
     fn filtered_one_shard_keeps_exactly_the_read_streams() {
         let t = trace();
-        let p = ItemPartition::new(1);
         // The single shard reads {0,1,2,3,5,6}; every update item (0,1,5,6)
         // is read, so filtering is the identity here.
-        let (shards, fanout) = slice_trace_filtered(&t, &[0, 0, 0, 0], &p).unwrap();
+        let (shards, fanout) = slice_trace(&t, &[0, 0, 0, 0], &ReplicaMap::solo(1), true).unwrap();
         assert_eq!(shards[0], t);
         assert_eq!(fanout.dropped_streams, 0);
-    }
-
-    #[test]
-    fn filtered_rejects_malformed_assignments_like_plain() {
-        let t = trace();
-        let p = ItemPartition::new(2);
-        assert!(matches!(
-            slice_trace_filtered(&t, &[0, 1], &p),
-            Err(PartitionError::AssignmentLength { .. })
-        ));
-        assert!(matches!(
-            slice_trace_filtered(&t, &[0, 1, 2, 0], &p),
-            Err(PartitionError::ShardOutOfRange { shard: 2, .. })
-        ));
     }
 
     #[test]
@@ -593,7 +536,7 @@ mod tests {
     fn replicated_slices_fan_out_updates_to_followers() {
         let t = trace();
         let m = ReplicaMap::new(2, 2, 1);
-        let (shards, fanout) = slice_trace_replicated(&t, &[0, 1, 0, 1], &m, false).unwrap();
+        let (shards, fanout) = slice_trace(&t, &[0, 1, 0, 1], &m, false).unwrap();
         // Every stream lands on both shards (factor 2 over 2 shards), in
         // global order, with ids untouched.
         for s in &shards {
@@ -607,32 +550,16 @@ mod tests {
         assert_eq!(fanout.kept(), fanout.total_streams * m.factor());
     }
 
-    #[test]
-    fn replicated_factor_one_is_plain_slicing_bit_for_bit() {
-        let t = trace();
-        let assignment = [0, 1, 0, 1];
-        let p = ItemPartition::new(2);
-        let m = ReplicaMap::solo(2);
-        let plain = slice_trace(&t, &assignment, &p).unwrap();
-        let (unfiltered, _) = slice_trace_replicated(&t, &assignment, &m, false).unwrap();
-        assert_eq!(unfiltered, plain);
-        let (filtered_old, fan_old) = slice_trace_filtered(&t, &assignment, &p).unwrap();
-        let (filtered_new, fan_new) = slice_trace_replicated(&t, &assignment, &m, true).unwrap();
-        assert_eq!(filtered_new, filtered_old);
-        assert_eq!(fan_new, fan_old);
-    }
-
-    /// Satellite regression (written first, against the owner-only demand
-    /// filter): item 5's leader is shard 1, but its only reader (query 2)
-    /// runs on shard 0 — which *follows* item 5 under a factor-2 ring.
-    /// Owner-only filtering dropped the stream everywhere, starving the
-    /// follower; replica-aware filtering must keep the follower's copy.
+    /// Item 5's leader is shard 1, but its only reader (query 2) runs on
+    /// shard 0 — which *follows* item 5 under a factor-2 ring. A filter
+    /// that judged demand at the leader only would drop the stream
+    /// everywhere and starve the follower; the follower's copy must stay.
     #[test]
     fn filtered_slicing_must_not_starve_followers() {
         let t = trace();
         let assignment = [0, 1, 0, 1];
         let m = ReplicaMap::new(2, 2, 1);
-        let (shards, fanout) = slice_trace_replicated(&t, &assignment, &m, true).unwrap();
+        let (shards, fanout) = slice_trace(&t, &assignment, &m, true).unwrap();
         // Shard 0 reads {0,1,3,5}; it leads {0,6} and follows {1,5}.
         // Kept on shard 0: 0 (led + read), 1 and 5 (followed + read).
         let u0: Vec<u32> = shards[0].updates.iter().map(|u| u.item.0).collect();
@@ -648,14 +575,20 @@ mod tests {
         // 8 copies total (4 streams x factor 2), 4 kept.
         assert_eq!(fanout.kept_per_shard, vec![3, 1]);
         assert_eq!(fanout.dropped_streams, 4);
-        // The owner-only factor-1 filter (correct for plain clusters) keeps
-        // only item 0 — the behaviour the replicated path must not inherit.
-        let (old, _) = slice_trace_filtered(&t, &assignment, &ItemPartition::new(2)).unwrap();
-        assert_eq!(
-            old[0].updates.iter().map(|u| u.item.0).collect::<Vec<_>>(),
-            vec![0]
-        );
-        assert!(old[1].updates.is_empty());
+    }
+
+    #[test]
+    fn filtered_rejects_malformed_assignments_like_plain() {
+        let t = trace();
+        let m = ReplicaMap::solo(2);
+        assert!(matches!(
+            slice_trace(&t, &[0, 1], &m, true),
+            Err(PartitionError::AssignmentLength { .. })
+        ));
+        assert!(matches!(
+            slice_trace(&t, &[0, 1, 2, 0], &m, true),
+            Err(PartitionError::ShardOutOfRange { shard: 2, .. })
+        ));
     }
 
     #[test]
@@ -663,11 +596,11 @@ mod tests {
         let t = trace();
         let m = ReplicaMap::new(2, 2, 1);
         assert!(matches!(
-            slice_trace_replicated(&t, &[0, 1], &m, true),
+            slice_trace(&t, &[0, 1], &m, true),
             Err(PartitionError::AssignmentLength { .. })
         ));
         assert!(matches!(
-            slice_trace_replicated(&t, &[0, 1, 2, 0], &m, false),
+            slice_trace(&t, &[0, 1, 2, 0], &m, false),
             Err(PartitionError::ShardOutOfRange { shard: 2, .. })
         ));
     }
@@ -675,16 +608,16 @@ mod tests {
     #[test]
     fn malformed_assignments_are_rejected() {
         let t = trace();
-        let p = ItemPartition::new(2);
+        let m = ReplicaMap::solo(2);
         assert_eq!(
-            slice_trace(&t, &[0, 1], &p),
+            slice_trace(&t, &[0, 1], &m, false),
             Err(PartitionError::AssignmentLength {
                 queries: 4,
                 assigned: 2
             })
         );
         assert_eq!(
-            slice_trace(&t, &[0, 1, 2, 0], &p),
+            slice_trace(&t, &[0, 1, 2, 0], &m, false),
             Err(PartitionError::ShardOutOfRange {
                 query_index: 2,
                 shard: 2,
