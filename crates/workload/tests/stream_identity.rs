@@ -115,3 +115,58 @@ fn table1_scales_remain_available_for_the_bench_recipe() {
     assert_eq!(cfg.n_queries, 110_035 / 8 * 256);
     assert!(UpdateVolume::Med.total_updates() > 0);
 }
+
+/// FNV-1a fold of every [`QuerySpec`] field and the popularity profile of
+/// one generated trace — the generator's golden fingerprint.
+fn trace_hash(cfg: &QueryTraceConfig) -> u64 {
+    let trace = generate_queries(cfg);
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut fold = |v: u64| h = (h ^ v).wrapping_mul(0x0100_0000_01b3);
+    for q in &trace.queries {
+        fold(q.id.0);
+        fold(q.arrival.0);
+        fold(q.items.len() as u64);
+        for d in &q.items {
+            fold(u64::from(d.0));
+        }
+        fold(q.exec_time.0);
+        fold(q.relative_deadline.0);
+        fold(q.freshness_req.to_bits());
+        fold(u64::from(q.pref_class));
+    }
+    for w in &trace.item_weights {
+        fold(w.to_bits());
+    }
+    h
+}
+
+/// Golden trace hashes, one per `config_family`, captured from the
+/// two-pass `generate_queries` that predates the single streamed generator.
+/// To regenerate after an *intentional* change to the draw sequence:
+///
+/// ```text
+/// GOLDEN_PRINT=1 cargo test -p unit-workload --test stream_identity -- --nocapture
+/// ```
+const GOLDEN_TRACE_HASHES: [u64; 4] = [
+    0x510404df32cb1183,
+    0xe17a339836283b9f,
+    0x6187113557cf5db5,
+    0x9a9c861f0063dc3a,
+];
+
+#[test]
+fn generated_traces_match_golden_hashes() {
+    let print_mode = std::env::var_os("GOLDEN_PRINT").is_some();
+    for family in 0u8..4 {
+        let hash = trace_hash(&config_family(family, 0x5EED_600D, 64, 500, 5_000));
+        if print_mode {
+            println!("    0x{hash:016x},");
+        } else {
+            assert_eq!(
+                hash,
+                GOLDEN_TRACE_HASHES[usize::from(family)],
+                "family {family}: generator draw sequence changed (got 0x{hash:016x})"
+            );
+        }
+    }
+}
