@@ -1,5 +1,5 @@
 //! Runtime cost of the UNIT design variants DESIGN.md calls out (the
-//! *quality* comparison lives in `cargo run -p unit-bench --bin ablation`;
+//! *quality* comparison lives in `cargo run -p unit-bench -- ablation`;
 //! this bench shows none of the variants changes the simulator's speed
 //! class).
 

@@ -1,158 +1,28 @@
-//! Minimal argument parsing shared by the harness binaries (no external
-//! dependency needed for two flags).
+//! Argument parsing and artifact writing for the `unit-bench` harness (no
+//! external dependency needed for a handful of flags).
 //!
-//! Two layers:
-//!
-//! * [`HarnessArgs`] — the fixed flag set of the figure/table binaries
-//!   (`--scale`, `--out`, `--trace-out`).
-//! * [`Flags`] — the shared skeleton of the knob-heavy binaries (`chaos`,
-//!   `cluster`, `faults`, `replication`, `simspeed`, `tracegen`, `serve`),
-//!   each of which used to carry a private copy of the same
-//!   `while let Some(arg)` / `it.next().expect(..)` loop. The binary keeps
-//!   its own `Args` struct and match arms; `Flags` owns the cursor, the
-//!   value/parse error paths, and the usage-and-exit convention (exit
-//!   code 2, usage on stderr).
+//! * [`Flags`] — the cursor over the arguments after the experiment name.
+//!   An experiment with knobs of its own drives the loop and keeps its own
+//!   match arms; `Flags` owns the value/parse error paths and the
+//!   usage-and-exit convention (exit code 2, usage on stderr).
+//! * [`Shared`] — the flags every experiment spells the same way
+//!   (`--scale N | --full`, `--out PATH | --no-out`, `--trace-out FILE`,
+//!   `--seed S`), parsed in one place, plus the writers for what they
+//!   name.
 
-/// Options common to all figure/table binaries.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HarnessArgs {
-    /// Workload divisor (1 = paper scale).
-    pub scale: u64,
-    /// Directory for CSV output (created if missing); `None` disables CSV.
-    pub out_dir: Option<String>,
-    /// Event-trace output file (`--trace-out`); `None` disables recording.
-    /// A `.csv` extension selects the CSV exporter, anything else JSONL.
-    pub trace_out: Option<String>,
-}
+use crate::render::{render_event_timeline, Table};
 
-impl Default for HarnessArgs {
-    fn default() -> Self {
-        HarnessArgs {
-            scale: 4,
-            out_dir: Some("results".to_string()),
-            trace_out: None,
-        }
-    }
-}
-
-impl HarnessArgs {
-    /// Parse `--scale N`, `--full`, `--out DIR`, `--no-csv` from an iterator
-    /// of arguments (exclusive of the program name).
-    ///
-    /// Returns `Err` with a usage string on unknown flags or bad values.
-    pub fn parse<I: IntoIterator<Item = String>>(args: I) -> Result<HarnessArgs, String> {
-        let mut out = HarnessArgs::default();
-        let mut it = args.into_iter();
-        while let Some(arg) = it.next() {
-            match arg.as_str() {
-                "--scale" => {
-                    let v = it.next().ok_or("--scale requires a value")?;
-                    let n: u64 = v.parse().map_err(|_| format!("bad --scale value: {v}"))?;
-                    if n == 0 {
-                        return Err("--scale must be >= 1".to_string());
-                    }
-                    out.scale = n;
-                }
-                "--full" => out.scale = 1,
-                "--out" => {
-                    out.out_dir = Some(it.next().ok_or("--out requires a directory")?);
-                }
-                "--no-csv" => out.out_dir = None,
-                "--trace-out" => {
-                    out.trace_out = Some(it.next().ok_or("--trace-out requires a file name")?);
-                }
-                "--help" | "-h" => return Err(Self::usage()),
-                other => return Err(format!("unknown argument: {other}\n{}", Self::usage())),
-            }
-        }
-        Ok(out)
-    }
-
-    /// Parse from the process arguments, exiting with usage on error.
-    pub fn from_env() -> HarnessArgs {
-        match Self::parse(std::env::args().skip(1)) {
-            Ok(a) => a,
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    /// Usage text.
-    pub fn usage() -> String {
-        "usage: <bin> [--scale N | --full] [--out DIR | --no-csv] [--trace-out FILE]\n\
-         --scale N        divide the paper-scale workload by N (default 4)\n\
-         --full           run at paper scale (110,035 queries / 3,848,104 s)\n\
-         --out DIR        write CSV outputs into DIR (default: results/)\n\
-         --no-csv         skip CSV output\n\
-         --trace-out FILE record the observability event stream into\n\
-         \u{20}                FILE under the output directory (.csv selects\n\
-         \u{20}                the CSV exporter, anything else JSONL)"
-            .to_string()
-    }
-
-    /// Write the recorded event stream if `--trace-out` was given; returns
-    /// the path written. A relative file name lands under the output
-    /// directory (default `results/`); the `.csv` extension selects the
-    /// CSV exporter, anything else JSONL.
-    pub fn write_trace(&self, events: &[unit_obs::ObsEvent]) -> Option<String> {
-        let name = self.trace_out.as_ref()?;
-        let path = match &self.out_dir {
-            Some(dir) if !name.starts_with('/') => format!("{dir}/{name}"),
-            _ => name.clone(),
-        };
-        let result = if std::path::Path::new(&path)
-            .extension()
-            .is_some_and(|e| e == "csv")
-        {
-            unit_obs::write_csv(std::path::Path::new(&path), events)
-        } else {
-            unit_obs::write_jsonl(std::path::Path::new(&path), events)
-        };
-        match result {
-            Ok(()) => Some(path),
-            Err(e) => {
-                eprintln!("warning: cannot write {path}: {e}");
-                None
-            }
-        }
-    }
-
-    /// Write a CSV artifact if output is enabled; returns the path written.
-    pub fn write_csv(&self, name: &str, contents: &str) -> Option<String> {
-        let dir = self.out_dir.as_ref()?;
-        if std::fs::create_dir_all(dir).is_err() {
-            eprintln!("warning: cannot create output directory {dir}");
-            return None;
-        }
-        let path = format!("{dir}/{name}");
-        match std::fs::write(&path, contents) {
-            Ok(()) => Some(path),
-            Err(e) => {
-                eprintln!("warning: cannot write {path}: {e}");
-                None
-            }
-        }
-    }
-}
-
-/// Cursor over command-line flags for binaries with bespoke knobs.
-///
-/// The binary drives the loop and keeps its own `Args` struct; `Flags`
-/// supplies the shared plumbing: pulling flag values, parsing them with a
-/// uniform error message, and the exit-2-with-usage convention for unknown
-/// flags and bad values.
+/// Cursor over the flags of one experiment.
 ///
 /// ```no_run
-/// use unit_bench::cli::Flags;
-/// let mut fl = Flags::from_env("usage: demo [--runs N] [--out FILE]");
-/// let (mut runs, mut out) = (3usize, None);
+/// use unit_bench::cli::{Flags, Shared};
+/// let mut fl = Flags::from_args(vec![], "usage: demo [--runs N] [--scale N | --full]");
+/// let mut shared = Shared::new(4, Some("BENCH_demo.json"), 0);
+/// let mut runs = 3usize;
 /// while let Some(arg) = fl.next_flag() {
 ///     match arg.as_str() {
 ///         "--runs" => runs = fl.parse(&arg),
-///         "--out" => out = Some(fl.value(&arg)),
-///         other => fl.unknown(other),
+///         other => shared.accept(&mut fl, other),
 ///     }
 /// }
 /// ```
@@ -162,13 +32,7 @@ pub struct Flags {
 }
 
 impl Flags {
-    /// A cursor over the process arguments (program name excluded).
-    #[must_use]
-    pub fn from_env(usage: &str) -> Flags {
-        Self::from_args(std::env::args().skip(1).collect(), usage)
-    }
-
-    /// A cursor over an explicit argument list (for tests).
+    /// A cursor over `args` (experiment name excluded).
     #[must_use]
     pub fn from_args(args: Vec<String>, usage: &str) -> Flags {
         Flags {
@@ -216,9 +80,13 @@ impl Flags {
         }
     }
 
-    /// Report an unknown flag and exit with usage.
-    pub fn unknown(&self, arg: &str) -> ! {
-        self.fail(&format!("unknown argument: {arg}"))
+    /// Whether the usage text names `flag` — the usage line is the
+    /// experiment's declaration of which shared flags it takes, so what is
+    /// documented and what is accepted cannot drift apart.
+    fn usage_names(&self, flag: &str) -> bool {
+        self.usage
+            .split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'))
+            .any(|token| token == flag)
     }
 
     /// Report `msg` (a bad value or a cross-flag constraint violation),
@@ -230,16 +98,154 @@ impl Flags {
     }
 }
 
+/// The flags every experiment shares. An experiment takes the ones its
+/// usage line names; the rest are unknown arguments to it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Shared {
+    /// Workload divisor (`--scale N`; `--full` = 1 = paper scale).
+    pub scale: u64,
+    /// Where the artifact goes (`--out PATH`): the output directory of a
+    /// table experiment, the JSON file of the others. `None` (`--no-out`)
+    /// writes nothing.
+    pub out: Option<String>,
+    /// Event-trace file (`--trace-out FILE`, JSONL); `None` disables
+    /// recording.
+    pub trace_out: Option<String>,
+    /// Experiment seed (`--seed S`).
+    pub seed: u64,
+}
+
+impl Shared {
+    /// The experiment's defaults.
+    #[must_use]
+    pub fn new(scale: u64, out: Option<&str>, seed: u64) -> Shared {
+        Shared {
+            scale,
+            out: out.map(str::to_string),
+            trace_out: None,
+            seed,
+        }
+    }
+
+    /// Consume `arg` (and its value) if it is a shared flag the
+    /// experiment's usage names.
+    ///
+    /// # Errors
+    /// Fails on any other argument, a missing or malformed value, or a
+    /// zero scale.
+    pub fn try_accept(&mut self, fl: &mut Flags, arg: &str) -> Result<(), String> {
+        if !fl.usage_names(arg) {
+            return Err(format!("unknown argument: {arg}"));
+        }
+        match arg {
+            "--scale" => {
+                self.scale = fl.try_parse(arg)?;
+                if self.scale == 0 {
+                    return Err("--scale must be >= 1".to_string());
+                }
+            }
+            "--full" => self.scale = 1,
+            "--out" => self.out = Some(fl.try_value(arg)?),
+            "--no-out" => self.out = None,
+            "--trace-out" => self.trace_out = Some(fl.try_value(arg)?),
+            "--seed" => self.seed = fl.try_parse(arg)?,
+            other => return Err(format!("unknown argument: {other}")),
+        }
+        Ok(())
+    }
+
+    /// [`Shared::try_accept`], exiting 2 with usage on error — the
+    /// fall-through arm of an experiment's own flag loop.
+    pub fn accept(&mut self, fl: &mut Flags, arg: &str) {
+        if let Err(msg) = self.try_accept(fl, arg) {
+            fl.fail(&msg);
+        }
+    }
+
+    /// Parse every remaining argument as a shared flag (for experiments
+    /// with no knobs of their own).
+    #[must_use]
+    pub fn parse_all(mut self, mut fl: Flags) -> Shared {
+        while let Some(arg) = fl.next_flag() {
+            self.accept(&mut fl, &arg);
+        }
+        self
+    }
+
+    /// If `--trace-out` was given: print the event-family timeline of the
+    /// recorded `subject` run and write the stream as JSONL; returns the
+    /// path written.
+    pub fn write_trace(&self, subject: &str, events: &[unit_obs::ObsEvent]) -> Option<String> {
+        let path = self.trace_out.as_ref()?;
+        println!("event timeline ({subject}):");
+        print!("{}", render_event_timeline(events, 64));
+        match unit_obs::write_jsonl(path, events) {
+            Ok(()) => {
+                println!("event trace written to {path}\n");
+                Some(path.clone())
+            }
+            Err(e) => {
+                eprintln!("warning: cannot write {path}: {e}");
+                None
+            }
+        }
+    }
+
+    /// Write `<stem>.csv` and `<stem>.txt` of a table experiment under the
+    /// output directory (created if missing); returns the CSV's path.
+    pub fn write_table(&self, table: &Table) -> Option<String> {
+        let dir = self.out.as_ref()?;
+        write_file(dir, &format!("{}.txt", table.stem), &table.text())?;
+        write_file(dir, &format!("{}.csv", table.stem), &table.csv())
+    }
+}
+
+/// Write `contents` to `dir/name`, creating `dir`; warns and returns `None`
+/// when the filesystem refuses.
+pub fn write_file(dir: &str, name: &str, contents: &str) -> Option<String> {
+    if std::fs::create_dir_all(dir).is_err() {
+        eprintln!("warning: cannot create output directory {dir}");
+        return None;
+    }
+    let path = format!("{dir}/{name}");
+    match std::fs::write(&path, contents) {
+        Ok(()) => Some(path),
+        Err(e) => {
+            eprintln!("warning: cannot write {path}: {e}");
+            None
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::row;
 
-    fn parse(args: &[&str]) -> Result<HarnessArgs, String> {
-        HarnessArgs::parse(args.iter().map(|&s| s.to_string()))
-    }
+    const USAGE: &str =
+        "usage: t [--scale N | --full] [--out DIR | --no-out] [--trace-out FILE] [--seed S]";
 
     fn flags(args: &[&str]) -> Flags {
-        Flags::from_args(args.iter().map(|&s| s.to_string()).collect(), "usage: t")
+        Flags::from_args(args.iter().map(|&s| s.to_string()).collect(), USAGE)
+    }
+
+    fn parse(args: &[&str]) -> Result<Shared, String> {
+        let mut fl = flags(args);
+        let mut shared = Shared::new(4, Some("results"), 7);
+        while let Some(arg) = fl.next_flag() {
+            shared.try_accept(&mut fl, &arg)?;
+        }
+        Ok(shared)
+    }
+
+    fn probe_table() -> Table {
+        Table {
+            stem: "probe",
+            title: "Probe".to_string(),
+            header: row!["a", "b"],
+            rows: vec![row!["1", "2"]],
+            notes: String::new(),
+        }
     }
 
     #[test]
@@ -274,8 +280,8 @@ mod tests {
     #[test]
     fn defaults() {
         let a = parse(&[]).unwrap();
-        assert_eq!(a.scale, 4);
-        assert_eq!(a.out_dir.as_deref(), Some("results"));
+        assert_eq!(a, Shared::new(4, Some("results"), 7));
+        assert_eq!(a.out.as_deref(), Some("results"));
     }
 
     #[test]
@@ -289,31 +295,32 @@ mod tests {
 
     #[test]
     fn output_flags() {
-        assert_eq!(parse(&["--no-csv"]).unwrap().out_dir, None);
+        assert_eq!(parse(&["--no-out"]).unwrap().out, None);
         assert_eq!(
-            parse(&["--out", "/tmp/x"]).unwrap().out_dir.as_deref(),
+            parse(&["--out", "/tmp/x"]).unwrap().out.as_deref(),
             Some("/tmp/x")
         );
+        assert_eq!(parse(&["--seed", "9"]).unwrap().seed, 9);
     }
 
     #[test]
     fn unknown_flags_error_with_usage() {
-        let err = parse(&["--bogus"]).unwrap_err();
-        assert!(err.contains("unknown argument"));
-        assert!(err.contains("usage:"));
-    }
-
-    #[test]
-    fn write_csv_creates_the_directory_and_file() {
-        let dir = std::env::temp_dir().join(format!("unit-cli-test-{}", std::process::id()));
-        let args = HarnessArgs {
-            scale: 1,
-            out_dir: Some(dir.to_string_lossy().into_owned()),
-            trace_out: None,
-        };
-        let path = args.write_csv("probe.csv", "a,b\n1,2\n").expect("written");
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "a,b\n1,2\n");
-        std::fs::remove_dir_all(&dir).ok();
+        assert_eq!(
+            parse(&["--bogus"]).unwrap_err(),
+            "unknown argument: --bogus"
+        );
+        // A shared flag the experiment's usage does not name is unknown to it.
+        let mut fl = Flags::from_args(vec![], "usage: t [--scale N | --full]");
+        let mut shared = Shared::new(4, None, 0);
+        assert!(shared.try_accept(&mut fl, "--full").is_ok());
+        assert_eq!(
+            shared.try_accept(&mut fl, "--seed").unwrap_err(),
+            "unknown argument: --seed"
+        );
+        assert_eq!(
+            shared.try_accept(&mut fl, "--out").unwrap_err(),
+            "unknown argument: --out"
+        );
     }
 
     #[test]
@@ -330,7 +337,28 @@ mod tests {
     }
 
     #[test]
-    fn write_trace_places_files_under_the_out_dir() {
+    fn write_csv_creates_the_directory_and_file() {
+        let dir = std::env::temp_dir().join(format!("unit-cli-test-{}", std::process::id()));
+        let shared = Shared::new(1, Some(&dir.to_string_lossy()), 0);
+        let path = shared.write_table(&probe_table()).expect("written");
+        assert!(path.ends_with("probe.csv"));
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "a,b\n1,2\n");
+        assert_eq!(
+            std::fs::read_to_string(dir.join("probe.txt")).unwrap(),
+            probe_table().text()
+        );
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn write_csv_is_disabled_without_an_out_dir() {
+        assert!(Shared::new(1, None, 0)
+            .write_table(&probe_table())
+            .is_none());
+    }
+
+    #[test]
+    fn write_trace_writes_jsonl_at_the_given_path() {
         use unit_core::time::SimTime;
         use unit_core::types::{Outcome, QueryId};
         let events = vec![unit_obs::ObsEvent::QueryOutcome {
@@ -339,37 +367,20 @@ mod tests {
             outcome: Outcome::Success,
         }];
         let dir = std::env::temp_dir().join(format!("unit-trace-test-{}", std::process::id()));
-        let args = HarnessArgs {
-            scale: 1,
-            out_dir: Some(dir.to_string_lossy().into_owned()),
-            trace_out: Some("events.jsonl".to_string()),
-        };
-        let path = args.write_trace(&events).expect("written");
-        assert!(path.ends_with("events.jsonl"));
+        let file = dir.join("events.jsonl");
+        let mut shared = Shared::new(1, None, 0);
+        shared.trace_out = Some(file.to_string_lossy().into_owned());
+        let path = shared.write_trace("probe", &events).expect("written");
+        assert_eq!(path, file.to_string_lossy());
         let text = std::fs::read_to_string(&path).unwrap();
         assert!(text.contains("\"kind\":\"outcome\""));
-        let csv_args = HarnessArgs {
-            trace_out: Some("events.csv".to_string()),
-            ..args
-        };
-        let path = csv_args.write_trace(&events).expect("written");
-        let text = std::fs::read_to_string(&path).unwrap();
-        assert!(text.starts_with("kind,time"));
         std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]
     fn write_trace_is_disabled_without_the_flag() {
-        assert!(HarnessArgs::default().write_trace(&[]).is_none());
-    }
-
-    #[test]
-    fn write_csv_is_disabled_without_an_out_dir() {
-        let args = HarnessArgs {
-            scale: 1,
-            out_dir: None,
-            trace_out: None,
-        };
-        assert!(args.write_csv("x.csv", "data").is_none());
+        assert!(Shared::new(4, Some("results"), 0)
+            .write_trace("probe", &[])
+            .is_none());
     }
 }

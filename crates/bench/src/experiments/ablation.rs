@@ -6,15 +6,15 @@
 //! recorded in DESIGN.md with data.
 
 use unit_baselines::DeferrablePolicy;
-use unit_bench::cli::HarnessArgs;
-use unit_bench::render::{csv, f, fs, text_table};
+use unit_bench::cli::Shared;
+use unit_bench::render::{f, text_table, Table};
 use unit_bench::row;
-use unit_bench::{default_workload_plan, PolicyKind};
+use unit_bench::{default_workload_plan, run_policy, PolicyKind};
 use unit_core::config::{UnitConfig, VictimWeighting};
 use unit_core::modulation::UpgradeRule;
 use unit_core::unit_policy::UnitPolicy;
 use unit_core::usm::UsmWeights;
-use unit_sim::{run_simulation, SchedulingDiscipline};
+use unit_sim::{run_simulation, SchedulingDiscipline, SimReport};
 use unit_workload::{UpdateDistribution, UpdateVolume};
 
 fn variants(base: UnitConfig) -> Vec<(&'static str, UnitConfig)> {
@@ -84,56 +84,37 @@ fn variants(base: UnitConfig) -> Vec<(&'static str, UnitConfig)> {
     ]
 }
 
-fn main() {
-    let args = HarnessArgs::from_env();
+/// One table row: the variant's USM, outcome decomposition and applied
+/// share.
+fn report_row(name: &str, report: &SimReport) -> Vec<String> {
+    let [rs, rr, rfm, rfs] = report.ratios();
+    row![
+        name,
+        f(report.average_usm(), 4),
+        f(rs, 4),
+        f(rr, 4),
+        f(rfm, 4),
+        f(rfs, 4),
+        f(report.applied_ratio(), 4),
+    ]
+}
+
+pub(crate) fn run(args: &Shared) -> Table {
     let plan = default_workload_plan(args.scale);
     let weights = UsmWeights::naive();
     let bundle = plan.bundle(UpdateVolume::Med, UpdateDistribution::Uniform);
-    println!(
-        "Ablation study: UNIT variants on med-unif, scale 1/{} (naive USM)\n",
-        args.scale
-    );
 
-    let header = row!["variant", "USM", "Rs", "Rr", "Rfm", "Rfs", "applied%"];
     let mut rows = Vec::new();
-    let mut csv_rows = Vec::new();
     for (name, cfg) in variants(plan.unit_config(weights)) {
         let report = run_simulation(
             &bundle.trace,
             UnitPolicy::new(cfg),
             plan.sim_config(weights),
         );
-        let [rs, rr, rfm, rfs] = report.ratios();
-        rows.push(row![
-            name,
-            fs(report.average_usm(), 3),
-            f(rs, 3),
-            f(rr, 3),
-            f(rfm, 3),
-            f(rfs, 3),
-            format!("{:.1}", 100.0 * report.applied_ratio()),
-        ]);
-        csv_rows.push(row![
-            name,
-            f(report.average_usm(), 4),
-            f(rs, 4),
-            f(rr, 4),
-            f(rfm, 4),
-            f(rfs, 4),
-            f(report.applied_ratio(), 4),
-        ]);
+        rows.push(report_row(name, &report));
     }
 
     // Substrate ablation: the scheduling discipline §3.1 fixes.
-    rows.push(row![
-        "--- scheduling discipline ---",
-        "",
-        "",
-        "",
-        "",
-        "",
-        ""
-    ]);
     for (name, discipline) in [
         ("global EDF across classes", SchedulingDiscipline::GlobalEdf),
         ("queries always first", SchedulingDiscipline::QueryFirst),
@@ -143,76 +124,37 @@ fn main() {
             UnitPolicy::new(plan.unit_config(weights)),
             plan.sim_config(weights).with_discipline(discipline),
         );
-        let [rs, rr, rfm, rfs] = report.ratios();
-        rows.push(row![
-            name,
-            fs(report.average_usm(), 3),
-            f(rs, 3),
-            f(rr, 3),
-            f(rfm, 3),
-            f(rfs, 3),
-            format!("{:.1}", 100.0 * report.applied_ratio()),
-        ]);
-        csv_rows.push(row![
-            name,
-            f(report.average_usm(), 4),
-            f(rs, 4),
-            f(rr, 4),
-            f(rfm, 4),
-            f(rfs, 4),
-            f(report.applied_ratio(), 4),
-        ]);
+        rows.push(report_row(name, &report));
     }
 
-    // Related-work policy: deferrable update scheduling (Xiong et al.).
-    rows.push(row![
-        "--- related-work policies ---",
-        "",
-        "",
-        "",
-        "",
-        "",
-        ""
-    ]);
-    {
-        let report = run_simulation(
-            &bundle.trace,
-            DeferrablePolicy::default(),
-            plan.sim_config(weights),
-        );
-        let [rs, rr, rfm, rfs] = report.ratios();
-        rows.push(row![
-            "DEF: deferrable updates (RTSS'05)",
-            fs(report.average_usm(), 3),
-            f(rs, 3),
-            f(rr, 3),
-            f(rfm, 3),
-            f(rfs, 3),
-            format!("{:.1}", 100.0 * report.applied_ratio()),
-        ]);
-    }
-
-    // Reference line: the strongest baseline on this workload.
-    let qmf = unit_bench::run_policy(&plan, &bundle, PolicyKind::Qmf, weights);
-    rows.push(row![
-        "(QMF reference)",
-        fs(qmf.report.average_usm(), 3),
-        f(qmf.report.ratios()[0], 3),
-        f(qmf.report.ratios()[1], 3),
-        f(qmf.report.ratios()[2], 3),
-        f(qmf.report.ratios()[3], 3),
-        format!("{:.1}", 100.0 * qmf.report.applied_ratio()),
-    ]);
-
-    println!("{}", text_table(&header, &rows));
-
-    if let Some(path) = args.write_csv(
-        "ablation.csv",
-        &csv(
-            &row!["variant", "usm", "rs", "rr", "rfm", "rfs", "applied"],
-            &csv_rows,
+    // Reference lines, kept out of the table (they are not UNIT variants):
+    // deferrable update scheduling (Xiong et al.) from the related work, and
+    // the strongest baseline on this workload.
+    let def = run_simulation(
+        &bundle.trace,
+        DeferrablePolicy::default(),
+        plan.sim_config(weights),
+    );
+    let qmf = run_policy(&plan, &bundle, PolicyKind::Qmf, weights).report;
+    let header = row!["variant", "usm", "rs", "rr", "rfm", "rfs", "applied"];
+    let notes = format!(
+        "reference policies on the same workload:\n{}",
+        text_table(
+            &header,
+            &[
+                report_row("DEF: deferrable updates (RTSS'05)", &def),
+                report_row("QMF", &qmf),
+            ],
+        )
+    );
+    Table {
+        stem: "ablation",
+        title: format!(
+            "Ablation study: UNIT variants on med-unif, scale 1/{} (naive USM)",
+            args.scale
         ),
-    ) {
-        println!("CSV written to {path}");
+        header,
+        rows,
+        notes,
     }
 }

@@ -12,49 +12,31 @@
 //! recovers) and exits 0 only if the harness finds and shrinks the
 //! planted violation — an end-to-end self test of the find+shrink
 //! machinery.
-//!
-//! Usage: `chaos [--plans N] [--seed S] [--scale N] [--shards N]
-//! [--fixture-broken] [--out DIR | --no-out]`.
 
 use unit_bench::chaos::{sweep, ChaosFixture, ChaosWorkload, Oracle};
-use unit_bench::cli::Flags;
+use unit_bench::cli::{write_file, Flags, Shared};
 
 struct Args {
+    shared: Shared,
     plans: u64,
-    seed: u64,
-    scale: u64,
     shards: usize,
     fixture_broken: bool,
-    out: Option<String>,
 }
 
-fn parse_args() -> Args {
+fn parse_args(shared: Shared, mut fl: Flags) -> Args {
     let mut args = Args {
+        shared,
         plans: 50,
-        seed: 0xC4A0_5EED,
-        scale: 24,
         shards: 4,
         fixture_broken: false,
-        out: Some("results/chaos".to_string()),
     };
-    let mut fl = Flags::from_env(
-        "usage: chaos [--plans N] [--seed S] [--scale N] [--shards N] \
-         [--fixture-broken] [--out DIR | --no-out]",
-    );
     while let Some(arg) = fl.next_flag() {
         match arg.as_str() {
             "--plans" => args.plans = fl.parse(&arg),
-            "--seed" => args.seed = fl.parse(&arg),
-            "--scale" => args.scale = fl.parse(&arg),
             "--shards" => args.shards = fl.parse(&arg),
             "--fixture-broken" => args.fixture_broken = true,
-            "--out" => args.out = Some(fl.value(&arg)),
-            "--no-out" => args.out = None,
-            other => fl.unknown(other),
+            other => args.shared.accept(&mut fl, other),
         }
-    }
-    if args.scale == 0 {
-        fl.fail("--scale must be >= 1");
     }
     if args.shards == 0 {
         fl.fail("--shards must be >= 1");
@@ -62,24 +44,10 @@ fn parse_args() -> Args {
     args
 }
 
-fn write_fixture(dir: &str, fixture: &ChaosFixture, index: u64) -> Option<String> {
-    if std::fs::create_dir_all(dir).is_err() {
-        eprintln!("warning: cannot create output directory {dir}");
-        return None;
-    }
-    let path = format!("{dir}/{}-plan{index}.json", fixture.oracle);
-    match std::fs::write(&path, fixture.to_json()) {
-        Ok(()) => Some(path),
-        Err(e) => {
-            eprintln!("warning: cannot write {path}: {e}");
-            None
-        }
-    }
-}
-
-fn main() {
-    let args = parse_args();
-    let w = ChaosWorkload::new(args.scale, args.shards, args.seed);
+pub(crate) fn run(shared: Shared, fl: Flags) {
+    let args = parse_args(shared, fl);
+    let Shared { scale, seed, .. } = args.shared;
+    let w = ChaosWorkload::new(scale, args.shards, seed);
     let oracles: Vec<Oracle> = if args.fixture_broken {
         let mut o = Oracle::REAL.to_vec();
         o.push(Oracle::PlantedNoRecoveries);
@@ -91,8 +59,8 @@ fn main() {
     println!(
         "chaos: {} plans, seed {:#x}, scale 1/{}, {} shards, {} queries, horizon {}s{}",
         args.plans,
-        args.seed,
-        args.scale,
+        seed,
+        scale,
         args.shards,
         w.n_queries(),
         w.horizon().0 / 1_000,
@@ -111,7 +79,7 @@ fn main() {
             .join(", ")
     );
 
-    let report = sweep(&w, args.seed, args.plans, &oracles, true);
+    let report = sweep(&w, seed, args.plans, &oracles, true);
 
     println!(
         "\n  {} plans, {} oracle evaluations, {} failure(s)",
@@ -137,17 +105,18 @@ fn main() {
             description: format!(
                 "shrunk reproducer: oracle '{}' on sweep seed {:#x} plan {}",
                 f.oracle.name(),
-                args.seed,
+                seed,
                 f.plan_index
             ),
-            seed: args.seed,
-            scale: args.scale,
+            seed,
+            scale,
             n_shards: args.shards,
             oracle: f.oracle.name().to_string(),
             plan: f.shrunk.plan.clone(),
         };
-        if let Some(dir) = &args.out {
-            if let Some(path) = write_fixture(dir, &fixture, f.plan_index) {
+        if let Some(dir) = &args.shared.out {
+            let name = format!("{}-plan{}.json", fixture.oracle, f.plan_index);
+            if let Some(path) = write_file(dir, &name, &fixture.to_json()) {
                 println!("    fixture written to {path}");
             }
         }

@@ -3,10 +3,6 @@
 //! policy, reporting cluster USM and wall-clock per cell and writing
 //! `BENCH_cluster.json` at the repo root.
 //!
-//! Usage: `cluster [--scale N] [--seed S] [--runs R] [--epoch-secs E]
-//! [--workers W] [--out FILE | --no-out] [--trace-out FILE]
-//! [--assert-scaling]`.
-//!
 //! Each cell is timed twice — on the [`WholeShard`] path (one thread runs a
 //! shard start to finish) and on the [`EpochParallel`] path (all shards step
 //! the same virtual-time epoch in lockstep) — with best-of-`R` walls, and
@@ -36,8 +32,7 @@
 //! [`EpochParallel`]: unit_cluster::ExecutionMode::EpochParallel
 
 use std::time::Instant;
-use unit_bench::cli::Flags;
-use unit_bench::render::render_event_timeline;
+use unit_bench::cli::{Flags, Shared};
 use unit_bench::{default_workload_plan, ExperimentPlan};
 use unit_cluster::{ClusterConfig, ClusterReport, RoutingPolicy};
 use unit_core::split_seed;
@@ -49,63 +44,31 @@ use unit_sim::{run_simulation, SimConfig};
 use unit_workload::{slice_trace, ReplicaMap, TraceBundle, UpdateDistribution, UpdateVolume};
 
 struct Args {
-    scale: u64,
-    seed: u64,
+    shared: Shared,
     runs: usize,
     epoch_secs: u64,
     workers: usize,
-    out: Option<String>,
-    trace_out: Option<String>,
     assert_scaling: bool,
 }
 
-fn parse_args() -> Args {
+fn parse_args(shared: Shared, mut fl: Flags) -> Args {
     let mut args = Args {
-        scale: 8,
-        seed: 0x5EED_0001,
+        shared,
         runs: 3,
         epoch_secs: 0, // 0 = horizon / 64
         workers: 0,    // 0 = one per shard
-        out: Some("BENCH_cluster.json".to_string()),
-        trace_out: None,
         assert_scaling: false,
     };
-    let mut fl = Flags::from_env(
-        "usage: cluster [--scale N] [--seed S] [--runs R] [--epoch-secs E] \
-         [--workers W] [--out FILE | --no-out] [--trace-out FILE] \
-         [--assert-scaling]",
-    );
     while let Some(arg) = fl.next_flag() {
         match arg.as_str() {
-            "--scale" => args.scale = fl.parse(&arg),
-            "--seed" => args.seed = fl.parse(&arg),
             "--runs" => args.runs = fl.parse(&arg),
             "--epoch-secs" => args.epoch_secs = fl.parse(&arg),
             "--workers" => args.workers = fl.parse(&arg),
-            "--out" => args.out = Some(fl.value(&arg)),
-            "--no-out" => args.out = None,
-            "--trace-out" => args.trace_out = Some(fl.value(&arg)),
             "--assert-scaling" => args.assert_scaling = true,
-            other => fl.unknown(other),
+            other => args.shared.accept(&mut fl, other),
         }
     }
     args
-}
-
-/// Write the recorded stream to `path` (`.csv` → CSV, else JSONL).
-fn write_trace(path: &str, events: &[unit_obs::ObsEvent]) {
-    let result = if std::path::Path::new(path)
-        .extension()
-        .is_some_and(|e| e == "csv")
-    {
-        unit_obs::write_csv(path, events)
-    } else {
-        unit_obs::write_jsonl(path, events)
-    };
-    match result {
-        Ok(()) => println!("\n  event trace written to {path}"),
-        Err(e) => eprintln!("warning: cannot write {path}: {e}"),
-    }
 }
 
 fn run_cluster(
@@ -126,7 +89,7 @@ fn run_cluster(
 /// report of the first run (all runs are bit-identical), the best
 /// aggregate wall, and the best critical path (slowest shard's own wall —
 /// what the run costs on a host with one core per shard).
-fn timed_cluster(
+pub(crate) fn timed_cluster(
     cluster: ClusterConfig,
     bundle: &TraceBundle,
     sim: SimConfig,
@@ -187,9 +150,10 @@ fn json_list<T: std::fmt::Display>(xs: impl IntoIterator<Item = T>) -> String {
         .join(", ")
 }
 
-fn main() {
-    let args = parse_args();
-    let plan = default_workload_plan(args.scale);
+pub(crate) fn run(shared: Shared, fl: Flags) {
+    let args = parse_args(shared, fl);
+    let Shared { scale, seed, .. } = args.shared;
+    let plan = default_workload_plan(scale);
     let weights = UsmWeights::low_high_cfm();
     let bundle = plan.bundle(UpdateVolume::Med, UpdateDistribution::Uniform);
     let sim = plan.sim_config(weights);
@@ -202,9 +166,9 @@ fn main() {
 
     println!(
         "cluster: fig3 med-unif (UNIT per shard), scale 1/{}, {} queries, seed {:#x}",
-        args.scale,
+        scale,
         bundle.trace.queries.len(),
-        args.seed
+        seed
     );
     println!(
         "  epoch {:.0} s, {} workers, best of {} runs per path\n",
@@ -230,7 +194,7 @@ fn main() {
         for n_shards in [1usize, 2, 4, 8] {
             let base = ClusterConfig::new(n_shards)
                 .with_routing(routing)
-                .with_seed(args.seed);
+                .with_seed(seed);
             let (report, whole_wall, _) = timed_cluster(base, &bundle, sim, &unit, args.runs);
             let (epoch_report, epoch_wall, _) = timed_cluster(
                 base.with_workers(args.workers).with_epoch(epoch),
@@ -264,7 +228,10 @@ fn main() {
             // The 4-shard least-load cell doubles as the --trace-out
             // subject (observation is digest-neutral, so the recorded
             // stream matches the table rows).
-            if args.trace_out.is_some() && routing == RoutingPolicy::LeastLoad && n_shards == 4 {
+            if args.shared.trace_out.is_some()
+                && routing == RoutingPolicy::LeastLoad
+                && n_shards == 4
+            {
                 let mut rec = RingRecorder::unbounded();
                 let observed = base
                     .build()
@@ -274,13 +241,8 @@ fn main() {
                     .into_plain()
                     .expect("fault-free run");
                 assert_eq!(observed.average_usm().to_bits(), usm.to_bits());
-                let events = rec.into_events();
-                println!("\n  event timeline (4 shards, least-load):");
-                print!("{}", render_event_timeline(&events, 64));
-                if let Some(path) = &args.trace_out {
-                    write_trace(path, &events);
-                }
-                println!();
+                args.shared
+                    .write_trace("4 shards, least-load", &rec.into_events());
             }
 
             let events: u64 = report
@@ -296,7 +258,7 @@ fn main() {
                 &bundle,
                 &report.assignment,
                 n_shards,
-                args.seed,
+                seed,
                 sim,
                 weights,
             );
@@ -339,11 +301,11 @@ fn main() {
         }
     }
 
-    if let Some(path) = args.out {
+    if let Some(path) = args.shared.out {
         let json = format!(
             "{{\n  \"bench\": \"cluster\",\n  \"workload\": \"fig3 med-unif\",\n  \"policy\": \"UNIT per shard\",\n  \"scale\": {},\n  \"seed\": {},\n  \"runs\": {},\n  \"epoch_secs\": {:.3},\n  \"cells\": [\n{}\n  ]\n}}\n",
-            args.scale,
-            args.seed,
+            scale,
+            seed,
             args.runs,
             epoch.as_secs_f64(),
             rows.join(",\n")

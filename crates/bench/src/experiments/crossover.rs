@@ -7,21 +7,15 @@
 //! follows query demand, not update volume); QMF and UNIT shed load and
 //! stay flat, with UNIT on top throughout.
 
-use unit_bench::cli::HarnessArgs;
-use unit_bench::render::{csv, f, text_table};
+use unit_bench::cli::Shared;
+use unit_bench::render::{f, Table};
 use unit_bench::row;
 use unit_bench::{default_workload_plan, run_matrix, PolicyKind};
 use unit_core::usm::UsmWeights;
 use unit_workload::{TraceBundle, UpdateDistribution, UpdateTraceConfig, UpdateVolume};
 
-fn main() {
-    let args = HarnessArgs::from_env();
+pub(crate) fn run(args: &Shared) -> Table {
     let plan = default_workload_plan(args.scale);
-    println!(
-        "Crossover sweep: success ratio vs offered update utilization\n\
-         (uniform distribution, scale 1/{})\n",
-        args.scale
-    );
 
     // Utilization points: ~10% .. ~200% of the CPU. At full scale, 30,000
     // updates = 75%, so N% needs N/75 * 30,000 updates.
@@ -38,9 +32,7 @@ fn main() {
 
     let outcomes = run_matrix(&plan, &bundles, &PolicyKind::ALL, UsmWeights::naive());
 
-    let header = row!["offered util", "IMU", "ODU", "QMF", "UNIT", "leader"];
     let mut rows = Vec::new();
-    let mut csv_rows = Vec::new();
     let mut prev_imu_leads = true;
     let mut imu_collapse_at: Option<f64> = None;
     for (bi, &u) in utilizations.iter().enumerate() {
@@ -61,34 +53,29 @@ fn main() {
         prev_imu_leads = imu_leads;
 
         rows.push(row![
-            format!("{:.0}%", 100.0 * u),
-            f(s[0], 3),
-            f(s[1], 3),
-            f(s[2], 3),
-            f(s[3], 3),
-            leader
-        ]);
-        csv_rows.push(row![
             f(u, 2),
             f(s[0], 4),
             f(s[1], 4),
             f(s[2], 4),
-            f(s[3], 4)
+            f(s[3], 4),
+            leader
         ]);
     }
-    println!("{}", text_table(&header, &rows));
-    if let Some(u) = imu_collapse_at {
-        println!(
-            "IMU falls more than 10pp behind UNIT at ≈{:.0}% offered update utilization\n\
-             (the crossover Table 1's low/med sampling brackets).",
-            100.0 * u
-        );
-    }
-
-    if let Some(path) = args.write_csv(
-        "crossover.csv",
-        &csv(&row!["utilization", "imu", "odu", "qmf", "unit"], &csv_rows),
-    ) {
-        println!("CSV written to {path}");
+    Table {
+        stem: "crossover",
+        title: format!(
+            "Crossover sweep: success ratio vs offered update utilization \
+             (uniform distribution, scale 1/{})",
+            args.scale
+        ),
+        header: row!["utilization", "imu", "odu", "qmf", "unit", "leader"],
+        rows,
+        notes: imu_collapse_at.map_or_else(String::new, |u| {
+            format!(
+                "IMU falls more than 10pp behind UNIT at ≈{:.0}% offered update utilization\n\
+                 (the crossover Table 1's low/med sampling brackets).\n",
+                100.0 * u
+            )
+        }),
     }
 }

@@ -14,14 +14,10 @@
 //! non-zero crash rate, and all three must agree exactly at rate zero (the
 //! quiet plan is inert; the bit-level proof lives in
 //! `crates/cluster/tests/fault_differential.rs`).
-//!
-//! Usage: `faults [--scale N] [--seed S] [--out FILE | --no-out]
-//! [--trace-out FILE]`.
 
 use std::time::Instant;
-use unit_bench::cli::Flags;
+use unit_bench::cli::{Flags, Shared};
 use unit_bench::default_workload_plan;
-use unit_bench::render::render_event_timeline;
 use unit_cluster::{BackoffConfig, ClusterConfig, FailoverPolicy, RoutingPolicy};
 use unit_core::time::SimDuration;
 use unit_core::usm::UsmWeights;
@@ -31,53 +27,6 @@ use unit_workload::{UpdateDistribution, UpdateVolume};
 
 const N_SHARDS: usize = 4;
 const CRASH_RATES: [f64; 5] = [0.0, 0.05, 0.1, 0.2, 0.3];
-
-struct Args {
-    scale: u64,
-    seed: u64,
-    out: Option<String>,
-    trace_out: Option<String>,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        scale: 8,
-        seed: 0x5EED_0001,
-        out: Some("BENCH_faults.json".to_string()),
-        trace_out: None,
-    };
-    let mut fl = Flags::from_env(
-        "usage: faults [--scale N] [--seed S] [--out FILE | --no-out] \
-         [--trace-out FILE]",
-    );
-    while let Some(arg) = fl.next_flag() {
-        match arg.as_str() {
-            "--scale" => args.scale = fl.parse(&arg),
-            "--seed" => args.seed = fl.parse(&arg),
-            "--out" => args.out = Some(fl.value(&arg)),
-            "--no-out" => args.out = None,
-            "--trace-out" => args.trace_out = Some(fl.value(&arg)),
-            other => fl.unknown(other),
-        }
-    }
-    args
-}
-
-/// Write the recorded stream to `path` (`.csv` → CSV, else JSONL).
-fn write_trace(path: &str, events: &[unit_obs::ObsEvent]) {
-    let result = if std::path::Path::new(path)
-        .extension()
-        .is_some_and(|e| e == "csv")
-    {
-        unit_obs::write_csv(path, events)
-    } else {
-        unit_obs::write_jsonl(path, events)
-    };
-    match result {
-        Ok(()) => println!("\n  event trace written to {path}"),
-        Err(e) => eprintln!("warning: cannot write {path}: {e}"),
-    }
-}
 
 struct Strategy {
     name: &'static str,
@@ -105,8 +54,8 @@ fn strategies() -> [Strategy; 3] {
     ]
 }
 
-fn main() {
-    let args = parse_args();
+pub(crate) fn run(shared: Shared, fl: Flags) {
+    let args = shared.parse_all(fl);
     let plan = default_workload_plan(args.scale);
     let weights = UsmWeights::low_high_cfm();
     let bundle = plan.bundle(UpdateVolume::Med, UpdateDistribution::Uniform);
@@ -159,13 +108,7 @@ fn main() {
                 .expect("fault run");
             let wall = start.elapsed().as_secs_f64();
             if record {
-                let events = rec.into_events();
-                println!("\n  event timeline (backoff+degraded, crash rate 0.2):");
-                print!("{}", render_event_timeline(&events, 64));
-                if let Some(path) = &args.trace_out {
-                    write_trace(path, &events);
-                }
-                println!();
+                args.write_trace("backoff+degraded, crash rate 0.2", &rec.into_events());
             }
             let usm = report.average_usm();
             let c = report.counts;

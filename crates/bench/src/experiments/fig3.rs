@@ -9,14 +9,16 @@
 //! * (c) `med-neg`: same — the hot-updated/cold-accessed mass should be
 //!   shed almost entirely (the paper reports >95% dropped).
 //!
-//! Terminal output renders 64-bucket sparklines; the CSV carries the full
-//! per-item histograms for external plotting.
+//! The table carries the full per-item histograms for external plotting;
+//! the notes render them as 64-bucket sparklines.
 
-use unit_bench::cli::HarnessArgs;
-use unit_bench::render::{bucketize, csv, f, render_event_timeline, spark};
+use std::fmt::Write as _;
+use unit_bench::cli::Shared;
+use unit_bench::render::{bucketize, spark, Table};
 use unit_bench::row;
-use unit_bench::{default_workload_plan, run_policy, run_policy_with, PolicyKind};
+use unit_bench::{default_workload_plan, run_policy_with, PolicyKind};
 use unit_core::usm::UsmWeights;
+use unit_obs::{Observer, RingRecorder};
 use unit_workload::dist::pearson;
 use unit_workload::{UpdateDistribution, UpdateVolume};
 
@@ -45,18 +47,11 @@ fn keep_rate(items: &[usize], applied: &[u64], arrived: &[u64]) -> f64 {
     }
 }
 
-fn main() {
-    let args = HarnessArgs::from_env();
+pub(crate) fn run(args: &Shared) -> Table {
     let plan = default_workload_plan(args.scale);
     let weights = UsmWeights::naive();
-
-    println!(
-        "Figure 3: access/update distributions over data, scale 1/{}\n",
-        args.scale
-    );
-
-    let mut csv_rows: Vec<Vec<String>> = Vec::new();
-    let mut first_access_hist: Option<Vec<u64>> = None;
+    let mut rows: Vec<Vec<String>> = Vec::new();
+    let mut notes = String::new();
 
     for (panel, dist) in [
         ("(b) med-unif", UpdateDistribution::Uniform),
@@ -66,35 +61,25 @@ fn main() {
         // The med-unif panel doubles as the --trace-out subject: recording
         // is digest-neutral, so the observed report serves the figure too.
         let record = args.trace_out.is_some() && dist == UpdateDistribution::Uniform;
-        let out = if record {
-            let mut rec = unit_obs::RingRecorder::unbounded();
-            let cfg = plan.sim_config(weights);
-            let out = run_policy_with(&plan, &bundle, PolicyKind::Unit, cfg, Some(&mut rec));
-            let events = rec.into_events();
-            println!("event timeline (UNIT, med-unif):");
-            print!("{}", render_event_timeline(&events, 64));
-            if let Some(path) = args.write_trace(&events) {
-                println!("event trace written to {path}");
-            }
-            println!();
-            out
-        } else {
-            run_policy(&plan, &bundle, PolicyKind::Unit, weights)
-        };
+        let mut rec = RingRecorder::unbounded();
+        let observer = record.then_some(&mut rec as &mut dyn Observer);
+        let cfg = plan.sim_config(weights);
+        let out = run_policy_with(&plan, &bundle, PolicyKind::Unit, cfg, observer);
+        if record {
+            args.write_trace("UNIT, med-unif", &rec.into_events());
+        }
         let r = &out.report;
+        let order = access_rank_order(&r.query_accesses);
 
-        if first_access_hist.is_none() {
-            println!("(a) query distribution over data (accesses per item):");
-            println!(
-                "    by item id:     {}",
-                spark(&bucketize(&r.query_accesses, 64))
-            );
-            let order = access_rank_order(&r.query_accesses);
-            println!(
-                "    by access rank: {}\n",
+        if notes.is_empty() {
+            let _ = writeln!(
+                notes,
+                "(a) query distribution over data (accesses per item):\n\
+                 \x20   by item id:     {}\n\
+                 \x20   by access rank: {}\n",
+                spark(&bucketize(&r.query_accesses, 64)),
                 spark(&bucketize(&reordered(&r.query_accesses, &order), 64))
             );
-            first_access_hist = Some(r.query_accesses.clone());
         }
 
         let arrived: u64 = r.versions_arrived.iter().sum();
@@ -107,36 +92,26 @@ fn main() {
         let rho_applied = pearson(&applied_f, &accesses_f);
         let rho_arrived = pearson(&arrived_f, &accesses_f);
 
-        let order = access_rank_order(&r.query_accesses);
-        println!("{panel}: update distribution over data (items sorted hot -> cold)");
-        println!(
-            "    original {} ({} versions, corr to queries {:+.2})",
-            spark(&bucketize(&reordered(&r.versions_arrived, &order), 64)),
-            arrived,
-            rho_arrived
-        );
-        println!(
-            "    degraded {} ({} applied, {:.1}% dropped, corr to queries {:+.2})",
-            spark(&bucketize(&reordered(&r.updates_applied, &order), 64)),
-            applied,
-            dropped_pct,
-            rho_applied
-        );
         // Keep rates by access decile: the quantified version of "the
         // surviving updates follow the query distribution".
         let n = order.len();
-        let top10 = &order[..n / 10];
-        let mid = &order[n / 10..n / 2];
-        let bottom = &order[n / 2..];
-        println!(
-            "    kept updates: top-10%-accessed items {:.0}%, middle {:.0}%, bottom-half {:.0}%\n",
-            100.0 * keep_rate(top10, &r.updates_applied, &r.versions_arrived),
-            100.0 * keep_rate(mid, &r.updates_applied, &r.versions_arrived),
-            100.0 * keep_rate(bottom, &r.updates_applied, &r.versions_arrived),
+        let keep =
+            |items: &[usize]| 100.0 * keep_rate(items, &r.updates_applied, &r.versions_arrived);
+        let _ = writeln!(
+            notes,
+            "{panel}: update distribution over data (items sorted hot -> cold)\n\
+             \x20   original {} ({arrived} versions, corr to queries {rho_arrived:+.2})\n\
+             \x20   degraded {} ({applied} applied, {dropped_pct:.1}% dropped, corr to queries {rho_applied:+.2})\n\
+             \x20   kept updates: top-10%-accessed items {:.0}%, middle {:.0}%, bottom-half {:.0}%\n",
+            spark(&bucketize(&reordered(&r.versions_arrived, &order), 64)),
+            spark(&bucketize(&reordered(&r.updates_applied, &order), 64)),
+            keep(&order[..n / 10]),
+            keep(&order[n / 10..n / 2]),
+            keep(&order[n / 2..]),
         );
 
         for i in 0..bundle.trace.n_items {
-            csv_rows.push(row![
+            rows.push(row![
                 bundle.name,
                 i,
                 r.query_accesses[i],
@@ -144,28 +119,27 @@ fn main() {
                 r.updates_applied[i],
             ]);
         }
-        let _ = f(0.0, 1); // keep helper linked for the csv module
     }
 
-    println!(
+    notes.push_str(
         "Shape checks (paper §4.2): the degraded med-unif distribution should follow\n\
          the query distribution (positive correlation above), and med-neg should shed\n\
-         the hot-updated/cold-accessed mass (paper: >95% of updates dropped)."
+         the hot-updated/cold-accessed mass (paper: >95% of updates dropped).\n",
     );
-
-    if let Some(path) = args.write_csv(
-        "fig3.csv",
-        &csv(
-            &row![
-                "trace",
-                "item",
-                "query_accesses",
-                "versions_arrived",
-                "updates_applied"
-            ],
-            &csv_rows,
+    Table {
+        stem: "fig3",
+        title: format!(
+            "Figure 3: access/update distributions over data, scale 1/{}",
+            args.scale
         ),
-    ) {
-        println!("CSV written to {path}");
+        header: row![
+            "trace",
+            "item",
+            "query_accesses",
+            "versions_arrived",
+            "updates_applied"
+        ],
+        rows,
+        notes,
     }
 }

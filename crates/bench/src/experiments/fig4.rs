@@ -12,24 +12,16 @@
 //! * ODU approaches UNIT under negative correlation (background updates are
 //!   mostly irrelevant there).
 
-use unit_bench::cli::HarnessArgs;
-use unit_bench::render::{csv, f, text_table};
+use unit_bench::cli::Shared;
+use unit_bench::render::{f, Table};
 use unit_bench::row;
 use unit_bench::{default_workload_plan, run_matrix, PolicyKind};
 use unit_core::usm::UsmWeights;
 use unit_workload::{UpdateDistribution, UpdateVolume};
 
-fn main() {
-    let args = HarnessArgs::from_env();
+pub(crate) fn run(args: &Shared) -> Table {
     let plan = default_workload_plan(args.scale);
-    println!(
-        "Figure 4: naive USM (success ratio), scale 1/{} ({} queries / {}s horizon)\n",
-        args.scale,
-        plan.query_cfg.n_queries,
-        plan.query_cfg.horizon.as_secs_f64()
-    );
-
-    let mut csv_rows = Vec::new();
+    let mut rows = Vec::new();
     for dist in [
         UpdateDistribution::Uniform,
         UpdateDistribution::PositiveCorrelation,
@@ -40,9 +32,6 @@ fn main() {
             .map(|&v| plan.bundle(v, dist))
             .collect();
         let outcomes = run_matrix(&plan, &bundles, &PolicyKind::ALL, UsmWeights::naive());
-
-        let header = row!["trace", "IMU", "ODU", "QMF", "UNIT", "UNIT vs best"];
-        let mut rows = Vec::new();
         for (bi, bundle) in bundles.iter().enumerate() {
             let per_policy: Vec<f64> = (0..4)
                 .map(|pi| outcomes[bi * 4 + pi].report.success_ratio())
@@ -56,31 +45,24 @@ fn main() {
             };
             rows.push(row![
                 bundle.name,
-                f(per_policy[0], 3),
-                f(per_policy[1], 3),
-                f(per_policy[2], 3),
-                f(unit, 3),
-                rel
-            ]);
-            csv_rows.push(row![
-                bundle.name,
                 f(per_policy[0], 4),
                 f(per_policy[1], 4),
                 f(per_policy[2], 4),
-                f(unit, 4)
+                f(unit, 4),
+                rel
             ]);
         }
-        println!(
-            "(update distribution: {})\n{}",
-            dist.short_name(),
-            text_table(&header, &rows)
-        );
     }
-
-    if let Some(path) = args.write_csv(
-        "fig4.csv",
-        &csv(&row!["trace", "imu", "odu", "qmf", "unit"], &csv_rows),
-    ) {
-        println!("CSV written to {path}");
+    Table {
+        stem: "fig4",
+        title: format!(
+            "Figure 4: naive USM (success ratio), scale 1/{} ({} queries / {}s horizon)",
+            args.scale,
+            plan.query_cfg.n_queries,
+            plan.query_cfg.horizon.as_secs_f64()
+        ),
+        header: row!["trace", "imu", "odu", "qmf", "unit", "unit_vs_best"],
+        rows,
+        notes: String::new(),
     }
 }

@@ -4,9 +4,6 @@
 //! and propagation volume, and wall-clock per cell, and writing
 //! `BENCH_replication.json` at the repo root.
 //!
-//! Usage: `replication [--scale N] [--seed S] [--shards N] [--runs R]
-//! [--out FILE | --no-out]`.
-//!
 //! The factor-1 rows double as a live identity smoke: whatever the lag
 //! schedule says, one replica per item *is* the partition-only cluster,
 //! so their USM must equal the plain (replication-free) run's USM to the
@@ -22,46 +19,31 @@
 //! lag to the workload's tolerable staleness, which is exactly the
 //! trade-off the UNIT paper's freshness machinery quantifies.
 
-use std::time::Instant;
-use unit_bench::cli::Flags;
+use super::cluster::timed_cluster;
+use unit_bench::cli::{Flags, Shared};
 use unit_bench::default_workload_plan;
-use unit_cluster::{
-    ClusterConfig, ClusterReport, PropagationLag, ReplicationConfig, RoutingPolicy,
-};
+use unit_cluster::{ClusterConfig, PropagationLag, ReplicationConfig, RoutingPolicy};
 use unit_core::time::SimDuration;
 use unit_core::usm::UsmWeights;
-use unit_sim::SimConfig;
-use unit_workload::{TraceBundle, UpdateDistribution, UpdateVolume};
+use unit_workload::{UpdateDistribution, UpdateVolume};
 
 struct Args {
-    scale: u64,
-    seed: u64,
+    shared: Shared,
     shards: usize,
     runs: usize,
-    out: Option<String>,
 }
 
-fn parse_args() -> Args {
+fn parse_args(shared: Shared, mut fl: Flags) -> Args {
     let mut args = Args {
-        scale: 8,
-        seed: 0x5EED_0001,
+        shared,
         shards: 4,
         runs: 1,
-        out: Some("BENCH_replication.json".to_string()),
     };
-    let mut fl = Flags::from_env(
-        "usage: replication [--scale N] [--seed S] [--shards N] [--runs R] \
-         [--out FILE | --no-out]",
-    );
     while let Some(arg) = fl.next_flag() {
         match arg.as_str() {
-            "--scale" => args.scale = fl.parse(&arg),
-            "--seed" => args.seed = fl.parse(&arg),
             "--shards" => args.shards = fl.parse(&arg),
             "--runs" => args.runs = fl.parse(&arg),
-            "--out" => args.out = Some(fl.value(&arg)),
-            "--no-out" => args.out = None,
-            other => fl.unknown(other),
+            other => args.shared.accept(&mut fl, other),
         }
     }
     args
@@ -83,32 +65,10 @@ fn lag_points() -> [(&'static str, PropagationLag); 3] {
     ]
 }
 
-fn run_cell(
-    cluster: ClusterConfig,
-    bundle: &TraceBundle,
-    sim: SimConfig,
-    unit: &unit_core::config::UnitConfig,
-    runs: usize,
-) -> (ClusterReport, f64) {
-    let mut best = f64::INFINITY;
-    let mut report = None;
-    for _ in 0..runs.max(1) {
-        let start = Instant::now();
-        let r = cluster
-            .build()
-            .run_unit(&bundle.trace, sim, unit)
-            .expect("valid cluster config")
-            .into_plain()
-            .expect("fault-free run");
-        best = best.min(start.elapsed().as_secs_f64());
-        report.get_or_insert(r);
-    }
-    (report.expect("at least one run"), best)
-}
-
-fn main() {
-    let args = parse_args();
-    let plan = default_workload_plan(args.scale);
+pub(crate) fn run(shared: Shared, fl: Flags) {
+    let args = parse_args(shared, fl);
+    let Shared { scale, seed, .. } = args.shared;
+    let plan = default_workload_plan(scale);
     let weights = UsmWeights::low_high_cfm();
     let bundle = plan.bundle(UpdateVolume::Med, UpdateDistribution::Uniform);
     let sim = plan.sim_config(weights);
@@ -118,9 +78,9 @@ fn main() {
     println!(
         "replication: fig3 med-unif (UNIT per shard), {} shards, scale 1/{}, {} queries, seed {:#x}\n",
         args.shards,
-        args.scale,
+        scale,
         bundle.trace.queries.len(),
-        args.seed
+        seed
     );
     println!(
         "  {:<16} {:>6} {:>16} {:>10} {:>10} {:>12} {:>12} {:>8}",
@@ -130,10 +90,10 @@ fn main() {
     let mut rows = Vec::new();
     for routing in RoutingPolicy::ALL {
         // The replication-free anchor every factor-1 row must reproduce.
-        let (plain, _) = run_cell(
+        let (plain, _, _) = timed_cluster(
             ClusterConfig::new(args.shards)
                 .with_routing(routing)
-                .with_seed(args.seed),
+                .with_seed(seed),
             &bundle,
             sim,
             &unit,
@@ -145,9 +105,9 @@ fn main() {
                 let rep = ReplicationConfig::new(factor).with_lag(lag);
                 let cluster = ClusterConfig::new(args.shards)
                     .with_routing(routing)
-                    .with_seed(args.seed)
+                    .with_seed(seed)
                     .with_replication(rep);
-                let (report, wall) = run_cell(cluster, &bundle, sim, &unit, args.runs);
+                let (report, wall, _) = timed_cluster(cluster, &bundle, sim, &unit, args.runs);
                 let usm = report.average_usm();
                 let rep_report = report.replication.as_ref().expect("replication report");
                 if factor == 1 {
@@ -184,11 +144,11 @@ fn main() {
         }
     }
 
-    if let Some(path) = args.out {
+    if let Some(path) = args.shared.out {
         let json = format!(
             "{{\n  \"bench\": \"replication\",\n  \"workload\": \"fig3 med-unif\",\n  \"policy\": \"UNIT per shard\",\n  \"scale\": {},\n  \"seed\": {},\n  \"n_shards\": {},\n  \"runs\": {},\n  \"cells\": [\n{}\n  ]\n}}\n",
-            args.scale,
-            args.seed,
+            scale,
+            seed,
             args.shards,
             args.runs,
             rows.join(",\n")

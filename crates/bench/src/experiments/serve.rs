@@ -22,51 +22,36 @@
 //!
 //! `--assert-throughput OPS` exits non-zero when no swept worker count
 //! sustains `OPS` operations per second — the CI serving gate.
-//!
-//! Usage: `serve [--scale N] [--workers W[,W...]] [--time-scale S]
-//! [--paced] [--shards K] [--seed S] [--policy unit|imu|odu|qmf]
-//! [--assert-throughput OPS] [--out FILE | --no-out]`.
 
-use unit_baselines::{ImuPolicy, OduPolicy, QmfPolicy};
-use unit_bench::cli::Flags;
-use unit_bench::{default_workload_plan, ExperimentPlan, PolicyKind};
-use unit_core::unit_policy::UnitPolicy;
+use unit_bench::cli::{Flags, Shared};
+use unit_bench::{default_workload_plan, ExperimentPlan, PolicyJob, PolicyKind};
+use unit_core::policy::Policy;
 use unit_core::usm::UsmWeights;
 use unit_server::{serve, MemBackend, ServeConfig, ServeReport, WallClock};
 use unit_workload::{TraceBundle, UpdateDistribution, UpdateVolume};
 
 struct Args {
-    scale: u64,
+    shared: Shared,
     workers: Vec<usize>,
     time_scale: u64,
     paced: bool,
     shards: usize,
-    seed: u64,
     policy: PolicyKind,
     assert_throughput: Option<f64>,
-    out: Option<String>,
 }
 
-fn parse_args() -> Args {
+fn parse_args(shared: Shared, mut fl: Flags) -> Args {
     let mut args = Args {
-        scale: 4,
+        shared,
         workers: vec![1, 2, 4, 8],
         time_scale: 1_000_000,
         paced: false,
         shards: 16,
-        seed: 0x5EED_0012,
         policy: PolicyKind::Unit,
         assert_throughput: None,
-        out: Some("BENCH_serve.json".to_string()),
     };
-    let mut fl = Flags::from_env(
-        "usage: serve [--scale N] [--workers W[,W...]] [--time-scale S] \
-         [--paced] [--shards K] [--seed S] [--policy unit|imu|odu|qmf] \
-         [--assert-throughput OPS] [--out FILE | --no-out]",
-    );
     while let Some(arg) = fl.next_flag() {
         match arg.as_str() {
-            "--scale" => args.scale = fl.parse(&arg),
             "--workers" => {
                 let v = fl.value(&arg);
                 let parsed: Result<Vec<usize>, _> = v.split(',').map(str::parse).collect();
@@ -78,25 +63,10 @@ fn parse_args() -> Args {
             "--time-scale" => args.time_scale = fl.parse(&arg),
             "--paced" => args.paced = true,
             "--shards" => args.shards = fl.parse(&arg),
-            "--seed" => args.seed = fl.parse(&arg),
-            "--policy" => {
-                let v = fl.value(&arg);
-                args.policy = match v.as_str() {
-                    "unit" => PolicyKind::Unit,
-                    "imu" => PolicyKind::Imu,
-                    "odu" => PolicyKind::Odu,
-                    "qmf" => PolicyKind::Qmf,
-                    _ => fl.fail(&format!("bad --policy value: {v}")),
-                };
-            }
+            "--policy" => args.policy = fl.parse(&arg),
             "--assert-throughput" => args.assert_throughput = Some(fl.parse(&arg)),
-            "--out" => args.out = Some(fl.value(&arg)),
-            "--no-out" => args.out = None,
-            other => fl.unknown(other),
+            other => args.shared.accept(&mut fl, other),
         }
-    }
-    if args.scale == 0 {
-        fl.fail("--scale must be >= 1");
     }
     if args.workers.is_empty() || args.workers.contains(&0) {
         fl.fail("--workers needs a comma-separated list of counts >= 1");
@@ -113,29 +83,38 @@ fn run_cell(
     workers: usize,
     weights: UsmWeights,
 ) -> ServeReport {
+    struct Serve<'a> {
+        cfg: ServeConfig,
+        shards: usize,
+        bundle: &'a TraceBundle,
+    }
+    impl PolicyJob for Serve<'_> {
+        type Out = ServeReport;
+        fn run<P: Policy + Send>(self, make: impl Fn(usize) -> P) -> ServeReport {
+            let clock = WallClock::new();
+            let backend = MemBackend::new(self.bundle.trace.n_items, self.shards);
+            let (trace, horizon) = (&self.bundle.trace, self.bundle.horizon);
+            serve(&self.cfg, &clock, &backend, trace, horizon, make)
+        }
+    }
     let mut cfg = ServeConfig::new(workers, args.time_scale).with_weights(weights);
     if !args.paced {
         cfg = cfg.flat_out();
     }
-    let clock = WallClock::new();
-    let backend = MemBackend::new(bundle.trace.n_items, args.shards);
-    let trace = &bundle.trace;
-    let horizon = bundle.horizon;
-    match args.policy {
-        PolicyKind::Unit => serve(&cfg, &clock, &backend, trace, horizon, |i| {
-            UnitPolicy::new(plan.unit_config(weights).with_seed(args.seed + i as u64))
-        }),
-        PolicyKind::Imu => serve(&cfg, &clock, &backend, trace, horizon, |_| ImuPolicy::new()),
-        PolicyKind::Odu => serve(&cfg, &clock, &backend, trace, horizon, |_| OduPolicy::new()),
-        PolicyKind::Qmf => serve(&cfg, &clock, &backend, trace, horizon, |_| {
-            QmfPolicy::default()
-        }),
-    }
+    let seed = args.shared.seed;
+    args.policy.dispatch(
+        |i| plan.unit_config(weights).with_seed(seed + i as u64),
+        Serve {
+            cfg,
+            shards: args.shards,
+            bundle,
+        },
+    )
 }
 
-fn main() {
-    let args = parse_args();
-    let plan = default_workload_plan(args.scale);
+pub(crate) fn run(shared: Shared, fl: Flags) {
+    let args = parse_args(shared, fl);
+    let plan = default_workload_plan(args.shared.scale);
     let bundle = plan.bundle(UpdateVolume::Med, UpdateDistribution::Uniform);
     let weights = UsmWeights::low_high_cfm();
     let queries = bundle.trace.queries.len();
@@ -143,7 +122,7 @@ fn main() {
 
     println!(
         "serve: fig3 med-unif, scale 1/{}, {} queries, time-scale {} ({mode})\n",
-        args.scale, queries, args.time_scale
+        args.shared.scale, queries, args.time_scale
     );
 
     let mut rows = Vec::new();
@@ -184,14 +163,14 @@ fn main() {
     }
     println!("\n  peak {peak_ops:.0} ops/s ({policy_name})");
 
-    if let Some(path) = &args.out {
+    if let Some(path) = &args.shared.out {
         let json = format!(
             "{{\n  \"bench\": \"serve\",\n  \"workload\": \"fig3 med-unif\",\n  \
              \"policy\": \"{policy_name}\",\n  \"scale\": {},\n  \
              \"queries\": {queries},\n  \"mode\": \"{mode}\",\n  \
              \"time_scale\": {},\n  \"shards\": {},\n  \
              \"peak_ops_per_sec\": {peak_ops:.1},\n  \"rows\": [\n{}\n  ]\n}}\n",
-            args.scale,
+            args.shared.scale,
             args.time_scale,
             args.shards,
             rows.join(",\n")

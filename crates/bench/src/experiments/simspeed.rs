@@ -2,9 +2,6 @@
 //! med-neg bundles) at `--scale 8` and writes `BENCH_simspeed.json` at
 //! the repo root so the bench trajectory accumulates across PRs.
 //!
-//! Usage: `simspeed [--scale N] [--out FILE] [--runs K] [--baseline SECS]
-//! [--max-regression R] [--scale-up M] [--stream-demo M] [--chunk C]`.
-//!
 //! `--baseline` takes a reference total wall-clock (the seed engine's time on
 //! the same machine) and records the resulting speedup in the JSON.
 //! `--max-regression R` (requires `--baseline`) exits non-zero when the timed
@@ -25,7 +22,7 @@
 //! full spec `Vec`. This is the scale-1000 "no materialization" receipt.
 
 use std::time::Instant;
-use unit_bench::cli::Flags;
+use unit_bench::cli::{Flags, Shared};
 use unit_bench::{default_workload_plan, run_policy, ExperimentPlan, PolicyKind};
 use unit_core::unit_policy::UnitPolicy;
 use unit_core::usm::UsmWeights;
@@ -33,8 +30,7 @@ use unit_sim::{report_digest, SimRun};
 use unit_workload::{generate_updates, stream_queries, UpdateDistribution, UpdateVolume};
 
 struct Args {
-    scale: u64,
-    out: Option<String>,
+    shared: Shared,
     runs: usize,
     baseline_secs: Option<f64>,
     max_regression: Option<f64>,
@@ -43,10 +39,9 @@ struct Args {
     chunk: usize,
 }
 
-fn parse_args() -> Args {
+fn parse_args(shared: Shared, mut fl: Flags) -> Args {
     let mut args = Args {
-        scale: 8,
-        out: Some("BENCH_simspeed.json".to_string()),
+        shared,
         runs: 3,
         baseline_secs: None,
         max_regression: None,
@@ -54,23 +49,15 @@ fn parse_args() -> Args {
         stream_demo: None,
         chunk: 1024,
     };
-    let mut fl = Flags::from_env(
-        "usage: simspeed [--scale N] [--runs K] [--baseline SECS] \
-         [--max-regression R] [--scale-up M] [--stream-demo M] \
-         [--chunk C] [--out FILE | --no-out]",
-    );
     while let Some(arg) = fl.next_flag() {
         match arg.as_str() {
-            "--scale" => args.scale = fl.parse(&arg),
             "--runs" => args.runs = fl.parse(&arg),
             "--baseline" => args.baseline_secs = Some(fl.parse(&arg)),
             "--max-regression" => args.max_regression = Some(fl.parse(&arg)),
             "--scale-up" => args.scale_up = Some(fl.parse(&arg)),
             "--stream-demo" => args.stream_demo = Some(fl.parse(&arg)),
             "--chunk" => args.chunk = fl.parse(&arg),
-            "--out" => args.out = Some(fl.value(&arg)),
-            "--no-out" => args.out = None,
-            other => fl.unknown(other),
+            other => args.shared.accept(&mut fl, other),
         }
     }
     if args.max_regression.is_some() && args.baseline_secs.is_none() {
@@ -163,9 +150,10 @@ fn stream_demo_entry(plan: &ExperimentPlan, m: u64) -> String {
     )
 }
 
-fn main() {
-    let args = parse_args();
-    let plan = default_workload_plan(args.scale);
+pub(crate) fn run(shared: Shared, fl: Flags) {
+    let args = parse_args(shared, fl);
+    let scale = args.shared.scale;
+    let plan = default_workload_plan(scale);
     let weights = UsmWeights::naive();
     let cells = [
         ("med-unif", UpdateDistribution::Uniform),
@@ -173,8 +161,8 @@ fn main() {
     ];
 
     println!(
-        "simspeed: fig3 workload (UNIT), scale 1/{}, best of {} runs\n",
-        args.scale, args.runs
+        "simspeed: fig3 workload (UNIT), scale 1/{scale}, best of {} runs\n",
+        args.runs
     );
 
     let mut total_secs = 0.0f64;
@@ -234,11 +222,10 @@ fn main() {
         .map(|m| stream_demo_entry(&plan, m))
         .unwrap_or_default();
 
-    if let Some(path) = args.out {
-        let json = format!
-            (
+    if let Some(path) = args.shared.out {
+        let json = format!(
             "{{\n  \"bench\": \"simspeed\",\n  \"workload\": \"fig3\",\n  \"scale\": {},\n  \"runs\": {},\n  \"wall_secs_total\": {:.6},\n  \"events_total\": {},\n  \"peak_events_per_sec\": {:.1},{}\n  \"cells\": [\n{}\n  ]{}{}\n}}\n",
-            args.scale,
+            scale,
             args.runs,
             total_secs,
             total_events,

@@ -3,49 +3,40 @@
 //!
 //! ```sh
 //! # Generate the paper's med-unif workload and save it:
-//! cargo run --release -p unit-bench --bin tracegen -- \
-//!     --volume med --dist unif --out-file workload.json
+//! cargo run --release -p unit-bench -- tracegen \
+//!     --volume med --dist unif --out workload.json
 //!
 //! # Inspect a saved workload:
-//! cargo run --release -p unit-bench --bin tracegen -- --inspect workload.json
+//! cargo run --release -p unit-bench -- tracegen --inspect workload.json
 //! ```
+//!
+//! Without `--inspect`, generates the selected Table 1 workload (default
+//! med-unif at 1/4 scale), prints its statistics, and with `--out` saves
+//! it as JSON. With `--inspect`, loads a saved workload and prints its
+//! statistics instead.
 
 use std::path::Path;
-use unit_bench::cli::Flags;
+use unit_bench::cli::{Flags, Shared};
 use unit_bench::default_workload_plan;
 use unit_bench::render::{bucketize, spark};
 use unit_workload::{TraceBundle, TraceStats, UpdateDistribution, UpdateVolume};
 
 struct Args {
-    scale: u64,
+    shared: Shared,
     volume: UpdateVolume,
     dist: UpdateDistribution,
-    out_file: Option<String>,
     inspect: Option<String>,
 }
 
-const USAGE: &str = "usage: tracegen [--scale N | --full] [--volume low|med|high]\n\
-    \x20               [--dist unif|pos|neg] [--out-file PATH]\n\
-    \x20               [--inspect PATH]\n\
-    \n\
-    Without --inspect, generates the selected Table 1 workload (default\n\
-    med-unif at 1/4 scale), prints its statistics, and optionally saves\n\
-    it as JSON. With --inspect, loads a saved workload and prints its\n\
-    statistics instead.";
-
-fn parse_args() -> Args {
+fn parse_args(shared: Shared, mut fl: Flags) -> Args {
     let mut out = Args {
-        scale: 4,
+        shared,
         volume: UpdateVolume::Med,
         dist: UpdateDistribution::Uniform,
-        out_file: None,
         inspect: None,
     };
-    let mut fl = Flags::from_env(USAGE);
     while let Some(arg) = fl.next_flag() {
         match arg.as_str() {
-            "--scale" => out.scale = fl.parse(&arg),
-            "--full" => out.scale = 1,
             "--volume" => {
                 let v = fl.value(&arg);
                 out.volume = match v.as_str() {
@@ -64,13 +55,9 @@ fn parse_args() -> Args {
                     _ => fl.fail(&format!("bad --dist value: {v}")),
                 }
             }
-            "--out-file" => out.out_file = Some(fl.value(&arg)),
             "--inspect" => out.inspect = Some(fl.value(&arg)),
-            other => fl.unknown(other),
+            other => out.shared.accept(&mut fl, other),
         }
-    }
-    if out.scale == 0 {
-        fl.fail("--scale must be >= 1");
     }
     out
 }
@@ -135,8 +122,8 @@ fn describe(bundle: &TraceBundle) {
     );
 }
 
-fn main() {
-    let args = parse_args();
+pub(crate) fn run(shared: Shared, fl: Flags) {
+    let args = parse_args(shared, fl);
 
     if let Some(path) = &args.inspect {
         match TraceBundle::load(Path::new(path)) {
@@ -154,11 +141,11 @@ fn main() {
         return;
     }
 
-    let plan = default_workload_plan(args.scale);
+    let plan = default_workload_plan(args.shared.scale);
     let bundle = plan.bundle(args.volume, args.dist);
     describe(&bundle);
 
-    if let Some(path) = &args.out_file {
+    if let Some(path) = &args.shared.out {
         match bundle.save(Path::new(path)) {
             Ok(()) => println!("\nsaved to {path}"),
             Err(e) => {

@@ -5,11 +5,10 @@
 //! reports mean ± population std-dev of each policy's success ratio, plus
 //! how often UNIT wins.
 
-use unit_bench::cli::HarnessArgs;
-use unit_bench::render::{csv, f, text_table};
+use unit_bench::cli::Shared;
+use unit_bench::render::{f, Table};
 use unit_bench::row;
-use unit_bench::{run_matrix, ExperimentPlan, PolicyKind};
-use unit_core::time::SimDuration;
+use unit_bench::{default_workload_plan, run_matrix, PolicyKind};
 use unit_core::usm::UsmWeights;
 use unit_workload::{
     QueryTraceConfig, TraceBundle, UpdateDistribution, UpdateTraceConfig, UpdateVolume,
@@ -24,16 +23,10 @@ fn mean_std(values: &[f64]) -> (f64, f64) {
     (mean, var.sqrt())
 }
 
-fn main() {
-    let args = HarnessArgs::from_env();
-    println!(
-        "Seed-robustness: med-unif regenerated under {} workload seeds (scale 1/{})\n",
-        SEEDS.len(),
-        args.scale
-    );
-
+pub(crate) fn run(args: &Shared) -> Table {
     // One bundle per seed: reseed both the query trace and the update trace.
-    let base = QueryTraceConfig::default().scaled_down(args.scale);
+    let plan = default_workload_plan(args.scale);
+    let base = plan.query_cfg;
     let bundles: Vec<TraceBundle> = SEEDS
         .iter()
         .map(|&seed| {
@@ -46,11 +39,6 @@ fn main() {
         })
         .collect();
 
-    let plan = ExperimentPlan {
-        query_cfg: base,
-        scale: args.scale,
-        tick_period: SimDuration::from_secs(10),
-    };
     let out = run_matrix(&plan, &bundles, &PolicyKind::ALL, UsmWeights::naive());
 
     let mut per_policy: Vec<Vec<f64>> = vec![Vec::new(); 4];
@@ -68,41 +56,28 @@ fn main() {
         }
     }
 
-    let header = row!["policy", "mean", "std", "min", "max"];
-    let mut rows = Vec::new();
-    let mut csv_rows = Vec::new();
-    for (pi, kind) in PolicyKind::ALL.iter().enumerate() {
-        let (mean, std) = mean_std(&per_policy[pi]);
-        let min = per_policy[pi].iter().copied().fold(f64::INFINITY, f64::min);
-        let max = per_policy[pi]
-            .iter()
-            .copied()
-            .fold(f64::NEG_INFINITY, f64::max);
-        rows.push(row![
-            kind.name(),
-            f(mean, 3),
-            f(std, 3),
-            f(min, 3),
-            f(max, 3)
-        ]);
-        csv_rows.push(row![
-            kind.name(),
-            f(mean, 4),
-            f(std, 4),
-            f(min, 4),
-            f(max, 4)
-        ]);
-    }
-    println!("{}", text_table(&header, &rows));
-    println!(
-        "UNIT is the top policy in {unit_wins} of {} resampled workloads.",
-        bundles.len()
-    );
-
-    if let Some(path) = args.write_csv(
-        "variance.csv",
-        &csv(&row!["policy", "mean", "std", "min", "max"], &csv_rows),
-    ) {
-        println!("CSV written to {path}");
+    let rows = PolicyKind::ALL
+        .iter()
+        .zip(&per_policy)
+        .map(|(kind, values)| {
+            let (mean, std) = mean_std(values);
+            let min = values.iter().copied().fold(f64::INFINITY, f64::min);
+            let max = values.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+            row![kind.name(), f(mean, 4), f(std, 4), f(min, 4), f(max, 4)]
+        })
+        .collect();
+    Table {
+        stem: "variance",
+        title: format!(
+            "Seed-robustness: med-unif regenerated under {} workload seeds (scale 1/{})",
+            SEEDS.len(),
+            args.scale
+        ),
+        header: row!["policy", "mean", "std", "min", "max"],
+        rows,
+        notes: format!(
+            "UNIT is the top policy in {unit_wins} of {} resampled workloads.\n",
+            bundles.len()
+        ),
     }
 }

@@ -1,11 +1,14 @@
 //! # unit-bench — the experiment harness
 //!
-//! Regenerates every table and figure of the UNIT paper's evaluation (§4).
-//! Each figure/table has a dedicated binary (see `src/bin/`); this library
-//! holds what they share: the scaled workload plans, the policy runner, and
-//! plain-text table/histogram rendering.
+//! Regenerates every table and figure of the UNIT paper's evaluation (§4),
+//! and the extensions grown since, from one binary:
+//! `cargo run --release -p unit-bench -- <experiment> [flags]`
+//! (`-- list` prints the registry). This library holds what the
+//! experiments share: the scaled workload plans, the policy runner, the
+//! flag grammar, the [`render::Table`] every table experiment returns with
+//! its text/CSV/markdown renderers, and the chaos harness.
 //!
-//! | target | reproduces |
+//! | experiment | reproduces |
 //! |--------|------------|
 //! | `table1` | Table 1 — the nine update traces |
 //! | `table2` | Table 2 — the USM weight configurations |
@@ -13,9 +16,10 @@
 //! | `fig4`   | Fig. 4 — naive USM (success ratio) across 9 traces × 4 policies |
 //! | `fig5`   | Fig. 5 — USM under non-zero penalties (Table 2 weightings) |
 //! | `fig6`   | Fig. 6 — outcome-ratio decomposition |
+//! | `report` | all of the above plus the extension tables, into `results/` |
 //!
-//! Every binary accepts `--scale N` (default 4) dividing the workload size,
-//! and `--full` for the paper-scale run (110,035 queries over 3,848,104 s).
+//! Every experiment accepts `--scale N` dividing the workload size, and
+//! `--full` for the paper-scale run (110,035 queries over 3,848,104 s).
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -26,6 +30,6 @@ pub mod render;
 pub mod runner;
 
 pub use runner::{
-    default_workload_plan, run_matrix, run_policy, run_policy_with, run_unit_streamed,
-    worker_pool_size, ExperimentPlan, PolicyKind, RunOutcome,
+    default_workload_plan, run_matrix, run_policy, run_policy_with, worker_pool_size,
+    ExperimentPlan, PolicyJob, PolicyKind, RunOutcome,
 };

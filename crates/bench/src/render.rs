@@ -1,7 +1,71 @@
-//! Plain-text rendering: aligned tables and ASCII histograms for the
-//! harness binaries (the paper's figures, as terminal output + CSV).
+//! Rendering: an experiment's result as a [`Table`], its three renderers
+//! (aligned text, CSV, markdown), and ASCII histograms for the figures.
 
 use std::fmt::Write as _;
+
+/// Rows of a long table shown by the text and markdown renderers (the CSV
+/// always carries every row): the per-item and per-sample tables run to
+/// thousands of lines nobody reads in a terminal.
+const PREVIEW_ROWS: usize = 40;
+
+/// The result of one table experiment, as data: cells are formatted once,
+/// at the CSV's precision, and the harness renders the same strings as
+/// text (stdout and `<stem>.txt`), CSV (`<stem>.csv`) and markdown
+/// (`REPORT.md`).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Table {
+    /// File stem of the artifacts.
+    pub stem: &'static str,
+    /// One-line heading (what was measured, on which workload and scale).
+    pub title: String,
+    /// Column names, as the CSV spells them.
+    pub header: Vec<String>,
+    /// One row per measurement; same arity as `header`.
+    pub rows: Vec<Vec<String>>,
+    /// Free-text commentary rendered under the table: sparklines, summary
+    /// lines, the paper's shape to look for. May be empty.
+    pub notes: String,
+}
+
+impl Table {
+    /// The rows the human-readable renderers show, and how many they elide.
+    fn preview(&self) -> (&[Vec<String>], usize) {
+        let shown = self.rows.len().min(PREVIEW_ROWS);
+        (&self.rows[..shown], self.rows.len() - shown)
+    }
+
+    /// Title, aligned table, notes — what the harness prints and writes to
+    /// `<stem>.txt`.
+    pub fn text(&self) -> String {
+        let (rows, elided) = self.preview();
+        let mut out = format!("{}\n\n{}", self.title, text_table(&self.header, rows));
+        if elided > 0 {
+            let _ = writeln!(out, "... {elided} more rows in {}.csv", self.stem);
+        }
+        if !self.notes.is_empty() {
+            let _ = write!(out, "\n{}", self.notes);
+        }
+        out
+    }
+
+    /// Every row as CSV — what the harness writes to `<stem>.csv`.
+    pub fn csv(&self) -> String {
+        csv(&self.header, &self.rows)
+    }
+
+    /// A `##` section: markdown table, notes in a fenced block.
+    pub fn markdown(&self) -> String {
+        let (rows, elided) = self.preview();
+        let mut out = format!("## {}\n\n{}", self.title, md_table(&self.header, rows));
+        if elided > 0 {
+            let _ = writeln!(out, "\n... {elided} more rows in `{}.csv`", self.stem);
+        }
+        if !self.notes.is_empty() {
+            let _ = write!(out, "\n```text\n{}```\n", self.notes);
+        }
+        out
+    }
+}
 
 /// Render an aligned text table. `header` and every row must have the same
 /// arity.
@@ -53,6 +117,16 @@ pub fn csv(header: &[String], rows: &[Vec<String>]) -> String {
     for row in rows {
         out.push_str(&row.join(","));
         out.push('\n');
+    }
+    out
+}
+
+/// Render rows as a markdown table.
+pub fn md_table(header: &[String], rows: &[Vec<String>]) -> String {
+    let mut out = format!("| {} |\n", header.join(" | "));
+    let _ = writeln!(out, "|{}|", vec!["---"; header.len()].join("|"));
+    for row in rows {
+        let _ = writeln!(out, "| {} |", row.join(" | "));
     }
     out
 }
@@ -191,6 +265,47 @@ mod tests {
     fn csv_joins_cells() {
         let out = csv(&row!["a", "b"], &[row!["1", "2"]]);
         assert_eq!(out, "a,b\n1,2\n");
+    }
+
+    #[test]
+    fn every_renderer_carries_the_same_cells() {
+        let t = Table {
+            stem: "probe",
+            title: "Probe table".to_string(),
+            header: row!["trace", "imu", "unit"],
+            rows: vec![
+                row!["med-unif", "0.3030", "0.8267"],
+                row!["hi", "0.0000", "1.0000"],
+            ],
+            notes: "shape: unit wins\n".to_string(),
+        };
+        assert_eq!(
+            t.csv(),
+            "trace,imu,unit\nmed-unif,0.3030,0.8267\nhi,0.0000,1.0000\n"
+        );
+        let (text, md) = (t.text(), t.markdown());
+        for cell in t.header.iter().chain(t.rows.iter().flatten()) {
+            assert!(text.contains(cell.as_str()), "text lacks {cell}");
+            assert!(md.contains(cell.as_str()), "markdown lacks {cell}");
+        }
+        assert!(text.starts_with("Probe table\n\ntrace"));
+        assert!(text.ends_with("\nshape: unit wins\n"));
+        assert!(md.starts_with("## Probe table\n\n| trace | imu | unit |\n|---|---|---|\n"));
+        assert!(md.contains("| med-unif | 0.3030 | 0.8267 |\n"));
+    }
+
+    #[test]
+    fn long_tables_are_previewed_in_text_but_whole_in_csv() {
+        let t = Table {
+            stem: "long",
+            title: "Long".to_string(),
+            header: row!["i"],
+            rows: (0..PREVIEW_ROWS + 5).map(|i| row![i]).collect(),
+            notes: String::new(),
+        };
+        assert_eq!(t.csv().lines().count(), 1 + PREVIEW_ROWS + 5);
+        assert!(t.text().ends_with("... 5 more rows in long.csv\n"));
+        assert!(t.markdown().contains("... 5 more rows in `long.csv`"));
     }
 
     #[test]

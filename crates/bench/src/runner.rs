@@ -48,6 +48,19 @@ impl PolicyKind {
         }
     }
 
+    /// Pick the concrete policy type for this kind and hand `job` its
+    /// factory — the harness's one `PolicyKind` → policy dispatch.
+    /// `unit(i)` configures the `i`-th UNIT instance a job asks for (the
+    /// baselines take no configuration).
+    pub fn dispatch<J: PolicyJob>(self, unit: impl Fn(usize) -> UnitConfig, job: J) -> J::Out {
+        match self {
+            PolicyKind::Imu => job.run(|_| ImuPolicy::new()),
+            PolicyKind::Odu => job.run(|_| OduPolicy::new()),
+            PolicyKind::Qmf => job.run(|_| QmfPolicy::default()),
+            PolicyKind::Unit => job.run(|i| UnitPolicy::new(unit(i))),
+        }
+    }
+
     /// Whether the policy's *outcomes* depend on the USM weights. Only UNIT
     /// reacts to weights; the baselines can be run once and repriced
     /// (§4.5: "IMU, ODU and QMF are insensitive to weight variations").
@@ -56,7 +69,29 @@ impl PolicyKind {
     }
 }
 
-/// A scaled experiment plan: workload sizing shared by all harness binaries.
+impl std::str::FromStr for PolicyKind {
+    type Err = ();
+
+    /// The `--policy unit|imu|odu|qmf` spelling.
+    fn from_str(s: &str) -> Result<PolicyKind, ()> {
+        PolicyKind::ALL
+            .into_iter()
+            .find(|k| k.name().eq_ignore_ascii_case(s))
+            .ok_or(())
+    }
+}
+
+/// Work that is generic over the policy type: [`PolicyKind::dispatch`]
+/// calls `run` with a factory for the kind's concrete policy (a trait
+/// because a closure cannot be generic over `P`).
+pub trait PolicyJob {
+    /// What the job produces.
+    type Out;
+    /// Do the work; `make(i)` builds the job's `i`-th policy instance.
+    fn run<P: Policy + Send>(self, make: impl Fn(usize) -> P) -> Self::Out;
+}
+
+/// A scaled experiment plan: workload sizing shared by every experiment.
 #[derive(Debug, Clone, Copy)]
 pub struct ExperimentPlan {
     /// Query-trace configuration.
@@ -135,10 +170,10 @@ pub struct RunOutcome {
 }
 
 /// Run one policy over one bundle under `cfg`, optionally with an observer
-/// installed (the `--trace-out` path) — the harness's one `PolicyKind` →
-/// policy dispatch. UNIT is configured from `cfg.weights`. Observation is
-/// digest-neutral by construction (the obs differential suite pins this),
-/// so binaries can record without re-running quiet.
+/// installed (the `--trace-out` path). UNIT is configured from
+/// `cfg.weights`. Observation is digest-neutral by construction (the obs
+/// differential suite pins this), so experiments can record without
+/// re-running quiet.
 pub fn run_policy_with(
     plan: &ExperimentPlan,
     bundle: &TraceBundle,
@@ -146,27 +181,29 @@ pub fn run_policy_with(
     cfg: SimConfig,
     observer: Option<&mut dyn Observer>,
 ) -> RunOutcome {
-    fn go<P: Policy>(
-        bundle: &TraceBundle,
-        policy: P,
+    struct Simulate<'a, 'o> {
+        bundle: &'a TraceBundle,
         cfg: SimConfig,
-        observer: Option<&mut dyn Observer>,
-    ) -> SimReport {
-        let run = SimRun::trace(&bundle.trace, policy, cfg);
-        match observer {
-            Some(o) => run.with_observer(o).run(),
-            None => run.run(),
+        observer: Option<&'o mut dyn Observer>,
+    }
+    impl PolicyJob for Simulate<'_, '_> {
+        type Out = SimReport;
+        fn run<P: Policy + Send>(self, make: impl Fn(usize) -> P) -> SimReport {
+            let run = SimRun::trace(&self.bundle.trace, make(0), self.cfg);
+            match self.observer {
+                Some(o) => run.with_observer(o).run(),
+                None => run.run(),
+            }
         }
     }
-    let report = match policy {
-        PolicyKind::Imu => go(bundle, ImuPolicy::new(), cfg, observer),
-        PolicyKind::Odu => go(bundle, OduPolicy::new(), cfg, observer),
-        PolicyKind::Qmf => go(bundle, QmfPolicy::default(), cfg, observer),
-        PolicyKind::Unit => {
-            let unit = UnitPolicy::new(plan.unit_config(cfg.weights));
-            go(bundle, unit, cfg, observer)
-        }
-    };
+    let report = policy.dispatch(
+        |_| plan.unit_config(cfg.weights),
+        Simulate {
+            bundle,
+            cfg,
+            observer,
+        },
+    );
     RunOutcome {
         trace_name: bundle.name.clone(),
         policy,
@@ -182,32 +219,6 @@ pub fn run_policy(
     weights: UsmWeights,
 ) -> RunOutcome {
     run_policy_with(plan, bundle, policy, plan.sim_config(weights), None)
-}
-
-/// Run UNIT over one bundle fed from the lazy generator: queries are
-/// regenerated from the plan's [`QueryTraceConfig`] (bit-identical to
-/// `bundle.trace.queries` — the stream-identity property suite pins this)
-/// and fed with `chunk` arrivals of lookahead, so the query `Vec` is never
-/// read. The report is bit-identical to [`run_policy`] with
-/// [`PolicyKind::Unit`]: trace-fed ≡ generator-fed.
-pub fn run_unit_streamed(
-    plan: &ExperimentPlan,
-    bundle: &TraceBundle,
-    weights: UsmWeights,
-    chunk: usize,
-) -> RunOutcome {
-    let report = SimRun::streaming(
-        bundle.trace.n_items,
-        &bundle.trace.updates,
-        UnitPolicy::new(plan.unit_config(weights)),
-        plan.sim_config(weights),
-    )
-    .run_streamed(unit_workload::stream_queries(&plan.query_cfg), chunk);
-    RunOutcome {
-        trace_name: bundle.name.clone(),
-        policy: PolicyKind::Unit,
-        report,
-    }
 }
 
 /// Size a worker pool: `min(jobs, parallelism)`, but always at least one
@@ -350,6 +361,15 @@ mod tests {
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].policy, PolicyKind::Imu);
         assert_eq!(out[1].policy, PolicyKind::Odu);
+    }
+
+    #[test]
+    fn policy_names_parse_case_insensitively() {
+        for kind in PolicyKind::ALL {
+            assert_eq!(kind.name().to_lowercase().parse(), Ok(kind));
+            assert_eq!(kind.name().parse(), Ok(kind));
+        }
+        assert!("edf".parse::<PolicyKind>().is_err());
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! The dispatcher walk every cluster run takes ([`dispatch`]), and what it
+//! The dispatcher walk every cluster run takes (`dispatch`), and what it
 //! does under a fault plan: failover routing with deterministic
 //! retry/backoff and USM-honest dispatcher rejections.
 //!
@@ -13,7 +13,7 @@
 //! every query remains a pure function of
 //! `(trace, plan, routing policy, failover policy)`.
 //!
-//! Per query, the dispatcher ([`dispatch`]) proceeds in preference order:
+//! Per query, the dispatcher (`dispatch`) proceeds in preference order:
 //!
 //! 1. route among the **fully-up** candidate shards, by the underlying
 //!    [`RoutingPolicy`];
@@ -261,7 +261,7 @@ pub(crate) fn dispatch(
 }
 
 /// The fault-aware routing decision for every query in `trace` on an
-/// unreplicated cluster: [`dispatch`] over the partition's factor-1
+/// unreplicated cluster: `dispatch` over the partition's factor-1
 /// placement. `plan.shards` must have one schedule per shard. With an
 /// empty plan (or `NoRetry`), the routed shards are identical to
 /// [`assign`](crate::routing::assign) and every effective arrival equals

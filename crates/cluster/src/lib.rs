@@ -265,13 +265,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Set the execution mode (see [`ExecutionMode`]).
-    #[must_use]
-    pub fn with_mode(mut self, mode: ExecutionMode) -> ClusterConfig {
-        self.mode = mode;
-        self
-    }
-
     /// Shorthand for [`ExecutionMode::EpochParallel`] with the given epoch.
     #[must_use]
     pub fn with_epoch(mut self, epoch: unit_core::time::SimDuration) -> ClusterConfig {

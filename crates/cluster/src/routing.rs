@@ -2,7 +2,7 @@
 //! query-to-shard routing.
 //!
 //! Routing runs as a **sequential prologue** before any shard executes:
-//! the dispatcher ([`crate::failover::dispatch`]) walks the global query
+//! the dispatcher (`failover::dispatch`) walks the global query
 //! trace in arrival order and picks one shard per query from the state
 //! kept here. Updates are not routed — they always follow their item to
 //! the shards hosting it. Because the dispatcher never observes shard

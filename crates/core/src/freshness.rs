@@ -20,9 +20,24 @@
 //! Qu(q_i) = min_{d_j ∈ D_i} Qu(d_j)          (Eq. 1)
 //! ```
 //!
-//! This module also provides the time-based and divergence-based variants as
-//! documented extensions (the paper names them in §2.2; they are exercised by
-//! the ablation benches).
+//! The other two families are documented extensions, and
+//! [`FreshnessModel`] makes the choice a configuration — the server
+//! evaluates a query's read-set freshness under whichever model the
+//! deployment calls for:
+//!
+//! * [`FreshnessModel::Lag`] — `1/(1+Udrop)`, the paper's metric and the
+//!   default.
+//! * [`FreshnessModel::TimeBased`] — `max(0, 1 − age/validity)`: staleness
+//!   counted in wall-clock age against a temporal-validity interval, the
+//!   classical real-time-database notion (cf. Xiong et al., RTSS'05, cited
+//!   in the paper's related work). An item is perfectly fresh until a newer
+//!   version exists, then decays linearly over `validity`.
+//! * [`FreshnessModel::Divergence`] — `e^(−decay·Udrop)`: staleness as an
+//!   exponential proxy for value divergence, appropriate when each skipped
+//!   version moves the value by a comparable step (e.g. random-walk prices).
+//!
+//! All three agree that a fully applied item has freshness 1.0, so the
+//! paper's headline experiments are unchanged under the default.
 
 use crate::time::{SimDuration, SimTime};
 use crate::types::DataId;
@@ -249,6 +264,72 @@ impl FreshnessTable {
     }
 }
 
+/// Which freshness metric the server evaluates query read sets under.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
+pub enum FreshnessModel {
+    /// Lag-based `1/(1+Udrop)` — the paper's metric.
+    #[default]
+    Lag,
+    /// Time-based `max(0, 1 − age/validity)`.
+    TimeBased {
+        /// Temporal-validity interval: how long a superseded value remains
+        /// acceptable.
+        validity: SimDuration,
+    },
+    /// Divergence-based `e^(−decay·Udrop)`.
+    Divergence {
+        /// Per-skipped-version decay rate (> 0).
+        decay: f64,
+    },
+}
+
+impl FreshnessModel {
+    /// Freshness of a single item at `now` under this model.
+    pub fn item_freshness(&self, table: &FreshnessTable, item: DataId, now: SimTime) -> f64 {
+        match *self {
+            FreshnessModel::Lag => table.item_freshness(item),
+            FreshnessModel::TimeBased { validity } => table.time_freshness(item, now, validity),
+            FreshnessModel::Divergence { decay } => table.divergence_freshness(item, decay),
+        }
+    }
+
+    /// Strict-minimum freshness of a read set at `now` (Eq. 1's aggregation
+    /// applies to every model).
+    pub fn read_set_freshness(
+        &self,
+        table: &FreshnessTable,
+        items: &[DataId],
+        now: SimTime,
+    ) -> f64 {
+        items
+            .iter()
+            .map(|&d| self.item_freshness(table, d, now))
+            .fold(f64::INFINITY, f64::min)
+            .min(1.0)
+    }
+
+    /// Validate model parameters.
+    pub fn validate(&self) -> Result<(), String> {
+        match *self {
+            FreshnessModel::Lag => Ok(()),
+            FreshnessModel::TimeBased { validity } => {
+                if validity.is_zero() {
+                    Err("time-based freshness needs a positive validity interval".into())
+                } else {
+                    Ok(())
+                }
+            }
+            FreshnessModel::Divergence { decay } => {
+                if decay > 0.0 && decay.is_finite() {
+                    Ok(())
+                } else {
+                    Err(format!("divergence decay must be positive, got {decay}"))
+                }
+            }
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -353,5 +434,107 @@ mod tests {
         t.record_arrival(d, SimTime::from_secs(2));
         let f = t.divergence_freshness(d, 0.5);
         assert!((f - (-1.0f64).exp()).abs() < 1e-12);
+    }
+
+    fn table_with_backlog() -> FreshnessTable {
+        let mut t = FreshnessTable::new(4);
+        // d0 fresh; d1 one pending version (arrived t=10); d2 three pending.
+        t.record_arrival(DataId(1), SimTime::from_secs(10));
+        for s in [5, 10, 15] {
+            t.record_arrival(DataId(2), SimTime::from_secs(s));
+        }
+        t
+    }
+
+    #[test]
+    fn all_models_agree_on_fully_fresh_items() {
+        let t = table_with_backlog();
+        let now = SimTime::from_secs(20);
+        for model in [
+            FreshnessModel::Lag,
+            FreshnessModel::TimeBased {
+                validity: SimDuration::from_secs(10),
+            },
+            FreshnessModel::Divergence { decay: 0.7 },
+        ] {
+            assert_eq!(model.item_freshness(&t, DataId(0), now), 1.0, "{model:?}");
+            assert_eq!(model.item_freshness(&t, DataId(3), now), 1.0, "{model:?}");
+        }
+    }
+
+    #[test]
+    fn lag_model_matches_the_table() {
+        let t = table_with_backlog();
+        let m = FreshnessModel::Lag;
+        let now = SimTime::from_secs(20);
+        assert_eq!(m.item_freshness(&t, DataId(1), now), 0.5);
+        assert!((m.item_freshness(&t, DataId(2), now) - 0.25).abs() < 1e-12);
+    }
+
+    #[test]
+    fn time_model_decays_with_age_not_count() {
+        let t = table_with_backlog();
+        let m = FreshnessModel::TimeBased {
+            validity: SimDuration::from_secs(20),
+        };
+        // d1's pending version arrived at t=10; at t=20 age=10 -> 0.5.
+        assert!((m.item_freshness(&t, DataId(1), SimTime::from_secs(20)) - 0.5).abs() < 1e-12);
+        // Far past validity: fully stale.
+        assert_eq!(
+            m.item_freshness(&t, DataId(1), SimTime::from_secs(100)),
+            0.0
+        );
+    }
+
+    #[test]
+    fn divergence_model_decays_exponentially_with_count() {
+        let t = table_with_backlog();
+        let m = FreshnessModel::Divergence { decay: 0.5 };
+        let now = SimTime::from_secs(20);
+        let f1 = m.item_freshness(&t, DataId(1), now);
+        let f2 = m.item_freshness(&t, DataId(2), now);
+        assert!((f1 - (-0.5f64).exp()).abs() < 1e-12);
+        assert!((f2 - (-1.5f64).exp()).abs() < 1e-12);
+        assert!(f2 < f1);
+    }
+
+    #[test]
+    fn read_set_aggregation_is_strict_min_for_every_model() {
+        let t = table_with_backlog();
+        let now = SimTime::from_secs(20);
+        let read_set = [DataId(0), DataId(1), DataId(2)];
+        for model in [
+            FreshnessModel::Lag,
+            FreshnessModel::TimeBased {
+                validity: SimDuration::from_secs(20),
+            },
+            FreshnessModel::Divergence { decay: 0.5 },
+        ] {
+            let agg = model.read_set_freshness(&t, &read_set, now);
+            let min = read_set
+                .iter()
+                .map(|&d| model.item_freshness(&t, d, now))
+                .fold(f64::INFINITY, f64::min);
+            assert!((agg - min).abs() < 1e-12, "{model:?}");
+        }
+        // Empty read set is vacuously fresh.
+        assert_eq!(FreshnessModel::Lag.read_set_freshness(&t, &[], now), 1.0);
+    }
+
+    #[test]
+    fn validation_rejects_degenerate_parameters() {
+        assert!(FreshnessModel::Lag.validate().is_ok());
+        assert!(FreshnessModel::TimeBased {
+            validity: SimDuration::ZERO
+        }
+        .validate()
+        .is_err());
+        assert!(FreshnessModel::Divergence { decay: 0.0 }
+            .validate()
+            .is_err());
+        assert!(FreshnessModel::Divergence { decay: -1.0 }
+            .validate()
+            .is_err());
+        assert!(FreshnessModel::Divergence { decay: 1.0 }.validate().is_ok());
     }
 }

@@ -63,7 +63,6 @@ pub mod config;
 pub mod controller;
 pub mod fenwick;
 pub mod freshness;
-pub mod freshness_model;
 pub mod lottery;
 pub mod modulation;
 pub mod observe;
@@ -84,8 +83,7 @@ pub use clock::{Clock, VirtualClock};
 pub use config::UnitConfig;
 pub use controller::{Lbc, LbcConfig};
 pub use fenwick::{Fenwick, FenwickValue};
-pub use freshness::FreshnessTable;
-pub use freshness_model::FreshnessModel;
+pub use freshness::{FreshnessModel, FreshnessTable};
 pub use lottery::WeightedSampler;
 pub use modulation::{UpdateModulation, UpgradeRule};
 pub use observe::{AdmissionObs, ControllerObs, ModulationObs};
@@ -107,8 +105,7 @@ pub mod prelude {
     pub use crate::clock::{Clock, VirtualClock};
     pub use crate::config::UnitConfig;
     pub use crate::controller::{Lbc, LbcConfig};
-    pub use crate::freshness::FreshnessTable;
-    pub use crate::freshness_model::FreshnessModel;
+    pub use crate::freshness::{FreshnessModel, FreshnessTable};
     pub use crate::modulation::{UpdateModulation, UpgradeRule};
     pub use crate::observe::{AdmissionObs, ControllerObs, ModulationObs};
     pub use crate::policy::{AdmissionDecision, ControlSignal, Policy, UpdateAction};

@@ -101,11 +101,6 @@ impl TicketTable {
         self.ue_avg_secs
     }
 
-    /// Recenter the sigmoid (e.g., if streams change at runtime).
-    pub fn set_ue_avg_secs(&mut self, ue_avg_secs: f64) {
-        self.ue_avg_secs = ue_avg_secs;
-    }
-
     /// Query effect (Eq. 6 + Eq. 8): `T_j ← T_j · C_forget − qe/qt`.
     ///
     /// `cpu_share` is the accessing query's `qe_i / qt_i`.

@@ -295,11 +295,6 @@ impl PreferenceSet {
             .unwrap_or(self.default)
     }
 
-    /// The default (fallback) weights.
-    pub fn default_weights(&self) -> UsmWeights {
-        self.default
-    }
-
     /// Number of explicitly configured classes.
     pub fn n_classes(&self) -> usize {
         self.classes.len().max(1)

@@ -1,17 +1,14 @@
-//! JSONL and CSV trace exporters.
+//! JSONL trace exporter.
 //!
-//! Both formats are hand-rendered with deterministic formatting: times and
-//! periods are raw virtual-time ticks (integers), floats use Rust's
-//! shortest-roundtrip `Display`, and event order is preserved — the same
-//! event stream always produces byte-identical output (the golden-file
-//! tests pin this). JSONL is the full-fidelity format (one object per
-//! line, nested for `Shard`-wrapped events); CSV is a flattened convenience
-//! with one row per event and a fixed column set.
+//! Hand-rendered with deterministic formatting: times and periods are raw
+//! virtual-time ticks (integers), floats use Rust's shortest-roundtrip
+//! `Display`, and event order is preserved — the same event stream always
+//! produces byte-identical output (the golden tests pin this). One object
+//! per line, nested for `Shard`-wrapped events.
 //!
-//! The bench harness writes both under `results/` via `--trace-out`.
+//! The bench harness writes it via `--trace-out`.
 
 use crate::event::{outcome_name, ObsEvent};
-use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 use unit_core::admission::AdmissionVerdict;
@@ -234,230 +231,6 @@ pub fn to_jsonl(events: &[ObsEvent]) -> String {
     out
 }
 
-/// The CSV header matching [`to_csv`]'s fixed column set.
-pub const CSV_HEADER: &str = "kind,time,shard,seq,query,item,detail,v0,v1,v2,v3,v4,v5";
-
-/// One CSV row: the flattened fields of one event. `Shard`-wrapped events
-/// flatten to the inner event's row with `shard`/`seq` filled. Per-kind
-/// column meanings are documented in DESIGN.md §11. O(size of the event).
-fn event_to_csv_row(ev: &ObsEvent, shard: Option<u32>, seq: Option<u64>) -> String {
-    // Column scratch: detail plus up to six values; unused cells stay empty.
-    let mut detail = String::new();
-    let mut query = String::new();
-    let mut item = String::new();
-    let mut v0 = String::new();
-    let mut v1 = String::new();
-    let mut v2 = String::new();
-    let mut v3 = String::new();
-    let mut v4 = String::new();
-    let mut v5 = String::new();
-    let mut shard_col = shard.map_or_else(String::new, |s| s.to_string());
-    match ev {
-        ObsEvent::Admission {
-            query: q,
-            decision,
-            verdict,
-            c_flex,
-            ..
-        } => {
-            query = q.0.to_string();
-            detail = match verdict {
-                Some(AdmissionVerdict::Admitted) => "admitted".to_string(),
-                Some(AdmissionVerdict::NotPromising {
-                    projected_secs,
-                    deadline_secs,
-                }) => {
-                    v0 = jf(*projected_secs);
-                    v1 = jf(*deadline_secs);
-                    "not_promising".to_string()
-                }
-                Some(AdmissionVerdict::EndangersSystem {
-                    endangered_cost,
-                    rejection_cost,
-                }) => {
-                    v0 = jf(*endangered_cost);
-                    v1 = jf(*rejection_cost);
-                    "endangers_system".to_string()
-                }
-                None => if decision.is_admit() {
-                    "admit"
-                } else {
-                    "reject"
-                }
-                .to_string(),
-            };
-            if let Some(c) = c_flex {
-                v2 = jf(*c);
-            }
-        }
-        ObsEvent::QueryOutcome {
-            query: q, outcome, ..
-        } => {
-            query = q.0.to_string();
-            detail = outcome_name(*outcome).to_string();
-        }
-        ObsEvent::ControlTick {
-            ready_queries,
-            query_backlog_secs,
-            update_backlog_secs,
-            utilization,
-            usm,
-            ..
-        } => {
-            v0 = ready_queries.to_string();
-            v1 = jf(*query_backlog_secs);
-            v2 = jf(*update_backlog_secs);
-            v3 = jf(*utilization);
-            v4 = jf(*usm);
-        }
-        ObsEvent::ControlStep {
-            c_flex,
-            tac,
-            lac,
-            degrade,
-            upgrade,
-            degraded_items,
-            ticket_sum,
-            ..
-        } => {
-            detail = degraded_items.to_string();
-            v0 = jf(*c_flex);
-            v1 = tac.to_string();
-            v2 = lac.to_string();
-            v3 = degrade.to_string();
-            v4 = upgrade.to_string();
-            v5 = jf(*ticket_sum);
-        }
-        ObsEvent::TicketMass {
-            item: d,
-            ticket,
-            old_period,
-            new_period,
-            ..
-        } => {
-            item = d.0.to_string();
-            v0 = jf(*ticket);
-            v1 = old_period.0.to_string();
-            v2 = new_period.0.to_string();
-        }
-        ObsEvent::FaultWindow { phase, until, .. } => {
-            detail = phase.name().to_string();
-            if let Some(u) = until {
-                v0 = u.0.to_string();
-            }
-        }
-        ObsEvent::ShardHealth {
-            shard: s,
-            phase,
-            until,
-            ..
-        } => {
-            shard_col = s.to_string();
-            detail = phase.name().to_string();
-            if let Some(u) = until {
-                v0 = u.0.to_string();
-            }
-        }
-        ObsEvent::DispatcherRoute {
-            query: q,
-            shard: s,
-            retries,
-            ..
-        } => {
-            query = q.0.to_string();
-            shard_col = s.to_string();
-            detail = "routed".to_string();
-            v0 = retries.to_string();
-        }
-        ObsEvent::DispatcherReject {
-            query: q, retries, ..
-        } => {
-            query = q.0.to_string();
-            detail = "rejected".to_string();
-            v0 = retries.to_string();
-        }
-        ObsEvent::ReplicaPropagate {
-            item: d,
-            leader,
-            follower,
-            version,
-            emitted,
-            ..
-        } => {
-            item = d.0.to_string();
-            shard_col = follower.to_string();
-            detail = "propagated".to_string();
-            v0 = leader.to_string();
-            v1 = version.to_string();
-            v2 = emitted.0.to_string();
-        }
-        ObsEvent::ReplicaRoute {
-            query: q,
-            shard: s,
-            follower_items,
-            claimed_transit,
-            ..
-        } => {
-            query = q.0.to_string();
-            shard_col = s.to_string();
-            detail = "follower_read".to_string();
-            v0 = follower_items.to_string();
-            v1 = claimed_transit.to_string();
-        }
-        ObsEvent::ReplicaPromote {
-            item: d, from, to, ..
-        } => {
-            item = d.0.to_string();
-            shard_col = to.to_string();
-            detail = "promoted".to_string();
-            v0 = from.to_string();
-        }
-        ObsEvent::CheckpointTaken { bytes, .. } => {
-            detail = "checkpoint".to_string();
-            v0 = bytes.to_string();
-        }
-        ObsEvent::RestoreBegin { checkpoint, .. } => {
-            detail = "restore".to_string();
-            v0 = checkpoint.0.to_string();
-        }
-        ObsEvent::ReplayComplete { checkpoint, .. } => {
-            detail = "replayed".to_string();
-            v0 = checkpoint.0.to_string();
-        }
-        ObsEvent::Shard {
-            shard: s,
-            seq: n,
-            event,
-        } => {
-            return event_to_csv_row(event, Some(*s), Some(*n));
-        }
-    }
-    let seq_col = seq.map_or_else(String::new, |s| s.to_string());
-    format!(
-        "{},{},{shard_col},{seq_col},{query},{item},{detail},{},{},{},{},{},{}",
-        ev.kind(),
-        ev.time().0,
-        v0,
-        v1,
-        v2,
-        v3,
-        v4,
-        v5
-    )
-}
-
-/// Render an event stream as CSV with [`CSV_HEADER`] as the first line.
-/// O(total event size).
-pub fn to_csv(events: &[ObsEvent]) -> String {
-    let mut out = String::with_capacity(events.len() * 48 + CSV_HEADER.len() + 1);
-    out.push_str(CSV_HEADER);
-    out.push('\n');
-    for ev in events {
-        let _ = writeln!(out, "{}", event_to_csv_row(ev, None, None));
-    }
-    out
-}
-
 /// Write the stream as JSONL at `path`, creating parent directories
 /// (conventionally under `results/`).
 ///
@@ -465,15 +238,6 @@ pub fn to_csv(events: &[ObsEvent]) -> String {
 /// Propagates filesystem errors.
 pub fn write_jsonl(path: impl AsRef<Path>, events: &[ObsEvent]) -> io::Result<()> {
     write_text(path.as_ref(), &to_jsonl(events))
-}
-
-/// Write the stream as CSV at `path`, creating parent directories
-/// (conventionally under `results/`).
-///
-/// # Errors
-/// Propagates filesystem errors.
-pub fn write_csv(path: impl AsRef<Path>, events: &[ObsEvent]) -> io::Result<()> {
-    write_text(path.as_ref(), &to_csv(events))
 }
 
 fn write_text(path: &Path, contents: &str) -> io::Result<()> {
@@ -555,19 +319,6 @@ mod tests {
         assert_eq!(to_jsonl(&sample_events()), expected);
     }
 
-    #[test]
-    fn csv_golden() {
-        let expected = concat!(
-            "kind,time,shard,seq,query,item,detail,v0,v1,v2,v3,v4,v5\n",
-            "admission,1000000,,,10,,not_promising,12.5,8.0,1.1,,,\n",
-            "control_tick,2000000,,,,,,3,4.5,0.25,0.75,0.5,\n",
-            "ticket_mass,2000000,,,,7,,2.5,10000000,11000000,,,\n",
-            "outcome,3000000,1,4,10,,deadline_miss,,,,,,\n",
-            "shard_health,4000000,0,,,,down,9000000,,,,,\n",
-        );
-        assert_eq!(to_csv(&sample_events()), expected);
-    }
-
     fn replication_events() -> Vec<ObsEvent> {
         vec![
             ObsEvent::ReplicaRoute {
@@ -609,17 +360,6 @@ mod tests {
             "\n",
         );
         assert_eq!(to_jsonl(&replication_events()), expected);
-    }
-
-    #[test]
-    fn replication_csv_golden() {
-        let expected = concat!(
-            "kind,time,shard,seq,query,item,detail,v0,v1,v2,v3,v4,v5\n",
-            "replica_route,5000000,3,,2,,follower_read,2,4,,,,\n",
-            "replica_promote,5000000,2,,,1,promoted,0,,,,,\n",
-            "replica_propagate,6000000,2,0,,1,propagated,0,3,4000000,,,\n",
-        );
-        assert_eq!(to_csv(&replication_events()), expected);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! This crate defines the typed event taxonomy ([`ObsEvent`]), the
 //! [`Observer`] sink trait with its two shipped implementations
-//! ([`NullObserver`], [`RingRecorder`]), and deterministic JSONL/CSV
-//! exporters ([`export`]). Events are stamped in virtual time and carry
+//! ([`NullObserver`], [`RingRecorder`]), and the deterministic JSONL
+//! exporter ([`export`]). Events are stamped in virtual time and carry
 //! only derived information, so observation never perturbs a run: with a
 //! recorder installed every `report_digest` is bit-identical to the
 //! observer-free run, and with no observer installed the emission sites
@@ -23,5 +23,5 @@ pub mod export;
 pub mod recorder;
 
 pub use event::{outcome_name, FaultPhase, ObsEvent};
-pub use export::{event_to_json, to_csv, to_jsonl, write_csv, write_jsonl, CSV_HEADER};
+pub use export::{event_to_json, to_jsonl, write_jsonl};
 pub use recorder::{NullObserver, Observer, RingRecorder};

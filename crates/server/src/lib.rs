@@ -24,9 +24,9 @@
 //! enforces the boundary); everything else consumes time through the
 //! [`unit_core::clock::Clock`] trait.
 //!
-//! An optional TCP line-protocol frontend (the `socket` module) lives
-//! behind the `socket` feature; the bench and tests inject requests
-//! directly.
+//! There is no network frontend: the bench and the tests inject requests
+//! directly, and [`serve`] owns its ingress channel. A frontend comes back
+//! together with an ingress that `serve` accepts from its caller.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -36,8 +36,6 @@ pub mod ingress;
 pub mod mem;
 pub mod replay;
 pub mod server;
-#[cfg(feature = "socket")]
-pub mod socket;
 
 pub use clock::WallClock;
 pub use ingress::Request;

@@ -52,8 +52,8 @@ impl<I: Iterator<Item = QuerySpec>> Iterator for ClockedIngress<'_, I> {
 
 /// Replay `trace` through the channelled pipeline under `clock`,
 /// returning the oracle's report. `chunk` bounds both the channel and
-/// the engine's arrival lookahead — the live server's
-/// `channel_capacity` analogue.
+/// the engine's arrival lookahead — the analogue of the live
+/// server's ingress bound.
 ///
 /// # Panics
 /// Panics if the trace is malformed (same contract as

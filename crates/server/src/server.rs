@@ -43,6 +43,9 @@ use unit_core::types::{Outcome, Trace, TxnClass, UpdateSpec};
 use unit_core::usm::{OutcomeCounts, UsmWeights};
 use unit_obs::ObsEvent;
 
+/// Ingress channel bound: arrivals in flight ahead of the workers.
+const CHANNEL_CAPACITY: usize = 1024;
+
 /// Serving-run knobs. Construct with [`ServeConfig::new`], then chain
 /// `with_*`.
 #[derive(Debug, Clone)]
@@ -55,8 +58,6 @@ pub struct ServeConfig {
     /// Pace arrivals on the scaled timeline (`true`), or inject flat-out
     /// and scale only deadlines/demands (`false`).
     pub paced: bool,
-    /// Ingress channel bound: arrivals in flight ahead of the workers.
-    pub channel_capacity: usize,
     /// Control-tick period, in *virtual* µs (scaled like everything else).
     pub tick_period: SimDuration,
     /// USM weights for the report's utility tally.
@@ -75,7 +76,6 @@ impl ServeConfig {
             workers: workers.max(1),
             time_scale: time_scale.max(1),
             paced: true,
-            channel_capacity: 1024,
             tick_period: SimDuration::from_secs(10),
             weights: UsmWeights::default(),
             observe: false,
@@ -101,13 +101,6 @@ impl ServeConfig {
     #[must_use]
     pub fn with_observation(mut self) -> Self {
         self.observe = true;
-        self
-    }
-
-    /// Set the ingress channel bound.
-    #[must_use]
-    pub fn with_channel_capacity(mut self, capacity: usize) -> Self {
-        self.channel_capacity = capacity.max(1);
         self
     }
 
@@ -449,7 +442,7 @@ where
     F: Fn(usize) -> P,
 {
     let state = LiveState::new();
-    let (tx, rx) = std::sync::mpsc::sync_channel::<Request>(cfg.channel_capacity);
+    let (tx, rx) = std::sync::mpsc::sync_channel::<Request>(CHANNEL_CAPACITY);
     let rx = Mutex::new(rx);
     let tick_wall = cfg.scale_dur(cfg.tick_period);
 

@@ -36,8 +36,8 @@ use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
+use unit_core::freshness::FreshnessModel;
 use unit_core::freshness::FreshnessTable;
-use unit_core::freshness_model::FreshnessModel;
 use unit_core::policy::{ControlSignal, Policy};
 use unit_core::snapshot::{QueueEntryView, QueueSource, SnapshotView};
 use unit_core::time::{SimDuration, SimTime};

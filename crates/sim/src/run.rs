@@ -158,15 +158,6 @@ impl<'a, P: Policy> SimRun<'a, P> {
     /// [`SimRun::streaming`] run (which has no queries to drain — use
     /// [`SimRun::run_streamed`]).
     pub fn run(self) -> SimReport {
-        self.run_with_policy().0
-    }
-
-    /// Like [`SimRun::run`], but also hands back the policy so callers can
-    /// inspect its final internal state (controller counters, periods, ...).
-    ///
-    /// # Panics
-    /// Same contract as [`SimRun::run`].
-    pub fn run_with_policy(self) -> (SimReport, P) {
         // lint: allow(panic) — documented contract: streaming runs take their
         // queries through run_streamed, not run
         assert!(
@@ -175,7 +166,7 @@ impl<'a, P: Policy> SimRun<'a, P> {
         );
         let mut sim = self.build();
         while sim.step() {}
-        sim.finish()
+        sim.finish().0
     }
 
     /// Drive a streaming run to completion over `queries` — fed in trace
@@ -188,17 +179,6 @@ impl<'a, P: Policy> SimRun<'a, P> {
     /// Panics on a malformed or out-of-order feed, or when called on a
     /// [`SimRun::trace`] run (which feeds itself).
     pub fn run_streamed<I>(self, queries: I, chunk: usize) -> SimReport
-    where
-        I: IntoIterator<Item = QuerySpec>,
-    {
-        self.run_streamed_with_policy(queries, chunk).0
-    }
-
-    /// Like [`SimRun::run_streamed`], but also hands back the policy.
-    ///
-    /// # Panics
-    /// Same contract as [`SimRun::run_streamed`].
-    pub fn run_streamed_with_policy<I>(self, queries: I, chunk: usize) -> (SimReport, P)
     where
         I: IntoIterator<Item = QuerySpec>,
     {
@@ -221,6 +201,6 @@ impl<'a, P: Policy> SimRun<'a, P> {
             }
         }
         debug_assert!(pending.is_none(), "stream not exhausted at drain");
-        sim.finish()
+        sim.finish().0
     }
 }

@@ -443,7 +443,7 @@ fn mean_dispatch_freshness_reflects_staleness_at_lock_time() {
 
 #[test]
 fn time_based_model_forgives_young_staleness() {
-    use unit_core::freshness_model::FreshnessModel;
+    use unit_core::freshness::FreshnessModel;
     // Version arrives at t=3 and is skipped; query reads at t=5 (age 2s).
     let trace = Trace {
         n_items: 1,
@@ -468,7 +468,7 @@ fn time_based_model_forgives_young_staleness() {
 
 #[test]
 fn divergence_model_tolerates_small_backlogs() {
-    use unit_core::freshness_model::FreshnessModel;
+    use unit_core::freshness::FreshnessModel;
     // One pending version at read time.
     let trace = Trace {
         n_items: 1,

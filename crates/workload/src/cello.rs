@@ -19,14 +19,13 @@
 //!   paper's 15%/75%/150% update volumes are meaningful;
 //! * the paper's exact **deadline recipe** and **freshness requirement**.
 
-use crate::dist::{capped_geometric, exponential, log_normal_with_mean, zipf_weights};
+use crate::dist::exponential;
+use crate::stream::stream_queries;
 use rand::rngs::StdRng;
-use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use serde::{Deserialize, Serialize};
-use unit_core::lottery::WeightedSampler;
 use unit_core::time::{SimDuration, SimTime};
-use unit_core::types::{DataId, QueryId, QuerySpec};
+use unit_core::types::QuerySpec;
 
 /// Configuration of the query-trace generator.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -140,81 +139,17 @@ pub struct QueryTrace {
     pub config: QueryTraceConfig,
 }
 
-/// Generate a query trace.
+/// Generate a query trace: [`stream_queries`] collected into a `Vec`
+/// (allocated once — the stream is an `ExactSizeIterator`).
 ///
 /// # Panics
 /// Panics on degenerate configurations (zero items/queries/horizon).
 pub fn generate_queries(cfg: &QueryTraceConfig) -> QueryTrace {
-    assert!(cfg.n_items > 0, "need at least one data item");
-    assert!(cfg.n_queries > 0, "need at least one query");
-    assert!(!cfg.horizon.is_zero(), "horizon must be positive");
-    assert!(cfg.max_items_per_query >= 1);
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-
-    // --- spatial popularity: permuted Zipf --------------------------------
-    let ranked = zipf_weights(cfg.n_items, cfg.zipf_exponent);
-    let mut perm: Vec<usize> = (0..cfg.n_items).collect();
-    perm.shuffle(&mut rng);
-    let mut weights = vec![0.0; cfg.n_items];
-    for (rank, &item) in perm.iter().enumerate() {
-        weights[item] = ranked[rank];
-    }
-    let total: f64 = weights.iter().sum();
-    for w in &mut weights {
-        *w /= total;
-    }
-    let sampler = WeightedSampler::from_weights(&weights);
-
-    // --- temporal profile: Poisson base + flash crowds --------------------
-    let arrivals = generate_arrivals(cfg, &mut rng);
-
-    // --- per-query attributes ---------------------------------------------
-    let mut exec_times = Vec::with_capacity(cfg.n_queries);
-    let (clamp_lo, clamp_hi) = cfg.exec_clamp_secs;
-    for _ in 0..cfg.n_queries {
-        let e = log_normal_with_mean(&mut rng, cfg.mean_exec_secs, cfg.exec_sigma)
-            .clamp(clamp_lo, clamp_hi);
-        exec_times.push(e);
-    }
-    // Deadline recipe from the paper: uniform between the average response
-    // time and 10x the maximal response time (we use the generated execution
-    // times as the response-time base).
-    let avg_exec = exec_times.iter().sum::<f64>() / exec_times.len() as f64;
-    let max_exec = exec_times.iter().copied().fold(0.0_f64, f64::max);
-    let deadline_lo = avg_exec;
-    let deadline_hi = (10.0 * max_exec).max(deadline_lo + 1.0);
-
-    let mut queries = Vec::with_capacity(cfg.n_queries);
-    for (i, (&arrival, &exec)) in arrivals.iter().zip(&exec_times).enumerate() {
-        let n_extra = capped_geometric(&mut rng, cfg.multi_item_p, cfg.max_items_per_query - 1);
-        let mut items = Vec::with_capacity(1 + n_extra);
-        while items.len() < 1 + n_extra {
-            // lint: allow(panic) — zipf_weights() returns >= 1 strictly positive weights
-            let d = DataId(sampler.sample(&mut rng).expect("non-empty weights") as u32);
-            if !items.contains(&d) {
-                items.push(d);
-            }
-        }
-        let deadline = rng.gen_range(deadline_lo..deadline_hi);
-        let pref_class = if cfg.pref_class_count > 1 {
-            rng.gen_range(0..cfg.pref_class_count)
-        } else {
-            0
-        };
-        queries.push(QuerySpec {
-            id: QueryId(i as u64),
-            arrival,
-            items,
-            exec_time: SimDuration::from_secs_f64(exec),
-            relative_deadline: SimDuration::from_secs_f64(deadline),
-            freshness_req: cfg.freshness_req,
-            pref_class,
-        });
-    }
-
+    let stream = stream_queries(cfg);
+    let item_weights = stream.item_weights().to_vec();
     QueryTrace {
-        queries,
-        item_weights: weights,
+        queries: stream.collect(),
+        item_weights,
         config: *cfg,
     }
 }

@@ -1,17 +1,17 @@
 //! Streaming trace ingestion: generate or parse queries one at a time.
 //!
-//! The materialized path ([`crate::cello::generate_queries`]) builds the full
-//! `Vec<QuerySpec>` up front — fine at the paper's 110k queries, but a
+//! A full `Vec<QuerySpec>` is fine at the paper's 110k queries, but a
 //! scale-1000 run is ~110M queries and each spec carries a heap-allocated
-//! read set. This module provides the constant-overhead alternative:
+//! read set. This module is the one query generator, and it is lazy:
 //!
-//! * [`QueryStream`] — an iterator that yields the *exact same* specs as
-//!   `generate_queries`, in the same order, bit for bit (enforced by a
-//!   property test across seeds × scales × workload families). Only the
-//!   arrival instants and execution times are precomputed (16 bytes per
-//!   query — the paper's deadline recipe needs the whole execution-time
-//!   population for its `[avg, 10×max]` bounds); read sets, deadlines and
-//!   preference classes are drawn lazily from the continuing RNG stream.
+//! * [`QueryStream`] — an iterator over the specs of a
+//!   [`QueryTraceConfig`] ([`crate::cello::generate_queries`] is this
+//!   stream collected; `tests/stream_identity.rs` pins the draw sequence
+//!   with golden hashes). Only the arrival instants and execution times
+//!   are precomputed (16 bytes per query — the paper's deadline recipe
+//!   needs the whole execution-time population for its `[avg, 10×max]`
+//!   bounds); read sets, deadlines and preference classes are drawn
+//!   lazily from the continuing RNG stream.
 //! * [`write_queries_jsonl`] / [`read_queries_jsonl`] — line-delimited JSON
 //!   persistence that never holds more than one spec in memory on either
 //!   side, for feeding externally recorded traces into
@@ -35,8 +35,7 @@ use unit_core::types::{DataId, QueryId, QuerySpec};
 /// Construction runs the generator's *population-level* phases (popularity
 /// permutation, arrival process, execution-time draws, deadline bounds);
 /// each [`Iterator::next`] call then performs only that query's per-spec
-/// draws. `stream_queries(cfg).collect::<Vec<_>>()` equals
-/// `generate_queries(cfg).queries` exactly.
+/// draws.
 #[derive(Debug, Clone)]
 pub struct QueryStream {
     rng: StdRng,
@@ -56,8 +55,7 @@ pub struct QueryStream {
 /// Start streaming the queries of `cfg`.
 ///
 /// # Panics
-/// Panics on degenerate configurations (zero items/queries/horizon), exactly
-/// like [`crate::cello::generate_queries`].
+/// Panics on degenerate configurations (zero items/queries/horizon).
 pub fn stream_queries(cfg: &QueryTraceConfig) -> QueryStream {
     assert!(cfg.n_items > 0, "need at least one data item");
     assert!(cfg.n_queries > 0, "need at least one query");
@@ -65,8 +63,7 @@ pub fn stream_queries(cfg: &QueryTraceConfig) -> QueryStream {
     assert!(cfg.max_items_per_query >= 1);
     let mut rng = StdRng::seed_from_u64(cfg.seed);
 
-    // Phases 1–4 mirror generate_queries draw for draw; the stream-identity
-    // property test (tests/stream_identity.rs) pins the equivalence.
+    // --- spatial popularity: permuted Zipf --------------------------------
     let ranked = zipf_weights(cfg.n_items, cfg.zipf_exponent);
     let mut perm: Vec<usize> = (0..cfg.n_items).collect();
     perm.shuffle(&mut rng);
@@ -80,8 +77,10 @@ pub fn stream_queries(cfg: &QueryTraceConfig) -> QueryStream {
     }
     let sampler = WeightedSampler::from_weights(&weights);
 
+    // --- temporal profile: Poisson base + flash crowds --------------------
     let arrivals = generate_arrivals(cfg, &mut rng);
 
+    // --- per-query execution times ----------------------------------------
     let mut exec_times = Vec::with_capacity(cfg.n_queries);
     let (clamp_lo, clamp_hi) = cfg.exec_clamp_secs;
     for _ in 0..cfg.n_queries {
@@ -89,6 +88,9 @@ pub fn stream_queries(cfg: &QueryTraceConfig) -> QueryStream {
             .clamp(clamp_lo, clamp_hi);
         exec_times.push(e);
     }
+    // Deadline recipe from the paper: uniform between the average response
+    // time and 10x the maximal response time (we use the generated execution
+    // times as the response-time base).
     let avg_exec = exec_times.iter().sum::<f64>() / exec_times.len() as f64;
     let max_exec = exec_times.iter().copied().fold(0.0_f64, f64::max);
     let deadline_lo = avg_exec;

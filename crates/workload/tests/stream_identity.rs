@@ -1,6 +1,6 @@
-//! Property suite: streamed query generation is bit-identical to the
-//! materialized path across seeds × scales × workload families, and the
-//! JSONL persistence round-trips losslessly.
+//! The query generator's draw sequence is pinned by golden hashes across
+//! four workload families, and the JSONL persistence round-trips
+//! losslessly.
 //!
 //! (`chunk`-size invariance of the *feed* path is pinned on the engine
 //! side, in `unit-sim`'s `streaming` suite — the stream itself has no
@@ -50,26 +50,6 @@ fn config_family(
 }
 
 proptest! {
-    /// The streamed generator yields exactly the materialized query list —
-    /// same ids, arrivals, read sets, deadlines, classes — for any seed,
-    /// scale, and family, and reports the same popularity profile.
-    #[test]
-    fn stream_is_bit_identical_to_materialized(
-        seed in any::<u64>(),
-        family in 0u8..4,
-        n_items in 4usize..128,
-        n_queries in 1usize..600,
-        horizon_s in 100u64..10_000,
-    ) {
-        let cfg = config_family(family, seed, n_items, n_queries, horizon_s);
-        let eager = generate_queries(&cfg);
-        let stream = stream_queries(&cfg);
-        prop_assert_eq!(stream.item_weights(), eager.item_weights.as_slice());
-        prop_assert_eq!(stream.len(), eager.queries.len());
-        let lazy: Vec<_> = stream.collect();
-        prop_assert_eq!(lazy, eager.queries);
-    }
-
     /// JSONL persistence is lossless: write the streamed specs, read them
     /// back, get the identical list.
     #[test]
@@ -102,9 +82,7 @@ fn scaled_up_multiplies_queries_at_fixed_horizon() {
     assert_eq!(up.horizon, base.horizon);
     // Offered load scales with the multiplier.
     assert!((up.offered_utilization() / base.offered_utilization() - 8.0).abs() < 1e-9);
-    // And the scaled-up stream still matches its materialized twin.
-    let lazy: Vec<_> = stream_queries(&up).collect();
-    assert_eq!(lazy, generate_queries(&up).queries);
+    assert_eq!(stream_queries(&up).len(), 400);
 }
 
 #[test]
