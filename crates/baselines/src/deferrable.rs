@@ -22,7 +22,7 @@ use unit_core::freshness::max_tolerable_udrop;
 use unit_core::policy::{AdmissionDecision, Policy, UpdateAction};
 use unit_core::snapshot::SnapshotView;
 use unit_core::time::{SimDuration, SimTime};
-use unit_core::types::{DataId, QuerySpec, UpdateSpec};
+use unit_core::types::{DataId, ItemVec, QuerySpec, UpdateSpec};
 
 /// Tuning for [`DeferrablePolicy`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -52,10 +52,10 @@ impl Default for DeferrableConfig {
 #[derive(Debug)]
 pub struct DeferrablePolicy {
     cfg: DeferrableConfig,
-    last_access: Vec<Option<SimTime>>,
+    last_access: ItemVec<Option<SimTime>>,
     /// EWMA of per-item access intervals, seconds (`None` until two
     /// accesses have been seen).
-    interval_ewma: Vec<Option<f64>>,
+    interval_ewma: ItemVec<Option<f64>>,
     refreshes_scheduled: u64,
 }
 
@@ -70,8 +70,8 @@ impl DeferrablePolicy {
     pub fn new(cfg: DeferrableConfig) -> Self {
         DeferrablePolicy {
             cfg,
-            last_access: Vec::new(),
-            interval_ewma: Vec::new(),
+            last_access: ItemVec::default(),
+            interval_ewma: ItemVec::default(),
             refreshes_scheduled: 0,
         }
     }
@@ -82,9 +82,9 @@ impl DeferrablePolicy {
     }
 
     /// Predicted next access instant for `item`, if predictable.
-    fn predicted_next_access(&self, item: usize) -> Option<SimTime> {
-        let last = self.last_access[item]?;
-        let interval = self.interval_ewma[item]?;
+    fn predicted_next_access(&self, item: DataId) -> Option<SimTime> {
+        let last = (*self.last_access.at(item))?;
+        let interval = (*self.interval_ewma.at(item))?;
         Some(last + SimDuration::from_secs_f64(interval))
     }
 }
@@ -95,8 +95,8 @@ impl Policy for DeferrablePolicy {
     }
 
     fn init(&mut self, n_items: usize, _updates: &[UpdateSpec]) {
-        self.last_access = vec![None; n_items];
-        self.interval_ewma = vec![None; n_items];
+        self.last_access = ItemVec::new(n_items, None);
+        self.interval_ewma = ItemVec::new(n_items, None);
     }
 
     fn on_query_arrival(&mut self, _q: &QuerySpec, _sys: &SnapshotView<'_>) -> AdmissionDecision {
@@ -116,31 +116,30 @@ impl Policy for DeferrablePolicy {
     fn on_query_dispatch(&mut self, q: &QuerySpec, _freshness: f64) {
         // Learn per-item access intervals.
         for &d in &q.items {
-            let i = d.index();
             // The engine dispatches at lock-grant time; we only need
             // relative spacing, so arrival time is a fine proxy.
             let now = q.arrival;
-            if let Some(last) = self.last_access[i] {
+            if let Some(last) = *self.last_access.at(d) {
                 let observed = now.saturating_since(last).as_secs_f64();
                 let a = self.cfg.ewma_alpha;
-                self.interval_ewma[i] = Some(match self.interval_ewma[i] {
+                let ewma = self.interval_ewma.at_mut(d);
+                *ewma = Some(match *ewma {
                     Some(prev) => (1.0 - a) * prev + a * observed,
                     None => observed,
                 });
             }
-            self.last_access[i] = Some(now);
+            *self.last_access.at_mut(d) = Some(now);
         }
     }
 
     fn tick_refreshes(&mut self, now: SimTime, udrop: &dyn Fn(DataId) -> u64) -> Vec<DataId> {
         let lead = SimDuration::from_secs_f64(self.cfg.lead_time_secs);
         let mut out = Vec::new();
-        for i in 0..self.last_access.len() {
-            let d = DataId(i as u32);
+        for (d, _) in self.last_access.iter() {
             if udrop(d) == 0 {
                 continue; // already fresh
             }
-            if let Some(next) = self.predicted_next_access(i) {
+            if let Some(next) = self.predicted_next_access(d) {
                 if next <= now + lead {
                     out.push(d);
                     self.refreshes_scheduled += 1;
@@ -164,10 +163,10 @@ impl Policy for DeferrablePolicy {
 
     fn checkpoint_state(&self, enc: &mut unit_core::checkpoint::Enc) {
         enc.put_usize(self.last_access.len());
-        for t in &self.last_access {
+        for t in self.last_access.values() {
             enc.put_opt_u64(t.map(|t| t.0));
         }
-        for e in &self.interval_ewma {
+        for e in self.interval_ewma.values() {
             enc.put_opt_f64(*e);
         }
         enc.put_u64(self.refreshes_scheduled);
@@ -183,10 +182,10 @@ impl Policy for DeferrablePolicy {
                 what: "DEF table size",
             });
         }
-        for t in &mut self.last_access {
+        for t in self.last_access.values_mut() {
             *t = dec.take_opt_u64()?.map(SimTime);
         }
-        for e in &mut self.interval_ewma {
+        for e in self.interval_ewma.values_mut() {
             *e = dec.take_opt_f64()?;
         }
         self.refreshes_scheduled = dec.take_u64()?;
@@ -283,11 +282,11 @@ mod tests {
         for k in 0..4 {
             p.on_query_dispatch(&query(100 * k, 0), 1.0);
         }
-        let before = p.interval_ewma[0].unwrap();
+        let before = p.interval_ewma.at(DataId(0)).unwrap();
         for k in 0..10 {
             p.on_query_dispatch(&query(400 + 10 * k, 0), 1.0);
         }
-        let after = p.interval_ewma[0].unwrap();
+        let after = p.interval_ewma.at(DataId(0)).unwrap();
         assert!(after < before * 0.5, "EWMA {before} -> {after}");
     }
 }

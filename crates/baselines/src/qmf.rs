@@ -29,7 +29,7 @@
 use unit_core::policy::{AdmissionDecision, Policy, UpdateAction};
 use unit_core::snapshot::SnapshotView;
 use unit_core::time::{SimDuration, SimTime};
-use unit_core::types::{DataId, Outcome, QuerySpec, UpdateSpec};
+use unit_core::types::{DataId, ItemVec, Outcome, QuerySpec, UpdateSpec};
 
 /// QMF tuning.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -83,9 +83,9 @@ pub struct QmfPolicy {
     window_dispatches: u64,
     window_fresh_dispatches: u64,
     // Adaptive update policy state.
-    access_counts: Vec<u64>,
-    update_counts: Vec<u64>,
-    dropped: Vec<bool>,
+    access_counts: ItemVec<u64>,
+    update_counts: ItemVec<u64>,
+    dropped: ItemVec<bool>,
     qod_level: usize,
     // Admission controller.
     backlog_cap_secs: f64,
@@ -111,9 +111,9 @@ impl QmfPolicy {
             window_misses: 0,
             window_dispatches: 0,
             window_fresh_dispatches: 0,
-            access_counts: Vec::new(),
-            update_counts: Vec::new(),
-            dropped: Vec::new(),
+            access_counts: ItemVec::default(),
+            update_counts: ItemVec::default(),
+            dropped: ItemVec::default(),
             qod_level: 0,
             integral: 0.0,
             last_adaptation: SimTime::ZERO,
@@ -157,28 +157,26 @@ impl QmfPolicy {
     /// access/update ratio lose their update streams (Kang's adaptive update
     /// policy: shed updates nobody reads).
     fn rebuild_dropped_set(&mut self) {
-        for d in &mut self.dropped {
+        for d in self.dropped.values_mut() {
             *d = false;
         }
         if self.qod_level == 0 {
             return;
         }
-        let mut ratio: Vec<(usize, f64)> = (0..self.dropped.len())
-            .filter(|&i| self.update_counts[i] > 0)
-            .map(|i| {
-                (
-                    i,
-                    self.access_counts[i] as f64 / self.update_counts[i] as f64,
-                )
-            })
+        let mut ratio: Vec<(DataId, f64)> = self
+            .update_counts
+            .iter()
+            .zip(self.access_counts.values())
+            .filter(|&((_, &updates), _)| updates > 0)
+            .map(|((d, &updates), &accesses)| (d, accesses as f64 / updates as f64))
             .collect();
         ratio.sort_by(|a, b| {
             a.1.partial_cmp(&b.1)
                 .unwrap_or(std::cmp::Ordering::Equal)
                 .then(a.0.cmp(&b.0))
         });
-        for &(i, _) in ratio.iter().take(self.qod_level) {
-            self.dropped[i] = true;
+        for &(d, _) in ratio.iter().take(self.qod_level) {
+            *self.dropped.at_mut(d) = true;
         }
     }
 
@@ -232,9 +230,9 @@ impl Policy for QmfPolicy {
     }
 
     fn init(&mut self, n_items: usize, _updates: &[UpdateSpec]) {
-        self.access_counts = vec![0; n_items];
-        self.update_counts = vec![0; n_items];
-        self.dropped = vec![false; n_items];
+        self.access_counts = ItemVec::new(n_items, 0);
+        self.update_counts = ItemVec::new(n_items, 0);
+        self.dropped = ItemVec::new(n_items, false);
     }
 
     fn on_query_arrival(&mut self, q: &QuerySpec, sys: &SnapshotView<'_>) -> AdmissionDecision {
@@ -253,8 +251,8 @@ impl Policy for QmfPolicy {
         _now: SimTime,
         _sys: &SnapshotView<'_>,
     ) -> UpdateAction {
-        self.update_counts[item.index()] += 1;
-        if self.dropped[item.index()] {
+        *self.update_counts.at_mut(item) += 1;
+        if *self.dropped.at(item) {
             UpdateAction::Skip
         } else {
             UpdateAction::Apply
@@ -262,8 +260,8 @@ impl Policy for QmfPolicy {
     }
 
     fn on_query_dispatch(&mut self, q: &QuerySpec, freshness: f64) {
-        for d in &q.items {
-            self.access_counts[d.index()] += 1;
+        for &d in &q.items {
+            *self.access_counts.at_mut(d) += 1;
         }
         self.window_dispatches += 1;
         if freshness >= q.freshness_req {
@@ -300,10 +298,10 @@ impl Policy for QmfPolicy {
         enc.put_u64(self.window_misses);
         enc.put_u64(self.window_dispatches);
         enc.put_u64(self.window_fresh_dispatches);
-        enc.put_u64_slice(&self.access_counts);
-        enc.put_u64_slice(&self.update_counts);
+        enc.put_u64_slice(self.access_counts.as_slice());
+        enc.put_u64_slice(self.update_counts.as_slice());
         enc.put_usize(self.dropped.len());
-        for &d in &self.dropped {
+        for &d in self.dropped.values() {
             enc.put_bool(d);
         }
         enc.put_usize(self.qod_level);
@@ -334,9 +332,9 @@ impl Policy for QmfPolicy {
                 what: "QMF table size",
             });
         }
-        self.access_counts = access;
-        self.update_counts = update;
-        for d in &mut self.dropped {
+        self.access_counts = access.into();
+        self.update_counts = update.into();
+        for d in self.dropped.values_mut() {
             *d = dec.take_bool()?;
         }
         self.qod_level = dec.take_usize()?;
@@ -482,8 +480,11 @@ mod tests {
         p2.update_counts = p.update_counts.clone();
         p2.qod_level = 1;
         p2.rebuild_dropped_set();
-        assert!(p2.dropped[0], "never-read hot-updated item dropped first");
-        assert!(!p2.dropped[1]);
+        assert!(
+            *p2.dropped.at(DataId(0)),
+            "never-read hot-updated item dropped first"
+        );
+        assert!(!*p2.dropped.at(DataId(1)));
     }
 
     #[test]

@@ -79,11 +79,11 @@ fn freshness(c: &mut Criterion) {
     let mut table = FreshnessTable::new(1024);
     let mut rng = StdRng::seed_from_u64(3);
     for _ in 0..5_000 {
-        table.record_arrival(DataId(rng.gen_range(0..1024)), SimTime::from_secs(1));
+        table.record_arrival(DataId(rng.gen_range(0..1024)));
     }
     let read_set: Vec<DataId> = (0..4).map(|i| DataId(i * 100)).collect();
     group.bench_function("record_arrival", |b| {
-        b.iter(|| table.record_arrival(black_box(DataId(512)), SimTime::from_secs(2)));
+        b.iter(|| table.record_arrival(black_box(DataId(512))));
     });
     group.bench_function("read_set_freshness_4", |b| {
         b.iter(|| black_box(table.read_set_freshness(&read_set)));

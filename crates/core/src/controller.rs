@@ -301,21 +301,17 @@ impl Lbc {
 
     fn argmax_with_random_ties(&mut self, r: f64, fm: f64, fs: f64) -> CostClass {
         let max = r.max(fm).max(fs);
-        let mut candidates = [CostClass::Rejection; 3];
-        let mut n = 0;
-        if r == max {
-            candidates[n] = CostClass::Rejection;
-            n += 1;
-        }
-        if fm == max {
-            candidates[n] = CostClass::DeadlineMiss;
-            n += 1;
-        }
-        if fs == max {
-            candidates[n] = CostClass::DataStale;
-            n += 1;
-        }
-        candidates[self.rng.gen_range(0..n)]
+        let classes = [
+            (r, CostClass::Rejection),
+            (fm, CostClass::DeadlineMiss),
+            (fs, CostClass::DataStale),
+        ];
+        let mut tied = classes
+            .into_iter()
+            .filter(|&(cost, _)| cost == max)
+            .map(|(_, class)| class);
+        let pick = self.rng.gen_range(0..tied.clone().count());
+        tied.nth(pick).unwrap_or(CostClass::Rejection)
     }
 }
 

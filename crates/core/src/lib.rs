@@ -15,7 +15,7 @@
 //!
 //! * [`usm`] — the metric: per-query gains/penalties, windowed accounting.
 //! * [`freshness`] — lag-based freshness (`1/(1+Udrop)`, strict-minimum
-//!   aggregation) plus the time- and divergence-based variants.
+//!   aggregation).
 //! * [`admission`] — the two-stage query admission control.
 //! * [`tickets`] + [`lottery`] — victim selection for update degradation.
 //! * [`modulation`] — update-frequency degrade/upgrade.
@@ -83,7 +83,7 @@ pub use clock::{Clock, VirtualClock};
 pub use config::UnitConfig;
 pub use controller::{Lbc, LbcConfig};
 pub use fenwick::{Fenwick, FenwickValue};
-pub use freshness::{FreshnessModel, FreshnessTable};
+pub use freshness::FreshnessTable;
 pub use lottery::WeightedSampler;
 pub use modulation::{UpdateModulation, UpgradeRule};
 pub use observe::{AdmissionObs, ControllerObs, ModulationObs};
@@ -94,7 +94,8 @@ pub use tickets::TicketTable;
 pub use time::{SimDuration, SimTime};
 pub use txn::{CommitSummary, ReadVersion, TransactionManager, TxnError, TxnToken};
 pub use types::{
-    DataId, Outcome, QueryId, QuerySpec, SpecError, Trace, TxnClass, UpdateSpec, UpdateStreamId,
+    DataId, ItemVec, Outcome, QueryId, QuerySpec, SpecError, Trace, TxnClass, UpdateSpec,
+    UpdateStreamId,
 };
 pub use unit_policy::{UnitPolicy, UnitPolicyStats};
 pub use usm::{OutcomeCounts, UsmWeights, UsmWindow};
@@ -105,7 +106,7 @@ pub mod prelude {
     pub use crate::clock::{Clock, VirtualClock};
     pub use crate::config::UnitConfig;
     pub use crate::controller::{Lbc, LbcConfig};
-    pub use crate::freshness::{FreshnessModel, FreshnessTable};
+    pub use crate::freshness::FreshnessTable;
     pub use crate::modulation::{UpdateModulation, UpgradeRule};
     pub use crate::observe::{AdmissionObs, ControllerObs, ModulationObs};
     pub use crate::policy::{AdmissionDecision, ControlSignal, Policy, UpdateAction};

@@ -66,9 +66,9 @@ impl WeightedSampler {
         self.weights.is_empty()
     }
 
-    /// Current weight of `index`.
+    /// Current weight of `index`; an index past the end holds no weight.
     pub fn weight(&self, index: usize) -> f64 {
-        self.weights[index]
+        self.weights.get(index).copied().unwrap_or(0.0)
     }
 
     /// Sum of all weights.
@@ -85,8 +85,10 @@ impl WeightedSampler {
             w >= 0.0 && w.is_finite(),
             "lottery weights must be finite and non-negative, got {w}"
         );
-        let delta = w - self.weights[index];
-        self.weights[index] = w;
+        // lint: allow(D6) — out-of-range `index` is this method's documented panic
+        let slot = &mut self.weights[index];
+        let delta = w - *slot;
+        *slot = w;
         self.tree.add(index, delta);
     }
 
@@ -138,17 +140,17 @@ impl WeightedSampler {
         let n = self.len();
         // Descent result = count of full prefixes below target; clamp against
         // accumulated float error landing on a zero-weight tail index.
-        let mut idx = self.tree.descend(target).min(n - 1);
+        let start = self.tree.descend(target).min(n - 1);
         // lint: allow(D4) — weights are set to the 0.0 literal, never computed; exact match is the sentinel
-        while idx > 0 && self.weights[idx] == 0.0 {
-            idx -= 1;
-        }
-        // If we walked into a zero-weight prefix (all-left zeros), walk right.
-        // lint: allow(D4) — weights are set to the 0.0 literal, never computed; exact match is the sentinel
-        while idx < n - 1 && self.weights[idx] == 0.0 {
-            idx += 1;
-        }
-        idx
+        let weighted = |w: &f64| *w != 0.0;
+        // The nearest weighted index at or left of the descent; failing that
+        // (an all-zero prefix), the first weighted index to its right.
+        self.weights
+            .iter()
+            .take(start + 1)
+            .rposition(weighted)
+            .or_else(|| self.weights.iter().position(weighted))
+            .unwrap_or(n - 1)
     }
 }
 

@@ -28,7 +28,7 @@
 //!   provided as an alternative and compared in the ablation benches.
 
 use crate::time::{SimDuration, SimTime};
-use crate::types::DataId;
+use crate::types::{DataId, ItemVec};
 use serde::{Deserialize, Serialize};
 
 /// How `UpgradeUpdates` walks a degraded period back toward ideal (Eq. 10).
@@ -60,13 +60,13 @@ pub enum UpgradeRule {
 /// m.upgrade_all(); // Eq. 10: back toward the ideal period
 /// assert_eq!(m.current_period(DataId(0)), SimDuration::from_secs(100));
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct UpdateModulation {
-    ideal: Vec<SimDuration>,
-    current: Vec<SimDuration>,
+    ideal: ItemVec<SimDuration>,
+    current: ItemVec<SimDuration>,
     /// Banked application credit per item (see [`Self::should_apply`]);
     /// starts at 1 so the first version always applies.
-    credit: Vec<f64>,
+    credit: ItemVec<f64>,
     c_du: f64,
     c_uu: f64,
     max_factor: f64,
@@ -107,8 +107,9 @@ impl UpdateModulation {
             "C_uu must be in (0,1], got {c_uu}"
         );
         assert!(max_factor >= 1.0, "cap must be >= 1, got {max_factor}");
+        let ideal = ItemVec::from(ideal);
         let current = ideal.clone();
-        let credit = vec![1.0; ideal.len()];
+        let credit = ItemVec::new(ideal.len(), 1.0);
         UpdateModulation {
             ideal,
             current,
@@ -132,46 +133,52 @@ impl UpdateModulation {
 
     /// Ideal period `pi_j`.
     pub fn ideal_period(&self, item: DataId) -> SimDuration {
-        self.ideal[item.index()]
+        *self.ideal.at(item)
     }
 
     /// Current (possibly degraded) period `pc_j`.
     pub fn current_period(&self, item: DataId) -> SimDuration {
-        self.current[item.index()]
+        *self.current.at(item)
     }
 
     /// True when `pc_j > pi_j`.
     pub fn is_degraded(&self, item: DataId) -> bool {
-        self.current[item.index()] > self.ideal[item.index()]
+        self.current_period(item) > self.ideal_period(item)
     }
 
     /// Number of currently degraded items.
     pub fn degraded_count(&self) -> usize {
-        (0..self.len())
-            .filter(|&i| self.current[i] > self.ideal[i])
+        self.current
+            .values()
+            .zip(self.ideal.values())
+            .filter(|(pc, pi)| pc > pi)
             .count()
     }
 
     /// Degradation factor `pc_j / pi_j` (1.0 when not degraded).
     pub fn degradation_factor(&self, item: DataId) -> f64 {
-        let i = item.index();
-        if self.ideal[i].is_zero() || self.ideal[i] == SimDuration::MAX {
+        let pi = self.ideal_period(item);
+        if pi.is_zero() || pi == SimDuration::MAX {
             1.0
         } else {
-            self.current[i].0 as f64 / self.ideal[i].0 as f64
+            self.current_period(item).0 as f64 / pi.0 as f64
         }
     }
 
     /// Degrade one victim: `pc_j ← pc_j · (1 + C_du)` (Eq. 9), capped at
     /// `max_factor · pi_j`.
     pub fn degrade(&mut self, item: DataId) {
-        let i = item.index();
-        if self.ideal[i] == SimDuration::MAX {
+        if self.ideal_period(item) == SimDuration::MAX {
             return; // no update stream for this item
         }
-        let stretched = self.current[i].scale(1.0 + self.c_du);
-        let cap = self.ideal[i].scale(self.max_factor);
-        self.current[i] = stretched.min(cap);
+        *self.current.at_mut(item) = self.degraded_period(item);
+    }
+
+    /// The period [`Self::degrade`] moves a streamed `item` to.
+    fn degraded_period(&self, item: DataId) -> SimDuration {
+        let stretched = self.current_period(item).scale(1.0 + self.c_du);
+        let cap = self.ideal_period(item).scale(self.max_factor);
+        stretched.min(cap)
     }
 
     /// True when [`Self::degrade`] would leave `item` unchanged — the item
@@ -179,34 +186,16 @@ impl UpdateModulation {
     /// cap. Mirrors the `degrade` arithmetic exactly so callers can detect
     /// no-op lottery draws without mutating anything.
     pub fn degrade_is_noop(&self, item: DataId) -> bool {
-        let i = item.index();
-        if self.ideal[i] == SimDuration::MAX {
-            return true;
-        }
-        let stretched = self.current[i].scale(1.0 + self.c_du);
-        let cap = self.ideal[i].scale(self.max_factor);
-        stretched.min(cap) == self.current[i]
+        self.ideal_period(item) == SimDuration::MAX
+            || self.degraded_period(item) == self.current_period(item)
     }
 
     /// Upgrade every degraded item one step toward its ideal period
     /// (Eq. 10), per the configured [`UpgradeRule`].
     pub fn upgrade_all(&mut self) {
-        self.upgrade_with_shrink(self.c_uu);
-    }
-
-    fn upgrade_with_shrink(&mut self, shrink: f64) {
-        for i in 0..self.current.len() {
-            if self.ideal[i] == SimDuration::MAX || self.current[i] <= self.ideal[i] {
-                continue;
-            }
-            let next = match self.rule {
-                UpgradeRule::LinearIdealStep => {
-                    let step = self.ideal[i].scale(shrink);
-                    self.current[i].saturating_sub(step)
-                }
-                UpgradeRule::Geometric => self.current[i].scale(1.0 - shrink),
-            };
-            self.current[i] = next.max(self.ideal[i]);
+        let (rule, shrink) = (self.rule, self.c_uu);
+        for (pc, &pi) in self.current.values_mut().zip(self.ideal.values()) {
+            upgrade_step(rule, shrink, pc, pi);
         }
     }
 
@@ -214,27 +203,18 @@ impl UpdateModulation {
     /// given each item's ideal utilization share `u_j = ue_j / pi_j`.
     pub fn expected_utilization(&self, util_share: &[f64]) -> f64 {
         debug_assert_eq!(util_share.len(), self.len());
-        (0..self.len())
-            .map(|i| util_share[i] / self.degradation_factor(DataId(i as u32)))
+        self.ideal
+            .iter()
+            .zip(util_share)
+            .map(|((d, _), &u)| u / self.degradation_factor(d))
             .sum()
     }
 
     /// Upgrade a single item one step toward its ideal period (the
     /// per-item body of Eq. 10). Returns true if the item was degraded.
     pub fn upgrade_one(&mut self, item: DataId) -> bool {
-        let i = item.index();
-        if self.ideal[i] == SimDuration::MAX || self.current[i] <= self.ideal[i] {
-            return false;
-        }
-        let next = match self.rule {
-            UpgradeRule::LinearIdealStep => {
-                let step = self.ideal[i].scale(self.c_uu);
-                self.current[i].saturating_sub(step)
-            }
-            UpgradeRule::Geometric => self.current[i].scale(1.0 - self.c_uu),
-        };
-        self.current[i] = next.max(self.ideal[i]);
-        true
+        let pi = self.ideal_period(item);
+        upgrade_step(self.rule, self.c_uu, self.current.at_mut(item), pi)
     }
 
     /// Rate-limiter used by the UNIT policy's version-arrival hook: should a
@@ -250,17 +230,18 @@ impl UpdateModulation {
     /// whole version at a time. The first version of each item is always
     /// applied (it initializes the item; credit starts at 1).
     pub fn should_apply(&mut self, item: DataId, _now: SimTime) -> bool {
-        let i = item.index();
-        if self.ideal[i] == SimDuration::MAX {
+        if self.ideal_period(item) == SimDuration::MAX {
             // No stream configured; apply whatever shows up.
             return true;
         }
-        self.credit[i] += self.survival_fraction(item);
-        if self.credit[i] >= 1.0 {
-            self.credit[i] -= 1.0;
+        let earned = self.survival_fraction(item);
+        let credit = self.credit.at_mut(item);
+        *credit += earned;
+        if *credit >= 1.0 {
+            *credit -= 1.0;
             // Cap banked credit so a long-degraded item cannot burst-apply
             // many versions right after an upgrade.
-            self.credit[i] = self.credit[i].min(1.0);
+            *credit = credit.min(1.0);
             true
         } else {
             false
@@ -277,7 +258,12 @@ impl UpdateModulation {
     /// stream. See [`crate::checkpoint`].
     pub fn checkpoint_into(&self, enc: &mut crate::checkpoint::Enc) {
         enc.put_usize(self.ideal.len());
-        for ((ideal, current), credit) in self.ideal.iter().zip(&self.current).zip(&self.credit) {
+        for ((ideal, current), credit) in self
+            .ideal
+            .values()
+            .zip(self.current.values())
+            .zip(self.credit.values())
+        {
             enc.put_u64(ideal.0);
             enc.put_u64(current.0);
             enc.put_f64(*credit);
@@ -304,8 +290,8 @@ impl UpdateModulation {
         }
         for (ideal, (current, credit)) in self
             .ideal
-            .iter_mut()
-            .zip(self.current.iter_mut().zip(self.credit.iter_mut()))
+            .values_mut()
+            .zip(self.current.values_mut().zip(self.credit.values_mut()))
         {
             *ideal = SimDuration(dec.take_u64()?);
             *current = SimDuration(dec.take_u64()?);
@@ -332,8 +318,7 @@ impl UpdateModulation {
     /// in [`Self::degrade`]/[`Self::upgrade_one`]; always compiled, invoked
     /// behind the `validate` feature (see [`crate::validate`]).
     pub fn check_period_bounds(&self) -> Result<(), String> {
-        for i in 0..self.len() {
-            let (pi, pc) = (self.ideal[i], self.current[i]);
+        for (i, (&pi, &pc)) in self.ideal.values().zip(self.current.values()).enumerate() {
             if pi == SimDuration::MAX {
                 if pc != SimDuration::MAX {
                     return Err(format!(
@@ -352,6 +337,21 @@ impl UpdateModulation {
         }
         Ok(())
     }
+}
+
+/// One Eq. 10 step of a period `pc` toward its ideal `pi` under `rule`,
+/// clamped at `pi`; streamless (`pi = MAX`) and undegraded periods stay put.
+/// Returns true if the period was degraded.
+fn upgrade_step(rule: UpgradeRule, shrink: f64, pc: &mut SimDuration, pi: SimDuration) -> bool {
+    if pi == SimDuration::MAX || *pc <= pi {
+        return false;
+    }
+    let next = match rule {
+        UpgradeRule::LinearIdealStep => pc.saturating_sub(pi.scale(shrink)),
+        UpgradeRule::Geometric => pc.scale(1.0 - shrink),
+    };
+    *pc = next.max(pi);
+    true
 }
 
 #[cfg(test)]
@@ -563,15 +563,15 @@ mod tests {
     fn period_bounds_check_catches_out_of_range_periods() {
         let mut m = modulation(&[10, 20]);
         // Corrupt the state directly, as a clamp bug would.
-        m.current[0] = SimDuration::from_secs(5);
+        *m.current.at_mut(DataId(0)) = SimDuration::from_secs(5);
         let err = m.check_period_bounds().unwrap_err();
         assert!(err.contains("below ideal"), "{err}");
-        m.current[0] = SimDuration::from_secs(10_000);
+        *m.current.at_mut(DataId(0)) = SimDuration::from_secs(10_000);
         let err = m.check_period_bounds().unwrap_err();
         assert!(err.contains("above cap"), "{err}");
 
         let mut m = UpdateModulation::new(vec![SimDuration::MAX], 0.1, 0.5);
-        m.current[0] = SimDuration::from_secs(1);
+        *m.current.at_mut(DataId(0)) = SimDuration::from_secs(1);
         let err = m.check_period_bounds().unwrap_err();
         assert!(err.contains("streamless"), "{err}");
     }

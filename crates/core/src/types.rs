@@ -31,6 +31,85 @@ impl fmt::Display for DataId {
     }
 }
 
+/// Per-item state: a `Vec<T>` sized `n_items`, addressed by [`DataId`].
+///
+/// The engine's and the policies' per-item tables are built on this type, so
+/// the argument for why an item index is in range lives here, once, instead
+/// of at each of their access sites.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct ItemVec<T> {
+    items: Vec<T>,
+}
+
+impl<T> ItemVec<T> {
+    /// `n_items` copies of `value`.
+    pub fn new(n_items: usize, value: T) -> Self
+    where
+        T: Clone,
+    {
+        ItemVec {
+            items: vec![value; n_items],
+        }
+    }
+
+    /// Number of items.
+    pub fn len(&self) -> usize {
+        self.items.len()
+    }
+
+    /// True when the table covers no items.
+    pub fn is_empty(&self) -> bool {
+        self.items.is_empty()
+    }
+
+    /// The entry for `item`. O(1).
+    pub fn at(&self, item: DataId) -> &T {
+        // lint: allow(D6) — every DataId reaching a table passed Trace::validate's ItemOutOfRange check (MemBackend range-checks its own), and tables are sized n_items
+        &self.items[item.index()]
+    }
+
+    /// The entry for `item`, mutably. O(1).
+    pub fn at_mut(&mut self, item: DataId) -> &mut T {
+        // lint: allow(D6) — same bound as `at`: ids are validated below n_items, tables sized n_items
+        &mut self.items[item.index()]
+    }
+
+    /// `(item, entry)` pairs in item order.
+    pub fn iter(&self) -> impl Iterator<Item = (DataId, &T)> + '_ {
+        self.items
+            .iter()
+            .enumerate()
+            .map(|(i, v)| (DataId(i as u32), v))
+    }
+
+    /// The entries in item order.
+    pub fn values(&self) -> std::slice::Iter<'_, T> {
+        self.items.iter()
+    }
+
+    /// The entries in item order, mutably.
+    pub fn values_mut(&mut self) -> std::slice::IterMut<'_, T> {
+        self.items.iter_mut()
+    }
+
+    /// The entries as a slice, in item order.
+    pub fn as_slice(&self) -> &[T] {
+        &self.items
+    }
+
+    /// The backing vector, in item order.
+    pub fn into_vec(self) -> Vec<T> {
+        self.items
+    }
+}
+
+impl<T> From<Vec<T>> for ItemVec<T> {
+    /// Entry `i` becomes the entry for `DataId(i)`.
+    fn from(items: Vec<T>) -> Self {
+        ItemVec { items }
+    }
+}
+
 /// Identifier of a user query within a trace.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
@@ -318,27 +397,25 @@ impl Trace {
 
     /// Per-item query access counts (how many queries read each item).
     pub fn query_access_histogram(&self) -> Vec<u64> {
-        let mut h = vec![0u64; self.n_items];
+        let mut h = ItemVec::new(self.n_items, 0u64);
         for q in &self.queries {
-            for d in &q.items {
-                // lint: allow(D6) — Trace::validate bounds every access below n_items
-                h[d.index()] += 1;
+            for &d in &q.items {
+                *h.at_mut(d) += 1;
             }
         }
-        h
+        h.into_vec()
     }
 
     /// Per-item count of versions the sources will emit over `horizon`.
     pub fn update_volume_histogram(&self, horizon: SimDuration) -> Vec<u64> {
-        let mut h = vec![0u64; self.n_items];
+        let mut h = ItemVec::new(self.n_items, 0u64);
         for u in &self.updates {
             if u.first_arrival.0 <= horizon.0 {
                 let remaining = horizon.0 - u.first_arrival.0;
-                // lint: allow(D6) — Trace::validate bounds every update item below n_items
-                h[u.item.index()] += 1 + remaining / u.period.0.max(1);
+                *h.at_mut(u.item) += 1 + remaining / u.period.0.max(1);
             }
         }
-        h
+        h.into_vec()
     }
 }
 
@@ -372,6 +449,22 @@ mod tests {
             exec_time: SimDuration::from_secs(1),
             first_arrival: SimTime::ZERO,
         }
+    }
+
+    #[test]
+    fn item_vec_is_addressed_and_iterated_by_data_id() {
+        let mut v = ItemVec::new(3, 0u64);
+        *v.at_mut(DataId(2)) += 5;
+        *v.at_mut(DataId(0)) = 1;
+        assert_eq!(*v.at(DataId(2)), 5);
+        assert_eq!(v.len(), 3);
+        assert_eq!(
+            v.iter().collect::<Vec<_>>(),
+            vec![(DataId(0), &1), (DataId(1), &0), (DataId(2), &5)]
+        );
+        assert_eq!(v.as_slice(), &[1, 0, 5]);
+        assert_eq!(ItemVec::from(vec![1, 0, 5]), v);
+        assert_eq!(v.into_vec(), vec![1, 0, 5]);
     }
 
     #[test]

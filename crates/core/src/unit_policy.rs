@@ -28,7 +28,7 @@ use crate::policy::{AdmissionDecision, ControlSignal, Policy, UpdateAction};
 use crate::snapshot::SnapshotView;
 use crate::tickets::TicketTable;
 use crate::time::{SimDuration, SimTime};
-use crate::types::{DataId, Outcome, QuerySpec, UpdateSpec};
+use crate::types::{DataId, ItemVec, Outcome, QuerySpec, UpdateSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -63,7 +63,7 @@ pub struct UnitPolicy {
     cpu_share_sum: f64,
     cpu_share_count: u64,
     /// Ideal per-item update utilization shares `ue_j / pi_j` (budgeting).
-    util_share: Vec<f64>,
+    util_share: ItemVec<f64>,
     /// True while an observer is installed on the driving server. Gates the
     /// observation buffers below; never influences decisions.
     observed: bool,
@@ -97,7 +97,7 @@ impl UnitPolicy {
             stats: UnitPolicyStats::default(),
             cpu_share_sum: 0.0,
             cpu_share_count: 0,
-            util_share: Vec::new(),
+            util_share: ItemVec::default(),
             observed: false,
             last_admission: None,
             modulation_obs: Vec::new(),
@@ -244,7 +244,7 @@ impl UnitPolicy {
             let old_period = self.observed.then(|| self.modulation.current_period(d));
             if self.modulation.upgrade_one(d) {
                 let after = self.modulation.survival_fraction(d);
-                restored += self.util_share[i] * (after - before);
+                restored += *self.util_share.at(d) * (after - before);
                 if let Some(old_period) = old_period {
                     self.modulation_obs.push(ModulationObs {
                         item: d,
@@ -345,7 +345,7 @@ impl UnitPolicy {
                     let old_period = self.observed.then(|| self.modulation.current_period(d));
                     self.modulation.degrade(d);
                     let after = self.modulation.survival_fraction(d);
-                    shed += self.util_share[victim] * (before - after);
+                    shed += *self.util_share.at(d) * (before - after);
                     self.stats.degrade_draws += 1;
                     if let Some(old_period) = old_period {
                         self.modulation_obs.push(ModulationObs {
@@ -404,31 +404,31 @@ impl Policy for UnitPolicy {
         // Ideal period per item: the fastest stream updating it (streams are
         // normally one-per-item); items without a stream get MAX and are
         // transparent to modulation.
-        let mut ideal = vec![SimDuration::MAX; n_items];
+        let mut ideal = ItemVec::new(n_items, SimDuration::MAX);
         for u in updates {
-            let slot = &mut ideal[u.item.index()];
+            let slot = ideal.at_mut(u.item);
             if u.period < *slot {
                 *slot = u.period;
             }
         }
         self.util_share = ideal
             .iter()
-            .enumerate()
-            .map(|(i, &pi)| {
+            .map(|(d, &pi)| {
                 if pi == SimDuration::MAX || pi.is_zero() {
                     0.0
                 } else {
                     // Total exec over the item's streams per ideal period.
                     updates
                         .iter()
-                        .filter(|u| u.item.index() == i)
+                        .filter(|u| u.item == d)
                         .map(|u| u.exec_time.as_secs_f64() / u.period.as_secs_f64())
                         .sum()
                 }
             })
-            .collect();
+            .collect::<Vec<f64>>()
+            .into();
         self.modulation = UpdateModulation::with_rule(
-            ideal,
+            ideal.into_vec(),
             self.cfg.c_du,
             self.cfg.c_uu,
             self.cfg.max_degradation_factor,

@@ -330,8 +330,12 @@ pub struct UsmWindow {
     counts: OutcomeCounts,
     /// Accumulated success gain, priced per recording (multi-class aware).
     gain: f64,
-    /// Accumulated rejection / DMF / DSF costs, priced per recording.
-    costs: [f64; 3],
+    /// Accumulated rejection cost (`C_r` per rejection), priced per recording.
+    cost_r: f64,
+    /// Accumulated deadline-miss cost (`C_fm` per DMF).
+    cost_fm: f64,
+    /// Accumulated data-stale cost (`C_fs` per DSF).
+    cost_fs: f64,
 }
 
 impl UsmWindow {
@@ -346,9 +350,9 @@ impl UsmWindow {
         self.counts.record(outcome);
         match outcome {
             Outcome::Success => self.gain += weights.gain,
-            Outcome::Rejected => self.costs[0] += weights.c_r,
-            Outcome::DeadlineMiss => self.costs[1] += weights.c_fm,
-            Outcome::DataStale => self.costs[2] += weights.c_fs,
+            Outcome::Rejected => self.cost_r += weights.c_r,
+            Outcome::DeadlineMiss => self.cost_fm += weights.c_fm,
+            Outcome::DataStale => self.cost_fs += weights.c_fs,
         }
     }
 
@@ -369,7 +373,8 @@ impl UsmWindow {
         if n == 0 {
             0.0
         } else {
-            (self.gain - self.costs.iter().sum::<f64>()) / n as f64
+            let costs: f64 = [self.cost_r, self.cost_fm, self.cost_fs].iter().sum();
+            (self.gain - costs) / n as f64
         }
     }
 
@@ -377,7 +382,7 @@ impl UsmWindow {
     /// pricing.
     pub fn cost_components(&self) -> [f64; 3] {
         let n = self.counts.total().max(1) as f64;
-        [self.costs[0] / n, self.costs[1] / n, self.costs[2] / n]
+        [self.cost_r / n, self.cost_fm / n, self.cost_fs / n]
     }
 
     /// Whether anything has been recorded since the last reset.
@@ -399,9 +404,8 @@ impl UsmWindow {
         enc.put_u64(self.counts.rejected);
         enc.put_u64(self.counts.deadline_miss);
         enc.put_u64(self.counts.data_stale);
-        enc.put_f64(self.gain);
-        for c in self.costs {
-            enc.put_f64(c);
+        for v in [self.gain, self.cost_r, self.cost_fm, self.cost_fs] {
+            enc.put_f64(v);
         }
     }
 
@@ -414,9 +418,13 @@ impl UsmWindow {
         self.counts.rejected = dec.take_u64()?;
         self.counts.deadline_miss = dec.take_u64()?;
         self.counts.data_stale = dec.take_u64()?;
-        self.gain = dec.take_f64()?;
-        for c in &mut self.costs {
-            *c = dec.take_f64()?;
+        for v in [
+            &mut self.gain,
+            &mut self.cost_r,
+            &mut self.cost_fm,
+            &mut self.cost_fs,
+        ] {
+            *v = dec.take_f64()?;
         }
         Ok(())
     }

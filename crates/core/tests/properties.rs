@@ -154,15 +154,14 @@ proptest! {
         let mut arrivals = [0u64; 16];
         let mut applies = [0u64; 16];
         let mut pending = [0u64; 16];
-        for (i, (item, is_apply)) in events.iter().enumerate() {
+        for (item, is_apply) in &events {
             let d = DataId(*item);
-            let t = SimTime::from_secs(i as u64);
             if *is_apply {
-                table.record_applied(d, t);
+                table.record_applied(d);
                 applies[*item as usize] += 1;
                 pending[*item as usize] = 0;
             } else {
-                table.record_arrival(d, t);
+                table.record_arrival(d);
                 arrivals[*item as usize] += 1;
                 pending[*item as usize] += 1;
             }

@@ -20,8 +20,8 @@
 //! distribution within a stated tolerance ([`outcome_agreement`]).
 //!
 //! Clock discipline: this crate is the only place in the workspace
-//! allowed to read the machine clock (`cargo xtask analyze` rule D2
-//! enforces the boundary); everything else consumes time through the
+//! allowed to read the machine clock (`cargo xtask lint` rules D2 and D5
+//! enforce the boundary); everything else consumes time through the
 //! [`unit_core::clock::Clock`] trait.
 //!
 //! There is no network frontend: the bench and the tests inject requests

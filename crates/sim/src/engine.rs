@@ -30,18 +30,17 @@ mod checkpoint;
 use crate::locks::{LockManager, ReadAcquire, WriteAcquire};
 use crate::run::SimRun;
 use crate::stats::{FaultCounts, SignalCounts, SimReport, TimelineSample};
-use crate::txn::{Txn, TxnId, TxnKind, TxnState};
+use crate::txn::{Txn, TxnArena, TxnId, TxnKind, TxnState};
 use crate::worktreap::WorkTreap;
 use std::borrow::Cow;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Bound;
-use unit_core::freshness::FreshnessModel;
 use unit_core::freshness::FreshnessTable;
 use unit_core::policy::{ControlSignal, Policy};
 use unit_core::snapshot::{QueueEntryView, QueueSource, SnapshotView};
 use unit_core::time::{SimDuration, SimTime};
-use unit_core::types::{DataId, Outcome, QueryId, QuerySpec, Trace, TxnClass, UpdateSpec};
+use unit_core::types::{DataId, ItemVec, Outcome, QueryId, QuerySpec, Trace, TxnClass, UpdateSpec};
 use unit_core::usm::{OutcomeCounts, UsmWeights};
 use unit_obs::{FaultPhase, ObsEvent, Observer};
 
@@ -95,9 +94,6 @@ pub struct SimConfig {
     pub tick_period: SimDuration,
     /// Record a [`TimelineSample`] at every control tick.
     pub record_timeline: bool,
-    /// Freshness semantics used to judge query read sets (§2.2's three
-    /// metric families; the paper uses the lag-based default).
-    pub freshness_model: FreshnessModel,
     /// CPU scheduling discipline (the paper's dual-priority EDF by default).
     pub discipline: SchedulingDiscipline,
     /// Number of CPUs (the paper's server has 1). With `k` CPUs the `k`
@@ -119,7 +115,6 @@ impl SimConfig {
             horizon,
             tick_period: SimDuration::from_secs(1),
             record_timeline: false,
-            freshness_model: FreshnessModel::default(),
             discipline: SchedulingDiscipline::default(),
             n_cpus: 1,
             record_outcomes: false,
@@ -170,20 +165,6 @@ impl SimConfig {
     pub fn with_cpus(mut self, n_cpus: usize) -> Self {
         assert!(n_cpus >= 1, "need at least one CPU");
         self.n_cpus = n_cpus;
-        self
-    }
-
-    /// Override the freshness semantics.
-    ///
-    /// # Panics
-    /// Panics on degenerate model parameters.
-    #[must_use]
-    pub fn with_freshness_model(mut self, model: FreshnessModel) -> Self {
-        if let Err(e) = model.validate() {
-            // lint: allow(panic) — documented constructor contract, caught at config time
-            panic!("invalid freshness model: {e}");
-        }
-        self.freshness_model = model;
         self
     }
 }
@@ -284,7 +265,7 @@ struct EngineQueue<'b> {
     admitted: &'b BTreeMap<(SimTime, QueryId), AdmittedEntry>,
     work: &'b WorkTreap,
     running: &'b [RunningTxn],
-    txns: &'b [Txn],
+    txns: &'b TxnArena,
     scratch: &'b RefCell<Vec<QueueEntryView>>,
 }
 
@@ -314,7 +295,7 @@ impl EngineQueue<'_> {
     fn running_query_elapsed_before(&self, deadline: SimTime) -> SimDuration {
         let mut elapsed = SimDuration::ZERO;
         for r in self.running {
-            let txn = &self.txns[r.id.index()];
+            let txn = self.txns.at(r.id);
             if txn.is_query() && txn.edf_deadline <= deadline {
                 elapsed += self.clock.saturating_since(r.started);
             }
@@ -411,7 +392,7 @@ pub struct Simulator<'a, P: Policy> {
     submitted: u64,
     /// Per-item access histogram, accumulated at feed time (the specs are
     /// long gone by report time).
-    query_accesses: Vec<u64>,
+    query_accesses: ItemVec<u64>,
     /// Arrival of the most recently fed query (feed monotonicity check).
     last_fed_arrival: SimTime,
     /// Fed arrivals currently sitting in the event heap, not yet handled.
@@ -423,7 +404,7 @@ pub struct Simulator<'a, P: Policy> {
     /// [`Simulator::feed_query`] calls, so the idle-tick skip no longer
     /// needs the feed cap.
     stream_exhausted: bool,
-    txns: Vec<Txn>,
+    txns: TxnArena,
     ready: BTreeSet<PriorityKey>,
     blocked: Vec<TxnId>,
     running: Vec<RunningTxn>,
@@ -432,9 +413,9 @@ pub struct Simulator<'a, P: Policy> {
     freshness: FreshnessTable,
     /// Per-item execution time of the item's update stream (for on-demand
     /// refreshes); `None` when the item has no stream.
-    item_update_exec: Vec<Option<SimDuration>>,
+    item_update_exec: ItemVec<Option<SimDuration>>,
     /// Items with a queued-but-uncommitted on-demand refresh.
-    pending_ondemand: Vec<bool>,
+    pending_ondemand: ItemVec<bool>,
     /// Sum of `remaining` over every unfinished update transaction, kept
     /// incrementally so snapshot scalars are O(n_cpus) even when the update
     /// backlog holds tens of thousands of transactions.
@@ -514,10 +495,9 @@ impl<'a, P: Policy> Simulator<'a, P> {
         policy: P,
         cfg: SimConfig,
     ) -> Self {
-        let mut item_update_exec = vec![None; n_items];
+        let mut item_update_exec = ItemVec::new(n_items, None);
         for u in updates {
-            // lint: allow(D6) — SimRun::build validated every stream's item against n_items
-            let slot = &mut item_update_exec[u.item.index()];
+            let slot = item_update_exec.at_mut(u.item);
             if slot.is_none() {
                 *slot = Some(u.exec_time);
             }
@@ -534,11 +514,11 @@ impl<'a, P: Policy> Simulator<'a, P> {
             events: EventQueue::new(),
             next_tick: None,
             submitted: 0,
-            query_accesses: vec![0; n_items],
+            query_accesses: ItemVec::new(n_items, 0),
             last_fed_arrival: SimTime::ZERO,
             arrivals_in_flight: 0,
             stream_exhausted: false,
-            txns: Vec::new(),
+            txns: TxnArena::default(),
             ready: BTreeSet::new(),
             blocked: Vec::new(),
             running: Vec::new(),
@@ -546,7 +526,7 @@ impl<'a, P: Policy> Simulator<'a, P> {
             locks: LockManager::new(n_items),
             freshness: FreshnessTable::new(n_items),
             item_update_exec,
-            pending_ondemand: vec![false; n_items],
+            pending_ondemand: ItemVec::new(n_items, false),
             outstanding_update_work: SimDuration::ZERO,
             admitted: BTreeMap::new(),
             work: WorkTreap::new(),
@@ -851,9 +831,8 @@ impl<'a, P: Policy> Simulator<'a, P> {
             "fed an arrival the clock already passed"
         );
         self.last_fed_arrival = spec.arrival;
-        for d in &spec.items {
-            // lint: allow(D6) — read sets are validated against n_items before they are fed
-            self.query_accesses[d.index()] += 1;
+        for &d in &spec.items {
+            *self.query_accesses.at_mut(d) += 1;
         }
         let seq = self.submitted;
         self.submitted += 1;
@@ -915,7 +894,7 @@ impl<'a, P: Policy> Simulator<'a, P> {
             counts: self.counts,
             class_counts: std::mem::take(&mut self.class_counts),
             // Same histogram `Trace::query_access_histogram` computes.
-            query_accesses: std::mem::take(&mut self.query_accesses),
+            query_accesses: std::mem::take(&mut self.query_accesses).into_vec(),
             versions_arrived,
             updates_applied,
             hp_aborts: self.locks.hp_aborts(),
@@ -951,7 +930,7 @@ impl<'a, P: Policy> Simulator<'a, P> {
 
     /// Ready-queue ordering key by transaction id.
     fn pkey(&self, id: TxnId) -> PriorityKey {
-        self.pkey_of(&self.txns[id.index()])
+        self.pkey_of(self.txns.at(id))
     }
 
     // --- event handlers --------------------------------------------------
@@ -999,7 +978,7 @@ impl<'a, P: Policy> Simulator<'a, P> {
             self.record_outcome(spec_idx, Outcome::Rejected);
             return;
         }
-        let id = TxnId(self.txns.len() as u64);
+        let id = self.txns.next_id();
         let txn = Txn {
             id,
             class: TxnClass::Query,
@@ -1041,15 +1020,22 @@ impl<'a, P: Policy> Simulator<'a, P> {
             let spec = queries.get(spec_idx);
             policy.demand_refresh(spec, &|d: DataId| freshness.udrop(d))
         };
+        self.spawn_refreshes(wanted)
+    }
+
+    /// Spawn one on-demand refresh per item in `wanted` that has an update
+    /// stream and no refresh already queued. Returns true if any were
+    /// spawned.
+    fn spawn_refreshes(&mut self, wanted: Vec<DataId>) -> bool {
         let mut spawned = false;
         for d in wanted {
-            if self.pending_ondemand[d.index()] {
+            if *self.pending_ondemand.at(d) {
                 continue; // a refresh for this item is already queued
             }
-            let Some(exec) = self.item_update_exec[d.index()] else {
+            let Some(exec) = *self.item_update_exec.at(d) else {
                 continue; // no stream -> cannot be stale
             };
-            self.pending_ondemand[d.index()] = true;
+            *self.pending_ondemand.at_mut(d) = true;
             self.demand_refreshes += 1;
             // EDF deadline "now": on-demand refreshes precede periodic
             // updates that arrived earlier with later validity deadlines.
@@ -1064,13 +1050,14 @@ impl<'a, P: Policy> Simulator<'a, P> {
     /// O(log N_ev) for the event pushes; the policy callback is O(1) for
     /// every shipped policy.
     fn on_version_arrival(&mut self, stream_idx: usize) {
+        // lint: allow(D6) — stream indexes are minted by start()'s enumerate over `updates` and only ever re-pushed
         let u = &self.updates[stream_idx];
         let item = u.item;
         let period = u.period;
         let exec = u.exec_time;
         // Sources are external: the version is observed (Udrop rises) even
         // when a fault keeps it from being applied.
-        self.freshness.record_arrival(item, self.clock);
+        self.freshness.record_arrival(item);
 
         let fault = match self.faults.as_deref() {
             None => UpdateFault::Apply,
@@ -1136,7 +1123,7 @@ impl<'a, P: Policy> Simulator<'a, P> {
         self.charge_cpu(elapsed);
 
         let (outcome_to_record, committed_update): (Option<(usize, Outcome)>, Option<DataId>) = {
-            let txn = &mut self.txns[id.index()];
+            let txn = self.txns.at_mut(id);
             debug_assert_eq!(txn.state, TxnState::Running);
             debug_assert!(elapsed == txn.remaining, "completion fired early or late");
             txn.remaining = SimDuration::ZERO;
@@ -1167,7 +1154,7 @@ impl<'a, P: Policy> Simulator<'a, P> {
                 }
                 TxnKind::Update { item, on_demand } => {
                     if on_demand {
-                        self.pending_ondemand[item.index()] = false;
+                        *self.pending_ondemand.at_mut(item) = false;
                     }
                     self.outstanding_update_work =
                         self.outstanding_update_work.saturating_sub(elapsed);
@@ -1186,8 +1173,8 @@ impl<'a, P: Policy> Simulator<'a, P> {
         self.unblock_waiters(&freed);
 
         if let Some(item) = committed_update {
-            self.freshness.record_applied(item, self.clock);
-            let exec = self.txns[id.index()].exec_time;
+            self.freshness.record_applied(item);
+            let exec = self.txns.at(id).exec_time;
             self.policy.on_update_commit(item, exec);
         }
         if let Some((spec_idx, outcome)) = outcome_to_record {
@@ -1208,7 +1195,7 @@ impl<'a, P: Policy> Simulator<'a, P> {
             self.events.push(until, Event::QueryDeadline { txn: id });
             return;
         }
-        if self.txns[id.index()].state == TxnState::Finished {
+        if self.txns.at(id).state == TxnState::Finished {
             return; // committed (or already aborted) before expiry
         }
         self.remove_admitted(id);
@@ -1217,7 +1204,7 @@ impl<'a, P: Policy> Simulator<'a, P> {
             let run = self.running.swap_remove(pos);
             let elapsed = self.clock.saturating_since(run.started);
             self.charge_cpu(elapsed);
-            let txn = &mut self.txns[id.index()];
+            let txn = self.txns.at_mut(id);
             txn.remaining = txn.remaining.saturating_sub(elapsed);
         }
         let key = self.pkey(id);
@@ -1225,7 +1212,7 @@ impl<'a, P: Policy> Simulator<'a, P> {
         self.blocked.retain(|&b| b != id);
 
         let spec_idx = {
-            let txn = &mut self.txns[id.index()];
+            let txn = self.txns.at_mut(id);
             txn.state = TxnState::Finished;
             txn.holds_locks = false;
             match txn.kind {
@@ -1334,20 +1321,7 @@ impl<'a, P: Policy> Simulator<'a, P> {
             self.policy
                 .tick_refreshes(self.clock, &|d: DataId| freshness.udrop(d))
         };
-        let mut spawned = false;
-        for d in wanted {
-            if self.pending_ondemand[d.index()] {
-                continue;
-            }
-            let Some(exec) = self.item_update_exec[d.index()] else {
-                continue;
-            };
-            self.pending_ondemand[d.index()] = true;
-            self.demand_refreshes += 1;
-            self.spawn_update(d, exec, self.clock, true);
-            spawned = true;
-        }
-        if spawned {
+        if self.spawn_refreshes(wanted) {
             self.reschedule();
         }
         if self.cfg.record_timeline {
@@ -1636,7 +1610,7 @@ impl<'a, P: Policy> Simulator<'a, P> {
         let run = self.running.swap_remove(pos);
         let elapsed = self.clock.saturating_since(run.started);
         self.charge_cpu(elapsed);
-        let txn = &mut self.txns[run.id.index()];
+        let txn = self.txns.at_mut(run.id);
         debug_assert_eq!(txn.state, TxnState::Running);
         txn.remaining = txn.remaining.saturating_sub(elapsed);
         if !txn.is_query() {
@@ -1651,7 +1625,7 @@ impl<'a, P: Policy> Simulator<'a, P> {
 
     fn try_dispatch(&mut self, id: TxnId) -> DispatchResult {
         debug_assert!(self.running.len() < self.cfg.n_cpus);
-        match self.txns[id.index()].kind {
+        match self.txns.at(id).kind {
             TxnKind::Query { spec_idx, .. } => self.try_dispatch_query(id, spec_idx),
             TxnKind::Update { item, .. } => self.try_dispatch_update(id, item),
             TxnKind::Background => {
@@ -1666,19 +1640,19 @@ impl<'a, P: Policy> Simulator<'a, P> {
         // On-demand refreshes (ODU): before the query touches data, the
         // policy may demand update transactions for its stale items. Those
         // are update-class, so they will run first.
-        if !self.txns[id.index()].holds_locks {
+        if !self.txns.at(id).holds_locks {
             let spawned = self.spawn_demand_refreshes(spec_idx);
             if spawned {
                 // The query goes back to the ready queue; the caller's loop
                 // re-evaluates who runs next.
-                self.txns[id.index()].state = TxnState::Ready;
+                self.txns.at_mut(id).state = TxnState::Ready;
                 let key = self.pkey(id);
                 self.ready.insert(key);
                 return DispatchResult::SpawnedRefresh;
             }
         }
 
-        if !self.txns[id.index()].holds_locks {
+        if !self.txns.at(id).holds_locks {
             // Field-precise destructures: the spec lives in `queries`,
             // disjoint from every structure touched alongside it.
             let acquire = {
@@ -1687,24 +1661,13 @@ impl<'a, P: Policy> Simulator<'a, P> {
             };
             match acquire {
                 ReadAcquire::Granted => {
-                    let f = {
-                        let Simulator {
-                            queries,
-                            freshness,
-                            cfg,
-                            clock,
-                            ..
-                        } = self;
-                        cfg.freshness_model.read_set_freshness(
-                            freshness,
-                            &queries.get(spec_idx).items,
-                            *clock,
-                        )
-                    };
+                    let f = self
+                        .freshness
+                        .read_set_freshness(&self.queries.get(spec_idx).items);
                     self.dispatch_freshness_sum += f;
                     self.dispatch_freshness_n += 1;
                     {
-                        let txn = &mut self.txns[id.index()];
+                        let txn = self.txns.at_mut(id);
                         txn.holds_locks = true;
                         if let TxnKind::Query {
                             freshness_at_dispatch,
@@ -1722,7 +1685,7 @@ impl<'a, P: Policy> Simulator<'a, P> {
                     }
                 }
                 ReadAcquire::BlockedOn(d) => {
-                    let txn = &mut self.txns[id.index()];
+                    let txn = self.txns.at_mut(id);
                     txn.state = TxnState::Blocked;
                     txn.blocked_on = Some(d);
                     self.blocked.push(id);
@@ -1735,23 +1698,23 @@ impl<'a, P: Policy> Simulator<'a, P> {
     }
 
     fn try_dispatch_update(&mut self, id: TxnId, item: DataId) -> DispatchResult {
-        if !self.txns[id.index()].holds_locks {
+        if !self.txns.at(id).holds_locks {
             let my_key = self.pkey(id);
             let txns = &self.txns;
             let discipline = self.cfg.discipline;
             let result = self.locks.acquire_write(id, item, |holder: TxnId| {
-                let h = &txns[holder.index()];
+                let h = txns.at(holder);
                 my_key < (discipline.rank(h.class), h.edf_deadline, h.id)
             });
             match result {
                 WriteAcquire::Granted { aborted } => {
-                    self.txns[id.index()].holds_locks = true;
+                    self.txns.at_mut(id).holds_locks = true;
                     for victim in aborted {
                         self.restart_victim(victim);
                     }
                 }
                 WriteAcquire::BlockedOn(d) => {
-                    let txn = &mut self.txns[id.index()];
+                    let txn = self.txns.at_mut(id);
                     txn.state = TxnState::Blocked;
                     txn.blocked_on = Some(d);
                     self.blocked.push(id);
@@ -1771,7 +1734,7 @@ impl<'a, P: Policy> Simulator<'a, P> {
             let run = self.running.swap_remove(pos);
             let elapsed = self.clock.saturating_since(run.started);
             self.charge_cpu(elapsed);
-            let txn = &mut self.txns[victim.index()];
+            let txn = self.txns.at_mut(victim);
             txn.remaining = txn.remaining.saturating_sub(elapsed);
             if !txn.is_query() {
                 self.outstanding_update_work = self.outstanding_update_work.saturating_sub(elapsed);
@@ -1781,7 +1744,7 @@ impl<'a, P: Policy> Simulator<'a, P> {
         }
         let key = self.pkey(victim);
         self.ready.remove(&key);
-        let txn = &mut self.txns[victim.index()];
+        let txn = self.txns.at_mut(victim);
         debug_assert_ne!(txn.state, TxnState::Finished, "finished txns hold no locks");
         let was_query = txn.is_query();
         let lost_progress = txn.exec_time.saturating_sub(txn.remaining);
@@ -1798,7 +1761,7 @@ impl<'a, P: Policy> Simulator<'a, P> {
     }
 
     fn start_running(&mut self, id: TxnId) {
-        let txn = &mut self.txns[id.index()];
+        let txn = self.txns.at_mut(id);
         txn.state = TxnState::Running;
         txn.blocked_on = None;
         let remaining = txn.remaining;
@@ -1825,7 +1788,7 @@ impl<'a, P: Policy> Simulator<'a, P> {
         edf_deadline: SimTime,
         on_demand: bool,
     ) {
-        let id = TxnId(self.txns.len() as u64);
+        let id = self.txns.next_id();
         let txn = Txn {
             id,
             class: TxnClass::Update,
@@ -1847,7 +1810,7 @@ impl<'a, P: Policy> Simulator<'a, P> {
     /// deadline is the injection instant, so it outranks every pending
     /// periodic update — bursts bite immediately.
     fn spawn_background(&mut self, exec: SimDuration) {
-        let id = TxnId(self.txns.len() as u64);
+        let id = self.txns.next_id();
         let txn = Txn {
             id,
             class: TxnClass::Update,
@@ -1870,7 +1833,7 @@ impl<'a, P: Policy> Simulator<'a, P> {
         }
         let mut unblocked = Vec::new();
         self.blocked.retain(|&b| {
-            let txn = &self.txns[b.index()];
+            let txn = self.txns.at(b);
             match txn.blocked_on {
                 Some(d) if freed.contains(&d) => {
                     unblocked.push(b);
@@ -1881,7 +1844,7 @@ impl<'a, P: Policy> Simulator<'a, P> {
         });
         for id in unblocked {
             {
-                let txn = &mut self.txns[id.index()];
+                let txn = self.txns.at_mut(id);
                 txn.state = TxnState::Ready;
                 txn.blocked_on = None;
             }
@@ -1913,11 +1876,16 @@ impl<'a, P: Policy> Simulator<'a, P> {
                 outcome,
             });
         }
-        if self.class_counts.len() <= class {
-            self.class_counts
-                .resize(class + 1, OutcomeCounts::default());
+        match self.class_counts.get_mut(class) {
+            Some(counts) => counts.record(outcome),
+            None => {
+                // First outcome of a new class: pad the classes in between.
+                self.class_counts.resize(class, OutcomeCounts::default());
+                let mut counts = OutcomeCounts::default();
+                counts.record(outcome);
+                self.class_counts.push(counts);
+            }
         }
-        self.class_counts[class].record(outcome);
         {
             let Simulator {
                 policy, queries, ..
@@ -1944,7 +1912,7 @@ impl<'a, P: Policy> Simulator<'a, P> {
     fn view_scalars(&self) -> (SimDuration, f64) {
         let mut update_backlog = self.outstanding_update_work;
         for r in &self.running {
-            if !self.txns[r.id.index()].is_query() {
+            if !self.txns.at(r.id).is_query() {
                 update_backlog =
                     update_backlog.saturating_sub(self.clock.saturating_since(r.started));
             }
@@ -2047,7 +2015,7 @@ impl<'a, P: Policy> Simulator<'a, P> {
     /// transaction's `remaining` changed at rest (preemption or 2PL-HP
     /// restart). No-op for update transactions.
     fn sync_admitted_remaining(&mut self, id: TxnId) {
-        let txn = &self.txns[id.index()];
+        let txn = self.txns.at(id);
         let TxnKind::Query { spec_idx, .. } = txn.kind else {
             return;
         };
@@ -2069,7 +2037,7 @@ impl<'a, P: Policy> Simulator<'a, P> {
     }
 
     fn remove_admitted(&mut self, id: TxnId) {
-        let txn = &self.txns[id.index()];
+        let txn = self.txns.at(id);
         let TxnKind::Query { spec_idx, .. } = txn.kind else {
             // lint: allow(panic) — callers pass ids from the admitted index
             unreachable!("only queries enter the admitted index");

@@ -303,7 +303,7 @@ impl<P: Policy> Simulator<'_, P> {
         for &slot in &self.queries.free {
             enc.put_usize(slot);
         }
-        enc.put_u64_slice(&self.query_accesses);
+        enc.put_u64_slice(self.query_accesses.as_slice());
 
         // Event heap: live `(time, seq, event)` entries in heap-key order
         // plus the runtime sequence counter. Freed slab slots are garbage
@@ -326,7 +326,7 @@ impl<P: Policy> Simulator<'_, P> {
         }
 
         enc.put_usize(self.txns.len());
-        for txn in &self.txns {
+        for txn in self.txns.iter() {
             put_txn(&mut enc, txn);
         }
         enc.put_usize(self.blocked.len());
@@ -345,7 +345,7 @@ impl<P: Policy> Simulator<'_, P> {
         self.locks.checkpoint_into(&mut enc);
         self.freshness.checkpoint_into(&mut enc);
         enc.put_usize(self.pending_ondemand.len());
-        for &b in &self.pending_ondemand {
+        for &b in self.pending_ondemand.values() {
             enc.put_bool(b);
         }
         enc.put_u64(self.outstanding_update_work.0);
@@ -468,7 +468,7 @@ impl<P: Policy> Simulator<'_, P> {
                 what: "access histogram size",
             });
         }
-        self.query_accesses = accesses;
+        self.query_accesses = accesses.into();
 
         let next_seq = dec.take_u64()?;
         let n_events = dec.take_usize()?;
@@ -494,7 +494,6 @@ impl<P: Policy> Simulator<'_, P> {
 
         let n_txns = dec.take_usize()?;
         self.txns.clear();
-        self.txns.reserve(n_txns.min(1 << 20));
         for _ in 0..n_txns {
             self.txns.push(take_txn(&mut dec)?);
         }
@@ -522,7 +521,7 @@ impl<P: Policy> Simulator<'_, P> {
                 what: "pending-refresh table size",
             });
         }
-        for b in &mut self.pending_ondemand {
+        for b in self.pending_ondemand.values_mut() {
             *b = dec.take_bool()?;
         }
         self.outstanding_update_work = SimDuration(dec.take_u64()?);

@@ -152,6 +152,7 @@ impl EventQueue {
     fn push_with_seq(&mut self, time: SimTime, event: Event, seq: u64) {
         let slot = match self.free.pop() {
             Some(s) => {
+                // lint: allow(D6) — `free` holds only slots pop() released, all below slab.len() (clear() empties both)
                 self.slab[s as usize] = event;
                 s
             }
@@ -169,6 +170,7 @@ impl EventQueue {
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
         self.heap.pop().map(|Reverse((t, _, slot))| {
             self.free.push(slot);
+            // lint: allow(D6) — heap keys index live slab slots by construction
             let event = std::mem::replace(&mut self.slab[slot as usize], Event::ControlTick);
             (t, event)
         })

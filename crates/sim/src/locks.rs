@@ -19,7 +19,7 @@
 
 use crate::txn::TxnId;
 use std::collections::BTreeMap;
-use unit_core::types::DataId;
+use unit_core::types::{DataId, ItemVec};
 
 /// Result of a read-set acquisition attempt.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,7 +59,7 @@ enum LockState {
 /// `cargo xtask lint`) bans hash-ordered containers in this crate outright.
 #[derive(Debug)]
 pub struct LockManager {
-    slots: Vec<LockState>,
+    slots: ItemVec<LockState>,
     held: BTreeMap<TxnId, Vec<DataId>>,
     hp_aborts: u64,
 }
@@ -68,7 +68,7 @@ impl LockManager {
     /// A lock table over `n_items` items, all free.
     pub fn new(n_items: usize) -> Self {
         LockManager {
-            slots: vec![LockState::Free; n_items],
+            slots: ItemVec::new(n_items, LockState::Free),
             held: BTreeMap::new(),
             hp_aborts: 0,
         }
@@ -82,7 +82,7 @@ impl LockManager {
     /// Items currently locked (diagnostics).
     pub fn locked_items(&self) -> usize {
         self.slots
-            .iter()
+            .values()
             .filter(|s| !matches!(s, LockState::Free))
             .count()
     }
@@ -97,13 +97,14 @@ impl LockManager {
             "transaction {txn:?} already holds locks"
         );
         for &d in items {
-            if let LockState::Write(_) = self.slots[d.index()] {
+            if let LockState::Write(_) = self.slots.at(d) {
                 return ReadAcquire::BlockedOn(d);
             }
         }
         for &d in items {
-            match &mut self.slots[d.index()] {
-                LockState::Free => self.slots[d.index()] = LockState::Read(vec![txn]),
+            let slot = self.slots.at_mut(d);
+            match slot {
+                LockState::Free => *slot = LockState::Read(vec![txn]),
                 LockState::Read(readers) => readers.push(txn),
                 // lint: allow(panic) — the write-conflict scan above returned early
                 LockState::Write(_) => unreachable!("checked above"),
@@ -132,7 +133,7 @@ impl LockManager {
             !self.held.contains_key(&txn),
             "transaction {txn:?} already holds locks"
         );
-        let slot = &self.slots[item.index()];
+        let slot = self.slots.at(item);
         let victims: Vec<TxnId> = match slot {
             LockState::Free => Vec::new(),
             LockState::Read(readers) => {
@@ -154,7 +155,7 @@ impl LockManager {
             self.release_all(v);
             self.hp_aborts += 1;
         }
-        self.slots[item.index()] = LockState::Write(txn);
+        *self.slots.at_mut(item) = LockState::Write(txn);
         self.held.insert(txn, vec![item]);
         WriteAcquire::Granted { aborted: victims }
     }
@@ -166,7 +167,7 @@ impl LockManager {
             return Vec::new();
         };
         for &d in &items {
-            let slot = &mut self.slots[d.index()];
+            let slot = self.slots.at_mut(d);
             match slot {
                 LockState::Read(readers) => {
                     readers.retain(|&r| r != txn);
@@ -195,7 +196,7 @@ impl LockManager {
     /// `BTreeMap` order, and the abort counter.
     pub fn checkpoint_into(&self, enc: &mut unit_core::checkpoint::Enc) {
         enc.put_usize(self.slots.len());
-        for slot in &self.slots {
+        for slot in self.slots.values() {
             match slot {
                 LockState::Free => enc.put_u8(0),
                 LockState::Read(readers) => {
@@ -234,7 +235,7 @@ impl LockManager {
                 what: "lock table size",
             });
         }
-        for slot in &mut self.slots {
+        for slot in self.slots.values_mut() {
             *slot = match dec.take_u8()? {
                 0 => LockState::Free,
                 1 => {
@@ -279,7 +280,7 @@ impl LockManager {
     pub fn check_invariants(&self) -> Result<(), String> {
         for (txn, items) in &self.held {
             for d in items {
-                match &self.slots[d.index()] {
+                match self.slots.at(*d) {
                     LockState::Free => return Err(format!("{txn:?} claims {d} but slot is free")),
                     LockState::Read(readers) => {
                         if !readers.contains(txn) {
@@ -294,15 +295,13 @@ impl LockManager {
                 }
             }
         }
-        for (i, slot) in self.slots.iter().enumerate() {
+        for (d, slot) in self.slots.iter() {
+            let i = d.0;
             match slot {
                 LockState::Free => {}
                 LockState::Read(readers) => {
                     for r in readers {
-                        let ok = self
-                            .held
-                            .get(r)
-                            .is_some_and(|items| items.contains(&DataId(i as u32)));
+                        let ok = self.held.get(r).is_some_and(|items| items.contains(&d));
                         if !ok {
                             return Err(format!("slot {i} lists unregistered reader {r:?}"));
                         }
@@ -312,7 +311,7 @@ impl LockManager {
                     let ok = self
                         .held
                         .get(holder)
-                        .is_some_and(|items| items.contains(&DataId(i as u32)));
+                        .is_some_and(|items| items.contains(&d));
                     if !ok {
                         return Err(format!("slot {i} lists unregistered writer {holder:?}"));
                     }

@@ -132,6 +132,55 @@ impl Txn {
     }
 }
 
+/// The engine's transaction arena: every transaction of the run, addressed
+/// by its [`TxnId`]. Ids are handed out densely by [`TxnArena::next_id`]
+/// and transactions are never removed, so every id the engine holds names a
+/// live slot.
+#[derive(Debug, Default)]
+pub(crate) struct TxnArena {
+    txns: Vec<Txn>,
+}
+
+impl TxnArena {
+    /// The id the next pushed transaction must carry. O(1).
+    pub(crate) fn next_id(&self) -> TxnId {
+        TxnId(self.txns.len() as u64)
+    }
+
+    /// Append `txn`, which must carry [`TxnArena::next_id`]. O(1) amortized.
+    pub(crate) fn push(&mut self, txn: Txn) {
+        debug_assert_eq!(txn.id, self.next_id(), "transaction ids are dense");
+        self.txns.push(txn);
+    }
+
+    /// The transaction behind `id`. O(1).
+    pub(crate) fn at(&self, id: TxnId) -> &Txn {
+        // lint: allow(D6) — ids come only from next_id() before a push, and the arena never shrinks outside restore, which reloads every id it rewinds to
+        &self.txns[id.index()]
+    }
+
+    /// The transaction behind `id`, mutably. O(1).
+    pub(crate) fn at_mut(&mut self, id: TxnId) -> &mut Txn {
+        // lint: allow(D6) — same bound as `at`: every held id names a pushed slot
+        &mut self.txns[id.index()]
+    }
+
+    /// Number of transactions created so far.
+    pub(crate) fn len(&self) -> usize {
+        self.txns.len()
+    }
+
+    /// Every transaction, in id order.
+    pub(crate) fn iter(&self) -> std::slice::Iter<'_, Txn> {
+        self.txns.iter()
+    }
+
+    /// Forget every transaction (checkpoint restore refills the arena).
+    pub(crate) fn clear(&mut self) {
+        self.txns.clear();
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

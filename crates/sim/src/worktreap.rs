@@ -33,12 +33,38 @@ struct Node {
     right: u32,
 }
 
+/// The node slab, addressed by `u32` node handle.
+#[derive(Debug, Default)]
+struct Nodes {
+    slots: Vec<Node>,
+}
+
+impl Nodes {
+    fn at(&self, t: u32) -> &Node {
+        // lint: allow(D6) — every handle comes from `alloc` (a pushed or recycled slot) and the slab never shrinks; NIL is checked before any access
+        &self.slots[t as usize]
+    }
+
+    fn at_mut(&mut self, t: u32) -> &mut Node {
+        // lint: allow(D6) — same bound as `at`: live handles index a slab that never shrinks
+        &mut self.slots[t as usize]
+    }
+
+    /// Append `node` in a fresh slot, returning its handle.
+    fn push(&mut self, node: Node) -> u32 {
+        // lint: allow(panic) — 4B distinct live deadlines is beyond any trace scale
+        let t = u32::try_from(self.slots.len()).expect("treap exceeds u32 slots");
+        self.slots.push(node);
+        t
+    }
+}
+
 /// Treap keyed by deadline, augmented with subtree work sums. Slots are
 /// slab-allocated and recycled, so steady-state operation performs no
 /// allocation once the tree has reached its peak size.
 #[derive(Debug, Default)]
 pub struct WorkTreap {
-    nodes: Vec<Node>,
+    nodes: Nodes,
     free: Vec<u32>,
     root: u32,
 }
@@ -56,7 +82,7 @@ impl WorkTreap {
     /// An empty index.
     pub fn new() -> Self {
         WorkTreap {
-            nodes: Vec::new(),
+            nodes: Nodes::default(),
             free: Vec::new(),
             root: NIL,
         }
@@ -72,7 +98,7 @@ impl WorkTreap {
         let mut acc = 0u64;
         let mut t = self.root;
         while t != NIL {
-            let n = &self.nodes[t as usize];
+            let n = self.nodes.at(t);
             if n.key <= key {
                 acc += n.work + self.subtree(n.left);
                 t = n.right;
@@ -115,11 +141,11 @@ impl WorkTreap {
         while t != NIL || !stack.is_empty() {
             while t != NIL {
                 stack.push(t);
-                t = self.nodes[t as usize].left;
+                t = self.nodes.at(t).left;
             }
             // lint: allow(panic) — loop guard ensures the stack is non-empty
             let top = stack.pop().expect("non-empty stack");
-            let n = &self.nodes[top as usize];
+            let n = self.nodes.at(top);
             out.push((n.key, n.work));
             t = n.right;
         }
@@ -130,17 +156,17 @@ impl WorkTreap {
         if t == NIL {
             0
         } else {
-            self.nodes[t as usize].subtree
+            self.nodes.at(t).subtree
         }
     }
 
     fn pull(&mut self, t: u32) {
         let (l, r) = {
-            let n = &self.nodes[t as usize];
+            let n = self.nodes.at(t);
             (n.left, n.right)
         };
-        let sum = self.nodes[t as usize].work + self.subtree(l) + self.subtree(r);
-        self.nodes[t as usize].subtree = sum;
+        let sum = self.nodes.at(t).work + self.subtree(l) + self.subtree(r);
+        self.nodes.at_mut(t).subtree = sum;
     }
 
     fn alloc(&mut self, key: SimTime, ticks: u64) -> u32 {
@@ -154,23 +180,18 @@ impl WorkTreap {
         };
         match self.free.pop() {
             Some(slot) => {
-                self.nodes[slot as usize] = node;
+                *self.nodes.at_mut(slot) = node;
                 slot
             }
-            None => {
-                // lint: allow(panic) — 4B distinct live deadlines is beyond any trace scale
-                let slot = u32::try_from(self.nodes.len()).expect("treap exceeds u32 slots");
-                self.nodes.push(node);
-                slot
-            }
+            None => self.nodes.push(node),
         }
     }
 
     /// Rotate the left child above `t`; both pulled. Returns the new root.
     fn rotate_right(&mut self, t: u32) -> u32 {
-        let l = self.nodes[t as usize].left;
-        self.nodes[t as usize].left = self.nodes[l as usize].right;
-        self.nodes[l as usize].right = t;
+        let l = self.nodes.at(t).left;
+        self.nodes.at_mut(t).left = self.nodes.at(l).right;
+        self.nodes.at_mut(l).right = t;
         self.pull(t);
         self.pull(l);
         l
@@ -178,9 +199,9 @@ impl WorkTreap {
 
     /// Rotate the right child above `t`; both pulled. Returns the new root.
     fn rotate_left(&mut self, t: u32) -> u32 {
-        let r = self.nodes[t as usize].right;
-        self.nodes[t as usize].right = self.nodes[r as usize].left;
-        self.nodes[r as usize].left = t;
+        let r = self.nodes.at(t).right;
+        self.nodes.at_mut(t).right = self.nodes.at(r).left;
+        self.nodes.at_mut(r).left = t;
         self.pull(t);
         self.pull(r);
         r
@@ -192,24 +213,24 @@ impl WorkTreap {
         if t == NIL {
             return self.alloc(key, ticks);
         }
-        let node_key = self.nodes[t as usize].key;
+        let node_key = self.nodes.at(t).key;
         if key == node_key {
-            self.nodes[t as usize].work += ticks;
+            self.nodes.at_mut(t).work += ticks;
             self.pull(t);
             t
         } else if key < node_key {
-            let child = self.insert(self.nodes[t as usize].left, key, ticks);
-            self.nodes[t as usize].left = child;
-            if self.nodes[child as usize].prio < self.nodes[t as usize].prio {
+            let child = self.insert(self.nodes.at(t).left, key, ticks);
+            self.nodes.at_mut(t).left = child;
+            if self.nodes.at(child).prio < self.nodes.at(t).prio {
                 self.rotate_right(t)
             } else {
                 self.pull(t);
                 t
             }
         } else {
-            let child = self.insert(self.nodes[t as usize].right, key, ticks);
-            self.nodes[t as usize].right = child;
-            if self.nodes[child as usize].prio < self.nodes[t as usize].prio {
+            let child = self.insert(self.nodes.at(t).right, key, ticks);
+            self.nodes.at_mut(t).right = child;
+            if self.nodes.at(child).prio < self.nodes.at(t).prio {
                 self.rotate_left(t)
             } else {
                 self.pull(t);
@@ -223,32 +244,32 @@ impl WorkTreap {
     fn remove(&mut self, t: u32, key: SimTime, ticks: u64) -> u32 {
         // lint: allow(panic) — add/sub are paired; a missing key is an engine bug
         assert!(t != NIL, "deadline has no admitted work");
-        let node_key = self.nodes[t as usize].key;
+        let node_key = self.nodes.at(t).key;
         if key == node_key {
-            let work = self.nodes[t as usize].work;
+            let work = self.nodes.at(t).work;
             let left = work
                 .checked_sub(ticks)
                 // lint: allow(panic) — never removes more work than was added
                 .expect("work index underflow");
             if left == 0 {
                 let (l, r) = {
-                    let n = &self.nodes[t as usize];
+                    let n = self.nodes.at(t);
                     (n.left, n.right)
                 };
                 self.free.push(t);
                 return self.merge(l, r);
             }
-            self.nodes[t as usize].work = left;
+            self.nodes.at_mut(t).work = left;
             self.pull(t);
             t
         } else if key < node_key {
-            let child = self.remove(self.nodes[t as usize].left, key, ticks);
-            self.nodes[t as usize].left = child;
+            let child = self.remove(self.nodes.at(t).left, key, ticks);
+            self.nodes.at_mut(t).left = child;
             self.pull(t);
             t
         } else {
-            let child = self.remove(self.nodes[t as usize].right, key, ticks);
-            self.nodes[t as usize].right = child;
+            let child = self.remove(self.nodes.at(t).right, key, ticks);
+            self.nodes.at_mut(t).right = child;
             self.pull(t);
             t
         }
@@ -262,14 +283,14 @@ impl WorkTreap {
         if r == NIL {
             return l;
         }
-        if self.nodes[l as usize].prio < self.nodes[r as usize].prio {
-            let m = self.merge(self.nodes[l as usize].right, r);
-            self.nodes[l as usize].right = m;
+        if self.nodes.at(l).prio < self.nodes.at(r).prio {
+            let m = self.merge(self.nodes.at(l).right, r);
+            self.nodes.at_mut(l).right = m;
             self.pull(l);
             l
         } else {
-            let m = self.merge(l, self.nodes[r as usize].left);
-            self.nodes[r as usize].left = m;
+            let m = self.merge(l, self.nodes.at(r).left);
+            self.nodes.at_mut(r).left = m;
             self.pull(r);
             r
         }

@@ -438,60 +438,6 @@ fn mean_dispatch_freshness_reflects_staleness_at_lock_time() {
 }
 
 // ---------------------------------------------------------------------------
-// Freshness models end-to-end.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn time_based_model_forgives_young_staleness() {
-    use unit_core::freshness::FreshnessModel;
-    // Version arrives at t=3 and is skipped; query reads at t=5 (age 2s).
-    let trace = Trace {
-        n_items: 1,
-        queries: vec![query(0, 5.0, &[0], 1.0, 10.0)],
-        updates: vec![update(0, 0, 100.0, 0.5, 3.0)],
-    };
-    // Lag model: any pending version -> stale.
-    let lag = run_simulation(&trace, SkipAll, cfg(100));
-    assert_eq!(lag.counts.data_stale, 1);
-    // Time-based with a 10s validity: age 2s -> freshness 0.8 < 0.9? No:
-    // 1 - 2/10 = 0.8 < 0.9 -> still stale. Use a 30s validity: 1 - 2/30 =
-    // 0.93 >= 0.9 -> success.
-    let time = run_simulation(
-        &trace,
-        SkipAll,
-        cfg(100).with_freshness_model(FreshnessModel::TimeBased {
-            validity: SimDuration::from_secs(30),
-        }),
-    );
-    assert_eq!(time.counts.success, 1, "{:?}", time.counts);
-}
-
-#[test]
-fn divergence_model_tolerates_small_backlogs() {
-    use unit_core::freshness::FreshnessModel;
-    // One pending version at read time.
-    let trace = Trace {
-        n_items: 1,
-        queries: vec![query(0, 5.0, &[0], 1.0, 10.0)],
-        updates: vec![update(0, 0, 100.0, 0.5, 1.0)],
-    };
-    // decay 0.05: e^-0.05 = 0.951 >= 0.9 -> success.
-    let gentle = run_simulation(
-        &trace,
-        SkipAll,
-        cfg(100).with_freshness_model(FreshnessModel::Divergence { decay: 0.05 }),
-    );
-    assert_eq!(gentle.counts.success, 1, "{:?}", gentle.counts);
-    // decay 1.0: e^-1 = 0.37 < 0.9 -> stale.
-    let strict = run_simulation(
-        &trace,
-        SkipAll,
-        cfg(100).with_freshness_model(FreshnessModel::Divergence { decay: 1.0 }),
-    );
-    assert_eq!(strict.counts.data_stale, 1, "{:?}", strict.counts);
-}
-
-// ---------------------------------------------------------------------------
 // Preference classes through the engine.
 // ---------------------------------------------------------------------------
 

@@ -192,8 +192,7 @@ pub(crate) fn generate_arrivals(cfg: &QueryTraceConfig, rng: &mut StdRng) -> Vec
             let start = rng.gen_range(0.0..(horizon - burst_len).max(1.0));
             windows.push(start);
         }
-        for k in 0..n_burst {
-            let w = windows[k % windows.len()];
+        for &w in windows.iter().cycle().take(n_burst) {
             arrivals.push(w + rng.gen_range(0.0..burst_len));
         }
     }

@@ -188,6 +188,7 @@ pub fn apportion_counts(weights: &[f64], total: u64) -> Vec<u64> {
     });
     let leftover = total.saturating_sub(assigned) as usize;
     for &(i, _) in remainders.iter().take(leftover) {
+        // lint: allow(D6) — remainders holds exactly one index per pushed count
         counts[i] += 1;
     }
     counts

@@ -83,8 +83,9 @@ impl TraceStats {
 
         let interarrivals: Vec<f64> = trace
             .queries
-            .windows(2)
-            .map(|w| w[1].arrival.saturating_since(w[0].arrival).as_secs_f64())
+            .iter()
+            .zip(trace.queries.iter().skip(1))
+            .map(|(a, b)| b.arrival.saturating_since(a.arrival).as_secs_f64())
             .collect();
 
         let execs: Vec<f64> = trace

@@ -68,8 +68,9 @@ pub fn stream_queries(cfg: &QueryTraceConfig) -> QueryStream {
     let mut perm: Vec<usize> = (0..cfg.n_items).collect();
     perm.shuffle(&mut rng);
     let mut weights = vec![0.0; cfg.n_items];
-    for (rank, &item) in perm.iter().enumerate() {
-        weights[item] = ranked[rank];
+    for (&item, &w) in perm.iter().zip(&ranked) {
+        // lint: allow(D6) — perm is a shuffle of 0..n_items, the length of `weights`
+        weights[item] = w;
     }
     let total: f64 = weights.iter().sum();
     for w in &mut weights {
@@ -129,13 +130,11 @@ impl Iterator for QueryStream {
     type Item = QuerySpec;
 
     fn next(&mut self) -> Option<QuerySpec> {
-        if self.next >= self.arrivals.len() {
-            return None;
-        }
         let i = self.next;
+        let (Some(&arrival), Some(&exec)) = (self.arrivals.get(i), self.exec_times.get(i)) else {
+            return None;
+        };
         self.next += 1;
-        let arrival = self.arrivals[i];
-        let exec = self.exec_times[i];
         let n_extra = capped_geometric(
             &mut self.rng,
             self.multi_item_p,

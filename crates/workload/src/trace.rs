@@ -73,7 +73,8 @@ impl TraceParseError {
 /// `\n` only, so CRLF input resolves to the same line numbers an editor
 /// shows (the `\r` lands in the previous line's last column).
 fn line_col(src: &str, off: usize) -> (usize, usize) {
-    let prefix = &src.as_bytes()[..off.min(src.len())];
+    let bytes = src.as_bytes();
+    let prefix = bytes.get(..off).unwrap_or(bytes);
     let line = 1 + prefix.iter().filter(|&&b| b == b'\n').count();
     let col = 1 + prefix.iter().rev().take_while(|&&b| b != b'\n').count();
     (line, col)
@@ -110,9 +111,9 @@ fn locate_spec_id(src: &str, id: u64, query: bool) -> Option<usize> {
     let section = src.get(lo..hi)?;
     let want = id.to_string();
     let mut from = 0;
-    while let Some(rel) = section[from..].find("\"id\"") {
+    while let Some(rel) = section.get(from..)?.find("\"id\"") {
         let key_at = from + rel;
-        let rest = section[key_at + "\"id\"".len()..].trim_start();
+        let rest = section.get(key_at + "\"id\"".len()..)?.trim_start();
         if let Some(rest) = rest.strip_prefix(':') {
             let rest = rest.trim_start();
             let digits: &str = rest
@@ -148,7 +149,7 @@ impl std::error::Error for TraceParseError {}
 /// Extract the byte offset from a vendored-parser message ending in
 /// `... at byte N ...`, if present.
 fn byte_offset_in(message: &str) -> Option<usize> {
-    let tail = &message[message.rfind("at byte ")? + "at byte ".len()..];
+    let tail = message.get(message.rfind("at byte ")? + "at byte ".len()..)?;
     let digits: &str = tail.split(|c: char| !c.is_ascii_digit()).next()?;
     digits.parse().ok()
 }

@@ -14,9 +14,7 @@
 //!   passes treat those as leaf *sites*, not calls.
 //!
 //! False edges inflate reachability, so the interprocedural rules err
-//! toward reporting; the baseline ratchet (see [`crate::baseline`])
-//! absorbs accepted noise while still catching every newly-introduced
-//! flow.
+//! toward reporting.
 
 use crate::lexer::{Comment, Tok};
 use crate::parser::{CallKind, FnDef};

@@ -1,16 +1,13 @@
 //! # xtask — workspace automation for the UNIT repro
 //!
-//! Two subcommands, both zero-dependency static analysis:
-//!
-//! * `cargo xtask lint` — the fast per-file pass: walks every `.rs` file
-//!   under `crates/` and enforces the line-level determinism and
-//!   invariant rules (D1–D4, P1, A1) the golden-digest test relies on.
-//! * `cargo xtask analyze` — everything `lint` does, plus the
-//!   interprocedural passes over an approximate workspace call graph:
-//!   D5 digest taint ([`taint`]), D6 panic reachability ([`reach`]),
-//!   and P2 hot-path allocation ([`hotpath`]) — gated by the
-//!   `xtask-baseline.json` ratchet ([`baseline`]) and emitted as text,
-//!   JSON, or SARIF ([`sarif`]) for code-scanning annotations.
+//! One subcommand, `cargo xtask lint`: zero-dependency static analysis of
+//! every `.rs` file under `crates/`. It runs the line-level determinism
+//! and invariant rules (D1–D4, P1, A1) the golden-digest test relies on,
+//! plus the interprocedural passes over an approximate workspace call
+//! graph: D5 digest taint ([`taint`]), D6 panic reachability ([`reach`]),
+//! and P2 hot-path allocation ([`hotpath`]). Any finding fails the run;
+//! output is text, JSON, or SARIF ([`sarif`]) for code-scanning
+//! annotations.
 //!
 //! See [`rules`] for the rule table and the allow-annotation syntax, and
 //! DESIGN.md §2.2 / §15 for the invariant each rule guards.
@@ -21,7 +18,6 @@
 
 #![warn(missing_docs)]
 
-pub mod baseline;
 pub mod graph;
 pub mod hotpath;
 pub mod lexer;
@@ -92,24 +88,6 @@ pub fn file_ctx(root: &Path, path: &Path) -> Option<FileCtx> {
     })
 }
 
-/// Lint the whole workspace rooted at `root`. Findings are ordered by file
-/// path, then line.
-///
-/// # Errors
-/// Fails when the tree cannot be walked or a source file cannot be read.
-pub fn lint_workspace(root: &Path) -> Result<Vec<Finding>, String> {
-    let mut findings = Vec::new();
-    for path in workspace_rs_files(root)? {
-        let Some(ctx) = file_ctx(root, &path) else {
-            continue;
-        };
-        let src =
-            std::fs::read_to_string(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
-        findings.extend(check_source(&src, &ctx));
-    }
-    Ok(findings)
-}
-
 /// Crates included in the interprocedural call graph: the library crates
 /// whose code can reach simulator state. `bench` (wall-clock measurement
 /// by design) and `xtask` itself stay out.
@@ -126,8 +104,7 @@ pub const GRAPH_CRATES: &[&str] = &[
 
 /// Run the full analysis — per-file rules plus the D5/D6/P2 graph passes —
 /// over the workspace rooted at `root`. Findings come back sorted by
-/// (file, line, rule) with fingerprints assigned; baseline gating is the
-/// caller's job (see [`baseline::Baseline::ratchet`]).
+/// (file, line, rule), one per (file, line, rule, site tag).
 ///
 /// # Errors
 /// Fails when the tree cannot be walked or a source file cannot be read.
@@ -153,7 +130,6 @@ pub fn analyze_workspace(root: &Path) -> Result<Vec<Finding>, String> {
     findings.dedup_by(|a, b| {
         a.file == b.file && a.line == b.line && a.rule == b.rule && a.kind == b.kind
     });
-    baseline::assign_fingerprints(&mut findings);
     Ok(findings)
 }
 
@@ -190,9 +166,6 @@ pub fn render_json(findings: &[Finding]) -> String {
         );
         if !f.symbol.is_empty() {
             let _ = write!(out, ",\"symbol\":{}", json_str(&f.symbol));
-        }
-        if !f.fingerprint.is_empty() {
-            let _ = write!(out, ",\"fingerprint\":{}", json_str(&f.fingerprint));
         }
         out.push('}');
     }

@@ -21,7 +21,7 @@ use crate::rules::Finding;
 struct PanicSite {
     /// `unwrap`, `expect`, `panic!`, `unreachable!`, … or `index`.
     what: String,
-    /// Fingerprint tag (`call:unwrap`, `macro:panic`, `index`).
+    /// Site tag (`call:unwrap`, `macro:panic`, `index`).
     kind: String,
     line: u32,
 }
@@ -93,7 +93,6 @@ pub fn rule_d6(files: &[ParsedFile], graph: &Graph, findings: &mut Vec<Finding>)
                 hint: "return a Result, use .get(..), or annotate: // lint: allow(D6) — <why this cannot fire>".to_string(),
                 symbol: graph.qual_name(files, i),
                 kind: s.kind,
-                fingerprint: String::new(),
             });
         }
     }

@@ -11,9 +11,9 @@
 //! | `A1` | malformed `lint: allow` annotations (unknown rule id, or no reason clause) | everywhere |
 //!
 //! The interprocedural rules `D5` (digest taint), `D6` (panic
-//! reachability), and `P2` (hot-path allocation) run only under
-//! `cargo xtask analyze`; see [`crate::taint`], [`crate::reach`], and
-//! [`crate::hotpath`]. Their allow annotations share this syntax.
+//! reachability), and `P2` (hot-path allocation) run over the workspace
+//! call graph rather than one file; see [`crate::taint`], [`crate::reach`],
+//! and [`crate::hotpath`]. Their allow annotations share this syntax.
 //!
 //! Suppression:
 //!
@@ -90,21 +90,16 @@ pub struct Finding {
     pub message: String,
     /// How to fix it (or how to annotate an intentional exemption).
     pub hint: String,
-    /// Qualified name of the function the finding is anchored to
-    /// (empty for per-file rules — fingerprints fall back to the file).
+    /// Qualified name of the function the finding is anchored to (empty
+    /// for per-file rules).
     pub symbol: String,
-    /// Short site tag used for fingerprint stability (`call:unwrap`,
-    /// `taint:Instant::now`, …); empty for per-file rules.
+    /// Short site tag (`call:unwrap`, `taint:Instant::now`, …); empty for
+    /// per-file rules.
     pub kind: String,
-    /// Stable fingerprint, assigned by [`crate::baseline::assign_fingerprints`]
-    /// over (rule, file, symbol, kind, occurrence index) — line numbers are
-    /// deliberately excluded so unrelated edits don't churn the baseline.
-    pub fingerprint: String,
 }
 
 impl Finding {
-    /// A finding with only the per-file fields set (symbol/kind/fingerprint
-    /// empty until fingerprint assignment).
+    /// A per-file finding (no symbol or site tag).
     pub fn new(file: String, line: u32, rule: &'static str, message: String, hint: String) -> Self {
         Finding {
             file,
@@ -114,7 +109,6 @@ impl Finding {
             hint,
             symbol: String::new(),
             kind: String::new(),
-            fingerprint: String::new(),
         }
     }
 }
@@ -704,7 +698,7 @@ mod tests { fn t() { z.unwrap(); } }
 
     #[test]
     fn file_scoped_allow_covers_everything() {
-        let src = "// lint: allow-file(D3) — prototype module\nfn f() { x.unwrap(); }\nfn g() { y.unwrap(); }\n";
+        let src = "// lint: allow-file(D1) — prototype module\nuse std::collections::HashMap;\ntype M = HashMap<u8, u8>;\n";
         assert!(check_source(src, &ctx("core", "crates/core/src/x.rs")).is_empty());
     }
 

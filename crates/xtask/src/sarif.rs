@@ -1,10 +1,9 @@
 //! SARIF 2.1.0 emission for GitHub code scanning.
 //!
-//! One run, one driver (`unit-analyze`), one result per finding. The
-//! stable fingerprint rides along as `partialFingerprints` under the
-//! `unitAnalyze/v1` key, so code scanning tracks a finding across line
-//! shifts exactly as the baseline ratchet does. Hand-rolled like every
-//! other serializer in this crate — xtask has no dependencies.
+//! One run, one driver (`unit-analyze`), one result per finding; code
+//! scanning computes its own fingerprints to track a result across line
+//! shifts. Hand-rolled like every other serializer in this crate — xtask
+//! has no dependencies.
 
 use crate::json_str;
 use crate::rules::Finding;
@@ -68,13 +67,6 @@ pub fn render_sarif(findings: &[Finding]) -> String {
             json_str(&f.file),
             f.line
         );
-        if !f.fingerprint.is_empty() {
-            let _ = write!(
-                out,
-                ",\"partialFingerprints\":{{\"unitAnalyze/v1\":{}}}",
-                json_str(&f.fingerprint)
-            );
-        }
         out.push('}');
     }
     out.push_str("]}]}\n");
@@ -86,7 +78,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn sarif_carries_rule_location_and_fingerprint() {
+    fn sarif_carries_rule_and_location() {
         let f = Finding {
             file: "crates/sim/src/x.rs".into(),
             line: 7,
@@ -95,16 +87,11 @@ mod tests {
             hint: "h".into(),
             symbol: "sim::f".into(),
             kind: "taint:Instant::now".into(),
-            fingerprint: "00ff00ff00ff00ff".into(),
         };
         let s = render_sarif(&[f]);
         assert!(s.contains("\"ruleId\":\"D5\""), "{s}");
         assert!(s.contains("\"startLine\":7"), "{s}");
         assert!(s.contains("\"uri\":\"crates/sim/src/x.rs\""), "{s}");
-        assert!(
-            s.contains("\"partialFingerprints\":{\"unitAnalyze/v1\":\"00ff00ff00ff00ff\"}"),
-            "{s}"
-        );
         // The quoted word in the message must be escaped.
         assert!(s.contains("taint \\\"path\\\""), "{s}");
         // All nine rules are declared.

@@ -24,8 +24,8 @@
 //! clocks in `cluster::run` are D2-allowed *because* they are diagnostic
 //! and digest-excluded — if one of them ever becomes reachable from
 //! `report_digest`, that is exactly the regression this rule exists to
-//! catch. Only an explicit `// lint: allow(D5) — reason` (or the
-//! baseline) silences a D5 finding.
+//! catch. Only an explicit `// lint: allow(D5) — reason` silences a D5
+//! finding.
 
 use crate::graph::{Graph, ParsedFile};
 use crate::lexer::TokKind;
@@ -132,7 +132,6 @@ pub fn rule_d5(files: &[ParsedFile], graph: &Graph, findings: &mut Vec<Finding>)
                 hint: "report_digest must be a pure function of (trace, seed, config); move the source out of the digest closure or annotate: // lint: allow(D5) — <why this cannot reach digest state>".to_string(),
                 symbol: graph.qual_name(files, i),
                 kind: format!("taint:{}", s.what),
-                fingerprint: String::new(),
             });
         }
     }

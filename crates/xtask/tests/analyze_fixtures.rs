@@ -1,10 +1,9 @@
-//! Fixture-driven tests for `cargo xtask analyze`: each seeded violation
-//! (one per interprocedural rule) must be reported with its exact rule id
-//! and call path, the baseline ratchet must gate exit codes, and the real
-//! workspace must be clean under the checked-in `xtask-baseline.json`.
+//! Fixture-driven tests for the interprocedural passes of `cargo xtask
+//! lint`: each seeded violation (one per rule) must be reported with its
+//! exact rule id and call path, and the real workspace must have no
+//! findings at all.
 
 use std::path::{Path, PathBuf};
-use xtask::baseline::{parse_baseline, render_baseline};
 use xtask::{analyze_workspace, Finding};
 
 fn fixture(name: &str) -> String {
@@ -90,6 +89,7 @@ fn p2_fixture_reports_hot_path_allocations() {
         vec![
             (9, "alloc:format!", "sim::Greedy::on_query"),
             (14, "alloc:.to_vec()", "sim::Greedy::snapshot"),
+            (21, "alloc:.clone()", "sim::Greedy::on_tick"),
         ],
         "{p2:?}"
     );
@@ -120,27 +120,7 @@ fn a1_fixture_reports_malformed_allows() {
     std::fs::remove_dir_all(&root).ok();
 }
 
-#[test]
-fn fingerprints_are_stable_across_unrelated_line_shifts() {
-    let src = fixture("d6_reach.rs");
-    let root = fake_workspace("fp-a", &[("sim", "lookup.rs", &src)]);
-    let before = analyze_workspace(&root).unwrap();
-    // Prepend comment lines: every finding moves, no fingerprint does.
-    let shifted = format!("// pad\n// pad\n// pad\n{src}");
-    let root_b = fake_workspace("fp-b", &[("sim", "lookup.rs", &shifted)]);
-    let after = analyze_workspace(&root_b).unwrap();
-    let fp = |fs: &[Finding]| {
-        fs.iter()
-            .map(|f| (f.rule, f.fingerprint.clone()))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(fp(&before), fp(&after));
-    assert!(before.iter().zip(&after).all(|(b, a)| b.line + 3 == a.line));
-    std::fs::remove_dir_all(&root).ok();
-    std::fs::remove_dir_all(&root_b).ok();
-}
-
-// --- binary-level tests: exit codes, formats, and the ratchet ------------
+// --- binary-level tests: exit codes and formats --------------------------
 
 fn xtask_bin(root: &Path, args: &[&str]) -> std::process::Output {
     std::process::Command::new(env!("CARGO_BIN_EXE_xtask"))
@@ -151,44 +131,9 @@ fn xtask_bin(root: &Path, args: &[&str]) -> std::process::Output {
 }
 
 #[test]
-fn analyze_binary_fails_then_passes_after_baselining() {
-    let root = fake_workspace(
-        "ratchet",
-        &[
-            ("sim", "stats.rs", &fixture("d5_taint.rs")),
-            ("sim", "lookup.rs", &fixture("d6_reach.rs")),
-        ],
-    );
-    // Fresh tree, no baseline: seeded findings fail the run.
-    let out = xtask_bin(&root, &["analyze"]);
-    assert_eq!(out.status.code(), Some(1));
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("D5"), "{stdout}");
-    assert!(stdout.contains("D6"), "{stdout}");
-
-    // Accept the debt, then the same tree is clean…
-    let out = xtask_bin(&root, &["analyze", "--update-baseline"]);
-    assert_eq!(out.status.code(), Some(0));
-    let out = xtask_bin(&root, &["analyze"]);
-    assert_eq!(out.status.code(), Some(0), "{out:?}");
-
-    // …until a new violation lands, which fails again (ratchet, not gate).
-    let extra = "pub fn fresh(xs: &[u64]) -> u64 { xs[0] }\n";
-    std::fs::write(root.join("crates/sim/src/extra.rs"), extra).unwrap();
-    let out = xtask_bin(&root, &["analyze", "--format", "json"]);
-    assert_eq!(out.status.code(), Some(1));
-    let stdout = String::from_utf8(out.stdout).unwrap();
-    assert!(stdout.contains("\"rule\":\"D6\""), "{stdout}");
-    assert!(stdout.contains("crates/sim/src/extra.rs"), "{stdout}");
-    // Only the new finding is reported; the baselined ones stay quiet.
-    assert!(!stdout.contains("crates/sim/src/stats.rs"), "{stdout}");
-    std::fs::remove_dir_all(&root).ok();
-}
-
-#[test]
-fn analyze_binary_emits_sarif_with_fingerprints() {
+fn lint_binary_emits_sarif() {
     let root = fake_workspace("sarif", &[("sim", "greedy.rs", &fixture("p2_hotpath.rs"))]);
-    let out = xtask_bin(&root, &["analyze", "--format", "sarif", "--no-baseline"]);
+    let out = xtask_bin(&root, &["lint", "--format", "sarif"]);
     assert_eq!(out.status.code(), Some(1));
     let stdout = String::from_utf8(out.stdout).unwrap();
     assert!(stdout.contains("\"version\":\"2.1.0\""), "{stdout}");
@@ -197,22 +142,27 @@ fn analyze_binary_emits_sarif_with_fingerprints() {
         stdout.contains("\"uri\":\"crates/sim/src/greedy.rs\""),
         "{stdout}"
     );
-    assert!(stdout.contains("unitAnalyze/v1"), "{stdout}");
     std::fs::remove_dir_all(&root).ok();
 }
 
+/// `analyze` and the ratchet flags are gone: each is a usage error now.
 #[test]
 fn analyze_binary_rejects_unknown_flags_with_exit_2() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_xtask"))
-        .args(["analyze", "--format", "yaml"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_xtask"))
-        .args(["analyze", "--frobnicate"])
-        .output()
-        .unwrap();
-    assert_eq!(out.status.code(), Some(2));
+    let root = fake_workspace(
+        "usage",
+        &[("sim", "id.rs", "pub fn id(x: u32) -> u32 { x }\n")],
+    );
+    for args in [
+        &["analyze"][..],
+        &["lint", "--update-baseline"],
+        &["lint", "--no-baseline"],
+        &["lint", "--baseline", "x"],
+        &["lint", "--format", "yaml"],
+    ] {
+        let out = xtask_bin(&root, args);
+        assert_eq!(out.status.code(), Some(2), "{args:?}");
+    }
+    std::fs::remove_dir_all(&root).ok();
 }
 
 // --- the real workspace ---------------------------------------------------
@@ -222,71 +172,24 @@ fn workspace_root() -> PathBuf {
 }
 
 #[test]
-fn real_workspace_is_clean_under_the_checked_in_baseline() {
-    let root = workspace_root();
-    let findings = analyze_workspace(&root).unwrap();
-    let baseline_src = std::fs::read_to_string(root.join("xtask-baseline.json")).unwrap();
-    let baseline = parse_baseline(&baseline_src).unwrap();
-    let r = baseline.ratchet(findings);
+fn real_workspace_has_no_findings() {
+    let findings = analyze_workspace(&workspace_root()).unwrap();
     assert!(
-        r.new.is_empty(),
-        "non-baselined findings — fix them or run `cargo xtask analyze --update-baseline`:\n{}",
-        r.new
+        findings.is_empty(),
+        "`cargo xtask lint` must be clean — fix each finding (CONTRIBUTING.md, \"Fixing a finding\"):\n{}",
+        findings
             .iter()
             .map(|f| format!("{}:{} {} {}", f.file, f.line, f.rule, f.message))
             .collect::<Vec<_>>()
             .join("\n")
-    );
-    assert!(
-        r.stale.is_empty(),
-        "stale baseline entries — shrink the baseline:\n{:?}",
-        r.stale
     );
 }
 
 #[test]
 fn real_workspace_has_no_digest_taint_at_all() {
     // D5 is the tentpole invariant: nothing nondeterministic is reachable
-    // from report_digest or outcome-log construction, baselined or not.
+    // from report_digest or outcome-log construction.
     let findings = analyze_workspace(&workspace_root()).unwrap();
     let d5: Vec<_> = findings.iter().filter(|f| f.rule == "D5").collect();
     assert!(d5.is_empty(), "{d5:?}");
-}
-
-#[test]
-fn baseline_file_roundtrips_through_render() {
-    let src = std::fs::read_to_string(workspace_root().join("xtask-baseline.json")).unwrap();
-    let parsed = parse_baseline(&src).unwrap();
-    assert!(!parsed.entries.is_empty());
-    // Rendering findings and re-parsing is identity on the entry set —
-    // guards the hand-rolled JSON against quoting drift.
-    let reparsed = parse_baseline(&src.replace('\n', " ")).unwrap();
-    assert_eq!(parsed.entries, reparsed.entries);
-}
-
-#[test]
-fn update_baseline_is_idempotent() {
-    let root = fake_workspace("idem", &[("sim", "lookup.rs", &fixture("d6_reach.rs"))]);
-    assert_eq!(
-        xtask_bin(&root, &["analyze", "--update-baseline"])
-            .status
-            .code(),
-        Some(0)
-    );
-    let first = std::fs::read_to_string(root.join("xtask-baseline.json")).unwrap();
-    assert_eq!(
-        xtask_bin(&root, &["analyze", "--update-baseline"])
-            .status
-            .code(),
-        Some(0)
-    );
-    let second = std::fs::read_to_string(root.join("xtask-baseline.json")).unwrap();
-    assert_eq!(first, second);
-    // And the rendered form parses back to the same fingerprint set the
-    // in-process API computes.
-    let findings = analyze_workspace(&root).unwrap();
-    let b = parse_baseline(&render_baseline(&findings)).unwrap();
-    let c = parse_baseline(&first).unwrap();
-    assert_eq!(b.entries, c.entries);
-    std::fs::remove_dir_all(&root).ok();
 }

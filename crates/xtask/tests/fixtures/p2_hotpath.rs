@@ -13,4 +13,11 @@ impl Policy for Greedy {
     fn snapshot(&self) -> Vec<String> {
         self.seen.to_vec()
     }
+
+    fn on_tick(&self) -> Vec<String> {
+        if self.seen.is_empty() {
+            return Vec::new(); // const, allocation-free: not a finding
+        }
+        self.seen.clone()
+    }
 }
