@@ -1,17 +1,20 @@
 //! Microbenchmarks for the core data structures: the operations the
 //! admission-control and modulation paths execute per event.
 
-use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use unit_core::admission::AdmissionControl;
+use unit_core::config::UnitConfig;
 use unit_core::controller::{Lbc, LbcConfig};
 use unit_core::freshness::FreshnessTable;
 use unit_core::lottery::WeightedSampler;
+use unit_core::policy::Policy;
 use unit_core::snapshot::{QueueEntryView, SystemSnapshot};
 use unit_core::tickets::TicketTable;
 use unit_core::time::{SimDuration, SimTime};
-use unit_core::types::{DataId, Outcome, QueryId, QuerySpec};
+use unit_core::types::{DataId, Outcome, QueryId, QuerySpec, UpdateSpec, UpdateStreamId};
+use unit_core::unit_policy::UnitPolicy;
 use unit_core::usm::UsmWeights;
 
 fn lottery(c: &mut Criterion) {
@@ -151,5 +154,95 @@ fn controller(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, lottery, tickets, freshness, admission, controller);
+/// Degradation cap of the `modulation` group: low, so preparing a table
+/// with most items at the cap takes few signals.
+const BENCH_MAX_FACTOR: f64 = 2.0;
+
+/// Feed the LBC a full window of `outcome`s and tick once past its grace
+/// period: one `DegradeUpdates` (deadline misses) or `UpgradeUpdates`
+/// (stale reads) signal through `Policy::on_tick`.
+fn signal_tick(p: &mut UnitPolicy, now: SimTime, outcome: Outcome) {
+    let q = QuerySpec {
+        id: QueryId(0),
+        arrival: now,
+        items: vec![DataId(0)],
+        exec_time: SimDuration::from_secs(1),
+        relative_deadline: SimDuration::from_secs(10),
+        freshness_req: 0.9,
+        pref_class: 0,
+    };
+    for _ in 0..16 {
+        p.on_query_outcome(&q, outcome);
+    }
+    let sys = SystemSnapshot::empty(now);
+    black_box(p.on_tick(now, &sys.view()));
+}
+
+/// A UNIT policy over `n` streamed items with spread tickets, degraded by
+/// lottery signals until at most a fifth of them are below the cap, and
+/// the instant of its next control tick. Per-item update utilization is
+/// small enough that a signal spends its 4096 draws before its shed budget,
+/// as on the paper traces.
+fn modulated_policy(n: usize) -> (UnitPolicy, SimTime) {
+    let cfg = UnitConfig {
+        max_degradation_factor: BENCH_MAX_FACTOR,
+        ..UnitConfig::with_weights(UsmWeights::low_high_cfm()).with_seed(11)
+    };
+    let specs: Vec<UpdateSpec> = (0..n)
+        .map(|i| UpdateSpec {
+            id: UpdateStreamId(i as u32),
+            item: DataId(i as u32),
+            period: SimDuration::from_secs(200 * n as u64),
+            exec_time: SimDuration::from_secs(1 + (i * 37 % 97) as u64),
+            first_arrival: SimTime::ZERO,
+        })
+        .collect();
+    let mut p = UnitPolicy::new(cfg);
+    p.init(n, &specs);
+    for u in &specs {
+        p.on_update_commit(u.item, u.exec_time);
+    }
+    let capped = |p: &UnitPolicy| {
+        specs
+            .iter()
+            .filter(|u| {
+                let pc = p.current_period(u.item).unwrap_or(SimDuration::MAX);
+                pc.scale(1.1).min(u.period.scale(BENCH_MAX_FACTOR)) == pc
+            })
+            .count()
+    };
+    let mut now = SimTime::from_secs(60);
+    while capped(&p) * 5 < n * 4 {
+        signal_tick(&mut p, now, Outcome::DeadlineMiss);
+        now += SimDuration::from_secs(60);
+    }
+    (p, now)
+}
+
+/// One modulation signal through `Policy::on_tick` on a table with ≈ 20 %
+/// of its items below the cap; every call starts from the same state.
+fn modulation(c: &mut Criterion) {
+    let mut group = c.benchmark_group("modulation");
+    for n in [1024usize, 16_384, 131_072] {
+        let (prepared, now) = modulated_policy(n);
+        for (name, outcome) in [
+            ("degrade", Outcome::DeadlineMiss),
+            ("upgrade", Outcome::DataStale),
+        ] {
+            group.bench_with_input(BenchmarkId::new(name, n), &n, |b, _| {
+                b.iter_batched(
+                    || prepared.clone(),
+                    |mut p| {
+                        signal_tick(&mut p, now, outcome);
+                        p
+                    },
+                    BatchSize::LargeInput,
+                );
+            });
+        }
+    }
+    group.finish();
+}
+
+criterion_group!(benches, lottery, tickets, freshness, admission, controller, modulation);
 criterion_main!(benches);

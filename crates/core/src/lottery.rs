@@ -10,6 +10,12 @@
 //! Weights are `f64` because UNIT's ticket values are continuous (Eq. 6–8).
 //! Callers must supply non-negative weights; UNIT shifts its raw tickets by
 //! `−T_min` before loading them (§3.4.1).
+//!
+//! A degrade signal draws thousands of times over one fixed weight vector,
+//! and only the draws landing on an item below its modulation cap matter.
+//! [`VictimIndex`] answers those draws in O(1) without the descent and
+//! hands the rare draw near a span boundary to [`WeightedSampler::locate`],
+//! so every victim is the one the descent would pick.
 
 use crate::fenwick::Fenwick;
 use rand::Rng;
@@ -151,6 +157,264 @@ impl WeightedSampler {
             .rposition(weighted)
             .or_else(|| self.weights.iter().position(weighted))
             .unwrap_or(n - 1)
+    }
+}
+
+/// Relative width of the safety margin around span boundaries: many orders
+/// of magnitude above the float drift between the linear cumulative sums
+/// and the Fenwick descent's node sums (≈ N·ε), so a draw farther than this
+/// from every boundary resolves to the same item both ways.
+const MARGIN: f64 = 1e-6;
+
+/// Buckets per positive-weight item (rounded up to a power of two).
+const BUCKETS_PER_ITEM: usize = 4;
+
+/// Bucket word tags (top two bits). A cold bucket holds only draws on
+/// items capped at build time; an item bucket lies inside one uncapped
+/// item's span, farther than the margin from both ends; a step bucket
+/// holds span boundaries and names the first span to step from.
+const TAG: u32 = 3 << 30;
+const ITEM: u32 = 1 << 30;
+const STEP: u32 = 2 << 30;
+/// Bucket word payload: an item index or a span position.
+const PAYLOAD: u32 = !TAG;
+
+/// How [`VictimIndex::resolve`] settled its draws. Diagnostics only: the
+/// counts never influence a decision and are not checkpointed.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct VictimCounters {
+    /// Draws that landed in a hot bucket (near an uncapped item's span).
+    pub hot: u64,
+    /// Hot draws that fell back to the exact Fenwick descent.
+    pub fallbacks: u64,
+}
+
+/// One lottery's draw-to-victim map for a batch of draws over fixed
+/// weights, where only the draws landing on *uncapped* items matter.
+///
+/// Positive weights split `[0, total)` into one contiguous span per item,
+/// in index order. [`Self::build`] lays `next_pow2(4 × #positive)` equal
+/// buckets over that range. A bucket is *hot* when it touches an uncapped
+/// item's span widened by a `total × 1e-6` margin; a draw in a cold bucket
+/// certainly lands on a capped item. A hot bucket that lies inside one
+/// span, clear of the margin at both ends, names its item outright; any
+/// other hot bucket names the first span ending in it, and a draw there
+/// steps to the span containing it — the victim when it sits farther than
+/// the margin from both ends. Only draws within the margin of a boundary
+/// (≈ 1e-6·N of them) take the exact [`WeightedSampler::locate`] descent,
+/// on a sampler built the first time one is needed. Build is O(N +
+/// buckets); a draw is O(1) expected.
+///
+/// ```
+/// use unit_core::lottery::{VictimIndex, WeightedSampler};
+///
+/// let weights = vec![2.0, 0.0, 1.0, 5.0];
+/// let mut index = VictimIndex::default();
+/// // Item 3 is capped: draws on it are no-ops the index can skip.
+/// let total = index.build(weights.clone(), |i| i == 3);
+/// assert_eq!(total, WeightedSampler::from_weights(&weights).total());
+/// assert_eq!(index.uncapped(), 2);
+/// assert_eq!(index.resolve(1.0), Some(0));
+/// assert_eq!(index.resolve(2.5), Some(2));
+/// assert_eq!(index.resolve(6.0), None); // inside item 3's span
+/// ```
+#[derive(Debug, Clone, Default)]
+pub struct VictimIndex {
+    /// The weights of the current build, kept for the exact fallback.
+    weights: Vec<f64>,
+    /// One span per positive-weight item, in index order.
+    spans: Vec<Span>,
+    /// One tagged word per bucket (see [`TAG`]).
+    buckets: Vec<u32>,
+    /// Sum of the weights, bit-identical to the sampler's `total()`.
+    total: f64,
+    margin: f64,
+    /// Buckets per unit of weight.
+    scale: f64,
+    last_bucket: usize,
+    uncapped: usize,
+    /// The exact sampler, built on first use after each build.
+    sampler: Option<WeightedSampler>,
+    counters: VictimCounters,
+}
+
+/// A positive-weight item's slice of `[0, total)`; it starts where the
+/// previous span ends.
+#[derive(Debug, Clone, Copy)]
+struct Span {
+    /// Linear cumulative weight through this item.
+    end: f64,
+    item: usize,
+}
+
+impl VictimIndex {
+    /// Index `weights` for a batch of draws; `capped(i)` says whether item
+    /// `i`'s draws are no-ops. Returns the total weight, bit-identical to
+    /// [`WeightedSampler::from_weights`]`(&weights).total()`; when it is
+    /// not positive and finite there is nothing to draw and nothing is
+    /// indexed. Zero, negative and NaN weights carry no span. O(N +
+    /// buckets); the buffers are reused across builds.
+    pub fn build(&mut self, weights: Vec<f64>, capped: impl Fn(usize) -> bool) -> f64 {
+        self.total = crate::fenwick::Fenwick::total_of(&weights);
+        self.margin = self.total * MARGIN;
+        self.sampler = None;
+        self.spans.clear();
+        self.buckets.clear();
+        self.uncapped = 0;
+        if self.total > 0.0 && self.total.is_finite() {
+            self.index(&weights, capped);
+        }
+        self.weights = weights;
+        self.total
+    }
+
+    /// Lay the spans and the buckets over `[0, total)` in one pass.
+    fn index(&mut self, weights: &[f64], capped: impl Fn(usize) -> bool) {
+        let positive = weights.iter().filter(|&&w| w > 0.0).count();
+        // Payloads are 30 bits; a larger table gets one step bucket, which
+        // stays exact (a linear step per draw) however slow.
+        let buckets = if weights.len() <= PAYLOAD as usize {
+            (BUCKETS_PER_ITEM * positive).next_power_of_two()
+        } else {
+            1
+        };
+        self.scale = buckets as f64 / self.total;
+        self.last_bucket = buckets - 1;
+        self.buckets.resize(buckets, 0);
+        // Buckets from `unassigned` on have not yet seen a span end, so
+        // their payload is not yet their first span.
+        let mut unassigned = 0;
+        let mut start = 0.0;
+        for (item, &w) in weights.iter().enumerate() {
+            if w <= 0.0 || w.is_nan() {
+                continue;
+            }
+            let end = start + w;
+            let last = self.bucket(end);
+            let p = self.spans.len() as u32 & PAYLOAD;
+            for word in self.buckets.get_mut(unassigned..=last).unwrap_or_default() {
+                *word = (*word & TAG) | p;
+            }
+            unassigned = unassigned.max(last + 1);
+            self.spans.push(Span { end, item });
+            if !capped(item) {
+                self.uncapped += 1;
+                let (lo, hi) = (
+                    self.bucket(start - self.margin),
+                    self.bucket(end + self.margin),
+                );
+                // Strictly between these, every point of a bucket clears
+                // the margin at both ends of this span.
+                let (inner_lo, inner_hi) = (
+                    self.bucket(start + self.margin),
+                    self.bucket(end - self.margin),
+                );
+                let words = self.buckets.get_mut(lo..=hi).unwrap_or_default();
+                for (b, word) in (lo..).zip(words) {
+                    *word = if inner_lo < b && b < inner_hi {
+                        ITEM | (item as u32 & PAYLOAD)
+                    } else {
+                        *word | STEP
+                    };
+                }
+            }
+            start = end;
+        }
+        // Past the last span's end only float drift can land a draw; step
+        // buckets there name no span, so such a draw takes the exact path.
+        let past_end = self.spans.len() as u32 & PAYLOAD;
+        for word in self.buckets.get_mut(unassigned..).unwrap_or_default() {
+            *word = (*word & TAG) | past_end;
+        }
+    }
+
+    /// The bucket holding weight coordinate `x`: monotone in `x`, so a
+    /// range `[a, b]` lies within buckets `bucket(a)..=bucket(b)`.
+    fn bucket(&self, x: f64) -> usize {
+        ((x * self.scale) as usize).min(self.last_bucket)
+    }
+
+    /// Positive-weight items that were not capped at build time.
+    pub fn uncapped(&self) -> usize {
+        self.uncapped
+    }
+
+    /// Running resolution counts across every build.
+    pub(crate) fn counters(&self) -> VictimCounters {
+        self.counters
+    }
+
+    /// The item a draw `target ∈ [0, total)` lands on, or `None` when it
+    /// certainly lands on an item that was capped at build time. A returned
+    /// item is exactly [`WeightedSampler::locate`]`(target)`.
+    pub fn resolve(&mut self, target: f64) -> Option<usize> {
+        let word = self
+            .buckets
+            .get(self.bucket(target))
+            .copied()
+            .unwrap_or(STEP);
+        let payload = (word & PAYLOAD) as usize;
+        let found = match word & TAG {
+            0 => return None,
+            ITEM => Some(payload),
+            _ => self.containing(payload, target),
+        };
+        self.counters.hot += 1;
+        found.or_else(|| {
+            self.counters.fallbacks += 1;
+            Some(self.locate(target))
+        })
+    }
+
+    /// The item whose span holds `target` farther than the margin from
+    /// both of its ends, if there is one, stepping from span `p`: the first
+    /// span ending in `target`'s bucket or later, so the containing span
+    /// is at or after it.
+    fn containing(&self, mut p: usize, target: f64) -> Option<usize> {
+        let mut start = match p.checked_sub(1) {
+            Some(prev) => self.spans.get(prev)?.end,
+            None => 0.0,
+        };
+        loop {
+            let span = self.spans.get(p)?;
+            if span.end > target {
+                let clear = target - start > self.margin && span.end - target > self.margin;
+                return clear.then_some(span.item);
+            }
+            start = span.end;
+            p += 1;
+        }
+    }
+
+    /// The exact [`WeightedSampler::locate`] over the current build's
+    /// weights; builds the sampler on first use. O(log N) after an
+    /// O(N log N) first call per build.
+    pub(crate) fn locate(&mut self, target: f64) -> usize {
+        self.sampler().locate(target)
+    }
+
+    fn sampler(&mut self) -> &WeightedSampler {
+        let weights = &self.weights;
+        self.sampler
+            .get_or_insert_with(|| WeightedSampler::from_weights(weights))
+    }
+
+    /// Build the exact sampler now and cross-check it: its tree against the
+    /// naive prefix sums ([`WeightedSampler::check_consistency`]) and its
+    /// total against this index's, bit for bit. Always compiled, invoked
+    /// behind the `validate` feature (see [`crate::validate`]).
+    pub fn check_sampler(&mut self) -> Result<(), String> {
+        let total = self.total;
+        let sampler = self.sampler();
+        sampler.check_consistency()?;
+        if sampler.total().to_bits() == total.to_bits() {
+            Ok(())
+        } else {
+            Err(format!(
+                "index total {total:e} differs from the sampler's {:e}",
+                sampler.total()
+            ))
+        }
     }
 }
 

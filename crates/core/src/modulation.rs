@@ -62,8 +62,7 @@ pub enum UpgradeRule {
 /// ```
 #[derive(Debug, Clone)]
 pub struct UpdateModulation {
-    ideal: ItemVec<SimDuration>,
-    current: ItemVec<SimDuration>,
+    periods: ItemVec<Periods>,
     /// Banked application credit per item (see [`Self::should_apply`]);
     /// starts at 1 so the first version always applies.
     credit: ItemVec<f64>,
@@ -71,6 +70,57 @@ pub struct UpdateModulation {
     c_uu: f64,
     max_factor: f64,
     rule: UpgradeRule,
+}
+
+/// One item's periods and the state derived from them, side by side so a
+/// lottery hit or an upgrade touches one entry. The derived fields are
+/// refreshed on every period change, rebuilt on construction and restore,
+/// and never checkpointed.
+#[derive(Debug, Clone, Copy)]
+struct Periods {
+    /// Ideal period `pi_j`; `MAX` for an item without an update stream.
+    ideal: SimDuration,
+    /// Current period `pc_j`.
+    current: SimDuration,
+    /// Derived: the cap period `ideal · max_factor`.
+    cap: SimDuration,
+    /// Derived: [`UpdateModulation::survival_fraction`].
+    survival: f64,
+    /// Derived: [`UpdateModulation::degrade_is_noop`].
+    capped: bool,
+}
+
+impl Periods {
+    /// The period Eq. 9 moves a streamed item to.
+    fn stretched(&self, c_du: f64) -> SimDuration {
+        self.current.scale(1.0 + c_du).min(self.cap)
+    }
+
+    /// `pc_j / pi_j`, or 1.0 for a streamless or zero ideal period.
+    fn factor(&self) -> f64 {
+        if self.ideal.is_zero() || self.ideal == SimDuration::MAX {
+            1.0
+        } else {
+            self.current.0 as f64 / self.ideal.0 as f64
+        }
+    }
+
+    /// Recompute `capped` and `survival` after `current` changed.
+    fn refresh(&mut self, c_du: f64) {
+        self.capped = self.ideal == SimDuration::MAX || self.stretched(c_du) == self.current;
+        self.survival = 1.0 / self.factor();
+    }
+}
+
+/// What one effective Eq. 9 stretch did, from [`UpdateModulation::degrade_step`].
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DegradeStep {
+    /// Survival fraction `pi_j / pc_j` before the stretch.
+    pub before: f64,
+    /// Survival fraction after it.
+    pub after: f64,
+    /// True when the item now sits at its cap: a further degrade is a no-op.
+    pub now_capped: bool,
 }
 
 impl UpdateModulation {
@@ -107,95 +157,116 @@ impl UpdateModulation {
             "C_uu must be in (0,1], got {c_uu}"
         );
         assert!(max_factor >= 1.0, "cap must be >= 1, got {max_factor}");
-        let ideal = ItemVec::from(ideal);
-        let current = ideal.clone();
         let credit = ItemVec::new(ideal.len(), 1.0);
-        UpdateModulation {
-            ideal,
-            current,
+        let periods = ideal
+            .into_iter()
+            .map(|pi| Periods {
+                ideal: pi,
+                current: pi,
+                cap: SimDuration::ZERO,
+                survival: 1.0,
+                capped: false,
+            })
+            .collect::<Vec<_>>()
+            .into();
+        let mut m = UpdateModulation {
+            periods,
             credit,
             c_du,
             c_uu,
             max_factor,
             rule,
+        };
+        m.rebuild_derived();
+        m
+    }
+
+    /// Recompute every item's derived state. O(N).
+    fn rebuild_derived(&mut self) {
+        for p in self.periods.values_mut() {
+            p.cap = p.ideal.scale(self.max_factor);
+            p.refresh(self.c_du);
         }
     }
 
     /// Number of items tracked.
     pub fn len(&self) -> usize {
-        self.ideal.len()
+        self.periods.len()
     }
 
     /// True when no items are tracked.
     pub fn is_empty(&self) -> bool {
-        self.ideal.is_empty()
+        self.periods.is_empty()
     }
 
     /// Ideal period `pi_j`.
     pub fn ideal_period(&self, item: DataId) -> SimDuration {
-        *self.ideal.at(item)
+        self.periods.at(item).ideal
     }
 
     /// Current (possibly degraded) period `pc_j`.
     pub fn current_period(&self, item: DataId) -> SimDuration {
-        *self.current.at(item)
+        self.periods.at(item).current
     }
 
     /// True when `pc_j > pi_j`.
     pub fn is_degraded(&self, item: DataId) -> bool {
-        self.current_period(item) > self.ideal_period(item)
+        let p = self.periods.at(item);
+        p.current > p.ideal
     }
 
     /// Number of currently degraded items.
     pub fn degraded_count(&self) -> usize {
-        self.current
+        self.periods
             .values()
-            .zip(self.ideal.values())
-            .filter(|(pc, pi)| pc > pi)
+            .filter(|p| p.current > p.ideal)
             .count()
     }
 
     /// Degradation factor `pc_j / pi_j` (1.0 when not degraded).
     pub fn degradation_factor(&self, item: DataId) -> f64 {
-        let pi = self.ideal_period(item);
-        if pi.is_zero() || pi == SimDuration::MAX {
-            1.0
-        } else {
-            self.current_period(item).0 as f64 / pi.0 as f64
-        }
+        self.periods.at(item).factor()
     }
 
     /// Degrade one victim: `pc_j ← pc_j · (1 + C_du)` (Eq. 9), capped at
     /// `max_factor · pi_j`.
     pub fn degrade(&mut self, item: DataId) {
-        if self.ideal_period(item) == SimDuration::MAX {
-            return; // no update stream for this item
-        }
-        *self.current.at_mut(item) = self.degraded_period(item);
+        let _ = self.degrade_step(item);
     }
 
-    /// The period [`Self::degrade`] moves a streamed `item` to.
-    fn degraded_period(&self, item: DataId) -> SimDuration {
-        let stretched = self.current_period(item).scale(1.0 + self.c_du);
-        let cap = self.ideal_period(item).scale(self.max_factor);
-        stretched.min(cap)
+    /// [`Self::degrade`] that reports what it did: `None` when the stretch
+    /// is a no-op (see [`Self::degrade_is_noop`]), otherwise the survival
+    /// fractions around it and whether the item is now capped. Eq. 9 is
+    /// evaluated once; the cap is the cached one. O(1).
+    pub fn degrade_step(&mut self, item: DataId) -> Option<DegradeStep> {
+        let c_du = self.c_du;
+        let p = self.periods.at_mut(item);
+        if p.capped {
+            return None;
+        }
+        let before = p.survival;
+        p.current = p.stretched(c_du);
+        p.refresh(c_du);
+        Some(DegradeStep {
+            before,
+            after: p.survival,
+            now_capped: p.capped,
+        })
     }
 
     /// True when [`Self::degrade`] would leave `item` unchanged — the item
     /// has no update stream, or its period already sits at the degradation
-    /// cap. Mirrors the `degrade` arithmetic exactly so callers can detect
-    /// no-op lottery draws without mutating anything.
+    /// cap. A cached flag, refreshed with the `degrade` arithmetic on every
+    /// period change, so callers can detect no-op lottery draws in O(1).
     pub fn degrade_is_noop(&self, item: DataId) -> bool {
-        self.ideal_period(item) == SimDuration::MAX
-            || self.degraded_period(item) == self.current_period(item)
+        self.periods.at(item).capped
     }
 
     /// Upgrade every degraded item one step toward its ideal period
     /// (Eq. 10), per the configured [`UpgradeRule`].
     pub fn upgrade_all(&mut self) {
-        let (rule, shrink) = (self.rule, self.c_uu);
-        for (pc, &pi) in self.current.values_mut().zip(self.ideal.values()) {
-            upgrade_step(rule, shrink, pc, pi);
+        for i in 0..self.len() {
+            self.upgrade_one(DataId(i as u32));
         }
     }
 
@@ -203,18 +274,24 @@ impl UpdateModulation {
     /// given each item's ideal utilization share `u_j = ue_j / pi_j`.
     pub fn expected_utilization(&self, util_share: &[f64]) -> f64 {
         debug_assert_eq!(util_share.len(), self.len());
-        self.ideal
-            .iter()
+        self.periods
+            .values()
             .zip(util_share)
-            .map(|((d, _), &u)| u / self.degradation_factor(d))
+            .map(|(p, &u)| u / p.factor())
             .sum()
     }
 
     /// Upgrade a single item one step toward its ideal period (the
     /// per-item body of Eq. 10). Returns true if the item was degraded.
     pub fn upgrade_one(&mut self, item: DataId) -> bool {
-        let pi = self.ideal_period(item);
-        upgrade_step(self.rule, self.c_uu, self.current.at_mut(item), pi)
+        let (rule, shrink, c_du) = (self.rule, self.c_uu, self.c_du);
+        let p = self.periods.at_mut(item);
+        let pi = p.ideal;
+        let degraded = upgrade_step(rule, shrink, &mut p.current, pi);
+        if degraded {
+            p.refresh(c_du);
+        }
+        degraded
     }
 
     /// Rate-limiter used by the UNIT policy's version-arrival hook: should a
@@ -249,23 +326,18 @@ impl UpdateModulation {
     }
 
     /// Expected fraction of versions that survive modulation for `item`
-    /// (`pi_j / pc_j`).
+    /// (`pi_j / pc_j`, as `1 / degradation_factor`). Cached, O(1).
     pub fn survival_fraction(&self, item: DataId) -> f64 {
-        1.0 / self.degradation_factor(item)
+        self.periods.at(item).survival
     }
 
     /// Serialize periods, credit bank, and parameters into a checkpoint
     /// stream. See [`crate::checkpoint`].
     pub fn checkpoint_into(&self, enc: &mut crate::checkpoint::Enc) {
-        enc.put_usize(self.ideal.len());
-        for ((ideal, current), credit) in self
-            .ideal
-            .values()
-            .zip(self.current.values())
-            .zip(self.credit.values())
-        {
-            enc.put_u64(ideal.0);
-            enc.put_u64(current.0);
+        enc.put_usize(self.periods.len());
+        for (p, credit) in self.periods.values().zip(self.credit.values()) {
+            enc.put_u64(p.ideal.0);
+            enc.put_u64(p.current.0);
             enc.put_f64(*credit);
         }
         enc.put_f64(self.c_du);
@@ -283,18 +355,14 @@ impl UpdateModulation {
         dec: &mut crate::checkpoint::Dec<'_>,
     ) -> Result<(), crate::checkpoint::CheckpointError> {
         let n = dec.take_usize()?;
-        if n != self.ideal.len() {
+        if n != self.periods.len() {
             return Err(crate::checkpoint::CheckpointError::Mismatch {
                 what: "modulation table size",
             });
         }
-        for (ideal, (current, credit)) in self
-            .ideal
-            .values_mut()
-            .zip(self.current.values_mut().zip(self.credit.values_mut()))
-        {
-            *ideal = SimDuration(dec.take_u64()?);
-            *current = SimDuration(dec.take_u64()?);
+        for (p, credit) in self.periods.values_mut().zip(self.credit.values_mut()) {
+            p.ideal = SimDuration(dec.take_u64()?);
+            p.current = SimDuration(dec.take_u64()?);
             *credit = dec.take_f64()?;
         }
         self.c_du = dec.take_f64()?;
@@ -310,6 +378,7 @@ impl UpdateModulation {
                 })
             }
         };
+        self.rebuild_derived();
         Ok(())
     }
 
@@ -318,7 +387,8 @@ impl UpdateModulation {
     /// in [`Self::degrade`]/[`Self::upgrade_one`]; always compiled, invoked
     /// behind the `validate` feature (see [`crate::validate`]).
     pub fn check_period_bounds(&self) -> Result<(), String> {
-        for (i, (&pi, &pc)) in self.ideal.values().zip(self.current.values()).enumerate() {
+        for (i, p) in self.periods.values().enumerate() {
+            let (pi, pc) = (p.ideal, p.current);
             if pi == SimDuration::MAX {
                 if pc != SimDuration::MAX {
                     return Err(format!(
@@ -333,6 +403,42 @@ impl UpdateModulation {
             let cap = pi.scale(self.max_factor);
             if pc > cap {
                 return Err(format!("item {i}: current {pc:?} above cap {cap:?}"));
+            }
+        }
+        Ok(())
+    }
+
+    /// Check every item's cached cap period, `capped` flag and survival
+    /// fraction against a fresh recomputation from the periods (bit for
+    /// bit): the shadow of the refreshes in
+    /// [`Self::degrade_step`]/[`Self::upgrade_one`]/[`Self::restore_from`];
+    /// always compiled, invoked behind the `validate` feature (see
+    /// [`crate::validate`]).
+    pub fn check_derived(&self) -> Result<(), String> {
+        for (i, p) in self.periods.values().enumerate() {
+            let (pi, pc) = (p.ideal, p.current);
+            let cap = pi.scale(self.max_factor);
+            if p.cap != cap {
+                return Err(format!("item {i}: cached cap {:?}, fresh {cap:?}", p.cap));
+            }
+            let capped = pi == SimDuration::MAX || pc.scale(1.0 + self.c_du).min(cap) == pc;
+            if p.capped != capped {
+                return Err(format!(
+                    "item {i}: cached capped flag {}, fresh {capped}",
+                    p.capped
+                ));
+            }
+            let factor = if pi.is_zero() || pi == SimDuration::MAX {
+                1.0
+            } else {
+                pc.0 as f64 / pi.0 as f64
+            };
+            let survival = 1.0 / factor;
+            if p.survival.to_bits() != survival.to_bits() {
+                return Err(format!(
+                    "item {i}: cached survival {}, fresh {survival}",
+                    p.survival
+                ));
             }
         }
         Ok(())
@@ -563,15 +669,15 @@ mod tests {
     fn period_bounds_check_catches_out_of_range_periods() {
         let mut m = modulation(&[10, 20]);
         // Corrupt the state directly, as a clamp bug would.
-        *m.current.at_mut(DataId(0)) = SimDuration::from_secs(5);
+        m.periods.at_mut(DataId(0)).current = SimDuration::from_secs(5);
         let err = m.check_period_bounds().unwrap_err();
         assert!(err.contains("below ideal"), "{err}");
-        *m.current.at_mut(DataId(0)) = SimDuration::from_secs(10_000);
+        m.periods.at_mut(DataId(0)).current = SimDuration::from_secs(10_000);
         let err = m.check_period_bounds().unwrap_err();
         assert!(err.contains("above cap"), "{err}");
 
         let mut m = UpdateModulation::new(vec![SimDuration::MAX], 0.1, 0.5);
-        *m.current.at_mut(DataId(0)) = SimDuration::from_secs(1);
+        m.periods.at_mut(DataId(0)).current = SimDuration::from_secs(1);
         let err = m.check_period_bounds().unwrap_err();
         assert!(err.contains("streamless"), "{err}");
     }

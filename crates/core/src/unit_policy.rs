@@ -9,7 +9,7 @@
 //!   the deadline and system-USM checks, its tightness steered by TAC/LAC,
 //! * **Update Frequency Modulation** ([`UpdateModulation`]) decides which
 //!   arriving versions are applied, its periods steered by Degrade/Upgrade,
-//! * the **ticket table + lottery** ([`TicketTable`], [`WeightedSampler`])
+//! * the **ticket table + lottery** ([`TicketTable`], [`VictimIndex`])
 //!   choose degradation victims proportionally to how unprofitable an item's
 //!   updates currently are.
 //!
@@ -21,7 +21,7 @@
 use crate::admission::{AdmissionControl, AdmissionVerdict};
 use crate::config::UnitConfig;
 use crate::controller::Lbc;
-use crate::lottery::WeightedSampler;
+use crate::lottery::{VictimCounters, VictimIndex};
 use crate::modulation::UpdateModulation;
 use crate::observe::{AdmissionObs, ControllerObs, ModulationObs};
 use crate::policy::{AdmissionDecision, ControlSignal, Policy, UpdateAction};
@@ -50,6 +50,7 @@ pub struct UnitPolicyStats {
 }
 
 /// The UNIT transaction-management policy (§3).
+#[derive(Clone)]
 pub struct UnitPolicy {
     cfg: UnitConfig,
     ac: AdmissionControl,
@@ -71,6 +72,9 @@ pub struct UnitPolicy {
     last_admission: Option<AdmissionObs>,
     /// Modulation boundaries crossed since the last drain (observation only).
     modulation_obs: Vec<ModulationObs>,
+    /// The degrade lottery's per-signal draw index: rebuilt by every
+    /// `DegradeUpdates` signal, so scratch rather than checkpointed state.
+    victims: VictimIndex,
 }
 
 impl UnitPolicy {
@@ -101,6 +105,7 @@ impl UnitPolicy {
             observed: false,
             last_admission: None,
             modulation_obs: Vec::new(),
+            victims: VictimIndex::default(),
             cfg,
         }
     }
@@ -160,6 +165,18 @@ impl UnitPolicy {
         self.tickets.raw(item.index())
     }
 
+    /// The lottery RNG's state words (diagnostics): two policies that
+    /// consumed the same draws report the same state.
+    pub fn lottery_rng_state(&self) -> [u64; 4] {
+        self.rng.state()
+    }
+
+    /// How the degrade lottery settled its draws so far (diagnostics: the
+    /// counts never influence a decision and are not checkpointed).
+    pub fn victim_counters(&self) -> VictimCounters {
+        self.victims.counters()
+    }
+
     fn apply_signal(&mut self, signal: ControlSignal) {
         #[cfg(feature = "validate")]
         let ticket_bits = self.tickets.ticket_sum().to_bits();
@@ -185,6 +202,7 @@ impl UnitPolicy {
             }
         });
         crate::validate_check!("period-bounds", self.modulation.check_period_bounds());
+        crate::validate_check!("modulation-derived", self.modulation.check_derived());
     }
 
     /// One `UpgradeUpdates` signal: walk degraded items back toward their
@@ -198,9 +216,9 @@ impl UnitPolicy {
         let budget = self.cfg.upgrade_step_util;
         // Ascending ticket = most query-valuable first; ties by index keep
         // the order deterministic. A lazily-popped min-heap visits items in
-        // exactly that order but pays O(log N) only per item actually
-        // upgraded — the budget usually stops after a handful, so the
-        // per-signal cost is O(N_degraded) heapify instead of a full sort.
+        // exactly that order: O(N_degraded) heapify, then O(log N) per item
+        // visited. The budget stops after about a seventh of the degraded
+        // items (119 pops of ≈ 839 per signal on the paper traces).
         struct ByTicket {
             ticket: f64,
             index: usize,
@@ -261,6 +279,13 @@ impl UnitPolicy {
     /// repeats compound the 10% stretch) and stretch each one's period,
     /// until the signal has shed `modulation_step_util` of expected CPU or
     /// the draw cap is hit.
+    ///
+    /// Only draws that land on an item below its degradation cap change
+    /// anything; the rest advance the RNG stream and the draw counter. The
+    /// [`VictimIndex`] tells the two apart in O(1) per draw without the
+    /// Fenwick descent, and resolves the draws that matter to exactly the
+    /// item `WeightedSampler::locate` would, so victims, RNG consumption and
+    /// `degrade_draws` are those of one descent per draw.
     fn degrade_batch(&mut self) {
         let mut weights = match self.cfg.victim_weighting {
             crate::config::VictimWeighting::ShiftMin => self.tickets.shifted_weights(),
@@ -272,45 +297,15 @@ impl UnitPolicy {
                 *w = w.powf(self.cfg.lottery_sharpness);
             }
         }
-        let sampler = WeightedSampler::from_weights(&weights);
-        crate::validate_check!("lottery-sampler", sampler.check_consistency());
-        let total = sampler.total();
+        let modulation = &self.modulation;
+        let total = self
+            .victims
+            .build(weights, |i| modulation.degrade_is_noop(DataId(i as u32)));
+        crate::validate_check!("lottery-sampler", self.victims.check_sampler());
         if total <= 0.0 || !total.is_finite() {
             return; // all tickets equal: sample() would yield None unconsumed
         }
-        // Draws only mutate state while they land on a positive-weight item
-        // that is still below its degradation cap; every other draw is a pure
-        // no-op (zero shed, no period change) that exists solely to advance
-        // the RNG stream. Zero-weight items occupy no draw mass, so `[0,
-        // total)` splits into one contiguous cumulative span per positive
-        // item, in index order. Precompute the spans belonging to *uncapped*
-        // items, inflated by a margin many orders above the descent's float
-        // rounding, and classify each draw with a binary search — only draws
-        // inside a span (or its safety margin) pay for the exact tree
-        // descent. In steady state the lottery's mass sits on capped items,
-        // and the old loop burned thousands of descents per signal shedding
-        // 0 CPU.
-        let margin = total * 1e-6;
-        let mut bounds: Vec<f64> = Vec::new();
-        let mut uncapped = 0usize;
-        let mut cum = 0.0_f64;
-        for (i, &w) in weights.iter().enumerate() {
-            if w <= 0.0 {
-                continue;
-            }
-            let start = cum;
-            cum += w;
-            if !self.modulation.degrade_is_noop(DataId(i as u32)) {
-                uncapped += 1;
-                match bounds.last_mut() {
-                    Some(end) if *end >= start - margin => *end = cum + margin,
-                    _ => {
-                        bounds.push(start - margin);
-                        bounds.push(cum + margin);
-                    }
-                }
-            }
-        }
+        let mut uncapped = self.victims.uncapped();
         let mut shed = 0.0;
         let mut remaining = self.cfg.degrade_victims_per_signal;
         while remaining > 0 {
@@ -328,39 +323,42 @@ impl UnitPolicy {
                 break;
             }
             let target = self.rng.gen::<f64>() * total;
-            // Odd partition index = inside an uncapped span (spans are
-            // disjoint and sorted, stored as flattened [start, end) pairs).
-            if bounds.partition_point(|&b| b <= target) % 2 == 0 {
-                // Certainly a capped victim: the draw is a no-op.
-                self.stats.degrade_draws += 1;
-            } else {
-                let victim = sampler.locate(target);
-                let d = DataId(victim as u32);
-                if self.modulation.degrade_is_noop(d) {
-                    // Margin hit or an item capped earlier in this loop —
-                    // still a no-op, only the counter moves.
-                    self.stats.degrade_draws += 1;
-                } else {
-                    let before = self.modulation.survival_fraction(d);
-                    let old_period = self.observed.then(|| self.modulation.current_period(d));
-                    self.modulation.degrade(d);
-                    let after = self.modulation.survival_fraction(d);
-                    shed += *self.util_share.at(d) * (before - after);
-                    self.stats.degrade_draws += 1;
-                    if let Some(old_period) = old_period {
-                        self.modulation_obs.push(ModulationObs {
-                            item: d,
-                            ticket: self.tickets.raw(victim),
-                            old_period,
-                            new_period: self.modulation.current_period(d),
-                        });
-                    }
-                    if self.modulation.degrade_is_noop(d) {
-                        uncapped -= 1;
-                    }
-                }
-            }
+            self.stats.degrade_draws += 1;
             remaining -= 1;
+            let victim = self.victims.resolve(target);
+            crate::validate_check!("lottery-fast-path", {
+                let exact = self.victims.locate(target);
+                match victim {
+                    Some(v) if v != exact => Err(format!(
+                        "draw {target:e}: index chose item {v}, the descent item {exact}"
+                    )),
+                    None if !self.modulation.degrade_is_noop(DataId(exact as u32)) => Err(format!(
+                        "draw {target:e}: cold bucket, but item {exact} is uncapped"
+                    )),
+                    _ => Ok(()),
+                }
+            });
+            let Some(victim) = victim else {
+                continue; // certainly a capped victim: a no-op draw
+            };
+            let d = DataId(victim as u32);
+            let old_period = self.observed.then(|| self.modulation.current_period(d));
+            // `None`: capped at build time or earlier in this loop.
+            let Some(step) = self.modulation.degrade_step(d) else {
+                continue;
+            };
+            shed += *self.util_share.at(d) * (step.before - step.after);
+            if let Some(old_period) = old_period {
+                self.modulation_obs.push(ModulationObs {
+                    item: d,
+                    ticket: self.tickets.raw(victim),
+                    old_period,
+                    new_period: self.modulation.current_period(d),
+                });
+            }
+            if step.now_capped {
+                uncapped -= 1;
+            }
         }
     }
 }
@@ -411,22 +409,18 @@ impl Policy for UnitPolicy {
                 *slot = u.period;
             }
         }
-        self.util_share = ideal
-            .iter()
-            .map(|(d, &pi)| {
-                if pi == SimDuration::MAX || pi.is_zero() {
-                    0.0
-                } else {
-                    // Total exec over the item's streams per ideal period.
-                    updates
-                        .iter()
-                        .filter(|u| u.item == d)
-                        .map(|u| u.exec_time.as_secs_f64() / u.period.as_secs_f64())
-                        .sum()
-                }
-            })
-            .collect::<Vec<f64>>()
-            .into();
+        // Total exec over each item's streams per ideal period, summed in
+        // stream order; items without a usable ideal period carry none.
+        let mut util_share = ItemVec::new(n_items, 0.0);
+        for u in updates {
+            *util_share.at_mut(u.item) += u.exec_time.as_secs_f64() / u.period.as_secs_f64();
+        }
+        for (share, &pi) in util_share.values_mut().zip(ideal.values()) {
+            if pi == SimDuration::MAX || pi.is_zero() {
+                *share = 0.0;
+            }
+        }
+        self.util_share = util_share;
         self.modulation = UpdateModulation::with_rule(
             ideal.into_vec(),
             self.cfg.c_du,
