@@ -13,8 +13,6 @@ pub(crate) mod fig5;
 pub(crate) mod fig6;
 pub(crate) mod replication;
 pub(crate) mod sensitivity;
-pub(crate) mod serve;
-pub(crate) mod simspeed;
 pub(crate) mod table1;
 pub(crate) mod table2;
 pub(crate) mod timeline;

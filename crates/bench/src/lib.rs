@@ -31,5 +31,5 @@ pub mod runner;
 
 pub use runner::{
     default_workload_plan, run_matrix, run_policy, run_policy_with, worker_pool_size,
-    ExperimentPlan, PolicyJob, PolicyKind, RunOutcome,
+    ExperimentPlan, PolicyKind, RunOutcome,
 };

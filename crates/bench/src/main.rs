@@ -15,7 +15,7 @@ mod experiments;
 
 use experiments::{
     ablation, chaos, cluster, cpus, crossover, faults, fig3, fig4, fig5, fig6, replication,
-    sensitivity, serve, simspeed, table1, table2, timeline, tracegen, variance,
+    sensitivity, table1, table2, timeline, tracegen, variance,
 };
 use unit_bench::cli::{write_file, Flags, Shared};
 use unit_bench::render::Table;
@@ -65,7 +65,7 @@ const fn traced(mut exp: Experiment) -> Experiment {
     exp
 }
 
-const REGISTRY: [Experiment; 20] = [
+const REGISTRY: [Experiment; 18] = [
     table("table1", "Table 1: the nine update traces", table1::run),
     table(
         "table2",
@@ -157,27 +157,6 @@ const REGISTRY: [Experiment; 20] = [
         out: Some("BENCH_replication.json"),
         seed: 0x5EED_0001,
         run: Run::Custom(replication::run),
-    },
-    Experiment {
-        name: "serve",
-        about: "live-server throughput sweep over worker counts",
-        flags: "[--scale N | --full] [--workers W[,W...]] [--time-scale S] [--paced] \
-                [--shards K] [--seed S] [--policy unit|imu|odu|qmf] \
-                [--assert-throughput OPS] [--out FILE | --no-out]",
-        scale: 4,
-        out: Some("BENCH_serve.json"),
-        seed: 0x5EED_0012,
-        run: Run::Custom(serve::run),
-    },
-    Experiment {
-        name: "simspeed",
-        about: "engine wall-clock on the fig3 workload, with the perf gate",
-        flags: "[--scale N | --full] [--runs K] [--baseline SECS] [--max-regression R] \
-                [--scale-up M] [--stream-demo M] [--chunk C] [--out FILE | --no-out]",
-        scale: 8,
-        out: Some("BENCH_simspeed.json"),
-        seed: 0,
-        run: Run::Custom(simspeed::run),
     },
     Experiment {
         name: "tracegen",

@@ -8,6 +8,7 @@ use unit_baselines::{ImuPolicy, OduPolicy, QmfPolicy};
 use unit_core::config::UnitConfig;
 use unit_core::policy::Policy;
 use unit_core::time::SimDuration;
+use unit_core::types::Trace;
 use unit_core::unit_policy::UnitPolicy;
 use unit_core::usm::UsmWeights;
 use unit_obs::Observer;
@@ -48,47 +49,12 @@ impl PolicyKind {
         }
     }
 
-    /// Pick the concrete policy type for this kind and hand `job` its
-    /// factory — the harness's one `PolicyKind` → policy dispatch.
-    /// `unit(i)` configures the `i`-th UNIT instance a job asks for (the
-    /// baselines take no configuration).
-    pub fn dispatch<J: PolicyJob>(self, unit: impl Fn(usize) -> UnitConfig, job: J) -> J::Out {
-        match self {
-            PolicyKind::Imu => job.run(|_| ImuPolicy::new()),
-            PolicyKind::Odu => job.run(|_| OduPolicy::new()),
-            PolicyKind::Qmf => job.run(|_| QmfPolicy::default()),
-            PolicyKind::Unit => job.run(|i| UnitPolicy::new(unit(i))),
-        }
-    }
-
     /// Whether the policy's *outcomes* depend on the USM weights. Only UNIT
     /// reacts to weights; the baselines can be run once and repriced
     /// (§4.5: "IMU, ODU and QMF are insensitive to weight variations").
     pub fn weight_sensitive(self) -> bool {
         matches!(self, PolicyKind::Unit)
     }
-}
-
-impl std::str::FromStr for PolicyKind {
-    type Err = ();
-
-    /// The `--policy unit|imu|odu|qmf` spelling.
-    fn from_str(s: &str) -> Result<PolicyKind, ()> {
-        PolicyKind::ALL
-            .into_iter()
-            .find(|k| k.name().eq_ignore_ascii_case(s))
-            .ok_or(())
-    }
-}
-
-/// Work that is generic over the policy type: [`PolicyKind::dispatch`]
-/// calls `run` with a factory for the kind's concrete policy (a trait
-/// because a closure cannot be generic over `P`).
-pub trait PolicyJob {
-    /// What the job produces.
-    type Out;
-    /// Do the work; `make(i)` builds the job's `i`-th policy instance.
-    fn run<P: Policy + Send>(self, make: impl Fn(usize) -> P) -> Self::Out;
 }
 
 /// A scaled experiment plan: workload sizing shared by every experiment.
@@ -114,16 +80,6 @@ pub fn default_workload_plan(scale: u64) -> ExperimentPlan {
 }
 
 impl ExperimentPlan {
-    /// Multiply the plan's query count by `k` at a fixed horizon (via
-    /// [`QueryTraceConfig::scaled_up`]): update volumes stay put, offered
-    /// query load rises `k`-fold. The throughput-stress complement of the
-    /// divisor in [`default_workload_plan`].
-    #[must_use]
-    pub fn scaled_up(mut self, k: u64) -> ExperimentPlan {
-        self.query_cfg = self.query_cfg.scaled_up(k);
-        self
-    }
-
     /// The update-trace configuration for one Table 1 cell at this plan's
     /// scale. Exposed so streaming callers can regenerate the update streams
     /// (which need only the popularity profile) without materializing a
@@ -181,29 +137,28 @@ pub fn run_policy_with(
     cfg: SimConfig,
     observer: Option<&mut dyn Observer>,
 ) -> RunOutcome {
-    struct Simulate<'a, 'o> {
-        bundle: &'a TraceBundle,
+    fn simulate<P: Policy>(
+        trace: &Trace,
+        policy: P,
         cfg: SimConfig,
-        observer: Option<&'o mut dyn Observer>,
-    }
-    impl PolicyJob for Simulate<'_, '_> {
-        type Out = SimReport;
-        fn run<P: Policy + Send>(self, make: impl Fn(usize) -> P) -> SimReport {
-            let run = SimRun::trace(&self.bundle.trace, make(0), self.cfg);
-            match self.observer {
-                Some(o) => run.with_observer(o).run(),
-                None => run.run(),
-            }
+        observer: Option<&mut dyn Observer>,
+    ) -> SimReport {
+        let run = SimRun::trace(trace, policy, cfg);
+        match observer {
+            Some(o) => run.with_observer(o).run(),
+            None => run.run(),
         }
     }
-    let report = policy.dispatch(
-        |_| plan.unit_config(cfg.weights),
-        Simulate {
-            bundle,
-            cfg,
-            observer,
-        },
-    );
+    let trace = &bundle.trace;
+    let report = match policy {
+        PolicyKind::Imu => simulate(trace, ImuPolicy::new(), cfg, observer),
+        PolicyKind::Odu => simulate(trace, OduPolicy::new(), cfg, observer),
+        PolicyKind::Qmf => simulate(trace, QmfPolicy::default(), cfg, observer),
+        PolicyKind::Unit => {
+            let unit = UnitPolicy::new(plan.unit_config(cfg.weights));
+            simulate(trace, unit, cfg, observer)
+        }
+    };
     RunOutcome {
         trace_name: bundle.name.clone(),
         policy,
@@ -361,15 +316,6 @@ mod tests {
         assert_eq!(out.len(), 2);
         assert_eq!(out[0].policy, PolicyKind::Imu);
         assert_eq!(out[1].policy, PolicyKind::Odu);
-    }
-
-    #[test]
-    fn policy_names_parse_case_insensitively() {
-        for kind in PolicyKind::ALL {
-            assert_eq!(kind.name().to_lowercase().parse(), Ok(kind));
-            assert_eq!(kind.name().parse(), Ok(kind));
-        }
-        assert!("edf".parse::<PolicyKind>().is_err());
     }
 
     #[test]

@@ -9,24 +9,22 @@
 //! [`unit_core::txn::TransactionManager`] — here backed by
 //! [`MemBackend`], a sharded in-memory versioned KV and the trait's only
 //! in-tree implementor (the engine mutates its own freshness table
-//! directly; as oracle it is fed the same trace, see [`mod@replay`]).
+//! directly).
 //!
-//! The deterministic engine stays in the loop as the **differential
-//! oracle** ([`mod@replay`]): the same trace is fed through the same
-//! bounded channel into the engine under a
-//! [`VirtualClock`](unit_core::clock::VirtualClock), which must be
-//! *bit-identical* to a direct simulation ([`unit_sim::report_digest`]),
-//! while a wall-clock serve must agree with the oracle's outcome
-//! distribution within a stated tolerance ([`outcome_agreement`]).
+//! The deterministic engine stays the reference for behaviour: the
+//! wall-clock test suite checks that a live serve conserves queries and
+//! that its outcome distribution lands within a stated tolerance of a
+//! direct simulation of the same trace.
 //!
 //! Clock discipline: this crate is the only place in the workspace
 //! allowed to read the machine clock (`cargo xtask lint` rules D2 and D5
 //! enforce the boundary); everything else consumes time through the
 //! [`unit_core::clock::Clock`] trait.
 //!
-//! There is no network frontend: the bench and the tests inject requests
-//! directly, and [`serve`] owns its ingress channel. A frontend comes back
-//! together with an ingress that `serve` accepts from its caller.
+//! There is no network frontend: the benchmark and the tests inject
+//! requests directly, and [`serve`] owns its ingress channel. A frontend
+//! comes back together with an ingress that `serve` accepts from its
+//! caller.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -34,13 +32,11 @@
 pub mod clock;
 pub mod ingress;
 pub mod mem;
-pub mod replay;
 pub mod server;
 
 pub use clock::WallClock;
 pub use ingress::Request;
 pub use mem::MemBackend;
-pub use replay::{outcome_agreement, replay, Agreement};
 pub use server::{serve, ServeConfig, ServeReport};
 
 /// Convenient glob-import: the serving entry points plus the core
@@ -53,7 +49,6 @@ pub mod prelude {
     pub use crate::clock::WallClock;
     pub use crate::ingress::Request;
     pub use crate::mem::MemBackend;
-    pub use crate::replay::{outcome_agreement, replay, Agreement};
     pub use crate::server::{serve, ServeConfig, ServeReport};
     pub use unit_core::clock::{Clock, VirtualClock};
     pub use unit_core::txn::{CommitSummary, ReadVersion, TransactionManager, TxnError, TxnToken};

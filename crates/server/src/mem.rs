@@ -18,7 +18,7 @@
 //!
 //! Determinism: under a single driving thread the backend is a pure
 //! function of the call sequence (token allocation is a fetch-add from
-//! zero), which is what the replay differential leans on.
+//! zero).
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Mutex, MutexGuard};

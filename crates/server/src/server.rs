@@ -18,9 +18,9 @@
 //!
 //! ## What is approximated relative to the simulator
 //!
-//! The deterministic engine is the oracle; the live server trades three
-//! of its exactnesses for concurrency, and the replay differential
-//! quantifies the residue (`crate::replay`):
+//! The deterministic engine is the reference; the live server trades
+//! three of its exactnesses for concurrency, and the wall-clock test
+//! suite bounds the residue (`tests/wall_clock.rs`):
 //!
 //! * **admission state is worker-local** — each worker owns a policy
 //!   instance and sees the shared in-service table at lock-acquisition
@@ -145,12 +145,6 @@ impl ServeReport {
             return 0.0;
         }
         self.counts.total() as f64 / (self.elapsed.0 as f64 / 1_000_000.0)
-    }
-
-    /// Fraction of submitted queries that missed their (scaled) deadline.
-    #[must_use]
-    pub fn deadline_miss_rate(&self) -> f64 {
-        self.counts.ratio(Outcome::DeadlineMiss)
     }
 
     /// Total user-satisfaction metric under the run's weights.
