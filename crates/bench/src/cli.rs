@@ -6,9 +6,8 @@
 //!   match arms; `Flags` owns the value/parse error paths and the
 //!   usage-and-exit convention (exit code 2, usage on stderr).
 //! * [`Shared`] — the flags every experiment spells the same way
-//!   (`--scale N | --full`, `--out PATH | --no-out`, `--trace-out FILE`,
-//!   `--seed S`), parsed in one place, plus the writers for what they
-//!   name.
+//!   (`--scale N | --full`, `--out PATH | --no-out`, `--trace-out FILE`),
+//!   parsed in one place, plus the writers for what they name.
 
 use crate::render::{render_event_timeline, Table};
 
@@ -16,12 +15,12 @@ use crate::render::{render_event_timeline, Table};
 ///
 /// ```no_run
 /// use unit_bench::cli::{Flags, Shared};
-/// let mut fl = Flags::from_args(vec![], "usage: demo [--runs N] [--scale N | --full]");
-/// let mut shared = Shared::new(4, Some("BENCH_demo.json"), 0);
-/// let mut runs = 3usize;
+/// let mut fl = Flags::from_args(vec![], "usage: demo [--plans N] [--scale N | --full]");
+/// let mut shared = Shared::new(4, Some("results/demo"));
+/// let mut plans = 50u64;
 /// while let Some(arg) = fl.next_flag() {
 ///     match arg.as_str() {
-///         "--runs" => runs = fl.parse(&arg),
+///         "--plans" => plans = fl.parse(&arg),
 ///         other => shared.accept(&mut fl, other),
 ///     }
 /// }
@@ -104,26 +103,22 @@ impl Flags {
 pub struct Shared {
     /// Workload divisor (`--scale N`; `--full` = 1 = paper scale).
     pub scale: u64,
-    /// Where the artifact goes (`--out PATH`): the output directory of a
-    /// table experiment, the JSON file of the others. `None` (`--no-out`)
-    /// writes nothing.
+    /// Where the artifacts go (`--out PATH`): a directory, or the workload
+    /// file of `tracegen`. `None` (`--no-out`) writes nothing.
     pub out: Option<String>,
     /// Event-trace file (`--trace-out FILE`, JSONL); `None` disables
     /// recording.
     pub trace_out: Option<String>,
-    /// Experiment seed (`--seed S`).
-    pub seed: u64,
 }
 
 impl Shared {
     /// The experiment's defaults.
     #[must_use]
-    pub fn new(scale: u64, out: Option<&str>, seed: u64) -> Shared {
+    pub fn new(scale: u64, out: Option<&str>) -> Shared {
         Shared {
             scale,
             out: out.map(str::to_string),
             trace_out: None,
-            seed,
         }
     }
 
@@ -148,7 +143,6 @@ impl Shared {
             "--out" => self.out = Some(fl.try_value(arg)?),
             "--no-out" => self.out = None,
             "--trace-out" => self.trace_out = Some(fl.try_value(arg)?),
-            "--seed" => self.seed = fl.try_parse(arg)?,
             other => return Err(format!("unknown argument: {other}")),
         }
         Ok(())
@@ -222,8 +216,7 @@ mod tests {
     use super::*;
     use crate::row;
 
-    const USAGE: &str =
-        "usage: t [--scale N | --full] [--out DIR | --no-out] [--trace-out FILE] [--seed S]";
+    const USAGE: &str = "usage: t [--scale N | --full] [--out DIR | --no-out] [--trace-out FILE]";
 
     fn flags(args: &[&str]) -> Flags {
         Flags::from_args(args.iter().map(|&s| s.to_string()).collect(), USAGE)
@@ -231,7 +224,7 @@ mod tests {
 
     fn parse(args: &[&str]) -> Result<Shared, String> {
         let mut fl = flags(args);
-        let mut shared = Shared::new(4, Some("results"), 7);
+        let mut shared = Shared::new(4, Some("results"));
         while let Some(arg) = fl.next_flag() {
             shared.try_accept(&mut fl, &arg)?;
         }
@@ -280,7 +273,7 @@ mod tests {
     #[test]
     fn defaults() {
         let a = parse(&[]).unwrap();
-        assert_eq!(a, Shared::new(4, Some("results"), 7));
+        assert_eq!(a, Shared::new(4, Some("results")));
         assert_eq!(a.out.as_deref(), Some("results"));
     }
 
@@ -300,7 +293,6 @@ mod tests {
             parse(&["--out", "/tmp/x"]).unwrap().out.as_deref(),
             Some("/tmp/x")
         );
-        assert_eq!(parse(&["--seed", "9"]).unwrap().seed, 9);
     }
 
     #[test]
@@ -311,8 +303,14 @@ mod tests {
         );
         // A shared flag the experiment's usage does not name is unknown to it.
         let mut fl = Flags::from_args(vec![], "usage: t [--scale N | --full]");
-        let mut shared = Shared::new(4, None, 0);
+        let mut shared = Shared::new(4, None);
         assert!(shared.try_accept(&mut fl, "--full").is_ok());
+        assert_eq!(
+            shared.try_accept(&mut fl, "--trace-out").unwrap_err(),
+            "unknown argument: --trace-out"
+        );
+        // An experiment's own flag is never a shared one.
+        let mut fl = Flags::from_args(vec![], "usage: t [--seed S]");
         assert_eq!(
             shared.try_accept(&mut fl, "--seed").unwrap_err(),
             "unknown argument: --seed"
@@ -339,7 +337,7 @@ mod tests {
     #[test]
     fn write_csv_creates_the_directory_and_file() {
         let dir = std::env::temp_dir().join(format!("unit-cli-test-{}", std::process::id()));
-        let shared = Shared::new(1, Some(&dir.to_string_lossy()), 0);
+        let shared = Shared::new(1, Some(&dir.to_string_lossy()));
         let path = shared.write_table(&probe_table()).expect("written");
         assert!(path.ends_with("probe.csv"));
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "a,b\n1,2\n");
@@ -352,9 +350,7 @@ mod tests {
 
     #[test]
     fn write_csv_is_disabled_without_an_out_dir() {
-        assert!(Shared::new(1, None, 0)
-            .write_table(&probe_table())
-            .is_none());
+        assert!(Shared::new(1, None).write_table(&probe_table()).is_none());
     }
 
     #[test]
@@ -368,7 +364,7 @@ mod tests {
         }];
         let dir = std::env::temp_dir().join(format!("unit-trace-test-{}", std::process::id()));
         let file = dir.join("events.jsonl");
-        let mut shared = Shared::new(1, None, 0);
+        let mut shared = Shared::new(1, None);
         shared.trace_out = Some(file.to_string_lossy().into_owned());
         let path = shared.write_trace("probe", &events).expect("written");
         assert_eq!(path, file.to_string_lossy());
@@ -379,7 +375,7 @@ mod tests {
 
     #[test]
     fn write_trace_is_disabled_without_the_flag() {
-        assert!(Shared::new(4, Some("results"), 0)
+        assert!(Shared::new(4, Some("results"))
             .write_trace("probe", &[])
             .is_none());
     }

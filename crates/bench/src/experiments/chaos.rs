@@ -16,8 +16,12 @@
 use unit_bench::chaos::{sweep, ChaosFixture, ChaosWorkload, Oracle};
 use unit_bench::cli::{write_file, Flags, Shared};
 
+/// The sweep seed without `--seed`.
+const DEFAULT_SEED: u64 = 0xC4A0_5EED;
+
 struct Args {
     shared: Shared,
+    seed: u64,
     plans: u64,
     shards: usize,
     fixture_broken: bool,
@@ -26,12 +30,14 @@ struct Args {
 fn parse_args(shared: Shared, mut fl: Flags) -> Args {
     let mut args = Args {
         shared,
+        seed: DEFAULT_SEED,
         plans: 50,
         shards: 4,
         fixture_broken: false,
     };
     while let Some(arg) = fl.next_flag() {
         match arg.as_str() {
+            "--seed" => args.seed = fl.parse(&arg),
             "--plans" => args.plans = fl.parse(&arg),
             "--shards" => args.shards = fl.parse(&arg),
             "--fixture-broken" => args.fixture_broken = true,
@@ -46,7 +52,7 @@ fn parse_args(shared: Shared, mut fl: Flags) -> Args {
 
 pub(crate) fn run(shared: Shared, fl: Flags) {
     let args = parse_args(shared, fl);
-    let Shared { scale, seed, .. } = args.shared;
+    let (scale, seed) = (args.shared.scale, args.seed);
     let w = ChaosWorkload::new(scale, args.shards, seed);
     let oracles: Vec<Oracle> = if args.fixture_broken {
         let mut o = Oracle::REAL.to_vec();

@@ -9,7 +9,7 @@
 //! A table experiment returns its result as a [`Table`]; this file prints
 //! it and writes `<stem>.csv` / `<stem>.txt`. `report` runs every table
 //! experiment once and renders the same tables as markdown too. The other
-//! experiments have knobs and gates of their own and write a JSON record.
+//! three — `report`, `chaos` and `tracegen` — have knobs of their own.
 
 mod experiments;
 
@@ -39,8 +39,6 @@ struct Experiment {
     scale: u64,
     /// Default `--out`; `None` writes nothing unless asked.
     out: Option<&'static str>,
-    /// Default `--seed` (0 where the usage names no `--seed`).
-    seed: u64,
     run: Run,
 }
 
@@ -54,7 +52,6 @@ const fn table(name: &'static str, about: &'static str, run: fn(&Shared) -> Tabl
         flags: TABLE_FLAGS,
         scale: 4,
         out: Some("results"),
-        seed: 0,
         run: Run::Table(run),
     }
 }
@@ -110,13 +107,27 @@ const REGISTRY: [Experiment; 18] = [
         "seed robustness of the Fig. 4 med-unif cell",
         variance::run,
     ),
+    traced(table(
+        "cluster",
+        "sharded-cluster scaling, 1/2/4/8 shards x 3 routings",
+        cluster::run,
+    )),
+    traced(table(
+        "faults",
+        "USM vs crash rate under three dispatcher strategies",
+        faults::run,
+    )),
+    table(
+        "replication",
+        "replication factor x propagation lag x routing",
+        replication::run,
+    ),
     Experiment {
         name: "report",
         about: "every table experiment, once: all of results/ plus REPORT.md",
         flags: TABLE_FLAGS,
         scale: 4,
         out: Some("results"),
-        seed: 0,
         run: Run::Custom(report),
     },
     Experiment {
@@ -126,37 +137,7 @@ const REGISTRY: [Experiment; 18] = [
                 [--fixture-broken] [--out DIR | --no-out]",
         scale: 24,
         out: Some("results/chaos"),
-        seed: 0xC4A0_5EED,
         run: Run::Custom(chaos::run),
-    },
-    Experiment {
-        name: "cluster",
-        about: "sharded-cluster scaling, 1/2/4/8 shards x 3 routings",
-        flags: "[--scale N | --full] [--seed S] [--runs R] [--epoch-secs E] [--workers W] \
-                [--out FILE | --no-out] [--trace-out FILE] [--assert-scaling]",
-        scale: 8,
-        out: Some("BENCH_cluster.json"),
-        seed: 0x5EED_0001,
-        run: Run::Custom(cluster::run),
-    },
-    Experiment {
-        name: "faults",
-        about: "USM vs crash rate under three dispatcher strategies",
-        flags: "[--scale N | --full] [--seed S] [--out FILE | --no-out] [--trace-out FILE]",
-        scale: 8,
-        out: Some("BENCH_faults.json"),
-        seed: 0x5EED_0001,
-        run: Run::Custom(faults::run),
-    },
-    Experiment {
-        name: "replication",
-        about: "replication factor x propagation lag x routing",
-        flags: "[--scale N | --full] [--seed S] [--shards N] [--runs R] \
-                [--out FILE | --no-out]",
-        scale: 8,
-        out: Some("BENCH_replication.json"),
-        seed: 0x5EED_0001,
-        run: Run::Custom(replication::run),
     },
     Experiment {
         name: "tracegen",
@@ -165,7 +146,6 @@ const REGISTRY: [Experiment; 18] = [
                 [--out FILE] [--inspect FILE]",
         scale: 4,
         out: None,
-        seed: 0,
         run: Run::Custom(tracegen::run),
     },
 ];
@@ -248,7 +228,7 @@ fn main() {
     };
     let usage = format!("usage: unit-bench {} {}", exp.name, exp.flags);
     let fl = Flags::from_args(args.collect(), &usage);
-    let shared = Shared::new(exp.scale, exp.out, exp.seed);
+    let shared = Shared::new(exp.scale, exp.out);
     match exp.run {
         Run::Table(run) => {
             let shared = shared.parse_all(fl);

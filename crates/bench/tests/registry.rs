@@ -64,7 +64,7 @@ fn every_table_experiment_yields_a_well_formed_table() {
         .filter(|(_, artifact)| artifact.ends_with(".csv"))
         .map(|(name, _)| name)
         .collect();
-    assert_eq!(tables.len(), 12, "{tables:?}");
+    assert_eq!(tables.len(), 15, "{tables:?}");
     for name in &tables {
         let out = bench(&[name, "--scale", "64", "--no-out"]);
         assert!(out.status.success(), "{name} failed: {out:?}");
@@ -111,6 +111,11 @@ fn bad_command_lines_exit_2_with_usage() {
     assert_usage_error(&["fig4", "--out"]);
     assert_usage_error(&["timeline", "--trace-out"]);
     assert_usage_error(&["cluster", "--seed", "s"]);
+    // Cluster speed is measured by the reference benchmark; the cluster
+    // tables take the table flags only.
+    assert_usage_error(&["cluster", "--assert-scaling"]);
+    assert_usage_error(&["replication", "--runs", "2"]);
+    assert_usage_error(&["faults", "--seed", "1"]);
 }
 
 #[test]

@@ -230,17 +230,6 @@ impl ClusterReport {
         self.counts.average_usm(&self.weights)
     }
 
-    /// Queries routed to each shard (from the assignment; includes queries
-    /// the shard then rejected — every routed query gets an outcome).
-    pub fn queries_per_shard(&self) -> Vec<u64> {
-        let mut per = vec![0u64; self.n_shards];
-        for &s in &self.assignment {
-            // lint: allow(D6) — assignment entries are < n_shards (merge checks)
-            per[s] += 1;
-        }
-        per
-    }
-
     /// The query-count-weighted mean of the per-shard average USMs,
     /// `Σ nᵢ·USMᵢ / Σ nᵢ` in f64. Equals [`ClusterReport::average_usm`] up
     /// to float associativity (the integer-tally identity underneath is
@@ -467,7 +456,6 @@ mod tests {
             vec![s0, s1],
         );
         assert_eq!(r.counts.total(), 2);
-        assert_eq!(r.queries_per_shard(), vec![2, 0]);
         assert!(r.log.iter().all(|m| m.shard == 0));
         check_cluster_identity(&r).unwrap();
     }
@@ -534,6 +522,5 @@ mod tests {
             vec![s0, s1],
         );
         assert!((r.query_weighted_shard_usm() - r.average_usm()).abs() < 1e-12);
-        assert_eq!(r.queries_per_shard(), vec![3, 1]);
     }
 }

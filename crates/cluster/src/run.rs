@@ -175,7 +175,7 @@ impl<'a> ClusterRun<'a> {
         let (exec_trace, assignment) = failover::routed_trace(trace, &decisions);
         let shard_traces =
             match slice_trace(&exec_trace, &assignment, sets.map(), cluster.filter_updates) {
-                Ok((t, _)) => t,
+                Ok(t) => t,
                 // lint: allow(panic) — the dispatcher produced the assignment; a bad one is a routing bug, not caller input
                 Err(e) => panic!("internal routing error: {e}"),
             };

@@ -135,7 +135,7 @@ proptest! {
         // Updates: re-derive the slices; stream ids partition exactly.
         let partition = ItemPartition::new(s.n_shards);
         let map = ReplicaMap::solo(s.n_shards);
-        let (slices, _) = slice_trace(&s.bundle.trace, &report.assignment, &map, false)
+        let slices = slice_trace(&s.bundle.trace, &report.assignment, &map, false)
             .map_err(|e| TestCaseError::fail(e.to_string()))?;
         let mut sliced: Vec<u32> = slices
             .iter()

@@ -181,7 +181,7 @@ fn shard_slice_with_sparse_global_ids_streams() {
     let b = bundle();
     let n_shards = 3;
     let assignment: Vec<usize> = (0..b.trace.queries.len()).map(|i| i % n_shards).collect();
-    let (slices, _) = slice_trace(&b.trace, &assignment, &ReplicaMap::solo(n_shards), false)
+    let slices = slice_trace(&b.trace, &assignment, &ReplicaMap::solo(n_shards), false)
         .expect("valid assignment");
     let shard = &slices[1];
     assert_ne!(shard.queries[0].id.0, 0, "slice ids are global");

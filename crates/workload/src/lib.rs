@@ -56,7 +56,7 @@ pub mod updates;
 pub use builder::TraceBuilder;
 pub use cello::{generate_queries, QueryTrace, QueryTraceConfig};
 pub use correlate::{apportion_counts, correlated_weights, CorrelatedWeights, UpdateDistribution};
-pub use partition::{slice_trace, ItemPartition, PartitionError, ReplicaMap, UpdateFanout};
+pub use partition::{slice_trace, ItemPartition, PartitionError, ReplicaMap};
 pub use stats::TraceStats;
 pub use stream::{
     read_queries_jsonl, stream_queries, write_queries_jsonl, JsonlError, QueryStream,

@@ -228,26 +228,6 @@ impl std::fmt::Display for PartitionError {
 
 impl std::error::Error for PartitionError {}
 
-/// Update-stream routing statistics reported by [`slice_trace`], surfaced
-/// in BENCH_cluster.json so routing regressions are visible.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct UpdateFanout {
-    /// Update streams in the global trace.
-    pub total_streams: usize,
-    /// Stream copies each shard received after filtering.
-    pub kept_per_shard: Vec<usize>,
-    /// Stream copies dropped cluster-wide: the hosting shard serves no
-    /// query that reads the item, so the copy could only burn CPU there.
-    pub dropped_streams: usize,
-}
-
-impl UpdateFanout {
-    /// Stream copies that survived filtering, across all shards.
-    pub fn kept(&self) -> usize {
-        self.kept_per_shard.iter().sum()
-    }
-}
-
 /// Split a global trace into one trace per shard.
 ///
 /// Query `i` goes to shard `assignment[i]`; every update stream is fanned
@@ -278,15 +258,15 @@ impl UpdateFanout {
 /// experiments (`ClusterConfig::filter_updates`), never for differential
 /// pinning.
 ///
-/// [`UpdateFanout`] counts *copies*: `kept() + dropped_streams` equals
-/// `total_streams × factor`. O(N_q·r + N_u·factor + n_shards·S) where `r`
+/// Stream copies kept across the slices plus those dropped equal
+/// `updates.len() × factor`. O(N_q·r + N_u·factor + n_shards·S) where `r`
 /// is the mean read-set size.
 pub fn slice_trace(
     trace: &Trace,
     assignment: &[usize],
     map: &ReplicaMap,
     filter: bool,
-) -> Result<(Vec<Trace>, UpdateFanout), PartitionError> {
+) -> Result<Vec<Trace>, PartitionError> {
     check_assignment(trace, assignment, map.n_shards())?;
     let n = map.n_shards();
     // Which items each shard actually reads (only consulted when filtering).
@@ -300,11 +280,6 @@ pub fn slice_trace(
         }
     }
     let mut shards = empty_slices(trace, n);
-    let mut fanout = UpdateFanout {
-        total_streams: trace.updates.len(),
-        kept_per_shard: vec![0; n],
-        dropped_streams: 0,
-    };
     for (q, &s) in trace.queries.iter().zip(assignment) {
         // lint: allow(D6) — check_assignment bounds every entry by n_shards
         shards[s].queries.push(q.clone());
@@ -315,13 +290,10 @@ pub fn slice_trace(
             if !filter || read[s * trace.n_items + u.item.index()] {
                 // lint: allow(D6) — s < n_shards as above
                 shards[s].updates.push(u.clone());
-                fanout.kept_per_shard[s] += 1; // lint: allow(D6) — s < n_shards
-            } else {
-                fanout.dropped_streams += 1;
             }
         }
     }
-    Ok((shards, fanout))
+    Ok(shards)
 }
 
 fn check_assignment(
@@ -385,6 +357,10 @@ mod tests {
         }
     }
 
+    fn kept_per_shard(shards: &[Trace]) -> Vec<usize> {
+        shards.iter().map(|s| s.updates.len()).collect()
+    }
+
     fn trace() -> Trace {
         Trace {
             n_items: 8,
@@ -421,10 +397,9 @@ mod tests {
     #[test]
     fn slices_conserve_queries_and_updates() {
         let t = trace();
-        let (shards, fanout) = slice_trace(&t, &[0, 1, 0, 1], &ReplicaMap::solo(2), false).unwrap();
+        let shards = slice_trace(&t, &[0, 1, 0, 1], &ReplicaMap::solo(2), false).unwrap();
         assert_eq!(shards.len(), 2);
-        assert_eq!(fanout.kept_per_shard, vec![2, 2]);
-        assert_eq!(fanout.dropped_streams, 0);
+        assert_eq!(kept_per_shard(&shards), vec![2, 2]);
         // Every query in exactly one shard, order preserved.
         let ids: Vec<u64> = shards
             .iter()
@@ -450,7 +425,7 @@ mod tests {
     #[test]
     fn one_shard_slice_is_the_identity() {
         let t = trace();
-        let (shards, _) = slice_trace(&t, &[0, 0, 0, 0], &ReplicaMap::solo(1), false).unwrap();
+        let shards = slice_trace(&t, &[0, 0, 0, 0], &ReplicaMap::solo(1), false).unwrap();
         assert_eq!(shards.len(), 1);
         assert_eq!(shards[0], t);
     }
@@ -464,17 +439,15 @@ mod tests {
         // shard 1. Only item 0 is read *on its owner*: item 6's reader runs
         // on shard 1 (which never sees shard-0 updates), and items 1/5 are
         // read only on shard 0 while their streams land on shard 1.
-        let (shards, fanout) = slice_trace(&t, &[0, 1, 0, 1], &m, true).unwrap();
+        let shards = slice_trace(&t, &[0, 1, 0, 1], &m, true).unwrap();
         let u0: Vec<u32> = shards[0].updates.iter().map(|u| u.item.0).collect();
         let u1: Vec<u32> = shards[1].updates.iter().map(|u| u.item.0).collect();
         assert_eq!(u0, vec![0]);
         assert_eq!(u1, Vec::<u32>::new());
-        assert_eq!(fanout.total_streams, 4);
-        assert_eq!(fanout.kept_per_shard, vec![1, 0]);
-        assert_eq!(fanout.dropped_streams, 3);
-        assert_eq!(fanout.kept(), 1);
+        // 4 copies (4 streams x factor 1): 1 kept, 3 dropped.
+        assert_eq!(kept_per_shard(&shards), vec![1, 0]);
         // Queries are routed exactly as in the unfiltered slicing.
-        let (unfiltered, _) = slice_trace(&t, &[0, 1, 0, 1], &m, false).unwrap();
+        let unfiltered = slice_trace(&t, &[0, 1, 0, 1], &m, false).unwrap();
         for (f, u) in shards.iter().zip(&unfiltered) {
             assert_eq!(f.queries, u.queries);
             f.validate().unwrap();
@@ -486,9 +459,8 @@ mod tests {
         let t = trace();
         // The single shard reads {0,1,2,3,5,6}; every update item (0,1,5,6)
         // is read, so filtering is the identity here.
-        let (shards, fanout) = slice_trace(&t, &[0, 0, 0, 0], &ReplicaMap::solo(1), true).unwrap();
+        let shards = slice_trace(&t, &[0, 0, 0, 0], &ReplicaMap::solo(1), true).unwrap();
         assert_eq!(shards[0], t);
-        assert_eq!(fanout.dropped_streams, 0);
     }
 
     #[test]
@@ -536,7 +508,7 @@ mod tests {
     fn replicated_slices_fan_out_updates_to_followers() {
         let t = trace();
         let m = ReplicaMap::new(2, 2, 1);
-        let (shards, fanout) = slice_trace(&t, &[0, 1, 0, 1], &m, false).unwrap();
+        let shards = slice_trace(&t, &[0, 1, 0, 1], &m, false).unwrap();
         // Every stream lands on both shards (factor 2 over 2 shards), in
         // global order, with ids untouched.
         for s in &shards {
@@ -544,10 +516,11 @@ mod tests {
             assert_eq!(items, vec![0, 1, 5, 6]);
             s.validate().unwrap();
         }
-        assert_eq!(fanout.total_streams, 4);
-        assert_eq!(fanout.kept_per_shard, vec![4, 4]);
-        assert_eq!(fanout.dropped_streams, 0);
-        assert_eq!(fanout.kept(), fanout.total_streams * m.factor());
+        assert_eq!(kept_per_shard(&shards), vec![4, 4]);
+        assert_eq!(
+            kept_per_shard(&shards).iter().sum::<usize>(),
+            t.updates.len() * m.factor()
+        );
     }
 
     /// Item 5's leader is shard 1, but its only reader (query 2) runs on
@@ -559,7 +532,7 @@ mod tests {
         let t = trace();
         let assignment = [0, 1, 0, 1];
         let m = ReplicaMap::new(2, 2, 1);
-        let (shards, fanout) = slice_trace(&t, &assignment, &m, true).unwrap();
+        let shards = slice_trace(&t, &assignment, &m, true).unwrap();
         // Shard 0 reads {0,1,3,5}; it leads {0,6} and follows {1,5}.
         // Kept on shard 0: 0 (led + read), 1 and 5 (followed + read).
         let u0: Vec<u32> = shards[0].updates.iter().map(|u| u.item.0).collect();
@@ -573,8 +546,7 @@ mod tests {
         let u1: Vec<u32> = shards[1].updates.iter().map(|u| u.item.0).collect();
         assert_eq!(u1, vec![6]);
         // 8 copies total (4 streams x factor 2), 4 kept.
-        assert_eq!(fanout.kept_per_shard, vec![3, 1]);
-        assert_eq!(fanout.dropped_streams, 4);
+        assert_eq!(kept_per_shard(&shards), vec![3, 1]);
     }
 
     #[test]
