@@ -13,8 +13,8 @@
 //! * **health-consistency** — no shard outcome lands strictly inside a
 //!   pause window, retry budgets are respected
 //!   ([`check_health_consistency`]);
-//! * **worker-determinism** — worker count and epoch slicing are pure
-//!   wall-clock knobs: reports are bit-identical across them;
+//! * **worker-determinism** — the worker count is a pure wall-clock
+//!   knob: one worker and two workers produce bit-identical reports;
 //! * **recovery-identity** — stripping every
 //!   [`FaultMode::CrashLoseState`] window changes no behavioural field:
 //!   crash recovery is invisible in virtual time (`end_time`,
@@ -130,20 +130,12 @@ impl ChaosWorkload {
     }
 
     /// Execute one fault-aware cluster run of `plan` with `workers`
-    /// executor threads (0 = in-line) and optional epoch slicing.
-    pub fn run(
-        &self,
-        plan: &FaultPlan,
-        workers: usize,
-        epoch: Option<SimDuration>,
-    ) -> FaultClusterReport {
-        let mut cluster = ClusterConfig::new(self.n_shards)
+    /// executor threads (0 = auto, one per shard capped at the host's
+    /// parallelism; 1 = on the calling thread).
+    pub fn run(&self, plan: &FaultPlan, workers: usize) -> FaultClusterReport {
+        ClusterConfig::new(self.n_shards)
             .with_seed(self.seed)
-            .with_workers(workers);
-        if let Some(e) = epoch {
-            cluster = cluster.with_epoch(e);
-        }
-        cluster
+            .with_workers(workers)
             .build()
             .with_faults(plan, chaos_failover())
             .run_unit(&self.bundle.trace, self.sim, &self.unit)
@@ -354,7 +346,7 @@ pub enum Oracle {
     /// [`check_health_consistency`]: outcomes respect pause windows and
     /// retry budgets.
     HealthConsistency,
-    /// Worker count and epoch slicing must not change the report.
+    /// The worker count must not change the report.
     WorkerDeterminism,
     /// Lose-state crashes must be invisible: the plan and its
     /// [`strip_lose_state`] twin produce behaviourally identical reports
@@ -405,7 +397,7 @@ impl Oracle {
     pub fn check(self, w: &ChaosWorkload, plan: &FaultPlan) -> Result<(), String> {
         match self {
             Oracle::Conservation => {
-                let r = w.run(plan, 0, None);
+                let r = w.run(plan, 0);
                 let total = r.counts.total() as usize;
                 if total != w.n_queries() {
                     return Err(format!(
@@ -435,26 +427,22 @@ impl Oracle {
                 Ok(())
             }
             Oracle::HealthConsistency => {
-                let r = w.run(plan, 0, None);
+                let r = w.run(plan, 0);
                 check_health_consistency(&r, plan, &chaos_failover())
                     .map_err(|e| format!("health-consistency: {e}"))
             }
             Oracle::WorkerDeterminism => {
-                let whole = w.run(plan, 0, None);
-                let epoch = w.run(plan, 2, Some(SimDuration::from_secs(500)));
-                assert_identical(
-                    &whole,
-                    &epoch,
-                    "worker-determinism: whole/0 vs epoch-500s/2",
-                )
+                let one = w.run(plan, 1);
+                let two = w.run(plan, 2);
+                assert_identical(&one, &two, "worker-determinism: 1 worker vs 2 workers")
             }
             Oracle::RecoveryIdentity => {
                 let stripped = strip_lose_state(plan);
                 if stripped == *plan {
                     return Ok(()); // vacuous: nothing to strip
                 }
-                let crashed = w.run(plan, 0, None);
-                let reference = w.run(&stripped, 0, None);
+                let crashed = w.run(plan, 0);
+                let reference = w.run(&stripped, 0);
                 behaviourally_identical(
                     &crashed,
                     &reference,
@@ -462,7 +450,7 @@ impl Oracle {
                 )
             }
             Oracle::PlantedNoRecoveries => {
-                let r = w.run(plan, 0, None);
+                let r = w.run(plan, 0);
                 let recoveries: u64 = r
                     .cluster
                     .shard_reports

@@ -58,7 +58,6 @@ use unit_core::types::{Outcome, QuerySpec, Trace};
 use unit_core::usm::OutcomeCounts;
 use unit_faults::{FaultMode, FaultPlan};
 use unit_sim::HealthState;
-use unit_workload::ItemPartition;
 
 /// Deterministic exponential backoff, in virtual time.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -258,23 +257,6 @@ pub(crate) fn dispatch(
         routes,
         promotions,
     }
-}
-
-/// The fault-aware routing decision for every query in `trace` on an
-/// unreplicated cluster: `dispatch` over the partition's factor-1
-/// placement. `plan.shards` must have one schedule per shard. With an
-/// empty plan (or `NoRetry`), the routed shards are identical to
-/// [`assign`](crate::routing::assign) and every effective arrival equals
-/// the trace arrival — the inertness the fault differential suite pins.
-pub fn route_with_faults(
-    trace: &Trace,
-    partition: &ItemPartition,
-    routing: RoutingPolicy,
-    plan: &FaultPlan,
-    failover: &FailoverPolicy,
-) -> Vec<RouteDecision> {
-    let sets = ReplicaSets::solo(trace, partition.n_shards());
-    dispatch(trace, &sets, routing, Some((plan, failover))).decisions
 }
 
 /// Routed queries with their effective specs, plus the assignment aligned
@@ -508,6 +490,18 @@ mod tests {
         }
     }
 
+    /// The fault-aware routing decision for every query of `t` on an
+    /// unreplicated `n`-shard cluster.
+    fn route(
+        t: &Trace,
+        n: usize,
+        routing: RoutingPolicy,
+        plan: &FaultPlan,
+        failover: &FailoverPolicy,
+    ) -> Vec<RouteDecision> {
+        dispatch(t, &ReplicaSets::solo(t, n), routing, Some((plan, failover))).decisions
+    }
+
     fn down(start: u64, end: u64, mode: FaultMode) -> FaultSchedule {
         FaultSchedule {
             crashes: vec![CrashWindow {
@@ -522,7 +516,7 @@ mod tests {
     #[test]
     fn quiet_plan_reproduces_the_fault_free_assignment() {
         let t = trace();
-        let p = ItemPartition::new(2);
+        let p = unit_workload::ItemPartition::new(2);
         let plan = FaultPlan::quiet(2);
         for routing in RoutingPolicy::ALL {
             let plain = crate::routing::assign(&t, &p, routing);
@@ -530,7 +524,7 @@ mod tests {
                 FailoverPolicy::NoRetry,
                 FailoverPolicy::Backoff(BackoffConfig::default()),
             ] {
-                let decisions = route_with_faults(&t, &p, routing, &plan, &failover);
+                let decisions = route(&t, 2, routing, &plan, &failover);
                 for (i, d) in decisions.iter().enumerate() {
                     assert_eq!(
                         *d,
@@ -549,14 +543,13 @@ mod tests {
     #[test]
     fn failover_routes_around_a_down_shard() {
         let t = trace();
-        let p = ItemPartition::new(2);
         // Shard 0 is down for the whole query window; shard 1 is up.
         let plan = FaultPlan {
             shards: vec![down(0, 30, FaultMode::Pause), FaultSchedule::empty()],
         };
-        let decisions = route_with_faults(
+        let decisions = route(
             &t,
-            &p,
+            2,
             RoutingPolicy::RoundRobin,
             &plan,
             &FailoverPolicy::Backoff(BackoffConfig::default()),
@@ -579,7 +572,6 @@ mod tests {
     #[test]
     fn degraded_shards_still_take_reads() {
         let t = trace();
-        let p = ItemPartition::new(2);
         // Both shards unhealthy, but shard 1 only degraded: reads go there
         // without any backoff.
         let plan = FaultPlan {
@@ -588,9 +580,9 @@ mod tests {
                 down(0, 30, FaultMode::DegradedReads),
             ],
         };
-        let decisions = route_with_faults(
+        let decisions = route(
             &t,
-            &p,
+            2,
             RoutingPolicy::LeastLoad,
             &plan,
             &FailoverPolicy::Backoff(BackoffConfig::default()),
@@ -610,14 +602,13 @@ mod tests {
     #[test]
     fn backoff_waits_out_a_short_outage_and_preserves_the_deadline() {
         let t = trace();
-        let p = ItemPartition::new(2);
         // Both shards paused until t=6: q0 (arrival 1) retries at 2, 4, 8.
         let plan = FaultPlan {
             shards: vec![down(0, 6, FaultMode::Pause), down(0, 6, FaultMode::Pause)],
         };
-        let decisions = route_with_faults(
+        let decisions = route(
             &t,
-            &p,
+            2,
             RoutingPolicy::RoundRobin,
             &plan,
             &FailoverPolicy::Backoff(BackoffConfig::default()),
@@ -643,7 +634,6 @@ mod tests {
     #[test]
     fn exhausted_budget_rejects_within_the_deadline() {
         let t = trace();
-        let p = ItemPartition::new(2);
         let forever = 10_000;
         let plan = FaultPlan {
             shards: vec![
@@ -652,9 +642,9 @@ mod tests {
             ],
         };
         let cfg = BackoffConfig::default();
-        let decisions = route_with_faults(
+        let decisions = route(
             &t,
-            &p,
+            2,
             RoutingPolicy::FreshnessAware,
             &plan,
             &FailoverPolicy::Backoff(cfg),
@@ -714,7 +704,6 @@ mod tests {
         };
         // The absolute deadline saturates: "infinitely patient".
         assert_eq!(t.queries[0].deadline(), SimTime::MAX);
-        let p = ItemPartition::new(2);
         let window_start = SimTime(u64::MAX - 1_000_000_000);
         let window_end = SimTime(u64::MAX - 1); // MAX itself fails validation
         let paused = FaultSchedule {
@@ -730,9 +719,9 @@ mod tests {
             shards: vec![paused.clone(), paused],
         };
         let cfg = BackoffConfig::default();
-        let decisions = route_with_faults(
+        let decisions = route(
             &t,
-            &p,
+            2,
             RoutingPolicy::RoundRobin,
             &plan,
             &FailoverPolicy::Backoff(cfg),
@@ -768,7 +757,6 @@ mod tests {
             }],
             updates: vec![],
         };
-        let p = ItemPartition::new(2);
         // Both shards paused until one base-delay after arrival; the first
         // retry (arrival + base) lands exactly at the recovery instant.
         let recover = SimTime(arrival.0 + base.0);
@@ -784,9 +772,9 @@ mod tests {
         let plan = FaultPlan {
             shards: vec![paused.clone(), paused],
         };
-        let decisions = route_with_faults(
+        let decisions = route(
             &t,
-            &p,
+            2,
             RoutingPolicy::RoundRobin,
             &plan,
             &FailoverPolicy::Backoff(BackoffConfig {

@@ -48,15 +48,14 @@ pub mod run;
 use unit_faults::ScheduleError;
 
 pub use failover::{
-    check_health_consistency, route_with_faults, BackoffConfig, FailoverPolicy, FaultClusterReport,
-    RouteDecision,
+    check_health_consistency, BackoffConfig, FailoverPolicy, FaultClusterReport, RouteDecision,
 };
 pub use merge::{
     check_cluster_identity, ClusterLane, ClusterReport, MergedOutcome, PromotionRecord,
     PropagationRecord, ReplicaRouteRecord, ReplicationReport,
 };
 pub use replication::{
-    check_replication_consistency, PropagationLag, ReplicaPlacement, ReplicaSets, ReplicationConfig,
+    check_replication_consistency, PropagationLag, ReplicaSets, ReplicationConfig,
 };
 pub use routing::{assign, RoutingPolicy};
 pub use run::{ClusterRun, ClusterRunReport};
@@ -64,27 +63,6 @@ pub use run::{ClusterRun, ClusterRunReport};
 /// Upper bound on the worker-thread knob; values past this are a typo, not
 /// a throughput request.
 pub const MAX_WORKERS: usize = 4096;
-
-/// How the worker pool drives the shard engines. Purely a wall-clock knob:
-/// both modes produce bit-identical reports (shards share no mutable
-/// state, and pausing an engine at a virtual-time boundary reorders
-/// nothing — see [`unit_sim::Simulator::step_until`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ExecutionMode {
-    /// Each worker runs a claimed shard start-to-finish before claiming the
-    /// next. Minimal synchronization; a straggler shard serializes its
-    /// worker for the whole run.
-    WholeShard,
-    /// All shards advance in lockstep through virtual-time epochs: every
-    /// worker steps its statically owned shards (`shard % workers`) to the
-    /// epoch boundary, a barrier closes the round, and the cluster repeats
-    /// until every shard drains. Bounds per-round skew and keeps every
-    /// worker busy while any shard is live.
-    EpochParallel {
-        /// Virtual-time length of one stepping round (must be non-zero).
-        epoch: unit_core::time::SimDuration,
-    },
-}
 
 /// A malformed cluster or fault configuration, rejected before any shard
 /// runs.
@@ -99,9 +77,6 @@ pub enum ClusterConfigError {
         /// The cap.
         max: usize,
     },
-    /// [`ExecutionMode::EpochParallel`] with a zero-length epoch: the
-    /// stepping rounds would never advance virtual time.
-    ZeroEpoch,
     /// The fault plan does not cover exactly one schedule per shard.
     PlanShardMismatch {
         /// Schedules in the plan.
@@ -122,16 +97,6 @@ pub enum ClusterConfigError {
     ReplicationFactorExceedsShards {
         /// The requested replication factor.
         factor: usize,
-        /// Shards in the cluster.
-        n_shards: usize,
-    },
-    /// The strided placement revisits a shard within one item's replica
-    /// set, so two replicas of the item would share a shard.
-    ReplicaPlacementCollision {
-        /// The first follower slot (`1..factor`) that collides.
-        slot: usize,
-        /// The stride that produced the collision.
-        stride: usize,
         /// Shards in the cluster.
         n_shards: usize,
     },
@@ -157,9 +122,6 @@ impl std::fmt::Display for ClusterConfigError {
             ClusterConfigError::TooManyWorkers { workers, max } => {
                 write!(f, "{workers} worker threads requested, the cap is {max}")
             }
-            ClusterConfigError::ZeroEpoch => {
-                write!(f, "epoch-parallel stepping needs a non-zero epoch")
-            }
             ClusterConfigError::PlanShardMismatch {
                 plan_shards,
                 n_shards,
@@ -179,15 +141,6 @@ impl std::fmt::Display for ClusterConfigError {
                     "replication factor {factor} exceeds the {n_shards}-shard cluster"
                 )
             }
-            ClusterConfigError::ReplicaPlacementCollision {
-                slot,
-                stride,
-                n_shards,
-            } => write!(
-                f,
-                "replica placement collides at follower slot {slot}: stride {stride} \
-                 revisits a shard on a {n_shards}-shard ring"
-            ),
             ClusterConfigError::ZeroPropagationWindows => {
                 write!(f, "propagation lag needs at least one jitter window")
             }
@@ -222,9 +175,6 @@ pub struct ClusterConfig {
     /// shard, capped at the host's available parallelism. Purely a
     /// throughput knob — results are bit-identical for any value.
     pub workers: usize,
-    /// How the worker pool schedules shard execution. Also purely a
-    /// wall-clock knob; see [`ExecutionMode`].
-    pub mode: ExecutionMode,
     /// Demand-filter update streams during slicing
     /// ([`unit_workload::slice_trace`] with `filter` set): stream copies
     /// whose hosting shard serves no reader of the item are dropped.
@@ -252,7 +202,6 @@ impl ClusterConfig {
             routing: RoutingPolicy::RoundRobin,
             seed: unit_core::config::DEFAULT_SEED,
             workers: 0,
-            mode: ExecutionMode::WholeShard,
             filter_updates: false,
             replication: None,
         }
@@ -265,10 +214,13 @@ impl ClusterConfig {
         self
     }
 
-    /// Shorthand for [`ExecutionMode::EpochParallel`] with the given epoch.
+    /// Ignored: returns `self` unchanged. Shards always run on the
+    /// whole-shard claim loop, so there is no epoch to set. Kept only
+    /// because the frozen reference benchmark (`benchmark/src/cluster.rs`)
+    /// still calls it; the next change to that benchmark deletes the call,
+    /// and then this method (ROADMAP.md item 8).
     #[must_use]
-    pub fn with_epoch(mut self, epoch: unit_core::time::SimDuration) -> ClusterConfig {
-        self.mode = ExecutionMode::EpochParallel { epoch };
+    pub fn with_epoch(self, _epoch: unit_core::time::SimDuration) -> ClusterConfig {
         self
     }
 
@@ -303,23 +255,6 @@ impl ClusterConfig {
         self
     }
 
-    /// Like [`ClusterConfig::new`], returning the error instead of
-    /// panicking.
-    pub fn try_new(n_shards: usize) -> Result<ClusterConfig, ClusterConfigError> {
-        if n_shards == 0 {
-            return Err(ClusterConfigError::ZeroShards);
-        }
-        Ok(ClusterConfig {
-            n_shards,
-            routing: RoutingPolicy::RoundRobin,
-            seed: unit_core::config::DEFAULT_SEED,
-            workers: 0,
-            mode: ExecutionMode::WholeShard,
-            filter_updates: false,
-            replication: None,
-        })
-    }
-
     /// Check the run-entry invariants. [`ClusterRun::run`] calls this
     /// first, so a malformed config is a typed error, not a panic deep in
     /// a worker thread.
@@ -332,11 +267,6 @@ impl ClusterConfig {
                 workers: self.workers,
                 max: MAX_WORKERS,
             });
-        }
-        if let ExecutionMode::EpochParallel { epoch } = self.mode {
-            if epoch.is_zero() {
-                return Err(ClusterConfigError::ZeroEpoch);
-            }
         }
         if let Some(rep) = &self.replication {
             rep.validate(self.n_shards)?;
@@ -429,12 +359,9 @@ mod tests {
     #[test]
     fn malformed_configs_are_typed_errors() {
         let trace = tiny_trace();
-        assert_eq!(
-            ClusterConfig::try_new(0).unwrap_err(),
-            ClusterConfigError::ZeroShards
-        );
         let mut zero = ClusterConfig::new(2);
         zero.n_shards = 0;
+        assert_eq!(zero.validate().unwrap_err(), ClusterConfigError::ZeroShards);
         assert_eq!(
             zero.build()
                 .run_unit(&trace, sim_cfg(), &UnitConfig::default())
@@ -453,11 +380,19 @@ mod tests {
             }
         );
         // A capped-but-legal worker count is fine.
-        let ok = ClusterConfig::try_new(2).unwrap().with_workers(MAX_WORKERS);
+        let ok = ClusterConfig::new(2).with_workers(MAX_WORKERS);
         assert!(ok
             .build()
             .run_unit(&trace, sim_cfg(), &UnitConfig::default())
             .is_ok());
+    }
+
+    #[test]
+    fn with_epoch_leaves_the_config_unchanged() {
+        assert_eq!(
+            ClusterConfig::new(4).with_epoch(SimDuration::from_secs(100)),
+            ClusterConfig::new(4)
+        );
     }
 
     #[test]
@@ -477,17 +412,6 @@ mod tests {
             ClusterConfigError::ReplicationFactorExceedsShards {
                 factor: 3,
                 n_shards: 2
-            }
-        );
-        // Stride 2 on a 4-shard ring revisits the leader at slot 2.
-        let colliding =
-            ReplicationConfig::new(3).with_placement(ReplicaPlacement::Strided { stride: 2 });
-        assert_eq!(
-            run(ClusterConfig::new(4).with_replication(colliding)).unwrap_err(),
-            ClusterConfigError::ReplicaPlacementCollision {
-                slot: 2,
-                stride: 2,
-                n_shards: 4
             }
         );
         let windowless = ReplicationConfig::new(2).with_lag(PropagationLag::jittered(

@@ -150,7 +150,7 @@ pub struct ClusterReport {
     /// All shard outcome logs merged by `(time, shard, seq)`.
     pub log: Vec<MergedOutcome>,
     /// Host wall-clock seconds each shard spent being built, stepped, and
-    /// finished on its worker (index = shard id), excluding barrier waits.
+    /// finished on its worker (index = shard id).
     /// The maximum is the run's critical path — the wall-clock a host with
     /// at least one core per shard would see. Diagnostic only: timing is
     /// nondeterministic and never feeds a digest or a decision.

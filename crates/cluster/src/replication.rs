@@ -5,8 +5,8 @@
 //! shard that applies the item's updates: reads always see leader-fresh
 //! data and the freshness/load tradeoff the paper motivates never reaches
 //! the routing layer. Replication changes that: each item gets a **leader**
-//! (its modulo owner, unchanged) plus `factor - 1` **followers** on a
-//! strided ring ([`unit_workload::ReplicaMap`]). Updates apply at the
+//! (its modulo owner, unchanged) plus `factor - 1` **followers** on the
+//! next shards around the ring ([`unit_workload::ReplicaMap`]). Updates apply at the
 //! leader and *propagate* to followers over the existing delayed
 //! update-stream machinery in `unit_faults`: each follower's copy of the
 //! item's update streams runs under seeded, windowed
@@ -111,38 +111,13 @@ impl PropagationLag {
     }
 }
 
-/// How an item's followers are placed relative to its leader.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReplicaPlacement {
-    /// Followers on the next shards around the ring (stride 1).
-    Ring,
-    /// Follower slot `k` at `(leader + k·stride) mod n_shards`. Strides
-    /// sharing a factor with `n_shards` can revisit a shard — rejected as
-    /// [`ClusterConfigError::ReplicaPlacementCollision`].
-    Strided {
-        /// Ring distance between consecutive replicas of one item.
-        stride: usize,
-    },
-}
-
-impl ReplicaPlacement {
-    /// The ring stride this placement uses. O(1).
-    pub fn stride(&self) -> usize {
-        match *self {
-            ReplicaPlacement::Ring => 1,
-            ReplicaPlacement::Strided { stride } => stride,
-        }
-    }
-}
-
-/// Replication shape: how many replicas each item has, where the
-/// followers sit, and how update propagation lags behind the leader.
+/// Replication shape: how many replicas each item has (its followers sit
+/// on the next shards around the ring), and how update propagation lags
+/// behind the leader.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplicationConfig {
     /// Replicas per item, leader included (≥ 1; 1 = partition-only).
     pub factor: usize,
-    /// Follower placement around the ring.
-    pub placement: ReplicaPlacement,
     /// The deterministic propagation-lag schedule.
     pub lag: PropagationLag,
 }
@@ -152,16 +127,8 @@ impl ReplicationConfig {
     pub fn new(factor: usize) -> ReplicationConfig {
         ReplicationConfig {
             factor,
-            placement: ReplicaPlacement::Ring,
             lag: PropagationLag::none(),
         }
-    }
-
-    /// Set the follower placement.
-    #[must_use]
-    pub fn with_placement(mut self, placement: ReplicaPlacement) -> ReplicationConfig {
-        self.placement = placement;
-        self
     }
 
     /// Set the propagation-lag schedule.
@@ -183,14 +150,6 @@ impl ReplicationConfig {
                 n_shards,
             });
         }
-        let stride = self.placement.stride();
-        if let Some(slot) = ReplicaMap::collision_slot(n_shards, self.factor, stride) {
-            return Err(ClusterConfigError::ReplicaPlacementCollision {
-                slot,
-                stride,
-                n_shards,
-            });
-        }
         if self.lag.windows == 0 {
             return Err(ClusterConfigError::ZeroPropagationWindows);
         }
@@ -200,7 +159,7 @@ impl ReplicationConfig {
     /// The placement map over `n_shards` shards. The config must have
     /// passed [`ReplicationConfig::validate`] for this cluster size.
     pub fn replica_map(&self, n_shards: usize) -> ReplicaMap {
-        ReplicaMap::new(n_shards, self.factor, self.placement.stride())
+        ReplicaMap::new(n_shards, self.factor)
     }
 }
 
@@ -711,16 +670,6 @@ mod tests {
                 n_shards: 4
             })
         );
-        assert_eq!(
-            ReplicationConfig::new(3)
-                .with_placement(ReplicaPlacement::Strided { stride: 2 })
-                .validate(4),
-            Err(ClusterConfigError::ReplicaPlacementCollision {
-                slot: 2,
-                stride: 2,
-                n_shards: 4
-            })
-        );
         let mut zero_windows = ReplicationConfig::new(2);
         zero_windows.lag.windows = 0;
         assert_eq!(
@@ -728,12 +677,6 @@ mod tests {
             Err(ClusterConfigError::ZeroPropagationWindows)
         );
         assert_eq!(ReplicationConfig::new(3).validate(4), Ok(()));
-        assert_eq!(
-            ReplicationConfig::new(3)
-                .with_placement(ReplicaPlacement::Strided { stride: 2 })
-                .validate(5),
-            Ok(())
-        );
     }
 
     #[test]

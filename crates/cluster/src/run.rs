@@ -24,18 +24,17 @@
 use crate::failover::{self, Dispatch, FailoverPolicy, FaultClusterReport, RouteDecision};
 use crate::merge::{ClusterReport, ReplicationReport};
 use crate::replication::ReplicaSets;
-use crate::{ClusterConfig, ClusterConfigError, ExecutionMode};
+use crate::{ClusterConfig, ClusterConfigError};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Barrier;
 use unit_core::policy::Policy;
 use unit_core::split_seed;
-use unit_core::time::{SimDuration, SimTime};
+use unit_core::time::SimTime;
 use unit_core::types::Trace;
 use unit_core::unit_policy::UnitPolicy;
 use unit_core::UnitConfig;
 use unit_faults::{FaultPlan, FaultSchedule, ShardFaults};
 use unit_obs::{FaultPhase, ObsEvent, Observer, RingRecorder};
-use unit_sim::{HealthState, SimConfig, SimReport, SimRun, Simulator};
+use unit_sim::{HealthState, SimConfig, SimReport, SimRun};
 use unit_workload::slice_trace;
 
 /// A configured cluster run: faults and observation are layered onto the
@@ -189,7 +188,6 @@ impl<'a> ClusterRun<'a> {
                 make_policy: &make_policy,
             },
             cluster.workers,
-            cluster.mode,
         );
         let mut recorders: Vec<Option<RingRecorder>> = Vec::with_capacity(n);
         let mut shard_reports: Vec<SimReport> = Vec::with_capacity(n);
@@ -330,8 +328,7 @@ fn build_shard_hooks(
 }
 
 /// One shard's result: its report, its recorder (`Some` iff recording),
-/// and the host seconds it spent being built, stepped and finished
-/// (barrier waits excluded).
+/// and the host seconds it spent being built, stepped and finished.
 type ShardResult = (SimReport, Option<RingRecorder>, f64);
 
 /// What every shard engine is assembled from. Shards share none of it
@@ -349,8 +346,12 @@ struct ShardInputs<'a, F> {
 }
 
 impl<P: Policy, F: Fn(usize, u64) -> P> ShardInputs<'_, F> {
-    /// Assemble shard `i`'s engine, observed by `rec` when recording.
-    fn build_shard<'r>(&'r self, i: usize, rec: Option<&'r mut RingRecorder>) -> Simulator<'r, P> {
+    /// Assemble shard `i`'s engine and run it start to finish on the
+    /// calling thread, observed by a private recorder when recording.
+    fn run_shard(&self, i: usize) -> ShardResult {
+        // lint: allow(D2) — diagnostic shard-wall timing, never enters sim state or digests
+        let started = std::time::Instant::now();
+        let mut rec = self.record.then(RingRecorder::unbounded);
         let policy = (self.make_policy)(i, split_seed(self.seed, i as u64));
         // lint: allow(D6) — callers pass i < n == traces.len()
         let mut run = SimRun::trace(&self.traces[i], policy, self.cfg);
@@ -358,37 +359,25 @@ impl<P: Policy, F: Fn(usize, u64) -> P> ShardInputs<'_, F> {
             // lint: allow(D6) — hooks, when present, has n entries
             run = run.with_faults(Box::new(hooks[i].clone()));
         }
-        if let Some(r) = rec {
+        if let Some(r) = rec.as_mut() {
             run = run.with_observer(r);
         }
-        run.build()
-    }
-
-    /// Run shard `i` start to finish on the calling thread.
-    fn run_shard(&self, i: usize) -> ShardResult {
-        // lint: allow(D2) — diagnostic shard-wall timing, never enters sim state or digests
-        let started = std::time::Instant::now();
-        let mut rec = self.record.then(RingRecorder::unbounded);
-        let report = {
-            let mut sim = self.build_shard(i, rec.as_mut());
-            while sim.step() {}
-            sim.finish().0
-        };
+        let report = run.run();
         (report, rec, started.elapsed().as_secs_f64())
     }
 }
 
-/// Run `work(w)` for every worker `w < workers` and concatenate what they
-/// return. One worker runs on the calling thread, skipping the spawn;
-/// more run on scoped threads, and a worker panic — a shard-engine bug —
-/// propagates instead of yielding a partial cluster.
-fn run_workers<T: Send>(workers: usize, work: impl Fn(usize) -> Vec<T> + Sync) -> Vec<T> {
+/// Run `work()` on `workers` workers and concatenate what they return.
+/// One worker runs on the calling thread, skipping the spawn; more run on
+/// scoped threads, and a worker panic — a shard-engine bug — propagates
+/// instead of yielding a partial cluster.
+fn run_workers<T: Send>(workers: usize, work: impl Fn() -> Vec<T> + Sync) -> Vec<T> {
     if workers == 1 {
-        return work(0);
+        return work();
     }
     std::thread::scope(|scope| {
         let work = &work;
-        let handles: Vec<_> = (0..workers).map(|w| scope.spawn(move || work(w))).collect();
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
         handles
             .into_iter()
             .flat_map(|h| match h.join() {
@@ -403,15 +392,16 @@ fn run_workers<T: Send>(workers: usize, work: impl Fn(usize) -> Vec<T> + Sync) -
 /// Execute every shard on a worker pool and return the results indexed by
 /// shard id.
 ///
+/// Each worker claims the next unstarted shard from a shared counter and
+/// runs it start to finish, so a worker whose shard drains early takes the
+/// next one instead of idling, and no worker ever waits on another —
+/// static shard ownership with a barrier per virtual-time epoch measured
+/// slower on `cluster-mix` (DESIGN.md §3).
+///
 /// Interleaving-independence: shards share no mutable state (see
 /// [`ShardInputs`]) and results are keyed by shard id, so neither claim
-/// order, finish order, worker count, nor the execution `mode` is
-/// observable in the output.
-fn execute_shards<P, F>(
-    inputs: &ShardInputs<'_, F>,
-    workers: usize,
-    mode: ExecutionMode,
-) -> Vec<ShardResult>
+/// order, finish order nor worker count is observable in the output.
+fn execute_shards<P, F>(inputs: &ShardInputs<'_, F>, workers: usize) -> Vec<ShardResult>
 where
     P: Policy + Send,
     F: Fn(usize, u64) -> P + Sync,
@@ -419,7 +409,7 @@ where
     let n = inputs.traces.len();
     // `0` = auto: one worker per shard, capped at the host's actual
     // parallelism — extra threads on a smaller machine only add scheduling
-    // and barrier overhead. Purely a wall-clock decision: results are
+    // overhead. Purely a wall-clock decision: results are
     // worker-count-invariant (pinned by the differential suites), so the
     // cap can never change a report.
     let workers = if workers == 0 {
@@ -428,122 +418,20 @@ where
     } else {
         workers.min(n)
     };
-    let mut finished = match mode {
-        // With one worker, epoch lockstep degenerates to serial execution
-        // and the output is mode-invariant — so claim whole shards and
-        // skip the barriers and the per-epoch engine round-robin.
-        ExecutionMode::EpochParallel { epoch } if workers > 1 => {
-            execute_shards_epoch(inputs, workers, epoch)
-        }
-        _ => {
-            let next = AtomicUsize::new(0);
-            run_workers(workers, |_| {
-                std::iter::from_fn(|| {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    (i < n).then(|| (i, inputs.run_shard(i)))
-                })
-                .collect()
-            })
-        }
-    };
+    let next = AtomicUsize::new(0);
+    let mut finished = run_workers(workers, || {
+        std::iter::from_fn(|| {
+            let i = next.fetch_add(1, Ordering::Relaxed);
+            (i < n).then(|| (i, inputs.run_shard(i)))
+        })
+        .collect()
+    });
     finished.sort_unstable_by_key(|&(i, _)| i);
     assert!(
         finished.iter().map(|&(i, _)| i).eq(0..n),
         "every shard must be executed exactly once"
     );
     finished.into_iter().map(|(_, result)| result).collect()
-}
-
-/// Epoch-parallel execution: worker `w` statically owns shards
-/// `w, w + W, w + 2W, …` (each shard is built, stepped, and finished on
-/// exactly one thread), and all live shards advance in lockstep through
-/// virtual-time windows `(k·ε, (k+1)·ε]`. Two barriers close each round: one
-/// publishes the round's drain count, one makes sure every worker has read
-/// it before the next round's decrements start — the counter is monotone,
-/// so all workers agree on the exit round and nobody strands a peer at a
-/// barrier. Shards share no mutable state, and pausing an engine at an
-/// epoch boundary reorders nothing ([`Simulator::step_until`]), so the
-/// output is bit-identical to [`ExecutionMode::WholeShard`] for any worker
-/// count or epoch. Returns `(shard id, result)` pairs in no particular
-/// order. O(E log N_ev + R·W) for R rounds.
-fn execute_shards_epoch<P, F>(
-    inputs: &ShardInputs<'_, F>,
-    workers: usize,
-    epoch: SimDuration,
-) -> Vec<(usize, ShardResult)>
-where
-    P: Policy + Send,
-    F: Fn(usize, u64) -> P + Sync,
-{
-    let n = inputs.traces.len();
-    debug_assert!(workers >= 1 && workers <= n);
-    debug_assert!(!epoch.is_zero(), "validate() rejects zero epochs");
-    let barrier = Barrier::new(workers);
-    let live_total = AtomicUsize::new(n);
-    run_workers(workers, |w| {
-        let owned: Vec<usize> = (w..n).step_by(workers).collect();
-        let mut recs: Vec<Option<RingRecorder>> = owned
-            .iter()
-            .map(|_| inputs.record.then(RingRecorder::unbounded))
-            .collect();
-        // Engines borrow their recorders element-wise; `recs` stays
-        // mutably borrowed until every engine is finished. Walls
-        // accumulate each shard's build + stepping time, never the
-        // barrier waits below.
-        let (mut sims, mut walls): (Vec<Option<Simulator<'_, P>>>, Vec<f64>) = owned
-            .iter()
-            .zip(recs.iter_mut())
-            .map(|(&i, rec)| {
-                // lint: allow(D2) — diagnostic shard-wall timing, never enters sim state or digests
-                let started = std::time::Instant::now();
-                let sim = inputs.build_shard(i, rec.as_mut());
-                (Some(sim), started.elapsed().as_secs_f64())
-            })
-            .unzip();
-        let mut reports: Vec<Option<SimReport>> = owned.iter().map(|_| None).collect();
-        let mut limit = SimTime::ZERO;
-        loop {
-            limit += epoch;
-            for (j, slot) in sims.iter_mut().enumerate() {
-                let Some(sim) = slot.as_mut() else { continue };
-                // lint: allow(D2) — diagnostic shard-wall timing, never enters sim state or digests
-                let started = std::time::Instant::now();
-                if !sim.step_until(limit) {
-                    // Drained: harvest now so the report is ready the
-                    // moment the cluster converges.
-                    if let Some(sim) = slot.take() {
-                        // lint: allow(D6) — j indexes sims, same length
-                        reports[j] = Some(sim.finish().0);
-                    }
-                    // Relaxed is enough: the barriers below order this
-                    // store against every reader.
-                    live_total.fetch_sub(1, Ordering::Relaxed);
-                }
-                // lint: allow(D6) — j indexes sims, same length
-                walls[j] += started.elapsed().as_secs_f64();
-            }
-            barrier.wait(); // round's drains are published
-            let done = live_total.load(Ordering::Relaxed) == 0;
-            barrier.wait(); // everyone has read before round k+1
-            if done {
-                break;
-            }
-        }
-        drop(sims); // ends the recorder borrows
-        owned
-            .into_iter()
-            .zip(reports)
-            .zip(recs)
-            .zip(walls)
-            .map(|(((i, report), rec), wall)| {
-                let Some(report) = report else {
-                    // lint: allow(panic) — the loop only exits once every shard drained
-                    panic!("shard {i} exited the epoch loop unfinished")
-                };
-                (i, (report, rec, wall))
-            })
-            .collect()
-    })
 }
 
 /// Replay the run's event streams to the observer in `(time, lane, seq)`

@@ -8,9 +8,8 @@
 //! exactly as the plain assigner does and the only moving part is each
 //! crashed shard's checkpoint/restore/replay cycle. That makes the plain
 //! run a valid reference: health-Up fault transitions are digest-neutral.
-//! The claim is pinned across worker counts {0, 1} and both execution
-//! modes (whole-shard and epoch-parallel), and the per-shard obs streams
-//! are checked for the checkpoint → restore → replay event arc.
+//! The claim is pinned across worker counts {0, 1}, and the per-shard obs
+//! streams are checked for the checkpoint → restore → replay event arc.
 
 use unit_cluster::{
     check_health_consistency, BackoffConfig, ClusterConfig, ClusterReport, FailoverPolicy,
@@ -143,7 +142,7 @@ fn assert_recovery_invisible(plain: &ClusterReport, crashed: &FaultClusterReport
 }
 
 #[test]
-fn cluster_recovery_is_invisible_across_workers_and_modes() {
+fn cluster_recovery_is_invisible_across_workers() {
     let bundle = golden_bundle();
     let plan = crash_plan(bundle.horizon);
     plan.validate_against_horizon(SimTime(bundle.horizon.0))
@@ -152,26 +151,13 @@ fn cluster_recovery_is_invisible_across_workers_and_modes() {
 
     for workers in [0usize, 1] {
         let crashed = run_crashed(&bundle, base_cluster().with_workers(workers), &plan);
-        assert_recovery_invisible(&plain, &crashed, &format!("whole-shard/workers={workers}"));
+        assert_recovery_invisible(&plain, &crashed, &format!("workers={workers}"));
         check_health_consistency(
             &crashed,
             &plan,
             &FailoverPolicy::Backoff(BackoffConfig::default()),
         )
         .expect("health consistency");
-
-        let crashed_epoch = run_crashed(
-            &bundle,
-            base_cluster()
-                .with_workers(workers)
-                .with_epoch(SimDuration::from_secs(100)),
-            &plan,
-        );
-        assert_recovery_invisible(
-            &plain,
-            &crashed_epoch,
-            &format!("epoch-100s/workers={workers}"),
-        );
     }
 }
 
@@ -182,7 +168,6 @@ fn crashed_shards_emit_the_checkpoint_event_arc() {
     let mut rec = RingRecorder::unbounded();
     let crashed = base_cluster()
         .with_workers(1)
-        .with_epoch(SimDuration::from_secs(100))
         .build()
         .with_faults(&plan, FailoverPolicy::Backoff(BackoffConfig::default()))
         .with_observer(&mut rec)

@@ -9,14 +9,13 @@
 //! same shard digests, same assignment, same merged log and tallies, for
 //! all 4 policies × 3 scheduling disciplines × 3 routing policies on the
 //! golden fig3-style workload at scale=8, plain and under a fault plan,
-//! for ≥2 worker counts and in epoch-parallel mode. This is the contract
+//! for ≥2 worker counts. This is the contract
 //! that lets the replication layer ship inside the main cluster path
 //! without perturbing a single golden digest.
 
 use unit_baselines::{ImuPolicy, OduPolicy, QmfPolicy};
 use unit_cluster::{
-    BackoffConfig, ClusterConfig, FailoverPolicy, PropagationLag, ReplicaPlacement,
-    ReplicationConfig, RoutingPolicy,
+    BackoffConfig, ClusterConfig, FailoverPolicy, PropagationLag, ReplicationConfig, RoutingPolicy,
 };
 use unit_core::config::UnitConfig;
 use unit_core::policy::Policy;
@@ -60,13 +59,11 @@ const DISCIPLINES: [(SchedulingDiscipline, &str); 3] = [
 fn inert_replications() -> [ReplicationConfig; 2] {
     [
         ReplicationConfig::new(1),
-        ReplicationConfig::new(1)
-            .with_placement(ReplicaPlacement::Strided { stride: 3 })
-            .with_lag(PropagationLag::jittered(
-                SimDuration::from_secs(30),
-                SimDuration::from_secs(90),
-                4,
-            )),
+        ReplicationConfig::new(1).with_lag(PropagationLag::jittered(
+            SimDuration::from_secs(30),
+            SimDuration::from_secs(90),
+            4,
+        )),
     ]
 }
 
@@ -227,9 +224,9 @@ fn factor_one_is_bit_identical_under_faults() {
 }
 
 #[test]
-fn factor_one_is_bit_identical_in_epoch_mode() {
-    // Epoch-parallel stepping with replication installed: still the plain
-    // whole-shard digests, for two epoch sizes and two worker counts.
+fn factor_one_is_bit_identical_across_workers() {
+    // Freshness-aware routing with replication installed: still the plain
+    // digests, for two worker counts.
     let bundle = golden_bundle();
     let cfg = sim_config(bundle.horizon, SchedulingDiscipline::DualPriorityEdf);
     let base = ClusterConfig::new(N_SHARDS)
@@ -241,27 +238,24 @@ fn factor_one_is_bit_identical_in_epoch_mode() {
         .expect("valid cluster config")
         .into_plain()
         .expect("fault-free run");
-    for epoch_secs in [97u64, 1_000] {
-        for workers in [0usize, 2] {
-            let replicated = base
-                .with_epoch(SimDuration::from_secs(epoch_secs))
-                .with_workers(workers)
-                .with_replication(ReplicationConfig::new(1))
-                .build()
-                .run(&bundle.trace, cfg, |_, seed| unit_policy(seed))
-                .expect("valid replicated config")
-                .into_plain()
-                .expect("fault-free run");
-            for shard in 0..N_SHARDS {
-                assert_eq!(
-                    report_digest(&replicated.shard_reports[shard]),
-                    report_digest(&plain.shard_reports[shard]),
-                    "epoch={epoch_secs}s w={workers} shard{shard}"
-                );
-            }
-            assert_eq!(replicated.log, plain.log);
-            assert_eq!(replicated.counts, plain.counts);
+    for workers in [0usize, 2] {
+        let replicated = base
+            .with_workers(workers)
+            .with_replication(ReplicationConfig::new(1))
+            .build()
+            .run(&bundle.trace, cfg, |_, seed| unit_policy(seed))
+            .expect("valid replicated config")
+            .into_plain()
+            .expect("fault-free run");
+        for shard in 0..N_SHARDS {
+            assert_eq!(
+                report_digest(&replicated.shard_reports[shard]),
+                report_digest(&plain.shard_reports[shard]),
+                "w={workers} shard{shard}"
+            );
         }
+        assert_eq!(replicated.log, plain.log);
+        assert_eq!(replicated.counts, plain.counts);
     }
 }
 

@@ -8,7 +8,7 @@
 //!     backlog, for every item and follower slot;
 //! (c) **determinism** — a replicated run (merged log, tallies,
 //!     replication report, and the full observed event stream) is
-//!     bit-identical across reruns, worker counts, and epoch stepping;
+//!     bit-identical across reruns and worker counts;
 //! (d) **promotion uniqueness** — promotions only ever name a live
 //!     follower of the item, deduplicate to target changes, and originate
 //!     from the item's leader.
@@ -207,7 +207,7 @@ proptest! {
     }
 
     /// (c) A replicated run is a pure function of `(trace, config, seed)`:
-    /// reruns, a single worker, and epoch-parallel stepping all reproduce
+    /// reruns and a single worker both reproduce
     /// the merged log, the tallies, the replication report, and the
     /// byte-for-byte observed event stream — replica pseudo-lanes
     /// included. The merged artifacts are also totally ordered on their
@@ -226,11 +226,6 @@ proptest! {
         prop_assert_eq!(&single.log, &first.log);
         prop_assert_eq!(&single.replication, &first.replication);
         prop_assert_eq!(&single_events, &first_events);
-        let (epoch, epoch_events) =
-            run_observed(&s, base.with_epoch(SimDuration::from_secs(500)));
-        prop_assert_eq!(&epoch.log, &first.log);
-        prop_assert_eq!(&epoch.replication, &first.replication);
-        prop_assert_eq!(&epoch_events, &first_events);
 
         // Total order of the merged history: (time, shard, seq) strictly
         // increasing; propagation: (time, follower lane, per-lane seq).

@@ -729,9 +729,8 @@ impl<'a, P: Policy> Simulator<'a, P> {
     /// Step every pending event with `time <= limit`, lazily starting the
     /// run. Returns `true` while events remain beyond `limit`, `false` once
     /// the run has drained. The event sequence is exactly what repeated
-    /// [`Simulator::step`] calls would process — pausing at epoch
-    /// boundaries reorders nothing, which is what makes epoch-parallel
-    /// cluster stepping bit-identical to whole-shard stepping.
+    /// [`Simulator::step`] calls would process — pausing at any instant
+    /// reorders nothing (pinned by `tests/streaming.rs`).
     /// O(E≤limit · log N_ev).
     pub fn step_until(&mut self, limit: SimTime) -> bool {
         if !self.started {

@@ -5,8 +5,8 @@
 //! policy, the config, and the optional fault hook and observer — then
 //! either executes it ([`SimRun::run`], [`SimRun::run_streamed`]) or
 //! hands back the raw engine handle ([`SimRun::build`]) for embedders
-//! that step it manually (the cluster dispatcher, epoch-parallel
-//! stepping, checkpoint/restore harnesses).
+//! that step it manually (caller-fed streaming runs, checkpoint/restore
+//! harnesses).
 //!
 //! There is one engine underneath: every run is a *streamed* run. The
 //! [`Simulator`] keeps only in-flight query specs and feeds arrivals into

@@ -62,34 +62,29 @@ impl ItemPartition {
     }
 }
 
-/// Strided-ring leader/follower placement of data items over shards.
+/// Ring leader/follower placement of data items over shards.
 ///
 /// Item `d`'s **leader** is its modulo owner (`d mod n_shards`, matching
-/// [`ItemPartition`]); its `factor - 1` **followers** sit at
-/// `(leader + k·stride) mod n_shards` for `k = 1..factor`. `stride = 1` is
-/// the classic ring placement; larger strides spread an item's replica set
-/// across the ring so correlated shard failures hit fewer replicas of the
-/// same item. With `factor = 1` the map degenerates to plain ownership and
-/// every function below agrees with [`ItemPartition`] exactly — the anchor
-/// for the replication differential suite.
+/// [`ItemPartition`]); its `factor - 1` **followers** sit on the next
+/// shards around the ring, `(leader + k) mod n_shards` for `k = 1..factor`.
+/// With `factor = 1` the map degenerates to plain ownership and every
+/// function below agrees with [`ItemPartition`] exactly — the anchor for
+/// the replication differential suite.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReplicaMap {
     n_shards: usize,
     factor: usize,
-    stride: usize,
 }
 
 impl ReplicaMap {
     /// Build a placement of `factor` replicas per item over `n_shards`
-    /// shards with the given follower stride.
+    /// shards.
     ///
     /// # Panics
-    /// Panics if the placement is invalid: zero shards, zero factor,
-    /// `factor > n_shards`, or a slot collision (two replicas of one item
-    /// on the same shard — see [`ReplicaMap::collision_slot`]). Callers
-    /// with untrusted parameters should validate via `collision_slot`
-    /// first; the cluster layer surfaces these as typed config errors.
-    pub fn new(n_shards: usize, factor: usize, stride: usize) -> ReplicaMap {
+    /// Panics if the placement is invalid: zero shards, zero factor, or
+    /// `factor > n_shards` (two replicas of one item on the same shard).
+    /// The cluster layer surfaces these as typed config errors.
+    pub fn new(n_shards: usize, factor: usize) -> ReplicaMap {
         assert!(n_shards > 0, "a cluster needs at least one shard");
         assert!(
             factor > 0,
@@ -99,44 +94,13 @@ impl ReplicaMap {
             factor <= n_shards,
             "replication factor {factor} exceeds {n_shards} shards"
         );
-        assert!(
-            ReplicaMap::collision_slot(n_shards, factor, stride).is_none(),
-            "replica placement collides: stride {stride} revisits a shard \
-             within {factor} slots on a {n_shards}-shard ring"
-        );
-        ReplicaMap {
-            n_shards,
-            factor,
-            stride,
-        }
+        ReplicaMap { n_shards, factor }
     }
 
     /// The degenerate factor-1 map: leaders only, no followers. Equivalent
     /// to [`ItemPartition::new`] for every query below.
     pub fn solo(n_shards: usize) -> ReplicaMap {
-        ReplicaMap::new(n_shards, 1, 1)
-    }
-
-    /// First follower slot `k` in `1..factor` whose shard coincides with an
-    /// earlier replica of the same item, or `None` if the placement is
-    /// collision-free. Placement is translation-invariant (every leader
-    /// sees the same slot offsets), so checking leader 0 covers all items.
-    /// O(factor).
-    pub fn collision_slot(n_shards: usize, factor: usize, stride: usize) -> Option<usize> {
-        if n_shards == 0 || factor == 0 {
-            return None;
-        }
-        let mut seen = vec![false; n_shards];
-        seen[0] = true; // lint: allow(D6) — n_shards > 0 was just checked
-        for k in 1..factor {
-            let slot = (k * stride) % n_shards;
-            // lint: allow(D6) — slot is a modulo by n_shards
-            if seen[slot] {
-                return Some(k);
-            }
-            seen[slot] = true; // lint: allow(D6) — slot < n_shards as above
-        }
-        None
+        ReplicaMap::new(n_shards, 1)
     }
 
     /// Number of shards the replicas are spread over.
@@ -149,11 +113,6 @@ impl ReplicaMap {
         self.factor
     }
 
-    /// Ring distance between consecutive replicas of one item.
-    pub fn stride(&self) -> usize {
-        self.stride
-    }
-
     /// The shard leading item `d` — identical to [`ItemPartition::owner`].
     /// O(1).
     pub fn leader(&self, d: DataId) -> usize {
@@ -164,14 +123,14 @@ impl ReplicaMap {
     /// O(1).
     pub fn follower(&self, d: DataId, k: usize) -> usize {
         debug_assert!(k >= 1 && k < self.factor);
-        (self.leader(d) + k * self.stride) % self.n_shards
+        (self.leader(d) + k) % self.n_shards
     }
 
     /// All shards hosting item `d`, leader first then followers in slot
     /// order. O(factor).
     pub fn replicas(&self, d: DataId) -> impl Iterator<Item = usize> + '_ {
         let leader = self.leader(d);
-        (0..self.factor).map(move |k| (leader + k * self.stride) % self.n_shards)
+        (0..self.factor).map(move |k| (leader + k) % self.n_shards)
     }
 
     /// True when shard `s` hosts item `d` as a *follower* (not its
@@ -464,8 +423,8 @@ mod tests {
     }
 
     #[test]
-    fn replica_map_places_leader_then_strided_followers() {
-        let m = ReplicaMap::new(4, 3, 1);
+    fn replica_map_places_leader_then_ring_followers() {
+        let m = ReplicaMap::new(4, 3);
         // Item 5: leader 1, followers 2, 3.
         let d = DataId(5);
         assert_eq!(m.leader(d), 1);
@@ -474,9 +433,14 @@ mod tests {
         assert!(!m.hosts(0, d));
         assert!(m.follows(2, d) && m.follows(3, d));
         assert!(!m.follows(1, d), "the leader is not a follower of itself");
-        // Strided placement wraps around the ring.
-        let s = ReplicaMap::new(5, 3, 2);
-        assert_eq!(s.replicas(DataId(4)).collect::<Vec<_>>(), vec![4, 1, 3]);
+        // Followers wrap around the ring.
+        let r = ReplicaMap::new(5, 3);
+        assert_eq!(r.replicas(DataId(4)).collect::<Vec<_>>(), vec![4, 0, 1]);
+        // factor == n_shards puts one replica on every shard.
+        let full = ReplicaMap::new(4, 4);
+        let mut hosts: Vec<usize> = full.replicas(DataId(6)).collect();
+        hosts.sort_unstable();
+        assert_eq!(hosts, vec![0, 1, 2, 3]);
     }
 
     #[test]
@@ -492,22 +456,9 @@ mod tests {
     }
 
     #[test]
-    fn replica_collisions_are_detected() {
-        // 4 shards, stride 2: slots 0, 2, 0 -> slot 2 collides with leader.
-        assert_eq!(ReplicaMap::collision_slot(4, 3, 2), Some(2));
-        // stride 0 collides immediately.
-        assert_eq!(ReplicaMap::collision_slot(4, 2, 0), Some(1));
-        // Ring placement never collides while factor <= n_shards.
-        assert_eq!(ReplicaMap::collision_slot(4, 4, 1), None);
-        assert_eq!(ReplicaMap::collision_slot(5, 3, 2), None);
-        // factor 1 has nothing to collide with.
-        assert_eq!(ReplicaMap::collision_slot(1, 1, 7), None);
-    }
-
-    #[test]
     fn replicated_slices_fan_out_updates_to_followers() {
         let t = trace();
-        let m = ReplicaMap::new(2, 2, 1);
+        let m = ReplicaMap::new(2, 2);
         let shards = slice_trace(&t, &[0, 1, 0, 1], &m, false).unwrap();
         // Every stream lands on both shards (factor 2 over 2 shards), in
         // global order, with ids untouched.
@@ -531,7 +482,7 @@ mod tests {
     fn filtered_slicing_must_not_starve_followers() {
         let t = trace();
         let assignment = [0, 1, 0, 1];
-        let m = ReplicaMap::new(2, 2, 1);
+        let m = ReplicaMap::new(2, 2);
         let shards = slice_trace(&t, &assignment, &m, true).unwrap();
         // Shard 0 reads {0,1,3,5}; it leads {0,6} and follows {1,5}.
         // Kept on shard 0: 0 (led + read), 1 and 5 (followed + read).
@@ -566,7 +517,7 @@ mod tests {
     #[test]
     fn replicated_rejects_malformed_assignments_like_plain() {
         let t = trace();
-        let m = ReplicaMap::new(2, 2, 1);
+        let m = ReplicaMap::new(2, 2);
         assert!(matches!(
             slice_trace(&t, &[0, 1], &m, true),
             Err(PartitionError::AssignmentLength { .. })

@@ -1,10 +1,8 @@
 //! **P2 — hot-path allocation.** Flags `.clone()`, `.to_vec()`, and
-//! `format!` inside the per-event hooks and the
-//! `EpochParallel` worker loop — the two places PR 1's event-loop
-//! optimisation and PR 7's epoch-parallel stepping bought their wins,
-//! and the two places a stray per-event allocation silently gives them
-//! back. (`Vec::new` is not in the set: it is `const` and never
-//! allocates.)
+//! `format!` inside the per-event hooks — where the event-loop
+//! optimisation bought its wins, and where a stray per-event allocation
+//! silently gives them back. (`Vec::new` is not in the set: it is `const`
+//! and never allocates.)
 //!
 //! The hot set is:
 //!
@@ -12,10 +10,7 @@
 //!   `FaultHook`, or `Observer` (and the trait declarations' default
 //!   bodies) — these run once per simulated event;
 //! * every `on_*` / `reschedule` fn in `crates/sim/src/engine.rs` (the
-//!   engine's own event-loop hooks, same set P1 documents);
-//! * `execute_shards_epoch` in `crates/cluster/src/run.rs` — closures
-//!   lex inside their enclosing fn, so the epoch worker bodies land
-//!   here.
+//!   engine's own event-loop hooks, same set P1 documents).
 //!
 //! Scope is the hook bodies themselves (closures included), not their
 //! transitive callees: a named helper that allocates is a deliberate,
@@ -37,9 +32,7 @@ fn is_hot(file: &ParsedFile, d: &FnDef) -> bool {
         || (d.in_trait_decl && d.owner.as_deref().is_some_and(|o| HOT_TRAITS.contains(&o)));
     let engine_hook = file.ctx.rel_path == "crates/sim/src/engine.rs"
         && (d.name.starts_with("on_") || d.name == "reschedule");
-    let epoch_worker =
-        file.ctx.rel_path == "crates/cluster/src/run.rs" && d.name == "execute_shards_epoch";
-    in_hot_trait || engine_hook || epoch_worker
+    in_hot_trait || engine_hook
 }
 
 /// Run the P2 pass. Findings are appended unsorted; the caller sorts.
@@ -123,21 +116,14 @@ mod tests {
     }
 
     #[test]
-    fn engine_hooks_and_epoch_worker_are_hot() {
+    fn engine_hooks_are_hot() {
         let engine = pf(
             "crates/sim/src/engine.rs",
             "impl Sim { fn on_completion(&mut self) { self.buf.clone(); } fn cold(&self) { x.clone(); } }",
         );
-        let cluster = pf(
-            "crates/cluster/src/run.rs",
-            "fn execute_shards_epoch() { scope.spawn(move || { hooks.clone(); }); }",
-        );
-        let fs = run(&[engine, cluster]);
+        let fs = run(&[engine]);
         let syms: Vec<_> = fs.iter().map(|f| f.symbol.as_str()).collect();
-        assert_eq!(
-            syms,
-            vec!["sim::Sim::on_completion", "sim::execute_shards_epoch"]
-        );
+        assert_eq!(syms, vec!["sim::Sim::on_completion"]);
     }
 
     #[test]

@@ -24,7 +24,7 @@ const RULES: &[(&str, &str)] = &[
     ),
     ("D6", "Panic site reachable from the public API"),
     ("P1", "Hot-path surface fn without an O(...) complexity doc"),
-    ("P2", "Allocation inside a per-event hook or epoch worker"),
+    ("P2", "Allocation inside a per-event hook"),
     (
         "A1",
         "Malformed lint-allow annotation (unknown rule id or missing reason)",
