@@ -8,7 +8,7 @@ use unit_core::admission::AdmissionControl;
 use unit_core::config::UnitConfig;
 use unit_core::controller::{Lbc, LbcConfig};
 use unit_core::freshness::FreshnessTable;
-use unit_core::lottery::WeightedSampler;
+use unit_core::lottery::{VictimIndex, WeightedSampler};
 use unit_core::policy::Policy;
 use unit_core::snapshot::{QueueEntryView, SystemSnapshot};
 use unit_core::tickets::TicketTable;
@@ -38,6 +38,22 @@ fn lottery(c: &mut Criterion) {
             });
         });
     }
+    // One degrade signal's index over shifted tickets, four in five items
+    // capped (the `modulation` group's table shape).
+    let n = 1024;
+    let mut tickets = TicketTable::with_scale(n, 0.9, 48.0, 28.0);
+    for i in 0..n {
+        tickets.on_update(i, (1 + i * 37 % 97) as f64);
+    }
+    let mut index = VictimIndex::default();
+    group.bench_with_input(BenchmarkId::new("victim_index_build", n), &n, |b, _| {
+        b.iter(|| {
+            index.build(
+                |w| tickets.shifted_weights_into(w),
+                |i| black_box(i % 5 != 0),
+            )
+        });
+    });
     group.finish();
 }
 

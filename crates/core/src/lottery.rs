@@ -18,7 +18,7 @@
 //! so every victim is the one the descent would pick.
 
 use crate::fenwick::Fenwick;
-use rand::Rng;
+use rand::{Rng, RngCore};
 
 /// A Fenwick-tree-backed weighted sampler over indices `0..len`.
 ///
@@ -160,27 +160,37 @@ impl WeightedSampler {
     }
 }
 
-/// Relative width of the safety margin around span boundaries: many orders
-/// of magnitude above the float drift between the linear cumulative sums
-/// and the Fenwick descent's node sums (≈ N·ε), so a draw farther than this
-/// from every boundary resolves to the same item both ways.
-const MARGIN: f64 = 1e-6;
+/// Margin around every span boundary, per item and unit of total weight.
+/// The linear cumulative sums and the Fenwick descent's node sums drift
+/// apart by at most ≈ 2N·ε·total (N additions each way, ε = 2^-53); the
+/// margin `N · 2^-40 · total` is 2^12 times that bound at every table size,
+/// so a draw farther than it from every boundary resolves to the same item
+/// both ways.
+const MARGIN_PER_ITEM: f64 = 1.0 / (1u64 << 40) as f64;
 
 /// Buckets per positive-weight item (rounded up to a power of two).
 const BUCKETS_PER_ITEM: usize = 4;
 
-/// Bucket word tags (top two bits). A cold bucket holds only draws on
-/// items capped at build time; an item bucket lies inside one uncapped
-/// item's span, farther than the margin from both ends; a step bucket
-/// holds span boundaries and names the first span to step from.
+/// Bits of a draw: `rand`'s `Standard` `f64` is `(next_u64() >> 11)·2^-53`,
+/// so a draw is a 53-bit integer and its target that times `2^-53·total`.
+const DRAW_BITS: u32 = 53;
+
+/// Hot bucket word tags (top two bits). An item bucket lies inside one
+/// uncapped item's span, farther than the margin from both ends; a step
+/// bucket names an uncapped span whose widened range reaches it, the span
+/// to step from.
 const TAG: u32 = 3 << 30;
 const ITEM: u32 = 1 << 30;
 const STEP: u32 = 2 << 30;
 /// Bucket word payload: an item index or a span position.
 const PAYLOAD: u32 = !TAG;
 
-/// How [`VictimIndex::resolve`] settled its draws. Diagnostics only: the
-/// counts never influence a decision and are not checkpointed.
+/// Draws one [`VictimIndex::draw_block`] call classifies: one bit of its
+/// hot mask each.
+pub const BLOCK: usize = 64;
+
+/// How [`VictimIndex`] settled its hot draws. Diagnostics only: the counts
+/// never influence a decision and are not checkpointed.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct VictimCounters {
     /// Draws that landed in a hot bucket (near an uncapped item's span).
@@ -193,17 +203,25 @@ pub struct VictimCounters {
 /// weights, where only the draws landing on *uncapped* items matter.
 ///
 /// Positive weights split `[0, total)` into one contiguous span per item,
-/// in index order. [`Self::build`] lays `next_pow2(4 × #positive)` equal
-/// buckets over that range. A bucket is *hot* when it touches an uncapped
-/// item's span widened by a `total × 1e-6` margin; a draw in a cold bucket
-/// certainly lands on a capped item. A hot bucket that lies inside one
-/// span, clear of the margin at both ends, names its item outright; any
-/// other hot bucket names the first span ending in it, and a draw there
-/// steps to the span containing it — the victim when it sits farther than
-/// the margin from both ends. Only draws within the margin of a boundary
-/// (≈ 1e-6·N of them) take the exact [`WeightedSampler::locate`] descent,
-/// on a sampler built the first time one is needed. Build is O(N +
-/// buckets); a draw is O(1) expected.
+/// in index order. [`Self::build`] splits the 53-bit draws into
+/// `next_pow2(4 × #positive)` equal buckets by their top bits, so a draw's
+/// bucket costs one shift. A bucket is *hot* when it touches an uncapped
+/// item's span widened by the margin (`N · 2^-40 · total`); a draw in a
+/// cold bucket certainly lands on a capped item. A hot bucket that lies
+/// inside one span, clear of the margin at both ends, names its item
+/// outright; any other hot bucket names an uncapped span whose widened
+/// range reaches it, and a draw there steps back or forward to the span
+/// containing it — the victim when it sits farther than the margin from
+/// both ends. Only draws within the margin of a boundary take the exact
+/// [`WeightedSampler::locate`] descent, on a sampler built the first time
+/// one is needed. Build is O(N + hot buckets), with no branch
+/// on a weight; [`Self::draw_block`] classifies [`BLOCK`] draws at a time
+/// with no branch at all, and a hot draw is O(1) expected.
+///
+/// The build maps a weight coordinate to a bucket through the draw it
+/// would take, `x · 2^53 / total`; that differs from the draw by a few
+/// units where the margin is `N · 2^13` of them, so a draw on an uncapped
+/// span always lands in a bucket its widened span marked hot.
 ///
 /// ```
 /// use unit_core::lottery::{VictimIndex, WeightedSampler};
@@ -211,7 +229,7 @@ pub struct VictimCounters {
 /// let weights = vec![2.0, 0.0, 1.0, 5.0];
 /// let mut index = VictimIndex::default();
 /// // Item 3 is capped: draws on it are no-ops the index can skip.
-/// let total = index.build(weights.clone(), |i| i == 3);
+/// let total = index.build(|w| w.extend_from_slice(&weights), |i| i == 3);
 /// assert_eq!(total, WeightedSampler::from_weights(&weights).total());
 /// assert_eq!(index.uncapped(), 2);
 /// assert_eq!(index.resolve(1.0), Some(0));
@@ -220,17 +238,24 @@ pub struct VictimCounters {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct VictimIndex {
-    /// The weights of the current build, kept for the exact fallback.
+    /// The weights of the current build, written in place by its caller.
     weights: Vec<f64>,
     /// One span per positive-weight item, in index order.
     spans: Vec<Span>,
-    /// One tagged word per bucket (see [`TAG`]).
+    /// The positions in `spans` of the items uncapped at build time.
+    uncapped_spans: Vec<u32>,
+    /// One tagged word per hot bucket (see [`TAG`]); a cold bucket's word
+    /// is stale.
     buckets: Vec<u32>,
+    /// One bit per bucket, set when it is hot: all a cold draw reads.
+    hot: Vec<u64>,
     /// Sum of the weights, bit-identical to the sampler's `total()`.
     total: f64,
     margin: f64,
-    /// Buckets per unit of weight.
-    scale: f64,
+    /// Draw units per unit of weight: `2^53 / total`.
+    units: f64,
+    /// A draw's bucket is the draw shifted right by this.
+    shift: u32,
     last_bucket: usize,
     uncapped: usize,
     /// The exact sampler, built on first use after each build.
@@ -248,90 +273,118 @@ struct Span {
 }
 
 impl VictimIndex {
-    /// Index `weights` for a batch of draws; `capped(i)` says whether item
-    /// `i`'s draws are no-ops. Returns the total weight, bit-identical to
+    /// Index the weights `fill` writes into the (cleared) weight buffer for
+    /// a batch of draws; `capped(i)` says whether item `i`'s draws are
+    /// no-ops. Returns the total weight, bit-identical to
     /// [`WeightedSampler::from_weights`]`(&weights).total()`; when it is
     /// not positive and finite there is nothing to draw and nothing is
     /// indexed. Zero, negative and NaN weights carry no span. O(N +
-    /// buckets); the buffers are reused across builds.
-    pub fn build(&mut self, weights: Vec<f64>, capped: impl Fn(usize) -> bool) -> f64 {
-        self.total = crate::fenwick::Fenwick::total_of(&weights);
-        self.margin = self.total * MARGIN;
+    /// buckets); every buffer is reused across builds.
+    pub fn build(
+        &mut self,
+        fill: impl FnOnce(&mut Vec<f64>),
+        capped: impl Fn(usize) -> bool,
+    ) -> f64 {
+        self.weights.clear();
+        fill(&mut self.weights);
+        self.total = Fenwick::total_of(&self.weights);
+        self.margin = self.total * self.weights.len() as f64 * MARGIN_PER_ITEM;
         self.sampler = None;
         self.spans.clear();
-        self.buckets.clear();
+        self.uncapped_spans.clear();
+        self.hot.clear();
         self.uncapped = 0;
         if self.total > 0.0 && self.total.is_finite() {
-            self.index(&weights, capped);
+            self.index(capped);
         }
-        self.weights = weights;
         self.total
     }
 
-    /// Lay the spans and the buckets over `[0, total)` in one pass.
-    fn index(&mut self, weights: &[f64], capped: impl Fn(usize) -> bool) {
-        let positive = weights.iter().filter(|&&w| w > 0.0).count();
-        // Payloads are 30 bits; a larger table gets one step bucket, which
+    /// Lay the spans over `[0, total)`, then the hot buckets around the
+    /// uncapped ones. The span pass has no branch on a weight or a cap, and
+    /// only hot buckets get a word: a cold one is never read past its bit.
+    fn index(&mut self, capped: impl Fn(usize) -> bool) {
+        let n = self.weights.len();
+        self.spans.resize(n, Span { end: 0.0, item: 0 });
+        self.uncapped_spans.resize(n, 0);
+        let (mut count, mut uncapped, mut end) = (0, 0, 0.0);
+        for (item, &w) in self.weights.iter().enumerate() {
+            // Zero, negative and NaN weights carry no span: their slot is
+            // overwritten by the next positive one, and adding 0.0 leaves
+            // the (non-negative) running sum's bits alone.
+            let positive = w > 0.0;
+            end += if positive { w } else { 0.0 };
+            if let Some(span) = self.spans.get_mut(count) {
+                *span = Span { end, item };
+            }
+            if let Some(slot) = self.uncapped_spans.get_mut(uncapped) {
+                *slot = count as u32;
+            }
+            uncapped += usize::from(positive && !capped(item));
+            count += usize::from(positive);
+        }
+        self.spans.truncate(count);
+        self.uncapped_spans.truncate(uncapped);
+        self.uncapped = uncapped;
+        self.units = (1u64 << DRAW_BITS) as f64 / self.total;
+        // Payloads are 30 bits, and a total too small to scale to draw
+        // units has no bucket geometry; either gets one step bucket, which
         // stays exact (a linear step per draw) however slow.
-        let buckets = if weights.len() <= PAYLOAD as usize {
-            (BUCKETS_PER_ITEM * positive).next_power_of_two()
+        let buckets = if n <= PAYLOAD as usize && self.units.is_finite() {
+            (BUCKETS_PER_ITEM * count).next_power_of_two()
         } else {
             1
         };
-        self.scale = buckets as f64 / self.total;
+        self.shift = DRAW_BITS.saturating_sub(buckets.trailing_zeros());
         self.last_bucket = buckets - 1;
         self.buckets.resize(buckets, 0);
-        // Buckets from `unassigned` on have not yet seen a span end, so
-        // their payload is not yet their first span.
-        let mut unassigned = 0;
-        let mut start = 0.0;
-        for (item, &w) in weights.iter().enumerate() {
-            if w <= 0.0 || w.is_nan() {
+        self.hot.resize(buckets.div_ceil(64), 0);
+        let (units, shift, last, margin) = (self.units, self.shift, self.last_bucket, self.margin);
+        let bucket = |x: f64| bucket_of(unit_of(x, units), shift, last);
+        for &p in &self.uncapped_spans {
+            let start = (p as usize)
+                .checked_sub(1)
+                .and_then(|prev| self.spans.get(prev))
+                .map_or(0.0, |s| s.end);
+            let Some(&Span { end, item }) = self.spans.get(p as usize) else {
                 continue;
+            };
+            let (lo, hi) = (bucket(start - margin), bucket(end + margin));
+            // Strictly between these, every point of a bucket clears the
+            // margin at both ends of this span. No later span's widened
+            // range reaches into this interior, nor this span's into an
+            // earlier one's.
+            let (inner_lo, inner_hi) = (bucket(start + margin), bucket(end - margin));
+            let words = self.buckets.get_mut(lo..=hi).unwrap_or_default();
+            for (b, word) in (lo..).zip(words) {
+                *word = if inner_lo < b && b < inner_hi {
+                    ITEM | (item as u32 & PAYLOAD)
+                } else {
+                    STEP | (p & PAYLOAD)
+                };
             }
-            let end = start + w;
-            let last = self.bucket(end);
-            let p = self.spans.len() as u32 & PAYLOAD;
-            for word in self.buckets.get_mut(unassigned..=last).unwrap_or_default() {
-                *word = (*word & TAG) | p;
+            for (w, bits) in self
+                .hot
+                .iter_mut()
+                .enumerate()
+                .take(hi / 64 + 1)
+                .skip(lo / 64)
+            {
+                let from = lo.saturating_sub(w * 64).min(63);
+                let to = (hi - w * 64).min(63);
+                *bits |= (u64::MAX >> (63 - to)) & (u64::MAX << from);
             }
-            unassigned = unassigned.max(last + 1);
-            self.spans.push(Span { end, item });
-            if !capped(item) {
-                self.uncapped += 1;
-                let (lo, hi) = (
-                    self.bucket(start - self.margin),
-                    self.bucket(end + self.margin),
-                );
-                // Strictly between these, every point of a bucket clears
-                // the margin at both ends of this span.
-                let (inner_lo, inner_hi) = (
-                    self.bucket(start + self.margin),
-                    self.bucket(end - self.margin),
-                );
-                let words = self.buckets.get_mut(lo..=hi).unwrap_or_default();
-                for (b, word) in (lo..).zip(words) {
-                    *word = if inner_lo < b && b < inner_hi {
-                        ITEM | (item as u32 & PAYLOAD)
-                    } else {
-                        *word | STEP
-                    };
-                }
-            }
-            start = end;
-        }
-        // Past the last span's end only float drift can land a draw; step
-        // buckets there name no span, so such a draw takes the exact path.
-        let past_end = self.spans.len() as u32 & PAYLOAD;
-        for word in self.buckets.get_mut(unassigned..).unwrap_or_default() {
-            *word = (*word & TAG) | past_end;
         }
     }
 
-    /// The bucket holding weight coordinate `x`: monotone in `x`, so a
-    /// range `[a, b]` lies within buckets `bucket(a)..=bucket(b)`.
-    fn bucket(&self, x: f64) -> usize {
-        ((x * self.scale) as usize).min(self.last_bucket)
+    /// The draw a weight coordinate `x` would take (see [`unit_of`]).
+    fn unit(&self, x: f64) -> u64 {
+        unit_of(x, self.units)
+    }
+
+    /// The bucket of draw `unit` (see [`bucket_of`]).
+    fn bucket(&self, unit: u64) -> usize {
+        bucket_of(unit, self.shift, self.last_bucket)
     }
 
     /// Positive-weight items that were not capped at build time.
@@ -344,37 +397,82 @@ impl VictimIndex {
         self.counters
     }
 
+    /// Fill `draws` (at most [`BLOCK`] of them) with the next 53-bit draws
+    /// `next_u64() >> 11`, in stream order, and return their hot mask: bit
+    /// `k` is set when `draws[k]` lands in a hot bucket. A clear bit is a
+    /// draw that certainly lands on an item capped at build time. Consumes
+    /// exactly what `rng.gen::<f64>()` would per draw; no branch depends
+    /// on a draw.
+    pub fn draw_block<R: RngCore + ?Sized>(&self, rng: &mut R, draws: &mut [u64]) -> u64 {
+        debug_assert!(draws.len() <= BLOCK, "a block is at most {BLOCK} draws");
+        let mut hot = 0;
+        for (k, draw) in draws.iter_mut().enumerate() {
+            *draw = rng.next_u64() >> (64 - DRAW_BITS);
+            hot |= u64::from(self.is_hot(self.bucket(*draw))) << k;
+        }
+        hot
+    }
+
+    /// The lottery target of a draw from [`Self::draw_block`]: bit for bit
+    /// `rng.gen::<f64>() × total` for the same generator output.
+    pub(crate) fn target(&self, draw: u64) -> f64 {
+        draw as f64 * (1.0 / (1u64 << DRAW_BITS) as f64) * self.total
+    }
+
     /// The item a draw `target ∈ [0, total)` lands on, or `None` when it
     /// certainly lands on an item that was capped at build time. A returned
     /// item is exactly [`WeightedSampler::locate`]`(target)`.
     pub fn resolve(&mut self, target: f64) -> Option<usize> {
-        let word = self
-            .buckets
-            .get(self.bucket(target))
-            .copied()
-            .unwrap_or(STEP);
-        let payload = (word & PAYLOAD) as usize;
-        let found = match word & TAG {
-            0 => return None,
-            ITEM => Some(payload),
-            _ => self.containing(payload, target),
-        };
+        let b = self.bucket(self.unit(target));
+        self.is_hot(b).then(|| self.settle(b, target))
+    }
+
+    /// The item a draw from [`Self::draw_block`] lands on, exactly
+    /// [`WeightedSampler::locate`]`(`[`Self::target`]`(draw))`; O(1)
+    /// expected for a hot draw, which is what the counters assume it is.
+    pub(crate) fn resolve_draw(&mut self, draw: u64) -> usize {
+        self.settle(self.bucket(draw), self.target(draw))
+    }
+
+    fn is_hot(&self, b: usize) -> bool {
+        self.hot
+            .get(b / 64)
+            .is_some_and(|bits| bits >> (b % 64) & 1 == 1)
+    }
+
+    /// Settle `target`, which lies in bucket `b`: the item a hot bucket
+    /// names, the containing span stepped to from the one it names, or
+    /// the exact descent.
+    fn settle(&mut self, b: usize, target: f64) -> usize {
+        let word = self.buckets.get(b).copied().filter(|_| self.is_hot(b));
+        let found = word.and_then(|word| {
+            let payload = (word & PAYLOAD) as usize;
+            match word & TAG {
+                ITEM => Some(payload),
+                _ => self.containing(payload, target),
+            }
+        });
         self.counters.hot += 1;
-        found.or_else(|| {
+        found.unwrap_or_else(|| {
             self.counters.fallbacks += 1;
-            Some(self.locate(target))
+            self.locate(target)
         })
     }
 
     /// The item whose span holds `target` farther than the margin from
-    /// both of its ends, if there is one, stepping from span `p`: the first
-    /// span ending in `target`'s bucket or later, so the containing span
-    /// is at or after it.
+    /// both of its ends, if there is one, stepping from span `p` (one whose
+    /// widened range reaches `target`'s bucket) back or forward to the span
+    /// containing it.
     fn containing(&self, mut p: usize, target: f64) -> Option<usize> {
-        let mut start = match p.checked_sub(1) {
-            Some(prev) => self.spans.get(prev)?.end,
-            None => 0.0,
+        let start_of = |p: usize| match p.checked_sub(1) {
+            Some(prev) => self.spans.get(prev).map(|s| s.end),
+            None => Some(0.0),
         };
+        let mut start = start_of(p)?;
+        while target < start {
+            p = p.checked_sub(1)?;
+            start = start_of(p)?;
+        }
         loop {
             let span = self.spans.get(p)?;
             if span.end > target {
@@ -416,6 +514,21 @@ impl VictimIndex {
             ))
         }
     }
+}
+
+/// The draw a weight coordinate `x` would take, `x · units` (units =
+/// `2^53 / total`), saturating at 0 and `u64::MAX`: within a few units of
+/// the draws whose target is `x`, and monotone in `x`.
+fn unit_of(x: f64, units: f64) -> u64 {
+    // Through `i64`, the cheaper saturating conversion: the products here
+    // stay far below 2^63.
+    ((x * units) as i64).max(0) as u64
+}
+
+/// The bucket of draw `unit`: its top bits, capped at `last_bucket` for
+/// the coordinates past `total` a widened span reaches. Monotone.
+fn bucket_of(unit: u64, shift: u32, last_bucket: usize) -> usize {
+    ((unit >> shift) as usize).min(last_bucket)
 }
 
 #[cfg(test)]
@@ -509,6 +622,24 @@ mod tests {
         s.tree.add(1, 0.5);
         let err = s.check_consistency().unwrap_err();
         assert!(err.contains("fenwick prefix 1"), "{err}");
+    }
+
+    #[test]
+    fn block_draws_are_the_standard_f64_draws() {
+        let weights: Vec<f64> = (0..100).map(|i| (i % 7) as f64 * 0.3).collect();
+        let mut index = VictimIndex::default();
+        let total = index.build(|w| w.extend_from_slice(&weights), |i| i % 3 == 0);
+        let mut rng = StdRng::seed_from_u64(5);
+        let mut scalar = rng.clone();
+        let mut draws = [0; BLOCK];
+        let hot = index.draw_block(&mut rng, &mut draws);
+        for (k, &draw) in draws.iter().enumerate() {
+            let target = scalar.gen::<f64>() * total;
+            assert_eq!(index.target(draw).to_bits(), target.to_bits());
+            let resolved = index.resolve(target);
+            assert_eq!(hot >> k & 1 == 1, resolved.is_some(), "draw {k}");
+        }
+        assert_eq!(rng, scalar, "a block consumes one f64 per draw");
     }
 
     #[test]

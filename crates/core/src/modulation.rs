@@ -84,18 +84,13 @@ struct Periods {
     current: SimDuration,
     /// Derived: the cap period `ideal · max_factor`.
     cap: SimDuration,
+    /// Derived: the period the next Eq. 9 stretch moves `current` to.
+    next: SimDuration,
     /// Derived: [`UpdateModulation::survival_fraction`].
     survival: f64,
-    /// Derived: [`UpdateModulation::degrade_is_noop`].
-    capped: bool,
 }
 
 impl Periods {
-    /// The period Eq. 9 moves a streamed item to.
-    fn stretched(&self, c_du: f64) -> SimDuration {
-        self.current.scale(1.0 + c_du).min(self.cap)
-    }
-
     /// `pc_j / pi_j`, or 1.0 for a streamless or zero ideal period.
     fn factor(&self) -> f64 {
         if self.ideal.is_zero() || self.ideal == SimDuration::MAX {
@@ -105,9 +100,15 @@ impl Periods {
         }
     }
 
-    /// Recompute `capped` and `survival` after `current` changed.
+    /// [`UpdateModulation::degrade_is_noop`]: no stream, or Eq. 9 would
+    /// leave the period where it is.
+    fn capped(&self) -> bool {
+        self.ideal == SimDuration::MAX || self.next == self.current
+    }
+
+    /// Recompute `next` and `survival` after `current` changed.
     fn refresh(&mut self, c_du: f64) {
-        self.capped = self.ideal == SimDuration::MAX || self.stretched(c_du) == self.current;
+        self.next = self.current.scale(1.0 + c_du).min(self.cap);
         self.survival = 1.0 / self.factor();
     }
 }
@@ -164,8 +165,8 @@ impl UpdateModulation {
                 ideal: pi,
                 current: pi,
                 cap: SimDuration::ZERO,
+                next: pi,
                 survival: 1.0,
-                capped: false,
             })
             .collect::<Vec<_>>()
             .into();
@@ -223,6 +224,14 @@ impl UpdateModulation {
             .count()
     }
 
+    /// The currently degraded items, in index order.
+    pub(crate) fn degraded(&self) -> impl Iterator<Item = DataId> + '_ {
+        (0u32..)
+            .zip(self.periods.values())
+            .filter(|(_, p)| p.current > p.ideal)
+            .map(|(i, _)| DataId(i))
+    }
+
     /// Degradation factor `pc_j / pi_j` (1.0 when not degraded).
     pub fn degradation_factor(&self, item: DataId) -> f64 {
         self.periods.at(item).factor()
@@ -236,30 +245,32 @@ impl UpdateModulation {
 
     /// [`Self::degrade`] that reports what it did: `None` when the stretch
     /// is a no-op (see [`Self::degrade_is_noop`]), otherwise the survival
-    /// fractions around it and whether the item is now capped. Eq. 9 is
-    /// evaluated once; the cap is the cached one. O(1).
+    /// fractions around it and whether the item is now capped. The stretch
+    /// itself is the cached `next` period, so Eq. 9 is evaluated once, for
+    /// the stretch after this one. O(1).
     pub fn degrade_step(&mut self, item: DataId) -> Option<DegradeStep> {
         let c_du = self.c_du;
         let p = self.periods.at_mut(item);
-        if p.capped {
+        if p.capped() {
             return None;
         }
         let before = p.survival;
-        p.current = p.stretched(c_du);
+        p.current = p.next;
         p.refresh(c_du);
         Some(DegradeStep {
             before,
             after: p.survival,
-            now_capped: p.capped,
+            now_capped: p.capped(),
         })
     }
 
     /// True when [`Self::degrade`] would leave `item` unchanged — the item
     /// has no update stream, or its period already sits at the degradation
-    /// cap. A cached flag, refreshed with the `degrade` arithmetic on every
-    /// period change, so callers can detect no-op lottery draws in O(1).
+    /// cap. Read off the cached next stretch, refreshed with the `degrade`
+    /// arithmetic on every period change, so callers can detect no-op
+    /// lottery draws in O(1).
     pub fn degrade_is_noop(&self, item: DataId) -> bool {
-        self.periods.at(item).capped
+        self.periods.at(item).capped()
     }
 
     /// Upgrade every degraded item one step toward its ideal period
@@ -408,9 +419,10 @@ impl UpdateModulation {
         Ok(())
     }
 
-    /// Check every item's cached cap period, `capped` flag and survival
-    /// fraction against a fresh recomputation from the periods (bit for
-    /// bit): the shadow of the refreshes in
+    /// Check every item's cached cap period, next stretch (which decides
+    /// [`Self::degrade_is_noop`]) and survival fraction against a fresh
+    /// recomputation from the periods (bit for bit): the shadow of the
+    /// refreshes in
     /// [`Self::degrade_step`]/[`Self::upgrade_one`]/[`Self::restore_from`];
     /// always compiled, invoked behind the `validate` feature (see
     /// [`crate::validate`]).
@@ -421,11 +433,11 @@ impl UpdateModulation {
             if p.cap != cap {
                 return Err(format!("item {i}: cached cap {:?}, fresh {cap:?}", p.cap));
             }
-            let capped = pi == SimDuration::MAX || pc.scale(1.0 + self.c_du).min(cap) == pc;
-            if p.capped != capped {
+            let next = pc.scale(1.0 + self.c_du).min(cap);
+            if p.next != next {
                 return Err(format!(
-                    "item {i}: cached capped flag {}, fresh {capped}",
-                    p.capped
+                    "item {i}: cached next period {:?}, fresh {next:?}",
+                    p.next
                 ));
             }
             let factor = if pi.is_zero() || pi == SimDuration::MAX {

@@ -176,11 +176,21 @@ impl TicketTable {
     /// up with almost the same victim odds as never-queried ones. See
     /// [`TicketTable::clamped_weights`] for the sharper variant.
     pub fn shifted_weights(&self) -> Vec<f64> {
+        let mut weights = Vec::new();
+        self.shifted_weights_into(&mut weights);
+        weights
+    }
+
+    /// [`TicketTable::shifted_weights`] written into `out` (cleared first),
+    /// so a caller that draws every signal reuses one buffer.
+    pub fn shifted_weights_into(&self, out: &mut Vec<f64>) {
+        out.clear();
         let t_min = self.tickets.iter().copied().fold(f64::INFINITY, f64::min);
-        if !t_min.is_finite() {
-            return vec![0.0; self.tickets.len()];
+        if t_min.is_finite() {
+            out.extend(self.tickets.iter().map(|&t| t - t_min));
+        } else {
+            out.resize(self.tickets.len(), 0.0);
         }
-        self.tickets.iter().map(|&t| t - t_min).collect()
     }
 
     /// Lottery weights clamped at zero: `max(T_j, 0)`.
@@ -192,7 +202,15 @@ impl TicketTable {
     /// global shift leaves them with. Documented deviation from §3.4.1
     /// (which subtracts `T_min`); the ablation benches compare both.
     pub fn clamped_weights(&self) -> Vec<f64> {
-        self.tickets.iter().map(|&t| t.max(0.0)).collect()
+        let mut weights = Vec::new();
+        self.clamped_weights_into(&mut weights);
+        weights
+    }
+
+    /// [`TicketTable::clamped_weights`] written into `out` (cleared first).
+    pub fn clamped_weights_into(&self, out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(self.tickets.iter().map(|&t| t.max(0.0)));
     }
 }
 

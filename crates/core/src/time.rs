@@ -97,9 +97,12 @@ impl SimDuration {
     ///
     /// Used by update-frequency modulation (`pc_j × (1 + C_du)`) and by the
     /// admission check (`C_flex × EST`).
+    ///
+    /// Rounds like `f64::round` (ties away from zero) without the libm
+    /// call (see `round_ticks`).
     pub fn scale(self, factor: f64) -> SimDuration {
         debug_assert!(factor >= 0.0, "durations cannot be scaled negatively");
-        SimDuration((self.0 as f64 * factor.max(0.0)).round() as u64)
+        SimDuration(round_ticks(self.0 as f64 * factor.max(0.0)))
     }
 
     /// Saturating subtraction.
@@ -116,6 +119,17 @@ impl SimDuration {
             self.0 as f64 / denom.0 as f64
         }
     }
+}
+
+/// `x.round() as u64`, bit for bit, for every `x`: ties round away from
+/// zero, negative values and NaN give 0, values past `u64::MAX` saturate.
+/// Below 2^52 the fractional part `x − ⌊x⌋` is exact; from 2^52 on every
+/// `f64` is an integer and the fraction is 0 (or, past `u64::MAX`, the
+/// saturating add absorbs it).
+fn round_ticks(x: f64) -> u64 {
+    let floor = x as u64;
+    let half_up = x - floor as f64 >= 0.5;
+    floor.saturating_add(half_up as u64)
 }
 
 impl Add<SimDuration> for SimTime {
@@ -238,6 +252,82 @@ mod tests {
         // C_du = 0.1 degrade step from the paper.
         let period = SimDuration::from_secs(100);
         assert_eq!(period.scale(1.1), SimDuration::from_secs(110));
+    }
+
+    #[test]
+    fn round_ticks_matches_libm_round_at_the_edges() {
+        let ticks = [
+            0,
+            1,
+            3,
+            5,
+            (1 << 52) - 1,
+            1 << 52,
+            (1 << 52) + 1,
+            (1 << 53) + 1,
+            1 << 63,
+            u64::MAX - 1,
+            u64::MAX,
+        ];
+        let factors = [
+            0.0,
+            -0.0,
+            -0.5,
+            -1.0,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            0.5,
+            1.5,
+            2.5,
+            0.49999999999999994,
+            1.0,
+            1.1,
+            2.0,
+            64.0,
+            f64::INFINITY,
+        ];
+        for &t in &ticks {
+            for &f in &factors {
+                let x = t as f64 * f;
+                assert_eq!(round_ticks(x), x.round() as u64, "{t} × {f}");
+            }
+        }
+        // Ties at .5 round away from zero.
+        assert_eq!(SimDuration(1).scale(0.5), SimDuration(1));
+        assert_eq!(SimDuration(5).scale(0.5), SimDuration(3));
+        assert_eq!(SimDuration(1).scale(0.49999999999999994), SimDuration(0));
+        assert_eq!(SimDuration::MAX.scale(2.0), SimDuration::MAX);
+        assert_eq!(SimDuration::MAX.scale(1.0), SimDuration::MAX);
+    }
+
+    proptest::proptest! {
+        /// Any raw tick count times any factor, negative and non-finite
+        /// ones included.
+        #[test]
+        fn round_ticks_matches_libm_round(
+            ticks in proptest::prelude::any::<u64>(),
+            factor in proptest::prelude::any::<f64>(),
+        ) {
+            let x = ticks as f64 * factor;
+            proptest::prop_assert_eq!(round_ticks(x), x.round() as u64);
+            let d = SimDuration(ticks);
+            // `scale`'s contract: a non-negative factor.
+            let f = if factor.is_nan() { 0.0 } else { factor.abs() };
+            proptest::prop_assert_eq!(d.scale(f).0, (ticks as f64 * f).round() as u64);
+        }
+
+        /// `n × 0.5` is an exact tie whenever `n` is odd; the shift moves the
+        /// product through every binade up to 2^64.
+        #[test]
+        fn round_ticks_matches_libm_round_on_ties(
+            n in 0u64..1 << 53,
+            shift in 0u32..12,
+        ) {
+            for factor in [0.5, 1.5, -0.5] {
+                let x = (n << shift) as f64 * factor;
+                proptest::prop_assert_eq!(round_ticks(x), x.round() as u64);
+            }
+        }
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! "periodically or when the USM drops" rule at tick granularity.
 
 use crate::admission::{AdmissionControl, AdmissionVerdict};
-use crate::config::UnitConfig;
+use crate::config::{UnitConfig, VictimWeighting};
 use crate::controller::Lbc;
-use crate::lottery::{VictimCounters, VictimIndex};
+use crate::lottery::{VictimCounters, VictimIndex, BLOCK};
 use crate::modulation::UpdateModulation;
 use crate::observe::{AdmissionObs, ControllerObs, ModulationObs};
 use crate::policy::{AdmissionDecision, ControlSignal, Policy, UpdateAction};
@@ -31,6 +31,8 @@ use crate::time::{SimDuration, SimTime};
 use crate::types::{DataId, ItemVec, Outcome, QuerySpec, UpdateSpec};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use std::cmp::Reverse;
+use std::collections::BinaryHeap;
 
 /// Counters exposed for instrumentation and the experiment harness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -75,6 +77,9 @@ pub struct UnitPolicy {
     /// The degrade lottery's per-signal draw index: rebuilt by every
     /// `DegradeUpdates` signal, so scratch rather than checkpointed state.
     victims: VictimIndex,
+    /// `upgrade_batch`'s key buffer: scratch, refilled by every
+    /// `UpgradeUpdates` signal.
+    upgrade_keys: Vec<Reverse<u128>>,
 }
 
 impl UnitPolicy {
@@ -106,6 +111,7 @@ impl UnitPolicy {
             last_admission: None,
             modulation_obs: Vec::new(),
             victims: VictimIndex::default(),
+            upgrade_keys: Vec::new(),
             cfg,
         }
     }
@@ -215,49 +221,26 @@ impl UnitPolicy {
     fn upgrade_batch(&mut self) {
         let budget = self.cfg.upgrade_step_util;
         // Ascending ticket = most query-valuable first; ties by index keep
-        // the order deterministic. A lazily-popped min-heap visits items in
-        // exactly that order: O(N_degraded) heapify, then O(log N) per item
-        // visited. The budget stops after about a seventh of the degraded
-        // items (119 pops of ≈ 839 per signal on the paper traces).
-        struct ByTicket {
-            ticket: f64,
-            index: usize,
-        }
-        impl PartialEq for ByTicket {
-            fn eq(&self, other: &Self) -> bool {
-                self.cmp(other) == std::cmp::Ordering::Equal
-            }
-        }
-        impl Eq for ByTicket {}
-        impl PartialOrd for ByTicket {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl Ord for ByTicket {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                self.ticket
-                    .partial_cmp(&other.ticket)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(self.index.cmp(&other.index))
-            }
-        }
-        let mut heap: std::collections::BinaryHeap<std::cmp::Reverse<ByTicket>> =
-            (0..self.util_share.len())
-                .filter(|&i| self.modulation.is_degraded(DataId(i as u32)))
-                .map(|i| {
-                    std::cmp::Reverse(ByTicket {
-                        ticket: self.tickets.raw(i),
-                        index: i,
-                    })
-                })
-                .collect();
+        // the order deterministic. Each candidate is one integer key (see
+        // `upgrade_key`), and a lazily-popped min-heap over the keys visits
+        // items in exactly that order: O(N_degraded) heapify, then
+        // O(log N) per item visited. The budget stops after about a seventh
+        // of the degraded items (119 pops of ≈ 839 per signal on the paper
+        // traces). The key buffer is reused across signals.
+        let mut keys = std::mem::take(&mut self.upgrade_keys);
+        keys.clear();
+        keys.extend(
+            self.modulation
+                .degraded()
+                .map(|d| Reverse(upgrade_key(self.tickets.raw(d.index()), d))),
+        );
+        let mut heap = BinaryHeap::from(keys);
         let mut restored = 0.0;
         while restored < budget {
-            let Some(std::cmp::Reverse(ByTicket { index: i, .. })) = heap.pop() else {
+            let Some(Reverse(key)) = heap.pop() else {
                 break;
             };
-            let d = DataId(i as u32);
+            let d = DataId(key as u32);
             let before = self.modulation.survival_fraction(d);
             let old_period = self.observed.then(|| self.modulation.current_period(d));
             if self.modulation.upgrade_one(d) {
@@ -266,13 +249,14 @@ impl UnitPolicy {
                 if let Some(old_period) = old_period {
                     self.modulation_obs.push(ModulationObs {
                         item: d,
-                        ticket: self.tickets.raw(i),
+                        ticket: self.tickets.raw(d.index()),
                         old_period,
                         new_period: self.modulation.current_period(d),
                     });
                 }
             }
         }
+        self.upgrade_keys = heap.into_vec();
     }
 
     /// One `DegradeUpdates` signal: draw lottery victims (with replacement —
@@ -282,36 +266,40 @@ impl UnitPolicy {
     ///
     /// Only draws that land on an item below its degradation cap change
     /// anything; the rest advance the RNG stream and the draw counter. The
-    /// [`VictimIndex`] tells the two apart in O(1) per draw without the
-    /// Fenwick descent, and resolves the draws that matter to exactly the
-    /// item `WeightedSampler::locate` would, so victims, RNG consumption and
-    /// `degrade_draws` are those of one descent per draw.
+    /// [`VictimIndex`] draws [`BLOCK`] at a time and marks, without a
+    /// branch, the few that land near an uncapped item; only those are
+    /// resolved, in draw order, to exactly the item `WeightedSampler::locate`
+    /// would pick. When a hot draw ends the signal (budget met, or no
+    /// uncapped item left) partway through a block, the RNG is rewound to
+    /// the block's start and advanced past that draw alone, so victims, RNG
+    /// consumption and `degrade_draws` are those of one descent per draw.
     fn degrade_batch(&mut self) {
-        let mut weights = match self.cfg.victim_weighting {
-            crate::config::VictimWeighting::ShiftMin => self.tickets.shifted_weights(),
-            crate::config::VictimWeighting::ClampZero => self.tickets.clamped_weights(),
-        };
-        // lint: allow(D4) — sharpness is a configured literal; 1.0 means "feature off"
-        if self.cfg.lottery_sharpness != 1.0 {
-            for w in &mut weights {
-                *w = w.powf(self.cfg.lottery_sharpness);
-            }
-        }
-        let modulation = &self.modulation;
-        let total = self
-            .victims
-            .build(weights, |i| modulation.degrade_is_noop(DataId(i as u32)));
+        let (tickets, cfg, modulation) = (&self.tickets, &self.cfg, &self.modulation);
+        let total = self.victims.build(
+            |weights| {
+                match cfg.victim_weighting {
+                    VictimWeighting::ShiftMin => tickets.shifted_weights_into(weights),
+                    VictimWeighting::ClampZero => tickets.clamped_weights_into(weights),
+                }
+                // lint: allow(D4) — sharpness is a configured literal; 1.0 means "feature off"
+                if cfg.lottery_sharpness != 1.0 {
+                    for w in weights {
+                        *w = w.powf(cfg.lottery_sharpness);
+                    }
+                }
+            },
+            |i| modulation.degrade_is_noop(DataId(i as u32)),
+        );
         crate::validate_check!("lottery-sampler", self.victims.check_sampler());
         if total <= 0.0 || !total.is_finite() {
             return; // all tickets equal: sample() would yield None unconsumed
         }
+        let budget = self.cfg.modulation_step_util;
         let mut uncapped = self.victims.uncapped();
         let mut shed = 0.0;
         let mut remaining = self.cfg.degrade_victims_per_signal;
-        while remaining > 0 {
-            if shed >= self.cfg.modulation_step_util {
-                break;
-            }
+        let mut draws = [0; BLOCK];
+        while remaining > 0 && shed < budget {
             if uncapped == 0 {
                 // Every further draw picks a positive-weight (hence capped)
                 // victim: no shed, no modulation change. Consume the same
@@ -322,45 +310,94 @@ impl UnitPolicy {
                 self.stats.degrade_draws += remaining as u64;
                 break;
             }
-            let target = self.rng.gen::<f64>() * total;
-            self.stats.degrade_draws += 1;
-            remaining -= 1;
-            let victim = self.victims.resolve(target);
-            crate::validate_check!("lottery-fast-path", {
-                let exact = self.victims.locate(target);
-                match victim {
-                    Some(v) if v != exact => Err(format!(
-                        "draw {target:e}: index chose item {v}, the descent item {exact}"
-                    )),
-                    None if !self.modulation.degrade_is_noop(DataId(exact as u32)) => Err(format!(
-                        "draw {target:e}: cold bucket, but item {exact} is uncapped"
-                    )),
-                    _ => Ok(()),
-                }
-            });
-            let Some(victim) = victim else {
-                continue; // certainly a capped victim: a no-op draw
-            };
-            let d = DataId(victim as u32);
-            let old_period = self.observed.then(|| self.modulation.current_period(d));
-            // `None`: capped at build time or earlier in this loop.
-            let Some(step) = self.modulation.degrade_step(d) else {
-                continue;
-            };
-            shed += *self.util_share.at(d) * (step.before - step.after);
-            if let Some(old_period) = old_period {
-                self.modulation_obs.push(ModulationObs {
-                    item: d,
-                    ticket: self.tickets.raw(victim),
-                    old_period,
-                    new_period: self.modulation.current_period(d),
+            let block = draws.get_mut(..remaining.min(BLOCK)).unwrap_or_default();
+            let block_start = self.rng.clone();
+            let mut hot = self.victims.draw_block(&mut self.rng, block);
+            crate::validate_check!(
+                "lottery-fast-path",
+                (0..)
+                    .zip(block.iter())
+                    .filter(|(k, _)| hot >> k & 1 == 0)
+                    .try_for_each(|(_, &draw)| {
+                        let target = self.victims.target(draw);
+                        let exact = self.victims.locate(target);
+                        if self.modulation.degrade_is_noop(DataId(exact as u32)) {
+                            Ok(())
+                        } else {
+                            Err(format!(
+                                "draw {target:e}: cold bucket, but item {exact} is uncapped"
+                            ))
+                        }
+                    })
+            );
+            let mut drawn = block.len();
+            while hot != 0 {
+                let k = hot.trailing_zeros() as usize;
+                hot &= hot - 1;
+                let Some(&draw) = block.get(k) else {
+                    break; // the mask has no bit past the block
+                };
+                let victim = self.victims.resolve_draw(draw);
+                crate::validate_check!("lottery-fast-path", {
+                    let target = self.victims.target(draw);
+                    let exact = self.victims.locate(target);
+                    if victim == exact {
+                        Ok(())
+                    } else {
+                        Err(format!(
+                            "draw {target:e}: index chose item {victim}, the descent item {exact}"
+                        ))
+                    }
                 });
+                let d = DataId(victim as u32);
+                let old_period = self.observed.then(|| self.modulation.current_period(d));
+                // `None`: capped at build time or earlier in this signal.
+                let Some(step) = self.modulation.degrade_step(d) else {
+                    continue;
+                };
+                shed += *self.util_share.at(d) * (step.before - step.after);
+                if let Some(old_period) = old_period {
+                    self.modulation_obs.push(ModulationObs {
+                        item: d,
+                        ticket: self.tickets.raw(victim),
+                        old_period,
+                        new_period: self.modulation.current_period(d),
+                    });
+                }
+                if step.now_capped {
+                    uncapped -= 1;
+                }
+                if shed >= budget || uncapped == 0 {
+                    // The signal stops after draw `k`: keep only the draws
+                    // up to it on the RNG stream.
+                    drawn = k + 1;
+                    self.rng = block_start;
+                    for _ in 0..drawn {
+                        let _ = self.rng.gen::<f64>();
+                    }
+                    break;
+                }
             }
-            if step.now_capped {
-                uncapped -= 1;
-            }
+            self.stats.degrade_draws += drawn as u64;
+            remaining -= drawn;
         }
     }
+}
+
+/// `upgrade_batch`'s visiting key for an item with ticket `ticket`: the
+/// ticket's bits mapped so that unsigned order is float order (negative
+/// values flipped, positive ones offset past them), above the item index.
+/// Ascending keys are ascending (ticket, index), the order `partial_cmp`
+/// then index gives for any non-NaN tickets; adding `0.0` first makes
+/// `-0.0` and `0.0` tie, as they do under `partial_cmp`.
+fn upgrade_key(ticket: f64, item: DataId) -> u128 {
+    let bits = (ticket + 0.0).to_bits();
+    let ordered = if bits >> 63 == 1 {
+        !bits
+    } else {
+        bits | 1 << 63
+    };
+    u128::from(ordered) << 32 | u128::from(item.0)
 }
 
 impl Policy for UnitPolicy {
@@ -807,6 +844,38 @@ mod tests {
         // Turning observation off clears the buffers.
         p.set_observed(false);
         assert_eq!(p.last_admission(), None);
+    }
+
+    #[test]
+    fn upgrade_keys_order_like_partial_cmp_then_index() {
+        let tickets = [
+            f64::NEG_INFINITY,
+            -1e300,
+            -1.0,
+            -f64::MIN_POSITIVE,
+            -0.0,
+            0.0,
+            f64::MIN_POSITIVE,
+            0.5,
+            1e300,
+            f64::INFINITY,
+        ];
+        let items: Vec<(f64, DataId)> = (0..3u32)
+            .flat_map(|i| tickets.iter().map(move |&t| (t, DataId(i))))
+            .collect();
+        for &(ta, a) in &items {
+            for &(tb, b) in &items {
+                let expected = ta
+                    .partial_cmp(&tb)
+                    .unwrap_or(std::cmp::Ordering::Equal)
+                    .then(a.cmp(&b));
+                assert_eq!(
+                    upgrade_key(ta, a).cmp(&upgrade_key(tb, b)),
+                    expected,
+                    "({ta}, {a:?}) vs ({tb}, {b:?})"
+                );
+            }
+        }
     }
 
     #[test]

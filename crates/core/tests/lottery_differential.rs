@@ -39,6 +39,18 @@ struct Reference {
     rng: StdRng,
     degrade_draws: u64,
     obs: Vec<ModulationObs>,
+    /// Where each degrade signal that ended early stopped.
+    stops: Vec<Stop>,
+}
+
+/// Why a reference degrade signal ended before its draw cap, with the
+/// number of draws it had made.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stop {
+    /// The shed budget was met.
+    Budget(usize),
+    /// No uncapped item was left; the remaining draws were drained.
+    Uncapped(usize),
 }
 
 impl Reference {
@@ -79,6 +91,7 @@ impl Reference {
             util_share,
             degrade_draws: 0,
             obs: Vec::new(),
+            stops: Vec::new(),
         }
     }
 
@@ -141,10 +154,13 @@ impl Reference {
         let mut shed = 0.0;
         let mut remaining = self.cfg.degrade_victims_per_signal;
         while remaining > 0 {
+            let drawn = self.cfg.degrade_victims_per_signal - remaining;
             if shed >= self.cfg.modulation_step_util {
+                self.stops.push(Stop::Budget(drawn));
                 break;
             }
             if uncapped == 0 {
+                self.stops.push(Stop::Uncapped(drawn));
                 for _ in 0..remaining {
                     let _ = self.rng.gen::<f64>();
                 }
@@ -225,6 +241,8 @@ struct Pair {
     reference: Reference,
     now: SimTime,
     n: usize,
+    /// The `ModulationObs` records of the last signal, once checked.
+    last_obs: Vec<ModulationObs>,
 }
 
 impl Pair {
@@ -237,6 +255,7 @@ impl Pair {
             policy,
             now: SimTime::ZERO,
             n,
+            last_obs: Vec::new(),
         }
     }
 
@@ -309,6 +328,7 @@ impl Pair {
             self.reference.obs.len()
         );
         self.reference.obs.clear();
+        self.last_obs = obs;
         Ok(())
     }
 }
@@ -425,6 +445,16 @@ fn shape_tickets(pair: &mut Pair, rng: &mut StdRng, shape: Shape) {
 /// One generated scenario: a policy configuration, a trace of streams and
 /// a sequence of ticket events and signals.
 fn scenario(n: usize, shape: Shape, seed: u64) -> Result<Pair, TestCaseError> {
+    scenario_with(n, shape, seed, |_| {})
+}
+
+/// [`scenario`] with its generated configuration adjusted by `tweak`.
+fn scenario_with(
+    n: usize,
+    shape: Shape,
+    seed: u64,
+    tweak: impl Fn(&mut UnitConfig),
+) -> Result<Pair, TestCaseError> {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut updates = streams(&mut rng, n);
     if updates.is_empty() {
@@ -449,6 +479,8 @@ fn scenario(n: usize, shape: Shape, seed: u64) -> Result<Pair, TestCaseError> {
         access_ticket_scale: Some([0.5, 3.0][rng.gen_range(0..2usize)]),
         ..UnitConfig::with_weights(UsmWeights::low_high_cfm()).with_seed(rng.gen())
     };
+    let mut cfg = cfg;
+    tweak(&mut cfg);
     let mut pair = Pair::new(cfg, n, &updates);
     for _ in 0..8 {
         shape_tickets(&mut pair, &mut rng, shape);
@@ -504,7 +536,7 @@ proptest! {
         let capped: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.7)).collect();
         let sampler = WeightedSampler::from_weights(&weights);
         let mut index = VictimIndex::default();
-        let total = index.build(weights.clone(), |i| capped[i]);
+        let total = index.build(|w| w.extend_from_slice(&weights), |i| capped[i]);
         prop_assert_eq!(total.to_bits(), sampler.total().to_bits());
         prop_assume!(total > 0.0);
         let mut targets: Vec<f64> = (0..4096).map(|_| rng.gen::<f64>() * total).collect();
@@ -595,5 +627,155 @@ fn large_tables_match_the_descent_loop() {
             shape_tickets(&mut pair, &mut rng, shape);
             pair.signal(outcome).unwrap();
         }
+    }
+}
+
+/// Draws per lottery block (`unit_core::lottery::BLOCK`).
+const BLOCK: usize = unit_core::lottery::BLOCK;
+
+/// `n` items, the first `streamed` of them with one long-period stream
+/// each (per-item update utilization ≈ 1e-3), the rest streamless.
+fn long_streams(n: usize, streamed: usize) -> Vec<UpdateSpec> {
+    (0..streamed.min(n))
+        .map(|i| UpdateSpec {
+            id: UpdateStreamId(i as u32),
+            item: DataId(i as u32),
+            period: SimDuration::from_secs(10_000),
+            exec_time: SimDuration::from_secs(10),
+            first_arrival: SimTime::ZERO,
+        })
+        .collect()
+}
+
+/// Signals that end partway through a draw block — on the shed budget, and
+/// on the last uncapped item — leave the generator, `degrade_draws` and the
+/// periods exactly where the descent loop left them.
+#[test]
+fn signals_stop_in_the_middle_of_a_block() {
+    let mut budget = Vec::new();
+    let mut uncapped = Vec::new();
+    for seed in 0..8 {
+        // One stretch meets the budget.
+        let mut rng = StdRng::seed_from_u64(seed);
+        let updates = streams(&mut rng, 1024);
+        let cfg = UnitConfig {
+            modulation_step_util: 1e-12,
+            access_ticket_scale: Some(1.0),
+            ..UnitConfig::with_weights(UsmWeights::low_high_cfm()).with_seed(seed)
+        };
+        let mut pair = Pair::new(cfg, 1024, &updates);
+        for _ in 0..4 {
+            shape_tickets(&mut pair, &mut rng, Shape::Spread);
+            pair.signal(Outcome::DeadlineMiss).unwrap();
+        }
+        budget.extend(pair.reference.stops.iter().filter_map(|s| match *s {
+            Stop::Budget(drawn) => Some(drawn),
+            Stop::Uncapped(_) => None,
+        }));
+        // Five uncapped items among 256, each capped by one stretch (cap
+        // factor 1.1 = 1 + C_du), and a budget nothing meets.
+        let cfg = UnitConfig {
+            max_degradation_factor: 1.1,
+            modulation_step_util: 1e9,
+            access_ticket_scale: Some(1.0),
+            ..UnitConfig::with_weights(UsmWeights::low_high_cfm()).with_seed(seed)
+        };
+        let mut pair = Pair::new(cfg, 256, &long_streams(256, 5));
+        shape_tickets(&mut pair, &mut rng, Shape::Spread);
+        pair.signal(Outcome::DeadlineMiss).unwrap();
+        uncapped.extend(pair.reference.stops.iter().filter_map(|s| match *s {
+            Stop::Uncapped(drawn) => Some(drawn),
+            Stop::Budget(_) => None,
+        }));
+        assert_eq!(
+            pair.policy.stats().degrade_draws,
+            4096,
+            "the drain spends the cap"
+        );
+    }
+    assert!(
+        budget.iter().any(|d| d % BLOCK != 0),
+        "no budget stop inside a block: {budget:?}"
+    );
+    assert!(
+        uncapped.iter().any(|d| d % BLOCK != 0),
+        "no last-uncapped stop inside a block: {uncapped:?}"
+    );
+}
+
+/// A signal whose every draw lands in a cold bucket: one uncapped item
+/// with a sliver of the ticket mass, the rest streamless. All 4096 draws
+/// go through the blocks, none is resolved, and the stream still matches.
+#[test]
+fn signals_with_only_cold_draws_match_the_descent_loop() {
+    let n = 4096;
+    let cfg = UnitConfig {
+        victim_weighting: VictimWeighting::ClampZero,
+        access_ticket_scale: Some(1.0),
+        ..UnitConfig::with_weights(UsmWeights::low_high_cfm()).with_seed(17)
+    };
+    let mut pair = Pair::new(cfg, n, &long_streams(n, 1));
+    // Updates slower than the only stream's raise the streamless tickets
+    // by ≈ 1 each (the sigmoid is a step at zero dispersion).
+    for item in 1..n {
+        for _ in 0..20 {
+            pair.commit(item, SimDuration::from_secs(20));
+        }
+    }
+    let mut all_cold = 0;
+    for _ in 0..6 {
+        let (hot, draws) = (
+            pair.policy.victim_counters().hot,
+            pair.policy.stats().degrade_draws,
+        );
+        pair.signal(Outcome::DeadlineMiss).unwrap();
+        assert_eq!(pair.policy.stats().degrade_draws - draws, 4096);
+        if pair.policy.victim_counters().hot == hot {
+            all_cold += 1;
+        }
+    }
+    assert!(all_cold > 0, "every signal resolved a draw");
+}
+
+/// Draw caps around the block size and past the default cap: one draw,
+/// a block less one, one block, a block and one, and 4097.
+#[test]
+fn every_draw_cap_matches_the_descent_loop() {
+    for cap in [1, 63, 64, 65, 4097] {
+        for (seed, &shape) in (0..).zip(&SHAPES) {
+            scenario_with(1024, shape, seed, |cfg| {
+                cfg.degrade_victims_per_signal = cap;
+            })
+            .unwrap();
+        }
+    }
+}
+
+/// Equal tickets are upgraded in index order: the policy's integer keys
+/// break ties exactly as the reference's sort does.
+#[test]
+fn upgrade_ties_are_visited_in_index_order() {
+    let n = 512;
+    let cfg = UnitConfig {
+        victim_weighting: VictimWeighting::ClampZero,
+        modulation_step_util: 1e9,
+        upgrade_step_util: 0.002,
+        access_ticket_scale: Some(1.0),
+        ..UnitConfig::with_weights(UsmWeights::low_high_cfm()).with_seed(23)
+    };
+    // Every item streamed alike and never touched: all tickets stay at the
+    // warm-start 0.5.
+    let mut pair = Pair::new(cfg, n, &long_streams(n, n));
+    for _ in 0..2 {
+        pair.signal(Outcome::DeadlineMiss).unwrap();
+    }
+    for _ in 0..4 {
+        pair.signal(Outcome::DataStale).unwrap();
+        let items: Vec<u32> = pair.last_obs.iter().map(|m| m.item.0).collect();
+        assert!(items.len() > 1, "an upgrade visited {} items", items.len());
+        assert!(
+            items.windows(2).all(|w| w[0] < w[1]),
+            "tied tickets visited out of index order: {items:?}"
+        );
     }
 }

@@ -1229,9 +1229,12 @@ impl<'a, P: Policy> Simulator<'a, P> {
     }
 
     /// Control-tick hook: run the policy's feedback loop and sample the
-    /// timeline. O(T log N_ev) where T is the tick-triggered refresh count;
-    /// the policy's `on_tick` is O(1) amortized for UNIT (lottery batches
-    /// are credited against the signals that trigger them, DESIGN.md §2.1).
+    /// timeline. O(T log N_ev) where T is the tick-triggered refresh count,
+    /// plus the policy's `on_tick`. For UNIT that is O(1) on a tick without
+    /// a signal; a `DegradeUpdates` signal costs O(N + buckets + draws) (a
+    /// victim-index build, then up to `degrade_victims_per_signal` = 4096
+    /// lottery draws) and an `UpgradeUpdates` signal O(N + k log N) for the
+    /// k items it restores (DESIGN.md §2.1).
     fn on_control_tick(&mut self) {
         if let Some(until) = self.paused_until() {
             // Crash window: the controller is down with the rest of the
