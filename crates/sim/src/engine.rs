@@ -870,6 +870,7 @@ impl<'a, P: Policy> Simulator<'a, P> {
         debug_assert!(self.running.is_empty(), "running transactions left behind");
         debug_assert!(self.admitted.is_empty(), "admitted queries left behind");
         debug_assert_eq!(self.work.total(), 0, "work index must drain to zero");
+        debug_assert!(self.txns.is_empty(), "transaction window must drain");
         debug_assert_eq!(
             self.counts.total(),
             self.submitted,
@@ -1180,6 +1181,7 @@ impl<'a, P: Policy> Simulator<'a, P> {
             self.remove_admitted(id);
             self.record_outcome(spec_idx, outcome);
         }
+        self.txns.retire();
         self.reschedule();
     }
 
@@ -1194,7 +1196,13 @@ impl<'a, P: Policy> Simulator<'a, P> {
             self.events.push(until, Event::QueryDeadline { txn: id });
             return;
         }
-        if self.txns.at(id).state == TxnState::Finished {
+        // Deadline events outlive their queries: a retired id (`None`) is
+        // the one dead id the engine can still hold.
+        let finished = self
+            .txns
+            .get(id)
+            .map_or(true, |t| t.state == TxnState::Finished);
+        if finished {
             return; // committed (or already aborted) before expiry
         }
         self.remove_admitted(id);
@@ -1225,6 +1233,7 @@ impl<'a, P: Policy> Simulator<'a, P> {
         let freed = self.locks.release_all(id);
         self.unblock_waiters(&freed);
         self.record_outcome(spec_idx, Outcome::DeadlineMiss);
+        self.txns.retire();
         self.reschedule();
     }
 
@@ -1538,8 +1547,9 @@ impl<'a, P: Policy> Simulator<'a, P> {
 
     /// Cross-check the incremental engine structures against naive
     /// recomputation (see [`crate::validate`]): the work index vs an O(N)
-    /// recount over the admitted set, and the USM tallies vs the raw
-    /// outcome log. Runs at every control tick and once at end of run.
+    /// recount over the admitted set, the USM tallies vs the raw outcome
+    /// log, and the transaction window's tightness (a live front, ids dense
+    /// from its base). Runs at every control tick and once at end of run.
     #[cfg(feature = "validate")]
     fn validate_invariants(&self) {
         let mut naive: BTreeMap<SimTime, u64> = BTreeMap::new();
@@ -1558,6 +1568,27 @@ impl<'a, P: Policy> Simulator<'a, P> {
             } else {
                 Err(format!(
                     "work index diverged: recount total {naive_total}, index total {total}"
+                ))
+            }
+        );
+        let front_live = self
+            .txns
+            .iter()
+            .next()
+            .map_or(true, |t| t.state != TxnState::Finished);
+        let dense = self
+            .txns
+            .iter()
+            .zip(self.txns.base().0..)
+            .all(|(t, id)| t.id.0 == id);
+        unit_core::validate_check!(
+            "txn-window",
+            if front_live && dense {
+                Ok(())
+            } else {
+                Err(format!(
+                    "transaction window from {:?} not tight: live front {front_live}, dense ids {dense}",
+                    self.txns.base()
                 ))
             }
         );

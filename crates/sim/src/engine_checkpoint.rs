@@ -325,6 +325,9 @@ impl<P: Policy> Simulator<'_, P> {
             None => enc.put_u8(0),
         }
 
+        // Transaction window: its base id, then the live-or-pinned window
+        // (retired transactions are gone, so this is O(live), not O(run)).
+        enc.put_u64(self.txns.base().0);
         enc.put_usize(self.txns.len());
         for txn in self.txns.iter() {
             put_txn(&mut enc, txn);
@@ -492,8 +495,8 @@ impl<P: Policy> Simulator<'_, P> {
             }
         };
 
+        self.txns.reset(TxnId(dec.take_u64()?));
         let n_txns = dec.take_usize()?;
-        self.txns.clear();
         for _ in 0..n_txns {
             self.txns.push(take_txn(&mut dec)?);
         }
@@ -721,5 +724,52 @@ impl<P: Policy> Simulator<'_, P> {
             self.feed_query(spec);
         }
         self.stream_exhausted |= exhausted;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{SchedulingDiscipline, SimConfig, SimRun};
+    use unit_core::config::UnitConfig;
+    use unit_core::time::{SimDuration, SimTime};
+    use unit_core::unit_policy::UnitPolicy;
+    use unit_core::usm::UsmWeights;
+    use unit_workload::{
+        QueryTraceConfig, TraceBundle, UpdateDistribution, UpdateTraceConfig, UpdateVolume,
+    };
+
+    /// The mid-run snapshot of `recovery_differential.rs`'s
+    /// `checkpoint_restore_checkpoint_is_byte_stable` (same workload,
+    /// config, policy and instant) carries a window whose base is past
+    /// retired transactions; the round trip keeps that base and stays a
+    /// byte-level fixed point.
+    #[test]
+    fn round_trip_keeps_a_retired_window_base() {
+        let qcfg = QueryTraceConfig::default().scaled_down(8);
+        let ucfg = UpdateTraceConfig::table1(UpdateVolume::Med, UpdateDistribution::Uniform)
+            .with_total(UpdateVolume::Med.total_updates() / 8);
+        let bundle = TraceBundle::generate(&qcfg, &ucfg);
+        let cfg = SimConfig::new(bundle.horizon)
+            .with_weights(UsmWeights::low_high_cfm())
+            .with_tick_period(SimDuration::from_secs(10))
+            .with_discipline(SchedulingDiscipline::DualPriorityEdf)
+            .with_outcome_log();
+        let make = || {
+            UnitPolicy::new(
+                UnitConfig::with_weights(UsmWeights::low_high_cfm()).with_seed(0x5EED_0001),
+            )
+        };
+
+        let mut original = SimRun::trace(&bundle.trace, make(), cfg).build();
+        original.step_until(SimTime(bundle.horizon.0 / 2));
+        let base = original.txns.base();
+        assert!(base.0 > 0, "the snapshot must cover a retired prefix");
+        let bytes = original.checkpoint();
+
+        let mut restored = SimRun::trace(&bundle.trace, make(), cfg).build();
+        restored.restore(&bytes).expect("own snapshot must restore");
+        assert_eq!(restored.txns.base(), base);
+        assert_eq!(restored.txns.next_id(), original.txns.next_id());
+        assert_eq!(restored.checkpoint(), bytes);
     }
 }

@@ -7,19 +7,15 @@
 //! preemption, or to [`TxnState::Blocked`] on a lock conflict) until they
 //! commit or abort.
 
+use std::collections::VecDeque;
 use unit_core::time::{SimDuration, SimTime};
 use unit_core::types::{DataId, TxnClass};
 
-/// Engine-local transaction identifier (index into the transaction arena).
+/// Engine-local transaction identifier: the transaction's dense creation
+/// ordinal within the run (also the EDF tie-break and the lock-holder
+/// identity).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct TxnId(pub u64);
-
-impl TxnId {
-    /// The id as an arena index.
-    pub fn index(self) -> usize {
-        self.0 as usize
-    }
-}
 
 /// Lifecycle state of a transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -132,52 +128,90 @@ impl Txn {
     }
 }
 
-/// The engine's transaction arena: every transaction of the run, addressed
-/// by its [`TxnId`]. Ids are handed out densely by [`TxnArena::next_id`]
-/// and transactions are never removed, so every id the engine holds names a
-/// live slot.
+/// The engine's transaction arena: a window over the run's transactions,
+/// addressed by [`TxnId`]. Ids are the dense creation ordinal handed out by
+/// [`TxnArena::next_id`]; the window holds ids `base..next_id` in order.
+/// [`TxnArena::retire`] drops the finished prefix, so the window's length
+/// is bounded by the live work plus whatever finished behind a live front,
+/// never by the run's length. Every id the engine's live structures hold
+/// (ready set, running set, blocked list, lock table, admitted set) names a
+/// transaction inside the window; only a pending `QueryDeadline` can name a
+/// retired one, which [`TxnArena::get`] reports as `None`.
 #[derive(Debug, Default)]
 pub(crate) struct TxnArena {
-    txns: Vec<Txn>,
+    /// Id of the window's front transaction (every lower id is retired).
+    base: u64,
+    txns: VecDeque<Txn>,
 }
 
 impl TxnArena {
     /// The id the next pushed transaction must carry. O(1).
     pub(crate) fn next_id(&self) -> TxnId {
-        TxnId(self.txns.len() as u64)
+        TxnId(self.base + self.txns.len() as u64)
     }
 
     /// Append `txn`, which must carry [`TxnArena::next_id`]. O(1) amortized.
     pub(crate) fn push(&mut self, txn: Txn) {
         debug_assert_eq!(txn.id, self.next_id(), "transaction ids are dense");
-        self.txns.push(txn);
+        self.txns.push_back(txn);
     }
 
-    /// The transaction behind `id`. O(1).
+    /// The transaction behind `id`, or `None` once it has been retired. O(1).
+    pub(crate) fn get(&self, id: TxnId) -> Option<&Txn> {
+        self.txns.get(id.0.checked_sub(self.base)? as usize)
+    }
+
+    /// The transaction behind the live id `id`. O(1).
     pub(crate) fn at(&self, id: TxnId) -> &Txn {
-        // lint: allow(D6) — ids come only from next_id() before a push, and the arena never shrinks outside restore, which reloads every id it rewinds to
-        &self.txns[id.index()]
+        // lint: allow(D6) — callers pass only ids held by live structures, and retire() drops finished transactions only, which no live structure names
+        &self.txns[(id.0 - self.base) as usize]
     }
 
-    /// The transaction behind `id`, mutably. O(1).
+    /// The transaction behind the live id `id`, mutably. O(1).
     pub(crate) fn at_mut(&mut self, id: TxnId) -> &mut Txn {
-        // lint: allow(D6) — same bound as `at`: every held id names a pushed slot
-        &mut self.txns[id.index()]
+        // lint: allow(D6) — same bound as `at`: every live id names a slot inside the window
+        &mut self.txns[(id.0 - self.base) as usize]
     }
 
-    /// Number of transactions created so far.
+    /// Drop the window's finished prefix. Call after every transition to
+    /// [`TxnState::Finished`]; a live front pins the window until it
+    /// finishes. O(1) amortized (each transaction is popped once).
+    pub(crate) fn retire(&mut self) {
+        while self
+            .txns
+            .front()
+            .is_some_and(|t| t.state == TxnState::Finished)
+        {
+            self.txns.pop_front();
+            self.base += 1;
+        }
+    }
+
+    /// Id of the window's front: every lower id is retired. O(1).
+    pub(crate) fn base(&self) -> TxnId {
+        TxnId(self.base)
+    }
+
+    /// Number of transactions in the window. O(1).
     pub(crate) fn len(&self) -> usize {
         self.txns.len()
     }
 
-    /// Every transaction, in id order.
-    pub(crate) fn iter(&self) -> std::slice::Iter<'_, Txn> {
+    /// True when the window holds no transaction. O(1).
+    pub(crate) fn is_empty(&self) -> bool {
+        self.txns.is_empty()
+    }
+
+    /// The window's transactions, in id order.
+    pub(crate) fn iter(&self) -> std::collections::vec_deque::Iter<'_, Txn> {
         self.txns.iter()
     }
 
-    /// Forget every transaction (checkpoint restore refills the arena).
-    pub(crate) fn clear(&mut self) {
+    /// Empty the window and restart it at `base` (checkpoint restore
+    /// refills it).
+    pub(crate) fn reset(&mut self, base: TxnId) {
         self.txns.clear();
+        self.base = base.0;
     }
 }
 
@@ -267,5 +301,80 @@ mod tests {
         };
         assert!(!u.is_query());
         assert_eq!(u.update_item(), Some(DataId(7)));
+    }
+
+    /// An arena holding ids `0..n`, all `Ready`.
+    fn arena(n: u64) -> TxnArena {
+        let mut a = TxnArena::default();
+        for id in 0..n {
+            a.push(txn(id, TxnClass::Query, 10));
+        }
+        a
+    }
+
+    fn finish(a: &mut TxnArena, id: u64) {
+        a.at_mut(TxnId(id)).state = TxnState::Finished;
+    }
+
+    #[test]
+    fn retire_pops_only_the_finished_prefix() {
+        let mut a = arena(5);
+        finish(&mut a, 0);
+        finish(&mut a, 1);
+        finish(&mut a, 3);
+        a.retire();
+        assert_eq!(a.base(), TxnId(2), "0 and 1 retire; 3 waits behind 2");
+        assert_eq!(a.len(), 3);
+        assert_eq!(a.at(TxnId(3)).state, TxnState::Finished);
+        finish(&mut a, 2);
+        a.retire();
+        assert_eq!(a.base(), TxnId(4), "2 unpins 3");
+        assert_eq!(a.at(TxnId(4)).state, TxnState::Ready);
+        finish(&mut a, 4);
+        a.retire();
+        assert!(a.is_empty());
+        assert_eq!(a.base(), TxnId(5));
+    }
+
+    #[test]
+    fn a_live_front_pins_the_window() {
+        let mut a = arena(4);
+        for id in 1..4 {
+            finish(&mut a, id);
+        }
+        a.at_mut(TxnId(0)).state = TxnState::Blocked;
+        a.retire();
+        assert_eq!(a.base(), TxnId(0));
+        assert_eq!(a.len(), 4, "nothing retires past a live front");
+        for id in 0..4 {
+            assert!(a.get(TxnId(id)).is_some());
+        }
+    }
+
+    #[test]
+    fn retired_ids_read_as_none() {
+        let mut a = arena(3);
+        finish(&mut a, 0);
+        a.retire();
+        assert!(a.get(TxnId(0)).is_none(), "retired");
+        assert_eq!(a.get(TxnId(1)).map(|t| t.id), Some(TxnId(1)));
+        assert!(a.get(TxnId(3)).is_none(), "not yet created");
+    }
+
+    #[test]
+    fn next_id_stays_dense_across_retires() {
+        let mut a = arena(2);
+        finish(&mut a, 0);
+        finish(&mut a, 1);
+        a.retire();
+        assert!(a.is_empty());
+        assert_eq!(a.next_id(), TxnId(2), "ids continue past retired ones");
+        a.push(txn(2, TxnClass::Query, 10));
+        assert_eq!(a.at(TxnId(2)).id, TxnId(2));
+        assert_eq!(a.next_id(), TxnId(3));
+
+        a.reset(TxnId(7));
+        assert!(a.is_empty());
+        assert_eq!(a.next_id(), TxnId(7), "a restore resumes at its base");
     }
 }

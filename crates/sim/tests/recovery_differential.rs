@@ -10,7 +10,8 @@
 //! match instant for instant and the only difference is the crash/restore
 //! cycle itself. The suite also pins the checkpoint codec's byte
 //! stability (`checkpoint → restore → checkpoint` is a byte-level fixed
-//! point) and the streamed feeder's crash transparency.
+//! point), the streamed feeder's crash transparency, and a snapshot size
+//! that tracks live work rather than trace length.
 
 use unit_baselines::{ImuPolicy, OduPolicy, QmfPolicy};
 use unit_core::config::UnitConfig;
@@ -235,6 +236,9 @@ fn checkpoint_restore_checkpoint_is_byte_stable() {
         || UnitPolicy::new(UnitConfig::with_weights(UsmWeights::low_high_cfm()).with_seed(SEED));
     let mid = SimTime(bundle.horizon.0 / 2);
 
+    // Mid-run, so the snapshot's transaction window starts past retired
+    // transactions: `engine_checkpoint`'s unit test asserts base > 0 on
+    // this very snapshot.
     let mut original = SimRun::trace(&bundle.trace, make(), cfg).build();
     original.step_until(mid);
     let bytes = original.checkpoint();
@@ -329,5 +333,43 @@ fn streamed_feed_recovers_identically() {
             "chunk {chunk}: streamed recovery diverged from the uncrashed run"
         );
         assert_eq!(reference.outcome_records, crashed.outcome_records);
+    }
+}
+
+/// Checkpoint size of a trace-fed med-unif UNIT run at `scale`, taken at
+/// drain and at mid-horizon. No outcome log, so the only state that could
+/// grow with the trace is the engine's own.
+fn checkpoint_sizes(scale: u64) -> (usize, usize) {
+    let qcfg = QueryTraceConfig::default().scaled_down(scale);
+    let ucfg = UpdateTraceConfig::table1(UpdateVolume::Med, UpdateDistribution::Uniform)
+        .with_total((UpdateVolume::Med.total_updates() / scale).max(1));
+    let bundle = TraceBundle::generate(&qcfg, &ucfg);
+    let cfg = SimConfig::new(bundle.horizon)
+        .with_weights(UsmWeights::low_high_cfm())
+        .with_tick_period(SimDuration::from_secs(10));
+    let make =
+        || UnitPolicy::new(UnitConfig::with_weights(UsmWeights::low_high_cfm()).with_seed(SEED));
+
+    let mut drained = SimRun::trace(&bundle.trace, make(), cfg).build();
+    while drained.step() {}
+    let mut mid = SimRun::trace(&bundle.trace, make(), cfg).build();
+    mid.step_until(SimTime(bundle.horizon.0 / 2));
+    (drained.checkpoint().len(), mid.checkpoint().len())
+}
+
+#[test]
+fn checkpoint_size_tracks_live_work_not_trace_length() {
+    // Scale 8 carries 4x the queries of scale 32 at the same load; a
+    // snapshot that kept every finished transaction would grow ~4x.
+    let (small_drained, small_mid) = checkpoint_sizes(32);
+    let (large_drained, large_mid) = checkpoint_sizes(8);
+    for (what, small, large) in [
+        ("drained", small_drained, large_drained),
+        ("mid-run", small_mid, large_mid),
+    ] {
+        assert!(
+            (large as f64) < 1.25 * small as f64,
+            "{what} checkpoint grew with the trace: {small} B at 1/32 scale, {large} B at 1/8"
+        );
     }
 }

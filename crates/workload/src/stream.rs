@@ -18,7 +18,12 @@
 //!   `unit_sim::SimRun::run_streamed`.
 //!
 //! Both halves compose with the engine's chunked feed: the simulator's peak
-//! footprint becomes O(live transactions), not O(trace length).
+//! footprint becomes O(live transactions), not O(trace length) — the
+//! engine keeps only a window of transactions from the oldest live one on,
+//! so its memory and its checkpoints track live work
+//! (`crates/sim/tests/recovery_differential.rs`,
+//! `checkpoint_size_tracks_live_work_not_trace_length`). What still grows
+//! with the trace is the stream's own 16 bytes per query above.
 
 use crate::cello::{generate_arrivals, QueryTraceConfig};
 use crate::dist::{capped_geometric, log_normal_with_mean, zipf_weights};
