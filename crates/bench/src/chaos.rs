@@ -139,9 +139,9 @@ impl ChaosWorkload {
             .build()
             .with_faults(plan, chaos_failover())
             .run_unit(&self.bundle.trace, self.sim, &self.unit)
-            .expect("chaos plans are valid by construction") // lint: allow(panic) — every plan is validated before the run
+            .expect("chaos plans are valid by construction")
             .into_faulty()
-            .expect("fault plan installed") // lint: allow(panic) — with_faults was called two lines up
+            .expect("fault plan installed")
     }
 }
 
@@ -510,12 +510,10 @@ pub fn shrink(w: &ChaosWorkload, oracle: Oracle, plan: &FaultPlan, message: Stri
 
         // Pass 1: empty whole shards (coarsest cut first).
         for s in 0..current.shards.len() {
-            // lint: allow(D6) — s < shards.len() by the loop bound
             if current.shards[s].is_empty() {
                 continue;
             }
             let mut candidate = current.clone();
-            // lint: allow(D6) — same bound
             candidate.shards[s] = FaultSchedule::empty();
             if let Some(msg) = still_fails(&candidate, &mut runs) {
                 current = candidate;
@@ -527,10 +525,8 @@ pub fn shrink(w: &ChaosWorkload, oracle: Oracle, plan: &FaultPlan, message: Stri
         // Pass 2: drop individual components, highest index first so
         // removal does not disturb the positions still to visit.
         for s in 0..current.shards.len() {
-            // lint: allow(D6) — s < shards.len() by the loop bound
             for i in (0..current.shards[s].crashes.len()).rev() {
                 let mut candidate = current.clone();
-                // lint: allow(D6) — i < crashes.len() by the loop bound
                 candidate.shards[s].crashes.remove(i);
                 if let Some(msg) = still_fails(&candidate, &mut runs) {
                     current = candidate;
@@ -538,10 +534,8 @@ pub fn shrink(w: &ChaosWorkload, oracle: Oracle, plan: &FaultPlan, message: Stri
                     changed = true;
                 }
             }
-            // lint: allow(D6) — s < shards.len() by the loop bound
             for i in (0..current.shards[s].stream_faults.len()).rev() {
                 let mut candidate = current.clone();
-                // lint: allow(D6) — i < stream_faults.len() by the loop bound
                 candidate.shards[s].stream_faults.remove(i);
                 if let Some(msg) = still_fails(&candidate, &mut runs) {
                     current = candidate;
@@ -549,10 +543,8 @@ pub fn shrink(w: &ChaosWorkload, oracle: Oracle, plan: &FaultPlan, message: Stri
                     changed = true;
                 }
             }
-            // lint: allow(D6) — s < shards.len() by the loop bound
             for i in (0..current.shards[s].bursts.len()).rev() {
                 let mut candidate = current.clone();
-                // lint: allow(D6) — i < bursts.len() by the loop bound
                 candidate.shards[s].bursts.remove(i);
                 if let Some(msg) = still_fails(&candidate, &mut runs) {
                     current = candidate;
@@ -564,16 +556,13 @@ pub fn shrink(w: &ChaosWorkload, oracle: Oracle, plan: &FaultPlan, message: Stri
 
         // Pass 3: bisect surviving windows (halve each length, floor 1).
         for s in 0..current.shards.len() {
-            // lint: allow(D6) — s < shards.len() by the loop bound
             for i in 0..current.shards[s].crashes.len() {
-                // lint: allow(D6) — i < crashes.len() by the loop bound
                 let win = current.shards[s].crashes[i];
                 let len = win.end.saturating_since(win.start);
                 if len.0 <= 1 {
                     continue;
                 }
                 let mut candidate = current.clone();
-                // lint: allow(D6) — same bounds as above
                 candidate.shards[s].crashes[i].end = SimTime(win.start.0 + (len.0 / 2).max(1));
                 if let Some(msg) = still_fails(&candidate, &mut runs) {
                     current = candidate;
@@ -581,16 +570,13 @@ pub fn shrink(w: &ChaosWorkload, oracle: Oracle, plan: &FaultPlan, message: Stri
                     changed = true;
                 }
             }
-            // lint: allow(D6) — s < shards.len() by the loop bound
             for i in 0..current.shards[s].stream_faults.len() {
-                // lint: allow(D6) — i < stream_faults.len() by the loop bound
                 let f = current.shards[s].stream_faults[i];
                 let len = f.end.saturating_since(f.start);
                 if len.0 <= 1 {
                     continue;
                 }
                 let mut candidate = current.clone();
-                // lint: allow(D6) — same bounds as above
                 candidate.shards[s].stream_faults[i].end = SimTime(f.start.0 + (len.0 / 2).max(1));
                 if let Some(msg) = still_fails(&candidate, &mut runs) {
                     current = candidate;
@@ -638,7 +624,7 @@ pub struct ChaosFixture {
 impl ChaosFixture {
     /// Serialize as pretty JSON (stable field order).
     pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("fixture is plain data") // lint: allow(panic) — no maps or non-string keys, serialization is total
+        serde_json::to_string_pretty(self).expect("fixture is plain data")
     }
 
     /// Parse a fixture from JSON.

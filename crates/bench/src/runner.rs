@@ -202,6 +202,10 @@ pub fn run_matrix(
         .iter()
         .flat_map(|b| policies.iter().map(move |&p| (b, p)))
         .collect();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sizes the worker pool only: each cell's outcome is independent of it"
+    )]
     let n_workers = worker_pool_size(
         thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get),
         cells.len(),

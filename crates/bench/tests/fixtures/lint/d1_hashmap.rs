@@ -3,6 +3,6 @@ use std::collections::HashMap;
 use std::collections::HashSet;
 
 pub struct State {
-    by_txn: HashMap<u64, u32>,
-    seen: HashSet<u32>,
+    pub by_txn: HashMap<u64, u32>,
+    pub seen: HashSet<u32>,
 }

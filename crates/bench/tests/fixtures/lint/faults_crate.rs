@@ -6,7 +6,7 @@ pub fn windows() -> HashMap<u64, u64> {
 }
 
 pub fn now_seed() -> u64 {
-    Instant::now().elapsed().as_nanos() as u64
+    std::time::Instant::now().elapsed().as_secs()
 }
 
 pub fn pick(v: &[u64]) -> u64 {
@@ -17,6 +17,6 @@ pub fn boundary(frac: f64) -> bool {
     frac == 0.25
 }
 
-pub fn to_ticks(secs: f64) -> u64 {
-    (secs * TICKS_PER_SEC as f64) as u64
+pub fn window_at(starts: &[u64], i: usize) -> u64 {
+    starts[i]
 }

@@ -8,3 +8,9 @@ pub trait Policy {
 
     fn naked(&self);
 }
+
+pub struct Greedy;
+
+impl Greedy {
+    pub fn outside_the_trait(&self) {}
+}

@@ -197,6 +197,10 @@ pub(crate) fn dispatch(
     let mut routes = Vec::new();
     let mut promotions = Vec::new();
     let mut last_promo: Vec<Option<usize>> = vec![None; trace.n_items];
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the plan has n_shards entries (checked by the caller), and promoted and read-set items come from q.items, all < n_items"
+    )]
     let decisions = trace
         .queries
         .iter()
@@ -205,24 +209,21 @@ pub(crate) fn dispatch(
             let mut now = q.arrival;
             let mut retries = 0u32;
             loop {
-                let health = |s: usize| {
-                    // lint: allow(D6) — plan length == n_shards, checked by the caller
-                    plan.map_or(HealthState::Up, |p| p.shards[s].health_at(now))
-                };
+                let health =
+                    |s: usize| plan.map_or(HealthState::Up, |p| p.shards[s].health_at(now));
                 let (pool, promos) = sets.pool_with_health(q, now, health);
                 if !pool.is_empty() {
                     let shard = router.pick(q, &pool, now, sets);
                     router.commit(q, shard, now, sets);
                     for p in promos {
-                        // lint: allow(D6) — promoted items come from q.items, < n_items
                         if last_promo[p.item.index()] != Some(p.to) {
-                            last_promo[p.item.index()] = Some(p.to); // lint: allow(D6) — same bound
+                            last_promo[p.item.index()] = Some(p.to);
                             promotions.push(p);
                         }
                     }
                     for &d in &q.items {
                         if !health(sets.map().leader(d)).queries_paused() {
-                            last_promo[d.index()] = None; // lint: allow(D6) — read-set items are < n_items
+                            last_promo[d.index()] = None;
                         }
                     }
                     if let Some(r) = replica_route_record(sets, q, shard, now) {
@@ -410,11 +411,11 @@ pub fn check_health_consistency(
         ));
     }
     for r in &report.log {
-        if r.shard >= n {
-            continue; // dispatcher entries are not shard outcomes
-        }
-        // lint: allow(D6) — r.shard < n == plan.shards.len(), both checked above
-        for w in &plan.shards[r.shard].crashes {
+        // Dispatcher entries (shard >= n) are not shard outcomes.
+        let Some(shard) = plan.shards.get(r.shard) else {
+            continue;
+        };
+        for w in &shard.crashes {
             if w.mode == FaultMode::Pause && w.start < r.time && r.time < w.end {
                 return Err(format!(
                     "shard {} decided query {:?} at t={:?}, strictly inside its pause window [{:?}, {:?})",

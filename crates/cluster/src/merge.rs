@@ -302,10 +302,8 @@ pub fn check_cluster_identity(report: &ClusterReport) -> Result<(), String> {
             report.average_usm()
         ));
     }
-    for w in report.log.windows(2) {
-        // lint: allow(D6) — windows(2) yields exactly-2-element slices
-        if (w[0].time, w[0].shard, w[0].seq) >= (w[1].time, w[1].shard, w[1].seq) {
-            let r = &w[1]; // lint: allow(D6) — same 2-element window
+    for (a, r) in report.log.iter().zip(report.log.iter().skip(1)) {
+        if (a.time, a.shard, a.seq) >= (r.time, r.shard, r.seq) {
             return Err(format!(
                 "merged log out of order at t={:?} shard={} seq={}",
                 r.time, r.shard, r.seq

@@ -254,9 +254,12 @@ impl ReplicaSets {
 
     /// Propagation delay for versions of `d` emitted in window `w`, bound
     /// for follower slot `k` (`1 <= k < factor`). O(1).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "(d, k, w) stay in the n_items x slots x windows cube the table spans"
+    )]
     fn delay(&self, d: DataId, k: usize, w: usize) -> SimDuration {
         let slots = self.map.factor() - 1;
-        // lint: allow(D6) — (d, k, w) stay in the n_items x slots x windows cube the table spans
         self.delays[(d.index() * slots + (k - 1)) * self.lag.windows + w]
     }
 
@@ -347,6 +350,10 @@ impl ReplicaSets {
     /// candidates unnarrowed and promotes nobody. Returns the pool
     /// (ascending, deduplicated) and the promotions that shaped it, in
     /// read-set order. O(A · factor · (A + streams) + n_shards).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "leader() and follower() are < n_shards by ReplicaMap construction"
+    )]
     pub fn pool_with_health(
         &self,
         q: &QuerySpec,
@@ -356,15 +363,13 @@ impl ReplicaSets {
         let n = self.map.n_shards();
         let mut seen = vec![false; n];
         for &d in &q.items {
-            // lint: allow(D6) — leader() < n_shards by ReplicaMap construction
             seen[self.map.leader(d)] = true;
         }
         for &d in &q.items {
             for k in 1..self.map.factor() {
                 let s = self.map.follower(d, k);
-                // lint: allow(D6) — follower() < n_shards by ReplicaMap construction
                 if !seen[s] && self.follower_admissible(q, s, now) {
-                    seen[s] = true; // lint: allow(D6) — s < n_shards as above
+                    seen[s] = true;
                 }
             }
         }
@@ -380,7 +385,7 @@ impl ReplicaSets {
                 .map(|s| (self.claimed_transit(d, now), s))
                 .min();
             if let Some((_, s)) = promoted {
-                seen[s] = true; // lint: allow(D6) — follower() < n_shards
+                seen[s] = true;
                 promotions.push(PromotionRecord {
                     time: now,
                     item: d,
@@ -470,6 +475,10 @@ impl ReplicaSets {
     /// `merge.rs` documents. Pure arithmetic; worker-count invariant by
     /// construction. O(V · factor · log V) in the total emitted-version
     /// count V.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "follower() < n_shards == lanes.len()"
+    )]
     pub fn propagation_log(&self) -> Vec<PropagationRecord> {
         if self.map.factor() == 1 {
             return Vec::new(); // no followers, nothing propagates
@@ -495,7 +504,6 @@ impl ReplicaSets {
                 let s = self.map.follower(d, k);
                 for (v, &e) in emissions.iter().enumerate() {
                     let delay = self.delay(d, k, self.window_of(e));
-                    // lint: allow(D6) — follower() < n_shards == lanes.len()
                     lanes[s].push(PropagationRecord {
                         time: SimTime(e.0.saturating_add(delay.0)),
                         item: d,
@@ -602,11 +610,9 @@ pub fn check_replication_consistency(
             ));
         }
     }
-    for w in rep.propagation.windows(2) {
-        let key = |r: &PropagationRecord| (r.time, r.follower, r.item, r.version);
-        // lint: allow(D6) — windows(2) yields exactly-2-element slices
-        if key(&w[0]) >= key(&w[1]) {
-            let r = &w[1]; // lint: allow(D6) — same 2-element window
+    let key = |r: &PropagationRecord| (r.time, r.follower, r.item, r.version);
+    for (a, r) in rep.propagation.iter().zip(rep.propagation.iter().skip(1)) {
+        if key(a) >= key(r) {
             return Err(format!(
                 "propagation log out of order at {:?} follower {}",
                 r.time, r.follower

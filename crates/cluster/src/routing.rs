@@ -134,8 +134,9 @@ impl FreshnessEstimate {
     pub(crate) fn new(trace: &Trace) -> FreshnessEstimate {
         let mut streams = vec![Vec::new(); trace.n_items];
         for u in &trace.updates {
-            // lint: allow(D6) — trace invariant: update items index < n_items
-            streams[u.item.index()].push((u.first_arrival, u.period));
+            if let Some(item) = streams.get_mut(u.item.index()) {
+                item.push((u.first_arrival, u.period));
+            }
         }
         FreshnessEstimate {
             baseline: vec![0; trace.n_items],
@@ -146,8 +147,7 @@ impl FreshnessEstimate {
     /// The `(first_arrival, period)` schedule of every update stream on
     /// `item`, in trace order.
     pub(crate) fn streams(&self, item: usize) -> &[(SimTime, SimDuration)] {
-        // lint: allow(D6) — every caller passes item indices < n_items
-        &self.streams[item]
+        self.streams.get(item).map_or(&[], Vec::as_slice)
     }
 
     /// Versions emitted for `item` up to and including `now`.
@@ -165,15 +165,21 @@ impl FreshnessEstimate {
     }
 
     /// Estimated unapplied versions of `item` at `now`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every caller passes item indices < n_items"
+    )]
     pub(crate) fn udrop(&self, item: usize, now: SimTime) -> u64 {
-        // lint: allow(D6) — every caller passes item indices < n_items
         self.versions(item, now).saturating_sub(self.baseline[item])
     }
 
     /// A query reading `item` was routed to its owner: assume the owner
     /// refreshes it for the read.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every caller passes item indices < n_items"
+    )]
     pub(crate) fn reset(&mut self, item: usize, now: SimTime) {
-        // lint: allow(D6) — every caller passes item indices < n_items
         self.baseline[item] = self.versions(item, now);
     }
 }
@@ -202,6 +208,10 @@ impl RouterState {
     /// Pick a shard from the non-empty `pool` (ascending shard ids) for a
     /// query being dispatched at `now`. Ties break to the lowest shard id:
     /// `min` keeps the first minimum and the pool is ascending.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "callers pass a non-empty pool of shard ids < n_shards"
+    )]
     pub(crate) fn pick(
         &mut self,
         q: &QuerySpec,
@@ -211,7 +221,6 @@ impl RouterState {
     ) -> usize {
         match self {
             RouterState::RoundRobin { counter } => {
-                // lint: allow(D6) — callers pass a non-empty pool; modulo
                 let shard = pool[*counter % pool.len()];
                 *counter += 1;
                 shard
@@ -220,9 +229,8 @@ impl RouterState {
                 .iter()
                 .copied()
                 .map(|s| {
-                    // lint: allow(D6) — pool shard ids are < n_shards
                     loads[s].expire(now);
-                    (loads[s].outstanding, s) // lint: allow(D6) — s < n_shards
+                    (loads[s].outstanding, s)
                 })
                 .min()
                 .map_or(0, |(_, s)| s),
@@ -248,10 +256,13 @@ impl RouterState {
     /// every read-set item the shard leads (only an authoritative read
     /// refreshes it — a follower read neither updates the leader nor
     /// catches the follower up beyond its propagation schedule).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the committed shard came from the pool"
+    )]
     pub(crate) fn commit(&mut self, q: &QuerySpec, shard: usize, now: SimTime, sets: &ReplicaSets) {
         match self {
             RouterState::RoundRobin { .. } => {}
-            // lint: allow(D6) — the committed shard came from the pool
             RouterState::LeastLoad { loads } => loads[shard].admit(q.deadline(), q.exec_time),
             RouterState::FreshnessAware { est } => {
                 for &d in &q.items {

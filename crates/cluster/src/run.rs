@@ -172,10 +172,13 @@ impl<'a> ClusterRun<'a> {
             faults.as_ref().map(|(plan, failover)| (*plan, failover)),
         );
         let (exec_trace, assignment) = failover::routed_trace(trace, &decisions);
+        #[expect(
+            clippy::panic,
+            reason = "the dispatcher produced the assignment; a bad one is a routing bug, not caller input"
+        )]
         let shard_traces =
             match slice_trace(&exec_trace, &assignment, sets.map(), cluster.filter_updates) {
                 Ok(t) => t,
-                // lint: allow(panic) — the dispatcher produced the assignment; a bad one is a routing bug, not caller input
                 Err(e) => panic!("internal routing error: {e}"),
             };
         let results = execute_shards(
@@ -349,15 +352,20 @@ impl<P: Policy, F: Fn(usize, u64) -> P> ShardInputs<'_, F> {
     /// Assemble shard `i`'s engine and run it start to finish on the
     /// calling thread, observed by a private recorder when recording.
     fn run_shard(&self, i: usize) -> ShardResult {
-        // lint: allow(D2) — diagnostic shard-wall timing, never enters sim state or digests
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "diagnostic shard-wall timing, never enters sim state or digests"
+        )]
         let started = std::time::Instant::now();
         let mut rec = self.record.then(RingRecorder::unbounded);
         let policy = (self.make_policy)(i, split_seed(self.seed, i as u64));
-        // lint: allow(D6) — callers pass i < n == traces.len()
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "callers pass i < n == traces.len()"
+        )]
         let mut run = SimRun::trace(&self.traces[i], policy, self.cfg);
-        if let Some(hooks) = self.hooks {
-            // lint: allow(D6) — hooks, when present, has n entries
-            run = run.with_faults(Box::new(hooks[i].clone()));
+        if let Some(hook) = self.hooks.and_then(|hooks| hooks.get(i)) {
+            run = run.with_faults(Box::new(hook.clone()));
         }
         if let Some(r) = rec.as_mut() {
             run = run.with_observer(r);
@@ -382,7 +390,6 @@ fn run_workers<T: Send>(workers: usize, work: impl Fn() -> Vec<T> + Sync) -> Vec
             .into_iter()
             .flat_map(|h| match h.join() {
                 Ok(finished) => finished,
-                // lint: allow(panic) — re-raise the worker's own panic
                 Err(e) => std::panic::resume_unwind(e),
             })
             .collect()
@@ -412,6 +419,10 @@ where
     // overhead. Purely a wall-clock decision: results are
     // worker-count-invariant (pinned by the differential suites), so the
     // cap can never change a report.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a wall-clock decision only: reports are worker-count-invariant"
+    )]
     let workers = if workers == 0 {
         let cap = std::thread::available_parallelism().map_or(n, std::num::NonZeroUsize::get);
         n.min(cap)
@@ -533,9 +544,13 @@ fn replay_events(
         }
         let mut seqs = vec![0u64; n_shards];
         for r in &rep.propagation {
-            // lint: allow(D6) — record followers are < n_shards (placement edge)
-            let seq = seqs[r.follower];
-            seqs[r.follower] += 1; // lint: allow(D6) — same bound as above
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "record followers are < n_shards (placement edge)"
+            )]
+            let next = &mut seqs[r.follower];
+            let seq = *next;
+            *next += 1;
             all.push((
                 r.time,
                 1 + (n_shards + r.follower) as u32,

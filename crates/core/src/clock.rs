@@ -12,9 +12,9 @@
 //!   process-start `Instant`.
 //!
 //! `WallClock` deliberately does **not** live in this crate: `unit-core`
-//! is wall-clock-free by invariant (xtask rule D2), and keeping the only
-//! `Instant::now` in `crates/server` is what makes that boundary
-//! checkable.
+//! is wall-clock-free by invariant (`clippy.toml` bans `Instant::now`),
+//! and keeping the only wall-clock read in `crates/server` is what makes
+//! that boundary checkable.
 
 use crate::time::{SimDuration, SimTime};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -264,7 +264,6 @@ impl Lbc {
 
         // Exact zero marks "no failures at all this window": the ratios/costs
         // below are sums of zero terms, not accumulated arithmetic drift.
-        // lint: allow(D4) — intentional exact-zero sentinel, see comment above
         if r == 0.0 && fm == 0.0 && fs == 0.0 {
             return if self.cfg.loosen_when_clean && counts.total() > 0 {
                 vec![ControlSignal::LoosenAdmission]
@@ -306,6 +305,10 @@ impl Lbc {
             (fm, CostClass::DeadlineMiss),
             (fs, CostClass::DataStale),
         ];
+        #[expect(
+            clippy::float_cmp,
+            reason = "max is one of the three costs: exact equality finds the tied maxima"
+        )]
         let mut tied = classes
             .into_iter()
             .filter(|&(cost, _)| cost == max)

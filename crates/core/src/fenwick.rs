@@ -75,6 +75,10 @@ impl<T: FenwickValue> Fenwick<T> {
     ///
     /// # Panics
     /// Panics if `index` is out of range.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the loop condition is the bounds check"
+    )]
     pub fn add(&mut self, index: usize, delta: T) {
         assert!(
             index < self.len,
@@ -83,7 +87,6 @@ impl<T: FenwickValue> Fenwick<T> {
         );
         let mut i = index + 1;
         while i < self.tree.len() {
-            // lint: allow(D6) — the loop condition is the bounds check
             self.tree[i] = self.tree[i].add(delta);
             i += i & i.wrapping_neg();
         }
@@ -95,6 +98,10 @@ impl<T: FenwickValue> Fenwick<T> {
     /// # Panics
     /// Panics if `index` is out of range (and, for unsigned values, on
     /// underflow in debug builds).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the loop condition is the bounds check"
+    )]
     pub fn sub(&mut self, index: usize, delta: T) {
         assert!(
             index < self.len,
@@ -103,18 +110,20 @@ impl<T: FenwickValue> Fenwick<T> {
         );
         let mut i = index + 1;
         while i < self.tree.len() {
-            // lint: allow(D6) — the loop condition is the bounds check
             self.tree[i] = self.tree[i].sub(delta);
             i += i & i.wrapping_neg();
         }
     }
 
     /// Sum of slots `0..count` in O(log N). `count` is clamped to `len`.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "i <= len < tree.len() by the clamp"
+    )]
     pub fn prefix_sum(&self, count: usize) -> T {
         let mut sum = T::ZERO;
         let mut i = count.min(self.len);
         while i > 0 {
-            // lint: allow(D6) — i <= len < tree.len() by the clamp above
             sum = sum.add(self.tree[i]);
             i -= i & i.wrapping_neg();
         }
@@ -148,6 +157,7 @@ impl<T: FenwickValue> Fenwick<T> {
     /// sum stays strictly below `target`. For sampling, this is the index
     /// of the first slot whose cumulative sum reaches `target` (callers
     /// clamp against zero-weight tails; see [`crate::lottery`]).
+    #[expect(clippy::indexing_slicing, reason = "next <= n and tree.len() == n + 1")]
     pub fn descend(&self, mut target: T) -> usize {
         let n = self.len;
         if n == 0 {
@@ -158,9 +168,7 @@ impl<T: FenwickValue> Fenwick<T> {
         let mut jump = 1usize << (usize::BITS - 1 - n.leading_zeros());
         while jump > 0 {
             let next = pos + jump;
-            // lint: allow(D6) — next <= n and tree.len() == n + 1
             if next <= n && self.tree[next] < target {
-                // lint: allow(D6) — same guard as the line above
                 target = target.sub(self.tree[next]);
                 pos = next;
             }

@@ -91,7 +91,10 @@ impl WeightedSampler {
             w >= 0.0 && w.is_finite(),
             "lottery weights must be finite and non-negative, got {w}"
         );
-        // lint: allow(D6) — out-of-range `index` is this method's documented panic
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "out-of-range `index` is this method's documented panic"
+        )]
         let slot = &mut self.weights[index];
         let delta = w - *slot;
         *slot = w;
@@ -147,7 +150,8 @@ impl WeightedSampler {
         // Descent result = count of full prefixes below target; clamp against
         // accumulated float error landing on a zero-weight tail index.
         let start = self.tree.descend(target).min(n - 1);
-        // lint: allow(D4) — weights are set to the 0.0 literal, never computed; exact match is the sentinel
+        // Weights are set to the 0.0 literal, never computed: exact match is
+        // the sentinel.
         let weighted = |w: &f64| *w != 0.0;
         // The nearest weighted index at or left of the descent; failing that
         // (an all-zero prefix), the first weighted index to its right.

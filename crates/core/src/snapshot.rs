@@ -115,14 +115,16 @@ impl<'a> SnapshotView<'a> {
 
     /// Run `f` over the full admitted list in ascending `(deadline, id)`
     /// order. Materialization cost is paid only on this call.
+    #[expect(
+        clippy::expect_used,
+        reason = "QueueSource contract: the callback runs exactly once"
+    )]
     pub fn with_queries<R>(&self, f: impl FnOnce(&[QueueEntryView]) -> R) -> R {
         let mut f = Some(f);
         let mut out = None;
         self.source.with_queries(&mut |qs| {
-            // lint: allow(panic) — QueueSource contract: callback runs exactly once
             out = Some((f.take().expect("with_queries called twice"))(qs));
         });
-        // lint: allow(panic) — QueueSource contract: callback runs exactly once
         out.expect("QueueSource::with_queries must invoke its callback")
     }
 }

@@ -87,8 +87,12 @@ impl TicketTable {
     ///
     /// # Panics
     /// Panics if `item` is out of range.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "out-of-range item is the documented panic contract"
+    )]
     pub fn raw(&self, item: usize) -> f64 {
-        self.tickets[item] // lint: allow(D6) — out-of-range item is the documented panic contract
+        self.tickets[item]
     }
 
     /// The configured forgetting factor.
@@ -106,7 +110,10 @@ impl TicketTable {
     /// `cpu_share` is the accessing query's `qe_i / qt_i`.
     pub fn on_query_access(&mut self, item: usize, cpu_share: f64) {
         debug_assert!(cpu_share >= 0.0);
-        // lint: allow(D6) — callers pass item ids from the validated trace, all < n_items
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "callers pass item ids from the validated trace, all < n_items"
+        )]
         let t = &mut self.tickets[item];
         *t = *t * self.c_forget - cpu_share;
     }
@@ -115,7 +122,10 @@ impl TicketTable {
     /// `T_j ← T_j · C_forget + sigmoid((ue_j − ue_avg)/scale)`.
     pub fn on_update(&mut self, item: usize, ue_secs: f64) {
         let inc = update_increment(self.ue_avg_secs, ue_secs, self.ue_scale_secs);
-        // lint: allow(D6) — callers pass item ids from the validated trace, all < n_items
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "callers pass item ids from the validated trace, all < n_items"
+        )]
         let t = &mut self.tickets[item];
         *t = *t * self.c_forget + inc;
     }
@@ -126,8 +136,12 @@ impl TicketTable {
     /// updated items from stream-less ones instead of waiting one full
     /// update period per item to observe a commit. Query accesses quickly
     /// drive the hot items negative again.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "seeding iterates the policy's own 0..n_items range"
+    )]
     pub fn seed(&mut self, item: usize, value: f64) {
-        self.tickets[item] = value; // lint: allow(D6) — seeding iterates the policy's own 0..n_items range
+        self.tickets[item] = value;
     }
 
     /// Sum of every raw ticket, left to right. The modulation path reads

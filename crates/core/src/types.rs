@@ -63,14 +63,20 @@ impl<T> ItemVec<T> {
     }
 
     /// The entry for `item`. O(1).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every DataId reaching a table passed Trace::validate's ItemOutOfRange check (MemBackend range-checks its own), and tables are sized n_items"
+    )]
     pub fn at(&self, item: DataId) -> &T {
-        // lint: allow(D6) — every DataId reaching a table passed Trace::validate's ItemOutOfRange check (MemBackend range-checks its own), and tables are sized n_items
         &self.items[item.index()]
     }
 
     /// The entry for `item`, mutably. O(1).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "same bound as `at`: ids are validated below n_items, tables sized n_items"
+    )]
     pub fn at_mut(&mut self, item: DataId) -> &mut T {
-        // lint: allow(D6) — same bound as `at`: ids are validated below n_items, tables sized n_items
         &mut self.items[item.index()]
     }
 
@@ -240,15 +246,13 @@ impl QuerySpec {
         }
         let mut seen = vec![false; n_items];
         for &d in &self.items {
-            let idx = d.index();
-            if idx >= n_items {
+            let Some(hit) = seen.get_mut(d.index()) else {
                 return Err(SpecError::ItemOutOfRange(d, n_items));
-            }
-            // lint: allow(D6) — idx >= n_items returned ItemOutOfRange just above
-            if seen[idx] {
+            };
+            if *hit {
                 return Err(SpecError::DuplicateItem(self.id, d));
             }
-            seen[idx] = true; // lint: allow(D6) — same range check as the read above
+            *hit = true;
         }
         if self.exec_time.is_zero() {
             return Err(SpecError::ZeroExecTime(self.id));
@@ -420,8 +424,7 @@ impl Trace {
 }
 
 fn windows2<T>(slice: &[T]) -> impl Iterator<Item = (&T, &T)> {
-    // lint: allow(D6) — windows(2) yields exactly-2-element slices
-    slice.windows(2).map(|w| (&w[0], &w[1]))
+    slice.iter().zip(slice.iter().skip(1))
 }
 
 #[cfg(test)]

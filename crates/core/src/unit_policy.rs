@@ -87,9 +87,12 @@ impl UnitPolicy {
     ///
     /// # Panics
     /// Panics if `cfg.validate()` fails.
+    #[expect(
+        clippy::panic,
+        reason = "documented constructor contract, caught at config time"
+    )]
     pub fn new(cfg: UnitConfig) -> Self {
         if let Err(e) = cfg.validate() {
-            // lint: allow(panic) — documented constructor contract, caught at config time
             panic!("invalid UnitConfig: {e}");
         }
         UnitPolicy {
@@ -275,13 +278,16 @@ impl UnitPolicy {
     /// consumption and `degrade_draws` are those of one descent per draw.
     fn degrade_batch(&mut self) {
         let (tickets, cfg, modulation) = (&self.tickets, &self.cfg, &self.modulation);
+        #[expect(
+            clippy::float_cmp,
+            reason = "sharpness is a configured literal; 1.0 means \"feature off\""
+        )]
         let total = self.victims.build(
             |weights| {
                 match cfg.victim_weighting {
                     VictimWeighting::ShiftMin => tickets.shifted_weights_into(weights),
                     VictimWeighting::ClampZero => tickets.clamped_weights_into(weights),
                 }
-                // lint: allow(D4) — sharpness is a configured literal; 1.0 means "feature off"
                 if cfg.lottery_sharpness != 1.0 {
                     for w in weights {
                         *w = w.powf(cfg.lottery_sharpness);

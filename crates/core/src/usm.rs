@@ -115,7 +115,7 @@ impl UsmWeights {
 
     /// True when every penalty is zero (the naive / success-ratio setting).
     pub fn is_naive(&self) -> bool {
-        // lint: allow(D4) — penalties are configured literals, not computed values
+        // Penalties are configured literals, not computed values.
         self.c_r == 0.0 && self.c_fm == 0.0 && self.c_fs == 0.0
     }
 

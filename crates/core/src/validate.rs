@@ -42,7 +42,6 @@ macro_rules! validate_check {
         #[cfg(feature = "validate")]
         {
             if let Err(msg) = $check {
-                // lint: allow(panic) — validate-mode invariant failures abort by design
                 panic!("validate[{}]: {msg}", $name);
             }
         }

@@ -340,13 +340,9 @@ impl FaultSchedule {
                 return Err(ScheduleError::UnboundedTime);
             }
         }
-        for pair in self.crashes.windows(2) {
-            // lint: allow(D6) — windows(2) yields exactly-2-element slices
-            if pair[1].start < pair[0].end {
-                return Err(ScheduleError::CrashWindowsOverlap {
-                    // lint: allow(D6) — same 2-element window as above
-                    start: pair[1].start,
-                });
+        for (a, b) in self.crashes.iter().zip(self.crashes.iter().skip(1)) {
+            if b.start < a.end {
+                return Err(ScheduleError::CrashWindowsOverlap { start: b.start });
             }
         }
         for s in &self.stream_faults {
@@ -357,9 +353,11 @@ impl FaultSchedule {
                 return Err(ScheduleError::UnboundedTime);
             }
         }
-        for pair in self.stream_faults.windows(2) {
-            // lint: allow(D6) — windows(2) yields exactly-2-element slices
-            let (a, b) = (&pair[0], &pair[1]);
+        for (a, b) in self
+            .stream_faults
+            .iter()
+            .zip(self.stream_faults.iter().skip(1))
+        {
             if (b.item.0, b.start) < (a.item.0, a.start) {
                 return Err(ScheduleError::StreamFaultsUnsorted);
             }
@@ -375,9 +373,8 @@ impl FaultSchedule {
                 return Err(ScheduleError::UnboundedTime);
             }
         }
-        for pair in self.bursts.windows(2) {
-            // lint: allow(D6) — windows(2) yields exactly-2-element slices
-            if pair[1].at < pair[0].at {
+        for (a, b) in self.bursts.iter().zip(self.bursts.iter().skip(1)) {
+            if b.at < a.at {
                 return Err(ScheduleError::BurstsUnsorted);
             }
         }
@@ -513,11 +510,9 @@ impl FaultSchedule {
     /// any, mapped through its [`FaultMode`]. O(log W).
     pub fn health_at(&self, now: SimTime) -> HealthState {
         let i = self.crashes.partition_point(|w| w.start <= now);
-        if i == 0 {
+        let Some(w) = i.checked_sub(1).and_then(|j| self.crashes.get(j)) else {
             return HealthState::Up;
-        }
-        // lint: allow(D6) — i > 0 was just checked, so i - 1 is in range
-        let w = &self.crashes[i - 1];
+        };
         if w.contains(now) {
             match w.mode {
                 FaultMode::Pause => HealthState::Down { until: w.end },
@@ -538,11 +533,9 @@ impl FaultSchedule {
         let i = self
             .stream_faults
             .partition_point(|s| (s.item.0, s.start) <= (item.0, now));
-        if i == 0 {
+        let Some(s) = i.checked_sub(1).and_then(|j| self.stream_faults.get(j)) else {
             return UpdateFault::Apply;
-        }
-        // lint: allow(D6) — i > 0 was just checked, so i - 1 is in range
-        let s = &self.stream_faults[i - 1];
+        };
         if s.item == item && s.start <= now && now < s.end {
             match s.kind {
                 StreamFaultKind::Drop => UpdateFault::Drop,
@@ -558,8 +551,7 @@ impl FaultSchedule {
         let lo = self.bursts.partition_point(|b| b.at < now);
         let hi = self.bursts.partition_point(|b| b.at <= now);
         let mut loads = Vec::new();
-        // lint: allow(D6) — partition_point gives lo <= hi <= len
-        for b in &self.bursts[lo..hi] {
+        for b in self.bursts.get(lo..hi).unwrap_or_default() {
             for _ in 0..b.loads {
                 loads.push(BackgroundLoad { exec: b.exec });
             }

@@ -108,7 +108,6 @@ impl Observer for RingRecorder {
             self.events.pop_front();
             self.dropped += 1;
         }
-        // lint: allow(P2) — Observer hands a borrow and the ring must own the event
         self.events.push_back(event.clone());
     }
 }

@@ -1,7 +1,8 @@
 //! # `WallClock` — the production timeline
 //!
-//! The one place in the workspace allowed to read the machine clock
-//! (xtask rule D2 exempts only this crate and the bench harness). A
+//! The one place in the workspace that reads the machine clock
+//! (`clippy.toml` bans `Instant::now`; [`WallClock::new`] holds the one
+//! reasoned `#[expect]` for it). A
 //! [`WallClock`] anchors a process-start [`Instant`] and reports elapsed
 //! wall time as [`SimTime`] µs ticks, so the serving runtime consumes
 //! wall and virtual time through the same [`Clock`] trait and every
@@ -25,6 +26,10 @@ pub struct WallClock {
 impl WallClock {
     /// A clock whose tick 0 is "now".
     #[must_use]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the serving runtime's one wall-clock read; everything else takes time through Clock"
+    )]
     pub fn new() -> Self {
         WallClock {
             epoch: Instant::now(),

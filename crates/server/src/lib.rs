@@ -17,9 +17,10 @@
 //! direct simulation of the same trace.
 //!
 //! Clock discipline: this crate is the only place in the workspace
-//! allowed to read the machine clock (`cargo xtask lint` rules D2 and D5
-//! enforce the boundary); everything else consumes time through the
-//! [`unit_core::clock::Clock`] trait.
+//! allowed to read the machine clock (`clippy.toml` bans the clock calls
+//! elsewhere, and no digest crate depends on this one — DESIGN §15);
+//! everything else consumes time through the [`unit_core::clock::Clock`]
+//! trait.
 //!
 //! There is no network frontend: the benchmark and the tests inject
 //! requests directly, and [`serve`] owns its ingress channel. A frontend
@@ -28,6 +29,16 @@
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
+#![cfg_attr(
+    not(test),
+    warn(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::indexing_slicing,
+        clippy::float_cmp
+    )
+)]
 
 pub mod clock;
 pub mod ingress;

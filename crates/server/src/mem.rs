@@ -107,17 +107,22 @@ impl MemBackend {
     }
 
     /// Run `f` on `item`'s state slot. The item must be range-checked.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "shard_idx is a modulo of the shard count, callers range-check the item, and the stripe layout puts every id < n_items inside its shard's vector"
+    )]
     fn with_item<R>(&self, item: DataId, f: impl FnOnce(&mut ItemState) -> R) -> R {
         let shard_idx = item.index() % self.shards.len();
         let local = item.index() / self.shards.len();
-        // lint: allow(D6) — shard_idx is a modulo of the shard count
         let mut shard = lock(&self.shards[shard_idx]);
-        // lint: allow(D6) — callers range-check the item, and the stripe layout puts every id < n_items inside its shard's vector
         f(&mut shard[local])
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "the index is a modulo of the stripe count"
+    )]
     fn stripe(&self, txn: TxnToken) -> &Mutex<Vec<OpenTxn>> {
-        // lint: allow(D6) — the index is a modulo of the stripe count
         &self.txns[(txn.raw() as usize) % self.txns.len()]
     }
 

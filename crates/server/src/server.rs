@@ -344,7 +344,6 @@ fn recv_next(rx: &Mutex<Receiver<Request>>) -> Option<Request> {
 /// Drive the update streams: pace each stream's version arrivals on the
 /// scaled timeline, record every arrival at the backend, and apply or
 /// skip each version as the (updater-owned) policy decides.
-#[allow(clippy::too_many_arguments)]
 fn run_updates<P: Policy>(
     mut policy: P,
     updates: &[UpdateSpec],
@@ -370,7 +369,10 @@ fn run_updates<P: Policy>(
         if arrival > end || state.stop_updates.load(Ordering::SeqCst) {
             return;
         }
-        // lint: allow(D6) — idx came from enumerating this same slice
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "idx came from enumerating this same slice"
+        )]
         let stream = &updates[idx];
         // Sleep (in interruptible slices) until the scaled wall instant.
         let wall_target = cfg.scale_time(arrival);
@@ -423,6 +425,10 @@ fn run_updates<P: Policy>(
 /// The trace's virtual timeline is mapped onto `clock` ticks via
 /// `cfg.time_scale` (see the module docs). `horizon` bounds the update
 /// streams — pass the trace bundle's horizon.
+#[expect(
+    clippy::expect_used,
+    reason = "policies holds exactly workers + 1 entries, and a worker or updater thread panicking is already fatal"
+)]
 pub fn serve<P, F>(
     cfg: &ServeConfig,
     clock: &dyn Clock,
@@ -447,7 +453,6 @@ where
         p.set_observed(cfg.observe && i < cfg.workers);
         policies.push(p);
     }
-    // lint: allow(panic) — policies was filled with exactly workers+1 entries
     let updater_policy = policies.pop().expect("one policy per worker + updater");
     let policy_name = updater_policy.name().to_string();
 
@@ -496,7 +501,6 @@ where
         drop(tx); // disconnect: workers drain and exit
 
         for (i, handle) in workers.into_iter().enumerate() {
-            // lint: allow(panic) — a worker thread panicking is already fatal
             let (c, evs) = handle.join().expect("worker thread panicked");
             counts.success += c.success;
             counts.rejected += c.rejected;
@@ -511,7 +515,6 @@ where
             }
         }
         state.stop_updates.store(true, Ordering::SeqCst);
-        // lint: allow(panic) — an updater thread panicking is already fatal
         updater.join().expect("updater thread panicked");
     });
 

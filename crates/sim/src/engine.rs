@@ -230,17 +230,23 @@ struct SpecSlab<'a> {
 
 impl<'a> SpecSlab<'a> {
     /// The spec in slot `idx`. O(1).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "spec_idx values are slots handed out by intern(), live until release()"
+    )]
     fn get(&self, idx: usize) -> &QuerySpec {
-        // lint: allow(D6) — spec_idx values are slots handed out by intern(), live until release()
         &self.slots[idx]
     }
 
     /// Intern a fed spec, recycling a freed slot when one exists. Returns
     /// the slot index. O(1) amortized.
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "free holds only slots release() was handed, all < slots.len()"
+    )]
     fn intern(&mut self, spec: Cow<'a, QuerySpec>) -> usize {
         match self.free.pop() {
             Some(slot) => {
-                // lint: allow(D6) — free holds only slots release() was handed, all < slots.len()
                 self.slots[slot] = spec;
                 slot
             }
@@ -794,7 +800,6 @@ impl<'a, P: Policy> Simulator<'a, P> {
     /// Panics on a malformed spec, an out-of-order feed, or when the run
     /// is trace-backed (the engine feeds those itself).
     pub fn feed_query(&mut self, spec: QuerySpec) {
-        // lint: allow(panic) — documented contract
         assert!(
             matches!(self.feed, Feed::External),
             "feed_query on a trace-backed run (the engine feeds its own trace)"
@@ -806,13 +811,13 @@ impl<'a, P: Policy> Simulator<'a, P> {
     /// are validated here (a trace was validated whole, up front) and
     /// logged while a lose-state crash is armed (no snapshot holds them; a
     /// trace-backed run just rewinds its cursor).
+    #[expect(clippy::panic, reason = "documented feed_query contract")]
     fn feed_spec(&mut self, spec: Cow<'a, QuerySpec>) {
         if !self.started {
             self.start();
         }
         if matches!(self.feed, Feed::External) {
             if let Err(e) = spec.validate(self.n_items) {
-                // lint: allow(panic) — documented feed_query contract
                 panic!("invalid streamed query: {e}");
             }
             debug_assert!(!self.stream_exhausted, "feed_query after end_stream()");
@@ -820,7 +825,7 @@ impl<'a, P: Policy> Simulator<'a, P> {
                 self.input_log.push(QuerySpec::clone(&spec));
             }
         }
-        // lint: allow(panic) — trace order is what makes the feed ordinal a valid tie-break
+        // Trace order is what makes the feed ordinal a valid tie-break.
         assert!(
             spec.arrival >= self.last_fed_arrival,
             "queries must be fed in trace order (arrivals non-decreasing)"
@@ -1050,7 +1055,10 @@ impl<'a, P: Policy> Simulator<'a, P> {
     /// O(log N_ev) for the event pushes; the policy callback is O(1) for
     /// every shipped policy.
     fn on_version_arrival(&mut self, stream_idx: usize) {
-        // lint: allow(D6) — stream indexes are minted by start()'s enumerate over `updates` and only ever re-pushed
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "stream indexes are minted by start()'s enumerate over `updates` and only ever re-pushed"
+        )]
         let u = &self.updates[stream_idx];
         let item = u.item;
         let period = u.period;
@@ -1225,7 +1233,6 @@ impl<'a, P: Policy> Simulator<'a, P> {
             match txn.kind {
                 TxnKind::Query { spec_idx, .. } => spec_idx,
                 TxnKind::Update { .. } | TxnKind::Background => {
-                    // lint: allow(panic) — only QueryDeadline events carry query txn ids
                     unreachable!("updates have no deadline events")
                 }
             }
@@ -1616,13 +1623,16 @@ impl<'a, P: Policy> Simulator<'a, P> {
             if self.running.len() >= self.cfg.n_cpus {
                 // All CPUs busy: preempt the lowest-priority incumbent if
                 // the best ready candidate outranks it.
+                #[expect(
+                    clippy::expect_used,
+                    reason = "running.len() >= n_cpus >= 1 on this branch"
+                )]
                 let (pos, worst_key) = self
                     .running
                     .iter()
                     .enumerate()
                     .map(|(i, r)| (i, self.pkey(r.id)))
                     .max_by_key(|&(_, k)| k)
-                    // lint: allow(panic) — running.len() >= n_cpus >= 1 on this branch
                     .expect("running is non-empty");
                 if worst_key <= key {
                     return; // incumbents keep their CPUs
@@ -2055,10 +2065,13 @@ impl<'a, P: Policy> Simulator<'a, P> {
         let deadline = txn.edf_deadline;
         let key = (deadline, self.queries.get(spec_idx).id);
         let new = txn.remaining;
+        #[expect(
+            clippy::expect_used,
+            reason = "insert/remove are paired with txn lifecycle"
+        )]
         let entry = self
             .admitted
             .get_mut(&key)
-            // lint: allow(panic) — insert/remove are paired with txn lifecycle
             .expect("unfinished query must be admitted");
         let old = entry.remaining;
         entry.remaining = new;
@@ -2072,15 +2085,17 @@ impl<'a, P: Policy> Simulator<'a, P> {
     fn remove_admitted(&mut self, id: TxnId) {
         let txn = self.txns.at(id);
         let TxnKind::Query { spec_idx, .. } = txn.kind else {
-            // lint: allow(panic) — callers pass ids from the admitted index
             unreachable!("only queries enter the admitted index");
         };
         let deadline = txn.edf_deadline;
         let key = (deadline, self.queries.get(spec_idx).id);
+        #[expect(
+            clippy::expect_used,
+            reason = "insert/remove are paired with txn lifecycle"
+        )]
         let entry = self
             .admitted
             .remove(&key)
-            // lint: allow(panic) — insert/remove are paired with txn lifecycle
             .expect("unfinished query must be admitted");
         self.work.sub(deadline, entry.remaining.0);
     }

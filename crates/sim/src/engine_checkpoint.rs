@@ -688,20 +688,21 @@ impl<P: Policy> Simulator<'_, P> {
     /// in virtual time. The crash cursor, the monotone recovery
     /// counter, and the feeder's end-of-stream promise are saved around the
     /// restore — they describe recovery progress, not simulation state.
+    #[expect(
+        clippy::expect_used,
+        reason = "start() snapshots while armed, so a checkpoint precedes every crash point, and the engine restores only bytes it produced against this very run"
+    )]
     pub(super) fn perform_crash_recovery(&mut self) {
         let ckpt = self
             .last_checkpoint
             .take()
-            // lint: allow(panic) — start() snapshots while armed, so a checkpoint precedes every crash point by construction
             .expect("a checkpoint precedes every armed crash point");
         let resume_idx = self.next_crash_idx + 1;
         let recoveries = self.fault_counts.recoveries + 1;
         let exhausted = self.stream_exhausted;
         let crash_at = self.clock;
         let log = std::mem::take(&mut self.input_log);
-        self.restore(&ckpt)
-            // lint: allow(panic) — the engine restores only bytes it produced against this very run
-            .expect("own checkpoint must restore");
+        self.restore(&ckpt).expect("own checkpoint must restore");
         // restore() recomputed the crash cursor from the rewound clock,
         // which would re-fire this very crash during its own replay:
         // overwrite it with the post-crash cursor before anything steps.

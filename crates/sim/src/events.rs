@@ -149,15 +149,21 @@ impl EventQueue {
         self.next_seq += n;
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "`free` holds only slots pop() released, all below slab.len() (clear() empties both)"
+    )]
     fn push_with_seq(&mut self, time: SimTime, event: Event, seq: u64) {
         let slot = match self.free.pop() {
             Some(s) => {
-                // lint: allow(D6) — `free` holds only slots pop() released, all below slab.len() (clear() empties both)
                 self.slab[s as usize] = event;
                 s
             }
             None => {
-                // lint: allow(panic) — 4B simultaneous events is beyond any trace scale
+                #[expect(
+                    clippy::expect_used,
+                    reason = "4B simultaneous events is beyond any trace scale"
+                )]
                 let s = u32::try_from(self.slab.len()).expect("event slab exceeds u32 slots");
                 self.slab.push(event);
                 s
@@ -167,10 +173,13 @@ impl EventQueue {
     }
 
     /// Pop the earliest event (ties in insertion order).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "heap keys index live slab slots by construction"
+    )]
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
         self.heap.pop().map(|Reverse((t, _, slot))| {
             self.free.push(slot);
-            // lint: allow(D6) — heap keys index live slab slots by construction
             let event = std::mem::replace(&mut self.slab[slot as usize], Event::ControlTick);
             (t, event)
         })
@@ -192,10 +201,13 @@ impl EventQueue {
     /// payloads in freed slots, so the heap (live keys only) is the source
     /// of truth and a snapshot never exposes recycled garbage.
     pub(crate) fn snapshot(&self) -> Vec<(SimTime, u64, Event)> {
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "heap keys index live slab slots by construction; a freed slot's key is popped before the slot is recycled"
+        )]
         let mut entries: Vec<(SimTime, u64, Event)> = self
             .heap
             .iter()
-            // lint: allow(D6) — heap keys index live slab slots by construction; a freed slot's key is popped before the slot is recycled
             .map(|Reverse((t, s, slot))| (*t, *s, self.slab[*slot as usize].clone()))
             .collect();
         entries.sort_by_key(|&(t, s, _)| (t, s));

@@ -125,7 +125,7 @@ pub trait FaultHook {
     /// lose-state crashes — keeps existing hooks (pause/degrade semantics)
     /// unchanged. O(F).
     fn lose_state_crashes(&self) -> Vec<SimTime> {
-        Vec::new() // lint: allow(P2) — called once at simulator start to arm the crash cursor, never per event
+        Vec::new()
     }
 }
 

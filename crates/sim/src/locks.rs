@@ -55,8 +55,8 @@ enum LockState {
 /// held locks so release is O(held · log held).
 ///
 /// The index is a `BTreeMap` (not a `HashMap`): its iteration order feeds
-/// the invariant checker's error messages, and the determinism rule (D1,
-/// `cargo xtask lint`) bans hash-ordered containers in this crate outright.
+/// the invariant checker's error messages, and `clippy.toml`'s
+/// `disallowed-types` bans hash-ordered containers in the workspace outright.
 #[derive(Debug)]
 pub struct LockManager {
     slots: ItemVec<LockState>,
@@ -106,7 +106,6 @@ impl LockManager {
             match slot {
                 LockState::Free => *slot = LockState::Read(vec![txn]),
                 LockState::Read(readers) => readers.push(txn),
-                // lint: allow(panic) — the write-conflict scan above returned early
                 LockState::Write(_) => unreachable!("checked above"),
             }
         }

@@ -120,11 +120,14 @@ impl<'a, P: Policy> SimRun<'a, P> {
     /// Panics if the trace (or update streams) are malformed (use
     /// [`Trace::validate`] to check beforehand).
     #[must_use]
+    #[expect(
+        clippy::panic,
+        reason = "documented constructor contract, caught before the run"
+    )]
     pub fn build(self) -> Simulator<'a, P> {
         let (n_items, updates, feed) = match self.source {
             RunSource::Trace(trace) => {
                 if let Err(e) = trace.validate() {
-                    // lint: allow(panic) — documented constructor contract, caught before the run
                     panic!("invalid trace: {e}");
                 }
                 (
@@ -135,7 +138,6 @@ impl<'a, P: Policy> SimRun<'a, P> {
             }
             RunSource::Streaming { n_items, updates } => {
                 if let Some(e) = updates.iter().find_map(|u| u.validate(n_items).err()) {
-                    // lint: allow(panic) — documented constructor contract, caught before the run
                     panic!("invalid update streams: {e}");
                 }
                 (n_items, updates, Feed::External)
@@ -158,8 +160,6 @@ impl<'a, P: Policy> SimRun<'a, P> {
     /// [`SimRun::streaming`] run (which has no queries to drain — use
     /// [`SimRun::run_streamed`]).
     pub fn run(self) -> SimReport {
-        // lint: allow(panic) — documented contract: streaming runs take their
-        // queries through run_streamed, not run
         assert!(
             matches!(self.source, RunSource::Trace(_)),
             "SimRun::run on a streaming run: use run_streamed(queries, chunk)"
@@ -182,8 +182,8 @@ impl<'a, P: Policy> SimRun<'a, P> {
     where
         I: IntoIterator<Item = QuerySpec>,
     {
-        // lint: allow(panic) — documented contract: a trace-backed run
-        // already feeds its own queries, feeding more would double-count
+        // A trace-backed run already feeds its own queries: feeding more
+        // would double-count.
         assert!(
             matches!(self.source, RunSource::Streaming { .. }),
             "SimRun::run_streamed on a trace-backed run: use run()"

@@ -162,14 +162,20 @@ impl TxnArena {
     }
 
     /// The transaction behind the live id `id`. O(1).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "callers pass only ids held by live structures, and retire() drops finished transactions only, which no live structure names"
+    )]
     pub(crate) fn at(&self, id: TxnId) -> &Txn {
-        // lint: allow(D6) — callers pass only ids held by live structures, and retire() drops finished transactions only, which no live structure names
         &self.txns[(id.0 - self.base) as usize]
     }
 
     /// The transaction behind the live id `id`, mutably. O(1).
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "same bound as `at`: every live id names a slot inside the window"
+    )]
     pub(crate) fn at_mut(&mut self, id: TxnId) -> &mut Txn {
-        // lint: allow(D6) — same bound as `at`: every live id names a slot inside the window
         &mut self.txns[(id.0 - self.base) as usize]
     }
 

@@ -40,19 +40,28 @@ struct Nodes {
 }
 
 impl Nodes {
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "every handle comes from `alloc` (a pushed or recycled slot) and the slab never shrinks; NIL is checked before any access"
+    )]
     fn at(&self, t: u32) -> &Node {
-        // lint: allow(D6) — every handle comes from `alloc` (a pushed or recycled slot) and the slab never shrinks; NIL is checked before any access
         &self.slots[t as usize]
     }
 
+    #[expect(
+        clippy::indexing_slicing,
+        reason = "same bound as `at`: live handles index a slab that never shrinks"
+    )]
     fn at_mut(&mut self, t: u32) -> &mut Node {
-        // lint: allow(D6) — same bound as `at`: live handles index a slab that never shrinks
         &mut self.slots[t as usize]
     }
 
     /// Append `node` in a fresh slot, returning its handle.
     fn push(&mut self, node: Node) -> u32 {
-        // lint: allow(panic) — 4B distinct live deadlines is beyond any trace scale
+        #[expect(
+            clippy::expect_used,
+            reason = "4B distinct live deadlines is beyond any trace scale"
+        )]
         let t = u32::try_from(self.slots.len()).expect("treap exceeds u32 slots");
         self.slots.push(node);
         t
@@ -138,13 +147,12 @@ impl WorkTreap {
         // Iterative in-order walk; depth is O(log A) expected.
         let mut stack: Vec<u32> = Vec::new();
         let mut t = self.root;
-        while t != NIL || !stack.is_empty() {
+        loop {
             while t != NIL {
                 stack.push(t);
                 t = self.nodes.at(t).left;
             }
-            // lint: allow(panic) — loop guard ensures the stack is non-empty
-            let top = stack.pop().expect("non-empty stack");
+            let Some(top) = stack.pop() else { break };
             let n = self.nodes.at(top);
             out.push((n.key, n.work));
             t = n.right;
@@ -242,15 +250,13 @@ impl WorkTreap {
     /// Subtract `ticks` at `key` under `t`, deleting the node at zero,
     /// returning the subtree's new root.
     fn remove(&mut self, t: u32, key: SimTime, ticks: u64) -> u32 {
-        // lint: allow(panic) — add/sub are paired; a missing key is an engine bug
+        // add/sub are paired: a missing key is an engine bug.
         assert!(t != NIL, "deadline has no admitted work");
         let node_key = self.nodes.at(t).key;
         if key == node_key {
             let work = self.nodes.at(t).work;
-            let left = work
-                .checked_sub(ticks)
-                // lint: allow(panic) — never removes more work than was added
-                .expect("work index underflow");
+            #[expect(clippy::expect_used, reason = "never removes more work than was added")]
+            let left = work.checked_sub(ticks).expect("work index underflow");
             if left == 0 {
                 let (l, r) = {
                     let n = self.nodes.at(t);

@@ -75,7 +75,7 @@ proptest! {
     #[test]
     fn lock_manager_invariants_hold(ops in prop::collection::vec(lock_op_strategy(), 0..200)) {
         let mut lm = LockManager::new(8);
-        let mut holding: std::collections::HashSet<u64> = std::collections::HashSet::new();
+        let mut holding: std::collections::BTreeSet<u64> = std::collections::BTreeSet::new();
         for op in ops {
             match op {
                 LockOp::Read { txn, items } => {

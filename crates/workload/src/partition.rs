@@ -52,8 +52,9 @@ impl ItemPartition {
     pub fn eligible_shards(&self, items: &[DataId]) -> Vec<usize> {
         let mut seen = vec![false; self.n_shards];
         for &d in items {
-            // lint: allow(D6) — owner() is a modulo by n_shards
-            seen[self.owner(d)] = true;
+            if let Some(hit) = seen.get_mut(self.owner(d)) {
+                *hit = true;
+            }
         }
         seen.iter()
             .enumerate()
@@ -220,6 +221,10 @@ impl std::error::Error for PartitionError {}
 /// Stream copies kept across the slices plus those dropped equal
 /// `updates.len() × factor`. O(N_q·r + N_u·factor + n_shards·S) where `r`
 /// is the mean read-set size.
+#[expect(
+    clippy::indexing_slicing,
+    reason = "check_assignment bounds every entry by n_shards, replicas() yields shard ids < n_shards, and d.index() < n_items is a trace invariant"
+)]
 pub fn slice_trace(
     trace: &Trace,
     assignment: &[usize],
@@ -233,21 +238,17 @@ pub fn slice_trace(
     if filter {
         for (q, &s) in trace.queries.iter().zip(assignment) {
             for &d in &q.items {
-                // lint: allow(D6) — s < n_shards (check_assignment), d.index() < n_items (trace invariant)
                 read[s * trace.n_items + d.index()] = true;
             }
         }
     }
     let mut shards = empty_slices(trace, n);
     for (q, &s) in trace.queries.iter().zip(assignment) {
-        // lint: allow(D6) — check_assignment bounds every entry by n_shards
         shards[s].queries.push(q.clone());
     }
     for u in &trace.updates {
         for s in map.replicas(u.item) {
-            // lint: allow(D6) — replicas() yields shard ids < n_shards
             if !filter || read[s * trace.n_items + u.item.index()] {
-                // lint: allow(D6) — s < n_shards as above
                 shards[s].updates.push(u.clone());
             }
         }

@@ -74,8 +74,9 @@ pub fn stream_queries(cfg: &QueryTraceConfig) -> QueryStream {
     perm.shuffle(&mut rng);
     let mut weights = vec![0.0; cfg.n_items];
     for (&item, &w) in perm.iter().zip(&ranked) {
-        // lint: allow(D6) — perm is a shuffle of 0..n_items, the length of `weights`
-        weights[item] = w;
+        if let Some(slot) = weights.get_mut(item) {
+            *slot = w;
+        }
     }
     let total: f64 = weights.iter().sum();
     for w in &mut weights {
@@ -147,10 +148,13 @@ impl Iterator for QueryStream {
         );
         let mut items = Vec::with_capacity(1 + n_extra);
         while items.len() < 1 + n_extra {
+            #[expect(
+                clippy::expect_used,
+                reason = "zipf_weights() returns >= 1 strictly positive weights"
+            )]
             let d = DataId(
                 self.sampler
                     .sample(&mut self.rng)
-                    // lint: allow(panic) — zipf_weights() returns >= 1 strictly positive weights
                     .expect("non-empty weights") as u32,
             );
             if !items.contains(&d) {
