@@ -134,7 +134,6 @@ fn admission(c: &mut Criterion) {
                     id: QueryId(i as u64),
                     deadline: SimTime::from_secs(1_000 + 10 * i as u64),
                     remaining: SimDuration::from_secs(1),
-                    pref_class: 0,
                 })
                 .collect(),
             update_backlog: SimDuration::from_secs(10),

@@ -313,7 +313,6 @@ fn behaviourally_identical(
         check!(policy);
         check!(weights);
         check!(counts);
-        check!(class_counts);
         check!(query_accesses);
         check!(versions_arrived);
         check!(updates_applied);

@@ -103,8 +103,6 @@ fn describe(bundle: &TraceBundle) {
         mean(&deadlines),
         deadlines.iter().copied().fold(0.0, f64::max)
     );
-    let classes = t.queries.iter().map(|q| q.pref_class).max().unwrap_or(0) + 1;
-    println!("  preference classes: {classes}");
 
     let stats = TraceStats::of(t, bundle.horizon);
     println!(

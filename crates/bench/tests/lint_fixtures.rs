@@ -292,6 +292,45 @@ fn file_scoped_allow_suppresses_the_whole_file() {
     assert!(r.success && r.findings.is_empty(), "{:?}", r.codes());
 }
 
+/// Every `.rs` file under `dir`, recursively.
+fn rust_files(dir: &Path, out: &mut Vec<std::path::PathBuf>) {
+    for entry in std::fs::read_dir(dir).unwrap_or_else(|e| panic!("{}: {e}", dir.display())) {
+        let path = entry.expect("directory entry").path();
+        if path.is_dir() {
+            rust_files(&path, out);
+        } else if path.extension().is_some_and(|x| x == "rs") {
+            out.push(path);
+        }
+    }
+}
+
+#[test]
+fn no_source_file_carries_an_inner_allow() {
+    // Clippy's `allow_attributes` skips inner attributes, so a reasoned
+    // `#![allow(…)]` would silence a lint for a whole module and never go
+    // stale; `#[expect]` on the narrowest item is the only exemption.
+    let crates = Path::new(env!("CARGO_MANIFEST_DIR")).join("..");
+    let mut files = Vec::new();
+    for krate in std::fs::read_dir(&crates).expect("crates dir") {
+        let src = krate.expect("crate entry").path().join("src");
+        if src.is_dir() {
+            rust_files(&src, &mut files);
+        }
+    }
+    assert!(files.len() > 50, "walked only {} files", files.len());
+    let mut hits = Vec::new();
+    for file in &files {
+        let text = std::fs::read_to_string(file).expect("readable source");
+        for (i, line) in text.lines().enumerate() {
+            let line = line.trim_start();
+            if line.starts_with("#![") && line.contains("allow(") {
+                hits.push(format!("{}:{}", file.display(), i + 1));
+            }
+        }
+    }
+    assert!(hits.is_empty(), "inner allow attributes: {hits:?}");
+}
+
 #[test]
 fn lint_binary_exits_nonzero_with_json_findings() {
     // `-D warnings` turns every finding into an error, as in CI, and each

@@ -333,7 +333,6 @@ mod tests {
             policy: policy.to_string(),
             weights: UsmWeights::naive(),
             counts,
-            class_counts: Vec::new(),
             query_accesses: Vec::new(),
             versions_arrived: Vec::new(),
             updates_applied: Vec::new(),

@@ -148,29 +148,15 @@ impl AdmissionControl {
         self.c_flex = (self.c_flex * (1.0 - self.step)).max(self.min_c_flex);
     }
 
-    /// Evaluate both admission checks for query `q` against the view,
-    /// with a single shared preference vector (the paper's setting).
+    /// Evaluate both admission checks for query `q` against the view:
+    /// `weights.c_r` prices the arriving query's rejection and
+    /// `weights.c_fm` each endangered incumbent's deadline miss.
     pub fn evaluate(
         &self,
         q: &QuerySpec,
         sys: &SnapshotView<'_>,
         weights: &UsmWeights,
     ) -> AdmissionVerdict {
-        self.evaluate_with(q, sys, weights, &|_| *weights)
-    }
-
-    /// Evaluate both admission checks with per-class preferences
-    /// (multi-preference extension): `arr_weights` prices the arriving
-    /// query's rejection, `weights_of` maps each *endangered* incumbent's
-    /// preference class to its DMF penalty.
-    pub fn evaluate_with(
-        &self,
-        q: &QuerySpec,
-        sys: &SnapshotView<'_>,
-        arr_weights: &UsmWeights,
-        weights_of: &dyn Fn(u32) -> UsmWeights,
-    ) -> AdmissionVerdict {
-        let weights = arr_weights;
         // --- Transaction deadline check -------------------------------
         // EST_i = work ahead of q under dual-priority EDF (relative to now).
         // One O(log N_rq) prefix-sum probe against the engine's index.
@@ -185,7 +171,7 @@ impl AdmissionControl {
         }
 
         // --- System USM check ------------------------------------------
-        let endangered_cost = Self::endangered_cost(q, sys, weights_of, weights.c_r);
+        let endangered_cost = Self::endangered_cost(q, sys, weights.c_fm, weights.c_r);
         if endangered_cost > weights.c_r {
             return AdmissionVerdict::EndangersSystem {
                 endangered_cost,
@@ -219,7 +205,7 @@ impl AdmissionControl {
     /// Summed DMF penalty of the admitted queries that `q` would push past
     /// their deadlines: a query is *endangered* when it completes in time
     /// without `q` but not with `q`'s `qe` inserted ahead of it. Each
-    /// endangered incumbent is priced with *its own* class's `C_fm`.
+    /// endangered incumbent costs `c_fm`.
     ///
     /// Incumbents with deadlines at or before the newcomer's are never
     /// delayed, so their work is folded in via one `O(log N_rq)` prefix
@@ -228,12 +214,7 @@ impl AdmissionControl {
     /// equal to the full sequential accumulation). The scan stops as soon
     /// as the accumulated cost exceeds `stop_above`: the verdict is decided
     /// and every summand is non-negative.
-    fn endangered_cost(
-        q: &QuerySpec,
-        sys: &SnapshotView<'_>,
-        weights_of: &dyn Fn(u32) -> UsmWeights,
-        stop_above: f64,
-    ) -> f64 {
+    fn endangered_cost(q: &QuerySpec, sys: &SnapshotView<'_>, c_fm: f64, stop_above: f64) -> f64 {
         if sys.ready_queue_len() == 0 {
             return 0.0;
         }
@@ -250,7 +231,7 @@ impl AdmissionControl {
             let finish_without = now + ahead + entry.remaining;
             let finish_with = finish_without + qe;
             if finish_without <= entry.deadline && finish_with > entry.deadline {
-                cost += weights_of(entry.pref_class).c_fm;
+                cost += c_fm;
                 if cost > stop_above {
                     return false;
                 }
@@ -286,7 +267,6 @@ mod tests {
             id: QueryId(id),
             deadline: SimTime::from_secs(deadline_s),
             remaining: SimDuration::from_secs(remaining_s),
-            pref_class: 0,
         }
     }
 

@@ -19,7 +19,7 @@ pub const MAGIC: &[u8; 8] = b"UNITCKPT";
 
 /// Current checkpoint format version. Bump on any layout change; restore
 /// rejects mismatches rather than guessing.
-pub const VERSION: u32 = 4;
+pub const VERSION: u32 = 5;
 
 /// Why a restore was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]

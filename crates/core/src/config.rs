@@ -26,15 +26,9 @@ pub enum VictimWeighting {
 /// Full configuration of a [`crate::unit_policy::UnitPolicy`].
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct UnitConfig {
-    /// Default user-preference weights (`C_r`, `C_fm`, `C_fs`; `G_s = 1`),
-    /// used for every query whose `pref_class` has no entry in
-    /// `class_weights`.
+    /// User-preference weights (`C_r`, `C_fm`, `C_fs`; `G_s = 1`) that
+    /// price every query.
     pub weights: UsmWeights,
-    /// Per-class preference weights (multi-preference extension): class `i`
-    /// uses `class_weights[i]`. Empty (the default) reproduces the paper's
-    /// single-preference setting.
-    #[serde(default)]
-    pub class_weights: Vec<UsmWeights>,
     /// Controller trigger tuning (grace period, drop threshold).
     pub lbc: LbcConfig,
     /// Initial lag ratio `C_flex` of the admission deadline check (paper: 1).
@@ -110,7 +104,6 @@ impl Default for UnitConfig {
     fn default() -> Self {
         UnitConfig {
             weights: UsmWeights::naive(),
-            class_weights: Vec::new(),
             lbc: LbcConfig::default(),
             initial_c_flex: 1.0,
             c_flex_step: 0.10,
@@ -153,25 +146,6 @@ impl UnitConfig {
     pub fn with_grace_period(mut self, grace: SimDuration) -> Self {
         self.lbc.grace_period = grace;
         self
-    }
-
-    /// Set per-class preference weights (multi-preference extension).
-    pub fn with_class_weights(mut self, class_weights: Vec<UsmWeights>) -> Self {
-        self.class_weights = class_weights;
-        self
-    }
-
-    /// The full preference set (default + classes).
-    pub fn preferences(&self) -> crate::usm::PreferenceSet {
-        crate::usm::PreferenceSet::with_classes(self.weights, self.class_weights.clone())
-    }
-
-    /// Weights for a preference class.
-    pub fn weights_for(&self, class: u32) -> UsmWeights {
-        self.class_weights
-            .get(class as usize)
-            .copied()
-            .unwrap_or(self.weights)
     }
 
     /// Sanity-check the configuration, returning a description of the first
@@ -266,24 +240,10 @@ mod tests {
 
     #[test]
     fn config_round_trips_through_json() {
-        let cfg = UnitConfig::with_weights(UsmWeights::high_high_cfs())
-            .with_seed(7)
-            .with_class_weights(vec![UsmWeights::naive(), UsmWeights::low_high_cr()]);
+        let cfg = UnitConfig::with_weights(UsmWeights::high_high_cfs()).with_seed(7);
         let json = serde_json::to_string(&cfg).unwrap();
         let back: UnitConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(cfg, back);
-    }
-
-    #[test]
-    fn weights_for_falls_back_to_default() {
-        let cfg = UnitConfig::with_weights(UsmWeights::naive())
-            .with_class_weights(vec![UsmWeights::low_high_cfm()]);
-        assert_eq!(cfg.weights_for(0), UsmWeights::low_high_cfm());
-        assert_eq!(cfg.weights_for(1), UsmWeights::naive());
-        assert_eq!(cfg.weights_for(99), UsmWeights::naive());
-        let prefs = cfg.preferences();
-        assert_eq!(prefs.get(0), UsmWeights::low_high_cfm());
-        assert_eq!(prefs.get(5), UsmWeights::naive());
     }
 
     #[test]

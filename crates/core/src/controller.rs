@@ -34,7 +34,7 @@
 use crate::policy::ControlSignal;
 use crate::time::{SimDuration, SimTime};
 use crate::types::Outcome;
-use crate::usm::{OutcomeCounts, PreferenceSet, UsmWeights, UsmWindow};
+use crate::usm::{OutcomeCounts, UsmWeights, UsmWindow};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -79,7 +79,7 @@ impl Default for LbcConfig {
 /// The Load Balancing Controller.
 #[derive(Debug, Clone)]
 pub struct Lbc {
-    prefs: PreferenceSet,
+    weights: UsmWeights,
     cfg: LbcConfig,
     window: UsmWindow,
     last_activation: SimTime,
@@ -90,20 +90,11 @@ pub struct Lbc {
 }
 
 impl Lbc {
-    /// Build a controller for a single shared preference vector (the
-    /// paper's setting); `seed` drives only the random tie-breaking of
-    /// Figure 2's `switch`.
+    /// Build a controller for the users' preference vector; `seed` drives
+    /// only the random tie-breaking of Figure 2's `switch`.
     pub fn new(weights: UsmWeights, cfg: LbcConfig, seed: u64) -> Self {
-        Lbc::with_preferences(PreferenceSet::uniform(weights), cfg, seed)
-    }
-
-    /// Build a controller over per-class preferences (multi-preference
-    /// extension): each recorded outcome is priced with its submitting
-    /// class's weights, so the Adaptive Allocation chases the dominant
-    /// *aggregate* cost across user populations.
-    pub fn with_preferences(prefs: PreferenceSet, cfg: LbcConfig, seed: u64) -> Self {
         Lbc {
-            prefs,
+            weights,
             cfg,
             window: UsmWindow::new(),
             last_activation: SimTime::ZERO,
@@ -113,16 +104,9 @@ impl Lbc {
         }
     }
 
-    /// Feed one query outcome into the control window, priced with the
-    /// default preference class.
+    /// Feed one query outcome into the control window.
     pub fn record(&mut self, outcome: Outcome) {
-        self.record_for_class(outcome, 0);
-    }
-
-    /// Feed one query outcome priced with its submitting preference class.
-    pub fn record_for_class(&mut self, outcome: Outcome, class: u32) {
-        let w = self.prefs.get(class);
-        self.window.record_with(outcome, &w);
+        self.window.record_with(outcome, &self.weights);
     }
 
     /// Outcomes recorded since the last activation.
@@ -150,7 +134,7 @@ impl Lbc {
             None => false,
             Some(prev) => {
                 let current = self.window.average_usm();
-                let threshold = self.cfg.threshold_fraction * self.prefs.max_range_span();
+                let threshold = self.cfg.threshold_fraction * self.weights.range_span();
                 prev - current > threshold
             }
         }
@@ -178,7 +162,7 @@ impl Lbc {
             None => false,
             Some(prev) => {
                 let current = self.window.average_usm();
-                let threshold = self.cfg.threshold_fraction * self.prefs.max_range_span();
+                let threshold = self.cfg.threshold_fraction * self.weights.range_span();
                 prev - current > threshold
             }
         };
@@ -249,7 +233,7 @@ impl Lbc {
         costs: [f64; 3],
         utilization: f64,
     ) -> Vec<ControlSignal> {
-        let (r, fm, fs) = if self.prefs.is_naive() {
+        let (r, fm, fs) = if self.weights.is_naive() {
             // Line 2-3: with zero penalties, fall back to the raw ratios so
             // the controller still chases the dominant failure class.
             (

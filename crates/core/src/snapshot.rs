@@ -26,8 +26,6 @@ pub struct QueueEntryView {
     /// Remaining service demand (full `qe` if not yet started; the unserved
     /// remainder if preempted mid-run).
     pub remaining: SimDuration,
-    /// The submitting user's preference class (multi-preference extension).
-    pub pref_class: u32,
 }
 
 /// Source of admitted-query state behind a [`SnapshotView`].
@@ -241,7 +239,6 @@ mod tests {
             id: QueryId(id),
             deadline: SimTime::from_secs(deadline_s),
             remaining: SimDuration::from_secs(remaining_s),
-            pref_class: 0,
         }
     }
 

@@ -225,10 +225,8 @@ pub struct QuerySpec {
     pub relative_deadline: SimDuration,
     /// Freshness requirement `qf_i` in `(0, 1]`.
     pub freshness_req: f64,
-    /// User-preference class of the submitting user (multi-preference
-    /// extension; §3.1 of the paper assumes a single class). Policies map
-    /// classes to [`crate::usm::UsmWeights`]; unknown classes fall back to
-    /// the default preference. Class 0 by default.
+    /// Former user-preference class: ignored by every policy and the
+    /// engine; removed with ROADMAP item 9(5). Class 0 by default.
     #[serde(default)]
     pub pref_class: u32,
 }

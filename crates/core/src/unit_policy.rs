@@ -104,7 +104,7 @@ impl UnitPolicy {
             ),
             tickets: TicketTable::new(0, cfg.c_forget, 1.0),
             modulation: UpdateModulation::new(Vec::new(), cfg.c_du, cfg.c_uu),
-            lbc: Lbc::with_preferences(cfg.preferences(), cfg.lbc, cfg.seed ^ 0x1bc),
+            lbc: Lbc::new(cfg.weights, cfg.lbc, cfg.seed ^ 0x1bc),
             rng: StdRng::seed_from_u64(cfg.seed),
             stats: UnitPolicyStats::default(),
             cpu_share_sum: 0.0,
@@ -478,11 +478,7 @@ impl Policy for UnitPolicy {
             self.last_admission = None;
             return AdmissionDecision::Admit;
         }
-        let arr_weights = self.cfg.weights_for(q.pref_class);
-        let cfg = &self.cfg;
-        let verdict = self
-            .ac
-            .evaluate_with(q, sys, &arr_weights, &|class| cfg.weights_for(class));
+        let verdict = self.ac.evaluate(q, sys, &self.cfg.weights);
         match verdict {
             AdmissionVerdict::NotPromising { .. } => self.stats.rejected_not_promising += 1,
             AdmissionVerdict::EndangersSystem { .. } => self.stats.rejected_endangering += 1,
@@ -532,8 +528,8 @@ impl Policy for UnitPolicy {
             .on_update(item.index(), exec_time.as_secs_f64());
     }
 
-    fn on_query_outcome(&mut self, q: &QuerySpec, outcome: Outcome) {
-        self.lbc.record_for_class(outcome, q.pref_class);
+    fn on_query_outcome(&mut self, _q: &QuerySpec, outcome: Outcome) {
+        self.lbc.record(outcome);
     }
 
     fn on_tick(&mut self, now: SimTime, sys: &SnapshotView<'_>) -> Vec<ControlSignal> {

@@ -259,76 +259,12 @@ impl OutcomeCounts {
     }
 }
 
-/// A set of per-class user preferences (multi-preference extension).
-///
-/// §3.1 assumes all users share one preference vector and notes the
-/// framework "can be easily extended to support multiple preferences"; this
-/// type is that extension. Each query carries a `pref_class`
-/// ([`crate::types::QuerySpec::pref_class`]); the set maps classes to
-/// weights, falling back to the default for unknown classes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct PreferenceSet {
-    default: UsmWeights,
-    classes: Vec<UsmWeights>,
-}
-
-impl PreferenceSet {
-    /// Every class shares `weights` (the paper's single-preference setting).
-    pub fn uniform(weights: UsmWeights) -> Self {
-        PreferenceSet {
-            default: weights,
-            classes: Vec::new(),
-        }
-    }
-
-    /// Class `i` uses `classes[i]`; classes beyond the vector fall back to
-    /// `default`.
-    pub fn with_classes(default: UsmWeights, classes: Vec<UsmWeights>) -> Self {
-        PreferenceSet { default, classes }
-    }
-
-    /// Weights for a preference class.
-    pub fn get(&self, class: u32) -> UsmWeights {
-        self.classes
-            .get(class as usize)
-            .copied()
-            .unwrap_or(self.default)
-    }
-
-    /// Number of explicitly configured classes.
-    pub fn n_classes(&self) -> usize {
-        self.classes.len().max(1)
-    }
-
-    /// True when every configured class is the naive (all-zero-penalty)
-    /// setting — the LBC then falls back to raw failure ratios, as in the
-    /// paper's Figure 2 line 2.
-    pub fn is_naive(&self) -> bool {
-        self.default.is_naive() && self.classes.iter().all(UsmWeights::is_naive)
-    }
-
-    /// The widest USM range span across classes (used for the LBC's 1%
-    /// drop threshold).
-    pub fn max_range_span(&self) -> f64 {
-        self.classes
-            .iter()
-            .map(UsmWeights::range_span)
-            .fold(self.default.range_span(), f64::max)
-    }
-}
-
-impl From<UsmWeights> for PreferenceSet {
-    fn from(w: UsmWeights) -> Self {
-        PreferenceSet::uniform(w)
-    }
-}
-
 /// A resettable window over outcome counts — the LBC's view of "what happened
 /// since my last activation" (§3.2).
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct UsmWindow {
     counts: OutcomeCounts,
-    /// Accumulated success gain, priced per recording (multi-class aware).
+    /// Accumulated success gain, priced per recording.
     gain: f64,
     /// Accumulated rejection cost (`C_r` per rejection), priced per recording.
     cost_r: f64,
@@ -344,8 +280,7 @@ impl UsmWindow {
         Self::default()
     }
 
-    /// Record one outcome into the window, pricing it with `weights` (the
-    /// submitting user's preference class).
+    /// Record one outcome into the window, pricing it with `weights`.
     pub fn record_with(&mut self, outcome: Outcome, weights: &UsmWeights) {
         self.counts.record(outcome);
         match outcome {

@@ -282,7 +282,6 @@ impl<P: Policy> Worker<'_, P> {
             id: q.id,
             deadline,
             remaining: q.exec_time,
-            pref_class: q.pref_class,
         });
 
         // Execute: read the query's items through the transaction API,

@@ -193,8 +193,6 @@ struct AdmittedEntry {
     /// `remaining` changes at rest (preemption, 2PL-HP restart). The
     /// in-progress slice of a *running* query is subtracted at view time.
     remaining: SimDuration,
-    /// Submitting user's preference class.
-    pref_class: u32,
 }
 
 /// Where the run's queries come from (see [`crate::run::SimRun`]).
@@ -291,7 +289,6 @@ impl EngineQueue<'_> {
             id: key.1,
             deadline: key.0,
             remaining: e.remaining.saturating_sub(self.running_elapsed(e.txn)),
-            pref_class: e.pref_class,
         }
     }
 
@@ -468,7 +465,6 @@ pub struct Simulator<'a, P: Policy> {
 
     // --- accounting -----------------------------------------------------
     counts: OutcomeCounts,
-    class_counts: Vec<OutcomeCounts>,
     cpu_busy: SimDuration,
     window_busy: SimDuration,
     window_start: SimTime,
@@ -545,7 +541,6 @@ impl<'a, P: Policy> Simulator<'a, P> {
             input_log: Vec::new(),
             replay: None,
             counts: OutcomeCounts::default(),
-            class_counts: Vec::new(),
             cpu_busy: SimDuration::ZERO,
             window_busy: SimDuration::ZERO,
             window_start: SimTime::ZERO,
@@ -897,7 +892,6 @@ impl<'a, P: Policy> Simulator<'a, P> {
             policy: self.policy.name().to_string(),
             weights: self.cfg.weights,
             counts: self.counts,
-            class_counts: std::mem::take(&mut self.class_counts),
             // Same histogram `Trace::query_access_histogram` computes.
             query_accesses: std::mem::take(&mut self.query_accesses).into_vec(),
             versions_arrived,
@@ -1907,10 +1901,7 @@ impl<'a, P: Policy> Simulator<'a, P> {
         self.counts.record(outcome);
         #[cfg(feature = "validate")]
         self.outcome_log.push(outcome);
-        let (spec_id, class) = {
-            let spec = self.queries.get(spec_idx);
-            (spec.id, spec.pref_class as usize)
-        };
+        let spec_id = self.queries.get(spec_idx).id;
         if self.cfg.record_outcomes {
             self.outcome_records.push(crate::stats::OutcomeRecord {
                 seq: self.outcome_records.len() as u64,
@@ -1918,16 +1909,6 @@ impl<'a, P: Policy> Simulator<'a, P> {
                 query: spec_id,
                 outcome,
             });
-        }
-        match self.class_counts.get_mut(class) {
-            Some(counts) => counts.record(outcome),
-            None => {
-                // First outcome of a new class: pad the classes in between.
-                self.class_counts.resize(class, OutcomeCounts::default());
-                let mut counts = OutcomeCounts::default();
-                counts.record(outcome);
-                self.class_counts.push(counts);
-            }
         }
         {
             let Simulator {
@@ -2038,16 +2019,15 @@ impl<'a, P: Policy> Simulator<'a, P> {
     // --- admitted-query index maintenance --------------------------------
 
     fn insert_admitted(&mut self, spec_idx: usize, txn: TxnId) {
-        let (deadline, spec_id, exec, pref_class) = {
+        let (deadline, spec_id, exec) = {
             let spec = self.queries.get(spec_idx);
-            (spec.deadline(), spec.id, spec.exec_time, spec.pref_class)
+            (spec.deadline(), spec.id, spec.exec_time)
         };
         let prev = self.admitted.insert(
             (deadline, spec_id),
             AdmittedEntry {
                 txn,
                 remaining: exec,
-                pref_class,
             },
         );
         debug_assert!(prev.is_none(), "query admitted twice");

@@ -361,14 +361,9 @@ impl<P: Policy> Simulator<'_, P> {
             enc.put_u64(qid.0);
             enc.put_u64(e.txn.0);
             enc.put_u64(e.remaining.0);
-            enc.put_u32(e.pref_class);
         }
 
         put_counts(&mut enc, &self.counts);
-        enc.put_usize(self.class_counts.len());
-        for c in &self.class_counts {
-            put_counts(&mut enc, c);
-        }
         enc.put_u64(self.cpu_busy.0);
         enc.put_u64(self.window_busy.0);
         enc.put_u64(self.window_start.0);
@@ -539,18 +534,12 @@ impl<P: Policy> Simulator<'_, P> {
             let entry = AdmittedEntry {
                 txn: TxnId(dec.take_u64()?),
                 remaining: SimDuration(dec.take_u64()?),
-                pref_class: dec.take_u32()?,
             };
             self.work.add(deadline, entry.remaining.0);
             self.admitted.insert((deadline, qid), entry);
         }
 
         self.counts = take_counts(&mut dec)?;
-        let n_classes = dec.take_usize()?;
-        self.class_counts.clear();
-        for _ in 0..n_classes {
-            self.class_counts.push(take_counts(&mut dec)?);
-        }
         self.cpu_busy = SimDuration(dec.take_u64()?);
         self.window_busy = SimDuration(dec.take_u64()?);
         self.window_start = SimTime(dec.take_u64()?);

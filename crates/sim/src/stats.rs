@@ -110,9 +110,6 @@ pub struct SimReport {
     pub weights: UsmWeights,
     /// Final outcome counts over all submitted queries.
     pub counts: OutcomeCounts,
-    /// Outcome counts per user-preference class (index = `pref_class`;
-    /// empty when every query uses class 0). Multi-preference extension.
-    pub class_counts: Vec<OutcomeCounts>,
     /// Per-item query access counts (Fig. 3(a)).
     pub query_accesses: Vec<u64>,
     /// Per-item versions emitted by the sources (Fig. 3(b,c) grey area).
@@ -175,38 +172,6 @@ impl SimReport {
     /// Success ratio (naive USM).
     pub fn success_ratio(&self) -> f64 {
         self.counts.success_ratio()
-    }
-
-    /// Outcome counts for one preference class (zeros for unseen classes).
-    pub fn class_counts(&self, class: u32) -> OutcomeCounts {
-        self.class_counts
-            .get(class as usize)
-            .copied()
-            .unwrap_or_default()
-    }
-
-    /// Average USM where each class is priced with its own weights
-    /// (multi-preference extension): total priced satisfaction over all
-    /// submitted queries. Classes beyond `class_weights` use `default`.
-    pub fn average_usm_multiclass(
-        &self,
-        default: &UsmWeights,
-        class_weights: &[UsmWeights],
-    ) -> f64 {
-        let total = self.counts.total();
-        if total == 0 {
-            return 0.0;
-        }
-        if self.class_counts.is_empty() {
-            return self.counts.average_usm(default);
-        }
-        let sum: f64 = self
-            .class_counts
-            .iter()
-            .enumerate()
-            .map(|(i, c)| c.total_usm(class_weights.get(i).unwrap_or(default)))
-            .sum();
-        sum / total as f64
     }
 
     /// The four outcome ratios `(R_s, R_r, R_fm, R_fs)` (Fig. 6).
@@ -296,18 +261,21 @@ pub fn report_digest(r: &SimReport) -> u64 {
     ] {
         h.f64(w);
     }
-    for c in [
+    let counts = [
         r.counts.success,
         r.counts.rejected,
         r.counts.deadline_miss,
         r.counts.data_stale,
-    ] {
+    ];
+    for c in counts {
         h.u64(c);
     }
-    h.u64(r.class_counts.len() as u64);
-    for c in &r.class_counts {
-        for v in [c.success, c.rejected, c.deadline_miss, c.data_stale] {
-            h.u64(v);
+    // The former per-class block as every single-class run hashed it, so pinned digests hold.
+    let finished = r.counts.total() > 0;
+    h.u64(u64::from(finished));
+    if finished {
+        for c in counts {
+            h.u64(c);
         }
     }
     for hist in [&r.query_accesses, &r.versions_arrived, &r.updates_applied] {
@@ -363,7 +331,6 @@ mod tests {
             policy: "TEST".into(),
             weights: UsmWeights::naive(),
             counts,
-            class_counts: Vec::new(),
             query_accesses: vec![3, 0],
             versions_arrived: vec![10, 10],
             updates_applied: vec![5, 0],

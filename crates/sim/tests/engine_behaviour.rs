@@ -438,40 +438,6 @@ fn mean_dispatch_freshness_reflects_staleness_at_lock_time() {
 }
 
 // ---------------------------------------------------------------------------
-// Preference classes through the engine.
-// ---------------------------------------------------------------------------
-
-#[test]
-fn per_class_counts_partition_the_totals() {
-    let mut q0 = query(0, 1.0, &[0], 1.0, 10.0); // succeeds
-    q0.pref_class = 0;
-    let mut q1 = query(1, 2.0, &[1], 50.0, 5.0); // hopeless: DMF
-    q1.pref_class = 2;
-    let mut q2 = query(2, 20.0, &[0], 1.0, 10.0); // succeeds
-    q2.pref_class = 2;
-    let trace = Trace {
-        n_items: 2,
-        queries: vec![q0, q1, q2],
-        updates: vec![],
-    };
-    let r = run_simulation(&trace, ApplyAll, cfg(100));
-    assert_eq!(r.counts.total(), 3);
-    assert_eq!(r.class_counts.len(), 3, "classes 0..=2 observed");
-    assert_eq!(r.class_counts(0).success, 1);
-    assert_eq!(r.class_counts(1).total(), 0, "class 1 unused");
-    assert_eq!(r.class_counts(2).success, 1);
-    assert_eq!(r.class_counts(2).deadline_miss, 1);
-    let sum: u64 = r
-        .class_counts
-        .iter()
-        .map(unit_core::OutcomeCounts::total)
-        .sum();
-    assert_eq!(sum, r.counts.total());
-    // Unseen classes read as zeros.
-    assert_eq!(r.class_counts(9).total(), 0);
-}
-
-// ---------------------------------------------------------------------------
 // Update-stream corner cases.
 // ---------------------------------------------------------------------------
 

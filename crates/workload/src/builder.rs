@@ -16,8 +16,8 @@
 //!     .update_stream(1, 300.0, 20.0)
 //!     // A query at t=50 reading items 0 and 1, 2 s of work, 30 s deadline.
 //!     .query(50.0, &[0, 1], 2.0, 30.0)
-//!     // A strict-freshness query from preference class 1.
-//!     .query_with(80.0, &[1], 1.0, 10.0, 0.99, 1)
+//!     // A strict-freshness query.
+//!     .query_with(80.0, &[1], 1.0, 10.0, 0.99)
 //!     .build()
 //!     .expect("valid trace");
 //! assert_eq!(trace.queries.len(), 2);
@@ -51,20 +51,12 @@ impl TraceBuilder {
 
     /// Add a query: arrival time, read set, execution time, and relative
     /// deadline (all in seconds). Freshness requirement defaults to the
-    /// paper's 90%; preference class to 0.
+    /// paper's 90%.
     pub fn query(self, arrival_s: f64, items: &[u32], exec_s: f64, deadline_s: f64) -> Self {
-        self.query_with(
-            arrival_s,
-            items,
-            exec_s,
-            deadline_s,
-            DEFAULT_FRESHNESS_REQ,
-            0,
-        )
+        self.query_with(arrival_s, items, exec_s, deadline_s, DEFAULT_FRESHNESS_REQ)
     }
 
-    /// Add a query with an explicit freshness requirement and preference
-    /// class.
+    /// Add a query with an explicit freshness requirement.
     pub fn query_with(
         mut self,
         arrival_s: f64,
@@ -72,7 +64,6 @@ impl TraceBuilder {
         exec_s: f64,
         deadline_s: f64,
         freshness_req: f64,
-        pref_class: u32,
     ) -> Self {
         let id = QueryId(self.queries.len() as u64);
         self.queries.push(QuerySpec {
@@ -82,7 +73,7 @@ impl TraceBuilder {
             exec_time: SimDuration::from_secs_f64(exec_s),
             relative_deadline: SimDuration::from_secs_f64(deadline_s),
             freshness_req,
-            pref_class,
+            pref_class: 0,
         });
         self
     }
@@ -166,13 +157,12 @@ mod tests {
     }
 
     #[test]
-    fn query_with_sets_freshness_and_class() {
+    fn query_with_sets_freshness() {
         let trace = TraceBuilder::new(2)
-            .query_with(1.0, &[0], 1.0, 5.0, 0.5, 3)
+            .query_with(1.0, &[0], 1.0, 5.0, 0.5)
             .build()
             .expect("valid");
         assert_eq!(trace.queries[0].freshness_req, 0.5);
-        assert_eq!(trace.queries[0].pref_class, 3);
     }
 
     #[test]
@@ -182,7 +172,6 @@ mod tests {
             .build()
             .expect("valid");
         assert_eq!(trace.queries[0].freshness_req, DEFAULT_FRESHNESS_REQ);
-        assert_eq!(trace.queries[0].pref_class, 0);
     }
 
     #[test]

@@ -56,17 +56,8 @@ pub struct QueryTraceConfig {
     pub burst_query_fraction: f64,
     /// Freshness requirement `qf` for every query (paper: 0.9).
     pub freshness_req: f64,
-    /// Number of user-preference classes; each query is assigned a class
-    /// uniformly at random (multi-preference extension; 1 = the paper's
-    /// single-class setting).
-    #[serde(default = "default_pref_classes")]
-    pub pref_class_count: u32,
     /// RNG seed.
     pub seed: u64,
-}
-
-fn default_pref_classes() -> u32 {
-    1
 }
 
 impl Default for QueryTraceConfig {
@@ -92,7 +83,6 @@ impl Default for QueryTraceConfig {
             burst_duration: SimDuration::from_secs(1_000),
             burst_query_fraction: 0.10,
             freshness_req: 0.9,
-            pref_class_count: 1,
             seed: 0xce110,
         }
     }
@@ -376,26 +366,6 @@ mod tests {
             "CV {} not Poisson-like",
             sd / mean
         );
-    }
-
-    #[test]
-    fn preference_classes_are_assigned_uniformly() {
-        let cfg = QueryTraceConfig {
-            pref_class_count: 4,
-            ..small_cfg()
-        };
-        let t = generate_queries(&cfg);
-        let mut counts = [0usize; 4];
-        for q in &t.queries {
-            counts[q.pref_class as usize] += 1;
-        }
-        for (c, &n) in counts.iter().enumerate() {
-            assert!(
-                n > cfg.n_queries / 8,
-                "class {c} underrepresented: {n} of {}",
-                cfg.n_queries
-            );
-        }
     }
 
     #[test]

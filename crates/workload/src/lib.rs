@@ -68,9 +68,7 @@ pub use cello::{generate_queries, QueryTrace, QueryTraceConfig};
 pub use correlate::{apportion_counts, correlated_weights, CorrelatedWeights, UpdateDistribution};
 pub use partition::{slice_trace, ItemPartition, PartitionError, ReplicaMap};
 pub use stats::TraceStats;
-pub use stream::{
-    read_queries_jsonl, stream_queries, write_queries_jsonl, JsonlError, QueryStream,
-};
+pub use stream::{stream_queries, QueryStream};
 pub use trace::TraceBundle;
 pub use updates::{generate_updates, UpdateTrace, UpdateTraceConfig, UpdateVolume};
 

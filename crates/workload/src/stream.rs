@@ -1,4 +1,4 @@
-//! Streaming trace ingestion: generate or parse queries one at a time.
+//! Streaming trace generation: yield queries one at a time.
 //!
 //! A full `Vec<QuerySpec>` is fine at the paper's 110k queries, but a
 //! scale-1000 run is ~110M queries and each spec carries a heap-allocated
@@ -10,14 +10,10 @@
 //!   with golden hashes). Only the arrival instants and execution times
 //!   are precomputed (16 bytes per query — the paper's deadline recipe
 //!   needs the whole execution-time population for its `[avg, 10×max]`
-//!   bounds); read sets, deadlines and preference classes are drawn
-//!   lazily from the continuing RNG stream.
-//! * [`write_queries_jsonl`] / [`read_queries_jsonl`] — line-delimited JSON
-//!   persistence that never holds more than one spec in memory on either
-//!   side, for feeding externally recorded traces into
-//!   `unit_sim::SimRun::run_streamed`.
+//!   bounds); read sets and deadlines are drawn lazily from the
+//!   continuing RNG stream.
 //!
-//! Both halves compose with the engine's chunked feed: the simulator's peak
+//! The stream composes with the engine's chunked feed: the simulator's peak
 //! footprint becomes O(live transactions), not O(trace length) — the
 //! engine keeps only a window of transactions from the oldest live one on,
 //! so its memory and its checkpoints track live work
@@ -30,7 +26,6 @@ use crate::dist::{capped_geometric, log_normal_with_mean, zipf_weights};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
-use std::io::{BufRead, Write};
 use unit_core::lottery::WeightedSampler;
 use unit_core::time::{SimDuration, SimTime};
 use unit_core::types::{DataId, QueryId, QuerySpec};
@@ -53,7 +48,6 @@ pub struct QueryStream {
     multi_item_p: f64,
     max_items_per_query: usize,
     freshness_req: f64,
-    pref_class_count: u32,
     next: usize,
 }
 
@@ -114,7 +108,6 @@ pub fn stream_queries(cfg: &QueryTraceConfig) -> QueryStream {
         multi_item_p: cfg.multi_item_p,
         max_items_per_query: cfg.max_items_per_query,
         freshness_req: cfg.freshness_req,
-        pref_class_count: cfg.pref_class_count,
         next: 0,
     }
 }
@@ -162,11 +155,6 @@ impl Iterator for QueryStream {
             }
         }
         let deadline = self.rng.gen_range(self.deadline_lo..self.deadline_hi);
-        let pref_class = if self.pref_class_count > 1 {
-            self.rng.gen_range(0..self.pref_class_count)
-        } else {
-            0
-        };
         Some(QuerySpec {
             id: QueryId(i as u64),
             arrival,
@@ -174,7 +162,7 @@ impl Iterator for QueryStream {
             exec_time: SimDuration::from_secs_f64(exec),
             relative_deadline: SimDuration::from_secs_f64(deadline),
             freshness_req: self.freshness_req,
-            pref_class,
+            pref_class: 0,
         })
     }
 
@@ -185,75 +173,6 @@ impl Iterator for QueryStream {
 }
 
 impl ExactSizeIterator for QueryStream {}
-
-/// Failure while reading a JSONL query trace.
-#[derive(Debug)]
-pub enum JsonlError {
-    /// The underlying reader failed.
-    Io(std::io::Error),
-    /// A line was not a valid `QuerySpec` (1-based line number attached).
-    Parse {
-        /// 1-based line number of the offending record.
-        line: usize,
-        /// The deserialization failure.
-        source: serde_json::Error,
-    },
-}
-
-impl std::fmt::Display for JsonlError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            JsonlError::Io(e) => write!(f, "jsonl read failed: {e}"),
-            JsonlError::Parse { line, source } => {
-                write!(f, "jsonl line {line}: invalid QuerySpec: {source}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for JsonlError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            JsonlError::Io(e) => Some(e),
-            JsonlError::Parse { source, .. } => Some(source),
-        }
-    }
-}
-
-/// Serialize queries as line-delimited JSON, one [`QuerySpec`] per line,
-/// holding only one spec at a time. Pairs with [`read_queries_jsonl`].
-pub fn write_queries_jsonl<W: Write>(
-    mut out: W,
-    queries: impl IntoIterator<Item = QuerySpec>,
-) -> std::io::Result<()> {
-    for q in queries {
-        let line = serde_json::to_string(&q).map_err(std::io::Error::other)?;
-        out.write_all(line.as_bytes())?;
-        out.write_all(b"\n")?;
-    }
-    out.flush()
-}
-
-/// Parse a line-delimited JSON query trace lazily: each call to the
-/// returned iterator reads and decodes exactly one line. Blank lines are
-/// skipped so hand-edited files round-trip.
-pub fn read_queries_jsonl<R: BufRead>(
-    reader: R,
-) -> impl Iterator<Item = Result<QuerySpec, JsonlError>> {
-    reader
-        .lines()
-        .enumerate()
-        .filter_map(|(idx, line)| match line {
-            Err(e) => Some(Err(JsonlError::Io(e))),
-            Ok(l) if l.trim().is_empty() => None,
-            Ok(l) => Some(
-                serde_json::from_str(&l).map_err(|source| JsonlError::Parse {
-                    line: idx + 1,
-                    source,
-                }),
-            ),
-        })
-}
 
 #[cfg(test)]
 mod tests {
@@ -289,34 +208,5 @@ mod tests {
         s.next();
         assert_eq!(s.remaining(), 399);
         assert_eq!(s.size_hint(), (399, Some(399)));
-    }
-
-    #[test]
-    fn jsonl_round_trips() {
-        let cfg = small_cfg();
-        let eager = generate_queries(&cfg).queries;
-        let mut buf = Vec::new();
-        write_queries_jsonl(&mut buf, eager.iter().cloned()).expect("write");
-        let back: Vec<QuerySpec> = read_queries_jsonl(buf.as_slice())
-            .collect::<Result<_, _>>()
-            .expect("parse");
-        assert_eq!(back, eager);
-    }
-
-    #[test]
-    fn jsonl_skips_blank_lines_and_reports_bad_ones() {
-        let cfg = small_cfg();
-        let q = generate_queries(&cfg).queries[0].clone();
-        let mut buf = Vec::new();
-        write_queries_jsonl(&mut buf, [q.clone()]).expect("write");
-        buf.extend_from_slice(b"\n\nnot json\n");
-        let parsed: Vec<Result<QuerySpec, JsonlError>> =
-            read_queries_jsonl(buf.as_slice()).collect();
-        assert_eq!(parsed.len(), 2);
-        assert_eq!(parsed[0].as_ref().expect("first record ok"), &q);
-        match &parsed[1] {
-            Err(JsonlError::Parse { line, .. }) => assert_eq!(*line, 4),
-            other => panic!("expected parse error, got {other:?}"),
-        }
     }
 }
