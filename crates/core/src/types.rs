@@ -242,15 +242,20 @@ impl QuerySpec {
         if self.items.is_empty() {
             return Err(SpecError::EmptyReadSet(self.id));
         }
-        let mut seen = vec![false; n_items];
-        for &d in &self.items {
-            let Some(hit) = seen.get_mut(d.index()) else {
-                return Err(SpecError::ItemOutOfRange(d, n_items));
-            };
-            if *hit {
-                return Err(SpecError::DuplicateItem(self.id, d));
-            }
-            *hit = true;
+        // Items are checked in order: the first one out of range or
+        // repeating an earlier item decides the error, so repeats are only
+        // looked for before the first out-of-range item.
+        let end = self
+            .items
+            .iter()
+            .position(|d| d.index() >= n_items)
+            .unwrap_or(self.items.len());
+        let (in_range, rest) = self.items.split_at(end);
+        if let Some(d) = first_repeat(in_range) {
+            return Err(SpecError::DuplicateItem(self.id, d));
+        }
+        if let Some(&d) = rest.first() {
+            return Err(SpecError::ItemOutOfRange(d, n_items));
         }
         if self.exec_time.is_zero() {
             return Err(SpecError::ZeroExecTime(self.id));
@@ -421,6 +426,29 @@ impl Trace {
     }
 }
 
+/// Read sets up to this length are checked for repeats by a pairwise scan;
+/// longer ones by sorting a copy, so a hostile read set stays O(k log k).
+const SCAN_LEN: usize = 16;
+
+/// The item at the first position of `items` that repeats an earlier one.
+fn first_repeat(items: &[DataId]) -> Option<DataId> {
+    if items.len() <= SCAN_LEN {
+        return items
+            .iter()
+            .enumerate()
+            .find(|&(k, d)| items.iter().take(k).any(|e| e == d))
+            .map(|(_, &d)| d);
+    }
+    let mut sorted: Vec<(DataId, usize)> = items.iter().copied().zip(0..).collect();
+    sorted.sort_unstable();
+    // Within a run of equal items the second position is the first repeat.
+    windows2(&sorted)
+        .filter(|(a, b)| a.0 == b.0)
+        .map(|(_, &(d, k))| (k, d))
+        .min()
+        .map(|(_, d)| d)
+}
+
 fn windows2<T>(slice: &[T]) -> impl Iterator<Item = (&T, &T)> {
     slice.iter().zip(slice.iter().skip(1))
 }
@@ -518,6 +546,50 @@ mod tests {
         assert!(matches!(q.validate(4), Err(SpecError::BadFreshnessReq(..))));
 
         assert!(query(1, 0, &[0, 1, 3]).validate(4).is_ok());
+    }
+
+    #[test]
+    fn the_first_bad_item_in_order_decides_the_error() {
+        // The same cases through the pairwise scan and, behind 40 distinct
+        // filler items, through the sorted copy.
+        let dup = |d| Err(SpecError::DuplicateItem(QueryId(1), DataId(d)));
+        let range = |d| Err(SpecError::ItemOutOfRange(DataId(d), 200));
+        for filler in [0u32, 40] {
+            let check = |items: &[u32]| {
+                let mut all: Vec<u32> = (100..100 + filler).collect();
+                all.extend_from_slice(items);
+                query(1, 0, &all).validate(200)
+            };
+            assert_eq!(check(&[1, 900, 1]), range(900));
+            assert_eq!(check(&[1, 1, 900]), dup(1));
+            assert_eq!(check(&[900, 900]), range(900));
+            assert_eq!(check(&[3, 2, 2, 3]), dup(2));
+            assert_eq!(check(&[3, 2, 4]), Ok(()));
+        }
+    }
+
+    #[test]
+    fn a_long_read_set_reports_its_last_item_repeating() {
+        let n = 100_000u32;
+        let mut items: Vec<u32> = (0..n).collect();
+        items.push(n / 2);
+        assert_eq!(
+            query(7, 0, &items).validate(n as usize),
+            Err(SpecError::DuplicateItem(QueryId(7), DataId(n / 2)))
+        );
+        items.pop();
+        assert!(query(7, 0, &items).validate(n as usize).is_ok());
+        // Out of range before any repeat, and a repeat before it.
+        items.extend([n, 3]);
+        assert_eq!(
+            query(7, 0, &items).validate(n as usize),
+            Err(SpecError::ItemOutOfRange(DataId(n), n as usize))
+        );
+        items.insert(n as usize, 3);
+        assert_eq!(
+            query(7, 0, &items).validate(n as usize),
+            Err(SpecError::DuplicateItem(QueryId(7), DataId(3)))
+        );
     }
 
     #[test]

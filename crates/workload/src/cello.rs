@@ -19,12 +19,9 @@
 //!   paper's 15%/75%/150% update volumes are meaningful;
 //! * the paper's exact **deadline recipe** and **freshness requirement**.
 
-use crate::dist::exponential;
 use crate::stream::stream_queries;
-use rand::rngs::StdRng;
-use rand::Rng;
 use serde::{Deserialize, Serialize};
-use unit_core::time::{SimDuration, SimTime};
+use unit_core::time::SimDuration;
 use unit_core::types::QuerySpec;
 
 /// Configuration of the query-trace generator.
@@ -104,7 +101,11 @@ impl QueryTraceConfig {
     /// `scale` (the complement of [`QueryTraceConfig::scaled_down`], which
     /// shrinks both and keeps load constant). Pair with
     /// [`crate::stream::stream_queries`] — at scale 1000 the materialized
-    /// trace would hold ~110M heap-allocated read sets.
+    /// trace would hold ~110M heap-allocated read sets. The stream still
+    /// holds 8 B per query of execution times (the deadline bounds need
+    /// the whole population first; replaying them would cost ≈ 22 % more
+    /// generation time) plus 8 B per flash-crowd arrival; the Poisson
+    /// arrivals are replayed, not stored.
     pub fn scaled_up(mut self, scale: u64) -> Self {
         assert!(scale >= 1);
         self.n_queries = self.n_queries.saturating_mul(scale as usize);
@@ -144,56 +145,10 @@ pub fn generate_queries(cfg: &QueryTraceConfig) -> QueryTrace {
     }
 }
 
-/// Arrival instants: `burst_query_fraction` of queries land uniformly inside
-/// randomly placed flash-crowd windows; the rest follow a Poisson process
-/// over the whole horizon. Sorted ascending.
-pub(crate) fn generate_arrivals(cfg: &QueryTraceConfig, rng: &mut StdRng) -> Vec<SimTime> {
-    let horizon = cfg.horizon.as_secs_f64();
-    let burst_len = cfg.burst_duration.as_secs_f64();
-
-    let n_burst = if cfg.burst_count == 0 {
-        0
-    } else {
-        (cfg.n_queries as f64 * cfg.burst_query_fraction).round() as usize
-    };
-    let n_base = cfg.n_queries - n_burst;
-
-    let mut arrivals: Vec<f64> = Vec::with_capacity(cfg.n_queries);
-
-    // Base Poisson process, thinned to exactly n_base arrivals by rescaling.
-    if n_base > 0 {
-        let rate = n_base as f64 / horizon;
-        let mut t = 0.0;
-        while arrivals.len() < n_base {
-            t += exponential(rng, rate);
-            if t >= horizon {
-                // Wrap around: keeps exactly n_base arrivals while preserving
-                // exponential gaps locally.
-                t -= horizon;
-            }
-            arrivals.push(t);
-        }
-    }
-
-    // Flash crowds: uniform within each window; windows placed uniformly.
-    if n_burst > 0 && cfg.burst_count > 0 {
-        let mut windows = Vec::with_capacity(cfg.burst_count);
-        for _ in 0..cfg.burst_count {
-            let start = rng.gen_range(0.0..(horizon - burst_len).max(1.0));
-            windows.push(start);
-        }
-        for &w in windows.iter().cycle().take(n_burst) {
-            arrivals.push(w + rng.gen_range(0.0..burst_len));
-        }
-    }
-
-    arrivals.sort_by(|a, b| a.partial_cmp(b).unwrap_or(std::cmp::Ordering::Equal));
-    arrivals.into_iter().map(SimTime::from_secs_f64).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use unit_core::time::SimTime;
 
     fn small_cfg() -> QueryTraceConfig {
         QueryTraceConfig {
