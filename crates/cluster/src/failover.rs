@@ -49,7 +49,7 @@
 //! * delayed re-dispatch shrinks the relative deadline with
 //!   `saturating_since`, never underflowing past zero.
 
-use crate::merge::{ClusterReport, MergedOutcome, PromotionRecord, ReplicaRouteRecord};
+use crate::merge::{merge_key, ClusterReport, MergedOutcome, PromotionRecord, ReplicaRouteRecord};
 use crate::replication::ReplicaSets;
 use crate::routing::{replica_route_record, RouterState, RoutingPolicy};
 use std::borrow::Cow;
@@ -331,31 +331,47 @@ pub struct FaultClusterReport {
 }
 
 impl FaultClusterReport {
-    /// Fold dispatcher rejections into the shard-level report. O(N log N)
-    /// for the re-sorted combined log.
+    /// Fold dispatcher rejections into the shard-level report: the R
+    /// rejections, numbered in trace order and sorted, are merged into the
+    /// already sorted shard log of N entries, giving an exact-capacity
+    /// combined log. Keys `(time, shard, seq)` are unique, so the order is
+    /// the one a full re-sort would give. O(N + R log N).
     pub fn assemble(
         trace: &Trace,
         cluster: ClusterReport,
         decisions: Vec<RouteDecision>,
     ) -> FaultClusterReport {
         let pseudo = cluster.n_shards;
+        let mut rejections: Vec<MergedOutcome> = trace
+            .queries
+            .iter()
+            .zip(&decisions)
+            .filter_map(|(q, d)| match *d {
+                RouteDecision::Rejected { at, .. } => Some((at, q.id)),
+                RouteDecision::Routed { .. } => None,
+            })
+            .zip(0u64..)
+            .map(|((time, query), seq)| MergedOutcome {
+                time,
+                shard: pseudo,
+                seq,
+                query,
+                outcome: Outcome::Rejected,
+            })
+            .collect();
+        rejections.sort_unstable_by_key(merge_key);
         let mut counts = cluster.counts;
-        let mut log = cluster.log.clone();
-        let mut seq = 0u64;
-        for (q, d) in trace.queries.iter().zip(&decisions) {
-            if let RouteDecision::Rejected { at, .. } = *d {
-                counts.rejected += 1;
-                log.push(MergedOutcome {
-                    time: at,
-                    shard: pseudo,
-                    seq,
-                    query: q.id,
-                    outcome: Outcome::Rejected,
-                });
-                seq += 1;
-            }
+        counts.rejected += rejections.len() as u64;
+        let mut log = Vec::with_capacity(cluster.log.len() + rejections.len());
+        let mut rest = cluster.log.as_slice();
+        for r in rejections {
+            let (before, after) =
+                rest.split_at(rest.partition_point(|s| merge_key(s) < merge_key(&r)));
+            log.extend_from_slice(before);
+            log.push(r);
+            rest = after;
         }
-        log.sort_unstable_by_key(|r| (r.time, r.shard, r.seq));
+        log.extend_from_slice(rest);
         FaultClusterReport {
             cluster,
             decisions,

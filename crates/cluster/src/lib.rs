@@ -25,16 +25,16 @@
 //! A cluster run is a pure function of `(trace, SimConfig, ClusterConfig)`
 //! regardless of worker-thread count or scheduling: routing is a
 //! sequential prologue, shards share no mutable state during execution
-//! (each consumes its own trace slice and its own seed), results land in
-//! slots indexed by shard id, and the merge key is unique. Running with 1
-//! worker or `N` workers yields bit-identical [`ClusterReport`]s — a
-//! property test pins this.
+//! (each streams its own routed queries, replays its own update streams
+//! and draws from its own seed), results land in slots indexed by shard
+//! id, and the merge key is unique. Running with 1 worker or `N` workers
+//! yields bit-identical [`ClusterReport`]s — a property test pins this.
 //!
 //! With one shard the dispatcher has a single eligible target for every
-//! query, the trace slice equals the global trace, and the shard engine
-//! sees byte-identical inputs to a plain single-server run (seeded with
-//! `split_seed(seed, 0)`): the differential suite checks the resulting
-//! reports digest-identically under every routing policy.
+//! query, the shard is fed the global trace's queries and updates, and
+//! its engine sees byte-identical inputs to a plain single-server run
+//! (seeded with `split_seed(seed, 0)`): the differential suite checks the
+//! resulting reports digest-identically under every routing policy.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
@@ -55,6 +55,7 @@ pub mod replication;
 pub mod routing;
 pub mod run;
 
+use unit_core::types::SpecError;
 use unit_faults::ScheduleError;
 
 pub use failover::{
@@ -74,9 +75,9 @@ pub use run::{ClusterRun, ClusterRunReport};
 /// a throughput request.
 pub const MAX_WORKERS: usize = 4096;
 
-/// A malformed cluster or fault configuration, rejected before any shard
-/// runs.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A malformed cluster or fault configuration, or a malformed trace,
+/// rejected before any query is dispatched.
+#[derive(Debug, Clone, PartialEq)]
 pub enum ClusterConfigError {
     /// `n_shards == 0`: a cluster needs at least one shard.
     ZeroShards,
@@ -123,6 +124,10 @@ pub enum ClusterConfigError {
         /// The contested item id.
         item: u32,
     },
+    /// The trace fails [`unit_core::types::Trace::validate`]: a query
+    /// reads an item outside `0..n_items`, queries are out of arrival
+    /// order, or a spec is otherwise malformed.
+    InvalidTrace(SpecError),
 }
 
 impl std::fmt::Display for ClusterConfigError {
@@ -159,6 +164,7 @@ impl std::fmt::Display for ClusterConfigError {
                 "shard {shard} follows item {item} but the fault plan also injects a \
                  stream fault for it there; propagation owns followed items' schedules"
             ),
+            ClusterConfigError::InvalidTrace(error) => write!(f, "invalid trace: {error}"),
         }
     }
 }
@@ -167,6 +173,7 @@ impl std::error::Error for ClusterConfigError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             ClusterConfigError::FaultSchedule { error, .. } => Some(error),
+            ClusterConfigError::InvalidTrace(error) => Some(error),
             _ => None,
         }
     }
@@ -186,7 +193,7 @@ pub struct ClusterConfig {
     /// throughput knob — results are bit-identical for any value.
     pub workers: usize,
     /// Demand-filter update streams during slicing
-    /// ([`unit_workload::slice_trace`] with `filter` set): stream copies
+    /// ([`unit_workload::slice_updates`] with `filter` set): stream copies
     /// whose hosting shard serves no reader of the item are dropped.
     /// **Changes per-shard digests** (dropped streams no longer contend
     /// for CPU) — off by default; the differential suites pin the
@@ -228,7 +235,7 @@ impl ClusterConfig {
     /// whole-shard claim loop, so there is no epoch to set. Kept only
     /// because the frozen reference benchmark (`benchmark/src/cluster.rs`)
     /// still calls it; the next change to that benchmark deletes the call,
-    /// and then this method (ROADMAP.md item 8).
+    /// and then this method (ROADMAP.md item 9(2)).
     #[must_use]
     pub fn with_epoch(self, _epoch: unit_core::time::SimDuration) -> ClusterConfig {
         self
@@ -397,6 +404,42 @@ mod tests {
             .is_ok());
     }
 
+    /// A read-set item past `n_items` used to reach the dispatcher and
+    /// panic there with an out-of-bounds index; it is a typed error now,
+    /// with or without a fault plan, and so is an unsorted trace.
+    #[test]
+    fn malformed_traces_are_rejected_before_dispatch() {
+        let mut trace = tiny_trace();
+        trace.n_items = 2;
+        trace.updates.clear();
+        trace.queries.truncate(1);
+        trace.queries[0].items = vec![DataId(7)];
+        let expected = ClusterConfigError::InvalidTrace(SpecError::ItemOutOfRange(DataId(7), 2));
+        let plain =
+            ClusterConfig::new(2)
+                .build()
+                .run_unit(&trace, sim_cfg(), &UnitConfig::default());
+        assert_eq!(plain.unwrap_err(), expected);
+        let plan = FaultPlan::quiet(2);
+        let faulty = ClusterConfig::new(2)
+            .build()
+            .with_faults(&plan, FailoverPolicy::Backoff(BackoffConfig::default()))
+            .run_unit(&trace, sim_cfg(), &UnitConfig::default());
+        assert_eq!(faulty.unwrap_err(), expected);
+
+        let mut unsorted = tiny_trace();
+        unsorted.queries.swap(3, 4);
+        let err = ClusterConfig::new(4)
+            .build()
+            .run_unit(&unsorted, sim_cfg(), &UnitConfig::default())
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ClusterConfigError::InvalidTrace(SpecError::UnsortedQueries(QueryId(3)))
+        );
+        assert!(std::error::Error::source(&err).is_some());
+    }
+
     #[test]
     fn with_epoch_leaves_the_config_unchanged() {
         assert_eq!(
@@ -521,6 +564,68 @@ mod tests {
             err,
             ClusterConfigError::FaultSchedule { shard: 1, .. }
         ));
+    }
+
+    /// `FaultClusterReport::assemble` merges the dispatcher rejections into
+    /// the sorted shard log; the result must be exactly the order the
+    /// clone, push and re-sort of every entry gives.
+    #[test]
+    fn assembled_log_matches_a_full_resort() {
+        let trace = tiny_trace();
+        let pause = |start, end| unit_faults::FaultSchedule {
+            crashes: vec![unit_faults::CrashWindow {
+                start: SimTime::from_secs(start),
+                end: SimTime::from_secs(end),
+                mode: unit_faults::FaultMode::Pause,
+            }],
+            ..unit_faults::FaultSchedule::default()
+        };
+        // Both shards paused over [10, 20) and again over [28, 33): queries
+        // arriving then back off, and those whose 8 s deadline runs out
+        // first are rejected at the dispatcher, between shard outcomes.
+        let plan = FaultPlan {
+            shards: vec![pause(10, 20), pause(10, 20)],
+        };
+        let mut plan2 = plan.clone();
+        for s in &mut plan2.shards {
+            s.crashes.push(pause(28, 33).crashes[0]);
+        }
+        for plan in [plan, plan2] {
+            let report = ClusterConfig::new(2)
+                .with_seed(7)
+                .build()
+                .with_faults(&plan, FailoverPolicy::Backoff(BackoffConfig::default()))
+                .run_unit(&trace, sim_cfg(), &UnitConfig::default())
+                .unwrap()
+                .into_faulty()
+                .unwrap();
+            assert!(report.dispatcher_rejections() > 0);
+            let mut resorted = report.cluster.log.clone();
+            let rejected =
+                trace
+                    .queries
+                    .iter()
+                    .zip(&report.decisions)
+                    .filter_map(|(q, d)| match *d {
+                        RouteDecision::Rejected { at, .. } => Some((at, q.id)),
+                        RouteDecision::Routed { .. } => None,
+                    });
+            for (seq, (time, query)) in (0u64..).zip(rejected) {
+                resorted.push(MergedOutcome {
+                    time,
+                    shard: 2,
+                    seq,
+                    query,
+                    outcome: unit_core::types::Outcome::Rejected,
+                });
+            }
+            resorted.sort_unstable_by_key(|r| (r.time, r.shard, r.seq));
+            assert_eq!(report.log, resorted);
+            assert_eq!(report.log.capacity(), report.log.len());
+            // The rejections land between shard outcomes, not at one end.
+            let last_shard = report.log.iter().rposition(|r| r.shard < 2).unwrap();
+            assert!(report.log[..last_shard].iter().any(|r| r.shard == 2));
+        }
     }
 
     #[test]

@@ -143,7 +143,9 @@ pub struct ClusterReport {
     pub weights: UsmWeights,
     /// Shard index every global query was routed to (trace order).
     pub assignment: Vec<usize>,
-    /// Each shard's full single-server report, index = shard id.
+    /// Each shard's single-server report, index = shard id. Its
+    /// `outcome_records` are empty: [`ClusterReport::merge`] moved them
+    /// into [`ClusterReport::log`].
     pub shard_reports: Vec<SimReport>,
     /// Summed outcome tallies over all shards (exact integer addition).
     pub counts: OutcomeCounts,
@@ -171,22 +173,27 @@ pub struct ClusterReport {
 
 impl ClusterReport {
     /// Merge per-shard reports (index = shard id) into a cluster report.
-    /// O(N log N) in the total outcome count for the ordered merge.
+    /// Each shard's outcome records are *moved* into the merged log, which
+    /// is allocated at its exact length, so the returned shard reports
+    /// carry empty `outcome_records` (excluded from
+    /// [`unit_sim::report_digest`] either way). O(N log N) in the total
+    /// outcome count for the ordered merge.
     pub fn merge(
         routing: RoutingPolicy,
         weights: UsmWeights,
         assignment: Vec<usize>,
-        shard_reports: Vec<SimReport>,
+        mut shard_reports: Vec<SimReport>,
     ) -> ClusterReport {
         let mut counts = OutcomeCounts::default();
-        let mut log: Vec<MergedOutcome> = Vec::new();
-        for (shard, report) in shard_reports.iter().enumerate() {
+        let mut log: Vec<MergedOutcome> =
+            Vec::with_capacity(shard_reports.iter().map(|r| r.outcome_records.len()).sum());
+        for (shard, report) in shard_reports.iter_mut().enumerate() {
             counts.success += report.counts.success;
             counts.rejected += report.counts.rejected;
             counts.deadline_miss += report.counts.deadline_miss;
             counts.data_stale += report.counts.data_stale;
-            log.extend(report.outcome_records.iter().map(
-                |&OutcomeRecord {
+            log.extend(std::mem::take(&mut report.outcome_records).into_iter().map(
+                |OutcomeRecord {
                      seq,
                      time,
                      query,
@@ -202,7 +209,7 @@ impl ClusterReport {
         }
         // Keys are unique — (shard, seq) alone already is — so an unstable
         // sort yields one well-defined order.
-        log.sort_unstable_by_key(|r| (r.time, r.shard, r.seq));
+        log.sort_unstable_by_key(merge_key);
         ClusterReport {
             n_shards: shard_reports.len(),
             routing,
@@ -246,6 +253,12 @@ impl ClusterReport {
             .sum();
         weighted / total as f64
     }
+}
+
+/// The merged history's total order, `(time, shard, seq)`: unique per
+/// entry. O(1).
+pub(crate) fn merge_key(r: &MergedOutcome) -> (SimTime, usize, u64) {
+    (r.time, r.shard, r.seq)
 }
 
 /// Recount a shard's outcome tallies from the merged log.
@@ -303,7 +316,7 @@ pub fn check_cluster_identity(report: &ClusterReport) -> Result<(), String> {
         ));
     }
     for (a, r) in report.log.iter().zip(report.log.iter().skip(1)) {
-        if (a.time, a.shard, a.seq) >= (r.time, r.shard, r.seq) {
+        if merge_key(a) >= merge_key(r) {
             return Err(format!(
                 "merged log out of order at t={:?} shard={} seq={}",
                 r.time, r.shard, r.seq

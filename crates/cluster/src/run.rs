@@ -3,10 +3,16 @@
 //!
 //! A plain cluster is `cfg.build().run(...)`; faults are layered with
 //! [`ClusterRun::with_faults`] and observability with
-//! [`ClusterRun::with_observer`]. Every run takes the same path — build
-//! the placement, dispatch, slice, build the shard hooks, execute, merge —
+//! [`ClusterRun::with_observer`]. Every run takes the same path — validate
+//! the trace, build the placement, dispatch, slice the update streams,
+//! build the shard hooks, stream every shard its routed queries, merge —
 //! and a configuration that installs nothing (no plan, factor 1 or zero
 //! lag) reaches the shard engines with no hook at all.
+//!
+//! Each query is held once: a shard engine borrows its queries from the
+//! routed trace (the caller's own trace unless the dispatcher delayed
+//! some) while they are in flight, and the merged log takes the shard
+//! engines' outcome records instead of copying them.
 //!
 //! ## Observation model
 //!
@@ -29,13 +35,13 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use unit_core::policy::Policy;
 use unit_core::split_seed;
 use unit_core::time::SimTime;
-use unit_core::types::Trace;
+use unit_core::types::{Trace, UpdateSpec};
 use unit_core::unit_policy::UnitPolicy;
 use unit_core::UnitConfig;
 use unit_faults::{FaultPlan, FaultSchedule, ShardFaults};
 use unit_obs::{FaultPhase, ObsEvent, Observer, RingRecorder};
-use unit_sim::{HealthState, SimConfig, SimReport, SimRun};
-use unit_workload::slice_trace;
+use unit_sim::{HealthState, SimConfig, SimReport, SimRun, TRACE_LOOKAHEAD};
+use unit_workload::slice_updates;
 
 /// A configured cluster run: faults and observation are layered onto the
 /// shape described by the [`ClusterConfig`] it was built from, mirroring
@@ -120,23 +126,26 @@ impl<'a> ClusterRun<'a> {
         self
     }
 
-    /// Execute the run: route, slice, execute every shard, merge, and (with
-    /// an observer installed) replay the recorded event streams.
+    /// Execute the run: validate the trace, route, slice the update
+    /// streams, stream every shard its queries, merge, and (with an
+    /// observer installed) replay the recorded event streams.
     ///
     /// `make_policy(shard_id, seed)` builds each shard's policy instance;
     /// `seed` is already split from the run seed. The engine-level outcome
-    /// log is forced on — the merge layer needs it — which does not change
-    /// engine behaviour (the log is excluded from
+    /// log is forced on — the merge layer moves it into
+    /// [`ClusterReport::log`], leaving every shard report's own log empty
+    /// — which does not change engine behaviour (the log is excluded from
     /// [`unit_sim::report_digest`]).
     ///
     /// # Errors
     /// Returns [`ClusterConfigError`] when the config fails
-    /// [`ClusterConfig::validate`], or — with faults installed — when the
-    /// plan does not cover every shard or a shard schedule is malformed.
+    /// [`ClusterConfig::validate`], when `trace` fails [`Trace::validate`]
+    /// ([`ClusterConfigError::InvalidTrace`]), or — with faults installed —
+    /// when the plan does not cover every shard or a shard schedule is
+    /// malformed. Nothing is dispatched before these checks pass.
     ///
     /// # Panics
-    /// Panics if `trace` is malformed (same contract as
-    /// [`SimRun::build`]) or a worker thread panics.
+    /// Panics if a worker thread panics.
     pub fn run<P, F>(
         self,
         trace: &Trace,
@@ -153,6 +162,7 @@ impl<'a> ClusterRun<'a> {
             obs,
         } = self;
         cluster.validate()?;
+        trace.validate().map_err(ClusterConfigError::InvalidTrace)?;
         let n = cluster.n_shards;
         let sets = cluster.replication.as_ref().map_or_else(
             || ReplicaSets::solo(trace, n),
@@ -172,18 +182,13 @@ impl<'a> ClusterRun<'a> {
             faults.as_ref().map(|(plan, failover)| (*plan, failover)),
         );
         let (exec_trace, assignment) = failover::routed_trace(trace, &decisions);
-        #[expect(
-            clippy::panic,
-            reason = "the dispatcher produced the assignment; a bad one is a routing bug, not caller input"
-        )]
-        let shard_traces =
-            match slice_trace(&exec_trace, &assignment, sets.map(), cluster.filter_updates) {
-                Ok(t) => t,
-                Err(e) => panic!("internal routing error: {e}"),
-            };
+        let shard_updates =
+            slice_updates(&exec_trace, &assignment, sets.map(), cluster.filter_updates);
         let results = execute_shards(
             &ShardInputs {
-                traces: &shard_traces,
+                trace: &exec_trace,
+                assignment: &assignment,
+                updates: &shard_updates,
                 seed: cluster.seed,
                 cfg: sim.with_outcome_log(),
                 hooks: hooks.as_deref(),
@@ -204,8 +209,7 @@ impl<'a> ClusterRun<'a> {
         let mut cluster_report =
             ClusterReport::merge(cluster.routing, sim.weights, assignment, shard_reports);
         cluster_report.shard_walls = shard_walls;
-        cluster_report.update_streams_per_shard =
-            shard_traces.iter().map(|t| t.updates.len()).collect();
+        cluster_report.update_streams_per_shard = shard_updates.iter().map(Vec::len).collect();
         unit_core::validate_check!(
             "cluster-usm-identity",
             crate::merge::check_cluster_identity(&cluster_report)
@@ -335,11 +339,17 @@ fn build_shard_hooks(
 type ShardResult = (SimReport, Option<RingRecorder>, f64);
 
 /// What every shard engine is assembled from. Shards share none of it
-/// mutably: each consumes its own trace slice, its own seed split from
-/// `seed`, its own clone of its hook, and (when recording) a recorder
-/// private to its worker.
+/// mutably: each streams its own queries — borrowed from the routed trace,
+/// picked out by `assignment` — and replays its own update slice, with its
+/// own seed split from `seed`, its own clone of its hook, and (when
+/// recording) a recorder private to its worker.
 struct ShardInputs<'a, F> {
-    traces: &'a [Trace],
+    /// The routed trace: queries in effective-arrival order.
+    trace: &'a Trace,
+    /// Shard of every query of `trace`.
+    assignment: &'a [usize],
+    /// Each shard's update streams (index = shard id).
+    updates: &'a [Vec<UpdateSpec>],
     seed: u64,
     cfg: SimConfig,
     /// One hook per shard, or `None` to run every shard unhooked.
@@ -361,16 +371,23 @@ impl<P: Policy, F: Fn(usize, u64) -> P> ShardInputs<'_, F> {
         let policy = (self.make_policy)(i, split_seed(self.seed, i as u64));
         #[expect(
             clippy::indexing_slicing,
-            reason = "callers pass i < n == traces.len()"
+            reason = "callers pass i < n == updates.len()"
         )]
-        let mut run = SimRun::trace(&self.traces[i], policy, self.cfg);
+        let mut run = SimRun::streaming(self.trace.n_items, &self.updates[i], policy, self.cfg);
         if let Some(hook) = self.hooks.and_then(|hooks| hooks.get(i)) {
             run = run.with_faults(Box::new(hook.clone()));
         }
         if let Some(r) = rec.as_mut() {
             run = run.with_observer(r);
         }
-        let report = run.run();
+        let queries = self
+            .trace
+            .queries
+            .iter()
+            .zip(self.assignment)
+            .filter(|&(_, &s)| s == i)
+            .map(|(q, _)| q);
+        let report = run.run_streamed(queries, TRACE_LOOKAHEAD);
         (report, rec, started.elapsed().as_secs_f64())
     }
 }
@@ -413,7 +430,7 @@ where
     P: Policy + Send,
     F: Fn(usize, u64) -> P + Sync,
 {
-    let n = inputs.traces.len();
+    let n = inputs.updates.len();
     // `0` = auto: one worker per shard, capped at the host's actual
     // parallelism — extra threads on a smaller machine only add scheduling
     // overhead. Purely a wall-clock decision: results are

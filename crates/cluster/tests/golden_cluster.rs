@@ -1,7 +1,8 @@
 //! Golden fixed-seed regression test for the cluster dispatcher.
 //!
 //! Every cluster run — plain, faulty, replicated, or both — goes through
-//! one routing walk, one slicer and one shard builder, so the differential
+//! one routing walk, one update-stream slicer and one shard builder (each
+//! shard streams its routed queries from the one trace), so the differential
 //! suites that compare those configurations against each other share the
 //! walk on both sides. This suite is the independent reference for what the
 //! walk *decides* on a multi-shard cluster: the golden fig3-style workload

@@ -9,6 +9,7 @@
 
 use crate::time::{SimDuration, SimTime};
 use serde::{Deserialize, Serialize};
+use std::borrow::Cow;
 use std::fmt;
 
 /// Identifier of a data item (index into the database, `0..n_items`).
@@ -267,6 +268,21 @@ impl QuerySpec {
             return Err(SpecError::BadFreshnessReq(self.id, self.freshness_req));
         }
         Ok(())
+    }
+}
+
+/// An owned spec fed to a streaming run (`SimRun::run_streamed`). O(1).
+impl From<QuerySpec> for Cow<'_, QuerySpec> {
+    fn from(spec: QuerySpec) -> Self {
+        Cow::Owned(spec)
+    }
+}
+
+/// A borrowed spec fed to a streaming run: the engine holds the reference
+/// while the query is in flight, never a copy. O(1).
+impl<'a> From<&'a QuerySpec> for Cow<'a, QuerySpec> {
+    fn from(spec: &'a QuerySpec) -> Self {
+        Cow::Borrowed(spec)
     }
 }
 

@@ -210,7 +210,9 @@ pub(crate) enum Feed<'a> {
 /// Lookahead of the trace-backed feed: arrivals kept buffered in the event
 /// heap beyond the ones the next event forces. Unobservable (heap order is
 /// a function of `(time, feed ordinal)` only); it just amortizes the pump.
-const TRACE_LOOKAHEAD: usize = 64;
+/// Cluster shards stream their slice of a routed trace with the same
+/// lookahead through `SimRun::run_streamed`.
+pub const TRACE_LOOKAHEAD: usize = 64;
 
 /// The engine's query specs: a slab holding only *in-flight* specs —
 /// interned when the query is fed, released the moment its outcome is
@@ -457,8 +459,9 @@ pub struct Simulator<'a, P: Policy> {
     last_checkpoint: Option<Vec<u8>>,
     /// [`Feed::External`] specs fed since the last checkpoint: their arrival
     /// events are not in the snapshot's heap, so a restore must re-feed
-    /// them. (A [`Feed::Trace`] run just rewinds its cursor.)
-    input_log: Vec<QuerySpec>,
+    /// them. (A [`Feed::Trace`] run just rewinds its cursor.) A borrowed
+    /// spec is logged as the borrow, an owned one as a copy.
+    input_log: Vec<Cow<'a, QuerySpec>>,
     /// While replaying a crash-lost window: `(crash instant, checkpoint
     /// instant)`; cleared when the clock catches back up to the crash.
     replay: Option<(SimTime, SimTime)>,
@@ -817,7 +820,7 @@ impl<'a, P: Policy> Simulator<'a, P> {
             }
             debug_assert!(!self.stream_exhausted, "feed_query after end_stream()");
             if self.checkpoint_armed() {
-                self.input_log.push(QuerySpec::clone(&spec));
+                self.input_log.push(spec.clone());
             }
         }
         // Trace order is what makes the feed ordinal a valid tie-break.

@@ -711,7 +711,7 @@ impl<P: Policy> Simulator<'_, P> {
         // replaces the standing one. Feeding re-logs them, rebuilding the
         // input log for the next crash.
         for spec in log {
-            self.feed_query(spec);
+            self.feed_spec(spec);
         }
         self.stream_exhausted |= exhausted;
     }

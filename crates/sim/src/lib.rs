@@ -63,7 +63,7 @@ pub mod txn;
 pub mod validate;
 pub mod worktreap;
 
-pub use engine::{run_simulation, SchedulingDiscipline, SimConfig, Simulator};
+pub use engine::{run_simulation, SchedulingDiscipline, SimConfig, Simulator, TRACE_LOOKAHEAD};
 pub use faults::{BackgroundLoad, FaultHook, HealthState, NoFaults, UpdateFault};
 pub use run::SimRun;
 pub use stats::{

@@ -175,12 +175,18 @@ impl<'a, P: Policy> SimRun<'a, P> {
     /// Bit-identical to a [`SimRun::trace`] run over the same query
     /// sequence, for *any* `chunk`. O(N_ev log(in-flight + chunk)) total.
     ///
+    /// The stream yields owned specs (a generator's) or borrowed ones (a
+    /// slice of a trace the caller keeps alive, as a cluster shard's is):
+    /// a borrowed spec is held by reference while its query is in flight,
+    /// never copied.
+    ///
     /// # Panics
     /// Panics on a malformed or out-of-order feed, or when called on a
     /// [`SimRun::trace`] run (which feeds itself).
     pub fn run_streamed<I>(self, queries: I, chunk: usize) -> SimReport
     where
-        I: IntoIterator<Item = QuerySpec>,
+        I: IntoIterator,
+        I::Item: Into<Cow<'a, QuerySpec>>,
     {
         // A trace-backed run already feeds its own queries: feeding more
         // would double-count.
@@ -189,7 +195,7 @@ impl<'a, P: Policy> SimRun<'a, P> {
             "SimRun::run_streamed on a trace-backed run: use run()"
         );
         let mut sim = self.build();
-        let mut source = queries.into_iter().map(Cow::Owned);
+        let mut source = queries.into_iter().map(Into::into);
         let mut pending = source.next();
         loop {
             sim.pump(&mut pending, &mut source, chunk);

@@ -145,6 +145,8 @@ pub struct SimReport {
     /// Per-query outcome log (only filled when
     /// [`crate::SimConfig::record_outcomes`] is on; excluded from
     /// [`report_digest`] so digests match between logged and unlogged runs).
+    /// Empty in a shard report of a cluster run: the cluster merge moves
+    /// the records into its merged log (`unit_cluster::ClusterReport::log`).
     #[serde(default)]
     pub outcome_records: Vec<OutcomeRecord>,
     /// Fault-injection activity counters (zero on fault-free runs;

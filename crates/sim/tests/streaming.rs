@@ -285,7 +285,8 @@ proptest! {
     /// crashes before, at the start of, inside, and after the pause — the
     /// trace-backed run (engine-pumped slice, cursor rewound on restore)
     /// and the iterator-fed run (caller-pumped, input log replayed on
-    /// restore) are the same run, for a lookahead of 1, 7 and 1024.
+    /// restore; owned or borrowed specs) are the same run, for a lookahead
+    /// of 1, 7 and 1024.
     ///
     /// A crash inside the pause sits behind a control tick the engine has
     /// deferred to the window's end. `take_checkpoint`'s skip-ahead counted
@@ -325,18 +326,25 @@ proptest! {
             .with_faults(Box::new(hook.clone()))
             .run();
         prop_assert_eq!(trace_fed.faults.recoveries, hook.crashes.len() as u64);
-        for lookahead in [1usize, 7, 1024] {
-            let streamed = SimRun::streaming(b.trace.n_items, &b.trace.updates, make(), cfg)
+        let streaming = || {
+            SimRun::streaming(b.trace.n_items, &b.trace.updates, make(), cfg)
                 .with_faults(Box::new(hook.clone()))
-                .run_streamed(b.trace.queries.iter().cloned(), lookahead);
-            prop_assert_eq!(
-                report_digest(&streamed),
-                report_digest(&trace_fed),
-                "lookahead {}: feeds diverged", lookahead
-            );
-            prop_assert_eq!(&streamed.outcome_records, &trace_fed.outcome_records);
-            prop_assert_eq!(streamed.faults, trace_fed.faults);
-            prop_assert_eq!(streamed.events_processed, trace_fed.events_processed);
+        };
+        for lookahead in [1usize, 7, 1024] {
+            // Owned specs (a generator's) and borrowed ones (a cluster
+            // shard's, which the crash-recovery input log holds as borrows).
+            let owned = streaming().run_streamed(b.trace.queries.iter().cloned(), lookahead);
+            let borrowed = streaming().run_streamed(&b.trace.queries, lookahead);
+            for streamed in [owned, borrowed] {
+                prop_assert_eq!(
+                    report_digest(&streamed),
+                    report_digest(&trace_fed),
+                    "lookahead {}: feeds diverged", lookahead
+                );
+                prop_assert_eq!(&streamed.outcome_records, &trace_fed.outcome_records);
+                prop_assert_eq!(streamed.faults, trace_fed.faults);
+                prop_assert_eq!(streamed.events_processed, trace_fed.events_processed);
+            }
         }
     }
 }

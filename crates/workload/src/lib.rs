@@ -66,7 +66,7 @@ pub mod updates;
 pub use builder::TraceBuilder;
 pub use cello::{generate_queries, QueryTrace, QueryTraceConfig};
 pub use correlate::{apportion_counts, correlated_weights, CorrelatedWeights, UpdateDistribution};
-pub use partition::{slice_trace, ItemPartition, PartitionError, ReplicaMap};
+pub use partition::{slice_trace, slice_updates, ItemPartition, PartitionError, ReplicaMap};
 pub use stats::TraceStats;
 pub use stream::{stream_queries, QueryStream};
 pub use trace::TraceBundle;

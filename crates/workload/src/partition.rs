@@ -1,19 +1,22 @@
 //! Partitioning a trace across cluster shards.
 //!
-//! A cluster run splits one global [`Trace`] into per-shard traces: every
+//! A cluster run splits one global [`Trace`] across its shards: every
 //! data item has exactly one *owner* shard ([`ItemPartition`]) — its leader
 //! under a [`ReplicaMap`], which may add follower shards — update streams
 //! follow their item to every shard hosting it, and queries go wherever
-//! the dispatcher routed them. [`slice_trace`] performs the split from a
-//! per-query assignment computed by the cluster's routing policy.
+//! the dispatcher routed them. [`slice_updates`] splits the update streams
+//! from a per-query assignment computed by the cluster's routing policy;
+//! the shards stream their queries straight from the routed trace.
+//! [`slice_trace`] materialises whole per-shard traces on the same
+//! slicer, for tests that replay a shard on its own.
 //!
 //! Shards keep the **global** item-id space (`n_items` is unchanged): a
 //! shard simply never sees arrivals for items it does not host. This keeps
 //! ids stable across shard counts — no remapping tables — and makes the
-//! 1-shard cluster trace *identical* to the global trace, which is what the
-//! differential suite pins against the single-server engine.
+//! 1-shard cluster's input *identical* to the global trace, which is what
+//! the differential suite pins against the single-server engine.
 
-use unit_core::types::{DataId, Trace};
+use unit_core::types::{DataId, Trace, UpdateSpec};
 
 /// Modulo ownership of data items by shard.
 ///
@@ -188,20 +191,58 @@ impl std::fmt::Display for PartitionError {
 
 impl std::error::Error for PartitionError {}
 
-/// Split a global trace into one trace per shard.
+/// Split a global trace into one trace per shard: query `i` goes to shard
+/// `assignment[i]`, and the update streams are sliced by [`slice_updates`].
 ///
-/// Query `i` goes to shard `assignment[i]`; every update stream is fanned
-/// out to **all** shards hosting its item under `map` (leader first, then
-/// followers in slot order), each copy keeping the global stream id. A
-/// factor-1 map ([`ReplicaMap::solo`]) is plain ownership: each stream
-/// lands on its item's owner and nowhere else.
+/// A cluster run never calls this — its shards stream their queries from
+/// the routed trace by reference and only the update streams are sliced —
+/// but the materialised slices are the oracle the cluster tests replay
+/// shard engines against.
 ///
 /// Relative arrival order is preserved within every shard (a filtered
-/// subsequence of a sorted list stays sorted, and each shard gets at most
-/// one copy per stream — the placement is collision-free), so each slice
-/// is a valid trace. Unfiltered, every query lands in exactly one slice and
-/// every stream in exactly `factor` — the conservation property the
-/// cluster tests check end-to-end.
+/// subsequence of a sorted list stays sorted), so each slice is a valid
+/// trace. Every query lands in exactly one slice — the conservation
+/// property the cluster tests check end-to-end. O(N_q + the update
+/// slicing).
+///
+/// # Errors
+/// [`PartitionError`] when `assignment` does not hold one in-range shard
+/// per query.
+pub fn slice_trace(
+    trace: &Trace,
+    assignment: &[usize],
+    map: &ReplicaMap,
+    filter: bool,
+) -> Result<Vec<Trace>, PartitionError> {
+    check_assignment(trace, assignment, map.n_shards())?;
+    let mut shards: Vec<Trace> = slice_updates(trace, assignment, map, filter)
+        .into_iter()
+        .map(|updates| Trace {
+            n_items: trace.n_items,
+            queries: Vec::new(),
+            updates,
+        })
+        .collect();
+    for (q, &s) in trace.queries.iter().zip(assignment) {
+        // Always present: check_assignment bounded `s` by n_shards.
+        if let Some(shard) = shards.get_mut(s) {
+            shard.queries.push(q.clone());
+        }
+    }
+    Ok(shards)
+}
+
+/// Split a global trace's update streams into one list per shard, given
+/// each query's shard (`assignment[i]` for query `i`; a cluster run's
+/// dispatcher produces it, [`slice_trace`] checks a caller's first).
+///
+/// Every stream is fanned out to **all** shards hosting its item under
+/// `map` (leader first, then followers in slot order), each copy keeping
+/// the global stream id. A factor-1 map ([`ReplicaMap::solo`]) is plain
+/// ownership: each stream lands on its item's owner and nowhere else.
+/// Each shard gets at most one copy per stream (the placement is
+/// collision-free) in global order; unfiltered, every stream lands in
+/// exactly `factor` lists.
 ///
 /// With `filter` set, *demand filtering* applies: a copy is kept on a
 /// hosting shard only if some query assigned **to that shard** reads the
@@ -218,42 +259,44 @@ impl std::error::Error for PartitionError {}
 /// experiments (`ClusterConfig::filter_updates`), never for differential
 /// pinning.
 ///
-/// Stream copies kept across the slices plus those dropped equal
-/// `updates.len() × factor`. O(N_q·r + N_u·factor + n_shards·S) where `r`
-/// is the mean read-set size.
+/// Stream copies kept across the lists plus those dropped equal
+/// `updates.len() × factor`. O(N_u·factor + n_shards), plus O(N_q·r +
+/// n_shards·n_items) when filtering, where `r` is the mean read-set size.
+/// Never fails: an assignment entry outside `0..n_shards` marks no demand.
 #[expect(
     clippy::indexing_slicing,
-    reason = "check_assignment bounds every entry by n_shards, replicas() yields shard ids < n_shards, and d.index() < n_items is a trace invariant"
+    reason = "replicas() yields shard ids < n_shards, and d.index() < n_items is a trace invariant"
 )]
-pub fn slice_trace(
+pub fn slice_updates(
     trace: &Trace,
     assignment: &[usize],
     map: &ReplicaMap,
     filter: bool,
-) -> Result<Vec<Trace>, PartitionError> {
-    check_assignment(trace, assignment, map.n_shards())?;
+) -> Vec<Vec<UpdateSpec>> {
     let n = map.n_shards();
     // Which items each shard actually reads (only consulted when filtering).
     let mut read = vec![false; if filter { n * trace.n_items } else { 0 }];
     if filter {
-        for (q, &s) in trace.queries.iter().zip(assignment) {
+        for (q, &s) in trace
+            .queries
+            .iter()
+            .zip(assignment)
+            .filter(|&(_, &s)| s < n)
+        {
             for &d in &q.items {
                 read[s * trace.n_items + d.index()] = true;
             }
         }
     }
-    let mut shards = empty_slices(trace, n);
-    for (q, &s) in trace.queries.iter().zip(assignment) {
-        shards[s].queries.push(q.clone());
-    }
+    let mut shards = vec![Vec::new(); n];
     for u in &trace.updates {
         for s in map.replicas(u.item) {
             if !filter || read[s * trace.n_items + u.item.index()] {
-                shards[s].updates.push(u.clone());
+                shards[s].push(u.clone());
             }
         }
     }
-    Ok(shards)
+    shards
 }
 
 fn check_assignment(
@@ -277,16 +320,6 @@ fn check_assignment(
         });
     }
     Ok(())
-}
-
-fn empty_slices(trace: &Trace, n_shards: usize) -> Vec<Trace> {
-    (0..n_shards)
-        .map(|_| Trace {
-            n_items: trace.n_items,
-            queries: Vec::new(),
-            updates: Vec::new(),
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -380,6 +413,27 @@ mod tests {
             assert_eq!(s.n_items, 8);
             s.validate().unwrap();
         }
+    }
+
+    #[test]
+    fn slice_trace_carries_the_update_slicing() {
+        let t = trace();
+        for (map, filter) in [
+            (ReplicaMap::solo(2), false),
+            (ReplicaMap::solo(2), true),
+            (ReplicaMap::new(2, 2), true),
+        ] {
+            let shards = slice_trace(&t, &[0, 1, 0, 1], &map, filter).unwrap();
+            let updates = slice_updates(&t, &[0, 1, 0, 1], &map, filter);
+            let sliced: Vec<&[UpdateSpec]> = shards.iter().map(|s| s.updates.as_slice()).collect();
+            let direct: Vec<&[UpdateSpec]> = updates.iter().map(Vec::as_slice).collect();
+            assert_eq!(sliced, direct);
+        }
+        // An out-of-range entry marks no demand; the in-range ones still do.
+        let filtered = slice_updates(&t, &[0, 9, 0, 1], &ReplicaMap::solo(2), true);
+        let u0: Vec<u32> = filtered[0].iter().map(|u| u.item.0).collect();
+        assert_eq!(u0, vec![0]);
+        assert!(filtered[1].is_empty());
     }
 
     #[test]
