@@ -6,7 +6,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use unit_core::admission::AdmissionControl;
 use unit_core::config::UnitConfig;
-use unit_core::controller::{Lbc, LbcConfig};
+use unit_core::controller::Lbc;
 use unit_core::freshness::FreshnessTable;
 use unit_core::lottery::{VictimIndex, WeightedSampler};
 use unit_core::policy::Policy;
@@ -152,7 +152,11 @@ fn admission(c: &mut Criterion) {
 
 fn controller(c: &mut Criterion) {
     c.bench_function("lbc_record_and_activate", |b| {
-        let mut lbc = Lbc::new(UsmWeights::low_high_cfm(), LbcConfig::default(), 5);
+        let mut lbc = Lbc::new(
+            UsmWeights::low_high_cfm(),
+            UnitConfig::default().grace_period,
+            5,
+        );
         let mut i = 0u64;
         b.iter(|| {
             i += 1;

@@ -12,6 +12,7 @@ use unit_bench::row;
 use unit_bench::{default_workload_plan, run_policy, PolicyKind};
 use unit_core::config::{UnitConfig, VictimWeighting};
 use unit_core::modulation::UpgradeRule;
+use unit_core::time::SimDuration;
 use unit_core::unit_policy::UnitPolicy;
 use unit_core::usm::UsmWeights;
 use unit_sim::{run_simulation, SchedulingDiscipline, SimReport};
@@ -70,17 +71,12 @@ fn variants(base: UnitConfig) -> Vec<(&'static str, UnitConfig)> {
             },
         ),
         (
-            "sharp lottery (weights^2)",
+            "sluggish controller (grace 500s)",
             UnitConfig {
-                lottery_sharpness: 2.0,
+                grace_period: SimDuration::from_secs(500),
                 ..base.clone()
             },
         ),
-        ("sluggish controller (grace 500s)", {
-            let mut c = base.clone();
-            c.lbc.grace_period = unit_core::time::SimDuration::from_secs(500);
-            c
-        }),
     ]
 }
 

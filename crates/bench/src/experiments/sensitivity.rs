@@ -55,7 +55,7 @@ const SWEEPS: [Sweep; 6] = [
         "LBC grace period (s)",
         "unspecified",
         &[25.0, 50.0, 100.0, 200.0, 400.0],
-        |c, v| c.lbc.grace_period = SimDuration::from_secs(v as u64),
+        |c, v| c.grace_period = SimDuration::from_secs(v as u64),
     ),
     (
         "C_flex step (TAC/LAC)",

@@ -88,42 +88,41 @@ impl AdmissionVerdict {
 pub struct AdmissionControl {
     c_flex: f64,
     step: f64,
-    min_c_flex: f64,
-    max_c_flex: f64,
 }
+
+/// Initial lag ratio `C_flex` (§3.3: the paper starts at 1).
+pub const INITIAL_C_FLEX: f64 = 1.0;
+
+/// Lower clamp for `C_flex`. The floor keeps the deadline check meaningful
+/// even after long failure-free stretches of LAC signals: with
+/// `C_flex = 0.25` a query whose backlog-projected start already eats 4x its
+/// allowance is still turned away the moment a flash crowd hits.
+pub const MIN_C_FLEX: f64 = 0.25;
+
+/// Upper clamp for `C_flex`, which keeps TAC signals reversible by a
+/// bounded number of LAC signals.
+pub const MAX_C_FLEX: f64 = 16.0;
 
 impl Default for AdmissionControl {
     fn default() -> Self {
-        // The floor keeps the deadline check meaningful even after long
-        // failure-free stretches of LAC signals: with C_flex = 0.25 a query
-        // whose backlog-projected start already eats 4x its allowance is
-        // still turned away the moment a flash crowd hits.
-        AdmissionControl::new(1.0, 0.10, 0.25, 16.0)
+        AdmissionControl::new(0.10)
     }
 }
 
 impl AdmissionControl {
-    /// Build with an initial `C_flex`, a TAC/LAC step fraction (0.10 in the
-    /// paper), and clamping bounds that keep the knob responsive in both
-    /// directions.
+    /// Build at [`INITIAL_C_FLEX`] with a TAC/LAC step fraction (0.10 in the
+    /// paper); `C_flex` stays within [`MIN_C_FLEX`]..=[`MAX_C_FLEX`].
     ///
     /// # Panics
-    /// Panics if the bounds or step are not sensible
-    /// (`0 < min ≤ initial ≤ max`, `0 < step < 1`).
-    pub fn new(initial_c_flex: f64, step: f64, min_c_flex: f64, max_c_flex: f64) -> Self {
+    /// Panics unless `0 < step < 1`.
+    pub fn new(step: f64) -> Self {
         assert!(
             step > 0.0 && step < 1.0,
             "step must be in (0,1), got {step}"
         );
-        assert!(
-            0.0 < min_c_flex && min_c_flex <= initial_c_flex && initial_c_flex <= max_c_flex,
-            "need 0 < min <= initial <= max C_flex"
-        );
         AdmissionControl {
-            c_flex: initial_c_flex,
+            c_flex: INITIAL_C_FLEX,
             step,
-            min_c_flex,
-            max_c_flex,
         }
     }
 
@@ -135,17 +134,17 @@ impl AdmissionControl {
     /// True when `C_flex` sits at its lower clamp — admission is as loose
     /// as this controller can make it, so further LAC signals are no-ops.
     pub fn at_floor(&self) -> bool {
-        self.c_flex <= self.min_c_flex * 1.0001
+        self.c_flex <= MIN_C_FLEX * 1.0001
     }
 
     /// TAC signal: tighten admission (`C_flex` up one step).
     pub fn tighten(&mut self) {
-        self.c_flex = (self.c_flex * (1.0 + self.step)).min(self.max_c_flex);
+        self.c_flex = (self.c_flex * (1.0 + self.step)).min(MAX_C_FLEX);
     }
 
     /// LAC signal: loosen admission (`C_flex` down one step).
     pub fn loosen(&mut self) {
-        self.c_flex = (self.c_flex * (1.0 - self.step)).max(self.min_c_flex);
+        self.c_flex = (self.c_flex * (1.0 - self.step)).max(MIN_C_FLEX);
     }
 
     /// Evaluate both admission checks for query `q` against the view:
@@ -181,13 +180,11 @@ impl AdmissionControl {
         AdmissionVerdict::Admitted
     }
 
-    /// Serialize the full control state (knob plus static bounds) into a
-    /// checkpoint stream. See [`crate::checkpoint`].
+    /// Serialize the control state (knob and step) into a checkpoint
+    /// stream. See [`crate::checkpoint`].
     pub fn checkpoint_into(&self, enc: &mut crate::checkpoint::Enc) {
         enc.put_f64(self.c_flex);
         enc.put_f64(self.step);
-        enc.put_f64(self.min_c_flex);
-        enc.put_f64(self.max_c_flex);
     }
 
     /// Restore state captured by [`AdmissionControl::checkpoint_into`].
@@ -197,8 +194,6 @@ impl AdmissionControl {
     ) -> Result<(), crate::checkpoint::CheckpointError> {
         self.c_flex = dec.take_f64()?;
         self.step = dec.take_f64()?;
-        self.min_c_flex = dec.take_f64()?;
-        self.max_c_flex = dec.take_f64()?;
         Ok(())
     }
 
@@ -342,15 +337,27 @@ mod tests {
 
     #[test]
     fn c_flex_respects_bounds() {
-        let mut ac = AdmissionControl::new(1.0, 0.10, 0.5, 2.0);
+        let mut ac = AdmissionControl::default();
+        assert_eq!(ac.c_flex(), INITIAL_C_FLEX);
+        // 1.1^29 ≈ 15.86 < 16 ≤ 1.1^30: the 30th TAC signal hits the clamp.
+        for _ in 0..29 {
+            ac.tighten();
+        }
+        assert!(ac.c_flex() < MAX_C_FLEX);
         for _ in 0..100 {
             ac.tighten();
         }
-        assert!((ac.c_flex() - 2.0).abs() < 1e-12);
+        assert_eq!(ac.c_flex(), MAX_C_FLEX);
+        // 16 · 0.9^39 ≈ 0.263 > 0.25 ≥ 16 · 0.9^40: the 40th LAC clamps.
+        for _ in 0..39 {
+            ac.loosen();
+        }
+        assert!(ac.c_flex() > MIN_C_FLEX && !ac.at_floor());
         for _ in 0..100 {
             ac.loosen();
         }
-        assert!((ac.c_flex() - 0.5).abs() < 1e-12);
+        assert_eq!(ac.c_flex(), MIN_C_FLEX);
+        assert!(ac.at_floor());
     }
 
     #[test]

@@ -1,6 +1,9 @@
-//! Configuration for the UNIT policy: every constant §3 names, in one place.
+//! Configuration for the UNIT policy: the knobs a caller sets. Values that
+//! nobody varies are `const`s beside the code that reads them (the LBC's
+//! trigger in [`crate::controller`], the `C_flex` clamps in
+//! [`crate::admission`], the access/update balance in
+//! [`crate::unit_policy`]).
 
-use crate::controller::LbcConfig;
 use crate::modulation::{UpdateModulation, UpgradeRule};
 use crate::time::SimDuration;
 use crate::usm::UsmWeights;
@@ -29,16 +32,12 @@ pub struct UnitConfig {
     /// User-preference weights (`C_r`, `C_fm`, `C_fs`; `G_s = 1`) that
     /// price every query.
     pub weights: UsmWeights,
-    /// Controller trigger tuning (grace period, drop threshold).
-    pub lbc: LbcConfig,
-    /// Initial lag ratio `C_flex` of the admission deadline check (paper: 1).
-    pub initial_c_flex: f64,
-    /// TAC/LAC step fraction (paper: 0.10).
+    /// The LBC's grace period: the longest interval between controller
+    /// activations (§3.2), once the window holds enough outcomes.
+    pub grace_period: SimDuration,
+    /// TAC/LAC step fraction of the admission lag ratio `C_flex`
+    /// (paper: 0.10).
     pub c_flex_step: f64,
-    /// Lower clamp for `C_flex`.
-    pub min_c_flex: f64,
-    /// Upper clamp for `C_flex`.
-    pub max_c_flex: f64,
     /// Ticket forgetting factor `C_forget` (paper: 0.9).
     pub c_forget: f64,
     /// Degrade step `C_du` (paper: 0.1): victim period `× (1 + C_du)`.
@@ -71,31 +70,18 @@ pub struct UnitConfig {
     /// Master switch for admission control (disable for ablations: every
     /// query is admitted).
     pub admission_enabled: bool,
-    /// How many (cost-normalized) query accesses per update an item needs
-    /// for its ticket to stay negative (protected from degradation). One
-    /// 96-second update blocks the CPU for roughly two query deadlines, so
-    /// an access and an update are *not* equal-value: protecting an item
-    /// only pays off when its access traffic outweighs the collateral cost
-    /// of its update stream. Used by the auto-normalizing access decrement
-    /// (`0.5 · (qe/qt)/avg(qe/qt) / balance`).
-    pub access_update_balance: f64,
     /// Scale applied to Eq. 6's per-access ticket decrement `qe/qt`.
     /// `None` (default) auto-normalizes: the decrement becomes
-    /// `0.5 · (qe/qt) / avg(qe/qt)`, making the *average* access worth as
-    /// much ticket as the average update adds (Eq. 7's sigmoid averages
-    /// 0.5). Without normalization the raw `qe/qt` (≈0.02 under the paper's
+    /// `0.5 · (qe/qt) / avg(qe/qt) / ACCESS_UPDATE_BALANCE`, pricing the
+    /// average access against the average update's ticket (Eq. 7's sigmoid
+    /// averages 0.5; see [`crate::unit_policy::ACCESS_UPDATE_BALANCE`]).
+    /// Without normalization the raw `qe/qt` (≈0.02 under the paper's
     /// deadline recipe) is so small that one update outweighs dozens of
     /// accesses and the lottery degrades query-hot items. `Some(1.0)` is the
     /// paper's literal rule; the ablation benches compare.
     pub access_ticket_scale: Option<f64>,
     /// How raw tickets are turned into lottery weights.
     pub victim_weighting: VictimWeighting,
-    /// Selection-pressure exponent applied to the shifted ticket weights
-    /// before the lottery draw (`w^sharpness`). 1.0 is the paper's plain
-    /// lottery. Values > 1 concentrate degradation harder on the
-    /// hot-updated/cold-queried items, protecting the query-relevant tail —
-    /// the ablation benches sweep this.
-    pub lottery_sharpness: f64,
     /// Seed for the policy's internal randomness (lottery draws, tie breaks).
     pub seed: u64,
 }
@@ -104,11 +90,8 @@ impl Default for UnitConfig {
     fn default() -> Self {
         UnitConfig {
             weights: UsmWeights::naive(),
-            lbc: LbcConfig::default(),
-            initial_c_flex: 1.0,
+            grace_period: SimDuration::from_secs(50),
             c_flex_step: 0.10,
-            min_c_flex: 0.25,
-            max_c_flex: 16.0,
             c_forget: 0.9,
             c_du: 0.1,
             c_uu: 0.5,
@@ -118,10 +101,8 @@ impl Default for UnitConfig {
             modulation_step_util: 0.05,
             upgrade_step_util: 0.005,
             admission_enabled: true,
-            access_update_balance: 3.0,
             access_ticket_scale: None,
             victim_weighting: VictimWeighting::default(),
-            lottery_sharpness: 1.0,
             seed: DEFAULT_SEED,
         }
     }
@@ -144,7 +125,7 @@ impl UnitConfig {
 
     /// Default configuration with a specific grace period.
     pub fn with_grace_period(mut self, grace: SimDuration) -> Self {
-        self.lbc.grace_period = grace;
+        self.grace_period = grace;
         self
     }
 
@@ -172,12 +153,6 @@ impl UnitConfig {
                 self.c_flex_step
             ));
         }
-        if !(self.min_c_flex > 0.0
-            && self.min_c_flex <= self.initial_c_flex
-            && self.initial_c_flex <= self.max_c_flex)
-        {
-            return Err("need 0 < min <= initial <= max C_flex".to_string());
-        }
         if self.degrade_victims_per_signal == 0 {
             return Err("degrade_victims_per_signal must be >= 1".to_string());
         }
@@ -193,21 +168,6 @@ impl UnitConfig {
                 self.upgrade_step_util
             ));
         }
-        if self.access_update_balance <= 0.0 {
-            return Err(format!(
-                "access/update balance must be positive, got {}",
-                self.access_update_balance
-            ));
-        }
-        if self.lottery_sharpness <= 0.0 {
-            return Err(format!(
-                "lottery sharpness must be positive, got {}",
-                self.lottery_sharpness
-            ));
-        }
-        if self.lbc.threshold_fraction <= 0.0 {
-            return Err("LBC threshold fraction must be positive".to_string());
-        }
         Ok(())
     }
 }
@@ -219,7 +179,6 @@ mod tests {
     #[test]
     fn default_matches_paper_constants() {
         let c = UnitConfig::default();
-        assert_eq!(c.initial_c_flex, 1.0);
         assert_eq!(c.c_flex_step, 0.10);
         assert_eq!(c.c_forget, 0.9);
         assert_eq!(c.c_du, 0.1);
@@ -234,7 +193,7 @@ mod tests {
             .with_grace_period(SimDuration::from_secs(10));
         assert_eq!(c.weights, UsmWeights::high_high_cr());
         assert_eq!(c.seed, 99);
-        assert_eq!(c.lbc.grace_period, SimDuration::from_secs(10));
+        assert_eq!(c.grace_period, SimDuration::from_secs(10));
         assert!(c.validate().is_ok());
     }
 
@@ -244,6 +203,55 @@ mod tests {
         let json = serde_json::to_string(&cfg).unwrap();
         let back: UnitConfig = serde_json::from_str(&json).unwrap();
         assert_eq!(cfg, back);
+    }
+
+    /// The knob budget. A field belongs in `UnitConfig` only when two
+    /// non-test callers want different values (the sensitivity sweep, an
+    /// ablation row, the benchmark's seed or grace period); a value nobody
+    /// varies is a `const` beside the code that reads it. The one known
+    /// exception is `degrade_victims_per_signal`, kept while the degrade
+    /// draw loop whose length it caps is due to be rewritten. Adding a
+    /// field means extending this list, and meeting the rule.
+    #[test]
+    fn config_keeps_only_the_knobs_callers_set() {
+        let json = serde_json::to_string(&UnitConfig::default()).unwrap();
+        // The object's own keys: strings at nesting depth 1 followed by `:`
+        // (no key or value of this config contains a quote or a bracket).
+        let (mut keys, mut depth, mut chars) = (Vec::new(), 0, json.chars());
+        while let Some(c) = chars.next() {
+            match c {
+                '{' | '[' => depth += 1,
+                '}' | ']' => depth -= 1,
+                '"' => {
+                    let s: String = chars.by_ref().take_while(|&c| c != '"').collect();
+                    if depth == 1 && chars.clone().next() == Some(':') {
+                        keys.push(s);
+                    }
+                }
+                _ => {}
+            }
+        }
+        keys.sort_unstable();
+        assert_eq!(
+            keys,
+            [
+                "access_ticket_scale",
+                "admission_enabled",
+                "c_du",
+                "c_flex_step",
+                "c_forget",
+                "c_uu",
+                "degrade_victims_per_signal",
+                "grace_period",
+                "max_degradation_factor",
+                "modulation_step_util",
+                "seed",
+                "upgrade_rule",
+                "upgrade_step_util",
+                "victim_weighting",
+                "weights",
+            ]
+        );
     }
 
     #[test]
@@ -256,10 +264,8 @@ mod tests {
         assert!(bad(&|c| c.c_forget = 1.5));
         assert!(bad(&|c| c.c_du = 0.0));
         assert!(bad(&|c| c.degrade_victims_per_signal = 0));
-        assert!(bad(&|c| c.min_c_flex = 5.0)); // > initial
+        assert!(bad(&|c| c.c_flex_step = 1.0));
         assert!(bad(&|c| c.modulation_step_util = 0.0));
         assert!(bad(&|c| c.upgrade_step_util = -1.0));
-        assert!(bad(&|c| c.access_update_balance = 0.0));
-        assert!(bad(&|c| c.lottery_sharpness = 0.0));
     }
 }

@@ -28,8 +28,7 @@
 //! Interpretation note: Figure 2 does not say what to do when the window has
 //! no failures at all. We loosen admission in that case — with a clean
 //! window the only improvable component is the rejection of future load, and
-//! this lets `C_flex` recover after transient overloads. The behaviour is
-//! config-gated (`loosen_when_clean`).
+//! this lets `C_flex` recover after transient overloads.
 
 use crate::policy::ControlSignal;
 use crate::time::{SimDuration, SimTime};
@@ -37,50 +36,32 @@ use crate::types::Outcome;
 use crate::usm::{OutcomeCounts, UsmWeights, UsmWindow};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
-/// Tuning of the LBC trigger conditions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LbcConfig {
-    /// Maximum interval between activations; the controller fires once this
-    /// much time has passed since the last one ("Grace Period") — provided
-    /// the window carries enough outcomes to act on.
-    pub grace_period: SimDuration,
-    /// USM-drop trigger threshold as a fraction of the USM range span
-    /// (the paper uses 1%).
-    pub threshold_fraction: f64,
-    /// Minimum outcomes in the window before *any* activation. A window of
-    /// one or two queries makes `max(R, F_m, F_s)` a coin flip — e.g. a
-    /// single stale read would fire `UpgradeUpdates` and erase accumulated
-    /// shedding — so the controller waits until the ratios mean something.
-    /// The effective activation period is therefore
-    /// `max(grace_period, time to collect this many outcomes)`.
-    pub min_window_samples: u64,
-    /// Emit [`ControlSignal::LoosenAdmission`] when a window contains no
-    /// failures at all (see module docs).
-    pub loosen_when_clean: bool,
-    /// CPU utilization at or above which a rejection-dominated window also
-    /// sheds update load (see module docs on the saturated-rejection case).
-    pub saturation_utilization: f64,
-}
+/// USM-drop trigger threshold as a fraction of the USM range span (§3.2:
+/// the paper's 1%).
+pub const DROP_THRESHOLD_FRACTION: f64 = 0.01;
 
-impl Default for LbcConfig {
-    fn default() -> Self {
-        LbcConfig {
-            grace_period: SimDuration::from_secs(50),
-            threshold_fraction: 0.01,
-            min_window_samples: 16,
-            loosen_when_clean: true,
-            saturation_utilization: 0.98,
-        }
-    }
-}
+/// Minimum outcomes in the window before *any* activation (DESIGN §12
+/// deviation 4). A window of one or two queries makes `max(R, F_m, F_s)` a
+/// coin flip — e.g. a single stale read would fire `UpgradeUpdates` and
+/// erase accumulated shedding — so the controller waits until the ratios
+/// mean something. The effective activation period is therefore
+/// `max(grace_period, time to collect this many outcomes)`.
+pub const MIN_WINDOW_SAMPLES: u64 = 16;
+
+/// CPU utilization at or above which a rejection-dominated window also
+/// sheds update load (DESIGN §12 deviation 9; see the module docs on the
+/// saturated-rejection case).
+pub const SATURATION_UTILIZATION: f64 = 0.98;
 
 /// The Load Balancing Controller.
 #[derive(Debug, Clone)]
 pub struct Lbc {
     weights: UsmWeights,
-    cfg: LbcConfig,
+    /// Maximum interval between activations ("Grace Period"): the
+    /// controller fires once this much time has passed since the last one,
+    /// provided the window carries enough outcomes to act on.
+    grace_period: SimDuration,
     window: UsmWindow,
     last_activation: SimTime,
     /// Average USM of the previously drained window (drop detection).
@@ -90,12 +71,13 @@ pub struct Lbc {
 }
 
 impl Lbc {
-    /// Build a controller for the users' preference vector; `seed` drives
-    /// only the random tie-breaking of Figure 2's `switch`.
-    pub fn new(weights: UsmWeights, cfg: LbcConfig, seed: u64) -> Self {
+    /// Build a controller for the users' preference vector and grace
+    /// period; `seed` drives only the random tie-breaking of Figure 2's
+    /// `switch`.
+    pub fn new(weights: UsmWeights, grace_period: SimDuration, seed: u64) -> Self {
         Lbc {
             weights,
-            cfg,
+            grace_period,
             window: UsmWindow::new(),
             last_activation: SimTime::ZERO,
             prev_window_usm: None,
@@ -121,31 +103,19 @@ impl Lbc {
 
     /// The trigger condition (§3.2): grace period elapsed, or windowed USM
     /// fell more than the threshold below the previous window's USM — in
-    /// both cases only once the window holds `min_window_samples` outcomes.
+    /// both cases only once the window holds [`MIN_WINDOW_SAMPLES`] outcomes.
     pub fn should_activate(&self, now: SimTime) -> bool {
-        let counts = self.window.counts();
-        if counts.total() < self.cfg.min_window_samples {
-            return false;
-        }
-        if now.saturating_since(self.last_activation) >= self.cfg.grace_period {
-            return true;
-        }
-        match self.prev_window_usm {
-            None => false,
-            Some(prev) => {
-                let current = self.window.average_usm();
-                let threshold = self.cfg.threshold_fraction * self.weights.range_span();
-                prev - current > threshold
-            }
-        }
+        self.window.counts().total() >= MIN_WINDOW_SAMPLES
+            && (now.saturating_since(self.last_activation) >= self.grace_period
+                || self.usm_dropped())
     }
 
     /// Earliest instant at which [`Lbc::should_activate`] could first return
     /// true, assuming **no further outcomes are recorded** before then. Between
     /// two server events the window is frozen, so this bound is exact:
     ///
-    /// * fewer than `min_window_samples` outcomes — activation is impossible
-    ///   at any time ([`SimTime::MAX`]);
+    /// * fewer than [`MIN_WINDOW_SAMPLES`] outcomes — activation is
+    ///   impossible at any time ([`SimTime::MAX`]);
     /// * the USM-drop trigger currently holds — activation is already due
     ///   ([`SimTime::ZERO`]);
     /// * otherwise only the grace timer can fire, at
@@ -155,27 +125,27 @@ impl Lbc {
     /// bulk; any recorded outcome comes from a heap event, which re-bounds the
     /// skip. O(1).
     pub fn idle_until(&self) -> SimTime {
-        if self.window.counts().total() < self.cfg.min_window_samples {
-            return SimTime::MAX;
+        if self.window.counts().total() < MIN_WINDOW_SAMPLES {
+            SimTime::MAX
+        } else if self.usm_dropped() {
+            SimTime::ZERO
+        } else {
+            self.last_activation + self.grace_period
         }
-        let drop_due = match self.prev_window_usm {
-            None => false,
-            Some(prev) => {
-                let current = self.window.average_usm();
-                let threshold = self.cfg.threshold_fraction * self.weights.range_span();
-                prev - current > threshold
-            }
-        };
-        if drop_due {
-            return SimTime::ZERO;
-        }
-        self.last_activation + self.cfg.grace_period
+    }
+
+    /// The USM-drop trigger: the window's average USM fell more than
+    /// [`DROP_THRESHOLD_FRACTION`] of the USM range below the previous
+    /// window's. False before the first non-empty window has been drained.
+    fn usm_dropped(&self) -> bool {
+        self.prev_window_usm.is_some_and(|prev| {
+            prev - self.window.average_usm() > DROP_THRESHOLD_FRACTION * self.weights.range_span()
+        })
     }
 
     /// Run the Adaptive Allocation Algorithm if the trigger condition holds;
-    /// returns the emitted signals (empty when not activated or when the
-    /// window was empty and clean-loosening is disabled). `utilization` is
-    /// the CPU utilization over the recent measurement window.
+    /// returns the emitted signals (empty when not activated). `utilization`
+    /// is the CPU utilization over the recent measurement window.
     pub fn maybe_activate(&mut self, now: SimTime, utilization: f64) -> Vec<ControlSignal> {
         if !self.should_activate(now) {
             return Vec::new();
@@ -197,8 +167,8 @@ impl Lbc {
 
     /// Serialize the controller's dynamic state (window, timers, drop
     /// reference, tie-break RNG, activation count) into a checkpoint stream.
-    /// The preference set and config are construction-time inputs and are
-    /// not written. See [`crate::checkpoint`].
+    /// The preference set and grace period are construction-time inputs and
+    /// are not written. See [`crate::checkpoint`].
     pub fn checkpoint_into(&self, enc: &mut crate::checkpoint::Enc) {
         self.window.checkpoint_into(enc);
         enc.put_u64(self.last_activation.0);
@@ -249,7 +219,7 @@ impl Lbc {
         // Exact zero marks "no failures at all this window": the ratios/costs
         // below are sums of zero terms, not accumulated arithmetic drift.
         if r == 0.0 && fm == 0.0 && fs == 0.0 {
-            return if self.cfg.loosen_when_clean && counts.total() > 0 {
+            return if counts.total() > 0 {
                 vec![ControlSignal::LoosenAdmission]
             } else {
                 Vec::new()
@@ -265,7 +235,7 @@ impl Lbc {
                 // update work (queries are being rejected), so shed it too —
                 // otherwise an update volume above 100% utilization wedges
                 // the controller in a reject-everything equilibrium.
-                if utilization >= self.cfg.saturation_utilization {
+                if utilization >= SATURATION_UTILIZATION {
                     vec![
                         ControlSignal::LoosenAdmission,
                         ControlSignal::DegradeUpdates,
@@ -313,8 +283,10 @@ enum CostClass {
 mod tests {
     use super::*;
 
+    const GRACE: SimDuration = SimDuration::from_secs(50);
+
     fn lbc(weights: UsmWeights) -> Lbc {
-        Lbc::new(weights, LbcConfig::default(), 7)
+        Lbc::new(weights, GRACE, 7)
     }
 
     fn feed(lbc: &mut Lbc, outcome: Outcome, n: u64) {
@@ -334,7 +306,7 @@ mod tests {
     #[test]
     fn sparse_windows_defer_even_the_grace_trigger() {
         let mut l = lbc(UsmWeights::naive());
-        feed(&mut l, Outcome::DataStale, 3); // below min_window_samples
+        feed(&mut l, Outcome::DataStale, 3); // below MIN_WINDOW_SAMPLES
         assert!(
             !l.should_activate(SimTime::from_secs(500)),
             "three outcomes cannot justify a control action"
@@ -360,7 +332,7 @@ mod tests {
         let mut l = lbc(UsmWeights::naive());
         feed(&mut l, Outcome::Success, 30);
         let _ = l.activate(SimTime::from_secs(1), 0.5);
-        // Only 3 samples, all failures: below min_window_samples.
+        // Only 3 samples, all failures: below MIN_WINDOW_SAMPLES.
         feed(&mut l, Outcome::DeadlineMiss, 3);
         assert!(!l.should_activate(SimTime::from_secs(2)));
     }
@@ -413,21 +385,62 @@ mod tests {
     }
 
     #[test]
-    fn clean_window_loosens_when_configured() {
+    fn clean_window_loosens_admission() {
         let mut l = lbc(UsmWeights::naive());
         feed(&mut l, Outcome::Success, 10);
         assert_eq!(
             l.activate(SimTime::from_secs(60), 0.5),
             vec![ControlSignal::LoosenAdmission]
         );
+    }
 
-        let cfg = LbcConfig {
-            loosen_when_clean: false,
-            ..LbcConfig::default()
+    #[test]
+    fn saturated_rejections_also_shed_updates() {
+        // Deviation 9: a rejection-dominated window sheds update load too
+        // once utilization reaches SATURATION_UTILIZATION, and only then.
+        let rejection_window = |utilization: f64| {
+            let mut l = lbc(UsmWeights::penalties(0.8, 0.2, 0.2));
+            feed(&mut l, Outcome::Rejected, 10);
+            feed(&mut l, Outcome::DeadlineMiss, 5);
+            feed(&mut l, Outcome::Success, 85);
+            l.activate(SimTime::from_secs(60), utilization)
         };
-        let mut l = Lbc::new(UsmWeights::naive(), cfg, 7);
-        feed(&mut l, Outcome::Success, 10);
-        assert!(l.activate(SimTime::from_secs(60), 0.5).is_empty());
+        assert_eq!(
+            rejection_window(SATURATION_UTILIZATION),
+            vec![
+                ControlSignal::LoosenAdmission,
+                ControlSignal::DegradeUpdates
+            ]
+        );
+        assert_eq!(
+            rejection_window(0.979),
+            vec![ControlSignal::LoosenAdmission]
+        );
+    }
+
+    #[test]
+    fn min_window_gate_opens_at_sixteen_outcomes() {
+        // Grace trigger: 15 outcomes never activate, however late; the 16th
+        // opens the gate.
+        let mut l = lbc(UsmWeights::naive());
+        feed(&mut l, Outcome::DeadlineMiss, MIN_WINDOW_SAMPLES - 1);
+        assert!(!l.should_activate(SimTime::from_secs(1_000_000)));
+        assert_eq!(l.idle_until(), SimTime::MAX);
+        feed(&mut l, Outcome::DeadlineMiss, 1);
+        assert!(l.should_activate(SimTime::ZERO + GRACE));
+        assert_eq!(l.idle_until(), SimTime::ZERO + GRACE);
+
+        // Drop trigger: after a clean window, 15 misses are no drop yet;
+        // the 16th makes the activation due at once.
+        let mut l = lbc(UsmWeights::naive());
+        feed(&mut l, Outcome::Success, 30);
+        let _ = l.activate(SimTime::from_secs(1), 0.5);
+        feed(&mut l, Outcome::DeadlineMiss, MIN_WINDOW_SAMPLES - 1);
+        assert!(!l.should_activate(SimTime::from_secs(2)));
+        assert_eq!(l.idle_until(), SimTime::MAX);
+        feed(&mut l, Outcome::DeadlineMiss, 1);
+        assert!(l.should_activate(SimTime::from_secs(2)));
+        assert_eq!(l.idle_until(), SimTime::ZERO);
     }
 
     #[test]
@@ -452,11 +465,7 @@ mod tests {
         // R and Fs tied at the max; Fm strictly below. The chosen signal must
         // never be the Fm pair.
         for seed in 0..20 {
-            let mut l = Lbc::new(
-                UsmWeights::penalties(0.5, 0.1, 0.5),
-                LbcConfig::default(),
-                seed,
-            );
+            let mut l = Lbc::new(UsmWeights::penalties(0.5, 0.1, 0.5), GRACE, seed);
             feed(&mut l, Outcome::Rejected, 10);
             feed(&mut l, Outcome::DataStale, 10);
             feed(&mut l, Outcome::DeadlineMiss, 10);

@@ -91,7 +91,7 @@ pub use admission::{AdmissionControl, AdmissionVerdict};
 pub use checkpoint::{CheckpointError, Dec, Enc};
 pub use clock::{Clock, VirtualClock};
 pub use config::UnitConfig;
-pub use controller::{Lbc, LbcConfig};
+pub use controller::Lbc;
 pub use fenwick::{Fenwick, FenwickValue};
 pub use freshness::FreshnessTable;
 pub use lottery::WeightedSampler;
@@ -115,7 +115,7 @@ pub mod prelude {
     pub use crate::admission::{AdmissionControl, AdmissionVerdict};
     pub use crate::clock::{Clock, VirtualClock};
     pub use crate::config::UnitConfig;
-    pub use crate::controller::{Lbc, LbcConfig};
+    pub use crate::controller::Lbc;
     pub use crate::freshness::FreshnessTable;
     pub use crate::modulation::{UpdateModulation, UpgradeRule};
     pub use crate::observe::{AdmissionObs, ControllerObs, ModulationObs};

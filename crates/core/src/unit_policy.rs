@@ -34,6 +34,15 @@ use rand::{Rng, SeedableRng};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
+/// How many (cost-normalized) query accesses per update an item needs for
+/// its ticket to stay negative, i.e. protected from degradation (DESIGN §12
+/// deviation 8). One 96-second update blocks the CPU for roughly two query
+/// deadlines, so an access and an update are *not* equal-value: protecting
+/// an item only pays off when its access traffic outweighs the collateral
+/// cost of its update stream. The auto-normalizing access decrement is
+/// `0.5 · (qe/qt) / avg(qe/qt) / ACCESS_UPDATE_BALANCE`.
+pub const ACCESS_UPDATE_BALANCE: f64 = 3.0;
+
 /// Counters exposed for instrumentation and the experiment harness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct UnitPolicyStats {
@@ -96,15 +105,10 @@ impl UnitPolicy {
             panic!("invalid UnitConfig: {e}");
         }
         UnitPolicy {
-            ac: AdmissionControl::new(
-                cfg.initial_c_flex,
-                cfg.c_flex_step,
-                cfg.min_c_flex,
-                cfg.max_c_flex,
-            ),
+            ac: AdmissionControl::new(cfg.c_flex_step),
             tickets: TicketTable::new(0, cfg.c_forget, 1.0),
             modulation: UpdateModulation::new(Vec::new(), cfg.c_du, cfg.c_uu),
-            lbc: Lbc::new(cfg.weights, cfg.lbc, cfg.seed ^ 0x1bc),
+            lbc: Lbc::new(cfg.weights, cfg.grace_period, cfg.seed ^ 0x1bc),
             rng: StdRng::seed_from_u64(cfg.seed),
             stats: UnitPolicyStats::default(),
             cpu_share_sum: 0.0,
@@ -120,12 +124,13 @@ impl UnitPolicy {
     }
 
     /// Eq. 6 decrement for one access with CPU share `qe/qt`, after the
-    /// configured scaling.
+    /// configured scaling (auto-normalized against
+    /// [`ACCESS_UPDATE_BALANCE`] when `access_ticket_scale` is `None`).
     fn access_decrement(&self, cpu_share: f64) -> f64 {
         match self.cfg.access_ticket_scale {
             Some(scale) => cpu_share * scale,
             None => {
-                let base = 0.5 / self.cfg.access_update_balance;
+                let base = 0.5 / ACCESS_UPDATE_BALANCE;
                 if self.cpu_share_count == 0 {
                     return base;
                 }
@@ -277,24 +282,12 @@ impl UnitPolicy {
     /// the block's start and advanced past that draw alone, so victims, RNG
     /// consumption and `degrade_draws` are those of one descent per draw.
     fn degrade_batch(&mut self) {
-        let (tickets, cfg, modulation) = (&self.tickets, &self.cfg, &self.modulation);
-        #[expect(
-            clippy::float_cmp,
-            reason = "sharpness is a configured literal; 1.0 means \"feature off\""
-        )]
         let total = self.victims.build(
-            |weights| {
-                match cfg.victim_weighting {
-                    VictimWeighting::ShiftMin => tickets.shifted_weights_into(weights),
-                    VictimWeighting::ClampZero => tickets.clamped_weights_into(weights),
-                }
-                if cfg.lottery_sharpness != 1.0 {
-                    for w in weights {
-                        *w = w.powf(cfg.lottery_sharpness);
-                    }
-                }
+            |weights| match self.cfg.victim_weighting {
+                VictimWeighting::ShiftMin => self.tickets.shifted_weights_into(weights),
+                VictimWeighting::ClampZero => self.tickets.clamped_weights_into(weights),
             },
-            |i| modulation.degrade_is_noop(DataId(i as u32)),
+            |i| self.modulation.degrade_is_noop(DataId(i as u32)),
         );
         crate::validate_check!("lottery-sampler", self.victims.check_sampler());
         if total <= 0.0 || !total.is_finite() {

@@ -116,15 +116,10 @@ impl Reference {
 
     /// One `DegradeUpdates` signal, as the policy ran it before the index.
     fn degrade_batch(&mut self) {
-        let mut weights = match self.cfg.victim_weighting {
+        let weights = match self.cfg.victim_weighting {
             VictimWeighting::ShiftMin => self.tickets.shifted_weights(),
             VictimWeighting::ClampZero => self.tickets.clamped_weights(),
         };
-        if self.cfg.lottery_sharpness != 1.0 {
-            for w in &mut weights {
-                *w = w.powf(self.cfg.lottery_sharpness);
-            }
-        }
         let sampler = WeightedSampler::from_weights(&weights);
         let total = sampler.total();
         if total <= 0.0 || !total.is_finite() {
@@ -466,7 +461,6 @@ fn scenario_with(
         } else {
             VictimWeighting::ShiftMin
         },
-        lottery_sharpness: [1.0, 1.0, 0.5, 2.0, 3.7][rng.gen_range(0..5usize)],
         max_degradation_factor: [1.0, 1.5, 4.0, 64.0][rng.gen_range(0..4usize)],
         modulation_step_util: [1e-6, 0.05, 1e9][rng.gen_range(0..3usize)],
         upgrade_step_util: [1e-6, 0.005, 1e9][rng.gen_range(0..3usize)],
@@ -497,9 +491,9 @@ fn scenario_with(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Every table size and shape, both weightings, sharpness ≠ 1, capped,
-    /// uncapped and streamless items, budget stops and draw-cap stops:
-    /// the indexed lottery decides exactly what the descent loop did.
+    /// Every table size and shape, both weightings, capped, uncapped and
+    /// streamless items, budget stops and draw-cap stops: the indexed
+    /// lottery decides exactly what the descent loop did.
     #[test]
     fn indexed_lottery_matches_the_descent_loop(
         size in 0..SIZES.len(),

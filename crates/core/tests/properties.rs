@@ -4,7 +4,8 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use unit_core::controller::{Lbc, LbcConfig};
+use unit_core::config::UnitConfig;
+use unit_core::controller::Lbc;
 use unit_core::freshness::{lag_freshness, max_tolerable_udrop, FreshnessTable};
 use unit_core::lottery::WeightedSampler;
 use unit_core::modulation::{UpdateModulation, UpgradeRule};
@@ -281,7 +282,7 @@ proptest! {
         seed in any::<u64>(),
     ) {
         use unit_core::policy::ControlSignal as S;
-        let mut lbc = Lbc::new(weights, LbcConfig::default(), seed);
+        let mut lbc = Lbc::new(weights, UnitConfig::default().grace_period, seed);
         for o in &outcomes {
             lbc.record(*o);
         }
