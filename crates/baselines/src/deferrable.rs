@@ -24,34 +24,16 @@ use unit_core::snapshot::SnapshotView;
 use unit_core::time::{SimDuration, SimTime};
 use unit_core::types::{DataId, ItemVec, QuerySpec, UpdateSpec};
 
-/// Tuning for [`DeferrablePolicy`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct DeferrableConfig {
-    /// EWMA factor for access-interval estimation (weight of the newest
-    /// observation).
-    pub ewma_alpha: f64,
-    /// Refresh when the predicted next access is within this many seconds
-    /// (should cover the update execution time plus one tick).
-    pub lead_time_secs: f64,
-    /// Also refresh on demand when a mispredicted access finds stale data
-    /// (ODU-style safety net). Disable to measure pure prediction.
-    pub demand_fallback: bool,
-}
-
-impl Default for DeferrableConfig {
-    fn default() -> Self {
-        DeferrableConfig {
-            ewma_alpha: 0.3,
-            lead_time_secs: 150.0,
-            demand_fallback: true,
-        }
-    }
-}
+/// EWMA factor for access-interval estimation (weight of the newest
+/// observation).
+const EWMA_ALPHA: f64 = 0.3;
+/// Refresh when the predicted next access is within this many seconds
+/// (covers the update execution time plus one tick).
+const LEAD_TIME_SECS: f64 = 150.0;
 
 /// The deferrable-update policy.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct DeferrablePolicy {
-    cfg: DeferrableConfig,
     last_access: ItemVec<Option<SimTime>>,
     /// EWMA of per-item access intervals, seconds (`None` until two
     /// accesses have been seen).
@@ -59,23 +41,7 @@ pub struct DeferrablePolicy {
     refreshes_scheduled: u64,
 }
 
-impl Default for DeferrablePolicy {
-    fn default() -> Self {
-        DeferrablePolicy::new(DeferrableConfig::default())
-    }
-}
-
 impl DeferrablePolicy {
-    /// Build with explicit tuning.
-    pub fn new(cfg: DeferrableConfig) -> Self {
-        DeferrablePolicy {
-            cfg,
-            last_access: ItemVec::default(),
-            interval_ewma: ItemVec::default(),
-            refreshes_scheduled: 0,
-        }
-    }
-
     /// Refreshes scheduled ahead of predicted accesses so far.
     pub fn refreshes_scheduled(&self) -> u64 {
         self.refreshes_scheduled
@@ -121,7 +87,7 @@ impl Policy for DeferrablePolicy {
             let now = q.arrival;
             if let Some(last) = *self.last_access.at(d) {
                 let observed = now.saturating_since(last).as_secs_f64();
-                let a = self.cfg.ewma_alpha;
+                let a = EWMA_ALPHA;
                 let ewma = self.interval_ewma.at_mut(d);
                 *ewma = Some(match *ewma {
                     Some(prev) => (1.0 - a) * prev + a * observed,
@@ -133,7 +99,7 @@ impl Policy for DeferrablePolicy {
     }
 
     fn tick_refreshes(&mut self, now: SimTime, udrop: &dyn Fn(DataId) -> u64) -> Vec<DataId> {
-        let lead = SimDuration::from_secs_f64(self.cfg.lead_time_secs);
+        let lead = SimDuration::from_secs_f64(LEAD_TIME_SECS);
         let mut out = Vec::new();
         for (d, _) in self.last_access.iter() {
             if udrop(d) == 0 {
@@ -150,9 +116,8 @@ impl Policy for DeferrablePolicy {
     }
 
     fn demand_refresh(&mut self, q: &QuerySpec, udrop: &dyn Fn(DataId) -> u64) -> Vec<DataId> {
-        if !self.cfg.demand_fallback {
-            return Vec::new();
-        }
+        // ODU-style safety net: a mispredicted access that finds stale
+        // data refreshes on demand.
         let tolerable = max_tolerable_udrop(q.freshness_req);
         q.items
             .iter()
@@ -266,13 +231,6 @@ mod tests {
         let mut p = policy();
         let stale = p.demand_refresh(&query(10, 1), &|d| if d.0 == 1 { 2 } else { 0 });
         assert_eq!(stale, vec![DataId(1)]);
-
-        let mut strict = DeferrablePolicy::new(DeferrableConfig {
-            demand_fallback: false,
-            ..DeferrableConfig::default()
-        });
-        strict.init(4, &[]);
-        assert!(strict.demand_refresh(&query(10, 1), &|_| 5).is_empty());
     }
 
     #[test]

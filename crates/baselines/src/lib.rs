@@ -34,7 +34,7 @@ pub mod imu;
 pub mod odu;
 pub mod qmf;
 
-pub use deferrable::{DeferrableConfig, DeferrablePolicy};
+pub use deferrable::DeferrablePolicy;
 pub use imu::ImuPolicy;
 pub use odu::OduPolicy;
-pub use qmf::{QmfConfig, QmfPolicy};
+pub use qmf::QmfPolicy;

@@ -31,52 +31,31 @@ use unit_core::snapshot::SnapshotView;
 use unit_core::time::{SimDuration, SimTime};
 use unit_core::types::{DataId, ItemVec, Outcome, QuerySpec, UpdateSpec};
 
-/// QMF tuning.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct QmfConfig {
-    /// Deadline miss-ratio target among admitted transactions (Kang's
-    /// default experiments use 1%).
-    pub miss_ratio_target: f64,
-    /// Perceived-freshness target (fraction of dispatches reading data that
-    /// meets the query's freshness requirement).
-    pub freshness_target: f64,
-    /// Interval between controller adaptations.
-    pub adaptation_period: SimDuration,
-    /// Utilization above which the CPU counts as overloaded.
-    pub overload_utilization: f64,
-    /// Items moved per QoD degrade/upgrade step.
-    pub qod_step: usize,
-    /// Proportional gain of the backlog-cap controller (seconds of backlog
-    /// per unit miss-ratio error).
-    pub kp: f64,
-    /// Integral gain.
-    pub ki: f64,
-    /// Initial backlog cap, seconds of outstanding work.
-    pub initial_backlog_cap: f64,
-    /// Bounds on the backlog cap.
-    pub backlog_cap_range: (f64, f64),
-}
-
-impl Default for QmfConfig {
-    fn default() -> Self {
-        QmfConfig {
-            miss_ratio_target: 0.01,
-            freshness_target: 0.98,
-            adaptation_period: SimDuration::from_secs(500),
-            overload_utilization: 0.95,
-            qod_step: 32,
-            kp: 2_000.0,
-            ki: 200.0,
-            initial_backlog_cap: 500.0,
-            backlog_cap_range: (50.0, 20_000.0),
-        }
-    }
-}
+/// Deadline miss-ratio target among admitted transactions (Kang's default
+/// experiments use 1%).
+const MISS_RATIO_TARGET: f64 = 0.01;
+/// Perceived-freshness target (fraction of dispatches reading data that
+/// meets the query's freshness requirement).
+const FRESHNESS_TARGET: f64 = 0.98;
+/// Interval between controller adaptations.
+const ADAPTATION_PERIOD: SimDuration = SimDuration::from_secs(500);
+/// Utilization above which the CPU counts as overloaded.
+const OVERLOAD_UTILIZATION: f64 = 0.95;
+/// Items moved per QoD degrade/upgrade step.
+const QOD_STEP: usize = 32;
+/// Proportional gain of the backlog-cap controller (seconds of backlog per
+/// unit miss-ratio error).
+const KP: f64 = 2_000.0;
+/// Integral gain.
+const KI: f64 = 200.0;
+/// Initial backlog cap, seconds of outstanding work.
+const INITIAL_BACKLOG_CAP: f64 = 500.0;
+/// Bounds on the backlog cap.
+const BACKLOG_CAP_RANGE: (f64, f64) = (50.0, 20_000.0);
 
 /// The QMF policy.
 #[derive(Debug)]
 pub struct QmfPolicy {
-    cfg: QmfConfig,
     // Measurement windows (reset each adaptation).
     window_admitted_done: u64,
     window_misses: u64,
@@ -97,16 +76,8 @@ pub struct QmfPolicy {
 
 impl Default for QmfPolicy {
     fn default() -> Self {
-        QmfPolicy::new(QmfConfig::default())
-    }
-}
-
-impl QmfPolicy {
-    /// Build a QMF policy with the given tuning.
-    pub fn new(cfg: QmfConfig) -> Self {
         QmfPolicy {
-            backlog_cap_secs: cfg.initial_backlog_cap,
-            cfg,
+            backlog_cap_secs: INITIAL_BACKLOG_CAP,
             window_admitted_done: 0,
             window_misses: 0,
             window_dispatches: 0,
@@ -121,7 +92,9 @@ impl QmfPolicy {
             rejected: 0,
         }
     }
+}
 
+impl QmfPolicy {
     /// Current backlog cap (seconds of outstanding work admitted).
     pub fn backlog_cap_secs(&self) -> f64 {
         self.backlog_cap_secs
@@ -186,8 +159,8 @@ impl QmfPolicy {
 
         let miss_ratio = self.window_miss_ratio();
         let freshness = self.window_perceived_freshness();
-        let overloaded = sys.recent_utilization >= self.cfg.overload_utilization
-            || miss_ratio > self.cfg.miss_ratio_target;
+        let overloaded =
+            sys.recent_utilization >= OVERLOAD_UTILIZATION || miss_ratio > MISS_RATIO_TARGET;
 
         // Kang's controller treats the miss-ratio target as the *primary*
         // goal: the PI loop on the miss-ratio error always drives the
@@ -196,23 +169,23 @@ impl QmfPolicy {
         // conservative and drops many queries to guarantee the admitted
         // transactions ... although within those admitted transactions the
         // miss ratio is minimized, the overall success ratio is low" (§4.5).
-        let error = self.cfg.miss_ratio_target - miss_ratio; // < 0 over target
-                                                             // Leaky, tightly clamped integral: without anti-windup a single
-                                                             // saturated-overload window leaves the integral so negative that
-                                                             // admission stays shut long after the system recovers.
+        let error = MISS_RATIO_TARGET - miss_ratio; // < 0 over target
+                                                    // Leaky, tightly clamped integral: without anti-windup a single
+                                                    // saturated-overload window leaves the integral so negative that
+                                                    // admission stays shut long after the system recovers.
         self.integral = (0.9 * self.integral + error).clamp(-2.0, 2.0);
-        self.backlog_cap_secs += self.cfg.kp * error + self.cfg.ki * self.integral;
+        self.backlog_cap_secs += KP * error + KI * self.integral;
 
         // QoD adaptation: spend spare capacity on freshness, shed update
         // load when overloaded and freshness has slack.
         if overloaded {
-            if freshness > self.cfg.freshness_target {
-                self.qod_level = (self.qod_level + self.cfg.qod_step).min(self.dropped.len());
+            if freshness > FRESHNESS_TARGET {
+                self.qod_level = (self.qod_level + QOD_STEP).min(self.dropped.len());
             }
-        } else if freshness < self.cfg.freshness_target {
-            self.qod_level = self.qod_level.saturating_sub(self.cfg.qod_step);
+        } else if freshness < FRESHNESS_TARGET {
+            self.qod_level = self.qod_level.saturating_sub(QOD_STEP);
         }
-        let (lo, hi) = self.cfg.backlog_cap_range;
+        let (lo, hi) = BACKLOG_CAP_RANGE;
         self.backlog_cap_secs = self.backlog_cap_secs.clamp(lo, hi);
         self.rebuild_dropped_set();
 
@@ -287,7 +260,7 @@ impl Policy for QmfPolicy {
         now: SimTime,
         sys: &SnapshotView<'_>,
     ) -> Vec<unit_core::policy::ControlSignal> {
-        if now.saturating_since(self.last_adaptation) >= self.cfg.adaptation_period {
+        if now.saturating_since(self.last_adaptation) >= ADAPTATION_PERIOD {
             self.adapt(now, sys);
         }
         Vec::new()
@@ -470,21 +443,15 @@ mod tests {
         for _ in 0..20 {
             p.on_query_dispatch(&q, 1.0);
         }
-        let cfg = QmfConfig {
-            qod_step: 1,
-            ..QmfConfig::default()
-        };
-        let mut p2 = QmfPolicy::new(cfg);
-        p2.init(8, &[]);
-        p2.access_counts = p.access_counts.clone();
-        p2.update_counts = p.update_counts.clone();
-        p2.qod_level = 1;
-        p2.rebuild_dropped_set();
+        // One dropped stream (below one QOD_STEP, which would shed both
+        // updated items) must go to the lower access/update ratio.
+        p.qod_level = 1;
+        p.rebuild_dropped_set();
         assert!(
-            *p2.dropped.at(DataId(0)),
+            *p.dropped.at(DataId(0)),
             "never-read hot-updated item dropped first"
         );
-        assert!(!*p2.dropped.at(DataId(1)));
+        assert!(!*p.dropped.at(DataId(1)));
     }
 
     #[test]
@@ -534,7 +501,7 @@ mod more_tests {
             sys.recent_utilization = 1.0;
             p.adapt(SimTime::from_secs(100 * (round + 1)), &sys.view());
         }
-        let (floor, _) = QmfConfig::default().backlog_cap_range;
+        let (floor, _) = BACKLOG_CAP_RANGE;
         assert!(
             (p.backlog_cap_secs() - floor).abs() < 1e-9,
             "cap {} should hit the floor {floor}",
@@ -597,6 +564,6 @@ mod more_tests {
         p.adapt(SimTime::from_secs(500), &sys.view());
         assert_eq!(p.adaptations(), 1);
         // Miss ratio of an empty window reads as 0 (meeting the target).
-        assert!(p.backlog_cap_secs() >= QmfConfig::default().initial_backlog_cap);
+        assert!(p.backlog_cap_secs() >= INITIAL_BACKLOG_CAP);
     }
 }

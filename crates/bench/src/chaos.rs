@@ -249,7 +249,7 @@ fn assert_identical(
             a.counts, b.counts
         ));
     }
-    if a.log != b.log {
+    if !a.merged_log().eq(b.merged_log()) {
         return Err(format!("{what}: merged outcome log diverged"));
     }
     if a.decisions != b.decisions {
@@ -278,7 +278,7 @@ fn assert_identical(
 /// bookkeeping), `events_processed` (already digest-excluded), `faults`
 /// (recoveries differ by definition). Everything else — outcomes,
 /// histograms, signals, CPU accounting, the full per-query outcome log
-/// (the merged `log`, which carries every shard's records) — must match
+/// (`merged_log`, which carries every shard's records) — must match
 /// bit for bit.
 fn behaviourally_identical(
     a: &FaultClusterReport,
@@ -291,7 +291,7 @@ fn behaviourally_identical(
     if a.counts != b.counts {
         return Err(format!("{what}: outcome tally diverged"));
     }
-    if a.log != b.log {
+    if !a.merged_log().eq(b.merged_log()) {
         return Err(format!("{what}: merged outcome log diverged"));
     }
     if a.decisions != b.decisions {
@@ -407,11 +407,10 @@ impl Oracle {
                         w.n_queries()
                     ));
                 }
-                if r.log.len() != total {
+                let logged = r.merged_log().count();
+                if logged != total {
                     return Err(format!(
-                        "conservation: merged log has {} entries for {} outcomes",
-                        r.log.len(),
-                        total
+                        "conservation: merged log has {logged} entries for {total} outcomes"
                     ));
                 }
                 for (s, (report, sched)) in

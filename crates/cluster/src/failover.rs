@@ -314,9 +314,10 @@ pub(crate) fn routed_trace<'a>(
 /// Wraps the shard-level [`ClusterReport`] (whose counts, log and
 /// assignment cover only the *routed* queries, so its own identity checks
 /// still hold) and folds dispatcher rejections back in: they appear in
-/// [`FaultClusterReport::counts`] as `C_r` and in the combined
-/// [`FaultClusterReport::log`] under the pseudo-shard id
+/// [`FaultClusterReport::counts`] as `C_r` and in
+/// [`FaultClusterReport::rejections`] under the pseudo-shard id
 /// [`FaultClusterReport::dispatcher_shard`].
+/// [`FaultClusterReport::merged_log`] walks both logs in one order.
 #[derive(Debug, Clone)]
 pub struct FaultClusterReport {
     /// The shard-level report over routed queries.
@@ -325,17 +326,15 @@ pub struct FaultClusterReport {
     pub decisions: Vec<RouteDecision>,
     /// Cluster tallies *including* dispatcher rejections.
     pub counts: OutcomeCounts,
-    /// Shard outcomes and dispatcher rejections, merged by
-    /// `(time, shard, seq)`; dispatcher entries carry the pseudo-shard id.
-    pub log: Vec<MergedOutcome>,
+    /// The dispatcher's outcome log: its rejections, numbered in trace
+    /// order under the pseudo-shard id and sorted by `(time, shard, seq)`.
+    /// The shard outcomes are `cluster.log`; [`Self::merged_log`] walks both.
+    pub rejections: Vec<MergedOutcome>,
 }
 
 impl FaultClusterReport {
     /// Fold dispatcher rejections into the shard-level report: the R
-    /// rejections, numbered in trace order and sorted, are merged into the
-    /// already sorted shard log of N entries, giving an exact-capacity
-    /// combined log. Keys `(time, shard, seq)` are unique, so the order is
-    /// the one a full re-sort would give. O(N + R log N).
+    /// rejections are numbered in trace order and sorted. O(R log R).
     pub fn assemble(
         trace: &Trace,
         cluster: ClusterReport,
@@ -362,22 +361,25 @@ impl FaultClusterReport {
         rejections.sort_unstable_by_key(merge_key);
         let mut counts = cluster.counts;
         counts.rejected += rejections.len() as u64;
-        let mut log = Vec::with_capacity(cluster.log.len() + rejections.len());
-        let mut rest = cluster.log.as_slice();
-        for r in rejections {
-            let (before, after) =
-                rest.split_at(rest.partition_point(|s| merge_key(s) < merge_key(&r)));
-            log.extend_from_slice(before);
-            log.push(r);
-            rest = after;
-        }
-        log.extend_from_slice(rest);
         FaultClusterReport {
             cluster,
             decisions,
             counts,
-            log,
+            rejections,
         }
+    }
+
+    /// Shard outcomes and dispatcher rejections in one `(time, shard,
+    /// seq)` order: a merge of the two sorted logs, O(1) per entry. Keys
+    /// are unique, so the order is the one a full re-sort would give.
+    pub fn merged_log(&self) -> impl Iterator<Item = &MergedOutcome> + '_ {
+        let mut shards = self.cluster.log.iter().peekable();
+        let mut dispatcher = self.rejections.iter().peekable();
+        std::iter::from_fn(move || match (shards.peek(), dispatcher.peek()) {
+            (Some(s), Some(r)) if merge_key(r) < merge_key(s) => dispatcher.next(),
+            (Some(_), _) => shards.next(),
+            (None, _) => dispatcher.next(),
+        })
     }
 
     /// The pseudo-shard id dispatcher rejections are logged under (one
@@ -426,7 +428,7 @@ pub fn check_health_consistency(
             plan.shards.len()
         ));
     }
-    for r in &report.log {
+    for r in report.merged_log() {
         // Dispatcher entries (shard >= n) are not shard outcomes.
         let Some(shard) = plan.shards.get(r.shard) else {
             continue;
@@ -457,7 +459,7 @@ pub fn check_health_consistency(
         ));
     }
     let mut recount = OutcomeCounts::default();
-    for r in &report.log {
+    for r in report.merged_log() {
         recount.record(r.outcome);
     }
     if recount != report.counts {

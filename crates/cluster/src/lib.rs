@@ -566,8 +566,8 @@ mod tests {
         ));
     }
 
-    /// `FaultClusterReport::assemble` merges the dispatcher rejections into
-    /// the sorted shard log; the result must be exactly the order the
+    /// `FaultClusterReport::merged_log` merges the dispatcher rejections
+    /// into the sorted shard log; the result must be exactly the order the
     /// clone, push and re-sort of every entry gives.
     #[test]
     fn assembled_log_matches_a_full_resort() {
@@ -620,11 +620,11 @@ mod tests {
                 });
             }
             resorted.sort_unstable_by_key(|r| (r.time, r.shard, r.seq));
-            assert_eq!(report.log, resorted);
-            assert_eq!(report.log.capacity(), report.log.len());
+            let merged: Vec<MergedOutcome> = report.merged_log().copied().collect();
+            assert_eq!(merged, resorted);
             // The rejections land between shard outcomes, not at one end.
-            let last_shard = report.log.iter().rposition(|r| r.shard < 2).unwrap();
-            assert!(report.log[..last_shard].iter().any(|r| r.shard == 2));
+            let last_shard = merged.iter().rposition(|r| r.shard < 2).unwrap();
+            assert!(merged[..last_shard].iter().any(|r| r.shard == 2));
         }
     }
 
@@ -679,7 +679,7 @@ mod tests {
             .unwrap();
         // Every query decided exactly once, dispatcher rejections included.
         assert_eq!(report.counts.total(), 40);
-        assert_eq!(report.log.len(), 40);
+        assert_eq!(report.merged_log().count(), 40);
         check_health_consistency(&report, &plan, &failover).unwrap();
         // Bit-reproducible, for any worker count.
         let again = cluster
@@ -690,7 +690,7 @@ mod tests {
             .unwrap()
             .into_faulty()
             .unwrap();
-        assert_eq!(report.log, again.log);
+        assert!(report.merged_log().eq(again.merged_log()));
         assert_eq!(report.counts, again.counts);
         assert_eq!(report.decisions, again.decisions);
     }

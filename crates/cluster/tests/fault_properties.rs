@@ -141,10 +141,10 @@ proptest! {
         let n_queries = s.bundle.trace.queries.len() as u64;
         prop_assert_eq!(report.counts.total(), n_queries);
         prop_assert_eq!(report.decisions.len() as u64, n_queries);
-        prop_assert_eq!(report.log.len() as u64, n_queries);
+        prop_assert_eq!(report.merged_log().count() as u64, n_queries);
 
         // No id lost, duplicated, or invented in the combined history.
-        let mut logged: Vec<u64> = report.log.iter().map(|m| m.query.0).collect();
+        let mut logged: Vec<u64> = report.merged_log().map(|m| m.query.0).collect();
         logged.sort_unstable();
         let mut expected: Vec<u64> =
             s.bundle.trace.queries.iter().map(|q| q.id.0).collect();
@@ -155,14 +155,14 @@ proptest! {
         // shard-level sub-report keeps its own identity.
         let pseudo = report.dispatcher_shard();
         let dispatcher_entries =
-            report.log.iter().filter(|m| m.shard == pseudo).count() as u64;
+            report.merged_log().filter(|m| m.shard == pseudo).count() as u64;
         prop_assert_eq!(dispatcher_entries, report.dispatcher_rejections());
         unit_cluster::check_cluster_identity(&report.cluster)
             .map_err(TestCaseError::fail)?;
 
         // Combined counts recount exactly from the combined log.
         let mut recount = OutcomeCounts::default();
-        for m in &report.log {
+        for m in report.merged_log() {
             recount.record(m.outcome);
         }
         prop_assert_eq!(recount, report.counts);
@@ -174,11 +174,11 @@ proptest! {
         let first = run(&s, 0);
         let again = run(&s, 0);
         prop_assert_eq!(&again.decisions, &first.decisions);
-        prop_assert_eq!(&again.log, &first.log);
+        prop_assert!(again.merged_log().eq(first.merged_log()));
         prop_assert_eq!(again.counts, first.counts);
         let single_worker = run(&s, 1);
         prop_assert_eq!(&single_worker.decisions, &first.decisions);
-        prop_assert_eq!(&single_worker.log, &first.log);
+        prop_assert!(single_worker.merged_log().eq(first.merged_log()));
         prop_assert_eq!(single_worker.counts, first.counts);
         prop_assert_eq!(
             single_worker.average_usm().to_bits(),
@@ -196,7 +196,7 @@ proptest! {
         // Spot-check the window invariant independently of the packaged
         // checker: shard outcomes never land strictly inside a pause
         // window of their shard.
-        for m in &report.log {
+        for m in report.merged_log() {
             if m.shard >= s.n_shards {
                 continue;
             }

@@ -41,9 +41,6 @@ pub enum Event {
         /// The admitted query transaction.
         txn: TxnId,
     },
-    /// Periodic control tick: drives `Policy::on_tick` (and therefore UNIT's
-    /// Load Balancing Controller).
-    ControlTick,
     /// A fault-schedule transition instant (crash-window boundary or load
     /// burst). Only scheduled when a [`crate::faults::FaultHook`] is
     /// installed; a run without faults never sees one.
@@ -133,8 +130,8 @@ impl EventQueue {
 
     /// Claim the next runtime sequence number without pushing anything —
     /// used by the engine's tracked control tick, which keeps the tick out
-    /// of the heap but must still occupy exactly the sequence slot the
-    /// heap-resident tick would have taken. O(1).
+    /// of the heap but orders against it by the same `(time, seq)` key.
+    /// O(1).
     pub fn alloc_seq(&mut self) -> u64 {
         let seq = self.next_seq;
         self.next_seq += 1;
@@ -180,7 +177,7 @@ impl EventQueue {
     pub fn pop(&mut self) -> Option<(SimTime, Event)> {
         self.heap.pop().map(|Reverse((t, _, slot))| {
             self.free.push(slot);
-            let event = std::mem::replace(&mut self.slab[slot as usize], Event::ControlTick);
+            let event = std::mem::replace(&mut self.slab[slot as usize], Event::FaultTransition);
             (t, event)
         })
     }
@@ -249,7 +246,7 @@ mod tests {
     #[test]
     fn pops_in_time_order() {
         let mut q = EventQueue::new();
-        q.push(SimTime::from_secs(5), Event::ControlTick);
+        q.push(SimTime::from_secs(5), Event::FaultTransition);
         q.push(SimTime::from_secs(1), Event::QueryArrival { spec_idx: 0 });
         q.push(
             SimTime::from_secs(3),
@@ -282,7 +279,7 @@ mod tests {
     fn peek_does_not_consume() {
         let mut q = EventQueue::new();
         assert_eq!(q.peek_time(), None);
-        q.push(SimTime::from_secs(4), Event::ControlTick);
+        q.push(SimTime::from_secs(4), Event::FaultTransition);
         assert_eq!(q.peek_time(), Some(SimTime::from_secs(4)));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
@@ -294,12 +291,12 @@ mod tests {
         let t = SimTime::from_secs(7);
         // Runtime event pushed FIRST, arrivals fed later (out of order, as a
         // streamed feed might): arrivals still pop first, in trace order.
-        q.push(t, Event::ControlTick);
+        q.push(t, Event::FaultTransition);
         q.push_arrival(t, Event::QueryArrival { spec_idx: 3 }, 3);
         q.push_arrival(t, Event::QueryArrival { spec_idx: 1 }, 1);
         assert_eq!(q.pop().unwrap().1, Event::QueryArrival { spec_idx: 1 });
         assert_eq!(q.pop().unwrap().1, Event::QueryArrival { spec_idx: 3 });
-        assert_eq!(q.pop().unwrap().1, Event::ControlTick);
+        assert_eq!(q.pop().unwrap().1, Event::FaultTransition);
     }
 
     #[test]
@@ -319,7 +316,7 @@ mod tests {
     fn snapshot_and_restore_preserve_pop_order() {
         let mut q = EventQueue::new();
         let t = SimTime::from_secs(3);
-        q.push(t, Event::ControlTick);
+        q.push(t, Event::FaultTransition);
         q.push_arrival(t, Event::QueryArrival { spec_idx: 7 }, 7);
         q.push(
             SimTime::from_secs(1),
@@ -339,7 +336,7 @@ mod tests {
         r.set_next_seq(next);
         assert_eq!(r.next_seq(), next);
         assert_eq!(r.pop().unwrap().1, Event::QueryArrival { spec_idx: 7 });
-        assert_eq!(r.pop().unwrap().1, Event::ControlTick);
+        assert_eq!(r.pop().unwrap().1, Event::FaultTransition);
         assert!(r.pop().is_none());
     }
 
@@ -349,13 +346,13 @@ mod tests {
         // Interleave pushes and pops: the slab must not grow past the peak
         // number of simultaneously pending events.
         for round in 0..100usize {
-            q.push(SimTime::from_secs(round as u64), Event::ControlTick);
+            q.push(SimTime::from_secs(round as u64), Event::FaultTransition);
             q.push(
                 SimTime::from_secs(round as u64),
                 Event::QueryArrival { spec_idx: round },
             );
             let (_, e) = q.pop().unwrap();
-            assert_eq!(e, Event::ControlTick);
+            assert_eq!(e, Event::FaultTransition);
             let (_, e) = q.pop().unwrap();
             assert_eq!(e, Event::QueryArrival { spec_idx: round });
         }

@@ -13,6 +13,17 @@
 //! * **freshness-tracked database** — version arrivals raise `Udrop`,
 //!   applied updates clear it (re-exported from `unit_core::freshness`).
 //!
+//! The [`engine`] is one module per decision, each pinned by a suite:
+//! `mod.rs`, the event loop (`golden_snapshot`, `determinism`); `feed`,
+//! queries entering the heap (`streaming.rs`); `lifecycle`, spawn, commit
+//! and firm-deadline abort, and `dispatch`, CPU assign/vacate, preemption
+//! and 2PL-HP (both `engine_behaviour.rs`); `queue`, the admitted index and
+//! policy view (the `work-index` recount); `tick`, the control tick and its
+//! idle fast paths (`golden_snapshot` under `validate`); `faults`,
+//! crash-window deferral and transitions (`fault_behaviour.rs`);
+//! `checkpoint`, snapshot, restore and lose-state recovery
+//! (`recovery_differential.rs`).
+//!
 //! All decisions are delegated to a [`unit_core::policy::Policy`]; the
 //! engine only executes. Runs are bit-reproducible: the event queue breaks
 //! time ties by insertion order and the engine uses no randomness.

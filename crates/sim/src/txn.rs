@@ -85,17 +85,6 @@ pub struct Txn {
 }
 
 impl Txn {
-    /// Priority key for the dual-priority EDF discipline: update class
-    /// first, then earlier deadline, then lower id (deterministic ties).
-    pub fn priority_key(&self) -> (TxnClass, SimTime, TxnId) {
-        (self.class, self.edf_deadline, self.id)
-    }
-
-    /// True when `self` has strictly higher dispatch priority than `other`.
-    pub fn outranks(&self, other: &Txn) -> bool {
-        self.priority_key() < other.priority_key()
-    }
-
     /// True for query-class transactions.
     pub fn is_query(&self) -> bool {
         matches!(self.kind, TxnKind::Query { .. })
@@ -224,6 +213,7 @@ impl TxnArena {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::SchedulingDiscipline;
 
     fn txn(id: u64, class: TxnClass, deadline_s: u64) -> Txn {
         Txn {
@@ -243,6 +233,12 @@ mod tests {
         }
     }
 
+    /// Strictly higher dispatch priority under the paper's discipline.
+    fn outranks(a: &Txn, b: &Txn) -> bool {
+        let d = SchedulingDiscipline::DualPriorityEdf;
+        d.key(a) < d.key(b)
+    }
+
     #[test]
     fn updates_outrank_queries_regardless_of_deadline() {
         let mut u = txn(10, TxnClass::Update, 1000);
@@ -251,17 +247,17 @@ mod tests {
             on_demand: false,
         };
         let q = txn(1, TxnClass::Query, 1);
-        assert!(u.outranks(&q));
-        assert!(!q.outranks(&u));
+        assert!(outranks(&u, &q));
+        assert!(!outranks(&q, &u));
     }
 
     #[test]
     fn edf_within_class_then_id_tiebreak() {
         let a = txn(1, TxnClass::Query, 10);
         let b = txn(2, TxnClass::Query, 20);
-        assert!(a.outranks(&b));
+        assert!(outranks(&a, &b));
         let c = txn(3, TxnClass::Query, 10);
-        assert!(a.outranks(&c), "equal deadlines break ties by id");
+        assert!(outranks(&a, &c), "equal deadlines break ties by id");
     }
 
     #[test]

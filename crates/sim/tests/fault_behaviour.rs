@@ -307,3 +307,27 @@ fn faulty_runs_are_bit_reproducible() {
     assert_eq!(a.outcome_records, b.outcome_records);
     assert_eq!(a.faults, b.faults);
 }
+
+/// A crash window that ends exactly on the first control tick: that tick
+/// took its sequence slot before the fault transitions were seeded, so it
+/// pops before the recovery transition that restarts the preempted query.
+/// Under `validate` the non-idling check must let that one instant pass.
+#[test]
+fn first_tick_on_a_recovery_instant_precedes_the_restart() {
+    let trace = Trace {
+        n_items: 1,
+        queries: vec![query(0, 0.2, &[0], 2.0, 30.0)],
+        updates: vec![],
+    };
+    let hook = TestFaults {
+        windows: vec![(SimTime::from_secs_f64(0.5), SimTime::from_secs(1), false)],
+        ..TestFaults::default()
+    };
+    let report = SimRun::trace(&trace, ApplyAll, cfg(5))
+        .with_faults(Box::new(hook))
+        .run();
+    assert_eq!(report.counts.success, 1);
+    assert_eq!(report.cpu_busy, SimDuration::from_secs(2));
+    // Preempted at 0.5 s with 1.7 s left, restarted by the recovery at 1 s.
+    assert_eq!(report.outcome_records[0].time, SimTime::from_secs_f64(2.7));
+}
