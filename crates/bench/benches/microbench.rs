@@ -14,7 +14,7 @@ use unit_core::snapshot::{QueueEntryView, SystemSnapshot};
 use unit_core::tickets::TicketTable;
 use unit_core::time::{SimDuration, SimTime};
 use unit_core::types::{DataId, Outcome, QueryId, QuerySpec, UpdateSpec, UpdateStreamId};
-use unit_core::unit_policy::UnitPolicy;
+use unit_core::unit_policy::{UnitPolicy, DEGRADE_DRAWS_PER_SIGNAL};
 use unit_core::usm::UsmWeights;
 
 fn lottery(c: &mut Criterion) {
@@ -52,6 +52,17 @@ fn lottery(c: &mut Criterion) {
                 |w| tickets.shifted_weights_into(w),
                 |i| black_box(i % 5 != 0),
             )
+        });
+    });
+    // That signal's draw loop at the cap: every draw resolved on the wheel,
+    // without the periods the hits would stretch.
+    let total = index.build(|w| tickets.shifted_weights_into(w), |i| i % 5 != 0);
+    let mut rng = StdRng::seed_from_u64(13);
+    group.bench_with_input(BenchmarkId::new("degrade_signal_4096", n), &n, |b, _| {
+        b.iter(|| {
+            (0..DEGRADE_DRAWS_PER_SIGNAL)
+                .filter_map(|_| index.resolve(rng.gen::<f64>() * total))
+                .sum::<usize>()
         });
     });
     group.finish();

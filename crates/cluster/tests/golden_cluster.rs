@@ -42,20 +42,20 @@ const N_SHARDS: usize = 4;
 
 const CELLS: [&str; 4] = ["plain", "faults", "factor2", "faults+factor2"];
 
-/// Golden digests captured at the parent commit (routing, cell, digest).
+/// Golden digests (routing, cell, digest).
 const GOLDEN: [(&str, &str, u64); 12] = [
-    ("round-robin", "plain", 0x9422db556b0490fb),
-    ("round-robin", "faults", 0x92d377c59dbf88ae),
-    ("round-robin", "factor2", 0x8294ea83e321ebbb),
-    ("round-robin", "faults+factor2", 0x69bcff421a8d02fc),
-    ("least-load", "plain", 0xbc1e247c3a59230c),
-    ("least-load", "faults", 0x57d748b1ec17e8f7),
-    ("least-load", "factor2", 0xc3c2ea5c3a9ecbd3),
-    ("least-load", "faults+factor2", 0x174c870d918d7e44),
-    ("freshness-aware", "plain", 0x2d30c19573dcc4fb),
-    ("freshness-aware", "faults", 0xfb8715a7556b22ac),
-    ("freshness-aware", "factor2", 0x26f80721a2fb66b5),
-    ("freshness-aware", "faults+factor2", 0xa825bea52a7e472b),
+    ("round-robin", "plain", 0xf33f7eff6c2ee32b),
+    ("round-robin", "faults", 0xd50eb20e5848a8a2),
+    ("round-robin", "factor2", 0x3f2c41cdc5304a98),
+    ("round-robin", "faults+factor2", 0xba3040b493aed4e3),
+    ("least-load", "plain", 0x465613045f145d62),
+    ("least-load", "faults", 0xd2b98bf69f640ba4),
+    ("least-load", "factor2", 0xcbdfa6ed0b7fe20f),
+    ("least-load", "faults+factor2", 0xd4c2b1e45aa487b1),
+    ("freshness-aware", "plain", 0xae6a612171690c7a),
+    ("freshness-aware", "faults", 0x5b7043c952cce03e),
+    ("freshness-aware", "factor2", 0x8599eda1d9c0e371),
+    ("freshness-aware", "faults+factor2", 0x8f09a676f22354dd),
 ];
 
 /// The golden workload at scale=8 (same bundle as `differential.rs`).

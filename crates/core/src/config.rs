@@ -1,8 +1,8 @@
 //! Configuration for the UNIT policy: the knobs a caller sets. Values that
 //! nobody varies are `const`s beside the code that reads them (the LBC's
 //! trigger in [`crate::controller`], the `C_flex` clamps in
-//! [`crate::admission`], the access/update balance in
-//! [`crate::unit_policy`]).
+//! [`crate::admission`], the access/update balance and the degrade draw
+//! cap in [`crate::unit_policy`]).
 
 use crate::modulation::{UpdateModulation, UpgradeRule};
 use crate::time::SimDuration;
@@ -50,11 +50,6 @@ pub struct UnitConfig {
     pub max_degradation_factor: f64,
     /// Which reading of Eq. 10 the upgrade step uses.
     pub upgrade_rule: UpgradeRule,
-    /// Cap on lottery draws per `DegradeUpdates` signal (the signal stops
-    /// earlier once it has shed `modulation_step_util` of expected CPU).
-    /// The paper degrades per signal without stating a batch size; its
-    /// technical report carries the sensitivity analysis.
-    pub degrade_victims_per_signal: usize,
     /// Utilization budget per modulation signal: one `DegradeUpdates`
     /// signal sheds about this much expected update-class CPU, and one
     /// `UpgradeUpdates` signal restores at most this much. Budgeting both
@@ -97,7 +92,6 @@ impl Default for UnitConfig {
             c_uu: 0.5,
             max_degradation_factor: UpdateModulation::DEFAULT_MAX_FACTOR,
             upgrade_rule: UpgradeRule::default(),
-            degrade_victims_per_signal: 4096,
             modulation_step_util: 0.05,
             upgrade_step_util: 0.005,
             admission_enabled: true,
@@ -153,9 +147,6 @@ impl UnitConfig {
                 self.c_flex_step
             ));
         }
-        if self.degrade_victims_per_signal == 0 {
-            return Err("degrade_victims_per_signal must be >= 1".to_string());
-        }
         if self.modulation_step_util <= 0.0 {
             return Err(format!(
                 "modulation step budget must be positive, got {}",
@@ -208,10 +199,8 @@ mod tests {
     /// The knob budget. A field belongs in `UnitConfig` only when two
     /// non-test callers want different values (the sensitivity sweep, an
     /// ablation row, the benchmark's seed or grace period); a value nobody
-    /// varies is a `const` beside the code that reads it. The one known
-    /// exception is `degrade_victims_per_signal`, kept while the degrade
-    /// draw loop whose length it caps is due to be rewritten. Adding a
-    /// field means extending this list, and meeting the rule.
+    /// varies is a `const` beside the code that reads it. Adding a field
+    /// means extending this list, and meeting the rule.
     #[test]
     fn config_keeps_only_the_knobs_callers_set() {
         let json = serde_json::to_string(&UnitConfig::default()).unwrap();
@@ -241,7 +230,6 @@ mod tests {
                 "c_flex_step",
                 "c_forget",
                 "c_uu",
-                "degrade_victims_per_signal",
                 "grace_period",
                 "max_degradation_factor",
                 "modulation_step_util",
@@ -263,7 +251,6 @@ mod tests {
         };
         assert!(bad(&|c| c.c_forget = 1.5));
         assert!(bad(&|c| c.c_du = 0.0));
-        assert!(bad(&|c| c.degrade_victims_per_signal = 0));
         assert!(bad(&|c| c.c_flex_step = 1.0));
         assert!(bad(&|c| c.modulation_step_util = 0.0));
         assert!(bad(&|c| c.upgrade_step_util = -1.0));

@@ -135,24 +135,6 @@ impl<T: FenwickValue> Fenwick<T> {
         self.prefix_sum(self.len)
     }
 
-    /// The [`Self::total`] of the tree that `add(i, values[i])` for every
-    /// `i` in order builds from all-zero slots, without building it: each
-    /// node's block is summed left to right and the nodes are added in
-    /// `prefix_sum`'s order, so the result is bit-identical. O(N).
-    pub fn total_of(values: &[T]) -> T {
-        let mut sum = T::ZERO;
-        let mut end = values.len();
-        while end > 0 {
-            let start = end - (end & end.wrapping_neg());
-            let node = values.get(start..end).map_or(T::ZERO, |block| {
-                block.iter().fold(T::ZERO, |acc, &v| acc.add(v))
-            });
-            sum = sum.add(node);
-            end = start;
-        }
-        sum
-    }
-
     /// Largest-prefix descent: the number of leading slots whose cumulative
     /// sum stays strictly below `target`. For sampling, this is the index
     /// of the first slot whose cumulative sum reaches `target` (callers
@@ -210,20 +192,6 @@ mod tests {
         // A target equal to a cumulative sum stays at that slot.
         assert_eq!(f.descend(4.0), 2);
         assert_eq!(f.descend(9.9), 3);
-    }
-
-    #[test]
-    fn total_of_matches_the_built_tree_bit_for_bit() {
-        for n in [0usize, 1, 2, 3, 7, 8, 100, 1000, 1024, 1025] {
-            let values: Vec<f64> = (0..n)
-                .map(|i| ((i * 7919) % 1000) as f64 * 0.1 + 1e-3 / (i + 1) as f64)
-                .collect();
-            let mut f = Fenwick::<f64>::new(n);
-            for (i, &v) in values.iter().enumerate() {
-                f.add(i, v);
-            }
-            assert_eq!(Fenwick::total_of(&values).to_bits(), f.total().to_bits());
-        }
     }
 
     #[test]

@@ -21,7 +21,7 @@
 use crate::admission::{AdmissionControl, AdmissionVerdict};
 use crate::config::{UnitConfig, VictimWeighting};
 use crate::controller::Lbc;
-use crate::lottery::{VictimCounters, VictimIndex, BLOCK};
+use crate::lottery::VictimIndex;
 use crate::modulation::UpdateModulation;
 use crate::observe::{AdmissionObs, ControllerObs, ModulationObs};
 use crate::policy::{AdmissionDecision, ControlSignal, Policy, UpdateAction};
@@ -42,6 +42,13 @@ use std::collections::BinaryHeap;
 /// cost of its update stream. The auto-normalizing access decrement is
 /// `0.5 · (qe/qt) / avg(qe/qt) / ACCESS_UPDATE_BALANCE`.
 pub const ACCESS_UPDATE_BALANCE: f64 = 3.0;
+
+/// Cap on lottery draws per `DegradeUpdates` signal; the signal stops
+/// earlier once it has shed `modulation_step_util` of expected CPU or no
+/// item below its cap is left. The paper degrades per signal without
+/// stating a batch size; its technical report carries the sensitivity
+/// analysis.
+pub const DEGRADE_DRAWS_PER_SIGNAL: usize = 4096;
 
 /// Counters exposed for instrumentation and the experiment harness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -83,7 +90,7 @@ pub struct UnitPolicy {
     last_admission: Option<AdmissionObs>,
     /// Modulation boundaries crossed since the last drain (observation only).
     modulation_obs: Vec<ModulationObs>,
-    /// The degrade lottery's per-signal draw index: rebuilt by every
+    /// The degrade lottery's per-signal wheel: rebuilt by every
     /// `DegradeUpdates` signal, so scratch rather than checkpointed state.
     victims: VictimIndex,
     /// `upgrade_batch`'s key buffer: scratch, refilled by every
@@ -185,12 +192,6 @@ impl UnitPolicy {
         self.rng.state()
     }
 
-    /// How the degrade lottery settled its draws so far (diagnostics: the
-    /// counts never influence a decision and are not checkpointed).
-    pub fn victim_counters(&self) -> VictimCounters {
-        self.victims.counters()
-    }
-
     fn apply_signal(&mut self, signal: ControlSignal) {
         #[cfg(feature = "validate")]
         let ticket_bits = self.tickets.ticket_sum().to_bits();
@@ -269,18 +270,14 @@ impl UnitPolicy {
 
     /// One `DegradeUpdates` signal: draw lottery victims (with replacement —
     /// repeats compound the 10% stretch) and stretch each one's period,
-    /// until the signal has shed `modulation_step_util` of expected CPU or
-    /// the draw cap is hit.
+    /// until the signal has shed `modulation_step_util` of expected CPU,
+    /// no uncapped item is left, or the draw cap is hit.
     ///
-    /// Only draws that land on an item below its degradation cap change
-    /// anything; the rest advance the RNG stream and the draw counter. The
-    /// [`VictimIndex`] draws [`BLOCK`] at a time and marks, without a
-    /// branch, the few that land near an uncapped item; only those are
-    /// resolved, in draw order, to exactly the item `WeightedSampler::locate`
-    /// would pick. When a hot draw ends the signal (budget met, or no
-    /// uncapped item left) partway through a block, the RNG is rewound to
-    /// the block's start and advanced past that draw alone, so victims, RNG
-    /// consumption and `degrade_draws` are those of one descent per draw.
+    /// The [`VictimIndex`] wheel lays the items below their degradation cap
+    /// first and the capped mass after them, so a draw on a capped item is
+    /// one comparison that only advances the RNG stream and the draw
+    /// counter; a draw that lands on an item capped earlier in this signal
+    /// is a no-op too.
     fn degrade_batch(&mut self) {
         let total = self.victims.build(
             |weights| match self.cfg.victim_weighting {
@@ -289,97 +286,36 @@ impl UnitPolicy {
             },
             |i| self.modulation.degrade_is_noop(DataId(i as u32)),
         );
-        crate::validate_check!("lottery-sampler", self.victims.check_sampler());
         if total <= 0.0 || !total.is_finite() {
-            return; // all tickets equal: sample() would yield None unconsumed
+            return; // no positive weight: nothing to draw
         }
         let budget = self.cfg.modulation_step_util;
         let mut uncapped = self.victims.uncapped();
         let mut shed = 0.0;
-        let mut remaining = self.cfg.degrade_victims_per_signal;
-        let mut draws = [0; BLOCK];
-        while remaining > 0 && shed < budget {
-            if uncapped == 0 {
-                // Every further draw picks a positive-weight (hence capped)
-                // victim: no shed, no modulation change. Consume the same
-                // number of RNG values and stop.
-                for _ in 0..remaining {
-                    let _ = self.rng.gen::<f64>();
-                }
-                self.stats.degrade_draws += remaining as u64;
-                break;
-            }
-            let block = draws.get_mut(..remaining.min(BLOCK)).unwrap_or_default();
-            let block_start = self.rng.clone();
-            let mut hot = self.victims.draw_block(&mut self.rng, block);
-            crate::validate_check!(
-                "lottery-fast-path",
-                (0..)
-                    .zip(block.iter())
-                    .filter(|(k, _)| hot >> k & 1 == 0)
-                    .try_for_each(|(_, &draw)| {
-                        let target = self.victims.target(draw);
-                        let exact = self.victims.locate(target);
-                        if self.modulation.degrade_is_noop(DataId(exact as u32)) {
-                            Ok(())
-                        } else {
-                            Err(format!(
-                                "draw {target:e}: cold bucket, but item {exact} is uncapped"
-                            ))
-                        }
-                    })
-            );
-            let mut drawn = block.len();
-            while hot != 0 {
-                let k = hot.trailing_zeros() as usize;
-                hot &= hot - 1;
-                let Some(&draw) = block.get(k) else {
-                    break; // the mask has no bit past the block
-                };
-                let victim = self.victims.resolve_draw(draw);
-                crate::validate_check!("lottery-fast-path", {
-                    let target = self.victims.target(draw);
-                    let exact = self.victims.locate(target);
-                    if victim == exact {
-                        Ok(())
-                    } else {
-                        Err(format!(
-                            "draw {target:e}: index chose item {victim}, the descent item {exact}"
-                        ))
-                    }
+        let mut drawn = 0;
+        while drawn < DEGRADE_DRAWS_PER_SIGNAL && shed < budget && uncapped > 0 {
+            drawn += 1;
+            let Some(victim) = self.victims.resolve(self.rng.gen::<f64>() * total) else {
+                continue;
+            };
+            let d = DataId(victim as u32);
+            let old_period = self.observed.then(|| self.modulation.current_period(d));
+            // `None`: capped earlier in this signal.
+            let Some(step) = self.modulation.degrade_step(d) else {
+                continue;
+            };
+            shed += *self.util_share.at(d) * (step.before - step.after);
+            if let Some(old_period) = old_period {
+                self.modulation_obs.push(ModulationObs {
+                    item: d,
+                    ticket: self.tickets.raw(victim),
+                    old_period,
+                    new_period: self.modulation.current_period(d),
                 });
-                let d = DataId(victim as u32);
-                let old_period = self.observed.then(|| self.modulation.current_period(d));
-                // `None`: capped at build time or earlier in this signal.
-                let Some(step) = self.modulation.degrade_step(d) else {
-                    continue;
-                };
-                shed += *self.util_share.at(d) * (step.before - step.after);
-                if let Some(old_period) = old_period {
-                    self.modulation_obs.push(ModulationObs {
-                        item: d,
-                        ticket: self.tickets.raw(victim),
-                        old_period,
-                        new_period: self.modulation.current_period(d),
-                    });
-                }
-                if step.now_capped {
-                    uncapped -= 1;
-                }
-                if shed >= budget || uncapped == 0 {
-                    // The signal stops after draw `k`: keep only the draws
-                    // up to it on the RNG stream.
-                    drawn = k + 1;
-                    self.rng = block_start;
-                    for _ in 0..drawn {
-                        let _ = self.rng.gen::<f64>();
-                    }
-                    break;
-                }
             }
-            self.stats.degrade_draws += drawn as u64;
-            remaining -= drawn;
+            uncapped -= usize::from(step.now_capped);
         }
+        self.stats.degrade_draws += drawn as u64;
     }
 }
 

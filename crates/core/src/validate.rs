@@ -1,11 +1,11 @@
 //! Debug-mode runtime invariant checking (feature `validate`).
 //!
-//! The hot paths in this workspace maintain incremental structures — Fenwick
-//! prefix sums, modulated update periods, lottery samplers — whose
-//! correctness is an *invariant*, not a type. With the `validate` feature
-//! enabled, those invariants are re-derived the naive way (O(N) recounts)
-//! and compared against the fast-path state at coarse boundaries (control
-//! ticks, batch signals). A mismatch aborts the run immediately, at the
+//! The hot paths in this workspace maintain incremental structures — the
+//! ticket sum, modulated update periods and their cached caps, the degrade
+//! lottery's wheel — whose correctness is an *invariant*, not a type. With
+//! the `validate` feature enabled, those invariants are re-derived the
+//! naive way (O(N) recounts) and compared against the fast-path state at
+//! coarse boundaries (control ticks, batch signals, lottery draws). A mismatch aborts the run immediately, at the
 //! boundary where the divergence first became observable, instead of
 //! surfacing thousands of events later as a subtly wrong report.
 //!
@@ -13,7 +13,7 @@
 //!
 //! * **Check functions are always compiled.** Each checker is an ordinary
 //!   `pub fn … -> Result<(), String>` (e.g.
-//!   [`crate::lottery::WeightedSampler::check_consistency`]), so it stays
+//!   [`crate::lottery::VictimIndex::check_spans`]), so it stays
 //!   type-checked and unit-testable in every build.
 //! * **Invocations are feature-gated.** Call sites go through
 //!   [`crate::validate_check!`], which expands to nothing without the feature —
@@ -30,7 +30,7 @@
 /// invariant name and message:
 ///
 /// ```text
-/// validate[lottery-sampler]: fenwick prefix 3: tree 1.25, naive 2.25
+/// validate[lottery-wheel]: span 3 ends at 2.25e0, not past 2.5e0
 /// ```
 ///
 /// The `cfg` resolves at the *expansion* site, so dependent crates gate the

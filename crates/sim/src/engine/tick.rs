@@ -13,10 +13,10 @@ impl<P: Policy> Simulator<'_, P> {
     /// Control-tick hook: run the policy's feedback loop and sample the
     /// timeline. O(T log N_ev) where T is the tick-triggered refresh count,
     /// plus the policy's `on_tick`. For UNIT that is O(1) on a tick without
-    /// a signal; a `DegradeUpdates` signal costs O(N + buckets + draws) (a
-    /// victim-index build, then up to `degrade_victims_per_signal` = 4096
-    /// lottery draws) and an `UpgradeUpdates` signal O(N + k log N) for the
-    /// k items it restores (DESIGN.md §2.1).
+    /// a signal; a `DegradeUpdates` signal costs O(N + draws) (a lottery
+    /// wheel build, then up to `DEGRADE_DRAWS_PER_SIGNAL` = 4096 draws of
+    /// O(1) expected each) and an `UpgradeUpdates` signal O(N + k log N)
+    /// for the k items it restores (DESIGN.md §2.1).
     pub(super) fn on_control_tick(&mut self) {
         // Idle-tick fast path: when the policy certifies this tick as a
         // no-op (`Policy::tick_idle`) and nobody is watching, only the

@@ -237,8 +237,9 @@ fn checkpoint_restore_checkpoint_is_byte_stable() {
     let mid = SimTime(bundle.horizon.0 / 2);
 
     // Mid-run, so the snapshot's transaction window starts past retired
-    // transactions: `engine_checkpoint`'s unit test asserts base > 0 on
-    // this very snapshot.
+    // transactions: `engine::checkpoint::tests::
+    // round_trip_keeps_a_retired_window_base` asserts base > 0 on this
+    // very snapshot.
     let mut original = SimRun::trace(&bundle.trace, make(), cfg).build();
     original.step_until(mid);
     let bytes = original.checkpoint();
