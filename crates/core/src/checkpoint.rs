@@ -1,12 +1,13 @@
-//! Versioned, byte-stable checkpoint codec (DESIGN.md §7).
+//! Versioned, byte-stable checkpoint codec for policy state (DESIGN.md §7).
 //!
-//! Every component that participates in crash recovery serializes its
-//! *canonical* state through [`Enc`] and reads it back through [`Dec`]:
-//! fixed-width little-endian integers, `f64` via IEEE-754 bit patterns,
-//! lengths as `u64`. No derived structure (Fenwick trees, treaps, priority
-//! sets) is ever written — those are rebuilt from the canonical state at
-//! restore time, so a snapshot is a pure function of the simulation state
-//! and two identically-positioned runs produce bit-identical snapshots.
+//! The engine snapshots its own state by value; policies serialize their
+//! *canonical* state through [`Enc`] (`Policy::checkpoint_state`) and read
+//! it back through [`Dec`] (`Policy::restore_state`): fixed-width
+//! little-endian integers, `f64` via IEEE-754 bit patterns, lengths as
+//! `u64`. No derived structure (Fenwick trees and other indexes) is ever
+//! written — those are rebuilt from the canonical state at restore time,
+//! so the stream is a pure function of the policy state and two
+//! identically-positioned runs produce bit-identical bytes.
 //!
 //! The stream opens with a magic tag and a format version so a stale or
 //! foreign byte blob fails loudly ([`CheckpointError::BadHeader`] /
@@ -19,7 +20,7 @@ pub const MAGIC: &[u8; 8] = b"UNITCKPT";
 
 /// Current checkpoint format version. Bump on any layout change; restore
 /// rejects mismatches rather than guessing.
-pub const VERSION: u32 = 6;
+pub const VERSION: u32 = 7;
 
 /// Why a restore was rejected.
 #[derive(Debug, Clone, PartialEq, Eq)]

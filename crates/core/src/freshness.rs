@@ -162,32 +162,6 @@ impl FreshnessTable {
         let applied: u64 = self.applied.values().sum();
         applied as f64 / arrived as f64
     }
-
-    /// Serialize every per-item counter into a checkpoint stream. See
-    /// [`crate::checkpoint`].
-    pub fn checkpoint_into(&self, enc: &mut crate::checkpoint::Enc) {
-        for column in [&self.pending, &self.arrived, &self.applied] {
-            enc.put_u64_slice(column.as_slice());
-        }
-    }
-
-    /// Restore state captured by [`FreshnessTable::checkpoint_into`].
-    pub fn restore_from(
-        &mut self,
-        dec: &mut crate::checkpoint::Dec<'_>,
-    ) -> Result<(), crate::checkpoint::CheckpointError> {
-        let n = self.len();
-        for column in [&mut self.pending, &mut self.arrived, &mut self.applied] {
-            let values = dec.take_u64_vec()?;
-            if values.len() != n {
-                return Err(crate::checkpoint::CheckpointError::Mismatch {
-                    what: "freshness table size",
-                });
-            }
-            *column = ItemVec::from(values);
-        }
-        Ok(())
-    }
 }
 
 #[cfg(test)]
@@ -281,6 +255,28 @@ mod tests {
         t
     }
 
+    /// An engine snapshot holds the table by value: restoring a clone over
+    /// a table that has moved on, or over one of another size, brings back
+    /// the per-item drops and both histograms as they were.
+    #[test]
+    fn checkpoint_round_trips_the_item_tables() {
+        let mut t = table_with_backlog();
+        let snap = t.clone();
+        t.record_applied(DataId(2));
+        t.record_arrival(DataId(0));
+
+        let mut wrong = FreshnessTable::new(3);
+        for back in [&mut t, &mut wrong] {
+            back.clone_from(&snap);
+            assert_eq!(back.len(), 4);
+            for d in (0..4).map(DataId) {
+                assert_eq!(back.udrop(d), snap.udrop(d), "{d}");
+            }
+            assert_eq!(back.arrived_histogram(), &[0, 1, 4, 0]);
+            assert_eq!(back.applied_histogram(), &[0, 0, 1, 0]);
+        }
+    }
+
     // The lag metric is the only freshness model left; the two tests named
     // for "every model" now pin it alone.
     #[test]
@@ -312,32 +308,5 @@ mod tests {
         assert!((min - 0.25).abs() < 1e-12);
         // Empty read set is vacuously fresh.
         assert_eq!(t.read_set_freshness(&[]), 1.0);
-    }
-
-    #[test]
-    fn checkpoint_round_trips_the_item_tables() {
-        use crate::checkpoint::{CheckpointError, Dec, Enc};
-        let t = table_with_backlog();
-        let mut enc = Enc::new();
-        t.checkpoint_into(&mut enc);
-        let bytes = enc.into_bytes();
-
-        let mut back = FreshnessTable::new(4);
-        let mut dec = Dec::new(&bytes).unwrap();
-        back.restore_from(&mut dec).unwrap();
-        dec.finish().unwrap();
-        for d in (0..4).map(DataId) {
-            assert_eq!(back.udrop(d), t.udrop(d), "{d}");
-        }
-        assert_eq!(back.arrived_histogram(), &[0, 1, 4, 0]);
-        assert_eq!(back.applied_histogram(), &[0, 0, 1, 0]);
-
-        // A table of another size refuses the snapshot.
-        let mut wrong = FreshnessTable::new(3);
-        let mut dec = Dec::new(&bytes).unwrap();
-        assert!(matches!(
-            wrong.restore_from(&mut dec),
-            Err(CheckpointError::Mismatch { .. })
-        ));
     }
 }

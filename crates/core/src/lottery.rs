@@ -60,6 +60,7 @@ impl WeightedSampler {
         for (i, &w) in weights.iter().enumerate() {
             s.set(i, w);
         }
+        crate::validate_check!("sampler-prefix", s.check_consistency());
         s
     }
 
@@ -116,7 +117,8 @@ impl WeightedSampler {
     /// Cross-check the Fenwick tree against the stored weight vector: every
     /// prefix sum recomputed the naive O(N) way must match the tree within
     /// float tolerance. The shadow of the O(log N) fast path; always
-    /// compiled (see [`crate::validate`]), and today called by tests only.
+    /// compiled, invoked behind the `validate` feature at the end of
+    /// [`WeightedSampler::from_weights`] (see [`crate::validate`]).
     pub fn check_consistency(&self) -> Result<(), String> {
         let mut cum = 0.0_f64;
         for (i, &w) in self.weights.iter().enumerate() {

@@ -205,14 +205,12 @@ pub enum ObsEvent {
         /// The promoted follower shard.
         to: u32,
     },
-    /// A deterministic crash-recovery checkpoint of the full engine state
+    /// A deterministic crash-recovery snapshot of the full engine state
     /// was taken at a control boundary (engine-level; only emitted while a
     /// lose-state crash schedule is armed).
     CheckpointTaken {
         /// Checkpoint instant (a control-tick boundary or run start).
         time: SimTime,
-        /// Size of the serialized snapshot in bytes.
-        bytes: u64,
     },
     /// A lose-state crash fired: the engine is discarding all volatile
     /// state and restoring from its last checkpoint, then replaying the

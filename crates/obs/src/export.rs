@@ -201,10 +201,9 @@ pub fn event_to_json(ev: &ObsEvent) -> String {
             r#"{{"kind":"replica_promote","t":{},"item":{},"from":{from},"to":{to}}}"#,
             time.0, item.0
         ),
-        ObsEvent::CheckpointTaken { time, bytes } => format!(
-            r#"{{"kind":"checkpoint_taken","t":{},"bytes":{bytes}}}"#,
-            time.0
-        ),
+        ObsEvent::CheckpointTaken { time } => {
+            format!(r#"{{"kind":"checkpoint_taken","t":{}}}"#, time.0)
+        }
         ObsEvent::RestoreBegin { time, checkpoint } => format!(
             r#"{{"kind":"restore_begin","t":{},"checkpoint":{}}}"#,
             time.0, checkpoint.0
@@ -360,6 +359,32 @@ mod tests {
             "\n",
         );
         assert_eq!(to_jsonl(&replication_events()), expected);
+    }
+
+    #[test]
+    fn recovery_jsonl_golden() {
+        let events = [
+            ObsEvent::CheckpointTaken {
+                time: SimTime::from_secs(10),
+            },
+            ObsEvent::RestoreBegin {
+                time: SimTime::from_secs(13),
+                checkpoint: SimTime::from_secs(10),
+            },
+            ObsEvent::ReplayComplete {
+                time: SimTime::from_secs(13),
+                checkpoint: SimTime::from_secs(10),
+            },
+        ];
+        let expected = concat!(
+            r#"{"kind":"checkpoint_taken","t":10000000}"#,
+            "\n",
+            r#"{"kind":"restore_begin","t":13000000,"checkpoint":10000000}"#,
+            "\n",
+            r#"{"kind":"replay_complete","t":13000000,"checkpoint":10000000}"#,
+            "\n",
+        );
+        assert_eq!(to_jsonl(&events), expected);
     }
 
     #[test]

@@ -9,15 +9,12 @@ use unit_obs::{ObsEvent, Observer, RingRecorder};
 
 /// A distinguishable event: the payload doubles as identity.
 fn tagged(i: u64) -> ObsEvent {
-    ObsEvent::CheckpointTaken {
-        time: SimTime(i),
-        bytes: i,
-    }
+    ObsEvent::CheckpointTaken { time: SimTime(i) }
 }
 
 fn tag_of(e: &ObsEvent) -> u64 {
     match e {
-        ObsEvent::CheckpointTaken { bytes, .. } => *bytes,
+        ObsEvent::CheckpointTaken { time } => time.0,
         other => panic!("unexpected event {other:?}"),
     }
 }

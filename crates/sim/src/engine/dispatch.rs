@@ -23,8 +23,8 @@ impl<P: Policy> Simulator<'_, P> {
         if self.paused_until().is_some() {
             return; // crash window: nothing dispatches until recovery
         }
-        while let Some(&key) = self.ready.iter().next() {
-            if self.running.len() >= self.cfg.n_cpus {
+        while let Some(&key) = self.state.ready.iter().next() {
+            if self.state.running.len() >= self.cfg.n_cpus {
                 // All CPUs busy: preempt the lowest-priority incumbent if
                 // the best ready candidate outranks it.
                 #[expect(
@@ -32,6 +32,7 @@ impl<P: Policy> Simulator<'_, P> {
                     reason = "running.len() >= n_cpus >= 1 on this branch"
                 )]
                 let (pos, worst_key) = self
+                    .state
                     .running
                     .iter()
                     .enumerate()
@@ -43,7 +44,7 @@ impl<P: Policy> Simulator<'_, P> {
                 }
                 self.preempt_running(pos);
             }
-            self.ready.remove(&key);
+            self.state.ready.remove(&key);
             self.try_dispatch(key.2);
         }
     }
@@ -51,19 +52,19 @@ impl<P: Policy> Simulator<'_, P> {
     /// Put `id` on a free CPU under a fresh dispatch generation and
     /// schedule its completion. O(log N_ev).
     fn start_running(&mut self, id: TxnId) {
-        let txn = self.txns.at_mut(id);
+        let txn = self.state.txns.at_mut(id);
         txn.state = TxnState::Running;
         txn.blocked_on = None;
         let remaining = txn.remaining;
-        let generation = self.next_generation;
-        self.next_generation += 1;
-        self.running.push(RunningTxn {
+        let generation = self.state.next_generation;
+        self.state.next_generation += 1;
+        self.state.running.push(RunningTxn {
             id,
-            started: self.clock,
+            started: self.state.clock,
             generation,
         });
-        self.events.push(
-            self.clock + remaining,
+        self.state.events.push(
+            self.state.clock + remaining,
             Event::Completion {
                 txn: id,
                 generation,
@@ -79,14 +80,15 @@ impl<P: Policy> Simulator<'_, P> {
     /// abort). Its scheduled completion goes stale through the generation
     /// check. Returns the transaction and the slice. O(1).
     pub(super) fn vacate(&mut self, pos: usize) -> (TxnId, SimDuration) {
-        let run = self.running.swap_remove(pos);
-        let elapsed = self.clock.saturating_since(run.started);
-        self.cpu_busy += elapsed;
-        self.window_busy += elapsed;
-        let txn = self.txns.at_mut(run.id);
+        let run = self.state.running.swap_remove(pos);
+        let elapsed = self.state.clock.saturating_since(run.started);
+        self.state.cpu_busy += elapsed;
+        self.state.window_busy += elapsed;
+        let txn = self.state.txns.at_mut(run.id);
         txn.remaining = txn.remaining.saturating_sub(elapsed);
         if !txn.is_query() {
-            self.outstanding_update_work = self.outstanding_update_work.saturating_sub(elapsed);
+            self.state.outstanding_update_work =
+                self.state.outstanding_update_work.saturating_sub(elapsed);
         }
         (run.id, elapsed)
     }
@@ -95,13 +97,13 @@ impl<P: Policy> Simulator<'_, P> {
     /// it keeps its locks and its progress. O(log N_rq).
     pub(super) fn preempt_running(&mut self, pos: usize) {
         let (id, _) = self.vacate(pos);
-        let txn = self.txns.at_mut(id);
+        let txn = self.state.txns.at_mut(id);
         debug_assert_eq!(txn.state, TxnState::Running);
         txn.state = TxnState::Ready;
         let key = self.pkey(id);
-        self.ready.insert(key);
+        self.state.ready.insert(key);
         self.sync_admitted_remaining(id);
-        self.preemptions += 1;
+        self.state.preemptions += 1;
     }
 
     /// Dispatch a candidate just taken off the ready queue: it runs once it
@@ -109,8 +111,8 @@ impl<P: Policy> Simulator<'_, P> {
     /// blocked on a lock, or went back to the ready queue behind the
     /// on-demand refreshes it asked for.
     fn try_dispatch(&mut self, id: TxnId) {
-        debug_assert!(self.running.len() < self.cfg.n_cpus);
-        let txn = self.txns.at(id);
+        debug_assert!(self.state.running.len() < self.cfg.n_cpus);
+        let txn = self.state.txns.at(id);
         let locked = txn.holds_locks
             || match txn.kind {
                 TxnKind::Query { spec_idx, .. } => self.lock_query(id, spec_idx),
@@ -129,19 +131,20 @@ impl<P: Policy> Simulator<'_, P> {
     /// is the freshness the query is judged by (§2.2).
     fn lock_query(&mut self, id: TxnId, spec_idx: usize) -> bool {
         if self.spawn_demand_refreshes(spec_idx) {
-            self.txns.at_mut(id).state = TxnState::Ready;
+            self.state.txns.at_mut(id).state = TxnState::Ready;
             let key = self.pkey(id);
-            self.ready.insert(key);
+            self.state.ready.insert(key);
             return false;
         }
-        let items = &self.queries.get(spec_idx).items;
-        match self.locks.acquire_read(id, items) {
+        let items = &self.state.queries.get(spec_idx).items;
+        match self.state.locks.acquire_read(id, items) {
             ReadAcquire::Granted => {
-                let f = self.freshness.read_set_freshness(items);
-                self.policy.on_query_dispatch(self.queries.get(spec_idx), f);
-                self.dispatch_freshness_sum += f;
-                self.dispatch_freshness_n += 1;
-                let txn = self.txns.at_mut(id);
+                let f = self.state.freshness.read_set_freshness(items);
+                self.policy
+                    .on_query_dispatch(self.state.queries.get(spec_idx), f);
+                self.state.dispatch_freshness_sum += f;
+                self.state.dispatch_freshness_n += 1;
+                let txn = self.state.txns.at_mut(id);
                 txn.holds_locks = true;
                 if let TxnKind::Query {
                     freshness_at_dispatch,
@@ -160,13 +163,13 @@ impl<P: Policy> Simulator<'_, P> {
     /// are evicted and restart.
     fn lock_update(&mut self, id: TxnId, item: DataId) -> bool {
         let my_key = self.pkey(id);
-        let (txns, discipline) = (&self.txns, self.cfg.discipline);
-        let result = self.locks.acquire_write(id, item, |holder: TxnId| {
+        let (txns, discipline) = (&self.state.txns, self.cfg.discipline);
+        let result = self.state.locks.acquire_write(id, item, |holder: TxnId| {
             my_key < discipline.key(txns.at(holder))
         });
         match result {
             WriteAcquire::Granted { aborted } => {
-                self.txns.at_mut(id).holds_locks = true;
+                self.state.txns.at_mut(id).holds_locks = true;
                 for victim in aborted {
                     self.restart_victim(victim);
                 }
@@ -179,10 +182,10 @@ impl<P: Policy> Simulator<'_, P> {
     /// Park `id` until the holder of item `d` releases it. Returns `false`
     /// (not dispatched) for the lock paths' convenience.
     fn block_on(&mut self, id: TxnId, d: DataId) -> bool {
-        let txn = self.txns.at_mut(id);
+        let txn = self.state.txns.at_mut(id);
         txn.state = TxnState::Blocked;
         txn.blocked_on = Some(d);
-        self.blocked.push(id);
+        self.state.blocked.push(id);
         false
     }
 
@@ -190,35 +193,35 @@ impl<P: Policy> Simulator<'_, P> {
     /// already released by the lock manager. With multiple CPUs the victim
     /// may be running concurrently — stop it first.
     fn restart_victim(&mut self, victim: TxnId) {
-        if let Some(pos) = self.running.iter().position(|r| r.id == victim) {
+        if let Some(pos) = self.state.running.iter().position(|r| r.id == victim) {
             self.vacate(pos);
         }
         let key = self.pkey(victim);
-        self.ready.remove(&key);
-        let txn = self.txns.at_mut(victim);
+        self.state.ready.remove(&key);
+        let txn = self.state.txns.at_mut(victim);
         debug_assert_ne!(txn.state, TxnState::Finished, "finished txns hold no locks");
         let was_query = txn.is_query();
         let lost_progress = txn.exec_time.saturating_sub(txn.remaining);
         txn.restart();
-        self.ready.insert(key);
+        self.state.ready.insert(key);
         if was_query {
             self.sync_admitted_remaining(victim);
-            self.query_restarts += 1;
+            self.state.query_restarts += 1;
         } else {
             // An update victim restarts with its full demand again.
-            self.outstanding_update_work += lost_progress;
+            self.state.outstanding_update_work += lost_progress;
         }
     }
 
     /// Move every transaction blocked on one of the `freed` items back to
     /// the ready queue. O(B + W log N_rq).
     pub(super) fn unblock_waiters(&mut self, freed: &[DataId]) {
-        if freed.is_empty() || self.blocked.is_empty() {
+        if freed.is_empty() || self.state.blocked.is_empty() {
             return;
         }
         let mut unblocked = Vec::new();
-        self.blocked.retain(|&b| {
-            let txn = self.txns.at(b);
+        self.state.blocked.retain(|&b| {
+            let txn = self.state.txns.at(b);
             match txn.blocked_on {
                 Some(d) if freed.contains(&d) => {
                     unblocked.push(b);
@@ -228,11 +231,11 @@ impl<P: Policy> Simulator<'_, P> {
             }
         });
         for id in unblocked {
-            let txn = self.txns.at_mut(id);
+            let txn = self.state.txns.at_mut(id);
             txn.state = TxnState::Ready;
             txn.blocked_on = None;
             let key = self.pkey(id);
-            self.ready.insert(key);
+            self.state.ready.insert(key);
         }
     }
 }

@@ -19,8 +19,8 @@ impl<P: Policy> Simulator<'_, P> {
     /// forever). `None` on every fault-free path. O(log F).
     pub(super) fn paused_until(&self) -> Option<SimTime> {
         let hook = self.faults.as_deref()?;
-        match hook.health(self.clock) {
-            HealthState::Down { until } if until > self.clock => Some(until),
+        match hook.health(self.state.clock) {
+            HealthState::Down { until } if until > self.state.clock => Some(until),
             _ => None,
         }
     }
@@ -33,7 +33,7 @@ impl<P: Policy> Simulator<'_, P> {
     /// the event there. `None`: handle the event now. O(log F).
     pub(super) fn defer_to_recovery(&mut self) -> Option<SimTime> {
         let until = self.paused_until()?;
-        self.fault_counts.deferred_events += 1;
+        self.state.fault_counts.deferred_events += 1;
         Some(until)
     }
 
@@ -52,7 +52,7 @@ impl<P: Policy> Simulator<'_, P> {
             return;
         }
         if let Some((until, from)) = self.replay {
-            if until == self.clock {
+            if until == self.state.clock {
                 // The replay caught back up to the crash instant; from here
                 // on the run breaks new ground again.
                 self.replay = None;
@@ -64,7 +64,7 @@ impl<P: Policy> Simulator<'_, P> {
                 }
             }
         }
-        let Some(health) = self.faults.as_deref().map(|h| h.health(self.clock)) else {
+        let Some(health) = self.faults.as_deref().map(|h| h.health(self.state.clock)) else {
             debug_assert!(false, "FaultTransition scheduled without a hook");
             return;
         };
@@ -75,13 +75,13 @@ impl<P: Policy> Simulator<'_, P> {
                 HealthState::Down { until } => (FaultPhase::Down, Some(until)),
             };
             self.emit(ObsEvent::FaultWindow {
-                time: self.clock,
+                time: self.state.clock,
                 phase,
                 until,
             });
         }
         if health.queries_paused() {
-            while !self.running.is_empty() {
+            while !self.state.running.is_empty() {
                 self.preempt_running(0);
             }
             return;
@@ -89,13 +89,13 @@ impl<P: Policy> Simulator<'_, P> {
         let loads = self
             .faults
             .as_deref()
-            .map(|h| h.load_at(self.clock))
+            .map(|h| h.load_at(self.state.clock))
             .unwrap_or_default();
         for load in loads {
-            self.fault_counts.background_spawned += 1;
+            self.state.fault_counts.background_spawned += 1;
             // Update-class CPU demand with an EDF deadline of now, so it
             // outranks every pending periodic update: bursts bite at once.
-            self.spawn(TxnKind::Background, load.exec, self.clock);
+            self.spawn(TxnKind::Background, load.exec, self.state.clock);
         }
         // Recovery instants reach here with an empty load list: this
         // reschedule is what restarts the work preempted at window start.
@@ -110,9 +110,9 @@ impl<P: Policy> Simulator<'_, P> {
         let dropped = self
             .faults
             .as_deref()
-            .is_some_and(|h| h.health(self.clock).updates_dropped());
+            .is_some_and(|h| h.health(self.state.clock).updates_dropped());
         if dropped {
-            self.fault_counts.update_drops += 1;
+            self.state.fault_counts.update_drops += 1;
             return;
         }
         let kind = TxnKind::Update {

@@ -39,7 +39,7 @@ pub const TRACE_LOOKAHEAD: usize = 64;
 /// O(in-flight + lookahead) specs resident instead of O(N_q). Trace-backed
 /// runs intern borrows of the trace's own specs, iterator-fed runs own
 /// theirs.
-#[derive(Default)]
+#[derive(Clone, Default)]
 pub(super) struct SpecSlab<'a> {
     /// In-flight (and recycled) spec slots; `spec_idx` is a slot index.
     pub(super) slots: Vec<Cow<'a, QuerySpec>>,
@@ -88,7 +88,7 @@ impl<'a, P: Policy> Simulator<'a, P> {
     pub(super) fn pump_trace(&mut self) {
         if let Feed::Trace(qs) = self.feed {
             let mut rest = qs
-                .get(self.submitted as usize..)
+                .get(self.state.submitted as usize..)
                 .unwrap_or_default()
                 .iter()
                 .map(Cow::Borrowed);
@@ -102,7 +102,7 @@ impl<'a, P: Policy> Simulator<'a, P> {
     /// whose future the engine cannot see). O(1).
     pub(super) fn next_trace_arrival(&self) -> Option<SimTime> {
         match self.feed {
-            Feed::Trace(qs) => qs.get(self.submitted as usize).map(|q| q.arrival),
+            Feed::Trace(qs) => qs.get(self.state.submitted as usize).map(|q| q.arrival),
             Feed::External => None,
         }
     }
@@ -114,7 +114,7 @@ impl<'a, P: Policy> Simulator<'a, P> {
     pub(super) fn unfed_floor(&self) -> Option<SimTime> {
         match self.feed {
             Feed::Trace(_) => self.next_trace_arrival(),
-            Feed::External => (!self.stream_exhausted).then_some(self.last_fed_arrival),
+            Feed::External => (!self.state.stream_exhausted).then_some(self.state.last_fed_arrival),
         }
     }
 
@@ -143,7 +143,7 @@ impl<'a, P: Policy> Simulator<'a, P> {
                 None => true,
                 Some(t) => spec.arrival <= t,
             };
-            if !due && self.arrivals_in_flight >= lookahead as u64 {
+            if !due && self.state.arrivals_in_flight >= lookahead as u64 {
                 *pending = Some(spec);
                 return;
             }
@@ -185,30 +185,34 @@ impl<'a, P: Policy> Simulator<'a, P> {
             if let Err(e) = spec.validate(self.n_items) {
                 panic!("invalid streamed query: {e}");
             }
-            debug_assert!(!self.stream_exhausted, "feed_query after end_stream()");
+            debug_assert!(
+                !self.state.stream_exhausted,
+                "feed_query after end_stream()"
+            );
             if self.checkpoint_armed() {
                 self.input_log.push(spec.clone());
             }
         }
         // Trace order is what makes the feed ordinal a valid tie-break.
         assert!(
-            spec.arrival >= self.last_fed_arrival,
+            spec.arrival >= self.state.last_fed_arrival,
             "queries must be fed in trace order (arrivals non-decreasing)"
         );
         debug_assert!(
-            spec.arrival >= self.clock,
+            spec.arrival >= self.state.clock,
             "fed an arrival the clock already passed"
         );
-        self.last_fed_arrival = spec.arrival;
+        self.state.last_fed_arrival = spec.arrival;
         for &d in &spec.items {
-            *self.query_accesses.at_mut(d) += 1;
+            *self.state.query_accesses.at_mut(d) += 1;
         }
-        let seq = self.submitted;
-        self.submitted += 1;
-        self.arrivals_in_flight += 1;
+        let seq = self.state.submitted;
+        self.state.submitted += 1;
+        self.state.arrivals_in_flight += 1;
         let arrival = spec.arrival;
-        let slot = self.queries.intern(spec);
-        self.events
+        let slot = self.state.queries.intern(spec);
+        self.state
+            .events
             .push_arrival(arrival, Event::QueryArrival { spec_idx: slot }, seq);
     }
 
@@ -219,6 +223,6 @@ impl<'a, P: Policy> Simulator<'a, P> {
     /// changes results; feeding after it is a contract violation (checked in
     /// debug builds). O(1).
     pub fn end_stream(&mut self) {
-        self.stream_exhausted = true;
+        self.state.stream_exhausted = true;
     }
 }

@@ -17,11 +17,11 @@ impl<P: Policy> Simulator<'_, P> {
     /// `exec` and EDF deadline `deadline`. Update-class work (every kind but
     /// a query) joins the update backlog. O(log N_rq).
     pub(super) fn spawn(&mut self, kind: TxnKind, exec: SimDuration, deadline: SimTime) -> TxnId {
-        let id = self.txns.next_id();
+        let id = self.state.txns.next_id();
         let class = match kind {
             TxnKind::Query { .. } => TxnClass::Query,
             TxnKind::Update { .. } | TxnKind::Background => {
-                self.outstanding_update_work += exec;
+                self.state.outstanding_update_work += exec;
                 TxnClass::Update
             }
         };
@@ -36,8 +36,8 @@ impl<P: Policy> Simulator<'_, P> {
             blocked_on: None,
             kind,
         };
-        self.ready.insert(self.cfg.discipline.key(&txn));
-        self.txns.push(txn);
+        self.state.ready.insert(self.cfg.discipline.key(&txn));
+        self.state.txns.push(txn);
         id
     }
 
@@ -45,10 +45,10 @@ impl<P: Policy> Simulator<'_, P> {
     /// O(log N_rq) for the policy's slack probe and the index inserts, plus
     /// the [`Simulator::reschedule`] that follows.
     pub(super) fn on_query_arrival(&mut self, spec_idx: usize) {
-        self.arrivals_in_flight -= 1;
-        let spec = self.queries.get(spec_idx);
+        self.state.arrivals_in_flight -= 1;
+        let spec = self.state.queries.get(spec_idx);
         let (spec_deadline, spec_exec, spec_id) = (spec.deadline(), spec.exec_time, spec.id);
-        if self.faults.is_some() && spec_deadline <= self.clock {
+        if self.faults.is_some() && spec_deadline <= self.state.clock {
             // Dead on arrival: the firm deadline expired while the arrival
             // sat deferred through a crash window. Unreachable fault-free
             // (relative deadlines are strictly positive).
@@ -63,7 +63,7 @@ impl<P: Policy> Simulator<'_, P> {
                 None => (None, None),
             };
             self.emit(ObsEvent::Admission {
-                time: self.clock,
+                time: self.state.clock,
                 query: spec_id,
                 decision,
                 verdict,
@@ -80,7 +80,8 @@ impl<P: Policy> Simulator<'_, P> {
             restarts: 0,
         };
         let id = self.spawn(kind, spec_exec, spec_deadline);
-        self.events
+        self.state
+            .events
             .push(spec_deadline, Event::QueryDeadline { txn: id });
         self.insert_admitted(spec_idx, id);
         if self.policy.refresh_at_admission() {
@@ -94,10 +95,12 @@ impl<P: Policy> Simulator<'_, P> {
     /// Ask the policy which of `spec`'s items need an on-demand refresh and
     /// spawn update transactions for them. Returns true if any were spawned.
     pub(super) fn spawn_demand_refreshes(&mut self, spec_idx: usize) -> bool {
-        let freshness = &self.freshness;
+        let freshness = &self.state.freshness;
         let wanted = self
             .policy
-            .demand_refresh(self.queries.get(spec_idx), &|d: DataId| freshness.udrop(d));
+            .demand_refresh(self.state.queries.get(spec_idx), &|d: DataId| {
+                freshness.udrop(d)
+            });
         self.spawn_refreshes(wanted)
     }
 
@@ -107,21 +110,21 @@ impl<P: Policy> Simulator<'_, P> {
     pub(super) fn spawn_refreshes(&mut self, wanted: Vec<DataId>) -> bool {
         let mut spawned = false;
         for d in wanted {
-            if *self.pending_ondemand.at(d) {
+            if *self.state.pending_ondemand.at(d) {
                 continue; // a refresh for this item is already queued
             }
             let Some(exec) = *self.item_update_exec.at(d) else {
                 continue; // no stream -> cannot be stale
             };
-            *self.pending_ondemand.at_mut(d) = true;
-            self.demand_refreshes += 1;
+            *self.state.pending_ondemand.at_mut(d) = true;
+            self.state.demand_refreshes += 1;
             // EDF deadline "now": on-demand refreshes precede periodic
             // updates that arrived earlier with later validity deadlines.
             let kind = TxnKind::Update {
                 item: d,
                 on_demand: true,
             };
-            self.spawn(kind, exec, self.clock);
+            self.spawn(kind, exec, self.state.clock);
             spawned = true;
         }
         spawned
@@ -140,18 +143,18 @@ impl<P: Policy> Simulator<'_, P> {
         let (item, period, exec) = (u.item, u.period, u.exec_time);
         // Sources are external: the version is observed (Udrop rises) even
         // when a fault keeps it from being applied.
-        self.freshness.record_arrival(item);
+        self.state.freshness.record_arrival(item);
 
         let fault = match self.faults.as_deref() {
             None => UpdateFault::Apply,
             // Down or degraded windows drop every application; staleness
             // then accrues honestly through the ordinary Udrop path.
-            Some(h) if h.health(self.clock).updates_dropped() => UpdateFault::Drop,
-            Some(h) => h.update_fault(item, self.clock),
+            Some(h) if h.health(self.state.clock).updates_dropped() => UpdateFault::Drop,
+            Some(h) => h.update_fault(item, self.state.clock),
         };
-        let edf_deadline = self.clock + period;
+        let edf_deadline = self.state.clock + period;
         if fault == UpdateFault::Drop {
-            self.fault_counts.update_drops += 1;
+            self.state.fault_counts.update_drops += 1;
         } else {
             // A delay fault only postpones the application the policy
             // chooses; the EDF deadline stays at the version's
@@ -160,13 +163,13 @@ impl<P: Policy> Simulator<'_, P> {
                 self.with_view(|policy, _, view| policy.on_version_arrival(item, view.now, view));
             if action.is_apply() {
                 if let UpdateFault::Delay(d) = fault {
-                    self.fault_counts.update_delays += 1;
+                    self.state.fault_counts.update_delays += 1;
                     let delayed = Event::DelayedApply {
                         item,
                         exec,
                         edf_deadline,
                     };
-                    self.events.push(self.clock + d, delayed);
+                    self.state.events.push(self.state.clock + d, delayed);
                 } else {
                     let kind = TxnKind::Update {
                         item,
@@ -179,7 +182,8 @@ impl<P: Policy> Simulator<'_, P> {
         }
 
         if edf_deadline.0 <= self.cfg.horizon.0 {
-            self.events
+            self.state
+                .events
                 .push(edf_deadline, Event::VersionArrival { stream_idx });
         }
     }
@@ -191,24 +195,25 @@ impl<P: Policy> Simulator<'_, P> {
         // Stale completions (the transaction was preempted or aborted after
         // this event was scheduled) are ignored.
         let Some(pos) = self
+            .state
             .running
             .iter()
             .position(|r| r.id == id && r.generation == generation)
         else {
             return;
         };
-        let demand = self.txns.at(id).remaining;
+        let demand = self.state.txns.at(id).remaining;
         let (_, elapsed) = self.vacate(pos);
         debug_assert!(elapsed == demand, "completion fired early or late");
 
-        let txn = self.txns.at_mut(id);
+        let txn = self.state.txns.at_mut(id);
         debug_assert_eq!(txn.state, TxnState::Running);
         txn.state = TxnState::Finished;
         txn.holds_locks = false;
         let exec = txn.exec_time;
         let kind = txn.kind.clone();
 
-        let freed = self.locks.release_all(id);
+        let freed = self.state.locks.release_all(id);
         self.unblock_waiters(&freed);
 
         match kind {
@@ -217,8 +222,11 @@ impl<P: Policy> Simulator<'_, P> {
                 freshness_at_dispatch,
                 ..
             } => {
-                let spec = self.queries.get(spec_idx);
-                debug_assert!(self.clock <= spec.deadline(), "firm deadline violated");
+                let spec = self.state.queries.get(spec_idx);
+                debug_assert!(
+                    self.state.clock <= spec.deadline(),
+                    "firm deadline violated"
+                );
                 // Freshness verdict: the data the query actually *read*,
                 // i.e. the strict-minimum freshness captured when its read
                 // locks were granted (§2.2). Read-time evaluation is what
@@ -236,15 +244,15 @@ impl<P: Policy> Simulator<'_, P> {
             }
             TxnKind::Update { item, on_demand } => {
                 if on_demand {
-                    *self.pending_ondemand.at_mut(item) = false;
+                    *self.state.pending_ondemand.at_mut(item) = false;
                 }
-                self.freshness.record_applied(item);
+                self.state.freshness.record_applied(item);
                 self.policy.on_update_commit(item, exec);
             }
             // Injected load: consumes CPU, touches nothing.
             TxnKind::Background => {}
         }
-        self.txns.retire();
+        self.state.txns.retire();
         self.reschedule();
     }
 
@@ -255,6 +263,7 @@ impl<P: Policy> Simulator<'_, P> {
         // Deadline events outlive their queries: a retired id (`None`) is
         // the one dead id the engine can still hold.
         let finished = self
+            .state
             .txns
             .get(id)
             .map_or(true, |t| t.state == TxnState::Finished);
@@ -263,23 +272,23 @@ impl<P: Policy> Simulator<'_, P> {
         }
         self.remove_admitted(id);
         // Firm deadline: abort wherever the query currently is.
-        if let Some(pos) = self.running.iter().position(|r| r.id == id) {
+        if let Some(pos) = self.state.running.iter().position(|r| r.id == id) {
             self.vacate(pos);
         }
         let key = self.pkey(id);
-        self.ready.remove(&key);
-        self.blocked.retain(|&b| b != id);
+        self.state.ready.remove(&key);
+        self.state.blocked.retain(|&b| b != id);
 
-        let txn = self.txns.at_mut(id);
+        let txn = self.state.txns.at_mut(id);
         txn.state = TxnState::Finished;
         txn.holds_locks = false;
         let TxnKind::Query { spec_idx, .. } = txn.kind else {
             unreachable!("updates have no deadline events")
         };
-        let freed = self.locks.release_all(id);
+        let freed = self.state.locks.release_all(id);
         self.unblock_waiters(&freed);
         self.record_outcome(spec_idx, Outcome::DeadlineMiss);
-        self.txns.retire();
+        self.state.txns.retire();
         self.reschedule();
     }
 
@@ -288,27 +297,29 @@ impl<P: Policy> Simulator<'_, P> {
     /// slab slot is recycled here, bounding slab growth by the in-flight
     /// query count. O(1).
     pub(super) fn record_outcome(&mut self, spec_idx: usize, outcome: Outcome) {
-        self.counts.record(outcome);
+        self.state.counts.record(outcome);
         #[cfg(feature = "validate")]
-        self.outcome_log.push(outcome);
-        let spec_id = self.queries.get(spec_idx).id;
+        self.state.outcome_log.push(outcome);
+        let spec_id = self.state.queries.get(spec_idx).id;
         if self.cfg.record_outcomes {
-            self.outcome_records.push(crate::stats::OutcomeRecord {
-                seq: self.outcome_records.len() as u64,
-                time: self.clock,
-                query: spec_id,
-                outcome,
-            });
+            self.state
+                .outcome_records
+                .push(crate::stats::OutcomeRecord {
+                    seq: self.state.outcome_records.len() as u64,
+                    time: self.state.clock,
+                    query: spec_id,
+                    outcome,
+                });
         }
         self.policy
-            .on_query_outcome(self.queries.get(spec_idx), outcome);
+            .on_query_outcome(self.state.queries.get(spec_idx), outcome);
         if self.obs.is_some() {
             self.emit(ObsEvent::QueryOutcome {
-                time: self.clock,
+                time: self.state.clock,
                 query: spec_id,
                 outcome,
             });
         }
-        self.queries.release(spec_idx);
+        self.state.queries.release(spec_idx);
     }
 }

@@ -33,6 +33,7 @@ mod lifecycle;
 mod queue;
 mod tick;
 
+pub use checkpoint::Snapshot;
 pub(crate) use feed::Feed;
 pub use feed::TRACE_LOOKAHEAD;
 
@@ -200,9 +201,14 @@ type PriorityKey = (u8, SimTime, TxnId);
 
 /// The discrete-event server: the engine handle [`SimRun::build`] returns.
 /// Most users want [`SimRun`] or [`run_simulation`].
+///
+/// The handle holds only what a run is built from (feed, update streams,
+/// policy, config, hooks) and the crash-recovery bookkeeping; everything a
+/// lose-state crash rewinds lives in one `EngineState`, which a
+/// snapshot clones by value.
 pub struct Simulator<'a, P: Policy> {
-    /// In-flight query specs.
-    queries: SpecSlab<'a>,
+    /// The canonical run state (see [`EngineState`]).
+    state: EngineState<'a>,
     /// Where unfed queries come from.
     feed: Feed<'a>,
     /// Update-stream specs (always known up front).
@@ -211,11 +217,56 @@ pub struct Simulator<'a, P: Policy> {
     n_items: usize,
     policy: P,
     cfg: SimConfig,
-
-    clock: SimTime,
+    /// Per-item execution time of the item's update stream (for on-demand
+    /// refreshes); `None` when the item has no stream.
+    item_update_exec: ItemVec<Option<SimDuration>>,
+    /// Reusable buffer behind `QueueSource::with_queries`.
+    view_scratch: RefCell<Vec<QueueEntryView>>,
+    /// Optional fault-injection hook ([`crate::faults`]). `None` — the
+    /// common case — takes exactly the fault-free code paths.
+    faults: Option<Box<dyn FaultHook>>,
+    /// Optional observability sink (`unit-obs`). Every emission site is
+    /// gated on `is_some()`, so an absent observer costs one branch and an
+    /// installed one is `report_digest`-bit-neutral (events carry only
+    /// derived data; the differential suite pins both properties).
+    obs: Option<&'a mut dyn Observer>,
     /// Whether the run has been started (update streams seeded, policy
     /// initialized). Flipped by the first [`Simulator::step`].
     started: bool,
+
+    // --- crash recovery (lose-state) -------------------------------------
+    // Everything in this block is deliberately *outside* the snapshotted
+    // state: a restore must not rewind recovery progress, or the crash
+    // that triggered it would re-fire during its own replay, forever.
+    /// Sorted, deduplicated lose-state crash instants
+    /// ([`FaultHook::lose_state_crashes`]), fixed at run start.
+    crash_points: Vec<SimTime>,
+    /// Crash points before this index have fired and been recovered from.
+    next_crash_idx: usize,
+    /// Deterministic snapshot taken at the most recent control boundary
+    /// while a future crash point exists (see `take_checkpoint` in the
+    /// checkpoint module).
+    last_checkpoint: Option<Snapshot<'a>>,
+    /// [`Feed::External`] specs fed since the last checkpoint: their arrival
+    /// events are not in the snapshot's heap, so a restore must re-feed
+    /// them. (A [`Feed::Trace`] run just rewinds its cursor.) A borrowed
+    /// spec is logged as the borrow, an owned one as a copy.
+    input_log: Vec<Cow<'a, QuerySpec>>,
+    /// While replaying a crash-lost window: `(crash instant, checkpoint
+    /// instant)`; cleared when the clock catches back up to the crash.
+    replay: Option<(SimTime, SimTime)>,
+}
+
+/// The engine's canonical run state: every field a lose-state crash
+/// rewinds, and nothing else. A snapshot is a clone of this struct (the
+/// `checkpoint` module), so new engine state goes here and is saved and
+/// restored with no further code; new handles or bookkeeping stay in
+/// [`Simulator`].
+#[derive(Clone)]
+struct EngineState<'a> {
+    clock: SimTime,
+    /// In-flight query specs.
+    queries: SpecSlab<'a>,
     events: EventQueue,
     /// The next control tick as `(time, seq)`, kept *out* of the event heap:
     /// ticks are strictly periodic and there is at most one pending, so a
@@ -246,13 +297,11 @@ pub struct Simulator<'a, P: Policy> {
     txns: TxnArena,
     ready: BTreeSet<PriorityKey>,
     blocked: Vec<TxnId>,
+    /// Order is semantic: preemption picks the *last* worst incumbent.
     running: Vec<RunningTxn>,
     next_generation: u64,
     locks: LockManager,
     freshness: FreshnessTable,
-    /// Per-item execution time of the item's update stream (for on-demand
-    /// refreshes); `None` when the item has no stream.
-    item_update_exec: ItemVec<Option<SimDuration>>,
     /// Items with a queued-but-uncommitted on-demand refresh.
     pending_ondemand: ItemVec<bool>,
     /// Sum of `remaining` over every unfinished update transaction, kept
@@ -267,38 +316,6 @@ pub struct Simulator<'a, P: Policy> {
     /// expected in the admitted-deadline count. Nodes are removed at zero,
     /// so the tree tracks the live admitted set.
     work: WorkTreap,
-    /// Reusable buffer behind `QueueSource::with_queries`.
-    view_scratch: RefCell<Vec<QueueEntryView>>,
-    /// Optional fault-injection hook ([`crate::faults`]). `None` — the
-    /// common case — takes exactly the fault-free code paths.
-    faults: Option<Box<dyn FaultHook>>,
-    /// Optional observability sink (`unit-obs`). Every emission site is
-    /// gated on `is_some()`, so an absent observer costs one branch and an
-    /// installed one is `report_digest`-bit-neutral (events carry only
-    /// derived data; the differential suite pins both properties).
-    obs: Option<&'a mut dyn Observer>,
-
-    // --- crash recovery (lose-state) -------------------------------------
-    // Everything in this block is deliberately *outside* the checkpointed
-    // state: a restore must not rewind recovery progress, or the crash
-    // that triggered it would re-fire during its own replay, forever.
-    /// Sorted, deduplicated lose-state crash instants
-    /// ([`FaultHook::lose_state_crashes`]), fixed at run start.
-    crash_points: Vec<SimTime>,
-    /// Crash points before this index have fired and been recovered from.
-    next_crash_idx: usize,
-    /// Deterministic snapshot taken at the most recent control boundary
-    /// while a future crash point exists (see `take_checkpoint` in the
-    /// checkpoint module).
-    last_checkpoint: Option<Vec<u8>>,
-    /// [`Feed::External`] specs fed since the last checkpoint: their arrival
-    /// events are not in the snapshot's heap, so a restore must re-feed
-    /// them. (A [`Feed::Trace`] run just rewinds its cursor.) A borrowed
-    /// spec is logged as the borrow, an owned one as a copy.
-    input_log: Vec<Cow<'a, QuerySpec>>,
-    /// While replaying a crash-lost window: `(crash instant, checkpoint
-    /// instant)`; cleared when the clock catches back up to the crash.
-    replay: Option<(SimTime, SimTime)>,
 
     // --- accounting -----------------------------------------------------
     counts: OutcomeCounts,
@@ -324,6 +341,50 @@ pub struct Simulator<'a, P: Policy> {
     outcome_log: Vec<unit_core::types::Outcome>,
 }
 
+impl EngineState<'_> {
+    /// The state of a run that has not started, over `n_items` items.
+    fn new(n_items: usize) -> Self {
+        EngineState {
+            clock: SimTime::ZERO,
+            queries: SpecSlab::default(),
+            events: EventQueue::new(),
+            next_tick: None,
+            submitted: 0,
+            query_accesses: ItemVec::new(n_items, 0),
+            last_fed_arrival: SimTime::ZERO,
+            arrivals_in_flight: 0,
+            stream_exhausted: false,
+            txns: TxnArena::default(),
+            ready: BTreeSet::new(),
+            blocked: Vec::new(),
+            running: Vec::new(),
+            next_generation: 0,
+            locks: LockManager::new(n_items),
+            freshness: FreshnessTable::new(n_items),
+            pending_ondemand: ItemVec::new(n_items, false),
+            outstanding_update_work: SimDuration::ZERO,
+            admitted: BTreeMap::new(),
+            work: WorkTreap::new(),
+            counts: OutcomeCounts::default(),
+            cpu_busy: SimDuration::ZERO,
+            window_busy: SimDuration::ZERO,
+            window_start: SimTime::ZERO,
+            preemptions: 0,
+            query_restarts: 0,
+            demand_refreshes: 0,
+            signals: SignalCounts::default(),
+            fault_counts: FaultCounts::default(),
+            dispatch_freshness_sum: 0.0,
+            dispatch_freshness_n: 0,
+            timeline: Vec::new(),
+            events_processed: 0,
+            outcome_records: Vec::new(),
+            #[cfg(feature = "validate")]
+            outcome_log: Vec::new(),
+        }
+    }
+}
+
 impl<'a, P: Policy> Simulator<'a, P> {
     /// Assemble the engine over already-validated inputs — the one
     /// constructor, reached through [`SimRun::build`].
@@ -342,57 +403,22 @@ impl<'a, P: Policy> Simulator<'a, P> {
             }
         }
         Simulator {
-            queries: SpecSlab::default(),
+            state: EngineState::new(n_items),
             feed,
             updates,
             n_items,
             policy,
             cfg,
-            clock: SimTime::ZERO,
-            started: false,
-            events: EventQueue::new(),
-            next_tick: None,
-            submitted: 0,
-            query_accesses: ItemVec::new(n_items, 0),
-            last_fed_arrival: SimTime::ZERO,
-            arrivals_in_flight: 0,
-            stream_exhausted: false,
-            txns: TxnArena::default(),
-            ready: BTreeSet::new(),
-            blocked: Vec::new(),
-            running: Vec::new(),
-            next_generation: 0,
-            locks: LockManager::new(n_items),
-            freshness: FreshnessTable::new(n_items),
             item_update_exec,
-            pending_ondemand: ItemVec::new(n_items, false),
-            outstanding_update_work: SimDuration::ZERO,
-            admitted: BTreeMap::new(),
-            work: WorkTreap::new(),
             view_scratch: RefCell::new(Vec::new()),
             faults: None,
             obs: None,
+            started: false,
             crash_points: Vec::new(),
             next_crash_idx: 0,
             last_checkpoint: None,
             input_log: Vec::new(),
             replay: None,
-            counts: OutcomeCounts::default(),
-            cpu_busy: SimDuration::ZERO,
-            window_busy: SimDuration::ZERO,
-            window_start: SimTime::ZERO,
-            preemptions: 0,
-            query_restarts: 0,
-            demand_refreshes: 0,
-            signals: SignalCounts::default(),
-            fault_counts: FaultCounts::default(),
-            dispatch_freshness_sum: 0.0,
-            dispatch_freshness_n: 0,
-            timeline: Vec::new(),
-            events_processed: 0,
-            outcome_records: Vec::new(),
-            #[cfg(feature = "validate")]
-            outcome_log: Vec::new(),
         }
     }
 
@@ -440,16 +466,17 @@ impl<'a, P: Policy> Simulator<'a, P> {
 
         for (j, u) in self.updates.iter().enumerate() {
             if u.first_arrival.0 <= self.cfg.horizon.0 {
-                self.events
+                self.state
+                    .events
                     .push(u.first_arrival, Event::VersionArrival { stream_idx: j });
             }
         }
         // The first control tick claims its runtime sequence slot between
         // the update seeding and the fault transitions; that slot decides
         // its same-instant ties.
-        self.next_tick = Some((
+        self.state.next_tick = Some((
             SimTime::ZERO + self.cfg.tick_period,
-            self.events.alloc_seq(),
+            self.state.events.alloc_seq(),
         ));
 
         // Fault transitions: every crash-window boundary and burst instant,
@@ -462,7 +489,7 @@ impl<'a, P: Policy> Simulator<'a, P> {
             times.sort_unstable();
             times.dedup();
             for t in times {
-                self.events.push(t, Event::FaultTransition);
+                self.state.events.push(t, Event::FaultTransition);
             }
             let mut crashes = hook.lose_state_crashes();
             crashes.sort_unstable();
@@ -493,30 +520,31 @@ impl<'a, P: Policy> Simulator<'a, P> {
         self.fast_forward_idle_ticks();
         // The tracked control tick races the heap head on the same
         // `(time, seq)` key the heap itself orders by.
-        let head = self.events.peek_key();
+        let head = self.state.events.peek_key();
         if let Some((t, _)) = self
+            .state
             .next_tick
             .filter(|&tick| head.map_or(true, |h| tick <= h))
         {
-            self.next_tick = None;
-            debug_assert!(t >= self.clock, "time went backwards");
-            self.clock = t;
-            self.events_processed += 1;
+            self.state.next_tick = None;
+            debug_assert!(t >= self.state.clock, "time went backwards");
+            self.state.clock = t;
+            self.state.events_processed += 1;
             match self.defer_to_recovery() {
-                Some(until) => self.next_tick = Some((until, self.events.alloc_seq())),
+                Some(until) => self.state.next_tick = Some((until, self.state.events.alloc_seq())),
                 None => self.on_control_tick(),
             }
             return true;
         }
-        let Some((t, ev)) = self.events.pop() else {
+        let Some((t, ev)) = self.state.events.pop() else {
             return false;
         };
-        debug_assert!(t >= self.clock, "time went backwards");
-        self.clock = t;
-        self.events_processed += 1;
+        debug_assert!(t >= self.state.clock, "time went backwards");
+        self.state.clock = t;
+        self.state.events_processed += 1;
         if matches!(ev, Event::QueryArrival { .. } | Event::QueryDeadline { .. }) {
             if let Some(until) = self.defer_to_recovery() {
-                self.events.push(until, ev);
+                self.state.events.push(until, ev);
                 return true;
             }
         }
@@ -538,8 +566,8 @@ impl<'a, P: Policy> Simulator<'a, P> {
     /// Timestamp of the next *queued* event — the earlier of the tracked
     /// control tick and the heap head. O(1).
     fn next_queued_time(&self) -> Option<SimTime> {
-        let tick = self.next_tick.map(|(t, _)| t);
-        tick.into_iter().chain(self.events.peek_time()).min()
+        let tick = self.state.next_tick.map(|(t, _)| t);
+        tick.into_iter().chain(self.state.events.peek_time()).min()
     }
 
     /// Timestamp of the next pending event — the earliest of the tracked
@@ -575,7 +603,7 @@ impl<'a, P: Policy> Simulator<'a, P> {
     /// The current virtual clock (the timestamp of the last processed
     /// event). O(1).
     pub fn now(&self) -> SimTime {
-        self.clock
+        self.state.clock
     }
 
     /// Finish a drained run: check the end-of-run invariants and assemble
@@ -586,14 +614,23 @@ impl<'a, P: Policy> Simulator<'a, P> {
     pub fn finish(mut self) -> (SimReport, P) {
         debug_assert!(self.started, "finish() before the run was stepped");
         debug_assert!(self.next_event_time().is_none(), "finish() mid-run");
-        debug_assert!(self.ready.is_empty(), "ready transactions left behind");
-        debug_assert!(self.running.is_empty(), "running transactions left behind");
-        debug_assert!(self.admitted.is_empty(), "admitted queries left behind");
-        debug_assert_eq!(self.work.total(), 0, "work index must drain to zero");
-        debug_assert!(self.txns.is_empty(), "transaction window must drain");
+        debug_assert!(
+            self.state.ready.is_empty(),
+            "ready transactions left behind"
+        );
+        debug_assert!(
+            self.state.running.is_empty(),
+            "running transactions left behind"
+        );
+        debug_assert!(
+            self.state.admitted.is_empty(),
+            "admitted queries left behind"
+        );
+        debug_assert_eq!(self.state.work.total(), 0, "work index must drain to zero");
+        debug_assert!(self.state.txns.is_empty(), "transaction window must drain");
         debug_assert_eq!(
-            self.counts.total(),
-            self.submitted,
+            self.state.counts.total(),
+            self.state.submitted,
             "every submitted query must have exactly one outcome"
         );
         #[cfg(feature = "validate")]
@@ -606,39 +643,39 @@ impl<'a, P: Policy> Simulator<'a, P> {
     /// Assemble the final report, moving the accumulated histograms and
     /// timeline out of the simulator instead of cloning them.
     fn report(&mut self) -> SimReport {
-        let freshness = std::mem::replace(&mut self.freshness, FreshnessTable::new(0));
+        let freshness = std::mem::replace(&mut self.state.freshness, FreshnessTable::new(0));
         let (versions_arrived, updates_applied) = freshness.into_histograms();
         SimReport {
             policy: self.policy.name().to_string(),
             weights: self.cfg.weights,
-            counts: self.counts,
+            counts: self.state.counts,
             // Same histogram `Trace::query_access_histogram` computes.
-            query_accesses: std::mem::take(&mut self.query_accesses).into_vec(),
+            query_accesses: std::mem::take(&mut self.state.query_accesses).into_vec(),
             versions_arrived,
             updates_applied,
-            hp_aborts: self.locks.hp_aborts(),
-            query_restarts: self.query_restarts,
-            preemptions: self.preemptions,
-            demand_refreshes: self.demand_refreshes,
-            cpu_busy: self.cpu_busy,
-            end_time: self.clock,
+            hp_aborts: self.state.locks.hp_aborts(),
+            query_restarts: self.state.query_restarts,
+            preemptions: self.state.preemptions,
+            demand_refreshes: self.state.demand_refreshes,
+            cpu_busy: self.state.cpu_busy,
+            end_time: self.state.clock,
             horizon: self.cfg.horizon,
             n_cpus: self.cfg.n_cpus,
-            signals: self.signals,
-            mean_dispatch_freshness: if self.dispatch_freshness_n == 0 {
+            signals: self.state.signals,
+            mean_dispatch_freshness: if self.state.dispatch_freshness_n == 0 {
                 1.0
             } else {
-                self.dispatch_freshness_sum / self.dispatch_freshness_n as f64
+                self.state.dispatch_freshness_sum / self.state.dispatch_freshness_n as f64
             },
-            timeline: std::mem::take(&mut self.timeline),
-            events_processed: self.events_processed,
-            outcome_records: std::mem::take(&mut self.outcome_records),
-            faults: self.fault_counts,
+            timeline: std::mem::take(&mut self.state.timeline),
+            events_processed: self.state.events_processed,
+            outcome_records: std::mem::take(&mut self.state.outcome_records),
+            faults: self.state.fault_counts,
         }
     }
 
     /// Ready-queue ordering key by transaction id.
     fn pkey(&self, id: TxnId) -> PriorityKey {
-        self.cfg.discipline.key(self.txns.at(id))
+        self.cfg.discipline.key(self.state.txns.at(id))
     }
 }

@@ -114,20 +114,20 @@ impl<'a, P: Policy> Simulator<'a, P> {
     /// the in-progress slices of running updates, and the windowed CPU
     /// utilization — in `O(n_cpus)`.
     fn view_scalars(&self) -> (SimDuration, f64) {
-        let mut update_backlog = self.outstanding_update_work;
-        for r in &self.running {
-            if !self.txns.at(r.id).is_query() {
+        let mut update_backlog = self.state.outstanding_update_work;
+        for r in &self.state.running {
+            if !self.state.txns.at(r.id).is_query() {
                 update_backlog =
-                    update_backlog.saturating_sub(self.clock.saturating_since(r.started));
+                    update_backlog.saturating_sub(self.state.clock.saturating_since(r.started));
             }
         }
 
-        let window = self.clock.saturating_since(self.window_start);
-        let mut busy = self.window_busy;
-        for r in &self.running {
+        let window = self.state.clock.saturating_since(self.state.window_start);
+        let mut busy = self.state.window_busy;
+        for r in &self.state.running {
             // Include the in-progress slice of each current runner.
-            let started = r.started.max(self.window_start);
-            busy += self.clock.saturating_since(started);
+            let started = r.started.max(self.state.window_start);
+            busy += self.state.clock.saturating_since(started);
         }
         let recent_utilization = if window.is_zero() {
             0.0
@@ -149,31 +149,26 @@ impl<'a, P: Policy> Simulator<'a, P> {
         let (update_backlog, recent_utilization) = self.view_scalars();
         let Simulator {
             policy,
-            queries,
-            clock,
-            admitted,
-            work,
-            running,
-            txns,
+            state,
             view_scratch,
             ..
         } = self;
         let source = EngineQueue {
-            clock: *clock,
-            admitted: &*admitted,
-            work: &*work,
-            running: &*running,
-            txns: &*txns,
+            clock: state.clock,
+            admitted: &state.admitted,
+            work: &state.work,
+            running: &state.running,
+            txns: &state.txns,
             scratch: &*view_scratch,
         };
-        let view = SnapshotView::new(*clock, update_backlog, recent_utilization, &source);
-        f(policy, queries, &view)
+        let view = SnapshotView::new(state.clock, update_backlog, recent_utilization, &source);
+        f(policy, &state.queries, &view)
     }
 
     pub(super) fn insert_admitted(&mut self, spec_idx: usize, txn: TxnId) {
-        let spec = self.queries.get(spec_idx);
+        let spec = self.state.queries.get(spec_idx);
         let (deadline, exec) = (spec.deadline(), spec.exec_time);
-        let prev = self.admitted.insert(
+        let prev = self.state.admitted.insert(
             (deadline, spec.id),
             AdmittedEntry {
                 txn,
@@ -181,52 +176,54 @@ impl<'a, P: Policy> Simulator<'a, P> {
             },
         );
         debug_assert!(prev.is_none(), "query admitted twice");
-        self.work.add(deadline, exec.0);
+        self.state.work.add(deadline, exec.0);
     }
 
     /// Re-sync the stored remaining of an admitted query after its
     /// transaction's `remaining` changed at rest (preemption or 2PL-HP
     /// restart). No-op for update transactions.
     pub(super) fn sync_admitted_remaining(&mut self, id: TxnId) {
-        let txn = self.txns.at(id);
+        let txn = self.state.txns.at(id);
         let TxnKind::Query { spec_idx, .. } = txn.kind else {
             return;
         };
         let deadline = txn.edf_deadline;
-        let key = (deadline, self.queries.get(spec_idx).id);
+        let key = (deadline, self.state.queries.get(spec_idx).id);
         let new = txn.remaining;
         #[expect(
             clippy::expect_used,
             reason = "insert/remove are paired with txn lifecycle"
         )]
         let entry = self
+            .state
             .admitted
             .get_mut(&key)
             .expect("unfinished query must be admitted");
         let old = entry.remaining;
         entry.remaining = new;
         if new >= old {
-            self.work.add(deadline, new.0 - old.0);
+            self.state.work.add(deadline, new.0 - old.0);
         } else {
-            self.work.sub(deadline, old.0 - new.0);
+            self.state.work.sub(deadline, old.0 - new.0);
         }
     }
 
     pub(super) fn remove_admitted(&mut self, id: TxnId) {
-        let txn = self.txns.at(id);
+        let txn = self.state.txns.at(id);
         let TxnKind::Query { spec_idx, .. } = txn.kind else {
             unreachable!("only queries enter the admitted index");
         };
         let deadline = txn.edf_deadline;
-        let key = (deadline, self.queries.get(spec_idx).id);
+        let key = (deadline, self.state.queries.get(spec_idx).id);
         #[expect(
             clippy::expect_used,
             reason = "insert/remove are paired with txn lifecycle"
         )]
         let entry = self
+            .state
             .admitted
             .remove(&key)
             .expect("unfinished query must be admitted");
-        self.work.sub(deadline, entry.remaining.0);
+        self.state.work.sub(deadline, entry.remaining.0);
     }
 }

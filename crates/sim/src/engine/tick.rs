@@ -29,10 +29,10 @@ impl<P: Policy> Simulator<'_, P> {
         let idle = !cfg!(feature = "validate")
             && self.obs.is_none()
             && !self.cfg.record_timeline
-            && self.policy.tick_idle(self.clock);
+            && self.policy.tick_idle(self.state.clock);
         if idle {
-            self.window_busy = SimDuration::ZERO;
-            self.window_start = self.clock;
+            self.state.window_busy = SimDuration::ZERO;
+            self.state.window_start = self.state.clock;
             self.rearm_tick();
             self.take_checkpoint();
             return;
@@ -56,22 +56,22 @@ impl<P: Policy> Simulator<'_, P> {
                 )
             });
         for &s in &signals {
-            self.signals.record(s);
+            self.state.signals.record(s);
         }
         if observing {
             self.emit(ObsEvent::ControlTick {
-                time: self.clock,
+                time: self.state.clock,
                 ready_queries,
                 query_backlog_secs,
                 update_backlog_secs,
                 utilization,
-                usm: self.counts.average_usm(&self.cfg.weights),
+                usm: self.state.counts.average_usm(&self.cfg.weights),
             });
             if let Some(ctl) = self.policy.controller_obs() {
                 let count =
                     |sig: ControlSignal| signals.iter().filter(|&&s| s == sig).count() as u32;
                 self.emit(ObsEvent::ControlStep {
-                    time: self.clock,
+                    time: self.state.clock,
                     c_flex: ctl.c_flex,
                     tac: count(ControlSignal::TightenAdmission),
                     lac: count(ControlSignal::LoosenAdmission),
@@ -81,7 +81,7 @@ impl<P: Policy> Simulator<'_, P> {
                     ticket_sum: ctl.ticket_sum,
                 });
             }
-            let now = self.clock;
+            let now = self.state.clock;
             for m in self.policy.drain_modulation_obs() {
                 self.emit(ObsEvent::TicketMass {
                     time: now,
@@ -93,25 +93,25 @@ impl<P: Policy> Simulator<'_, P> {
             }
         }
         // Time-triggered refreshes (deferrable-update style policies).
-        let freshness = &self.freshness;
+        let freshness = &self.state.freshness;
         let wanted = self
             .policy
-            .tick_refreshes(self.clock, &|d| freshness.udrop(d));
+            .tick_refreshes(self.state.clock, &|d| freshness.udrop(d));
         if self.spawn_refreshes(wanted) {
             self.reschedule();
         }
         if self.cfg.record_timeline {
-            self.timeline.push(crate::stats::TimelineSample {
-                time: self.clock,
-                usm: self.counts.average_usm(&self.cfg.weights),
+            self.state.timeline.push(crate::stats::TimelineSample {
+                time: self.state.clock,
+                usm: self.state.counts.average_usm(&self.cfg.weights),
                 ready_queries,
                 update_backlog_secs,
                 utilization,
             });
         }
         // New utilization window.
-        self.window_busy = SimDuration::ZERO;
-        self.window_start = self.clock;
+        self.state.window_busy = SimDuration::ZERO;
+        self.state.window_start = self.state.clock;
 
         #[cfg(feature = "validate")]
         self.validate_invariants();
@@ -151,7 +151,7 @@ impl<P: Policy> Simulator<'_, P> {
         {
             return;
         }
-        let Some((t, _)) = self.next_tick else {
+        let Some((t, _)) = self.state.next_tick else {
             return;
         };
         let period = self.cfg.tick_period.0;
@@ -164,7 +164,7 @@ impl<P: Policy> Simulator<'_, P> {
         // yet fed are invisible to the heap but bounded below by the feed
         // (and an arrival ties below a tick at the same instant).
         let mut limit = self.policy.tick_idle_until();
-        for bound in [self.events.peek_time(), self.unfed_floor()]
+        for bound in [self.state.events.peek_time(), self.unfed_floor()]
             .into_iter()
             .flatten()
         {
@@ -181,15 +181,15 @@ impl<P: Policy> Simulator<'_, P> {
         // Consume the armed tick plus `extra` idle successors.
         let extra = ((limit.0 - t.0 - 1) / period).min(horizon_room / period);
         let t_last = SimTime(t.0 + extra * period);
-        debug_assert!(t >= self.clock, "time went backwards");
-        self.next_tick = None;
-        self.clock = t_last;
-        self.events_processed += extra + 1;
+        debug_assert!(t >= self.state.clock, "time went backwards");
+        self.state.next_tick = None;
+        self.state.clock = t_last;
+        self.state.events_processed += extra + 1;
         // Each consumed tick's re-arm claimed one runtime sequence slot:
         // `extra` burned here, the last taken by `rearm_tick` below.
-        self.events.alloc_seqs(extra);
-        self.window_busy = SimDuration::ZERO;
-        self.window_start = t_last;
+        self.state.events.alloc_seqs(extra);
+        self.state.window_busy = SimDuration::ZERO;
+        self.state.window_start = t_last;
         self.rearm_tick();
         // One snapshot at the collapsed boundary stands in for the skipped
         // per-tick snapshots: recovery only needs *a* checkpoint at or
@@ -202,9 +202,9 @@ impl<P: Policy> Simulator<'_, P> {
     /// `next_tick` field docs). Both tick paths (full and idle) end here,
     /// so the sequence-number tape is identical either way.
     fn rearm_tick(&mut self) {
-        let next = self.clock + self.cfg.tick_period;
+        let next = self.state.clock + self.cfg.tick_period;
         if next.0 <= self.cfg.horizon.0 {
-            self.next_tick = Some((next, self.events.alloc_seq()));
+            self.state.next_tick = Some((next, self.state.events.alloc_seq()));
         }
     }
 
@@ -220,17 +220,17 @@ impl<P: Policy> Simulator<'_, P> {
         use crate::faults::HealthState;
         use crate::txn::TxnState;
         let mut naive: std::collections::BTreeMap<SimTime, u64> = Default::default();
-        for (&(deadline, _), e) in &self.admitted {
+        for (&(deadline, _), e) in &self.state.admitted {
             if e.remaining.0 > 0 {
                 *naive.entry(deadline).or_insert(0) += e.remaining.0;
             }
         }
         let naive_total: u64 = naive.values().sum();
         let entries: Vec<(SimTime, u64)> = naive.into_iter().collect();
-        let total = self.work.total();
+        let total = self.state.work.total();
         unit_core::validate_check!(
             "work-index",
-            if entries == self.work.entries() && naive_total == total {
+            if entries == self.state.work.entries() && naive_total == total {
                 Ok(())
             } else {
                 Err(format!(
@@ -239,14 +239,16 @@ impl<P: Policy> Simulator<'_, P> {
             }
         );
         let front_live = self
+            .state
             .txns
             .iter()
             .next()
             .map_or(true, |t| t.state != TxnState::Finished);
         let dense = self
+            .state
             .txns
             .iter()
-            .zip(self.txns.base().0..)
+            .zip(self.state.txns.base().0..)
             .all(|(t, id)| t.id.0 == id);
         unit_core::validate_check!(
             "txn-window",
@@ -255,13 +257,17 @@ impl<P: Policy> Simulator<'_, P> {
             } else {
                 Err(format!(
                     "transaction window from {:?} not tight: live front {front_live}, dense ids {dense}",
-                    self.txns.base()
+                    self.state.txns.base()
                 ))
             }
         );
         unit_core::validate_check!(
             "usm-identity",
-            crate::validate::check_usm_identity(&self.counts, &self.outcome_log, &self.cfg.weights)
+            crate::validate::check_usm_identity(
+                &self.state.counts,
+                &self.state.outcome_log,
+                &self.cfg.weights
+            )
         );
         // Non-idling: no CPU idles while a transaction is ready. Every
         // handler that frees a CPU or readies work ends in `reschedule`,
@@ -269,11 +275,14 @@ impl<P: Policy> Simulator<'_, P> {
         // tick took its sequence slot before the fault transitions were
         // seeded, so when a crash window ends exactly on it, it pops before
         // the recovery transition that restarts the preempted work.
-        let first_tick_on_recovery = self.clock == SimTime::ZERO + self.cfg.tick_period
+        let first_tick_on_recovery = self.state.clock == SimTime::ZERO + self.cfg.tick_period
             && self.faults.as_deref().is_some_and(|h| {
-                h.health(SimTime(self.clock.0 - 1)) == HealthState::Down { until: self.clock }
+                h.health(SimTime(self.state.clock.0 - 1))
+                    == HealthState::Down {
+                        until: self.state.clock,
+                    }
             });
-        let busy = self.ready.is_empty() || self.running.len() == self.cfg.n_cpus;
+        let busy = self.state.ready.is_empty() || self.state.running.len() == self.cfg.n_cpus;
         unit_core::validate_check!(
             "non-idling",
             if busy || first_tick_on_recovery {
@@ -281,10 +290,10 @@ impl<P: Policy> Simulator<'_, P> {
             } else {
                 Err(format!(
                     "{} of {} CPUs busy at {:?} with {} transactions ready",
-                    self.running.len(),
+                    self.state.running.len(),
                     self.cfg.n_cpus,
-                    self.clock,
-                    self.ready.len()
+                    self.state.clock,
+                    self.state.ready.len()
                 ))
             }
         );

@@ -69,7 +69,7 @@ pub enum Event {
 pub const ARRIVAL_SEQ_BASE: u64 = 1 << 48;
 
 /// Min-heap event queue with deterministic same-time ordering.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct EventQueue {
     /// Keys only: payloads never participate in sifting or ordering.
     heap: BinaryHeap<Reverse<(SimTime, u64, u32)>>,
@@ -148,7 +148,7 @@ impl EventQueue {
 
     #[expect(
         clippy::indexing_slicing,
-        reason = "`free` holds only slots pop() released, all below slab.len() (clear() empties both)"
+        reason = "`free` holds only slots pop() released, all below slab.len()"
     )]
     fn push_with_seq(&mut self, time: SimTime, event: Event, seq: u64) {
         let slot = match self.free.pop() {
@@ -193,49 +193,13 @@ impl EventQueue {
         self.heap.peek().map(|Reverse((t, s, _))| (*t, *s))
     }
 
-    /// All pending events as `(time, seq, payload)`, sorted by `(time, seq)`
-    /// — pop order. Used by checkpointing: the slab may hold placeholder
-    /// payloads in freed slots, so the heap (live keys only) is the source
-    /// of truth and a snapshot never exposes recycled garbage.
-    pub(crate) fn snapshot(&self) -> Vec<(SimTime, u64, Event)> {
-        #[expect(
-            clippy::indexing_slicing,
-            reason = "heap keys index live slab slots by construction; a freed slot's key is popped before the slot is recycled"
-        )]
-        let mut entries: Vec<(SimTime, u64, Event)> = self
-            .heap
+    /// Pending events whose payload satisfies `pred` (test support). O(N_ev).
+    #[cfg(test)]
+    pub(crate) fn count(&self, pred: impl Fn(&Event) -> bool) -> usize {
+        self.heap
             .iter()
-            .map(|Reverse((t, s, slot))| (*t, *s, self.slab[*slot as usize].clone()))
-            .collect();
-        entries.sort_by_key(|&(t, s, _)| (t, s));
-        entries
-    }
-
-    /// Re-insert snapshotted entries with their original sequence numbers.
-    /// The caller is responsible for clearing the queue first and for
-    /// restoring [`EventQueue::next_seq`] afterwards.
-    pub(crate) fn restore_entries(&mut self, entries: Vec<(SimTime, u64, Event)>) {
-        for (t, s, e) in entries {
-            self.push_with_seq(t, e, s);
-        }
-    }
-
-    /// Current runtime sequence counter (checkpoint support).
-    pub(crate) fn next_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Overwrite the runtime sequence counter (restore support).
-    pub(crate) fn set_next_seq(&mut self, seq: u64) {
-        self.next_seq = seq;
-    }
-
-    /// Drop every pending event and recycled slot, keeping allocations.
-    /// Restore support: the queue is refilled from a snapshot afterwards.
-    pub(crate) fn clear(&mut self) {
-        self.heap.clear();
-        self.slab.clear();
-        self.free.clear();
+            .filter(|Reverse((_, _, slot))| self.slab.get(*slot as usize).is_some_and(&pred))
+            .count()
     }
 }
 
@@ -312,6 +276,9 @@ mod tests {
         assert_eq!(q.pop().unwrap().1, Event::QueryArrival { spec_idx: 2 });
     }
 
+    /// An engine snapshot holds the queue by value: a clone taken mid-run,
+    /// restored over a queue that has moved on, pops what was pending at
+    /// the snapshot in the same order and numbers later pushes alike.
     #[test]
     fn snapshot_and_restore_preserve_pop_order() {
         let mut q = EventQueue::new();
@@ -326,18 +293,25 @@ mod tests {
         let (_, e) = q.pop().unwrap();
         assert_eq!(e, Event::VersionArrival { stream_idx: 4 });
 
-        let entries = q.snapshot();
-        assert_eq!(entries.len(), 2);
-        let next = q.next_seq();
+        let snap = q.clone();
+        assert_eq!(snap.len(), 2);
+        // The live queue moves on past the snapshot.
+        q.push(SimTime::from_secs(2), Event::FaultTransition);
+        assert_eq!(q.pop().unwrap().1, Event::FaultTransition);
+        assert_eq!(q.pop().unwrap().1, Event::QueryArrival { spec_idx: 7 });
 
-        let mut r = EventQueue::new();
-        r.clear();
-        r.restore_entries(entries);
-        r.set_next_seq(next);
-        assert_eq!(r.next_seq(), next);
-        assert_eq!(r.pop().unwrap().1, Event::QueryArrival { spec_idx: 7 });
-        assert_eq!(r.pop().unwrap().1, Event::FaultTransition);
-        assert!(r.pop().is_none());
+        q.clone_from(&snap);
+        let mut r = snap.clone();
+        for queue in [&mut q, &mut r] {
+            queue.push(t, Event::VersionArrival { stream_idx: 5 });
+            assert_eq!(queue.pop().unwrap().1, Event::QueryArrival { spec_idx: 7 });
+            assert_eq!(queue.pop().unwrap().1, Event::FaultTransition);
+            assert_eq!(
+                queue.pop().unwrap().1,
+                Event::VersionArrival { stream_idx: 5 }
+            );
+            assert!(queue.pop().is_none());
+        }
     }
 
     #[test]

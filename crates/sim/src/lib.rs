@@ -21,7 +21,7 @@
 //! policy view (the `work-index` recount); `tick`, the control tick and its
 //! idle fast paths (`golden_snapshot` under `validate`); `faults`,
 //! crash-window deferral and transitions (`fault_behaviour.rs`);
-//! `checkpoint`, snapshot, restore and lose-state recovery
+//! `checkpoint`, by-value snapshot, restore and lose-state recovery
 //! (`recovery_differential.rs`).
 //!
 //! All decisions are delegated to a [`unit_core::policy::Policy`]; the
@@ -74,7 +74,9 @@ pub mod txn;
 pub mod validate;
 pub mod worktreap;
 
-pub use engine::{run_simulation, SchedulingDiscipline, SimConfig, Simulator, TRACE_LOOKAHEAD};
+pub use engine::{
+    run_simulation, SchedulingDiscipline, SimConfig, Simulator, Snapshot, TRACE_LOOKAHEAD,
+};
 pub use faults::{BackgroundLoad, FaultHook, HealthState, NoFaults, UpdateFault};
 pub use run::SimRun;
 pub use stats::{

@@ -57,7 +57,7 @@ enum LockState {
 /// The index is a `BTreeMap` (not a `HashMap`): its iteration order feeds
 /// the invariant checker's error messages, and `clippy.toml`'s
 /// `disallowed-types` bans hash-ordered containers in the workspace outright.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct LockManager {
     slots: ItemVec<LockState>,
     held: BTreeMap<TxnId, Vec<DataId>>,
@@ -187,91 +187,6 @@ impl LockManager {
     /// True when `txn` holds at least one lock.
     pub fn holds_any(&self, txn: TxnId) -> bool {
         self.held.contains_key(&txn)
-    }
-
-    /// Serialize the lock table into a checkpoint stream: every slot with
-    /// its tag (reader vectors in their exact order — grant order is
-    /// semantic under the HP rule), the per-transaction held index in
-    /// `BTreeMap` order, and the abort counter.
-    pub fn checkpoint_into(&self, enc: &mut unit_core::checkpoint::Enc) {
-        enc.put_usize(self.slots.len());
-        for slot in self.slots.values() {
-            match slot {
-                LockState::Free => enc.put_u8(0),
-                LockState::Read(readers) => {
-                    enc.put_u8(1);
-                    enc.put_usize(readers.len());
-                    for r in readers {
-                        enc.put_u64(r.0);
-                    }
-                }
-                LockState::Write(holder) => {
-                    enc.put_u8(2);
-                    enc.put_u64(holder.0);
-                }
-            }
-        }
-        enc.put_usize(self.held.len());
-        for (txn, items) in &self.held {
-            enc.put_u64(txn.0);
-            enc.put_usize(items.len());
-            for d in items {
-                enc.put_u64(d.0 as u64);
-            }
-        }
-        enc.put_u64(self.hp_aborts);
-    }
-
-    /// Restore state captured by [`LockManager::checkpoint_into`].
-    pub fn restore_from(
-        &mut self,
-        dec: &mut unit_core::checkpoint::Dec<'_>,
-    ) -> Result<(), unit_core::checkpoint::CheckpointError> {
-        use unit_core::checkpoint::CheckpointError;
-        let n = dec.take_usize()?;
-        if n != self.slots.len() {
-            return Err(CheckpointError::Mismatch {
-                what: "lock table size",
-            });
-        }
-        for slot in self.slots.values_mut() {
-            *slot = match dec.take_u8()? {
-                0 => LockState::Free,
-                1 => {
-                    let m = dec.take_usize()?;
-                    let mut readers = Vec::with_capacity(m);
-                    for _ in 0..m {
-                        readers.push(TxnId(dec.take_u64()?));
-                    }
-                    LockState::Read(readers)
-                }
-                2 => LockState::Write(TxnId(dec.take_u64()?)),
-                v => {
-                    return Err(CheckpointError::BadTag {
-                        value: v as u64,
-                        what: "lock state",
-                    })
-                }
-            };
-        }
-        self.held.clear();
-        let h = dec.take_usize()?;
-        for _ in 0..h {
-            let txn = TxnId(dec.take_u64()?);
-            let m = dec.take_usize()?;
-            let mut items = Vec::with_capacity(m);
-            for _ in 0..m {
-                let raw = dec.take_u64()?;
-                let id = u32::try_from(raw).map_err(|_| CheckpointError::BadTag {
-                    value: raw,
-                    what: "data id",
-                })?;
-                items.push(DataId(id));
-            }
-            self.held.insert(txn, items);
-        }
-        self.hp_aborts = dec.take_u64()?;
-        Ok(())
     }
 
     /// Check the internal consistency of the table (test support): every

@@ -126,7 +126,7 @@ impl Txn {
 /// (ready set, running set, blocked list, lock table, admitted set) names a
 /// transaction inside the window; only a pending `QueryDeadline` can name a
 /// retired one, which [`TxnArena::get`] reports as `None`.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct TxnArena {
     /// Id of the window's front transaction (every lower id is retired).
     base: u64,
@@ -183,11 +183,13 @@ impl TxnArena {
     }
 
     /// Id of the window's front: every lower id is retired. O(1).
+    #[cfg(any(test, feature = "validate"))]
     pub(crate) fn base(&self) -> TxnId {
         TxnId(self.base)
     }
 
     /// Number of transactions in the window. O(1).
+    #[cfg(test)]
     pub(crate) fn len(&self) -> usize {
         self.txns.len()
     }
@@ -198,15 +200,9 @@ impl TxnArena {
     }
 
     /// The window's transactions, in id order.
+    #[cfg(feature = "validate")]
     pub(crate) fn iter(&self) -> std::collections::vec_deque::Iter<'_, Txn> {
         self.txns.iter()
-    }
-
-    /// Empty the window and restart it at `base` (checkpoint restore
-    /// refills it).
-    pub(crate) fn reset(&mut self, base: TxnId) {
-        self.txns.clear();
-        self.base = base.0;
     }
 }
 
@@ -374,9 +370,5 @@ mod tests {
         a.push(txn(2, TxnClass::Query, 10));
         assert_eq!(a.at(TxnId(2)).id, TxnId(2));
         assert_eq!(a.next_id(), TxnId(3));
-
-        a.reset(TxnId(7));
-        assert!(a.is_empty());
-        assert_eq!(a.next_id(), TxnId(7), "a restore resumes at its base");
     }
 }

@@ -34,7 +34,7 @@ struct Node {
 }
 
 /// The node slab, addressed by `u32` node handle.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 struct Nodes {
     slots: Vec<Node>,
 }
@@ -71,7 +71,7 @@ impl Nodes {
 /// Treap keyed by deadline, augmented with subtree work sums. Slots are
 /// slab-allocated and recycled, so steady-state operation performs no
 /// allocation once the tree has reached its peak size.
-#[derive(Debug, Default)]
+#[derive(Debug, Clone, Default)]
 pub struct WorkTreap {
     nodes: Nodes,
     free: Vec<u32>,

@@ -8,10 +8,11 @@
 //! The reference run installs the *same* hook with the crashes disarmed:
 //! it schedules identical fault-transition events, so the two event tapes
 //! match instant for instant and the only difference is the crash/restore
-//! cycle itself. The suite also pins the checkpoint codec's byte
-//! stability (`checkpoint → restore → checkpoint` is a byte-level fixed
-//! point), the streamed feeder's crash transparency, and a snapshot size
-//! that tracks live work rather than trace length.
+//! cycle itself. The suite also pins a restore chain (a run carried on
+//! through a fresh simulator at every link ends as the straight run does)
+//! and the streamed feeder's crash transparency. That a snapshot's size
+//! tracks live work rather than trace length is pinned inside the engine
+//! crate, where the snapshot's containers are visible.
 
 use unit_baselines::{ImuPolicy, OduPolicy, QmfPolicy};
 use unit_core::config::UnitConfig;
@@ -183,10 +184,7 @@ fn recovery_emits_the_checkpoint_event_arc() {
     let taken: Vec<SimTime> = events
         .iter()
         .filter_map(|e| match e {
-            ObsEvent::CheckpointTaken { time, bytes } => {
-                assert!(*bytes > 0, "a checkpoint is never empty");
-                Some(*time)
-            }
+            ObsEvent::CheckpointTaken { time } => Some(*time),
             _ => None,
         })
         .collect();
@@ -228,74 +226,109 @@ fn recovery_emits_the_checkpoint_event_arc() {
     }
 }
 
+/// Events between two links of a restore chain. Prime, so the stops fall
+/// off the control-tick grid and land on every kind of event.
+const CHAIN_LINK: usize = 997;
+
+/// A restore chain: step `make()`'s run of the golden bundle, and every
+/// [`CHAIN_LINK`] events snapshot it, restore the snapshot into a fresh
+/// simulator and carry on with that one. The chained run must end exactly
+/// as the straight run does, digest and outcome stream alike.
+fn restore_chain<P: Policy>(
+    policy_name: &str,
+    make: impl Fn() -> P,
+    discipline: SchedulingDiscipline,
+) {
+    let bundle = golden_bundle();
+    let cfg = sim_config(bundle.horizon, discipline);
+    let straight = SimRun::trace(&bundle.trace, make(), cfg).run();
+
+    let mut sim = SimRun::trace(&bundle.trace, make(), cfg).build();
+    let mut links = 0;
+    'run: loop {
+        for _ in 0..CHAIN_LINK {
+            if !sim.step() {
+                break 'run;
+            }
+        }
+        let snap = sim.snapshot();
+        sim = SimRun::trace(&bundle.trace, make(), cfg).build();
+        sim.restore(&snap).expect("own snapshot must restore");
+        links += 1;
+    }
+    let (chained, _) = sim.finish();
+    assert!(
+        links >= 10,
+        "{policy_name}/{discipline:?}: only {links} links"
+    );
+    assert_eq!(
+        report_digest(&straight),
+        report_digest(&chained),
+        "{policy_name}/{discipline:?}: the restore chain diverged from the straight run"
+    );
+    assert_eq!(
+        straight.outcome_records, chained.outcome_records,
+        "{policy_name}/{discipline:?}: outcome stream diverged"
+    );
+}
+
+fn unit_policy() -> UnitPolicy {
+    UnitPolicy::new(UnitConfig::with_weights(UsmWeights::low_high_cfm()).with_seed(SEED))
+}
+
 #[test]
-fn checkpoint_restore_checkpoint_is_byte_stable() {
+fn restore_chain_is_invisible_under_the_dual_queue() {
+    let dual = SchedulingDiscipline::DualPriorityEdf;
+    restore_chain("IMU", ImuPolicy::new, dual);
+    restore_chain("ODU", OduPolicy::new, dual);
+    restore_chain("QMF", QmfPolicy::default, dual);
+    restore_chain("UNIT", unit_policy, dual);
+}
+
+#[test]
+fn restore_chain_is_invisible_for_unit_under_every_discipline() {
+    for (discipline, _) in DISCIPLINES {
+        if discipline != SchedulingDiscipline::DualPriorityEdf {
+            restore_chain("UNIT", unit_policy, discipline);
+        }
+    }
+}
+
+#[test]
+fn restore_rewinds_a_run_past_its_snapshot() {
+    // Restore over a live simulator, not a fresh one: the run drains past
+    // its mid-run snapshot, rewinds to it and runs the second half again.
     let bundle = golden_bundle();
     let cfg = sim_config(bundle.horizon, SchedulingDiscipline::DualPriorityEdf);
-    let make =
-        || UnitPolicy::new(UnitConfig::with_weights(UsmWeights::low_high_cfm()).with_seed(SEED));
-    let mid = SimTime(bundle.horizon.0 / 2);
+    let straight = SimRun::trace(&bundle.trace, unit_policy(), cfg).run();
 
-    // Mid-run, so the snapshot's transaction window starts past retired
-    // transactions: `engine::checkpoint::tests::
-    // round_trip_keeps_a_retired_window_base` asserts base > 0 on this
-    // very snapshot.
-    let mut original = SimRun::trace(&bundle.trace, make(), cfg).build();
-    original.step_until(mid);
-    let bytes = original.checkpoint();
-    assert_eq!(
-        original.checkpoint(),
-        bytes,
-        "checkpointing is non-destructive and deterministic"
-    );
-
-    let mut restored = SimRun::trace(&bundle.trace, make(), cfg).build();
-    restored.restore(&bytes).expect("own snapshot must restore");
-    assert_eq!(
-        restored.checkpoint(),
-        bytes,
-        "checkpoint → restore → checkpoint must be a byte-level fixed point"
-    );
-
-    // Both halves of the fork must finish identically.
-    while original.step() {}
-    while restored.step() {}
-    let (a, _) = original.finish();
-    let (b, _) = restored.finish();
-    assert_eq!(report_digest(&a), report_digest(&b));
-    assert_eq!(a.outcome_records, b.outcome_records);
-
-    // And identically to the unforked run.
-    let plain = SimRun::trace(&bundle.trace, make(), cfg).run();
-    assert_eq!(report_digest(&a), report_digest(&plain));
+    let mut sim = SimRun::trace(&bundle.trace, unit_policy(), cfg).build();
+    sim.step_until(SimTime(bundle.horizon.0 / 2));
+    let (mid, snap) = (sim.now(), sim.snapshot());
+    while sim.step() {}
+    sim.restore(&snap).expect("own snapshot must restore");
+    assert_eq!(sim.now(), mid, "restore rewinds the clock");
+    while sim.step() {}
+    let (rewound, _) = sim.finish();
+    assert_eq!(report_digest(&straight), report_digest(&rewound));
+    assert_eq!(straight.outcome_records, rewound.outcome_records);
 }
 
 #[test]
 fn restore_rejects_foreign_shapes() {
     let bundle = golden_bundle();
     let cfg = sim_config(bundle.horizon, SchedulingDiscipline::DualPriorityEdf);
-    let make =
-        || UnitPolicy::new(UnitConfig::with_weights(UsmWeights::low_high_cfm()).with_seed(SEED));
-    let mut original = SimRun::trace(&bundle.trace, make(), cfg).build();
+    let mut original = SimRun::trace(&bundle.trace, unit_policy(), cfg).build();
     original.step_until(SimTime(bundle.horizon.0 / 4));
-    let bytes = original.checkpoint();
+    let snap = original.snapshot();
 
-    // A server over a different database size: rejected.
     let mut wider = bundle.trace.clone();
     wider.n_items += 1;
-    let mut foreign = SimRun::trace(&wider, make(), cfg).build();
+    let mut foreign = SimRun::trace(&wider, unit_policy(), cfg).build();
     assert!(
-        foreign.restore(&bytes).is_err(),
+        foreign.restore(&snap).is_err(),
         "a snapshot must not restore into a different database size"
     );
-
-    // Truncated and trailing bytes are rejected too.
-    let mut fresh = SimRun::trace(&bundle.trace, make(), cfg).build();
-    assert!(fresh.restore(&bytes[..bytes.len() - 1]).is_err());
-    let mut padded = bytes.clone();
-    padded.push(0);
-    let mut fresh2 = SimRun::trace(&bundle.trace, make(), cfg).build();
-    assert!(fresh2.restore(&padded).is_err());
 }
 
 #[test]
@@ -334,43 +367,5 @@ fn streamed_feed_recovers_identically() {
             "chunk {chunk}: streamed recovery diverged from the uncrashed run"
         );
         assert_eq!(reference.outcome_records, crashed.outcome_records);
-    }
-}
-
-/// Checkpoint size of a trace-fed med-unif UNIT run at `scale`, taken at
-/// drain and at mid-horizon. No outcome log, so the only state that could
-/// grow with the trace is the engine's own.
-fn checkpoint_sizes(scale: u64) -> (usize, usize) {
-    let qcfg = QueryTraceConfig::default().scaled_down(scale);
-    let ucfg = UpdateTraceConfig::table1(UpdateVolume::Med, UpdateDistribution::Uniform)
-        .with_total((UpdateVolume::Med.total_updates() / scale).max(1));
-    let bundle = TraceBundle::generate(&qcfg, &ucfg);
-    let cfg = SimConfig::new(bundle.horizon)
-        .with_weights(UsmWeights::low_high_cfm())
-        .with_tick_period(SimDuration::from_secs(10));
-    let make =
-        || UnitPolicy::new(UnitConfig::with_weights(UsmWeights::low_high_cfm()).with_seed(SEED));
-
-    let mut drained = SimRun::trace(&bundle.trace, make(), cfg).build();
-    while drained.step() {}
-    let mut mid = SimRun::trace(&bundle.trace, make(), cfg).build();
-    mid.step_until(SimTime(bundle.horizon.0 / 2));
-    (drained.checkpoint().len(), mid.checkpoint().len())
-}
-
-#[test]
-fn checkpoint_size_tracks_live_work_not_trace_length() {
-    // Scale 8 carries 4x the queries of scale 32 at the same load; a
-    // snapshot that kept every finished transaction would grow ~4x.
-    let (small_drained, small_mid) = checkpoint_sizes(32);
-    let (large_drained, large_mid) = checkpoint_sizes(8);
-    for (what, small, large) in [
-        ("drained", small_drained, large_drained),
-        ("mid-run", small_mid, large_mid),
-    ] {
-        assert!(
-            (large as f64) < 1.25 * small as f64,
-            "{what} checkpoint grew with the trace: {small} B at 1/32 scale, {large} B at 1/8"
-        );
     }
 }

@@ -27,9 +27,8 @@
 //! The stream composes with the engine's chunked feed: the simulator's peak
 //! footprint becomes O(live transactions), not O(trace length) — the
 //! engine keeps only a window of transactions from the oldest live one on,
-//! so its memory and its checkpoints track live work
-//! (`crates/sim/tests/recovery_differential.rs`,
-//! `checkpoint_size_tracks_live_work_not_trace_length`).
+//! so its memory and its snapshots track live work (unit-sim's
+//! `snapshot_size_tracks_live_work_not_trace_length`).
 
 use crate::cello::QueryTraceConfig;
 use crate::dist::{capped_geometric, exponential, log_normal_with_mean, zipf_weights};
